@@ -46,45 +46,62 @@ func (s State) String() string {
 // coherence request.
 func (s State) Writable() bool { return s == Exclusive || s == Modified }
 
-// Line is one cache line. The zero value is an invalid line.
+// Line is one cache line. The zero value is an invalid line that no core
+// owns or shares. Fields are ordered so the record is 32 bytes: two lines per
+// 64-byte host cache line, none straddling.
 type Line struct {
 	Block mem.Block
-	State State
 	// ReadyAt is the cycle at which the fill (data and/or permission)
 	// completes. A demand access finding ReadyAt in the future has hit an
 	// in-flight miss — for prefetched lines, that is a late prefetch.
 	ReadyAt uint64
+	// Sharers is the line's directory state at the shared inclusive L3: a
+	// bitmask of the cores holding the block read-only. Private caches leave
+	// it zero. A fill starts with no sharers and no owner, an in-place
+	// upgrade keeps both, and a victim copy carries them out so the caller
+	// can back-invalidate without a second lookup.
+	Sharers uint64
+	State   State
+	// owner is the core holding the block in E or M at the directory, plus
+	// one, so that the zero Line is ownerless rather than owned by core 0.
+	owner uint8
 	// Prefetched marks a line filled by a prefetch that no demand access
 	// has consumed yet; used for the Fig. 11 accuracy taxonomy.
 	Prefetched bool
 	// PrefetchWrite records that the prefetch requested ownership
 	// (prefetch-exclusive), as the at-commit/at-execute/SPB policies do.
 	PrefetchWrite bool
-	// gen stamps the cache generation that filled the line; it only backs
-	// Valid() on line copies handed out by Insert/Invalidate. Liveness of a
-	// way inside the array is tracked by the cache's packed tag array.
-	gen uint64
 }
 
-// Valid reports whether the line holds a block. For lines returned by
-// Lookup/Peek (always live) and for victim copies returned by Insert and
-// Invalidate.
-func (l *Line) Valid() bool { return l.gen != 0 && l.State != Invalid }
+// Owner returns the core that holds the block exclusively according to the
+// line's directory state, or -1 when no core does.
+func (l *Line) Owner() int { return int(l.owner) - 1 }
+
+// SetOwner records core as the exclusive holder; -1 clears the owner.
+func (l *Line) SetOwner(core int) { l.owner = uint8(core + 1) }
+
+// Holders returns the mask of every core the directory state names, owner
+// and sharers alike: the cores an eviction must back-invalidate.
+func (l *Line) Holders() uint64 {
+	if l.owner == 0 {
+		return l.Sharers
+	}
+	return l.Sharers | 1<<(l.owner-1)
+}
 
 // noTag marks an empty way in the packed tag array. No real block reaches it:
 // it would require an address in the top 64 bytes of the address space.
 const noTag = ^mem.Block(0)
 
 // arena is a reusable backing store: the line array plus the parallel packed
-// tag and recency arrays the scans walk, and the last generation stamp.
-// Caches of the same geometry recycle arenas through a pool; a fresh user
-// resets only the tag array (8 bytes per way) and bumps gen, so per-run setup
-// never allocates or zeroes the multi-megabyte line array.
+// tag and recency arrays the scans walk. Caches of the same geometry recycle
+// arenas through a pool; a fresh user resets only the tag array (8 bytes per
+// way), so per-run setup never allocates or zeroes the multi-megabyte line
+// array — a way's line record is garbage until its tag says otherwise.
 type arena struct {
 	lines []Line
 	tags  []mem.Block
 	uses  []uint64
-	gen   uint64
 }
 
 var arenaPools sync.Map // line count -> *sync.Pool of *arena
@@ -109,11 +126,10 @@ type Cache struct {
 	tags    []mem.Block // block per way; noTag = empty way (authoritative liveness)
 	uses    []uint64    // LRU clocks, parallel to tags
 	ar      *arena      // backing storage, recycled via Release
-	gen     uint64      // stamp written into inserted lines (backs Line.Valid)
 	clock   uint64
 
 	mshrs       int
-	outstanding minHeap // ready cycles of in-flight misses
+	outstanding readyList // ready cycles of in-flight misses
 
 	// Statistics, read by the memory system's reporting layer.
 	TagAccesses uint64
@@ -140,7 +156,6 @@ func New(name string, sizeBytes, ways, mshrs int) *Cache {
 		n := sets * ways
 		ar = &arena{lines: make([]Line, n), tags: make([]mem.Block, n), uses: make([]uint64, n)}
 	}
-	ar.gen++
 	for i := range ar.tags {
 		ar.tags[i] = noTag
 	}
@@ -152,7 +167,6 @@ func New(name string, sizeBytes, ways, mshrs int) *Cache {
 		tags:    ar.tags,
 		uses:    ar.uses,
 		ar:      ar,
-		gen:     ar.gen,
 		mshrs:   mshrs,
 	}
 }
@@ -179,9 +193,15 @@ func (c *Cache) Sets() int { return len(c.lines) / c.ways }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-// setBase returns the index of b's set's first way in the parallel arrays.
-func (c *Cache) setBase(b mem.Block) uint64 {
-	return (uint64(b) & c.setMask) * uint64(c.ways)
+// find returns the index of the way holding b in the parallel arrays, or -1.
+func (c *Cache) find(b mem.Block) int {
+	base := int(uint64(b)&c.setMask) * c.ways
+	for i, tag := range c.tags[base : base+c.ways] {
+		if tag == b {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Lookup performs a tag access for block b and returns the line holding it,
@@ -190,124 +210,130 @@ func (c *Cache) setBase(b mem.Block) uint64 {
 // duplicate-prefetch filtering) pass false.
 func (c *Cache) Lookup(b mem.Block, touch bool) *Line {
 	c.TagAccesses++
-	base := c.setBase(b)
-	tags := c.tags[base : base+uint64(c.ways)]
-	for i := range tags {
-		if tags[i] == b {
-			if touch {
-				c.clock++
-				c.uses[base+uint64(i)] = c.clock
-				c.Hits++
-			}
-			return &c.lines[base+uint64(i)]
+	i := c.find(b)
+	if i < 0 {
+		if touch {
+			c.Misses++
 		}
+		return nil
 	}
 	if touch {
-		c.Misses++
+		c.clock++
+		c.uses[i] = c.clock
+		c.Hits++
 	}
-	return nil
+	return &c.lines[i]
 }
 
 // Peek returns the line holding b without counting a tag access or touching
 // LRU. For invariant checks and directory consistency audits.
 func (c *Cache) Peek(b mem.Block) *Line {
-	base := c.setBase(b)
-	tags := c.tags[base : base+uint64(c.ways)]
-	for i := range tags {
-		if tags[i] == b {
-			return &c.lines[base+uint64(i)]
-		}
+	if i := c.find(b); i >= 0 {
+		return &c.lines[i]
 	}
 	return nil
 }
 
-// Insert fills block b in state st, with the fill completing at readyAt.
-// It returns the victim line (by value) and whether a valid victim was
-// evicted; the caller handles the writeback if victim.State == Modified.
-// Inserting a block already present updates that line in place instead.
-func (c *Cache) Insert(b mem.Block, st State, readyAt uint64, prefetched, pfWrite bool) (victim Line, evicted bool) {
-	base := c.setBase(b)
-	tags := c.tags[base : base+uint64(c.ways)]
-	uses := c.uses[base : base+uint64(c.ways)]
+// ForEach visits every line that holds a block, in set-major order, until fn
+// returns false. For audits; fn must not insert or invalidate.
+func (c *Cache) ForEach(fn func(*Line) bool) {
+	for i, tag := range c.tags {
+		if tag != noTag && !fn(&c.lines[i]) {
+			return
+		}
+	}
+}
+
+// place advances the LRU clock and picks the way block b fills: the way
+// already holding it (present: an upgrade miss, updated in place), else the
+// first free way, else the LRU way, whose line is the victim. One pass over
+// the packed tags; the line records stay untouched until the way is chosen.
+func (c *Cache) place(b mem.Block) (i int, present bool) {
+	base := int(uint64(b)&c.setMask) * c.ways
+	tags := c.tags[base : base+c.ways]
+	uses := c.uses[base : base+c.ways]
 	c.clock++
-	// One pass over the packed tags finds the matching way (an upgrade
-	// miss: update in place), the first free way, and the LRU victim among
-	// the rest; the line records stay untouched until the way is chosen.
 	free, lru := -1, 0
-	for i := range tags {
-		if tags[i] == b {
-			l := &c.lines[base+uint64(i)]
-			l.State = st
-			if readyAt > l.ReadyAt {
-				l.ReadyAt = readyAt
-			}
-			l.Prefetched = prefetched
-			l.PrefetchWrite = pfWrite
-			uses[i] = c.clock
-			return Line{}, false
+	for w, tag := range tags {
+		if tag == b {
+			uses[w] = c.clock
+			return base + w, true
 		}
 		if free < 0 {
-			if tags[i] == noTag {
-				free = i
-			} else if uses[i] < uses[lru] {
-				lru = i
+			if tag == noTag {
+				free = w
+			} else if uses[w] < uses[lru] {
+				lru = w
 			}
 		}
 	}
-	vi := free
-	if vi == -1 {
-		vi = lru
-		victim = c.lines[base+uint64(vi)]
+	if free < 0 {
+		free = lru
+	}
+	uses[free] = c.clock
+	return base + free, false
+}
+
+// Insert fills block b in state st, with the fill completing at readyAt, and
+// returns the filled line. It also returns the victim line (by value,
+// directory state included) and whether a valid victim was evicted; the
+// caller handles the writeback if victim.State == Modified. Inserting a block
+// already present updates that line in place instead, keeping its directory
+// state.
+func (c *Cache) Insert(b mem.Block, st State, readyAt uint64, prefetched, pfWrite bool) (line *Line, victim Line, evicted bool) {
+	i, present := c.place(b)
+	line = &c.lines[i]
+	if present {
+		line.State = st
+		if readyAt > line.ReadyAt {
+			line.ReadyAt = readyAt
+		}
+		line.Prefetched = prefetched
+		line.PrefetchWrite = pfWrite
+		return line, Line{}, false
+	}
+	if c.tags[i] != noTag {
+		victim = *line
 		evicted = true
 		c.Evictions++
 		if victim.State == Modified {
 			c.Writebacks++
 		}
 	}
-	c.lines[base+uint64(vi)] = Line{
+	*line = Line{
 		Block:         b,
 		State:         st,
 		ReadyAt:       readyAt,
 		Prefetched:    prefetched,
 		PrefetchWrite: pfWrite,
-		gen:           c.gen,
 	}
-	tags[vi] = b
-	uses[vi] = c.clock
-	return victim, evicted
+	c.tags[i] = b
+	return line, victim, evicted
 }
 
 // Invalidate removes block b, returning the invalidated line and whether it
 // was present (the caller handles a dirty writeback / data transfer).
 func (c *Cache) Invalidate(b mem.Block) (Line, bool) {
-	base := c.setBase(b)
-	tags := c.tags[base : base+uint64(c.ways)]
-	for i := range tags {
-		if tags[i] == b {
-			l := &c.lines[base+uint64(i)]
-			old := *l
-			*l = Line{}
-			tags[i] = noTag
-			return old, true
-		}
+	i := c.find(b)
+	if i < 0 {
+		return Line{}, false
 	}
-	return Line{}, false
+	old := c.lines[i]
+	c.lines[i] = Line{}
+	c.tags[i] = noTag
+	return old, true
 }
 
 // Downgrade moves block b to Shared (directory fetched the data for a remote
 // reader). Returns whether the block was present and was dirty.
 func (c *Cache) Downgrade(b mem.Block) (present, wasDirty bool) {
-	base := c.setBase(b)
-	tags := c.tags[base : base+uint64(c.ways)]
-	for i := range tags {
-		if tags[i] == b {
-			l := &c.lines[base+uint64(i)]
-			wasDirty = l.State == Modified
-			l.State = Shared
-			return true, wasDirty
-		}
+	i := c.find(b)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	wasDirty = c.lines[i].State == Modified
+	c.lines[i].State = Shared
+	return true, wasDirty
 }
 
 // OutstandingAt returns the number of misses still in flight at cycle t.
@@ -323,13 +349,7 @@ func (c *Cache) OutstandingAt(t uint64) int {
 // (no new misses are issued while the core is idle).
 func (c *Cache) MaxOutstandingReady(t uint64) uint64 {
 	c.outstanding.expire(t)
-	var max uint64
-	for _, v := range c.outstanding.a {
-		if v > max {
-			max = v
-		}
-	}
-	return max
+	return c.outstanding.max()
 }
 
 // MSHRAvailable returns the cycle at which a miss issued at t can actually
@@ -353,68 +373,53 @@ func (c *Cache) NoteMiss(ready uint64) {
 	c.outstanding.push(ready)
 }
 
-// minHeap tracks the ready cycles of in-flight fills as an unordered array
-// with a cached exact minimum. Capacities are bounded by the MSHR count
-// (≤64), so linear scans beat a binary heap here: the common expire call
-// removes nothing (one compare against the cached minimum), and an expire
-// that does remove work retires a whole batch of completions in a single
-// swap-remove pass instead of one sift-down per element. popMin — needed
-// only when the MSHRs are full — is a linear select of the minimum.
-type minHeap struct {
-	a   []uint64
-	min uint64 // exact minimum of a; meaningless when empty
+// readyList holds the ready cycles of in-flight fills in ascending order.
+// Capacities are bounded by the MSHR count (≤64) and fills mostly complete in
+// issue order, so push is an append plus a short back-shift, the common
+// expire removes nothing (one compare against the head), and popMin — needed
+// only when the MSHRs are full — and max read the two ends. Removal copies
+// the tail down rather than re-slicing, so the backing array is reused
+// forever and steady state allocates nothing.
+type readyList struct {
+	a []uint64
 }
 
-func (h *minHeap) len() int { return len(h.a) }
+func (r *readyList) len() int { return len(r.a) }
 
-func (h *minHeap) push(v uint64) {
-	if len(h.a) == 0 || v < h.min {
-		h.min = v
+func (r *readyList) push(v uint64) {
+	a := append(r.a, v)
+	i := len(a) - 1
+	for ; i > 0 && a[i-1] > v; i-- {
+		a[i] = a[i-1]
 	}
-	h.a = append(h.a, v)
+	a[i] = v
+	r.a = a
 }
 
-func (h *minHeap) popMin() uint64 {
-	mi := 0
-	for i, v := range h.a {
-		if v < h.a[mi] {
-			mi = i
-		}
-	}
-	v := h.a[mi]
-	last := len(h.a) - 1
-	h.a[mi] = h.a[last]
-	h.a = h.a[:last]
-	if last > 0 {
-		m := h.a[0]
-		for _, x := range h.a[1:] {
-			if x < m {
-				m = x
-			}
-		}
-		h.min = m
-	}
+// dropHead removes the n earliest fills.
+func (r *readyList) dropHead(n int) { r.a = r.a[:copy(r.a, r.a[n:])] }
+
+func (r *readyList) popMin() uint64 {
+	v := r.a[0]
+	r.dropHead(1)
 	return v
 }
 
+// max returns the latest ready cycle, or 0 when no fill is in flight.
+func (r *readyList) max() uint64 {
+	if len(r.a) == 0 {
+		return 0
+	}
+	return r.a[len(r.a)-1]
+}
+
 // expire drops fills that completed at or before t.
-func (h *minHeap) expire(t uint64) {
-	if len(h.a) == 0 || h.min > t {
-		return
+func (r *readyList) expire(t uint64) {
+	n := 0
+	for n < len(r.a) && r.a[n] <= t {
+		n++
 	}
-	m := ^uint64(0)
-	for i := 0; i < len(h.a); {
-		v := h.a[i]
-		if v <= t {
-			last := len(h.a) - 1
-			h.a[i] = h.a[last]
-			h.a = h.a[:last]
-			continue // re-examine the element swapped into slot i
-		}
-		if v < m {
-			m = v
-		}
-		i++
+	if n > 0 {
+		r.dropHead(n)
 	}
-	h.min = m
 }

@@ -1,8 +1,14 @@
 package cache
 
 import (
+	"bytes"
+	"encoding/gob"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"spb/internal/mem"
 )
@@ -57,7 +63,7 @@ func TestLRUEviction(t *testing.T) {
 	c.Insert(0, Modified, 0, false, false)
 	c.Insert(4, Shared, 0, false, false)
 	c.Lookup(0, true) // touch 0, making 4 the LRU
-	victim, evicted := c.Insert(8, Shared, 0, false, false)
+	_, victim, evicted := c.Insert(8, Shared, 0, false, false)
 	if !evicted || victim.Block != 4 {
 		t.Fatalf("victim = %+v evicted=%v, want block 4", victim, evicted)
 	}
@@ -70,7 +76,7 @@ func TestDirtyEvictionCountsWriteback(t *testing.T) {
 	c := small()
 	c.Insert(0, Modified, 0, false, false)
 	c.Insert(4, Shared, 0, false, false)
-	victim, evicted := c.Insert(8, Shared, 0, false, false)
+	_, victim, evicted := c.Insert(8, Shared, 0, false, false)
 	if !evicted || victim.State != Modified {
 		t.Fatal("LRU modified block should be the victim")
 	}
@@ -82,7 +88,7 @@ func TestDirtyEvictionCountsWriteback(t *testing.T) {
 func TestInsertExistingUpgradesInPlace(t *testing.T) {
 	c := small()
 	c.Insert(0, Shared, 0, false, false)
-	_, evicted := c.Insert(0, Modified, 10, false, false)
+	_, _, evicted := c.Insert(0, Modified, 10, false, false)
 	if evicted {
 		t.Fatal("upgrading a present block must not evict")
 	}
@@ -242,24 +248,190 @@ func TestSetInvariant(t *testing.T) {
 	}
 }
 
-// Property: the heap always pops ready times in nondecreasing order.
-func TestMinHeapOrdering(t *testing.T) {
-	f := func(vals []uint16) bool {
-		var h minHeap
-		for _, v := range vals {
-			h.push(uint64(v))
+// refList is the obviously-correct model of the MSHR list: an unordered
+// multiset searched linearly.
+type refList []uint64
+
+func (r *refList) expire(t uint64) {
+	kept := (*r)[:0]
+	for _, v := range *r {
+		if v > t {
+			kept = append(kept, v)
 		}
-		prev := uint64(0)
-		for h.len() > 0 {
-			v := h.popMin()
-			if v < prev {
-				return false
-			}
-			prev = v
-		}
-		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	*r = kept
+}
+
+func (r *refList) popMin() uint64 {
+	mi := 0
+	for i, v := range *r {
+		if v < (*r)[mi] {
+			mi = i
+		}
+	}
+	v := (*r)[mi]
+	*r = append((*r)[:mi], (*r)[mi+1:]...)
+	return v
+}
+
+func (r refList) max() uint64 {
+	var m uint64
+	for _, v := range r {
+		m = max(m, v)
+	}
+	return m
+}
+
+// TestReadyListMatchesReference drives the sorted MSHR list and the naive
+// multiset through the same random push/expire/popMin/max sequences —
+// including long stretches at the 64-entry MSHR limit, where every push is
+// preceded by a popMin as in MSHRAvailable — and demands equal answers, an
+// ascending list, and no allocation once the backing array has grown.
+func TestReadyListMatchesReference(t *testing.T) {
+	const mshrs = 64
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 20; round++ {
+		var l readyList
+		var ref refList
+		now := uint64(0)
+		for op := 0; op < 5000; op++ {
+			switch k := rng.Intn(10); {
+			case k < 6: // a miss: wait for an MSHR if all are busy, then issue
+				for l.len() >= mshrs {
+					if got, want := l.popMin(), ref.popMin(); got != want {
+						t.Fatalf("round %d op %d: popMin = %d, want %d", round, op, got, want)
+					}
+				}
+				// Mostly in issue order, sometimes far out of order, often equal.
+				v := now + uint64(rng.Intn(400))
+				if rng.Intn(4) == 0 {
+					v = now + uint64(rng.Intn(4))
+				}
+				l.push(v)
+				ref = append(ref, v)
+			case k < 8:
+				if round%2 == 0 { // odd rounds never expire: the list stays full
+					now += uint64(rng.Intn(120))
+					l.expire(now)
+					ref.expire(now)
+				}
+			case k < 9:
+				if l.len() > 0 {
+					if got, want := l.popMin(), ref.popMin(); got != want {
+						t.Fatalf("round %d op %d: popMin = %d, want %d", round, op, got, want)
+					}
+				}
+			}
+			if l.len() != len(ref) || l.max() != ref.max() {
+				t.Fatalf("round %d op %d: len/max = %d/%d, want %d/%d", round, op, l.len(), l.max(), len(ref), ref.max())
+			}
+			if !sort.SliceIsSorted(l.a, func(i, j int) bool { return l.a[i] < l.a[j] }) {
+				t.Fatalf("round %d op %d: list not ascending: %v", round, op, l.a)
+			}
+		}
+		if cap(l.a) > 2*mshrs {
+			t.Fatalf("round %d: backing array grew to %d for at most %d entries", round, cap(l.a), mshrs)
+		}
+	}
+}
+
+// TestLineIs32Bytes pins the record size the L3's host-memory footprint (and
+// the two-lines-per-host-cache-line layout) depends on, and the zero value's
+// meaning: no block, no owner, no sharers.
+func TestLineIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 32 {
+		t.Fatalf("sizeof(Line) = %d, want 32", n)
+	}
+	var l Line
+	if l.Owner() != -1 || l.Holders() != 0 || l.State != Invalid {
+		t.Fatalf("zero Line = %+v (owner %d), want invalid and ownerless", l, l.Owner())
+	}
+	l.SetOwner(0)
+	if l.Owner() != 0 || l.Holders() != 1 {
+		t.Fatalf("owner 0: Owner = %d, Holders = %#x", l.Owner(), l.Holders())
+	}
+	l.SetOwner(63)
+	l.Sharers = 1 << 5
+	if l.Owner() != 63 || l.Holders() != 1<<63|1<<5 {
+		t.Fatalf("owner 63: Owner = %d, Holders = %#x", l.Owner(), l.Holders())
+	}
+	l.SetOwner(-1)
+	if l.Owner() != -1 || l.Holders() != 1<<5 {
+		t.Fatalf("cleared: Owner = %d, Holders = %#x", l.Owner(), l.Holders())
+	}
+}
+
+// TestInsertCarriesDirectoryState: a fill starts with empty directory state
+// even in a recycled way, an in-place upgrade keeps it, and the victim copy
+// hands it out — the three properties memsys's in-line directory relies on.
+func TestInsertCarriesDirectoryState(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		c := small() // blocks 0, 4, 8 map to set 0
+		insert := func(b mem.Block, st State) (*Line, Line, bool) {
+			if warm {
+				return c.WarmInsert(b, st)
+			}
+			return c.Insert(b, st, 0, false, false)
+		}
+		l0, _, _ := insert(0, Shared)
+		if l0 != c.Peek(0) {
+			t.Fatalf("warm=%v: Insert returned %p, the line is %p", warm, l0, c.Peek(0))
+		}
+		l0.SetOwner(3)
+		l0.Sharers = 0b1010
+		if up, _, evicted := insert(0, Modified); evicted || up != l0 || up.Owner() != 3 || up.Sharers != 0b1010 {
+			t.Fatalf("warm=%v: upgrade in place lost directory state: %+v", warm, up)
+		}
+		insert(4, Shared)
+		c.Lookup(4, true) // 0 is now the LRU way
+		l8, victim, evicted := insert(8, Shared)
+		if !evicted || victim.Block != 0 || victim.Owner() != 3 || victim.Sharers != 0b1010 {
+			t.Fatalf("warm=%v: victim = %+v evicted=%v, want block 0 with its directory state", warm, victim, evicted)
+		}
+		if l8.Owner() != -1 || l8.Sharers != 0 {
+			t.Fatalf("warm=%v: fill into a recycled way inherited directory state: %+v", warm, l8)
+		}
+		c.Release()
+	}
+}
+
+// TestSnapshotFits: a snapshot restores into a cache of its own geometry and
+// is refused — as an error — by one of another size, by a core count its
+// directory state exceeds, and when its in-flight list is out of order.
+func TestSnapshotFits(t *testing.T) {
+	c := small()
+	l, _, _ := c.Insert(5, Modified, 7, false, false)
+	l.SetOwner(1)
+	l.Sharers = 0b10
+	c.NoteMiss(30)
+	c.NoteMiss(20)
+	snap := c.Snapshot()
+	if err := snap.Fits(c, 2); err != nil {
+		t.Fatalf("own snapshot refused: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
+	}
+	decoded := &Snapshot{}
+	if err := gob.NewDecoder(&buf).Decode(decoded); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap, decoded) {
+		t.Fatal("gob round trip changed the snapshot")
+	}
+	if err := snap.Fits(c, 1); err == nil {
+		t.Error("owner 1 accepted on a 1-core machine")
+	}
+	if err := snap.Fits(New("big", 8*2*64, 2, 4), 2); err == nil {
+		t.Error("snapshot of 8 lines accepted by a 16-line cache")
+	}
+	decoded.lines = decoded.lines[:len(decoded.lines)-1]
+	if err := decoded.Fits(c, 2); err == nil {
+		t.Error("truncated line array accepted")
+	}
+	snap.outstanding[0], snap.outstanding[1] = snap.outstanding[1], snap.outstanding[0]
+	if err := snap.Fits(c, 2); err == nil {
+		t.Error("descending in-flight list accepted")
 	}
 }

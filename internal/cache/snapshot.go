@@ -1,6 +1,10 @@
 package cache
 
-import "spb/internal/mem"
+import (
+	"fmt"
+
+	"spb/internal/mem"
+)
 
 // This file adds the two pieces warm-start simulation (DESIGN.md §12) needs
 // from the cache arrays: counter-free "functional warming" accesses, and a
@@ -18,85 +22,62 @@ import "spb/internal/mem"
 // WarmLookup returns the line holding b, touching LRU state exactly as a
 // demand Lookup(b, true) would, but without counting the access.
 func (c *Cache) WarmLookup(b mem.Block) *Line {
-	base := c.setBase(b)
-	tags := c.tags[base : base+uint64(c.ways)]
-	for i := range tags {
-		if tags[i] == b {
-			c.clock++
-			c.uses[base+uint64(i)] = c.clock
-			return &c.lines[base+uint64(i)]
-		}
+	i := c.find(b)
+	if i < 0 {
+		return nil
 	}
-	return nil
+	c.clock++
+	c.uses[i] = c.clock
+	return &c.lines[i]
 }
 
 // WarmInsert fills block b in state st with the fill already complete
 // (ReadyAt 0), choosing the victim exactly as Insert would but without
-// counting the eviction. The caller propagates state effects (directory
-// cleanup, back-invalidation) of a valid victim; no writeback is modelled.
-func (c *Cache) WarmInsert(b mem.Block, st State) (victim Line, evicted bool) {
-	base := c.setBase(b)
-	tags := c.tags[base : base+uint64(c.ways)]
-	uses := c.uses[base : base+uint64(c.ways)]
-	c.clock++
-	free, lru := -1, 0
-	for i := range tags {
-		if tags[i] == b {
-			l := &c.lines[base+uint64(i)]
-			l.State = st
-			l.Prefetched = false
-			l.PrefetchWrite = false
-			uses[i] = c.clock
-			return Line{}, false
-		}
-		if free < 0 {
-			if tags[i] == noTag {
-				free = i
-			} else if uses[i] < uses[lru] {
-				lru = i
-			}
-		}
+// counting the eviction. The caller propagates state effects (inclusive
+// back-invalidation) of a valid victim; no writeback is modelled.
+func (c *Cache) WarmInsert(b mem.Block, st State) (line *Line, victim Line, evicted bool) {
+	i, present := c.place(b)
+	line = &c.lines[i]
+	if present {
+		line.State = st
+		line.Prefetched = false
+		line.PrefetchWrite = false
+		return line, Line{}, false
 	}
-	vi := free
-	if vi == -1 {
-		vi = lru
-		victim = c.lines[base+uint64(vi)]
+	if c.tags[i] != noTag {
+		victim = *line
 		evicted = true
 	}
-	c.lines[base+uint64(vi)] = Line{Block: b, State: st, gen: c.gen}
-	tags[vi] = b
-	uses[vi] = c.clock
-	return victim, evicted
+	*line = Line{Block: b, State: st}
+	c.tags[i] = b
+	return line, victim, evicted
 }
 
 // Snapshot is a deep copy of a cache's mutable state: the line, tag and LRU
-// arrays, the LRU clock, the generation stamp, the in-flight miss heap and
-// the statistics counters. It shares no memory with the cache it was taken
-// from.
+// arrays, the LRU clock, the in-flight miss list and the statistics counters.
+// For the L3 that includes the coherence directory, which lives in the lines.
+// It shares no memory with the cache it was taken from.
 type Snapshot struct {
 	lines []Line
 	tags  []mem.Block
 	uses  []uint64
-	gen   uint64
 	clock uint64
 
-	outstanding []uint64
-	outMin      uint64
+	outstanding []uint64 // ascending
 
 	tagAccesses, hits, misses, evictions, writebacks uint64
 }
 
 // Snapshot deep-copies the cache's mutable state in canonical form: dead
 // ways (tags[i] == noTag) are stored as zero lines/uses regardless of what
-// garbage the recycled arena holds, and generation stamps are normalized to
-// 1. Two caches with identical logical content therefore produce identical
-// snapshots (reflect.DeepEqual-comparable) no matter their arena history.
+// garbage the recycled arena holds. Two caches with identical logical
+// content therefore produce identical snapshots (reflect.DeepEqual-
+// comparable) no matter their arena history.
 func (c *Cache) Snapshot() *Snapshot {
 	s := &Snapshot{
 		lines:       make([]Line, len(c.lines)),
 		tags:        make([]mem.Block, len(c.tags)),
 		uses:        make([]uint64, len(c.uses)),
-		gen:         1,
 		clock:       c.clock,
 		tagAccesses: c.TagAccesses,
 		hits:        c.Hits,
@@ -105,26 +86,44 @@ func (c *Cache) Snapshot() *Snapshot {
 		writebacks:  c.Writebacks,
 	}
 	for i, tag := range c.tags {
-		if tag == noTag {
-			s.tags[i] = noTag
-			continue
-		}
 		s.tags[i] = tag
-		s.uses[i] = c.uses[i]
-		s.lines[i] = c.lines[i]
-		s.lines[i].gen = 1
+		if tag != noTag {
+			s.uses[i] = c.uses[i]
+			s.lines[i] = c.lines[i]
+		}
 	}
 	if len(c.outstanding.a) > 0 {
 		s.outstanding = append([]uint64(nil), c.outstanding.a...)
-		s.outMin = c.outstanding.min
 	}
 	return s
 }
 
+// Fits reports, as an error, why the snapshot cannot be restored into c: its
+// arrays are not c's size, a line names an owner or sharer outside
+// [0, cores), or the in-flight list is not ascending. Snapshots taken from a
+// same-geometry cache always fit; decoded ones (checkpoint files) must be
+// checked before Restore, which panics on a size mismatch.
+func (s *Snapshot) Fits(c *Cache, cores int) error {
+	if n := len(c.lines); len(s.lines) != n || len(s.tags) != n || len(s.uses) != n {
+		return fmt.Errorf("cache %s: snapshot of %d/%d/%d lines/tags/uses, cache has %d",
+			c.name, len(s.lines), len(s.tags), len(s.uses), n)
+	}
+	for i := range s.lines {
+		if l := &s.lines[i]; int(l.owner) > cores || l.Sharers>>uint(cores) != 0 {
+			return fmt.Errorf("cache %s: snapshot line %d names owner %d, sharers %#x of %d cores",
+				c.name, i, l.Owner(), l.Sharers, cores)
+		}
+	}
+	for i := 1; i < len(s.outstanding); i++ {
+		if s.outstanding[i] < s.outstanding[i-1] {
+			return fmt.Errorf("cache %s: snapshot in-flight list not ascending", c.name)
+		}
+	}
+	return nil
+}
+
 // Restore overwrites the cache's mutable state with the snapshot's. The
-// cache must have the same geometry as the snapshot's source. The canonical
-// generation stamp (1) is adopted wholesale: liveness is tracked by the tag
-// array, and line stamps stay nonzero, which is all Line.Valid requires.
+// cache must have the same geometry as the snapshot's source.
 func (c *Cache) Restore(s *Snapshot) {
 	if len(c.lines) != len(s.lines) || c.ways == 0 {
 		panic("cache: Restore with mismatched geometry")
@@ -132,10 +131,8 @@ func (c *Cache) Restore(s *Snapshot) {
 	copy(c.lines, s.lines)
 	copy(c.tags, s.tags)
 	copy(c.uses, s.uses)
-	c.gen = s.gen
 	c.clock = s.clock
 	c.outstanding.a = append(c.outstanding.a[:0], s.outstanding...)
-	c.outstanding.min = s.outMin
 	c.TagAccesses = s.tagAccesses
 	c.Hits = s.hits
 	c.Misses = s.misses

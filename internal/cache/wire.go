@@ -8,9 +8,8 @@ import (
 )
 
 // Gob wire form of a Snapshot (crash-safe checkpoints, DESIGN.md §15). The
-// snapshot's canonical form already normalizes generation stamps to 1 and
-// zeroes dead ways, so the wire form only needs the logical content; decode
-// re-derives line liveness from the tag array.
+// snapshot's canonical form already zeroes dead ways, so the wire form is the
+// logical content field for field.
 
 type lineWire struct {
 	Block         mem.Block
@@ -18,6 +17,8 @@ type lineWire struct {
 	ReadyAt       uint64
 	Prefetched    bool
 	PrefetchWrite bool
+	Owner         uint8 // owning core + 1, 0 = none (Line.owner as stored)
+	Sharers       uint64
 }
 
 type snapshotWire struct {
@@ -27,7 +28,6 @@ type snapshotWire struct {
 	Clock uint64
 
 	Outstanding []uint64
-	OutMin      uint64
 
 	TagAccesses, Hits, Misses, Evictions, Writebacks uint64
 }
@@ -40,7 +40,6 @@ func (s *Snapshot) GobEncode() ([]byte, error) {
 		Uses:        s.uses,
 		Clock:       s.clock,
 		Outstanding: s.outstanding,
-		OutMin:      s.outMin,
 		TagAccesses: s.tagAccesses,
 		Hits:        s.hits,
 		Misses:      s.misses,
@@ -49,7 +48,8 @@ func (s *Snapshot) GobEncode() ([]byte, error) {
 	}
 	for i, l := range s.lines {
 		w.Lines[i] = lineWire{Block: l.Block, State: l.State, ReadyAt: l.ReadyAt,
-			Prefetched: l.Prefetched, PrefetchWrite: l.PrefetchWrite}
+			Prefetched: l.Prefetched, PrefetchWrite: l.PrefetchWrite,
+			Owner: l.owner, Sharers: l.Sharers}
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
@@ -67,17 +67,13 @@ func (s *Snapshot) GobDecode(data []byte) error {
 	s.lines = make([]Line, len(w.Lines))
 	for i, l := range w.Lines {
 		s.lines[i] = Line{Block: l.Block, State: l.State, ReadyAt: l.ReadyAt,
-			Prefetched: l.Prefetched, PrefetchWrite: l.PrefetchWrite}
-		if i < len(w.Tags) && w.Tags[i] != noTag {
-			s.lines[i].gen = 1
-		}
+			Prefetched: l.Prefetched, PrefetchWrite: l.PrefetchWrite,
+			owner: l.Owner, Sharers: l.Sharers}
 	}
 	s.tags = w.Tags
 	s.uses = w.Uses
-	s.gen = 1
 	s.clock = w.Clock
 	s.outstanding = w.Outstanding
-	s.outMin = w.OutMin
 	s.tagAccesses = w.TagAccesses
 	s.hits = w.Hits
 	s.misses = w.Misses

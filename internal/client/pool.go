@@ -637,10 +637,16 @@ func (r *poolRun) runChunk(b int, chunk []*poolTask) {
 		}
 		return nil
 	})
+	br := r.p.breaker(b)
 	if r.ctx.Err() != nil {
+		// The run is over — usually because this stream delivered its last
+		// result, which cancels the run before Batch returns. That is a
+		// healthy backend: settle, or a half-open trial stays open forever.
+		if progressed {
+			br.Success()
+		}
 		return
 	}
-	br := r.p.breaker(b)
 	if err == nil && !r.chunkHasUnfinished(b, chunk) {
 		br.Success()
 		return

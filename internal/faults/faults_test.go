@@ -11,16 +11,16 @@ import (
 
 func TestParseRejectsBadSpecs(t *testing.T) {
 	for _, spec := range []string{
-		"store.read",                     // no kind/rate
-		"store.read:explode:0.5",         // unknown kind
-		"store.read:error:1.5",           // rate out of range
-		"store.read:error:x",             // rate not a number
-		":error:0.5",                     // empty site
-		"a:delay:0.5",                    // delay without duration
-		"a:error:0.5:10ms",               // duration on non-delay
-		"a:error:0.5:limit=x",            // bad limit
-		"seed=nope;a:error:1",            // bad seed
-		"seed=3",                         // seed but no clauses
+		"store.read",             // no kind/rate
+		"store.read:explode:0.5", // unknown kind
+		"store.read:error:1.5",   // rate out of range
+		"store.read:error:x",     // rate not a number
+		":error:0.5",             // empty site
+		"a:delay:0.5",            // delay without duration
+		"a:error:0.5:10ms",       // duration on non-delay
+		"a:error:0.5:limit=x",    // bad limit
+		"seed=nope;a:error:1",    // bad seed
+		"seed=3",                 // seed but no clauses
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted a bad spec", spec)

@@ -28,9 +28,9 @@ func TestCheckCoherenceDetectsOwnerWithForeignSharers(t *testing.T) {
 	a := s.Port(0)
 	ra := a.StoreAcquire(0x2000, 0x400000, 0)
 	a.PerformStore(0x2000, 0x400000, ra.Done)
-	// Corrupt the directory: pretend core 1 also shares the owned block.
-	e := s.dirOf(mem.BlockOf(0x2000))
-	e.sharers |= 1 << 1
+	// Corrupt the directory state in the block's L3 line: pretend core 1
+	// also shares the owned block.
+	s.L3().Peek(mem.BlockOf(0x2000)).Sharers |= 1 << 1
 	if err := s.CheckCoherence(); err == nil {
 		t.Fatal("auditor must detect an owner coexisting with foreign sharers")
 	}

@@ -61,10 +61,22 @@ func (r *recentSet) release() {
 	p.(*sync.Pool).Put(r)
 }
 
+// blockHash is the splitmix64 finalizer: block addresses are highly regular
+// (sequential, strided), so every input bit must influence the probe index.
+func blockHash(b mem.Block) uint64 {
+	x := uint64(b)
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
 // slotOf returns the index of b's slot if present, or the insertion point
 // (first empty slot in b's probe run) and false.
 func (r *recentSet) slotOf(b mem.Block) (uint64, bool) {
-	i := dirHash(b) & r.mask
+	i := blockHash(b) & r.mask
 	for {
 		if r.counts[i] == 0 {
 			return i, false
@@ -98,7 +110,7 @@ func (r *recentSet) forget(b mem.Block) {
 			if r.counts[k] == 0 {
 				return
 			}
-			home := dirHash(r.keys[k]) & r.mask
+			home := blockHash(r.keys[k]) & r.mask
 			if (k-home)&r.mask >= (k-j)&r.mask {
 				r.keys[j] = r.keys[k]
 				r.counts[j] = r.counts[k]

@@ -1,7 +1,7 @@
 package memsys
 
 import (
-	"sort"
+	"fmt"
 
 	"spb/internal/cache"
 	"spb/internal/dram"
@@ -10,67 +10,12 @@ import (
 )
 
 // Deep snapshot/restore of the shared memory system (warm-start support,
-// DESIGN.md §12). Everything mutable is copied: every cache array, the
-// directory table, the recent-eviction sets, the DRAM channel state and all
-// statistics counters. The generic prefetcher is NOT part of the snapshot:
-// functional warming never trains it, its type is a per-spec configuration
-// knob, and a fork always starts it fresh — exactly matching a cold run.
-
-// dirPair is one live directory entry in canonical form.
-type dirPair struct {
-	block mem.Block
-	entry dirEntry
-}
-
-// dirSnapshot is a canonical deep copy of a directory table: per shard, the
-// live entries sorted by block. Slot positions, shard capacities and
-// generation stamps are deliberately absent — they are artifacts of the
-// table's allocation history (pool reuse, growth points) that never affect
-// behaviour, so two logically identical directories snapshot identically.
-type dirSnapshot struct {
-	shard [dirShards][]dirPair
-}
-
-func (t *dirTable) snapshot() *dirSnapshot {
-	s := &dirSnapshot{}
-	for i := range t.shard {
-		sh := &t.shard[i]
-		pairs := make([]dirPair, 0, sh.used)
-		for j := range sh.slots {
-			if sh.slots[j].gen == sh.gen {
-				pairs = append(pairs, dirPair{block: sh.slots[j].block, entry: sh.slots[j].entry})
-			}
-		}
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a].block < pairs[b].block })
-		s.shard[i] = pairs
-	}
-	return s
-}
-
-// restore empties each shard (generation bump, as newDirTable does) and
-// re-inserts the snapshot's entries through the table's own probe logic, so
-// the rebuilt layout is valid for whatever capacity the shard currently has.
-func (t *dirTable) restore(snap *dirSnapshot) {
-	for i := range t.shard {
-		sh := &t.shard[i]
-		sh.used = 0
-		sh.gen++
-		if sh.gen == 0 { // wrapped: stale slots could alias, start clean
-			sh.reset(len(sh.slots))
-		}
-		for _, pr := range snap.shard[i] {
-			if sh.used >= len(sh.slots)-len(sh.slots)/4 {
-				sh.grow()
-			}
-			j := sh.home(dirHash(pr.block))
-			for sh.liveAt(j) {
-				j = (j + 1) & sh.mask
-			}
-			sh.slots[j] = dirSlot{block: pr.block, entry: pr.entry, gen: sh.gen}
-			sh.used++
-		}
-	}
-}
+// DESIGN.md §12). Everything mutable is copied: every cache array (the L3's
+// lines carry the coherence directory), the recent-eviction sets, the DRAM
+// channel state and all statistics counters. The generic prefetcher is NOT
+// part of the snapshot: functional warming never trains it, its type is a
+// per-spec configuration knob, and a fork always starts it fresh — exactly
+// matching a cold run.
 
 // recentSnapshot is a canonical deep copy of a recentSet: ring positions
 // outside the live window and table slots with zero count are stored as
@@ -104,8 +49,15 @@ func (r *recentSet) snapshot() *recentSnapshot {
 	return s
 }
 
+// fits reports whether the snapshot's arrays are r's size and its cursor is
+// inside the ring.
+func (s *recentSnapshot) fits(r *recentSet) bool {
+	return s != nil && len(s.ring) == len(r.ring) && len(s.keys) == len(r.keys) &&
+		len(s.counts) == len(r.counts) && s.next >= 0 && s.next < len(s.ring)
+}
+
 func (r *recentSet) restore(s *recentSnapshot) {
-	if len(r.ring) != len(s.ring) || len(r.keys) != len(s.keys) {
+	if !s.fits(r) {
 		panic("memsys: recentSet restore with mismatched capacity")
 	}
 	copy(r.ring, s.ring)
@@ -188,7 +140,6 @@ func (p *Port) restore(s *portSnapshot) {
 type SystemSnapshot struct {
 	l3    *cache.Snapshot
 	dram  dram.Snapshot
-	dir   *dirSnapshot
 	ports []*portSnapshot
 
 	l3Accesses, invalidations, writebacksL3, backInvals uint64
@@ -199,7 +150,6 @@ func (s *System) Snapshot() *SystemSnapshot {
 	snap := &SystemSnapshot{
 		l3:            s.l3.Snapshot(),
 		dram:          s.dram.Snapshot(),
-		dir:           s.dir.snapshot(),
 		l3Accesses:    s.L3Accesses,
 		invalidations: s.Invalidations,
 		writebacksL3:  s.WritebacksL3,
@@ -211,6 +161,34 @@ func (s *System) Snapshot() *SystemSnapshot {
 	return snap
 }
 
+// Fits reports, as an error, why the snapshot cannot be restored into s: a
+// different core count, a cache or recent-set of a different size, or
+// directory state naming a core the system does not have. Snapshots taken
+// from a same-configuration System always fit; a decoded one (a checkpoint
+// file) must be checked before Restore, which panics on such a mismatch.
+func (snap *SystemSnapshot) Fits(s *System) error {
+	if snap.l3 == nil || len(snap.ports) != len(s.ports) {
+		return fmt.Errorf("memsys: snapshot of %d cores, system has %d", len(snap.ports), len(s.ports))
+	}
+	if err := snap.l3.Fits(s.l3, len(s.ports)); err != nil {
+		return err
+	}
+	for i, p := range s.ports {
+		ps := snap.ports[i]
+		if ps == nil || ps.l1 == nil || ps.l2 == nil || !ps.evictedPF.fits(p.evictedPF) || !ps.victimsOfPF.fits(p.victimsOfPF) {
+			return fmt.Errorf("memsys: snapshot port %d is incomplete or of another size", i)
+		}
+		// Private lines carry no directory state: zero cores may be named.
+		if err := ps.l1.Fits(p.l1, 0); err != nil {
+			return err
+		}
+		if err := ps.l2.Fits(p.l2, 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Restore overwrites the system's mutable state with the snapshot's. The
 // system must have the same geometry (core count, cache configuration) as
 // the snapshot's source. Prefetcher state is untouched.
@@ -220,7 +198,6 @@ func (s *System) Restore(snap *SystemSnapshot) {
 	}
 	s.l3.Restore(snap.l3)
 	s.dram.Restore(snap.dram)
-	s.dir.restore(snap.dir)
 	for i, p := range s.ports {
 		p.restore(snap.ports[i])
 	}

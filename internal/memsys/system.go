@@ -10,6 +10,7 @@ package memsys
 
 import (
 	"fmt"
+	"math/bits"
 
 	"spb/internal/cache"
 	"spb/internal/config"
@@ -26,19 +27,21 @@ const probeLat = 24
 // an adaptive prefetcher.
 const fdpEpoch = 8192
 
-// dirEntry tracks which cores hold a block. owner >= 0 means that core holds
-// the block in E or M; sharers is a bitmask of cores holding it in S.
-type dirEntry struct {
-	owner   int8
-	sharers uint64
-}
+// MaxCores is the largest core count a System supports: the directory keeps
+// one sharer bit per core in a 64-bit mask.
+const MaxCores = 64
 
-// System is the shared part of the memory hierarchy.
+// System is the shared part of the memory hierarchy. The coherence directory
+// has no storage of its own: as in the paper's machine (one directory at an
+// inclusive shared L3), a block's owner and sharers live in its L3 line
+// (cache.Line Owner/Sharers), so the one set scan an L3 access does anyway
+// also finds the directory state, a fill creates it empty, and an eviction
+// hands it out with the victim. This is exact, not an approximation: the L3
+// is inclusive, so the blocks any core can hold are exactly the L3 residents.
 type System struct {
 	cfg   config.MachineConfig
 	l3    *cache.Cache
 	dram  *dram.DRAM
-	dir   *dirTable
 	ports []*Port
 
 	// Traffic counters for the shared fabric.
@@ -50,14 +53,13 @@ type System struct {
 
 // New builds a memory system with n cores' private hierarchies attached.
 func New(cfg config.MachineConfig, n int) *System {
-	if n <= 0 || n > 64 {
-		panic(fmt.Sprintf("memsys: core count %d out of range 1..64", n))
+	if n <= 0 || n > MaxCores {
+		panic(fmt.Sprintf("memsys: core count %d out of range 1..%d", n, MaxCores))
 	}
 	s := &System{
 		cfg:  cfg,
 		l3:   cache.New("L3", cfg.L3.SizeBytes, cfg.L3.Ways, cfg.L3.MSHRs),
 		dram: dram.New(cfg.DRAM.LatencyCyc, cfg.DRAM.CyclesPerBlock, cfg.DRAM.MaxOutstanding),
-		dir:  newDirTable(),
 	}
 	for i := 0; i < n; i++ {
 		s.ports = append(s.ports, &Port{
@@ -73,12 +75,11 @@ func New(cfg config.MachineConfig, n int) *System {
 	return s
 }
 
-// Release returns the System's large arrays — every cache's line arena, the
-// directory table and the recent-eviction sets — to internal pools so the
-// next System constructed with the same geometry reuses them instead of
-// allocating afresh. Call it when a simulation run is finished with the
-// System; using the System afterwards is a bug. Skipping Release only
-// forfeits the reuse.
+// Release returns the System's large arrays — every cache's line arena and
+// the recent-eviction sets — to internal pools so the next System constructed
+// with the same geometry reuses them instead of allocating afresh. Call it
+// when a simulation run is finished with the System; using the System
+// afterwards is a bug. Skipping Release only forfeits the reuse.
 func (s *System) Release() {
 	s.l3.Release()
 	for _, p := range s.ports {
@@ -87,8 +88,6 @@ func (s *System) Release() {
 		p.evictedPF.release()
 		p.victimsOfPF.release()
 	}
-	s.dir.release()
-	s.dir = nil
 }
 
 // Port returns core i's private port.
@@ -103,94 +102,71 @@ func (s *System) L3() *cache.Cache { return s.l3 }
 // DRAM exposes the memory model for statistics reporting.
 func (s *System) DRAM() *dram.DRAM { return s.dram }
 
-// dirOf returns b's directory entry, creating an ownerless one if absent.
-// The pointer is invalidated by any later insert or delete on the directory
-// (notably l3Fill); callers that fill the L3 re-fetch afterwards.
-func (s *System) dirOf(b mem.Block) *dirEntry {
-	return s.dir.getOrCreate(b)
-}
-
-// invalidateOthers removes every copy of b held by cores other than
-// requester, returning the added latency and whether a remote dirty copy
-// supplied the data.
-func (s *System) invalidateOthers(b mem.Block, requester int, t uint64) (extra uint64, dirtyForward bool) {
-	e := s.dir.get(b)
-	if e == nil {
-		return 0, false
-	}
-	if e.owner >= 0 && int(e.owner) != requester {
-		p := s.ports[e.owner]
-		if line, ok := p.l1.Invalidate(b); ok && line.State == cache.Modified {
-			dirtyForward = true
-		}
-		if line, ok := p.l2.Invalidate(b); ok && line.State == cache.Modified {
-			dirtyForward = true
-		}
+// invalidateOthers removes every copy of the block in L3 line dir held by
+// cores other than requester, returning the added latency. A core recorded
+// both as owner and as sharer (it re-read a block whose private copies it had
+// silently dropped) is probed, and counted, once in each role.
+func (s *System) invalidateOthers(dir *cache.Line, requester int) (extra uint64) {
+	probe := func(core int) {
+		p := s.ports[core]
+		p.l1.Invalidate(dir.Block)
+		p.l2.Invalidate(dir.Block)
 		s.Invalidations++
 		extra = probeLat
 	}
-	for c := 0; c < len(s.ports); c++ {
-		if c == requester || e.sharers&(1<<uint(c)) == 0 {
-			continue
-		}
-		p := s.ports[c]
-		p.l1.Invalidate(b)
-		p.l2.Invalidate(b)
-		s.Invalidations++
-		if extra < probeLat {
-			extra = probeLat
-		}
+	if o := dir.Owner(); o >= 0 && o != requester {
+		probe(o)
+		dir.SetOwner(-1)
 	}
-	if e.owner >= 0 && int(e.owner) != requester {
-		e.owner = -1
+	self := uint64(1) << uint(requester)
+	for m := dir.Sharers &^ self; m != 0; m &= m - 1 {
+		probe(bits.TrailingZeros64(m))
 	}
-	e.sharers &= 1 << uint(requester)
-	return extra, dirtyForward
+	dir.Sharers &= self
+	return extra
 }
 
-// downgradeOwner converts a remote exclusive/modified copy to shared so the
-// requester can read, returning the added latency.
-func (s *System) downgradeOwner(b mem.Block, requester int, t uint64) (extra uint64) {
-	e := s.dir.get(b)
-	if e == nil || e.owner < 0 || int(e.owner) == requester {
+// downgradeOwner converts a remote exclusive/modified copy of the block in
+// L3 line dir to shared so the requester can read, returning the added
+// latency.
+func (s *System) downgradeOwner(dir *cache.Line, requester int) (extra uint64) {
+	owner := dir.Owner()
+	if owner < 0 || owner == requester {
 		return 0
 	}
-	p := s.ports[e.owner]
-	p.l1.Downgrade(b)
-	p.l2.Downgrade(b)
-	e.sharers |= 1 << uint(e.owner)
-	e.owner = -1
+	p := s.ports[owner]
+	p.l1.Downgrade(dir.Block)
+	p.l2.Downgrade(dir.Block)
+	dir.Sharers |= 1 << uint(owner)
+	dir.SetOwner(-1)
 	s.Invalidations++
 	return probeLat
 }
 
-// l3Fill inserts b into the L3, handling inclusive back-invalidations of the
-// victim in every private hierarchy and the DRAM writeback of dirty victims.
-func (s *System) l3Fill(b mem.Block, st cache.State, ready uint64) {
-	victim, evicted := s.l3.Insert(b, st, ready, false, false)
+// l3Fill inserts b into the L3 and returns its line, handling inclusive
+// back-invalidations of the victim in every private hierarchy and the DRAM
+// writeback of dirty victims.
+func (s *System) l3Fill(b mem.Block, st cache.State, ready uint64) *cache.Line {
+	line, victim, evicted := s.l3.Insert(b, st, ready, false, false)
 	if !evicted {
-		return
+		return line
 	}
 	if victim.State == cache.Modified {
 		s.dram.Write(ready)
 		s.WritebacksL3++
 	}
 	// Inclusion: no private cache may keep a block the L3 dropped.
-	if e := s.dir.get(victim.Block); e != nil {
-		for c := range s.ports {
-			if int(e.owner) == c || e.sharers&(1<<uint(c)) != 0 {
-				p := s.ports[c]
-				if line, ok := p.l1.Invalidate(victim.Block); ok && line.State == cache.Modified {
-					s.dram.Write(ready)
-				}
-				if line, ok := p.l2.Invalidate(victim.Block); ok && line.State == cache.Modified {
-					s.dram.Write(ready)
-				}
-				s.BackInvals++
-			}
+	for m := victim.Holders(); m != 0; m &= m - 1 {
+		p := s.ports[bits.TrailingZeros64(m)]
+		if old, ok := p.l1.Invalidate(victim.Block); ok && old.State == cache.Modified {
+			s.dram.Write(ready)
 		}
-		s.dir.delete(victim.Block)
+		if old, ok := p.l2.Invalidate(victim.Block); ok && old.State == cache.Modified {
+			s.dram.Write(ready)
+		}
+		s.BackInvals++
 	}
+	return line
 }
 
 // readShared obtains block b for reading on behalf of requester, returning
@@ -198,70 +174,69 @@ func (s *System) l3Fill(b mem.Block, st cache.State, ready uint64) {
 // supplied it (3 = L3, 4 = DRAM).
 func (s *System) readShared(b mem.Block, requester int, t uint64) (done uint64, level int) {
 	s.L3Accesses++
-	extra := s.downgradeOwner(b, requester, t)
-	e := s.dirOf(b)
-	if line := s.l3.Lookup(b, true); line != nil {
-		done = t + uint64(s.cfg.L3.LatencyCyc) + extra
+	line := s.l3.Lookup(b, true)
+	level = 3
+	if line != nil {
+		done = t + uint64(s.cfg.L3.LatencyCyc) + s.downgradeOwner(line, requester)
 		if line.ReadyAt > done {
 			done = line.ReadyAt
 		}
-		e.sharers |= 1 << uint(requester)
-		return done, 3
+	} else {
+		// L3 miss: fetch from DRAM. An absent block has no directory state,
+		// so there is nobody to downgrade.
+		issue := s.l3.MSHRAvailable(t + uint64(s.cfg.L3.LatencyCyc))
+		done = s.dram.Read(issue)
+		s.l3.NoteMiss(done)
+		line = s.l3Fill(b, cache.Shared, done)
+		level = 4
 	}
-	// L3 miss: fetch from DRAM.
-	issue := s.l3.MSHRAvailable(t + uint64(s.cfg.L3.LatencyCyc) + extra)
-	done = s.dram.Read(issue)
-	s.l3.NoteMiss(done)
-	s.l3Fill(b, cache.Shared, done)
-	e = s.dirOf(b) // l3Fill may have deleted and re-created directory state
-	e.sharers |= 1 << uint(requester)
-	return done, 4
+	line.Sharers |= 1 << uint(requester)
+	return done, level
 }
 
 // readExclusive obtains block b with write permission for requester,
 // invalidating every other copy.
 func (s *System) readExclusive(b mem.Block, requester int, t uint64) (done uint64, level int) {
 	s.L3Accesses++
-	extra, _ := s.invalidateOthers(b, requester, t)
-	e := s.dirOf(b)
-	if line := s.l3.Lookup(b, true); line != nil {
-		done = t + uint64(s.cfg.L3.LatencyCyc) + extra
+	line := s.l3.Lookup(b, true)
+	level = 3
+	if line != nil {
+		done = t + uint64(s.cfg.L3.LatencyCyc) + s.invalidateOthers(line, requester)
 		if line.ReadyAt > done {
 			done = line.ReadyAt
 		}
 		line.State = cache.Modified // L3 tracks the block as owned above
-		e.owner = int8(requester)
-		e.sharers = 0
-		return done, 3
+	} else {
+		issue := s.l3.MSHRAvailable(t + uint64(s.cfg.L3.LatencyCyc))
+		done = s.dram.Read(issue)
+		s.l3.NoteMiss(done)
+		line = s.l3Fill(b, cache.Modified, done)
+		level = 4
 	}
-	issue := s.l3.MSHRAvailable(t + uint64(s.cfg.L3.LatencyCyc) + extra)
-	done = s.dram.Read(issue)
-	s.l3.NoteMiss(done)
-	s.l3Fill(b, cache.Modified, done)
-	e = s.dirOf(b)
-	e.owner = int8(requester)
-	e.sharers = 0
-	return done, 4
+	line.SetOwner(requester)
+	line.Sharers = 0
+	return done, level
 }
 
-// CheckCoherence audits the protocol invariants: a block with an owner must
-// have no foreign sharers, and no two cores may hold the same block in a
-// writable state. It returns the first violation found, or nil.
+// CheckCoherence audits the protocol invariants over the directory state of
+// every L3 line: a block with an owner must have no foreign sharers, and no
+// two cores may hold the same block in a writable state. It returns the
+// first violation found, or nil.
 func (s *System) CheckCoherence() error {
 	var err error
-	s.dir.forEach(func(b mem.Block, e *dirEntry) bool {
-		if e.owner >= 0 && e.sharers&^(1<<uint(e.owner)) != 0 {
-			err = fmt.Errorf("memsys: block %#x has owner %d and sharers %#x", b, e.owner, e.sharers)
+	s.l3.ForEach(func(dir *cache.Line) bool {
+		if o := dir.Owner(); o >= 0 && dir.Sharers&^(1<<uint(o)) != 0 {
+			err = fmt.Errorf("memsys: block %#x has owner %d and sharers %#x", dir.Block, o, dir.Sharers)
 			return false
 		}
 		writable := 0
 		for _, p := range s.ports {
-			if l := p.l1.Peek(b); l != nil && l.State.Writable() {
+			if l := p.l1.Peek(dir.Block); l != nil && l.State.Writable() {
 				writable++
 			}
 		}
 		if writable > 1 {
-			err = fmt.Errorf("memsys: block %#x writable in %d L1 caches", b, writable)
+			err = fmt.Errorf("memsys: block %#x writable in %d L1 caches", dir.Block, writable)
 			return false
 		}
 		return true

@@ -1,6 +1,8 @@
 package memsys
 
 import (
+	"math/bits"
+
 	"spb/internal/cache"
 	"spb/internal/mem"
 	"spb/internal/prefetch"
@@ -104,10 +106,10 @@ func (p *Port) WarmTouch(addr mem.Addr, n uint64, store bool) {
 // warmFillPrivate mirrors fillPrivate: install the block in L2 then L1,
 // propagating victim state effects.
 func (p *Port) warmFillPrivate(b mem.Block, st cache.State) {
-	if v, evicted := p.l2.WarmInsert(b, st); evicted {
+	if _, v, evicted := p.l2.WarmInsert(b, st); evicted {
 		p.warmNoteEviction(v)
 	}
-	if v, evicted := p.l1.WarmInsert(b, st); evicted {
+	if _, v, evicted := p.l1.WarmInsert(b, st); evicted {
 		p.warmNoteEviction(v)
 	}
 }
@@ -142,118 +144,66 @@ func (p *Port) warmReadBelowL1(b mem.Block, exclusive bool) {
 }
 
 // warmDowngradeOwner mirrors downgradeOwner minus the invalidation counter.
-func (s *System) warmDowngradeOwner(b mem.Block, requester int) {
-	e := s.dir.get(b)
-	if e == nil || e.owner < 0 || int(e.owner) == requester {
+func (s *System) warmDowngradeOwner(dir *cache.Line, requester int) {
+	owner := dir.Owner()
+	if owner < 0 || owner == requester {
 		return
 	}
-	p := s.ports[e.owner]
-	p.l1.Downgrade(b)
-	p.l2.Downgrade(b)
-	e.sharers |= 1 << uint(e.owner)
-	e.owner = -1
+	p := s.ports[owner]
+	p.l1.Downgrade(dir.Block)
+	p.l2.Downgrade(dir.Block)
+	dir.Sharers |= 1 << uint(owner)
+	dir.SetOwner(-1)
 }
 
 // warmInvalidateOthers mirrors invalidateOthers minus counters and latency.
-func (s *System) warmInvalidateOthers(b mem.Block, requester int) {
-	e := s.dir.get(b)
-	if e == nil {
-		return
+func (s *System) warmInvalidateOthers(dir *cache.Line, requester int) {
+	self := uint64(1) << uint(requester)
+	for m := dir.Holders() &^ self; m != 0; m &= m - 1 {
+		p := s.ports[bits.TrailingZeros64(m)]
+		p.l1.Invalidate(dir.Block)
+		p.l2.Invalidate(dir.Block)
 	}
-	if e.owner >= 0 && int(e.owner) != requester {
-		p := s.ports[e.owner]
-		p.l1.Invalidate(b)
-		p.l2.Invalidate(b)
-		e.owner = -1
+	if dir.Owner() != requester {
+		dir.SetOwner(-1)
 	}
-	for c := 0; c < len(s.ports); c++ {
-		if c == requester || e.sharers&(1<<uint(c)) == 0 {
-			continue
-		}
-		p := s.ports[c]
-		p.l1.Invalidate(b)
-		p.l2.Invalidate(b)
-	}
-	e.sharers &= 1 << uint(requester)
+	dir.Sharers &= self
 }
 
 // warmL3Fill mirrors l3Fill: inclusive back-invalidation of the victim in
 // every private hierarchy, no DRAM traffic, no counters.
-func (s *System) warmL3Fill(b mem.Block, st cache.State) {
-	victim, evicted := s.l3.WarmInsert(b, st)
-	if !evicted {
-		return
-	}
-	if e := s.dir.get(victim.Block); e != nil {
-		for c := range s.ports {
-			if int(e.owner) == c || e.sharers&(1<<uint(c)) != 0 {
-				p := s.ports[c]
-				p.l1.Invalidate(victim.Block)
-				p.l2.Invalidate(victim.Block)
-			}
+func (s *System) warmL3Fill(b mem.Block, st cache.State) *cache.Line {
+	line, victim, evicted := s.l3.WarmInsert(b, st)
+	if evicted {
+		for m := victim.Holders(); m != 0; m &= m - 1 {
+			p := s.ports[bits.TrailingZeros64(m)]
+			p.l1.Invalidate(victim.Block)
+			p.l2.Invalidate(victim.Block)
 		}
-		s.dir.delete(victim.Block)
 	}
+	return line
 }
 
-// warmReadShared mirrors readShared's state transitions. The owner
-// downgrade is skipped on single-core systems: the only possible owner is
-// the requester itself, so the probe can never change state there and the
-// warming hot path saves a directory lookup per miss.
-//
-// Single-core systems take a further shortcut: directory owner/sharers
-// values are behaviorally inert when only one core exists (the requester is
-// always the owner/sharer, so downgrades and invalidation sweeps are
-// no-ops) — the entry's only live role is marking the block as possibly
-// present in the private hierarchy so an L3 eviction back-invalidates it.
-// Warming therefore skips the directory entirely on L3 hits and creates a
-// conservative "core 0 shares it" entry on fills, removing a hash-table
-// lookup from the hottest path in functional warming.
+// warmReadShared mirrors readShared's state transitions.
 func (s *System) warmReadShared(b mem.Block, requester int) {
-	if len(s.ports) == 1 {
-		if s.l3.WarmLookup(b) != nil {
-			return
-		}
-		s.warmL3Fill(b, cache.Shared)
-		s.dirOf(b).sharers = 1
-		return
+	line := s.l3.WarmLookup(b)
+	if line != nil {
+		s.warmDowngradeOwner(line, requester)
+	} else {
+		line = s.warmL3Fill(b, cache.Shared)
 	}
-	s.warmDowngradeOwner(b, requester)
-	e := s.dirOf(b)
-	if s.l3.WarmLookup(b) != nil {
-		e.sharers |= 1 << uint(requester)
-		return
-	}
-	s.warmL3Fill(b, cache.Shared)
-	e = s.dirOf(b) // warmL3Fill may have deleted and re-created directory state
-	e.sharers |= 1 << uint(requester)
+	line.Sharers |= 1 << uint(requester)
 }
 
-// warmReadExclusive mirrors readExclusive's state transitions. As in
-// warmReadShared, the cross-core invalidation sweep cannot change state when
-// the requester is the only core, so it is skipped there — and on L3 hits
-// the directory update is skipped entirely (see warmReadShared: ownership
-// values are inert with one core; only the line's Modified state matters).
+// warmReadExclusive mirrors readExclusive's state transitions.
 func (s *System) warmReadExclusive(b mem.Block, requester int) {
-	if len(s.ports) == 1 {
-		if line := s.l3.WarmLookup(b); line != nil {
-			line.State = cache.Modified
-			return
-		}
-		s.warmL3Fill(b, cache.Modified)
-		s.dirOf(b).sharers = 1
-		return
-	}
-	s.warmInvalidateOthers(b, requester)
-	e := s.dirOf(b)
-	if line := s.l3.WarmLookup(b); line != nil {
+	line := s.l3.WarmLookup(b)
+	if line != nil {
+		s.warmInvalidateOthers(line, requester)
 		line.State = cache.Modified
-		e.owner = int8(requester)
-		e.sharers = 0
-		return
+	} else {
+		line = s.warmL3Fill(b, cache.Modified)
 	}
-	s.warmL3Fill(b, cache.Modified)
-	e = s.dirOf(b)
-	e.owner = int8(requester)
-	e.sharers = 0
+	line.SetOwner(requester)
+	line.Sharers = 0
 }

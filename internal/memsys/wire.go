@@ -39,12 +39,6 @@ func (s *System) RestorePrefetcherStates(st []prefetch.State) {
 	}
 }
 
-type dirPairWire struct {
-	Block   mem.Block
-	Owner   int8
-	Sharers uint64
-}
-
 type recentWire struct {
 	Ring   []mem.Block
 	Next   int
@@ -79,7 +73,6 @@ type portWire struct {
 type systemWire struct {
 	L3    *cache.Snapshot
 	DRAM  dram.Snapshot
-	Dir   [dirShards][]dirPairWire
 	Ports []portWire
 
 	L3Accesses, Invalidations, WritebacksL3, BackInvals uint64
@@ -92,13 +85,6 @@ func (s *SystemSnapshot) GobEncode() ([]byte, error) {
 		DRAM:       s.dram,
 		L3Accesses: s.l3Accesses, Invalidations: s.invalidations,
 		WritebacksL3: s.writebacksL3, BackInvals: s.backInvals,
-	}
-	for i := range s.dir.shard {
-		pairs := make([]dirPairWire, len(s.dir.shard[i]))
-		for j, pr := range s.dir.shard[i] {
-			pairs[j] = dirPairWire{Block: pr.block, Owner: pr.entry.owner, Sharers: pr.entry.sharers}
-		}
-		w.Dir[i] = pairs
 	}
 	for _, p := range s.ports {
 		w.Ports = append(w.Ports, portWire{
@@ -128,14 +114,6 @@ func (s *SystemSnapshot) GobDecode(data []byte) error {
 	}
 	s.l3 = w.L3
 	s.dram = w.DRAM
-	s.dir = &dirSnapshot{}
-	for i := range w.Dir {
-		pairs := make([]dirPair, len(w.Dir[i]))
-		for j, pr := range w.Dir[i] {
-			pairs[j] = dirPair{block: pr.Block, entry: dirEntry{owner: pr.Owner, sharers: pr.Sharers}}
-		}
-		s.dir.shard[i] = pairs
-	}
 	s.ports = nil
 	for _, p := range w.Ports {
 		s.ports = append(s.ports, &portSnapshot{

@@ -16,12 +16,12 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}{
 		{0, 0},
 		{1, 0},
-		{4096 * time.Nanosecond, 0},       // exactly the first upper bound
-		{4097 * time.Nanosecond, 1},       // just over: next bucket
-		{8192 * time.Nanosecond, 1},       // 2^13
-		{time.Second, 30 - histMinShift},  // 1e9 ns <= 2^30
-		{70 * time.Second, histBuckets},   // beyond 2^36 ns: overflow
-		{-5 * time.Millisecond, 0},        // clamped
+		{4096 * time.Nanosecond, 0},      // exactly the first upper bound
+		{4097 * time.Nanosecond, 1},      // just over: next bucket
+		{8192 * time.Nanosecond, 1},      // 2^13
+		{time.Second, 30 - histMinShift}, // 1e9 ns <= 2^30
+		{70 * time.Second, histBuckets},  // beyond 2^36 ns: overflow
+		{-5 * time.Millisecond, 0},       // clamped
 	}
 	for _, c := range cases {
 		var h Histogram

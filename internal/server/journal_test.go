@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -383,6 +384,56 @@ func mustRead(t *testing.T, path string) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestRecoveryFailsJobWhoseSpecNoLongerValidates: a journal written by a
+// release that accepted a 65-core spec (it went on to panic the worker, and
+// replay then crash-looped the daemon) must not stop this one from starting.
+// The job comes back under its ID as failed, with the reason, next to a
+// healthy job that is requeued and runs; a second restart finds nothing to
+// replay for it.
+func TestRecoveryFailsJobWhoseSpecNoLongerValidates(t *testing.T) {
+	journalPath := filepath.Join(t.TempDir(), "journal.ndjson")
+	bad := RunRequest{Workload: "canneal", SB: 14, Cores: 65, Insts: 1000}
+	good := RunRequest{Workload: "mcf", Policy: "spb", SB: 14, Insts: 4000}
+	appendRecords(t, journalPath,
+		acceptedRec("r000001-deadbeef", bad),
+		journalRecord{Kind: journalStarted, ID: "r000001-deadbeef"},
+		acceptedRec("r000002-cafef00d", good))
+
+	s, ts := testServer(t, Config{Workers: 1, JournalPath: journalPath, DisableSync: true})
+	resp, err := http.Get(ts.URL + "/healthz?ready=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz?ready=1 over the poisoned journal = %d, want 200", resp.StatusCode)
+	}
+	if st := waitJobDone(t, s, "r000001-deadbeef"); st != StatusFailed {
+		t.Fatalf("65-core job recovered as %s, want failed", st)
+	}
+	v := s.jobByID("r000001-deadbeef").view()
+	if !v.Recovered || !strings.Contains(v.Error, "core count 65") {
+		t.Fatalf("failed job view = %+v, want recovered with the validation error", v)
+	}
+	if st := waitJobDone(t, s, "r000002-cafef00d"); st != StatusDone {
+		t.Fatalf("healthy job next to it recovered as %s, want done", st)
+	}
+	if got := s.Metrics().RecoveryDropped.Load(); got != 1 {
+		t.Fatalf("RecoveryDropped = %d, want 1", got)
+	}
+	ts.Close()
+	s.Close()
+
+	jl, live, err := openJournal(journalPath, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	if len(live) != 0 {
+		t.Fatalf("second restart would replay %d job(s): %+v", len(live), live)
+	}
 }
 
 // TestRecoveryCompletesFromDiskTier covers the lost-terminal-record crash:

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -188,11 +187,12 @@ func TestDiskDegradedModeEntersAndRecovers(t *testing.T) {
 // quarantine survives restarts without tripping anything again.
 func TestServerQuarantinesCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
-	_, ts1 := testServer(t, Config{Workers: 2, CacheDir: dir})
+	s1, ts1 := testServer(t, Config{Workers: 2, CacheDir: dir})
 	resp, first := postRun(t, ts1, smallSpec, "?wait=1")
 	if resp.StatusCode != http.StatusOK || first.Status != StatusDone {
 		t.Fatalf("seed run = %d/%s", resp.StatusCode, first.Status)
 	}
+	waitStoreWrites(t, s1, 1)
 	ts1.Close()
 
 	// Flip a byte in the stored entry.
@@ -228,23 +228,9 @@ func TestServerQuarantinesCorruptEntry(t *testing.T) {
 	if s2.Degraded() {
 		t.Fatal("corruption (not I/O failure) degraded the disk tier")
 	}
-	// Wait for the recompute's async disk write, then restart: the healed
-	// entry serves from disk and nothing is corrupt anymore.
-	waitHealed := func() error {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			if _, ok, err := store.Get(first.Key); err == nil && ok {
-				return nil
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("healed entry never reached disk")
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	if err := waitHealed(); err != nil {
-		t.Fatal(err)
-	}
+	// Wait for the recompute's disk write, then restart: the healed entry
+	// serves from disk and nothing is corrupt anymore.
+	waitStoreWrites(t, s2, 1)
 	ts2.Close()
 
 	s3, ts3 := testServer(t, Config{Workers: 2, CacheDir: dir})

@@ -613,17 +613,36 @@ func (s *Server) recoverJournal(recovered []recoveredJob) {
 // readmit re-creates one journaled job under its original ID. Three
 // outcomes: answered from the disk tier (the previous process finished it
 // and died before the terminal record landed), requeued to run again (a
-// checkpointed run resumes mid-flight), or dropped terminal-cancelled when
-// it cannot be re-admitted — the ID still resolves either way, so a client
-// polling across the restart always learns its job's fate.
+// checkpointed run resumes mid-flight), or dropped — terminal-failed when
+// its spec no longer validates, terminal-cancelled when it cannot be
+// re-admitted — and the ID still resolves in every case, so a client polling
+// across the restart always learns its job's fate.
 func (s *Server) readmit(rj recoveredJob) {
+	drop := func(j *job, st Status, msg string) {
+		j.onTerminal = nil
+		j.finish(st, sim.Result{}, nil, msg)
+		j.trace.Finish()
+		s.mu.Lock()
+		s.jobs[j.id] = j
+		s.mu.Unlock()
+		j.retain()
+		s.metrics.RecoveryDropped.Add(1)
+		s.cfg.Logf("spbd: journal recovery: dropping %s: %s", rj.ID, msg)
+	}
+
 	spec, err := rj.Req.Spec()
 	if err != nil {
-		// Journaled after validation, so this means the binary changed
-		// under the journal; nothing to re-run.
-		s.journal.terminal(rj.ID, StatusFailed)
-		s.metrics.RecoveryDropped.Add(1)
-		s.cfg.Logf("spbd: journal recovery: dropping %s: spec no longer parses: %v", rj.ID, err)
+		// Journaled after validation, so the binary changed under the
+		// journal (a release that validates more than the one that accepted
+		// the job): nothing to run, but the ID still resolves — as failed,
+		// with the reason — and the terminal record stops the next restart
+		// from replaying it.
+		j := s.jobWithID(rj.ID, "", sim.RunSpec{}, nil)
+		j.recovered = true
+		s.hookJournal(j)
+		j.trace = s.cfg.Tracer.Start(rj.TraceID, j.id, "")
+		j.trace.Event("recovered")
+		drop(j, StatusFailed, fmt.Sprintf("recovery: spec no longer valid: %v", err))
 		return
 	}
 	spec = spec.Normalized()
@@ -657,18 +676,6 @@ func (s *Server) readmit(rj recoveredJob) {
 		}
 	}
 
-	drop := func(j *job, msg string) {
-		j.onTerminal = nil
-		j.finish(StatusCancelled, sim.Result{}, nil, msg)
-		j.trace.Finish()
-		s.mu.Lock()
-		s.jobs[j.id] = j
-		s.mu.Unlock()
-		j.retain()
-		s.metrics.RecoveryDropped.Add(1)
-		s.cfg.Logf("spbd: journal recovery: dropping %s: %s", rj.ID, msg)
-	}
-
 	s.mu.Lock()
 	j := s.jobWithID(rj.ID, key, spec, tn)
 	j.recovered = true
@@ -677,19 +684,19 @@ func (s *Server) readmit(rj recoveredJob) {
 	j.trace.Event("recovered")
 	if dup := s.active[key]; dup != nil {
 		s.mu.Unlock()
-		drop(j, fmt.Sprintf("recovery: duplicate of recovered job %s", dup.id))
+		drop(j, StatusCancelled, fmt.Sprintf("recovery: duplicate of recovered job %s", dup.id))
 		return
 	}
 	if !tn.acquire() {
 		s.mu.Unlock()
-		drop(j, fmt.Sprintf("recovery: tenant %q quota exhausted", tn.Name))
+		drop(j, StatusCancelled, fmt.Sprintf("recovery: tenant %q quota exhausted", tn.Name))
 		return
 	}
 	j.onTerminal = tn.finishJob
 	if err := s.tq.push(j); err != nil {
 		s.mu.Unlock()
 		tn.release()
-		drop(j, "recovery: "+err.Error())
+		drop(j, StatusCancelled, "recovery: "+err.Error())
 		return
 	}
 	s.jobs[j.id] = j

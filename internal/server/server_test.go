@@ -37,6 +37,18 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// waitStoreWrites blocks until s has finished n disk-tier writes. runJob
+// releases a ?wait=1 client before it persists the result (the journal covers
+// the window, and the fsync stays off the request's latency), so a test that
+// reads the disk tier or the store-write histogram right after a reply must
+// first wait for the write it expects.
+func waitStoreWrites(t *testing.T, s *Server, n uint64) {
+	t.Helper()
+	waitCluster(t, 10*time.Second, fmt.Sprintf("disk-tier write %d", n), func() bool {
+		return s.Metrics().StoreWrite.Count() >= n
+	})
+}
+
 func postRun(t *testing.T, ts *httptest.Server, req RunRequest, query string) (*http.Response, JobView) {
 	t.Helper()
 	body, err := json.Marshal(req)
@@ -146,11 +158,12 @@ func TestSecondRequestServedFromMemoryCache(t *testing.T) {
 // answers from disk without simulating, and re-seeds its memory tier.
 func TestDiskTierSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	_, ts1 := testServer(t, Config{Workers: 2, CacheDir: dir})
+	s1, ts1 := testServer(t, Config{Workers: 2, CacheDir: dir})
 	_, first := postRun(t, ts1, smallSpec, "?wait=1")
 	if first.Status != StatusDone {
 		t.Fatalf("first run: %s (%s)", first.Status, first.Error)
 	}
+	waitStoreWrites(t, s1, 1)
 
 	s2, ts2 := testServer(t, Config{Workers: 2, CacheDir: dir})
 	resp, second := postRun(t, ts2, smallSpec, "?wait=1")
@@ -587,6 +600,10 @@ func TestBadSpecRejected(t *testing.T) {
 		`{"workload":"bwaves","policy":"bogus"}`, // unknown policy
 		`{"workload":"bwaves","prefetcher":"?"}`, // unknown prefetcher
 		`not json`,
+		// Core counts no machine has: these used to panic a worker (and,
+		// journaled, every restart after it) instead of being refused.
+		`{"workload":"canneal","sb":14,"cores":65,"insts":1000}`,
+		`{"workload":"canneal","sb":14,"cores":-1,"insts":1000}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -595,6 +612,13 @@ func TestBadSpecRejected(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s = %d, want 400", body, resp.StatusCode)
+		}
+		if resp, err = http.Get(ts.URL + "/healthz"); err != nil {
+			t.Fatalf("daemon stopped serving after POST %s: %v", body, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("/healthz after POST %s = %d, want 200", body, resp.StatusCode)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/runs/nope")

@@ -93,6 +93,11 @@ func (r RunRequest) Spec() (sim.RunSpec, error) {
 		}
 		spec.Prefetcher = k
 	}
+	// What parses may still describe no machine (65 cores): refuse it here,
+	// where it is a 400, rather than let it reach a worker.
+	if err := spec.Validate(); err != nil {
+		return sim.RunSpec{}, err
+	}
 	return spec, nil
 }
 

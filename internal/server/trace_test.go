@@ -272,10 +272,11 @@ func TestSSERetryHintAndHeartbeat(t *testing.T) {
 // tier, /metrics exposes the phase latency histograms with observations in
 // them and the aggregated Top-Down cycle counters.
 func TestMetricsPhaseHistogramsAndTopDown(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, CacheDir: t.TempDir()})
+	s, ts := testServer(t, Config{Workers: 1, CacheDir: t.TempDir()})
 	if _, v := postRun(t, ts, smallSpec, "?wait=1"); v.Status != StatusDone {
 		t.Fatalf("run: %s (%s)", v.Status, v.Error)
 	}
+	waitStoreWrites(t, s, 1)
 	// One batch round so the stream histogram has an observation too.
 	body, _ := json.Marshal(BatchRequest{Specs: []RunRequest{smallSpec}})
 	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
@@ -330,6 +331,10 @@ func TestTraceLogNDJSON(t *testing.T) {
 	if _, v := postRun(t, ts, smallSpec, "?wait=1"); v.Status != StatusDone {
 		t.Fatalf("run: %s (%s)", v.Status, v.Error)
 	}
+	// The worker finishes the trace after it has released the ?wait=1 client.
+	waitCluster(t, 5*time.Second, "the finished trace to reach the sink", func() bool {
+		return strings.HasSuffix(buf.String(), "\n")
+	})
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 1 {
 		t.Fatalf("sink got %d lines, want 1:\n%s", len(lines), buf.String())

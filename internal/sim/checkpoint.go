@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 
 	"spb/internal/bpred"
+	"spb/internal/config"
 	"spb/internal/cpu"
 	"spb/internal/memsys"
 	"spb/internal/obs"
@@ -58,7 +59,10 @@ const ckptMagic = "SPBCKPT1"
 
 // ckptVersion is bumped whenever the payload layout or any serialized
 // structure changes meaning; older files are quarantined, not migrated.
-const ckptVersion = 1
+// Version 2: the directory moved into the L3's lines (cache.Snapshot lines
+// carry owner/sharers, memsys.SystemSnapshot has no directory shards) and
+// the in-flight miss list is stored ascending.
+const ckptVersion = 2
 
 // CheckpointPolicy configures mid-run checkpointing on a Runner. The zero
 // value disables it.
@@ -389,6 +393,26 @@ func captureDetailed(spec RunSpec, sys *memsys.System, cores []*cpu.Core, lims [
 	return st
 }
 
+// restoreSystem builds the spec's memory system and loads a checkpointed
+// state into it. A payload that passed the checksum but does not fit the
+// machine (line counts, core count, directory state naming a missing core) is
+// an invalid checkpoint — an error for the quarantine path, never the
+// geometry panic Restore reserves for programming mistakes.
+func restoreSystem(machine config.MachineConfig, spec RunSpec, snap *memsys.SystemSnapshot, pf []prefetch.State) (*memsys.System, error) {
+	sys := memsys.New(machine, spec.Cores)
+	if snap == nil || len(pf) != spec.Cores {
+		sys.Release()
+		return nil, fmt.Errorf("%w: memory system state missing", errCkptInvalid)
+	}
+	if err := snap.Fits(sys); err != nil {
+		sys.Release()
+		return nil, fmt.Errorf("%w: %v", errCkptInvalid, err)
+	}
+	sys.Restore(snap)
+	sys.RestorePrefetcherStates(pf)
+	return sys, nil
+}
+
 // resumeDetailed rebuilds a detailed run from a checkpoint — fresh machine,
 // generators replayed to their recorded positions, every snapshot restored —
 // and continues the lock-step loop from the recorded round.
@@ -408,9 +432,10 @@ func resumeDetailed(ctx context.Context, tr *obs.Trace, spec RunSpec, cf *ckptFi
 	for i, rd := range readers {
 		skipReader(rd, st.Consumed[i])
 	}
-	sys := memsys.New(machine, spec.Cores)
-	sys.Restore(st.Sys)
-	sys.RestorePrefetcherStates(st.PF)
+	sys, err := restoreSystem(machine, spec, st.Sys, st.PF)
+	if err != nil {
+		return Result{}, err
+	}
 	cores, lims := buildCores(spec, machine, sys, readers, 0)
 	for i, c := range cores {
 		c.Restore(st.Cores[i])
@@ -439,9 +464,10 @@ func resumeSampled(ctx context.Context, tr *obs.Trace, spec RunSpec, cf *ckptFil
 	for _, rd := range readers {
 		skipReader(rd, st.Consumed)
 	}
-	sys := memsys.New(machine, spec.Cores)
-	sys.Restore(st.Sys)
-	sys.RestorePrefetcherStates(st.PF)
+	sys, err := restoreSystem(machine, spec, st.Sys, st.PF)
+	if err != nil {
+		return Result{}, err
+	}
 	dtlbs, bps := buildFunctionalState(machine, spec)
 	for i := range dtlbs {
 		dtlbs[i].Restore(st.DTLBs[i])

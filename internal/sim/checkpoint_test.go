@@ -12,6 +12,7 @@ import (
 
 	"spb/internal/config"
 	"spb/internal/core"
+	"spb/internal/memsys"
 )
 
 // errCrash simulates kill -9 immediately after a durable checkpoint write:
@@ -173,7 +174,9 @@ func writeCrashCheckpoint(t *testing.T, dir string, spec RunSpec, cadence uint64
 
 // TestCheckpointCorruptionQuarantine is the table test over every way a
 // checkpoint file can be invalid: truncated tail, bad magic, flipped payload
-// byte, version mismatch, and a checksum-valid file for a different spec.
+// byte, version mismatch (a newer and the previous version), a checksum-valid
+// payload whose caches are not the machine's size, and a checksum-valid file
+// for a different spec.
 // Each must be quarantined under the *.corrupt convention and the run must
 // restart from scratch, producing the reference result.
 func TestCheckpointCorruptionQuarantine(t *testing.T) {
@@ -235,6 +238,42 @@ func TestCheckpointCorruptionQuarantine(t *testing.T) {
 			}
 			binary.BigEndian.PutUint32(data[len(ckptMagic):], ckptVersion+1)
 			if err := os.WriteFile(path, reseal(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"v1-envelope", func(t *testing.T, path string) {
+			// A file the previous release wrote: its memory-system payload
+			// (directory shards, unordered miss list) would mis-decode.
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.BigEndian.PutUint32(data[len(ckptMagic):], 1)
+			if err := os.WriteFile(path, reseal(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"truncated-lines", func(t *testing.T, path string) {
+			// A well-formed, checksummed envelope for this very spec whose
+			// caches hold fewer lines than the machine's: Restore would panic
+			// on it, so resume must refuse it first.
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cf, err := decodeCkpt(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			small := config.Skylake()
+			small.L3.SizeBytes /= 2
+			sys := memsys.New(small, 1)
+			cf.Detailed.Sys = sys.Snapshot()
+			sys.Release()
+			if data, err = encodeCkpt(cf); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},

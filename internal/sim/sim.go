@@ -359,8 +359,26 @@ func runPoint(ctx context.Context, spec RunSpec, onProgress func(Progress), ck *
 	return runDetailed(ctx, tr, spec, sys, cores, lims, spec.WarmupInsts*uint64(spec.Cores), onProgress, ck)
 }
 
-// machineConfig resolves and validates the spec's full machine configuration.
+// Validate refuses a spec no machine can be built for: a core count, after
+// normalization, outside 1..memsys.MaxCores (the directory names sharers in a
+// 64-bit mask). Every run path makes the same check and returns the same
+// error; Validate lets a caller that takes specs from outside (spbd's submit
+// and batch handlers, journal replay) refuse one before queueing it. The
+// other ways a spec can be wrong — sampling schedule, machine configuration,
+// workload name — are found when the point runs, and fail that run.
+func (s RunSpec) Validate() error {
+	if n := s.normalize().Cores; n < 1 || n > memsys.MaxCores {
+		return fmt.Errorf("sim: core count %d out of range 1..%d", n, memsys.MaxCores)
+	}
+	return nil
+}
+
+// machineConfig resolves and validates a normalized spec's full machine
+// configuration, core count included.
 func (s RunSpec) machineConfig() (config.MachineConfig, error) {
+	if err := s.Validate(); err != nil {
+		return config.MachineConfig{}, err
+	}
 	coreCfg, err := s.coreConfig()
 	if err != nil {
 		return config.MachineConfig{}, err

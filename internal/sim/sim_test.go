@@ -9,6 +9,7 @@ import (
 
 	"spb/internal/config"
 	"spb/internal/core"
+	"spb/internal/memsys"
 )
 
 const testInsts = 60_000
@@ -120,6 +121,37 @@ func TestUnknownPrefetcherKindErrors(t *testing.T) {
 	spec.Prefetcher = config.PrefetcherKind(99)
 	if _, err := Run(spec); err == nil {
 		t.Fatal("unknown prefetcher kind should error")
+	}
+}
+
+// TestCoreCountOutOfRangeErrors: a core count the directory's sharer mask
+// cannot name (or no cores at all) is a spec error on every run path — plain,
+// warmed, sampled, through a Runner — and never the panic memsys.New and the
+// PARSEC builder keep for programming mistakes.
+func TestCoreCountOutOfRangeErrors(t *testing.T) {
+	for _, cores := range []int{-1, memsys.MaxCores + 1} {
+		spec := RunSpec{Workload: "canneal", Policy: core.PolicySPB, SQSize: 14, Cores: cores, Insts: 1000}
+		if err := spec.Validate(); err == nil {
+			t.Errorf("cores=%d: Validate accepted the spec", cores)
+		}
+		warmed, sampled := spec, spec
+		warmed.WarmupInsts = 500
+		sampled.Sampling = SamplingConfig{IntervalInsts: 500}
+		for _, s := range []RunSpec{spec, warmed, sampled} {
+			if _, err := Run(s); err == nil {
+				t.Errorf("cores=%d: Run(%+v) succeeded", cores, s)
+			}
+			if _, err := NewRunner().Get(s); err == nil {
+				t.Errorf("cores=%d: Runner.Get(%+v) succeeded", cores, s)
+			}
+		}
+	}
+	ok := RunSpec{Workload: "canneal", Cores: memsys.MaxCores, SQSize: 14}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("cores=%d refused: %v", memsys.MaxCores, err)
+	}
+	if err := (RunSpec{Workload: "mcf", SQSize: 14}).Validate(); err != nil {
+		t.Errorf("defaulted core count refused: %v", err)
 	}
 }
 

@@ -1,17 +1,22 @@
 #!/bin/sh
-# check.sh — the full pre-merge gate: vet, build, tests, and a race pass
-# over the packages with real concurrency (the Runner's singleflight /
-# worker pool, the figure pipelines that drive it, the spbd job queue, and
-# the client pool's sharding/hedging machinery).
+# check.sh — the full pre-merge gate: gofmt, vet, build, tests (the bench/
+# module's too: it calls internal/ APIs and the root ./... cannot see it),
+# and a race pass over the packages with real concurrency (the Runner's
+# singleflight / worker pool, the figure pipelines that drive it, the spbd
+# job queue, and the client pool's sharding/hedging machinery).
 set -eu
 cd "$(dirname "$0")/.."
 
+echo "== gofmt =="
+test -z "$(gofmt -l .)"
 echo "== go vet =="
 go vet ./...
 echo "== go build =="
 go build ./...
 echo "== go test =="
 go test ./...
+echo "== bench module (own go.mod: the root ./... neither compiles nor runs it) =="
+(cd bench && go vet ./... && go test ./...)
 echo "== sampling suite (CI accuracy, skip/touch equivalence, accounting) =="
 go test -run 'Sampled|Sampling|Skip' ./internal/sim ./internal/workloads ./internal/server
 go test -run FuzzFunctionalEquivalence ./internal/sim
