@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"spb/internal/mem"
@@ -89,44 +90,72 @@ func (l *Line) Holders() uint64 {
 	return l.Sharers | 1<<(l.owner-1)
 }
 
-// noTag marks an empty way in the packed tag array. No real block reaches it:
-// it would require an address in the top 64 bytes of the address space.
-const noTag = ^mem.Block(0)
+// maxWays is the widest set the per-set recency word can order: sixteen
+// nibbles in a uint64.
+const maxWays = 16
 
-// arena is a reusable backing store: the line array plus the parallel packed
-// tag and recency arrays the scans walk. Caches of the same geometry recycle
-// arenas through a pool; a fresh user resets only the tag array (8 bytes per
-// way), so per-run setup never allocates or zeroes the multi-megabyte line
-// array — a way's line record is garbage until its tag says otherwise.
-type arena struct {
-	lines []Line
-	tags  []mem.Block
-	uses  []uint64
+// recencyIdentity is the order way 0 (most recent) … way 15 (least recent).
+const recencyIdentity = 0xFEDCBA9876543210
+
+const (
+	nibbleOnes = 0x1111111111111111
+	nibbleHigh = 0x8888888888888888
+)
+
+// toFront moves way w to the most-recent end of a set's recency word: the
+// nibble holding w is found without a loop (xor makes it the zero nibble, the
+// borrow trick marks the lowest zero nibble), the nibbles below it shift up
+// one place and w takes the bottom. w must be in the word.
+func toFront(word uint64, w int) uint64 {
+	if int(word&15) == w {
+		return word
+	}
+	x := word ^ uint64(w)*nibbleOnes
+	at := uint(bits.TrailingZeros64((x-nibbleOnes)&^x&nibbleHigh)) &^ 3
+	below := word & (1<<at - 1)
+	return word&^(1<<(at+4)-1) | below<<4 | uint64(w)
 }
 
-var arenaPools sync.Map // line count -> *sync.Pool of *arena
+// arena is a reusable backing store: the line array plus the metadata the
+// scans walk. Caches of the same geometry recycle arenas through a pool; a
+// fresh user resets only the per-set words (10 bytes per set), so per-run
+// setup never allocates or zeroes the multi-megabyte line array — a way's
+// line record and tag are garbage until its live bit says otherwise.
+type arena struct {
+	lines []Line
+	tags  []uint32
+	rec   []uint64
+	live  []uint16
+}
 
-func poolFor(n int) *sync.Pool {
-	if p, ok := arenaPools.Load(n); ok {
+// geometry keys the arena pools: the per-set arrays are as long as the set
+// count, which the line count alone does not give.
+type geometry struct{ sets, ways int }
+
+var arenaPools sync.Map // geometry -> *sync.Pool of *arena
+
+func poolFor(g geometry) *sync.Pool {
+	if p, ok := arenaPools.Load(g); ok {
 		return p.(*sync.Pool)
 	}
-	p, _ := arenaPools.LoadOrStore(n, &sync.Pool{})
+	p, _ := arenaPools.LoadOrStore(g, &sync.Pool{})
 	return p.(*sync.Pool)
 }
 
-// Cache is one set-associative cache array. The tag and LRU metadata the
-// hot scans read live in packed parallel arrays (8 bytes per way each), so a
-// whole set's tags fit in one or two hardware cache lines; the full Line
-// records are touched only on a match or a fill.
+// Cache is one set-associative cache array. What the hot scans read is
+// word-sized: a set's short tags (4 bytes per way: a 16-way set is one
+// 64-byte host cache line) and, per set, one recency word and one live mask.
+// The full Line records are touched only on a tag match or a fill.
 type Cache struct {
 	name    string
 	ways    int
+	setBits uint
 	setMask uint64
-	lines   []Line      // sets*ways, set-major
-	tags    []mem.Block // block per way; noTag = empty way (authoritative liveness)
-	uses    []uint64    // LRU clocks, parallel to tags
-	ar      *arena      // backing storage, recycled via Release
-	clock   uint64
+	lines   []Line   // sets*ways, set-major
+	tags    []uint32 // block >> setBits per way; a match is confirmed against lines[i].Block
+	rec     []uint64 // per set: ways in recency order, one nibble each, most recent lowest
+	live    []uint16 // per set: bit w set = way w holds a block (authoritative liveness)
+	ar      *arena   // backing storage, recycled via Release
 
 	mshrs       int
 	outstanding readyList // ready cycles of in-flight misses
@@ -140,8 +169,13 @@ type Cache struct {
 }
 
 // New constructs a cache with the given geometry. Sets must be a power of
-// two; sizeBytes = sets * ways * 64.
+// two; sizeBytes = sets * ways * 64; ways is at most 16
+// (config.MachineConfig.Validate refuses wider ones before a machine is
+// built).
 func New(name string, sizeBytes, ways, mshrs int) *Cache {
+	if ways <= 0 || ways > maxWays {
+		panic(fmt.Sprintf("cache %s: %d ways, want 1..%d", name, ways, maxWays))
+	}
 	sets := sizeBytes / (mem.BlockSize * ways)
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d is not a positive power of two", name, sets))
@@ -150,22 +184,26 @@ func New(name string, sizeBytes, ways, mshrs int) *Cache {
 		panic(fmt.Sprintf("cache %s: MSHR count must be positive", name))
 	}
 	var ar *arena
-	if v := poolFor(sets * ways).Get(); v != nil {
+	if v := poolFor(geometry{sets, ways}).Get(); v != nil {
 		ar = v.(*arena)
 	} else {
 		n := sets * ways
-		ar = &arena{lines: make([]Line, n), tags: make([]mem.Block, n), uses: make([]uint64, n)}
+		ar = &arena{lines: make([]Line, n), tags: make([]uint32, n), rec: make([]uint64, sets), live: make([]uint16, sets)}
 	}
-	for i := range ar.tags {
-		ar.tags[i] = noTag
+	clear(ar.live)
+	identity := uint64(recencyIdentity) & (1<<(4*uint(ways)) - 1)
+	for i := range ar.rec {
+		ar.rec[i] = identity
 	}
 	return &Cache{
 		name:    name,
 		ways:    ways,
+		setBits: uint(bits.TrailingZeros(uint(sets))),
 		setMask: uint64(sets - 1),
 		lines:   ar.lines,
 		tags:    ar.tags,
-		uses:    ar.uses,
+		rec:     ar.rec,
+		live:    ar.live,
 		ar:      ar,
 		mshrs:   mshrs,
 	}
@@ -179,7 +217,7 @@ func (c *Cache) Release() {
 	if c.ar == nil {
 		return
 	}
-	poolFor(len(c.ar.lines)).Put(c.ar)
+	poolFor(geometry{len(c.live), c.ways}).Put(c.ar)
 	c.ar = nil
 	c.lines = nil
 }
@@ -188,20 +226,24 @@ func (c *Cache) Release() {
 func (c *Cache) Name() string { return c.name }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.lines) / c.ways }
+func (c *Cache) Sets() int { return len(c.live) }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-// find returns the index of the way holding b in the parallel arrays, or -1.
-func (c *Cache) find(b mem.Block) int {
-	base := int(uint64(b)&c.setMask) * c.ways
-	for i, tag := range c.tags[base : base+c.ways] {
-		if tag == b {
-			return base + i
+// find returns the set of block b and the way holding it, or way -1. A miss
+// usually reads nothing but the set's tags: the live mask and the line record
+// are consulted only behind a short-tag match.
+func (c *Cache) find(b mem.Block) (set, way int) {
+	set = int(uint64(b) & c.setMask)
+	base := set * c.ways
+	short := uint32(uint64(b) >> c.setBits)
+	for w, tag := range c.tags[base : base+c.ways] {
+		if tag == short && c.live[set]>>uint(w)&1 != 0 && c.lines[base+w].Block == b {
+			return set, w
 		}
 	}
-	return -1
+	return set, -1
 }
 
 // Lookup performs a tag access for block b and returns the line holding it,
@@ -210,26 +252,25 @@ func (c *Cache) find(b mem.Block) int {
 // duplicate-prefetch filtering) pass false.
 func (c *Cache) Lookup(b mem.Block, touch bool) *Line {
 	c.TagAccesses++
-	i := c.find(b)
-	if i < 0 {
+	set, w := c.find(b)
+	if w < 0 {
 		if touch {
 			c.Misses++
 		}
 		return nil
 	}
 	if touch {
-		c.clock++
-		c.uses[i] = c.clock
+		c.rec[set] = toFront(c.rec[set], w)
 		c.Hits++
 	}
-	return &c.lines[i]
+	return &c.lines[set*c.ways+w]
 }
 
 // Peek returns the line holding b without counting a tag access or touching
 // LRU. For invariant checks and directory consistency audits.
 func (c *Cache) Peek(b mem.Block) *Line {
-	if i := c.find(b); i >= 0 {
-		return &c.lines[i]
+	if set, w := c.find(b); w >= 0 {
+		return &c.lines[set*c.ways+w]
 	}
 	return nil
 }
@@ -237,41 +278,35 @@ func (c *Cache) Peek(b mem.Block) *Line {
 // ForEach visits every line that holds a block, in set-major order, until fn
 // returns false. For audits; fn must not insert or invalidate.
 func (c *Cache) ForEach(fn func(*Line) bool) {
-	for i, tag := range c.tags {
-		if tag != noTag && !fn(&c.lines[i]) {
-			return
+	for set, live := range c.live {
+		for ; live != 0; live &= live - 1 {
+			if !fn(&c.lines[set*c.ways+bits.TrailingZeros16(live)]) {
+				return
+			}
 		}
 	}
 }
 
-// place advances the LRU clock and picks the way block b fills: the way
-// already holding it (present: an upgrade miss, updated in place), else the
-// first free way, else the LRU way, whose line is the victim. One pass over
-// the packed tags; the line records stay untouched until the way is chosen.
-func (c *Cache) place(b mem.Block) (i int, present bool) {
-	base := int(uint64(b)&c.setMask) * c.ways
-	tags := c.tags[base : base+c.ways]
-	uses := c.uses[base : base+c.ways]
-	c.clock++
-	free, lru := -1, 0
-	for w, tag := range tags {
-		if tag == b {
-			uses[w] = c.clock
-			return base + w, true
-		}
-		if free < 0 {
-			if tag == noTag {
-				free = w
-			} else if uses[w] < uses[lru] {
-				lru = w
-			}
+// place picks the way block b fills and makes it the set's most recent: the
+// way already holding it (present: an upgrade miss, updated in place), else
+// the lowest free way, else the least recently used way, whose line is the
+// victim (occupied). The way's tag and live bit are set; the line record is
+// the caller's to write.
+func (c *Cache) place(b mem.Block) (i int, present, occupied bool) {
+	set, w := c.find(b)
+	if present = w >= 0; !present {
+		if free := ^c.live[set] & (1<<uint(c.ways) - 1); free != 0 {
+			w = bits.TrailingZeros16(free)
+			c.live[set] |= 1 << uint(w)
+		} else {
+			w = int(c.rec[set]>>(4*uint(c.ways-1))) & 15
+			occupied = true
 		}
 	}
-	if free < 0 {
-		free = lru
-	}
-	uses[free] = c.clock
-	return base + free, false
+	c.rec[set] = toFront(c.rec[set], w)
+	i = set*c.ways + w
+	c.tags[i] = uint32(uint64(b) >> c.setBits)
+	return i, present, occupied
 }
 
 // Insert fills block b in state st, with the fill completing at readyAt, and
@@ -281,7 +316,7 @@ func (c *Cache) place(b mem.Block) (i int, present bool) {
 // already present updates that line in place instead, keeping its directory
 // state.
 func (c *Cache) Insert(b mem.Block, st State, readyAt uint64, prefetched, pfWrite bool) (line *Line, victim Line, evicted bool) {
-	i, present := c.place(b)
+	i, present, occupied := c.place(b)
 	line = &c.lines[i]
 	if present {
 		line.State = st
@@ -292,9 +327,8 @@ func (c *Cache) Insert(b mem.Block, st State, readyAt uint64, prefetched, pfWrit
 		line.PrefetchWrite = pfWrite
 		return line, Line{}, false
 	}
-	if c.tags[i] != noTag {
+	if occupied {
 		victim = *line
-		evicted = true
 		c.Evictions++
 		if victim.State == Modified {
 			c.Writebacks++
@@ -307,32 +341,33 @@ func (c *Cache) Insert(b mem.Block, st State, readyAt uint64, prefetched, pfWrit
 		Prefetched:    prefetched,
 		PrefetchWrite: pfWrite,
 	}
-	c.tags[i] = b
-	return line, victim, evicted
+	return line, victim, occupied
 }
 
 // Invalidate removes block b, returning the invalidated line and whether it
 // was present (the caller handles a dirty writeback / data transfer).
 func (c *Cache) Invalidate(b mem.Block) (Line, bool) {
-	i := c.find(b)
-	if i < 0 {
+	set, w := c.find(b)
+	if w < 0 {
 		return Line{}, false
 	}
+	i := set*c.ways + w
 	old := c.lines[i]
 	c.lines[i] = Line{}
-	c.tags[i] = noTag
+	c.live[set] &^= 1 << uint(w)
 	return old, true
 }
 
 // Downgrade moves block b to Shared (directory fetched the data for a remote
 // reader). Returns whether the block was present and was dirty.
 func (c *Cache) Downgrade(b mem.Block) (present, wasDirty bool) {
-	i := c.find(b)
-	if i < 0 {
+	set, w := c.find(b)
+	if w < 0 {
 		return false, false
 	}
-	wasDirty = c.lines[i].State == Modified
-	c.lines[i].State = Shared
+	l := &c.lines[set*c.ways+w]
+	wasDirty = l.State == Modified
+	l.State = Shared
 	return true, wasDirty
 }
 

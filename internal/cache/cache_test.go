@@ -33,6 +33,17 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 	New("bad", 3*64, 1, 4)
 }
 
+// TestNewPanicsPastSixteenWays: the recency word orders sixteen ways; a wider
+// cache is refused by config.MachineConfig.Validate before it gets here.
+func TestNewPanicsPastSixteenWays(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 32-way cache should panic")
+		}
+	}()
+	New("wide", 32*64, 32, 4)
+}
+
 func TestMissThenHit(t *testing.T) {
 	c := small()
 	if c.Lookup(5, true) != nil {
@@ -199,8 +210,9 @@ func TestStateStringsAndWritable(t *testing.T) {
 	}
 }
 
-// Property: a set never holds more valid lines than its associativity, and
-// never holds the same block twice.
+// Property: a set's live mask names only ways it has, every live way's short
+// tag agrees with its line record, no block sits in a set twice or in a set it
+// does not map to, and the recency word orders each way exactly once.
 func TestSetInvariant(t *testing.T) {
 	f := func(seed uint64, ops []uint16) bool {
 		c := New("p", 8*4*64, 4, 8)
@@ -218,17 +230,17 @@ func TestSetInvariant(t *testing.T) {
 		// Audit every set.
 		for s := 0; s < c.Sets(); s++ {
 			seen := map[mem.Block]bool{}
-			count := 0
+			var ordered uint
 			for w := 0; w < c.Ways(); w++ {
+				ordered |= 1 << (c.rec[s] >> (4 * uint(w)) & 15)
 				i := s*c.Ways() + w
-				if c.tags[i] == noTag {
+				if c.live[s]>>uint(w)&1 == 0 {
 					continue
 				}
 				l := &c.lines[i]
-				if c.tags[i] != l.Block || l.State == Invalid {
-					return false // tag array out of sync with line record
+				if c.tags[i] != uint32(uint64(l.Block)>>c.setBits) || l.State == Invalid {
+					return false // short tag out of sync with line record
 				}
-				count++
 				if seen[l.Block] {
 					return false // duplicate block in set
 				}
@@ -237,8 +249,8 @@ func TestSetInvariant(t *testing.T) {
 					return false // block in wrong set
 				}
 			}
-			if count > c.Ways() {
-				return false
+			if ordered != 1<<uint(c.Ways())-1 || uint(c.live[s])>>uint(c.Ways()) != 0 {
+				return false // recency word not an order of the ways, or a live bit past them
 			}
 		}
 		return true
@@ -397,7 +409,8 @@ func TestInsertCarriesDirectoryState(t *testing.T) {
 
 // TestSnapshotFits: a snapshot restores into a cache of its own geometry and
 // is refused — as an error — by one of another size, by a core count its
-// directory state exceeds, and when its in-flight list is out of order.
+// directory state exceeds, when its in-flight list is out of order, and when
+// its lines, live masks or recency words name a state no run reaches.
 func TestSnapshotFits(t *testing.T) {
 	c := small()
 	l, _, _ := c.Insert(5, Modified, 7, false, false)
@@ -433,5 +446,38 @@ func TestSnapshotFits(t *testing.T) {
 	snap.outstanding[0], snap.outstanding[1] = snap.outstanding[1], snap.outstanding[0]
 	if err := snap.Fits(c, 2); err == nil {
 		t.Error("descending in-flight list accepted")
+	}
+
+	// A payload that is the right size but names a state no sequence of
+	// operations reaches: Restore would install a cache whose lookups miss or
+	// alias. Block 5 sits in set 1, way 0 of the 4x2 cache.
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *Snapshot)
+	}{
+		{"live line in state Invalid", func(s *Snapshot) { s.lines[2].State = Invalid }},
+		{"live line in the wrong set", func(s *Snapshot) { s.lines[2].Block = 6 }},
+		{"same block twice in a set", func(s *Snapshot) { s.lines[3] = s.lines[2]; s.live[1] = 0b11 }},
+		{"recency word repeats a way", func(s *Snapshot) { s.rec[1] = 0x00 }},
+		{"recency word names a way the set lacks", func(s *Snapshot) { s.rec[1] = 0x20 }},
+		{"recency word longer than the set", func(s *Snapshot) { s.rec[1] = 0x110 }},
+		{"live bit at or above ways", func(s *Snapshot) { s.live[1] |= 1 << 2 }},
+	} {
+		bad := c.Snapshot()
+		if err := bad.Fits(c, 2); err != nil {
+			t.Fatalf("%s: unmutated snapshot refused: %v", tc.name, err)
+		}
+		tc.mutate(bad)
+		if err := bad.Fits(c, 2); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+
+	// The short tags are derived, not carried: a restored cache finds its
+	// blocks whatever the recycled arena's tag array held.
+	fresh := small()
+	fresh.Restore(c.Snapshot())
+	if l := fresh.Peek(5); l == nil || l.Owner() != 1 {
+		t.Fatalf("restored cache lost block 5: %+v", l)
 	}
 }

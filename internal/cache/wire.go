@@ -8,7 +8,7 @@ import (
 )
 
 // Gob wire form of a Snapshot (crash-safe checkpoints, DESIGN.md §15). The
-// snapshot's canonical form already zeroes dead ways, so the wire form is the
+// snapshot's canonical form already zeroes free ways, so the wire form is the
 // logical content field for field.
 
 type lineWire struct {
@@ -23,9 +23,8 @@ type lineWire struct {
 
 type snapshotWire struct {
 	Lines []lineWire
-	Tags  []mem.Block
-	Uses  []uint64
-	Clock uint64
+	Rec   []uint64
+	Live  []uint16
 
 	Outstanding []uint64
 
@@ -36,9 +35,8 @@ type snapshotWire struct {
 func (s *Snapshot) GobEncode() ([]byte, error) {
 	w := snapshotWire{
 		Lines:       make([]lineWire, len(s.lines)),
-		Tags:        s.tags,
-		Uses:        s.uses,
-		Clock:       s.clock,
+		Rec:         s.rec,
+		Live:        s.live,
 		Outstanding: s.outstanding,
 		TagAccesses: s.tagAccesses,
 		Hits:        s.hits,
@@ -70,9 +68,8 @@ func (s *Snapshot) GobDecode(data []byte) error {
 			Prefetched: l.Prefetched, PrefetchWrite: l.PrefetchWrite,
 			owner: l.Owner, Sharers: l.Sharers}
 	}
-	s.tags = w.Tags
-	s.uses = w.Uses
-	s.clock = w.Clock
+	s.rec = w.Rec
+	s.live = w.Live
 	s.outstanding = w.Outstanding
 	s.tagAccesses = w.TagAccesses
 	s.hits = w.Hits

@@ -198,6 +198,10 @@ func (m MachineConfig) WithCore(c CoreConfig) MachineConfig {
 	return m
 }
 
+// MaxCacheWays is the widest associativity package cache models: a set's
+// replacement order is one 64-bit word of 4-bit way numbers.
+const MaxCacheWays = 16
+
 // Validate reports a configuration error, if any. It catches the mistakes
 // that would otherwise surface as confusing simulator behaviour.
 func (m MachineConfig) Validate() error {
@@ -221,6 +225,9 @@ func (m MachineConfig) Validate() error {
 		}
 		if s := cc.Sets(); s&(s-1) != 0 {
 			return fmt.Errorf("config: cache %q set count %d is not a power of two", cc.Name, s)
+		}
+		if cc.Ways > MaxCacheWays {
+			return fmt.Errorf("config: cache %q has %d ways, at most %d are modelled", cc.Name, cc.Ways, MaxCacheWays)
 		}
 	}
 	if m.DRAM.LatencyCyc <= 0 || m.DRAM.CyclesPerBlock <= 0 || m.DRAM.MaxOutstanding <= 0 {

@@ -15,8 +15,8 @@ package cpu
 
 import (
 	"context"
-	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"spb/internal/bpred"
@@ -153,13 +153,8 @@ type Core struct {
 	headReadyAt  uint64
 	headRetries  int
 
-	// noFF disables the event-horizon fast forward in Run.
+	// noFF keeps Lockstep from sending this core to its event horizon.
 	noFF bool
-	// idle records whether the last Tick committed, performed or dispatched
-	// nothing. Only such ticks can start a dead span, so Run (and the
-	// multi-core lock-step loop) consult NextEventCycle only after them,
-	// keeping the fast forward free on busy cycles.
-	idle bool
 
 	// Recent addresses for wrong-path traffic synthesis.
 	lastLoadAddr  mem.Addr
@@ -273,8 +268,12 @@ func (c *Core) Done() bool {
 	return c.traceDone && !c.havePending && c.robCount == 0 && c.sb.Empty()
 }
 
-// Tick advances the core by one cycle: commit, SB drain, then dispatch.
-func (c *Core) Tick() {
+// Tick advances the core by one cycle: commit, SB drain, then dispatch. It
+// reports whether the cycle was idle — nothing committed, no store performed,
+// nothing dispatched. Only an idle cycle can start a dead span, so Lockstep
+// computes the event horizon only after one and busy cycles pay nothing for
+// the fast forward.
+func (c *Core) Tick() (idle bool) {
 	com0, perf0 := c.St.Committed, c.St.StoresPerformed
 	c.commitStage()
 	c.drainSB()
@@ -282,60 +281,29 @@ func (c *Core) Tick() {
 	if dispatched == 0 && !c.Done() && c.port.OutstandingL1Misses(c.cycle) > 0 {
 		c.St.ExecStallL1DPending++
 	}
-	c.idle = dispatched == 0 && c.St.Committed == com0 && c.St.StoresPerformed == perf0
 	c.cycle++
 	c.St.Cycles = c.cycle
+	return dispatched == 0 && c.St.Committed == com0 && c.St.StoresPerformed == perf0
 }
-
-// IdleTick reports whether the previous Tick made no progress (no commit, no
-// store performed, no dispatch). It is a cheap pre-filter for NextEventCycle:
-// a busy tick is usually followed by another busy cycle, so callers skip the
-// event-horizon computation after it. Skipping less is always safe.
-func (c *Core) IdleTick() bool { return c.idle }
 
 // Run executes until n instructions have committed (or the trace ends) and
 // the machine has drained. It returns an error if the core livelocks.
 //
-// Unless Options.DisableFastForward is set, Run skips provably dead cycles:
-// after each Tick it asks NextEventCycle for the first cycle at which the
-// core could act again and jumps straight there with SkipTo, batching the
-// stall counters for the skipped span. Statistics are bit-identical to the
-// cycle-by-cycle loop.
+// Unless Options.DisableFastForward is set, Run skips provably dead cycles
+// (see Lockstep). Statistics are bit-identical to the cycle-by-cycle loop.
 func (c *Core) Run(n uint64) error { return c.RunCtx(context.Background(), n) }
 
-// cancelCheckEvery is how many loop iterations pass between context checks in
-// RunCtx: frequent enough for sub-millisecond cancellation at simulator
-// speeds, rare enough to stay off the per-cycle hot path.
-const cancelCheckEvery = 8192
-
 // RunCtx is Run under a context: if ctx is cancelled the loop stops within
-// cancelCheckEvery iterations and returns the context's error, leaving the
-// core's statistics at the point it stopped. A background context adds no
-// per-cycle overhead.
+// cancelCheckEvery steps and returns the context's error, leaving the core's
+// statistics at the point it stopped. A background context adds no per-cycle
+// overhead.
 func (c *Core) RunCtx(ctx context.Context, n uint64) error {
-	done := ctx.Done()
-	limit := c.cycle + n*1000 + 1_000_000
-	for iter := uint64(0); c.St.Committed < n && !c.Done(); iter++ {
-		if done != nil && iter%cancelCheckEvery == 0 {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		c.Tick()
-		if c.cycle > limit {
-			return fmt.Errorf("cpu: no forward progress after %d cycles (%d/%d committed)",
-				c.cycle, c.St.Committed, n)
-		}
-		if c.noFF || !c.idle || c.St.Committed >= n || c.Done() {
-			continue
-		}
-		if t := c.NextEventCycle(); t > c.cycle {
-			c.SkipTo(t)
-		}
+	if c.St.Committed >= n {
+		return nil
 	}
-	return nil
+	return Lockstep(ctx, []*Core{c}, n*1000+1_000_000, func(uint64) (bool, error) {
+		return c.St.Committed >= n, nil
+	})
 }
 
 // dispatchBlock classifies why the dispatch stage cannot make progress,
@@ -792,16 +760,19 @@ func (c *Core) resolveMispredict(resolveAt uint64) {
 
 // occHeap tracks structure occupancy (IQ, LQ) as a calendar queue: a ring of
 // per-cycle release counts covering the next occWindow cycles, with a tiny
-// overflow min-heap for the rare release beyond the window. Queries arrive
-// with nondecreasing cycles, so expiry is a cursor sweep over the ring —
-// sequential, branch-predictable work instead of the pointer-chasing sift of
-// a binary heap, which profiling showed at ~18% of simulation time.
+// overflow min-heap for the rare release beyond the window. A bit per bucket
+// says whether it holds a release, so expiry and the release-cycle search
+// step from occupied bucket to occupied bucket, 64 empty cycles to a word,
+// instead of sweeping the ring a cycle at a time — a core back from a DRAM
+// stall or a long sleep pays for the releases it has, not for the cycles it
+// was away.
 type occHeap struct {
-	buckets []uint16 // buckets[c&(occWindow-1)] = entries releasing at cycle c
-	cursor  uint64   // every release < cursor has been expired
-	count   int      // live entries (ring + far)
-	far     []uint64 // min-heap of releases >= cursor+occWindow
-	scratch []uint64 // releaseCycle workspace, reused to stay alloc-free
+	buckets []uint16               // buckets[c&(occWindow-1)] = entries releasing at cycle c
+	occ     [occWindow / 64]uint64 // bit i set = buckets[i] != 0
+	cursor  uint64                 // every release < cursor has been expired
+	count   int                    // live entries (ring + far)
+	far     []uint64               // min-heap of releases >= cursor+occWindow
+	scratch []uint64               // releaseCycle workspace, reused to stay alloc-free
 }
 
 // occWindow is the ring span in cycles; must be a power of two. Completion
@@ -818,9 +789,33 @@ func (h *occHeap) add(release uint64) {
 	if release-h.cursor >= occWindow {
 		h.farPush(release)
 	} else {
-		h.buckets[release&(occWindow-1)]++
+		h.ringAdd(release)
 	}
 	h.count++
+}
+
+func (h *occHeap) ringAdd(release uint64) {
+	i := release & (occWindow - 1)
+	h.buckets[i]++
+	h.occ[i>>6] |= 1 << (i & 63)
+}
+
+// nextOccupied returns the first cycle in [c, end] whose bucket holds a
+// release, or end+1 when none does. The span must fit the ring: c <= end <
+// c+occWindow.
+func (h *occHeap) nextOccupied(c, end uint64) uint64 {
+	i := c & (occWindow - 1)
+	if w := h.occ[i>>6] >> (i & 63); w != 0 {
+		return min(c+uint64(bits.TrailingZeros64(w)), end+1)
+	}
+	// Word by word from the next boundary on; a span that wraps the ring ends
+	// in the first word again, for the bits below i.
+	for d := 64 - i&63; d <= end-c; d += 64 {
+		if w := h.occ[(c+d)&(occWindow-1)>>6]; w != 0 {
+			return min(c+d+uint64(bits.TrailingZeros64(w)), end+1)
+		}
+	}
+	return end + 1
 }
 
 // occupancy expires entries released at or before t and returns the count
@@ -834,19 +829,20 @@ func (h *occHeap) occupancy(t uint64) int {
 }
 
 func (h *occHeap) expireSlow(t uint64) int {
-	for h.cursor <= t {
-		if h.count == 0 {
-			// Every bucket is zero already; skip the rest of the span.
-			h.cursor = t + 1
-			return 0
-		}
-		i := h.cursor & (occWindow - 1)
-		if n := h.buckets[i]; n != 0 {
-			h.count -= int(n)
+	// Ring releases all lie in [cursor, cursor+occWindow).
+	if h.count > len(h.far) {
+		end := min(t, h.cursor+occWindow-1)
+		for c := h.cursor; c <= end; c++ {
+			if c = h.nextOccupied(c, end); c > end {
+				break
+			}
+			i := c & (occWindow - 1)
+			h.count -= int(h.buckets[i])
 			h.buckets[i] = 0
+			h.occ[i>>6] &^= 1 << (i & 63)
 		}
-		h.cursor++
 	}
+	h.cursor = t + 1
 	// Expired far entries leave; ones now inside the window join the ring.
 	for len(h.far) > 0 {
 		m := h.far[0]
@@ -855,7 +851,7 @@ func (h *occHeap) expireSlow(t uint64) int {
 			h.count--
 		} else if m-h.cursor < occWindow {
 			h.farPop()
-			h.buckets[m&(occWindow-1)]++
+			h.ringAdd(m)
 		} else {
 			break
 		}
@@ -871,12 +867,13 @@ func (h *occHeap) expireSlow(t uint64) int {
 // answers.
 func (h *occHeap) releaseCycle(threshold int) uint64 {
 	k := h.count - threshold + 1
-	for c := h.cursor; c < h.cursor+occWindow; c++ {
-		if n := int(h.buckets[c&(occWindow-1)]); n != 0 {
-			k -= n
-			if k <= 0 {
-				return c
-			}
+	end := h.cursor + occWindow - 1
+	for c := h.cursor; c <= end; c++ {
+		if c = h.nextOccupied(c, end); c > end {
+			break
+		}
+		if k -= int(h.buckets[c&(occWindow-1)]); k <= 0 {
+			return c
 		}
 	}
 	// The k-th smallest lies beyond the window, among the far releases.

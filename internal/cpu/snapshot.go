@@ -40,18 +40,19 @@ func (h *occHeap) snapshot() occSnapshot {
 	return s
 }
 
+// restore rebuilds the occupied-bucket bits from the buckets: they are derived
+// state and not part of a snapshot.
 func (h *occHeap) restore(s occSnapshot) {
-	if s.buckets == nil {
-		if h.buckets != nil {
-			for i := range h.buckets {
-				h.buckets[i] = 0
-			}
+	if h.buckets == nil && s.buckets != nil {
+		h.buckets = newOccBuckets()
+	}
+	clear(h.buckets)
+	copy(h.buckets, s.buckets)
+	h.occ = [occWindow / 64]uint64{}
+	for i, n := range h.buckets {
+		if n != 0 {
+			h.occ[i>>6] |= 1 << (uint(i) & 63)
 		}
-	} else {
-		if h.buckets == nil {
-			h.buckets = newOccBuckets()
-		}
-		copy(h.buckets, s.buckets)
 	}
 	h.cursor = s.cursor
 	h.count = s.count
@@ -81,8 +82,6 @@ type Snapshot struct {
 	headSeq      uint64
 	headReadyAt  uint64
 	headRetries  int
-
-	idle bool
 
 	lastLoadAddr  mem.Addr
 	lastStoreAddr mem.Addr
@@ -118,7 +117,6 @@ func (c *Core) Snapshot() *Snapshot {
 		headSeq:       c.headSeq,
 		headReadyAt:   c.headReadyAt,
 		headRetries:   c.headRetries,
-		idle:          c.idle,
 		lastLoadAddr:  c.lastLoadAddr,
 		lastStoreAddr: c.lastStoreAddr,
 		rng:           *c.rng,
@@ -163,7 +161,6 @@ func (c *Core) Restore(s *Snapshot) {
 	c.headSeq = s.headSeq
 	c.headReadyAt = s.headReadyAt
 	c.headRetries = s.headRetries
-	c.idle = s.idle
 	c.lastLoadAddr = s.lastLoadAddr
 	c.lastStoreAddr = s.lastStoreAddr
 	*c.rng = s.rng

@@ -63,8 +63,6 @@ type snapshotWire struct {
 	HeadReadyAt  uint64
 	HeadRetries  int
 
-	Idle bool
-
 	LastLoadAddr  mem.Addr
 	LastStoreAddr mem.Addr
 
@@ -98,7 +96,6 @@ func (s *Snapshot) GobEncode() ([]byte, error) {
 		HeadSeq:      s.headSeq,
 		HeadReadyAt:  s.headReadyAt,
 		HeadRetries:  s.headRetries,
-		Idle:         s.idle,
 		LastLoadAddr: s.lastLoadAddr, LastStoreAddr: s.lastStoreAddr,
 		RNGState: s.rng.State(),
 		St:       s.st,
@@ -144,7 +141,6 @@ func (s *Snapshot) GobDecode(data []byte) error {
 	s.headSeq = w.HeadSeq
 	s.headReadyAt = w.HeadReadyAt
 	s.headRetries = w.HeadRetries
-	s.idle = w.Idle
 	s.lastLoadAddr = w.LastLoadAddr
 	s.lastStoreAddr = w.LastStoreAddr
 	s.rng.SetState(w.RNGState)

@@ -162,8 +162,9 @@ func (s *System) Snapshot() *SystemSnapshot {
 }
 
 // Fits reports, as an error, why the snapshot cannot be restored into s: a
-// different core count, a cache or recent-set of a different size, or
-// directory state naming a core the system does not have. Snapshots taken
+// different core count, a cache or recent-set of a different size, a cache
+// state no run reaches (see cache.Snapshot.Fits), or directory state naming a
+// core the system does not have. Snapshots taken
 // from a same-configuration System always fit; a decoded one (a checkpoint
 // file) must be checked before Restore, which panics on such a mismatch.
 func (snap *SystemSnapshot) Fits(s *System) error {

@@ -31,10 +31,11 @@ import (
 //
 //   - Detailed runs snapshot mid-flight: every core's pipeline (ROB, store
 //     buffer, occupancy trackers, RNG, statistics), the shared memory
-//     system, the trained generic prefetchers, and the lock-step round
-//     counter. Boundaries are the progressEvery round marks where aggregate
-//     committed instructions cross the cadence — deterministic because the
-//     simulation loop is.
+//     system and the trained generic prefetchers. Boundaries are the
+//     progressEvery step marks where aggregate committed instructions cross
+//     the cadence. Each core carries its own clock: one asleep at its event
+//     horizon is captured ahead of the others, and the resumed loop starts
+//     at the earliest clock.
 //   - Sampled runs snapshot at the quiescent top of the sampling-window
 //     loop (no cores exist there), carrying the persistent functional state
 //     (memory system, prefetchers, TLBs, predictors), the window
@@ -62,7 +63,10 @@ const ckptMagic = "SPBCKPT1"
 // Version 2: the directory moved into the L3's lines (cache.Snapshot lines
 // carry owner/sharers, memsys.SystemSnapshot has no directory shards) and
 // the in-flight miss list is stored ascending.
-const ckptVersion = 2
+// Version 3: cache.Snapshot carries a recency word and a live mask per set
+// instead of tags, use stamps and a clock; the detailed payload has no round
+// counter and cpu.Snapshot no idle flag.
+const ckptVersion = 3
 
 // CheckpointPolicy configures mid-run checkpointing on a Runner. The zero
 // value disables it.
@@ -109,10 +113,9 @@ func (r *Runner) CheckpointPolicy() CheckpointPolicy {
 	return r.ckpt
 }
 
-// detailedCkpt is the mid-flight state of a full-detail run at a lock-step
-// round boundary.
+// detailedCkpt is the mid-flight state of a full-detail run between two
+// steps of cpu.Lockstep.
 type detailedCkpt struct {
-	Round    uint64
 	Consumed []uint64 // per-core insts consumed by the underlying reader
 	Seen     []uint64 // per-core Limit-wrapper position
 	Cores    []*cpu.Snapshot
@@ -188,16 +191,14 @@ func (r *Runner) checkpointerFor(spec RunSpec) *checkpointer {
 }
 
 // runCkpt threads one run's checkpoint context through the simulation
-// loops. A nil *runCkpt (or nil c) disables checkpointing; startRound is
-// non-zero only on a detailed resume. step is the cadence in the loop's own
+// loops. A nil *runCkpt (or nil c) disables checkpointing. step is the cadence in the loop's own
 // progress unit: aggregate committed instructions for detailed runs
 // (policy.Insts × cores), per-core stream progress for sampled runs
 // (policy.Insts) — boundaries sit at the multiples of step.
 type runCkpt struct {
-	c          *checkpointer
-	step       uint64
-	startRound uint64
-	nextCkpt   uint64
+	c        *checkpointer
+	step     uint64
+	nextCkpt uint64
 }
 
 func (ck *runCkpt) active() bool { return ck != nil && ck.c != nil }
@@ -375,10 +376,9 @@ func skipReader(rd trace.Reader, n uint64) {
 	}
 }
 
-// captureDetailed snapshots a detailed run at a lock-step round boundary.
-func captureDetailed(spec RunSpec, sys *memsys.System, cores []*cpu.Core, lims []*trace.LimitReader, round uint64) *detailedCkpt {
+// captureDetailed snapshots a detailed run between two steps.
+func captureDetailed(spec RunSpec, sys *memsys.System, cores []*cpu.Core, lims []*trace.LimitReader) *detailedCkpt {
 	st := &detailedCkpt{
-		Round:    round,
 		Consumed: make([]uint64, len(cores)),
 		Seen:     make([]uint64, len(cores)),
 		Cores:    make([]*cpu.Snapshot, len(cores)),
@@ -415,7 +415,7 @@ func restoreSystem(machine config.MachineConfig, spec RunSpec, snap *memsys.Syst
 
 // resumeDetailed rebuilds a detailed run from a checkpoint — fresh machine,
 // generators replayed to their recorded positions, every snapshot restored —
-// and continues the lock-step loop from the recorded round.
+// and re-enters the loop.
 func resumeDetailed(ctx context.Context, tr *obs.Trace, spec RunSpec, cf *ckptFile, ck *runCkpt, onProgress func(Progress)) (Result, error) {
 	st := cf.Detailed
 	machine, err := spec.machineConfig()
@@ -441,7 +441,6 @@ func resumeDetailed(ctx context.Context, tr *obs.Trace, spec RunSpec, cf *ckptFi
 		c.Restore(st.Cores[i])
 		lims[i].SetSeen(st.Seen[i])
 	}
-	ck.startRound = st.Round
 	ck.nextCkpt = cf.NextCkpt
 	return runDetailed(ctx, tr, spec, sys, cores, lims, cf.WarmupFF, onProgress, ck)
 }

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
+	"spb/internal/cache"
 	"spb/internal/config"
 	"spb/internal/core"
 	"spb/internal/memsys"
@@ -156,6 +160,134 @@ func TestCheckpointMultiCoreResume(t *testing.T) {
 	assertSameResult(t, ref, got, "multicore")
 }
 
+// coreClocks reads the per-core clocks out of a detailed checkpoint file. The
+// snapshot type keeps its fields to itself; its gob form names them.
+func coreClocks(t *testing.T, path string) []uint64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, err := decodeCkpt(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clocks []uint64
+	for _, snap := range cf.Detailed.Cores {
+		raw, err := snap.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w struct{ Cycle uint64 }
+		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err != nil {
+			t.Fatal(err)
+		}
+		clocks = append(clocks, w.Cycle)
+	}
+	return clocks
+}
+
+// TestCheckpointResumeCoresAtDifferentClocks: cores asleep at their event
+// horizons are captured with their clocks ahead of the awake ones. A run
+// crashed at every boundary and resumed from it must still end byte-identical
+// to the uninterrupted run and to the loop that never lets a core sleep, and
+// the test insists that the boundaries it resumed from did catch the cores
+// apart.
+func TestCheckpointResumeCoresAtDifferentClocks(t *testing.T) {
+	spec := RunSpec{
+		Workload: "canneal", Cores: 8, Policy: core.PolicySPB, SQSize: 14,
+		Insts: 30_000,
+	}
+	ref, err := Run(spec.Normalized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	noSleep := spec
+	noSleep.DisableFastForward = true
+	tick, err := Run(noSleep.Normalized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ref.CPU, tick.CPU) || !reflect.DeepEqual(ref.Mem, tick.Mem) {
+		t.Fatalf("per-core sleeping diverges from the every-cycle loop\nsleep: %+v\ntick:  %+v", ref.CPU, tick.CPU)
+	}
+
+	dir := t.TempDir()
+	apart := 0
+	for attempts := 1; ; attempts++ {
+		if attempts > 64 {
+			t.Fatalf("crash/resume did not converge after %d attempts", attempts)
+		}
+		r := NewRunner()
+		r.SetCheckpointPolicy(ckptTestPolicy(dir, 2_000, func(path string) error {
+			clocks := coreClocks(t, path)
+			for _, c := range clocks[1:] {
+				if c != clocks[0] {
+					apart++
+					break
+				}
+			}
+			return errCrash
+		}))
+		got, err := r.Get(spec)
+		if errors.Is(err, errCrash) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("attempt %d: %v", attempts, err)
+		}
+		if attempts < 3 {
+			t.Fatalf("only %d attempts — cadence too coarse to resume at multiple boundaries", attempts)
+		}
+		assertSameResult(t, ref, got, "multicore, cores apart")
+		break
+	}
+	if apart == 0 {
+		t.Fatal("no checkpoint caught the cores at different clocks; the test does not cover what it claims")
+	}
+}
+
+// unexported returns a settable view of field name of the struct v points
+// to. The snapshot types keep their state private; the corruption rows below
+// have to write what no exported call will.
+func unexported(v reflect.Value, name string) reflect.Value {
+	f := v.Elem().FieldByName(name)
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+}
+
+// corruptL1 returns a corruption that rewrites core 0's L1 state inside a
+// valid checkpoint file and reseals it, after checking that the memory system
+// refuses the result for the reason the row is named for.
+func corruptL1(mutate func(lines []cache.Line, rec []uint64, live []uint16), wantErr string) func(*testing.T, string) {
+	return func(t *testing.T, path string) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf, err := decodeCkpt(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		port := unexported(reflect.ValueOf(cf.Detailed.Sys), "ports").Index(0)
+		l1 := unexported(port, "l1")
+		mutate(unexported(l1, "lines").Interface().([]cache.Line),
+			unexported(l1, "rec").Interface().([]uint64),
+			unexported(l1, "live").Interface().([]uint16))
+		sys := memsys.New(config.Skylake(), 1)
+		err = cf.Detailed.Sys.Fits(sys)
+		sys.Release()
+		if err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Fatalf("corrupted snapshot: Fits = %v, want an error containing %q", err, wantErr)
+		}
+		if data, err = encodeCkpt(cf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // writeCrashCheckpoint produces one valid checkpoint file for spec (crashing
 // right after the first write) and returns its path.
 func writeCrashCheckpoint(t *testing.T, dir string, spec RunSpec, cadence uint64) string {
@@ -174,9 +306,9 @@ func writeCrashCheckpoint(t *testing.T, dir string, spec RunSpec, cadence uint64
 
 // TestCheckpointCorruptionQuarantine is the table test over every way a
 // checkpoint file can be invalid: truncated tail, bad magic, flipped payload
-// byte, version mismatch (a newer and the previous version), a checksum-valid
-// payload whose caches are not the machine's size, and a checksum-valid file
-// for a different spec.
+// byte, version mismatch (a newer and the two previous versions), a
+// checksum-valid payload whose caches are not the machine's size or hold a
+// state no run reaches, and a checksum-valid file for a different spec.
 // Each must be quarantined under the *.corrupt convention and the run must
 // restart from scratch, producing the reference result.
 func TestCheckpointCorruptionQuarantine(t *testing.T) {
@@ -277,6 +409,37 @@ func TestCheckpointCorruptionQuarantine(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"v2-envelope", func(t *testing.T, path string) {
+			// The release before this one: caches travelled as tags, use
+			// stamps and a clock.
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.BigEndian.PutUint32(data[len(ckptMagic):], 2)
+			if err := os.WriteFile(path, reseal(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// Checksummed, right-sized payloads whose L1 names a state no run
+		// reaches; Restore would install a cache whose lookups miss or alias.
+		// Set 0 of the 8-way L1 is rewritten each time.
+		{"live-line-invalid", corruptL1(func(lines []cache.Line, rec []uint64, live []uint16) {
+			lines[0], live[0] = cache.Line{Block: 0, State: cache.Invalid}, live[0]|1
+		}, "in state I")},
+		{"line-in-wrong-set", corruptL1(func(lines []cache.Line, rec []uint64, live []uint16) {
+			lines[0], live[0] = cache.Line{Block: 1, State: cache.Shared}, live[0]|1
+		}, "holds block 0x1")},
+		{"duplicate-block", corruptL1(func(lines []cache.Line, rec []uint64, live []uint16) {
+			lines[0] = cache.Line{Block: 64, State: cache.Shared}
+			lines[1], live[0] = lines[0], live[0]|3
+		}, "twice")},
+		{"recency-not-an-order", corruptL1(func(lines []cache.Line, rec []uint64, live []uint16) {
+			rec[0] = 0x76543211
+		}, "not an order")},
+		{"live-bit-past-ways", corruptL1(func(lines []cache.Line, rec []uint64, live []uint16) {
+			live[0] |= 1 << 12
+		}, "exceeds 8 ways")},
 		{"spec-mismatch", func(t *testing.T, path string) {
 			// A perfectly valid checkpoint — for a different simulation
 			// point. KeyOf maps both seeds to the same file name, so the

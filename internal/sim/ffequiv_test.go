@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -94,22 +95,41 @@ func TestFastForwardEquivalenceVariants(t *testing.T) {
 	})
 }
 
-// TestFastForwardEquivalencePARSEC covers every parallel workload: the
-// multi-core lock-step loop must skip all cores to one coordinated horizon,
-// so coherence interactions replay identically.
+// TestFastForwardEquivalencePARSEC covers every parallel workload under the
+// three store-prefetch policies that issue requests, at two and at eight
+// cores: each core sleeps to its own event horizon while the others tick, and
+// every coherence interaction must still replay as in the loop that ticks
+// every core in every cycle.
 func TestFastForwardEquivalencePARSEC(t *testing.T) {
+	const insts = 20_000
 	for _, p := range workloads.PARSEC() {
-		assertFFEquivalent(t, RunSpec{
-			Workload: p.Name, Policy: core.PolicySPB, SQSize: 14,
-			Cores: 4, Insts: 1500,
-		})
+		for _, pol := range []core.Policy{core.PolicyAtCommit, core.PolicyAtExecute, core.PolicySPB} {
+			for _, cores := range []int{2, 8} {
+				t.Run(fmt.Sprintf("%s/%v/%d", p.Name, pol, cores), func(t *testing.T) {
+					t.Parallel()
+					assertFFEquivalent(t, RunSpec{
+						Workload: p.Name, Policy: pol, SQSize: 14,
+						Cores: cores, Insts: insts,
+					})
+				})
+			}
+		}
 	}
-	assertFFEquivalent(t, RunSpec{
-		Workload: "dedup", Policy: core.PolicyAtCommit, SQSize: 14,
-		Cores: 8, Insts: 1500,
+	t.Run("canneal/none/sb56/4", func(t *testing.T) {
+		t.Parallel()
+		assertFFEquivalent(t, RunSpec{
+			Workload: "canneal", Policy: core.PolicyNone, SQSize: 56,
+			Cores: 4, Insts: insts,
+		})
 	})
-	assertFFEquivalent(t, RunSpec{
-		Workload: "canneal", Policy: core.PolicyNone, SQSize: 56,
-		Cores: 4, Insts: 1500,
+	// Sampled: fresh cores per detailed segment on one persistent hierarchy,
+	// measurement windows cut at each core's own commit crossings.
+	t.Run("dedup/spb/4/sampled", func(t *testing.T) {
+		t.Parallel()
+		assertFFEquivalent(t, RunSpec{
+			Workload: "dedup", Policy: core.PolicySPB, SQSize: 14,
+			Cores: 4, Insts: 60_000, WarmupInsts: 4_000,
+			Sampling: SamplingConfig{IntervalInsts: 15_000, DetailedInsts: 2_000, WarmInsts: 2_000},
+		})
 	})
 }

@@ -460,7 +460,6 @@ func runSampled(ctx context.Context, tr *obs.Trace, spec RunSpec, machine config
 		onProgress(p)
 	}
 
-	useFF := !spec.DisableFastForward
 	remaining := spec.Insts
 	// pendingSkip accumulates the functional skip separating detailed
 	// segments — the trailing portion of one interval plus the leading
@@ -606,31 +605,10 @@ func runSampled(ctx context.Context, tr *obs.Trace, spec RunSpec, machine config
 			memEnd     MemStats
 			haveMemEnd bool
 		)
-		guard := segSpec.Insts*1000*nCores + 1_000_000
-		done := ctx.Done()
-		for round := uint64(0); ; round++ {
-			if round%progressEvery == 0 {
-				if done != nil {
-					select {
-					case <-done:
-						for _, c := range cores {
-							c.Release()
-						}
-						release()
-						return Result{}, ctx.Err()
-					default:
-					}
-				}
-				if onProgress != nil && round > 0 {
-					segC := uint64(0)
-					for _, c := range cores {
-						segC += c.St.Committed
-					}
-					report(segC)
-				}
-			}
-			// Crossing capture runs on the state left by the previous round;
-			// SkipTo never skips a commit, so no crossing is jumped over.
+		// Crossing capture runs on the state a step leaves behind (and once
+		// before the first, for a window that opens at zero); a core crosses
+		// a threshold by committing, in a tick, so no crossing is slept over.
+		capture := func() {
 			for i, c := range cores {
 				if !started[i] && c.St.Committed >= wk {
 					started[i] = true
@@ -650,43 +628,25 @@ func runSampled(ctx context.Context, tr *obs.Trace, spec RunSpec, machine config
 					}
 				}
 			}
-			running := false
-			allIdle := true
+		}
+		capture()
+		err := cpu.Lockstep(ctx, cores, segSpec.Insts*1000*nCores+1_000_000, func(steps uint64) (bool, error) {
+			capture()
+			if onProgress != nil && steps%progressEvery == 0 {
+				segC := uint64(0)
+				for _, c := range cores {
+					segC += c.St.Committed
+				}
+				report(segC)
+			}
+			return false, nil
+		})
+		if err != nil {
 			for _, c := range cores {
-				if !c.Done() {
-					c.Tick()
-					running = true
-					if !c.IdleTick() {
-						allIdle = false
-					}
-				}
+				c.Release()
 			}
-			if !running {
-				break
-			}
-			if useFF && allIdle {
-				skipTarget := uint64(math.MaxUint64)
-				for _, c := range cores {
-					if c.Done() {
-						continue
-					}
-					if ne := c.NextEventCycle(); ne < skipTarget {
-						skipTarget = ne
-					}
-				}
-				for _, c := range cores {
-					if !c.Done() && skipTarget > c.Cycle() && skipTarget != math.MaxUint64 {
-						c.SkipTo(skipTarget)
-					}
-				}
-			}
-			if round > guard {
-				for _, c := range cores {
-					c.Release()
-				}
-				release()
-				return Result{}, fmt.Errorf("sim: %v made no progress after %d cycles (sampled interval)", spec, round)
-			}
+			release()
+			return Result{}, stepError(ctx, spec, err)
 		}
 		// A reader that ran dry leaves its core short of the thresholds;
 		// close its window at the final state.

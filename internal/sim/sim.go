@@ -10,7 +10,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -269,11 +268,20 @@ func snapshotProgress(cores []*cpu.Core, targetInsts uint64) Progress {
 	return p
 }
 
-// progressEvery is how many lock-step rounds pass between cancellation checks
-// and progress callbacks in RunCtx. A round is one cycle per running core, so
-// at simulator speeds this is a sub-millisecond reaction time while keeping
-// the check off the per-cycle hot path.
+// progressEvery is how many steps of cpu.Lockstep pass between progress
+// callbacks and checkpoint-boundary checks. A step ticks every core that is
+// awake in one simulated cycle, so at simulator speeds this is a
+// sub-millisecond cadence while keeping the work off the per-cycle hot path.
 const progressEvery = 8192
+
+// stepError dresses a cpu.Lockstep failure for the run's caller: a
+// cancellation stays the context's bare error, anything else names the point.
+func stepError(ctx context.Context, spec RunSpec, err error) error {
+	if err == ctx.Err() {
+		return err
+	}
+	return fmt.Errorf("sim: %v: %w", spec, err)
+}
 
 // Run executes one simulation point.
 func Run(spec RunSpec) (Result, error) {
@@ -281,10 +289,10 @@ func Run(spec RunSpec) (Result, error) {
 }
 
 // RunCtx executes one simulation point under a context. If ctx is cancelled
-// the simulation stops within progressEvery rounds and the context's error is
+// the simulation stops within a few thousand steps and the context's error is
 // returned — abandoned or timed-out requests do not keep simulating. If
 // onProgress is non-nil it is invoked periodically (every progressEvery
-// rounds) from the simulating goroutine; it must be cheap and must not block.
+// steps) from the simulating goroutine; it must be cheap and must not block.
 func RunCtx(ctx context.Context, spec RunSpec, onProgress func(Progress)) (Result, error) {
 	return runPoint(ctx, spec, onProgress, nil)
 }
@@ -457,93 +465,44 @@ func runDetailed(ctx context.Context, tr *obs.Trace, spec RunSpec, sys *memsys.S
 		onProgress(p)
 	}
 
-	// Lock-step execution: every core advances one cycle per round. With
-	// fast-forward enabled, after each round the whole machine jumps to the
-	// earliest next event across all running cores — skipping must be
-	// coordinated, since per-core skipping would reorder the coherence
-	// interactions that make multi-core runs deterministic. During a global
-	// dead span no core touches the shared memory system, so every per-core
-	// event horizon stays valid.
-	useFF := !spec.DisableFastForward
-	guard := spec.Insts*1000*uint64(spec.Cores) + 1_000_000
-	done := ctx.Done()
-	ckActive := ck.active()
-	observed := done != nil || onProgress != nil || ckActive
-	startRound := uint64(0)
-	if ckActive {
-		startRound = ck.startRound
-	}
-	for round := startRound; ; round++ {
-		if observed && round%progressEvery == 0 {
-			if done != nil {
-				select {
-				case <-done:
-					return Result{}, ctx.Err()
-				default:
-				}
-			}
-			if ckActive {
-				// Checkpoint when aggregate committed instructions cross the
-				// cadence boundary. Capture is read-only — snapshots copy state
-				// out — so a checkpointed run's statistics are byte-identical
-				// to an unobserved one. The boundary round and NextCkpt are
-				// recorded so a resume continues the identical loop schedule.
-				total := uint64(0)
-				for _, c := range cores {
-					total += c.St.Committed
-				}
-				if total >= ck.nextCkpt {
-					for ck.nextCkpt <= total {
-						ck.nextCkpt += ck.step
-					}
-					cf := &ckptFile{
-						Spec:     spec,
-						WarmupFF: warmupFF,
-						NextCkpt: ck.nextCkpt,
-						Detailed: captureDetailed(spec, sys, cores, lims, round),
-					}
-					if err := ck.c.save(cf); err != nil {
-						return Result{}, err
-					}
-				}
-			}
-			if onProgress != nil && round > 0 {
-				report()
-			}
+	err := cpu.Lockstep(ctx, cores, spec.Insts*1000*uint64(spec.Cores)+1_000_000, func(steps uint64) (bool, error) {
+		if steps%progressEvery != 0 {
+			return false, nil
 		}
-		running := false
-		allIdle := true
-		for _, c := range cores {
-			if !c.Done() {
-				c.Tick()
-				running = true
-				if !c.IdleTick() {
-					allIdle = false
-				}
-			}
-		}
-		if !running {
-			break
-		}
-		if useFF && allIdle {
-			target := uint64(math.MaxUint64)
+		if ck.active() {
+			// Checkpoint when aggregate committed instructions cross the
+			// cadence boundary. Capture is read-only — snapshots copy state
+			// out — so a checkpointed run's statistics are byte-identical
+			// to an unobserved one. Cores asleep at their event horizons
+			// are captured with their clocks ahead of the others'; the
+			// resumed loop starts at the earliest clock and finds them
+			// still asleep.
+			total := uint64(0)
 			for _, c := range cores {
-				if c.Done() {
-					continue
-				}
-				if ne := c.NextEventCycle(); ne < target {
-					target = ne
-				}
+				total += c.St.Committed
 			}
-			for _, c := range cores {
-				if !c.Done() && target > c.Cycle() && target != math.MaxUint64 {
-					c.SkipTo(target)
+			if total >= ck.nextCkpt {
+				for ck.nextCkpt <= total {
+					ck.nextCkpt += ck.step
+				}
+				cf := &ckptFile{
+					Spec:     spec,
+					WarmupFF: warmupFF,
+					NextCkpt: ck.nextCkpt,
+					Detailed: captureDetailed(spec, sys, cores, lims),
+				}
+				if err := ck.c.save(cf); err != nil {
+					return false, err
 				}
 			}
 		}
-		if round > guard {
-			return Result{}, fmt.Errorf("sim: %v made no progress after %d cycles", spec, round)
+		if onProgress != nil {
+			report()
 		}
+		return false, nil
+	})
+	if err != nil {
+		return Result{}, stepError(ctx, spec, err)
 	}
 	if onProgress != nil {
 		report()
