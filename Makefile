@@ -1,4 +1,4 @@
-.PHONY: check bench bench-sweep bench-warm bench-sampled bench-cluster bench-prefetch test build serve-check chaos chaos-kill cluster-check
+.PHONY: check bench bench-sweep bench-sampled bench-cluster bench-prefetch test build serve-check chaos chaos-kill cluster-check
 
 # Full pre-merge gate: vet + build + tests + race pass on the concurrent
 # packages.
@@ -14,11 +14,6 @@ bench:
 # backends, batch vs per-spec submission overhead) into BENCH_sweep.json.
 bench-sweep:
 	sh scripts/bench_sweep.sh
-
-# Record the warm-start speedup (snapshot/fork vs in-place warmup on a
-# warmed sweep) into BENCH_warm.json.
-bench-warm:
-	sh scripts/bench_warm.sh
 
 # Record the SMARTS-style sampling speedup (sampled vs full-detail on the
 # long-horizon SB-bound sweep, with CI-accuracy and byte-determinism gates)

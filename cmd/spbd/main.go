@@ -84,7 +84,6 @@ func main() {
 		trace        = flag.Bool("trace", true, "record per-phase span timelines for every job (GET /v1/runs/{id}/trace)")
 		traceCap     = flag.Int("trace-capacity", obs.DefaultTraceCapacity, "traces retained in memory; older ones are evicted first")
 		traceLog     = flag.String("trace-log", "", "append finished traces as NDJSON to this file (empty disables)")
-		warmStart    = flag.Bool("warm-start", true, "share each warmup-equivalence group's warmup via snapshot/fork (identical results either way; SPB_WARMSTART=0 also disables)")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty disables; port 0 picks a free port)")
 
 		clusterAdvertise = flag.String("cluster-advertise", "", "join the cluster advertising this base URL; \"auto\" advertises the bound listen address (empty = standalone)")
@@ -148,8 +147,6 @@ func main() {
 		CheckpointDir:   *ckptDir,
 		CheckpointInsts: *ckptInsts,
 		DisableSync:     !*storeSync,
-
-		DisableWarmStart: !*warmStart,
 	})
 	if err != nil {
 		log.Fatalf("spbd: %v", err)

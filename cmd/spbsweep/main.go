@@ -82,7 +82,6 @@ func main() {
 		cores    = flag.Int("cores", 0, "core count (default: 1 for spec, 8 for parsec)")
 		insts    = flag.Uint64("insts", 200_000, "committed instructions per core")
 		warmup   = flag.Uint64("warmup", 0, "functional-warming instructions per core before the measured interval")
-		warmFork = flag.Bool("warm-start", true, "share each group's warmup via snapshot/fork (local runs; identical results either way)")
 		sample   = flag.Bool("sample", false, "SMARTS sampling at the validated default (125k-inst period, 8k detailed, 12k warm)")
 		sampleI  = flag.Uint64("sample-interval", 0, "sampling period in instructions per core (overrides -sample's default; 0 = off)")
 		sampleD  = flag.Uint64("sample-detailed", 0, "detailed-window length per sample (0 = engine default)")
@@ -218,7 +217,6 @@ func main() {
 		}
 	} else {
 		runner := sim.NewRunner()
-		runner.SetWarmStart(*warmFork)
 		var err error
 		results, err = runner.GetAllCtx(ctx, specs)
 		if err != nil {

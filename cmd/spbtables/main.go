@@ -34,7 +34,6 @@ func main() {
 		quick      = flag.Bool("quick", false, "reduced scale (SB-bound apps only, fewer instructions)")
 		insts      = flag.Uint64("insts", 0, "override the per-run instruction budget")
 		warmup     = flag.Uint64("warmup", 0, "functional-warming instructions per core before each measured interval (stock scales use 0)")
-		warmStart  = flag.Bool("warm-start", true, "share each warmup-equivalence group's warmup via snapshot/fork (identical tables either way)")
 		sample     = flag.Bool("sample", false, "SMARTS sampling at the validated default (125k-inst period, 8k detailed, 12k warm); figure values become sampled estimates")
 		sampleI    = flag.Uint64("sample-interval", 0, "sampling period in instructions per core (overrides -sample's default; 0 = off)")
 		sampleD    = flag.Uint64("sample-detailed", 0, "detailed-window length per sample (0 = engine default)")
@@ -103,7 +102,6 @@ func main() {
 		exec = pool
 	}
 	h := figures.NewHarnessOn(ctx, scale, exec)
-	h.Runner().SetWarmStart(*warmStart)
 	all := h.All()
 
 	ids := figures.Order

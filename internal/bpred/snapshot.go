@@ -1,6 +1,9 @@
 package bpred
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Warm-start support (DESIGN.md §12): counter-free functional warming, deep
 // snapshot/restore, and pooled tables so repeated Runner invocations stop
@@ -42,11 +45,22 @@ func (p *Predictor) Snapshot() *Snapshot {
 	}
 }
 
+// Fits reports, as an error, why the snapshot cannot be restored into p. A
+// snapshot taken from a predictor of the same geometry always fits; a decoded
+// one (a checkpoint file) must be checked before Restore, which panics on a
+// mismatch.
+func (s *Snapshot) Fits(p *Predictor) error {
+	if s == nil || len(s.pht) != len(p.pht) || len(s.btbTags) != len(p.btbTags) {
+		return fmt.Errorf("bpred: snapshot does not have the predictor's %d-entry PHT and %d-entry BTB", len(p.pht), len(p.btbTags))
+	}
+	return nil
+}
+
 // Restore overwrites the predictor's mutable state with the snapshot's. The
 // predictor must have the same geometry as the snapshot's source.
 func (p *Predictor) Restore(s *Snapshot) {
-	if len(p.pht) != len(s.pht) || len(p.btbTags) != len(s.btbTags) {
-		panic("bpred: Restore with mismatched geometry")
+	if err := s.Fits(p); err != nil {
+		panic(err)
 	}
 	copy(p.pht, s.pht)
 	p.history = s.history

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"sync"
 
 	"spb/internal/bpred"
@@ -134,15 +135,51 @@ func (c *Core) Snapshot() *Snapshot {
 	return s
 }
 
+// fits reports whether the tracker's ring is absent or the one size every
+// tracker uses.
+func (s occSnapshot) fits() bool {
+	return (len(s.buckets) == 0 || len(s.buckets) == occWindow) && s.count >= 0
+}
+
+// Fits reports, as an error, why the snapshot cannot be restored into c: a ROB,
+// store buffer, TLB or predictor of another size, a detector or predictor the
+// core's configuration does not have (or lacks), ROB ring indices outside the
+// ring. A snapshot taken from a core of the same configuration always fits; a
+// decoded one (a checkpoint file) must be checked before Restore, which panics
+// on a mismatch.
+func (s *Snapshot) Fits(c *Core) error {
+	if s == nil || len(s.rob) != len(c.rob) {
+		return fmt.Errorf("cpu: snapshot does not have the core's %d-entry ROB", len(c.rob))
+	}
+	if n := len(s.rob); s.robHead < 0 || s.robHead >= n || s.robCount < 0 || s.robCount > n ||
+		s.robTail != (s.robHead+s.robCount)%n {
+		return fmt.Errorf("cpu: snapshot ROB indices (head %d, tail %d, count %d) outside a %d-entry ring",
+			s.robHead, s.robTail, s.robCount, n)
+	}
+	if (c.det != nil) != s.has || (c.bp != nil) != (s.bp != nil) {
+		return fmt.Errorf("cpu: snapshot detector/predictor presence differs from the core's")
+	}
+	if !s.iq.fits() || !s.lq.fits() {
+		return fmt.Errorf("cpu: snapshot occupancy tracker is not %d cycles wide", occWindow)
+	}
+	if err := s.sb.Fits(c.sb); err != nil {
+		return err
+	}
+	if err := s.dtlb.Fits(c.dtlb); err != nil {
+		return err
+	}
+	if c.bp != nil {
+		return s.bp.Fits(c.bp)
+	}
+	return nil
+}
+
 // Restore overwrites the core's mutable state with the snapshot's. The core
 // must have the same configuration (ROB size, SQ size, TLB/predictor
 // geometry, policy) as the snapshot's source.
 func (c *Core) Restore(s *Snapshot) {
-	if len(c.rob) != len(s.rob) {
-		panic("cpu: Restore with mismatched ROB size")
-	}
-	if (c.det != nil) != s.has || (c.bp != nil) != (s.bp != nil) {
-		panic("cpu: Restore with mismatched detector/predictor presence")
+	if err := s.Fits(c); err != nil {
+		panic(err)
 	}
 	c.cycle = s.cycle
 	c.fetchReadyAt = s.fetchReadyAt

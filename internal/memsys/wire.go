@@ -3,6 +3,7 @@ package memsys
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 
 	"spb/internal/cache"
 	"spb/internal/dram"
@@ -27,12 +28,28 @@ func (s *System) PrefetcherStates() []prefetch.State {
 	return out
 }
 
+// PrefetcherStatesFit reports, as an error, why the states cannot be restored
+// into s: another core count, or a state that does not fit its port's
+// prefetcher (see prefetch.State.Fits). Decoded states (a checkpoint file) must
+// be checked before RestorePrefetcherStates, which panics on a mismatch.
+func (s *System) PrefetcherStatesFit(st []prefetch.State) error {
+	if len(st) != len(s.ports) {
+		return fmt.Errorf("memsys: prefetcher states of %d cores, system has %d", len(st), len(s.ports))
+	}
+	for i, p := range s.ports {
+		if err := st[i].Fits(p.pf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // RestorePrefetcherStates overwrites each port's generic-prefetcher state.
 // The states must come from a system with the same core count and
 // prefetcher configuration.
 func (s *System) RestorePrefetcherStates(st []prefetch.State) {
-	if len(st) != len(s.ports) {
-		panic("memsys: RestorePrefetcherStates with mismatched core count")
+	if err := s.PrefetcherStatesFit(st); err != nil {
+		panic(err)
 	}
 	for i, p := range s.ports {
 		prefetch.RestoreState(p.pf, st[i])

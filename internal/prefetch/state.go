@@ -159,35 +159,69 @@ func captureStream(v *Stream) State {
 	return s
 }
 
+// Fits reports, as an error, why the state cannot be restored onto p: another
+// kind of prefetcher, a missing payload, or tables of another geometry. A state
+// captured from a prefetcher of the same configuration always fits; a decoded
+// one (a checkpoint file) must be checked before RestoreState, which panics on
+// a mismatch.
+func (s State) Fits(p Prefetcher) error {
+	kind, ok := "", false
+	switch v := p.(type) {
+	case nonePrefetcher:
+		kind, ok = "none", true
+	case *Adaptive:
+		kind, ok = "adaptive", len(v.table) == len(s.Table)
+	case *Stream:
+		kind, ok = "stream", len(v.table) == len(s.Table)
+	case *BOP:
+		kind = "bop"
+		b := s.BOP
+		ok = b != nil && len(v.rr) == len(b.RR) && len(v.scores) == len(b.Scores) &&
+			inRing(b.RRNext, len(b.RR)) && inRing(b.CandIdx, len(b.Scores))
+	case *DSPatch:
+		kind = "dspatch"
+		d := s.DSPatch
+		ok = d != nil && len(v.pages) == len(d.Pages) && len(v.table) == len(d.Table) && inRing(d.PageClk, len(d.Pages))
+	case *Hybrid:
+		kind = "hybrid"
+		hs := s.Hybrid
+		ok = hs != nil && len(v.subs) == len(hs.Subs) && len(v.recent) == len(hs.Recent) &&
+			len(v.rnext) == len(hs.RNext) && len(v.issued) == len(hs.Issued) &&
+			len(v.hits) == len(hs.Hits) && len(v.alloc) == len(hs.Alloc)
+		for i := 0; ok && i < len(v.subs); i++ {
+			if err := hs.Subs[i].Fits(v.subs[i]); err != nil {
+				return err
+			}
+			ok = len(v.recent[i]) == len(hs.Recent[i]) && inRing(hs.RNext[i], len(hs.Recent[i]))
+		}
+	default:
+		return fmt.Errorf("prefetch: cannot restore state onto %T", p)
+	}
+	if s.Kind != kind {
+		return fmt.Errorf("prefetch: state of kind %q does not fit a %s prefetcher", s.Kind, kind)
+	}
+	if !ok {
+		return fmt.Errorf("prefetch: %s state is incomplete or of another table geometry", kind)
+	}
+	return nil
+}
+
+// inRing reports whether a ring cursor points inside a ring of n slots.
+func inRing(i, n int) bool { return i >= 0 && i < n }
+
 // RestoreState overwrites p's mutable state with the capture's. p must be
 // the same kind (and table geometry) the state was captured from.
 func RestoreState(p Prefetcher, s State) {
+	if err := s.Fits(p); err != nil {
+		panic(err)
+	}
 	switch v := p.(type) {
-	case nonePrefetcher:
-		if s.Kind != "none" {
-			panic("prefetch: RestoreState kind mismatch")
-		}
-		return
 	case *Adaptive:
-		if s.Kind != "adaptive" {
-			panic("prefetch: RestoreState kind mismatch")
-		}
 		restoreStream(&v.Stream, s)
 		v.level = s.Level
-		return
 	case *Stream:
-		if s.Kind != "stream" {
-			panic("prefetch: RestoreState kind mismatch")
-		}
 		restoreStream(v, s)
-		return
 	case *BOP:
-		if s.Kind != "bop" || s.BOP == nil {
-			panic("prefetch: RestoreState kind mismatch")
-		}
-		if len(v.rr) != len(s.BOP.RR) || len(v.scores) != len(s.BOP.Scores) {
-			panic("prefetch: RestoreState with mismatched table geometry")
-		}
 		copy(v.rr, s.BOP.RR)
 		v.rrNext = s.BOP.RRNext
 		v.rrFilled = s.BOP.RRFilled
@@ -196,14 +230,7 @@ func RestoreState(p Prefetcher, s State) {
 		v.round = s.BOP.Round
 		v.best = s.BOP.Best
 		v.bestScore = s.BOP.BestScore
-		return
 	case *DSPatch:
-		if s.Kind != "dspatch" || s.DSPatch == nil {
-			panic("prefetch: RestoreState kind mismatch")
-		}
-		if len(v.pages) != len(s.DSPatch.Pages) || len(v.table) != len(s.DSPatch.Table) {
-			panic("prefetch: RestoreState with mismatched table geometry")
-		}
 		for i, pg := range s.DSPatch.Pages {
 			v.pages[i] = dspPage{page: pg.Page, sig: pg.Sig, trigger: pg.Trigger, bitmap: pg.Bitmap, valid: pg.Valid}
 		}
@@ -212,37 +239,22 @@ func RestoreState(p Prefetcher, s State) {
 			v.table[i] = dspEntry{covP: e.CovP, accP: e.AccP, valid: e.Valid}
 		}
 		v.useAcc = s.DSPatch.UseAcc
-		return
 	case *Hybrid:
-		if s.Kind != "hybrid" || s.Hybrid == nil {
-			panic("prefetch: RestoreState kind mismatch")
-		}
 		hs := s.Hybrid
-		if len(v.subs) != len(hs.Subs) || len(v.recent) != len(hs.Recent) {
-			panic("prefetch: RestoreState with mismatched table geometry")
-		}
 		for i, sub := range v.subs {
 			RestoreState(sub, hs.Subs[i])
 		}
 		for i, r := range hs.Recent {
-			if len(v.recent[i]) != len(r) {
-				panic("prefetch: RestoreState with mismatched table geometry")
-			}
 			copy(v.recent[i], r)
 		}
 		copy(v.rnext, hs.RNext)
 		copy(v.issued, hs.Issued)
 		copy(v.hits, hs.Hits)
 		copy(v.alloc, hs.Alloc)
-		return
 	}
-	panic(fmt.Sprintf("prefetch: cannot restore state onto %T", p))
 }
 
 func restoreStream(v *Stream, s State) {
-	if len(v.table) != len(s.Table) {
-		panic("prefetch: RestoreState with mismatched table geometry")
-	}
 	for i, e := range s.Table {
 		v.table[i] = streamEntry{pc: e.PC, last: e.Last, stride: e.Stride, conf: e.Conf, valid: e.Valid}
 	}

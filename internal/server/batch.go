@@ -182,12 +182,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		g.indices = append(g.indices, i)
 	}
-	// LPT dispatch: hand the expensive points to workers first. Cost is
-	// estimated under the runner's warm-start setting: with forking on, a
-	// shared warmup prefix does not contribute to a point's wall-clock.
-	warmStart := s.runner.WarmStart()
+	// LPT dispatch: hand the expensive points to workers first. A shared
+	// warmup prefix is its group's work and does not count towards a point.
 	sort.SliceStable(groups, func(a, b int) bool {
-		return groups[a].spec.CostEstimateAt(warmStart) > groups[b].spec.CostEstimateAt(warmStart)
+		return groups[a].spec.CostEstimate() > groups[b].spec.CostEstimate()
 	})
 
 	s.metrics.BatchRequests.Add(1)

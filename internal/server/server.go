@@ -52,11 +52,6 @@ type Config struct {
 	// DiskRetryInterval is how often a degraded disk tier is re-probed with
 	// one real operation (default: 5s). A success leaves degraded mode.
 	DiskRetryInterval time.Duration
-	// DisableWarmStart turns off the runner's warm-start fork engine, so
-	// every warmed spec simulates its own warmup prefix in place. Results
-	// are byte-identical either way; this is the operational escape hatch
-	// (also reachable via SPB_WARMSTART=0).
-	DisableWarmStart bool
 	// JournalPath is the durable job journal (journal.go): accepted,
 	// started and terminal transitions are appended as checksummed NDJSON
 	// and replayed on startup, so queued and running jobs survive a crash
@@ -140,7 +135,7 @@ type job struct {
 
 	// Tenant scheduling state. tenant is always non-nil (the implicit
 	// default tenant on single-tenant daemons); cost is the spec's work
-	// estimate under the runner's warm-start setting; lane is the strict
+	// estimate (sim.RunSpec.CostEstimate); lane is the strict
 	// priority lane; vfinish/seq are stamped by tenantQueue.push (guarded
 	// by its mutex). onTerminal, when set, runs exactly once as the job
 	// reaches a terminal state — it returns the tenant's quota slot.
@@ -291,9 +286,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if err := s.initTenants(cfg.Tenants); err != nil {
 		return nil, err
-	}
-	if cfg.DisableWarmStart {
-		s.runner.SetWarmStart(false)
 	}
 	if cfg.CacheDir != "" {
 		store, err := OpenDiskStore(cfg.CacheDir)
@@ -537,7 +529,7 @@ func (s *Server) jobWithID(id, key string, spec sim.RunSpec, tn *tenantState) *j
 		done:        make(chan struct{}),
 		status:      StatusQueued,
 		tenant:      tn,
-		cost:        float64(spec.CostEstimateAt(s.runner.WarmStart())),
+		cost:        float64(spec.CostEstimate()),
 		lane:        tn.laneIdx,
 	}
 	j.ctx, j.cancel = context.WithCancelCause(s.baseCtx)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"spb/internal/sim"
 )
 
 // warmGrid is a miniature warmed sweep: two workloads sharing their warmup
@@ -26,55 +28,55 @@ func warmGrid() []RunRequest {
 }
 
 // TestBatchWarmStartEquivalence is the end-to-end half of the warm-start
-// equivalence suite (DESIGN.md §12): the same warmed sweep submitted through
-// spbd's batch path must return byte-identical canonical stats whether the
-// server forks detailed runs from shared warm snapshots (default) or
-// simulates every warmup in place (DisableWarmStart).
+// equivalence suite (DESIGN.md §12): a warmed sweep submitted through spbd's
+// batch path, whose runner starts every point from its group's shared
+// snapshot, must return canonical stats byte-identical to sim.Run executing
+// each point's warmup in place.
 func TestBatchWarmStartEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warmed sweep, skipped in -short")
 	}
 	specs := warmGrid()
 
-	on, tsOn := testServer(t, Config{Workers: 2})
-	off, tsOff := testServer(t, Config{Workers: 2, DisableWarmStart: true})
-
-	doneOn := terminalByIndex(t, postBatch(t, tsOn.URL, BatchRequest{Specs: specs}))
-	doneOff := terminalByIndex(t, postBatch(t, tsOff.URL, BatchRequest{Specs: specs}))
-	if len(doneOn) != len(specs) || len(doneOff) != len(specs) {
-		t.Fatalf("terminal items: on=%d off=%d, want %d", len(doneOn), len(doneOff), len(specs))
+	srv, ts := testServer(t, Config{Workers: 2})
+	done := terminalByIndex(t, postBatch(t, ts.URL, BatchRequest{Specs: specs}))
+	if len(done) != len(specs) {
+		t.Fatalf("terminal items: %d, want %d", len(done), len(specs))
 	}
-	for i := range specs {
-		if doneOn[i].Status != StatusDone {
-			t.Fatalf("warm-start spec %d: %s (%s)", i, doneOn[i].Status, doneOn[i].Error)
+	for i, req := range specs {
+		if done[i].Status != StatusDone {
+			t.Fatalf("warm-start spec %d: %s (%s)", i, done[i].Status, done[i].Error)
 		}
-		if doneOff[i].Status != StatusDone {
-			t.Fatalf("in-place spec %d: %s (%s)", i, doneOff[i].Status, doneOff[i].Error)
+		spec, err := req.Spec()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(doneOn[i].Stats, doneOff[i].Stats) {
-			t.Errorf("spec %d (%+v): warm-start stats differ from in-place stats:\n  on:  %s\n  off: %s",
-				i, specs[i], doneOn[i].Stats, doneOff[i].Stats)
+		ref, err := sim.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inPlace, err := ref.StatsJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(done[i].Stats, inPlace) {
+			t.Errorf("spec %d (%+v): warm-start stats differ from in-place stats:\n  spbd:     %s\n  in place: %s",
+				i, req, done[i].Stats, inPlace)
 		}
 	}
 
 	// Exactly-once warmup accounting: one warm per workload group, one fork
-	// per point; the disabled server never touches the fork engine.
-	ssOn, ssOff := on.Runner().SimStats(), off.Runner().SimStats()
-	if ssOn.WarmGroups != 2 || ssOn.WarmForks != uint64(len(specs)) {
-		t.Errorf("warm-start server: groups=%d forks=%d, want 2 and %d",
-			ssOn.WarmGroups, ssOn.WarmForks, len(specs))
+	// per point, each group's warmup elided for all forks but the first.
+	ss := srv.Runner().SimStats()
+	if ss.WarmGroups != 2 || ss.WarmForks != uint64(len(specs)) {
+		t.Errorf("groups=%d forks=%d, want 2 and %d", ss.WarmGroups, ss.WarmForks, len(specs))
 	}
-	if ssOff.WarmGroups != 0 || ssOff.WarmForks != 0 || ssOff.WarmInstsSaved != 0 {
-		t.Errorf("disabled server ran the fork engine: %+v", ssOff)
-	}
-	// Each group's warmup was elided for all forks but the first.
-	wantSaved := uint64(2 * 3 * 30_000)
-	if ssOn.WarmInstsSaved != wantSaved {
-		t.Errorf("WarmInstsSaved = %d, want %d", ssOn.WarmInstsSaved, wantSaved)
+	if wantSaved := uint64(2 * 3 * 30_000); ss.WarmInstsSaved != wantSaved {
+		t.Errorf("WarmInstsSaved = %d, want %d", ss.WarmInstsSaved, wantSaved)
 	}
 
 	// The fork accounting is scrapeable.
-	text := metricsText(t, tsOn)
+	text := metricsText(t, ts)
 	for _, want := range []string{
 		"spbd_warmstart_groups_total 2",
 		"spbd_warmstart_forks_total 8",

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
@@ -11,49 +10,28 @@ import (
 	"os"
 	"path/filepath"
 
-	"spb/internal/bpred"
-	"spb/internal/config"
 	"spb/internal/cpu"
-	"spb/internal/memsys"
-	"spb/internal/obs"
-	"spb/internal/prefetch"
-	"spb/internal/tlb"
-	"spb/internal/trace"
 )
 
-// Mid-run checkpoints (DESIGN.md §15). A long run periodically serializes
-// its full architectural state to disk so a daemon killed mid-run resumes
-// from the last checkpoint instead of restarting, with byte-identical final
-// statistics — the property the content-addressed caches require, proven by
-// TestCheckpointResumeEquivalence at every boundary.
+// Mid-run checkpoints (DESIGN.md §12, "Where a run may start"). A long run
+// periodically serializes its position in the run plan and the machine there,
+// so a daemon killed mid-run resumes from the last checkpoint instead of
+// restarting, with byte-identical final statistics — the property the
+// content-addressed caches require, proven by the crash-resume tests at every
+// segment edge and at marks inside detailed segments.
 //
-// What a checkpoint contains depends on the mode:
-//
-//   - Detailed runs snapshot mid-flight: every core's pipeline (ROB, store
-//     buffer, occupancy trackers, RNG, statistics), the shared memory
-//     system and the trained generic prefetchers. Boundaries are the
-//     progressEvery step marks where aggregate committed instructions cross
-//     the cadence. Each core carries its own clock: one asleep at its event
-//     horizon is captured ahead of the others, and the resumed loop starts
-//     at the earliest clock.
-//   - Sampled runs snapshot at the quiescent top of the sampling-window
-//     loop (no cores exist there), carrying the persistent functional state
-//     (memory system, prefetchers, TLBs, predictors), the window
-//     accumulators and the scheduler locals (jitter, cycle base, pending
-//     skip). Boundaries therefore align with sampling-window edges.
-//
-// Trace-reader state is never serialized: a Program's cursor after n
-// instructions is a pure function of (workload, seed, n) and Skip(n) is
-// state-equivalent to n Next calls, so the checkpoint records only how many
-// instructions each reader has consumed and the resume replays the
-// generator — cheap (bulk Skip) and immune to generator-internals drift
-// within a checkpoint version.
+// A checkpoint is taken where the covered instruction count crosses the
+// cadence: at a segment edge, where no cores exist and the machine state plus
+// the cursor are everything; or at a progressEvery step mark inside a detailed
+// segment, where it also carries every core's pipeline, the stream positions
+// and the open measurement window.
 //
 // On-disk format: magic | version | payload length | gob payload | SHA-256
 // over everything before the digest. Any mismatch — torn write, bit rot,
-// version or spec change — quarantines the file under the *.corrupt
-// convention (PR 4) and the run restarts from scratch; a checkpoint can
-// therefore never make a run wrong, only cheaper.
+// version or spec change, a payload that does not fit this binary's machine —
+// quarantines the file under the *.corrupt convention (PR 4) and the run
+// restarts from scratch; a checkpoint can therefore never make a run wrong,
+// only cheaper.
 
 // ckptMagic opens every checkpoint file.
 const ckptMagic = "SPBCKPT1"
@@ -66,7 +44,9 @@ const ckptMagic = "SPBCKPT1"
 // Version 3: cache.Snapshot carries a recency word and a live mask per set
 // instead of tags, use stamps and a clock; the detailed payload has no round
 // counter and cpu.Snapshot no idle flag.
-const ckptVersion = 3
+// Version 4: one payload for every run — plan cursor, machine state, and the
+// cores, stream positions and window of a checkpoint taken inside a segment.
+const ckptVersion = 4
 
 // CheckpointPolicy configures mid-run checkpointing on a Runner. The zero
 // value disables it.
@@ -113,65 +93,50 @@ func (r *Runner) CheckpointPolicy() CheckpointPolicy {
 	return r.ckpt
 }
 
-// detailedCkpt is the mid-flight state of a full-detail run between two
-// steps of cpu.Lockstep.
-type detailedCkpt struct {
-	Consumed []uint64 // per-core insts consumed by the underlying reader
-	Seen     []uint64 // per-core Limit-wrapper position
-	Cores    []*cpu.Snapshot
-	Sys      *memsys.SystemSnapshot
-	PF       []prefetch.State
-}
-
-// bpWire wraps a possibly-absent predictor snapshot: gob rejects nil
-// pointers as slice elements but skips nil pointer fields inside structs.
-type bpWire struct {
-	BP *bpred.Snapshot
-}
-
-// sampledCkpt is the quiescent state of a sampled run at the top of its
-// window loop.
-type sampledCkpt struct {
-	Remaining   uint64
-	PendingSkip uint64
-	Jitter      uint64
-	CycleBase   uint64
-
-	FFInsts       uint64
-	DetailedInsts uint64
-	MeasuredInsts uint64
-
-	AggCPU cpu.Stats
-	AggMem MemStats
-
-	AccN     uint64
-	AccSum   [nSampleMetrics]float64
-	AccSumsq [nSampleMetrics]float64
-
-	Consumed uint64 // per-core insts consumed by each underlying reader
-	Sys      *memsys.SystemSnapshot
-	PF       []prefetch.State
-	DTLBs    []*tlb.Snapshot
-	BPs      []bpWire
-}
-
-// ckptFile is a checkpoint's gob payload.
+// ckptFile is a checkpoint's gob payload: a position in a spec's plan and the
+// machine at it. A warm-start group's snapshot is the same value kept in
+// memory: the edge after segment 0, with no Spec, since every member of the
+// group starts from it.
 type ckptFile struct {
-	Spec     RunSpec // normalized; must match the resuming spec exactly
-	WarmupFF uint64
-	NextCkpt uint64 // next cadence boundary, so resumes write at the same marks
+	Spec  RunSpec // normalized; must match the resuming spec exactly
+	Cur   cursor
+	State *machineState
 
-	Detailed *detailedCkpt
-	Sampled  *sampledCkpt
+	// Set only by a checkpoint taken inside detailed segment Cur.Seg: the
+	// cores, how far each has read into the segment, and the open window.
+	Cores []*cpu.Snapshot
+	Seen  []uint64
+	Win   *window
 }
 
-// checkpointer is one run's handle on its checkpoint file.
+// fitsCores reports why a decoded mid-segment checkpoint cannot be restored
+// into the segment's freshly built cores.
+func (cf *ckptFile) fitsCores(cores []*cpu.Core) error {
+	n, w := len(cores), cf.Win
+	if len(cf.Cores) != n || len(cf.Seen) != n || w == nil ||
+		len(w.Start) != n || len(w.End) != n || len(w.Started) != n || len(w.Ended) != n {
+		return fmt.Errorf("core state missing or of another core count")
+	}
+	for i, c := range cores {
+		if err := cf.Cores[i].Fits(c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkpointer is one run's handle on its checkpoint file. A nil
+// *checkpointer is a run that is not checkpointed.
 type checkpointer struct {
 	path    string
 	sync    bool
 	spec    RunSpec
 	onWrite func(string) error
-	runner  *Runner // counter sink; may be nil in tests
+	runner  *Runner // counter sink
+	// step is the cadence and next the boundary the next write waits for, both
+	// in instructions the plan has covered over all cores (policy.Insts is per
+	// core); boundaries sit at the multiples of step.
+	step, next uint64
 }
 
 // checkpointerFor returns the run's checkpointer under the current policy,
@@ -187,23 +152,28 @@ func (r *Runner) checkpointerFor(spec RunSpec) *checkpointer {
 		spec:    spec,
 		onWrite: p.OnWrite,
 		runner:  r,
+		step:    p.Insts * uint64(spec.Cores),
 	}
 }
 
-// runCkpt threads one run's checkpoint context through the simulation
-// loops. A nil *runCkpt (or nil c) disables checkpointing. step is the cadence in the loop's own
-// progress unit: aggregate committed instructions for detailed runs
-// (policy.Insts × cores), per-core stream progress for sampled runs
-// (policy.Insts) — boundaries sit at the multiples of step.
-type runCkpt struct {
-	c        *checkpointer
-	step     uint64
-	nextCkpt uint64
+// arm sets the next boundary to the first one past done covered instructions.
+func (c *checkpointer) arm(done uint64) {
+	if c != nil {
+		c.next = (done/c.step + 1) * c.step
+	}
 }
 
-func (ck *runCkpt) active() bool { return ck != nil && ck.c != nil }
+// due reports whether done covered instructions have reached the boundary,
+// and if so moves the boundary past them.
+func (c *checkpointer) due(done uint64) bool {
+	if c == nil || done < c.next {
+		return false
+	}
+	c.arm(done)
+	return true
+}
 
-// encode renders the envelope: magic | version | length | payload | digest.
+// encodeCkpt renders the envelope: magic | version | length | payload | digest.
 func encodeCkpt(cf *ckptFile) ([]byte, error) {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(cf); err != nil {
@@ -294,9 +264,7 @@ func (c *checkpointer) save(cf *ckptFile) error {
 	if c.sync {
 		syncDir(dir)
 	}
-	if c.runner != nil {
-		c.runner.ckptWrites.Add(1)
-	}
+	c.runner.ckptWrites.Add(1)
 	if c.onWrite != nil {
 		if err := c.onWrite(c.path); err != nil {
 			return err
@@ -315,29 +283,24 @@ func syncDir(dir string) {
 	}
 }
 
-// load reads and validates the run's checkpoint. A missing file returns
-// (nil, false). Any invalid file — torn, corrupt, wrong version, wrong
-// spec — is quarantined under the *.corrupt convention and reported as
-// absent, so the run restarts from scratch.
-func (c *checkpointer) load() (*ckptFile, bool) {
+// load reads and validates the run's checkpoint. A missing file (or a run that
+// is not checkpointed) returns nil. Any invalid file — torn, corrupt, wrong
+// version, wrong spec — is quarantined under the *.corrupt convention and
+// reported as absent, so the run restarts from scratch.
+func (c *checkpointer) load() *ckptFile {
+	if c == nil {
+		return nil
+	}
 	data, err := os.ReadFile(c.path)
 	if err != nil {
-		return nil, false
+		return nil
 	}
 	cf, err := decodeCkpt(data)
-	if err != nil {
+	if err != nil || cf.Spec != c.spec {
 		c.quarantine()
-		return nil, false
+		return nil
 	}
-	if cf.Spec != c.spec {
-		c.quarantine()
-		return nil, false
-	}
-	if (cf.Detailed == nil) == (cf.Sampled == nil) {
-		c.quarantine()
-		return nil, false
-	}
-	return cf, true
+	return cf
 }
 
 // quarantine renames the checkpoint aside for post-mortem inspection
@@ -347,136 +310,13 @@ func (c *checkpointer) quarantine() {
 	if err := os.Rename(c.path, c.path+".corrupt"); err != nil {
 		os.Remove(c.path)
 	}
-	if c.runner != nil {
-		c.runner.ckptCorrupt.Add(1)
-	}
+	c.runner.ckptCorrupt.Add(1)
 }
 
 // clear removes the checkpoint after its run completed; the result now
 // lives in the caches, so the checkpoint is dead weight.
 func (c *checkpointer) clear() {
-	os.Remove(c.path)
-}
-
-// skipReader advances rd by n instructions: bulk Skip when the reader
-// offers it (trace.Program does), Next replay otherwise.
-func skipReader(rd trace.Reader, n uint64) {
-	if n == 0 {
-		return
+	if c != nil {
+		os.Remove(c.path)
 	}
-	if s, ok := rd.(streamSkipper); ok {
-		s.Skip(n)
-		return
-	}
-	var in trace.Inst
-	for k := uint64(0); k < n; k++ {
-		if !rd.Next(&in) {
-			return
-		}
-	}
-}
-
-// captureDetailed snapshots a detailed run between two steps.
-func captureDetailed(spec RunSpec, sys *memsys.System, cores []*cpu.Core, lims []*trace.LimitReader) *detailedCkpt {
-	st := &detailedCkpt{
-		Consumed: make([]uint64, len(cores)),
-		Seen:     make([]uint64, len(cores)),
-		Cores:    make([]*cpu.Snapshot, len(cores)),
-		Sys:      sys.Snapshot(),
-		PF:       sys.PrefetcherStates(),
-	}
-	for i, c := range cores {
-		st.Cores[i] = c.Snapshot()
-		st.Seen[i] = lims[i].Seen()
-		st.Consumed[i] = spec.WarmupInsts + lims[i].Seen()
-	}
-	return st
-}
-
-// restoreSystem builds the spec's memory system and loads a checkpointed
-// state into it. A payload that passed the checksum but does not fit the
-// machine (line counts, core count, directory state naming a missing core) is
-// an invalid checkpoint — an error for the quarantine path, never the
-// geometry panic Restore reserves for programming mistakes.
-func restoreSystem(machine config.MachineConfig, spec RunSpec, snap *memsys.SystemSnapshot, pf []prefetch.State) (*memsys.System, error) {
-	sys := memsys.New(machine, spec.Cores)
-	if snap == nil || len(pf) != spec.Cores {
-		sys.Release()
-		return nil, fmt.Errorf("%w: memory system state missing", errCkptInvalid)
-	}
-	if err := snap.Fits(sys); err != nil {
-		sys.Release()
-		return nil, fmt.Errorf("%w: %v", errCkptInvalid, err)
-	}
-	sys.Restore(snap)
-	sys.RestorePrefetcherStates(pf)
-	return sys, nil
-}
-
-// resumeDetailed rebuilds a detailed run from a checkpoint — fresh machine,
-// generators replayed to their recorded positions, every snapshot restored —
-// and re-enters the loop.
-func resumeDetailed(ctx context.Context, tr *obs.Trace, spec RunSpec, cf *ckptFile, ck *runCkpt, onProgress func(Progress)) (Result, error) {
-	st := cf.Detailed
-	machine, err := spec.machineConfig()
-	if err != nil {
-		return Result{}, err
-	}
-	readers, err := buildReaders(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	if len(readers) != len(st.Cores) || len(st.Consumed) != len(st.Cores) || len(st.Seen) != len(st.Cores) {
-		return Result{}, fmt.Errorf("%w: core count mismatch", errCkptInvalid)
-	}
-	for i, rd := range readers {
-		skipReader(rd, st.Consumed[i])
-	}
-	sys, err := restoreSystem(machine, spec, st.Sys, st.PF)
-	if err != nil {
-		return Result{}, err
-	}
-	cores, lims := buildCores(spec, machine, sys, readers, 0)
-	for i, c := range cores {
-		c.Restore(st.Cores[i])
-		lims[i].SetSeen(st.Seen[i])
-	}
-	ck.nextCkpt = cf.NextCkpt
-	return runDetailed(ctx, tr, spec, sys, cores, lims, cf.WarmupFF, onProgress, ck)
-}
-
-// resumeSampled rebuilds a sampled run from a checkpoint and re-enters the
-// window loop with the recorded scheduler state.
-func resumeSampled(ctx context.Context, tr *obs.Trace, spec RunSpec, cf *ckptFile, ck *runCkpt, onProgress func(Progress)) (Result, error) {
-	st := cf.Sampled
-	machine, err := spec.machineConfig()
-	if err != nil {
-		return Result{}, err
-	}
-	readers, err := buildReaders(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	if len(readers) != spec.Cores || len(st.DTLBs) != spec.Cores || len(st.BPs) != spec.Cores {
-		return Result{}, fmt.Errorf("%w: core count mismatch", errCkptInvalid)
-	}
-	for _, rd := range readers {
-		skipReader(rd, st.Consumed)
-	}
-	sys, err := restoreSystem(machine, spec, st.Sys, st.PF)
-	if err != nil {
-		return Result{}, err
-	}
-	dtlbs, bps := buildFunctionalState(machine, spec)
-	for i := range dtlbs {
-		dtlbs[i].Restore(st.DTLBs[i])
-		if bps[i] != nil {
-			if st.BPs[i].BP == nil {
-				return Result{}, fmt.Errorf("%w: predictor presence mismatch", errCkptInvalid)
-			}
-			bps[i].Restore(st.BPs[i].BP)
-		}
-	}
-	ck.nextCkpt = cf.NextCkpt
-	return runSampled(ctx, tr, spec, machine, sys, readers, dtlbs, bps, cf.WarmupFF, onProgress, ck, st)
 }

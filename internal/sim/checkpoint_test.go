@@ -16,7 +16,11 @@ import (
 	"spb/internal/cache"
 	"spb/internal/config"
 	"spb/internal/core"
+	"spb/internal/cpu"
 	"spb/internal/memsys"
+	"spb/internal/prefetch"
+	"spb/internal/tlb"
+	"spb/internal/trace"
 )
 
 // errCrash simulates kill -9 immediately after a durable checkpoint write:
@@ -38,8 +42,9 @@ func ckptTestPolicy(dir string, cadence uint64, onWrite func(string) error) Chec
 // boundary; attempt k resumes from boundary k-1 and dies at boundary k; the
 // final attempt resumes past the last boundary and completes. Every
 // checkpoint boundary is therefore both written at and resumed from exactly
-// once. Returns the final result and the attempt count.
-func crashResumeUntilDone(t *testing.T, dir string, spec RunSpec, cadence uint64) (Result, int) {
+// once. observe, when given, sees every file written before the crash. Returns
+// the final result and the attempt count.
+func crashResumeUntilDone(t *testing.T, dir string, spec RunSpec, cadence uint64, observe ...func(path string)) (Result, int) {
 	t.Helper()
 	attempts := 0
 	for {
@@ -48,7 +53,12 @@ func crashResumeUntilDone(t *testing.T, dir string, spec RunSpec, cadence uint64
 			t.Fatalf("crash/resume did not converge after %d attempts", attempts)
 		}
 		r := NewRunner()
-		r.SetCheckpointPolicy(ckptTestPolicy(dir, cadence, func(string) error { return errCrash }))
+		r.SetCheckpointPolicy(ckptTestPolicy(dir, cadence, func(path string) error {
+			for _, f := range observe {
+				f(path)
+			}
+			return errCrash
+		}))
 		res, err := r.Get(spec)
 		if err == nil {
 			if attempts > 1 {
@@ -160,7 +170,7 @@ func TestCheckpointMultiCoreResume(t *testing.T) {
 	assertSameResult(t, ref, got, "multicore")
 }
 
-// coreClocks reads the per-core clocks out of a detailed checkpoint file. The
+// coreClocks reads the per-core clocks out of a mid-segment checkpoint file. The
 // snapshot type keeps its fields to itself; its gob form names them.
 func coreClocks(t *testing.T, path string) []uint64 {
 	t.Helper()
@@ -173,7 +183,7 @@ func coreClocks(t *testing.T, path string) []uint64 {
 		t.Fatal(err)
 	}
 	var clocks []uint64
-	for _, snap := range cf.Detailed.Cores {
+	for _, snap := range cf.Cores {
 		raw, err := snap.GobEncode()
 		if err != nil {
 			t.Fatal(err)
@@ -212,36 +222,20 @@ func TestCheckpointResumeCoresAtDifferentClocks(t *testing.T) {
 		t.Fatalf("per-core sleeping diverges from the every-cycle loop\nsleep: %+v\ntick:  %+v", ref.CPU, tick.CPU)
 	}
 
-	dir := t.TempDir()
 	apart := 0
-	for attempts := 1; ; attempts++ {
-		if attempts > 64 {
-			t.Fatalf("crash/resume did not converge after %d attempts", attempts)
-		}
-		r := NewRunner()
-		r.SetCheckpointPolicy(ckptTestPolicy(dir, 2_000, func(path string) error {
-			clocks := coreClocks(t, path)
-			for _, c := range clocks[1:] {
-				if c != clocks[0] {
-					apart++
-					break
-				}
+	got, attempts := crashResumeUntilDone(t, t.TempDir(), spec, 2_000, func(path string) {
+		clocks := coreClocks(t, path)
+		for _, c := range clocks[1:] {
+			if c != clocks[0] {
+				apart++
+				break
 			}
-			return errCrash
-		}))
-		got, err := r.Get(spec)
-		if errors.Is(err, errCrash) {
-			continue
 		}
-		if err != nil {
-			t.Fatalf("attempt %d: %v", attempts, err)
-		}
-		if attempts < 3 {
-			t.Fatalf("only %d attempts — cadence too coarse to resume at multiple boundaries", attempts)
-		}
-		assertSameResult(t, ref, got, "multicore, cores apart")
-		break
+	})
+	if attempts < 3 {
+		t.Fatalf("only %d attempts — cadence too coarse to resume at multiple boundaries", attempts)
 	}
+	assertSameResult(t, ref, got, "multicore, cores apart")
 	if apart == 0 {
 		t.Fatal("no checkpoint caught the cores at different clocks; the test does not cover what it claims")
 	}
@@ -255,10 +249,10 @@ func unexported(v reflect.Value, name string) reflect.Value {
 	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
 }
 
-// corruptL1 returns a corruption that rewrites core 0's L1 state inside a
-// valid checkpoint file and reseals it, after checking that the memory system
-// refuses the result for the reason the row is named for.
-func corruptL1(mutate func(lines []cache.Line, rec []uint64, live []uint16), wantErr string) func(*testing.T, string) {
+// rewrite returns a corruption that decodes a valid checkpoint file, lets
+// mutate change the payload, and seals it again under a fresh checksum: what a
+// binary with another idea of the machine would have written.
+func rewrite(mutate func(t *testing.T, cf *ckptFile)) func(*testing.T, string) {
 	return func(t *testing.T, path string) {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -268,17 +262,7 @@ func corruptL1(mutate func(lines []cache.Line, rec []uint64, live []uint16), wan
 		if err != nil {
 			t.Fatal(err)
 		}
-		port := unexported(reflect.ValueOf(cf.Detailed.Sys), "ports").Index(0)
-		l1 := unexported(port, "l1")
-		mutate(unexported(l1, "lines").Interface().([]cache.Line),
-			unexported(l1, "rec").Interface().([]uint64),
-			unexported(l1, "live").Interface().([]uint16))
-		sys := memsys.New(config.Skylake(), 1)
-		err = cf.Detailed.Sys.Fits(sys)
-		sys.Release()
-		if err == nil || !strings.Contains(err.Error(), wantErr) {
-			t.Fatalf("corrupted snapshot: Fits = %v, want an error containing %q", err, wantErr)
-		}
+		mutate(t, cf)
 		if data, err = encodeCkpt(cf); err != nil {
 			t.Fatal(err)
 		}
@@ -286,6 +270,44 @@ func corruptL1(mutate func(lines []cache.Line, rec []uint64, live []uint16), wan
 			t.Fatal(err)
 		}
 	}
+}
+
+// corruptL1 returns a corruption that rewrites core 0's L1 state inside a
+// valid checkpoint file, after checking that the memory system refuses the
+// result for the reason the row is named for.
+func corruptL1(mutate func(lines []cache.Line, rec []uint64, live []uint16), wantErr string) func(*testing.T, string) {
+	return rewrite(func(t *testing.T, cf *ckptFile) {
+		port := unexported(reflect.ValueOf(cf.State.Sys), "ports").Index(0)
+		l1 := unexported(port, "l1")
+		mutate(unexported(l1, "lines").Interface().([]cache.Line),
+			unexported(l1, "rec").Interface().([]uint64),
+			unexported(l1, "live").Interface().([]uint16))
+		sys := memsys.New(config.Skylake(), 1)
+		err := cf.State.Sys.Fits(sys)
+		sys.Release()
+		if err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Fatalf("corrupted snapshot: Fits = %v, want an error containing %q", err, wantErr)
+		}
+	})
+}
+
+// foreignCore builds a core of another Table II configuration than the
+// quarantine table's spec runs on and snapshots it.
+func foreignCore(t *testing.T) *cpu.Snapshot {
+	t.Helper()
+	other := config.Skylake()
+	for _, c := range config.Cores() {
+		if c.ROBSize != other.Core.ROBSize {
+			other.Core = c
+			break
+		}
+	}
+	sys := memsys.New(other, 1)
+	defer sys.Release()
+	c := cpu.NewWithOptions(other.Core, core.PolicyAtCommit, other.SPB, other.TLB,
+		cpu.Options{UseBranchPredictor: true}, sys.Port(0), trace.Limit(0, nil), 1)
+	defer c.Release()
+	return c.Snapshot()
 }
 
 // writeCrashCheckpoint produces one valid checkpoint file for spec (crashing
@@ -306,20 +328,24 @@ func writeCrashCheckpoint(t *testing.T, dir string, spec RunSpec, cadence uint64
 
 // TestCheckpointCorruptionQuarantine is the table test over every way a
 // checkpoint file can be invalid: truncated tail, bad magic, flipped payload
-// byte, version mismatch (a newer and the two previous versions), a
-// checksum-valid payload whose caches are not the machine's size or hold a
-// state no run reaches, and a checksum-valid file for a different spec.
+// byte, version mismatch (a newer and the three previous versions), a
+// checksum-valid payload that does not fit the machine — caches of another
+// size or in a state no run reaches, a foreign prefetcher, core or TLB, ring
+// cursors outside their rings, a missing predictor, a cursor past the plan —
+// and a checksum-valid file for a different spec.
 // Each must be quarantined under the *.corrupt convention and the run must
 // restart from scratch, producing the reference result.
 func TestCheckpointCorruptionQuarantine(t *testing.T) {
 	spec := RunSpec{
 		Workload: "mcf", Policy: core.PolicyAtCommit, SQSize: 14,
-		Insts: 30_000,
+		Insts: 30_000, ModelBranchPredictor: true,
 	}
 	ref, err := Run(spec.Normalized())
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The first boundary falls inside the only detailed segment, so the file
+	// the rows rewrite carries core state as well as machine state.
 	const cadence = 10_000
 
 	// reseal recomputes the trailing digest so a mutation tests the check it
@@ -385,30 +411,16 @@ func TestCheckpointCorruptionQuarantine(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"truncated-lines", func(t *testing.T, path string) {
+		{"truncated-lines", rewrite(func(t *testing.T, cf *ckptFile) {
 			// A well-formed, checksummed envelope for this very spec whose
 			// caches hold fewer lines than the machine's: Restore would panic
 			// on it, so resume must refuse it first.
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cf, err := decodeCkpt(data)
-			if err != nil {
-				t.Fatal(err)
-			}
 			small := config.Skylake()
 			small.L3.SizeBytes /= 2
 			sys := memsys.New(small, 1)
-			cf.Detailed.Sys = sys.Snapshot()
+			cf.State.Sys = sys.Snapshot()
 			sys.Release()
-			if data, err = encodeCkpt(cf); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		})},
 		{"v2-envelope", func(t *testing.T, path string) {
 			// The release before this one: caches travelled as tags, use
 			// stamps and a clock.
@@ -421,6 +433,46 @@ func TestCheckpointCorruptionQuarantine(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"v3-envelope", func(t *testing.T, path string) {
+			// The release before this one: a Detailed or a Sampled payload.
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.BigEndian.PutUint32(data[len(ckptMagic):], 3)
+			if err := os.WriteFile(path, reseal(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// Checksummed payloads a binary with another core table or prefetcher
+		// zoo would have written for this spec's key: every Restore below the
+		// run would panic on them.
+		{"foreign-prefetcher-kind", rewrite(func(t *testing.T, cf *ckptFile) {
+			cf.State.PF[0] = prefetch.CaptureState(prefetch.New(config.PrefetchBOP))
+		})},
+		{"tlb-of-another-geometry", rewrite(func(t *testing.T, cf *ckptFile) {
+			cfg := config.Skylake().TLB
+			cf.State.DTLBs[0] = tlb.New(tlb.Config{Entries: cfg.Entries / 2, Ways: cfg.Ways, WalkLat: cfg.WalkLat}).Snapshot()
+		})},
+		{"wrong-size-rob", rewrite(func(t *testing.T, cf *ckptFile) {
+			cf.Cores[0] = foreignCore(t)
+		})},
+		{"rob-head-past-ring", rewrite(func(t *testing.T, cf *ckptFile) {
+			unexported(reflect.ValueOf(cf.Cores[0]), "robHead").SetInt(1 << 20)
+		})},
+		{"missing-predictor", rewrite(func(t *testing.T, cf *ckptFile) {
+			bp := unexported(reflect.ValueOf(cf.Cores[0]), "bp")
+			bp.Set(reflect.Zero(bp.Type()))
+		})},
+		{"machine-predictor-missing", rewrite(func(t *testing.T, cf *ckptFile) {
+			cf.State.BPs[0].BP = nil
+		})},
+		{"core-state-short", rewrite(func(t *testing.T, cf *ckptFile) {
+			cf.Seen = nil
+		})},
+		{"cursor-past-plan", rewrite(func(t *testing.T, cf *ckptFile) {
+			cf.Cur.Seg, cf.Cores = 99, nil
+		})},
 		// Checksummed, right-sized payloads whose L1 names a state no run
 		// reaches; Restore would install a cache whose lookups miss or alias.
 		// Set 0 of the 8-way L1 is rewritten each time.
@@ -511,4 +563,95 @@ func TestCheckpointPolicyDoesNotPerturbStats(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, spec.Workload+".ckpt")); !os.IsNotExist(err) {
 		t.Errorf("checkpoint survived run completion (stat err: %v)", err)
 	}
+}
+
+// FuzzDecodeCkpt feeds the checkpoint decoder and the restore step arbitrary
+// bytes and resealed mutations of a real file — pos and flip name one payload
+// byte to change before the checksum is recomputed, which is how a file from
+// a binary with other ideas reaches them. Nothing may panic, every refusal
+// must be errCkptInvalid, and a file a Runner accepts or quarantines must end
+// in the from-scratch result. A resealed file whose values changed but still
+// fit is, as far as any check can tell, a valid checkpoint of some other run:
+// the SHA-256 is what protects values, so for those only the validation is
+// exercised, not the simulation.
+func FuzzDecodeCkpt(f *testing.F) {
+	spec := RunSpec{
+		Workload: "mcf", Policy: core.PolicySPB, SQSize: 14,
+		Insts: 12_000, WarmupInsts: 2_000, ModelBranchPredictor: true,
+	}.Normalized()
+	ref, err := Run(spec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	const cadence = 5_000
+	r := NewRunner()
+	r.SetCheckpointPolicy(ckptTestPolicy(f.TempDir(), cadence, func(string) error { return errCrash }))
+	if _, err := r.Get(spec); !errors.Is(err, errCrash) {
+		f.Fatalf("expected simulated crash, got %v", err)
+	}
+	file, err := os.ReadFile(r.checkpointerFor(spec).path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	orig, err := decodeCkpt(file)
+	if err != nil || orig.Cores == nil {
+		f.Fatalf("the seed file must be a mid-segment checkpoint: %v", err)
+	}
+	hdr, payload := len(ckptMagic)+12, len(file)-len(ckptMagic)-12-sha256.Size
+
+	f.Add([]byte{}, uint32(0), byte(0))
+	f.Add([]byte(ckptMagic), uint32(0), byte(0))
+	f.Add(file[:len(file)/2], uint32(0), byte(0))
+	f.Add(file, uint32(0), byte(0)) // the file itself: must resume
+	for _, pos := range []int{0, 3, 40, payload / 3, payload / 2, payload - 9, payload - 1} {
+		f.Add(file, uint32(pos), byte(0xFF))
+		f.Add([]byte{}, uint32(pos), byte(0x01))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, pos uint32, flip byte) {
+		mutated := append([]byte{}, file[:hdr+payload]...)
+		mutated[hdr+int(pos)%payload] ^= flip
+		sum := sha256.Sum256(mutated)
+		for _, in := range [][]byte{data, append(mutated, sum[:]...)} {
+			cf, err := decodeCkpt(in)
+			if err != nil {
+				if !errors.Is(err, errCkptInvalid) {
+					t.Fatalf("decodeCkpt refused with %v, not errCkptInvalid", err)
+				}
+				continue
+			}
+			if cf.Spec == spec && !reflect.DeepEqual(cf, orig) {
+				m, err := newMachine(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.restore(cf.State); err != nil {
+					if !errors.Is(err, errCkptInvalid) {
+						t.Fatalf("restore refused with %v, not errCkptInvalid", err)
+					}
+				} else if cf.Cores != nil {
+					cores, _ := m.buildCores(1)
+					_ = cf.fitsCores(cores) // any verdict, no panic
+					for _, c := range cores {
+						c.Release()
+					}
+				}
+				m.release()
+				continue
+			}
+			dir := t.TempDir()
+			r := NewRunner()
+			r.SetCheckpointPolicy(ckptTestPolicy(dir, cadence, nil))
+			if err := os.WriteFile(r.checkpointerFor(spec).path, in, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := r.Get(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, ref, got, "fuzzed checkpoint")
+			if st := r.SimStats(); st.CheckpointResumes+st.CheckpointCorrupt != 1 {
+				t.Fatalf("the file was neither resumed from nor quarantined: %+v", st)
+			}
+		}
+	})
 }

@@ -12,52 +12,9 @@ import (
 // consumed by tooling that diffs simulator runs.
 func (r Result) ExportStats(s *stats.Set) {
 	c := r.CPU
-	s.Counter("cpu.cycles").Add(c.Cycles)
-	s.Counter("cpu.committed").Add(c.Committed)
-	s.Counter("cpu.loads").Add(c.Loads)
-	s.Counter("cpu.stores").Add(c.Stores)
-	s.Counter("cpu.branches").Add(c.Branches)
-	s.Counter("cpu.mispredicts").Add(c.Mispredicts)
-	s.Counter("cpu.wrongPathInsts").Add(c.WrongPathInsts)
-	s.Counter("cpu.forwardedLoads").Add(c.ForwardedLoads)
-	s.Counter("cpu.partialForwards").Add(c.PartialForwards)
-	s.Counter("cpu.sbStallCycles").Add(c.SBStallCycles)
-	s.Counter("cpu.robStallCycles").Add(c.ROBStallCycles)
-	s.Counter("cpu.iqStallCycles").Add(c.IQStallCycles)
-	s.Counter("cpu.lqStallCycles").Add(c.LQStallCycles)
-	s.Counter("cpu.frontendStallCycles").Add(c.FrontendStallCycles)
-	s.Counter("cpu.sbStallApp").Add(c.SBStallApp)
-	s.Counter("cpu.sbStallLib").Add(c.SBStallLib)
-	s.Counter("cpu.sbStallKernel").Add(c.SBStallKernel)
-	s.Counter("cpu.execStallL1DPending").Add(c.ExecStallL1DPending)
-	s.Counter("cpu.storesPerformed").Add(c.StoresPerformed)
-	s.Counter("cpu.spbBursts").Add(c.SPBBursts)
-
-	m := r.Mem
-	s.Counter("mem.l1TagAccesses").Add(m.L1TagAccesses)
-	s.Counter("mem.l1Hits").Add(m.L1Hits)
-	s.Counter("mem.l1Misses").Add(m.L1Misses)
-	s.Counter("mem.l2Accesses").Add(m.L2Accesses)
-	s.Counter("mem.l3Accesses").Add(m.L3Accesses)
-	s.Counter("mem.dramReads").Add(m.DRAMReads)
-	s.Counter("mem.dramWrites").Add(m.DRAMWrites)
-	s.Counter("mem.loadMisses").Add(m.LoadMisses)
-	s.Counter("mem.storeMisses").Add(m.StoreMisses)
-	s.Counter("mem.wrongPathLoads").Add(m.WrongPathLoads)
-	s.Counter("mem.spfIssued").Add(m.SPFIssued)
-	s.Counter("mem.spfDiscarded").Add(m.SPFDiscarded)
-	s.Counter("mem.spfMissToL2").Add(m.SPFMissToL2)
-	s.Counter("mem.spfSuccessful").Add(m.SPFSuccessful)
-	s.Counter("mem.spfLate").Add(m.SPFLate)
-	s.Counter("mem.spfEarly").Add(m.SPFEarly)
-	s.Counter("mem.spfNeverUsed").Add(m.SPFNeverUsed())
-	s.Counter("mem.spfBurst").Add(m.SPFBurst)
-	s.Counter("mem.gpfIssued").Add(m.GPFIssued)
-	s.Counter("mem.gpfUsed").Add(m.GPFUsed)
-	s.Counter("mem.gpfLate").Add(m.GPFLate)
-	s.Counter("mem.gpfPolluted").Add(m.GPFPolluted)
-	s.Counter("mem.invalidations").Add(m.Invalidations)
-	s.Counter("mem.writebacks").Add(m.Writebacks)
+	exportCounters(s, cpuCounters, c)
+	exportCounters(s, memCounters, r.Mem)
+	s.Counter("mem.spfNeverUsed").Add(r.Mem.SPFNeverUsed())
 
 	// Top-Down stall accounting (paper §V) in integer parts-per-million, so
 	// the per-run breakdown travels inside the canonical stats set while the

@@ -1,0 +1,722 @@
+package sim
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"time"
+
+	"spb/internal/bpred"
+	"spb/internal/config"
+	"spb/internal/cpu"
+	"spb/internal/mem"
+	"spb/internal/memsys"
+	"spb/internal/obs"
+	"spb/internal/prefetch"
+	"spb/internal/tlb"
+	"spb/internal/trace"
+)
+
+// The run plan (DESIGN.md §12).
+//
+// A run is a sequence of segments over one machine in one monotone cycle
+// domain. The sequence is a pure function of the normalized spec, so a
+// position in it — a segment count — names a point of the run exactly: the
+// Runner starts a warmed spec at segment 1 from its group's snapshot, and a
+// checkpoint resumes at the segment it recorded. sim.Run starts at segment 0
+// on a cold machine, in place; it is the reference the other two are tested
+// against.
+
+// segKind is how a segment covers its instructions.
+type segKind uint8
+
+const (
+	// segSkip advances the instruction streams and touches nothing else.
+	// Nothing is measured after a run's last detailed segment, so its tail
+	// only drains.
+	segSkip segKind = iota
+	// segTouch also replays every skipped access's footprint against the
+	// shared LLC and the coherence directory (Port.WarmTouch). Their history
+	// is as long as the LLC's capacity — often longer than a sampling period —
+	// so they must see every skipped instruction; the private caches, TLBs and
+	// predictors have short histories that the segWarm tail before each
+	// detailed segment rebuilds.
+	segTouch
+	// segWarm replays every instruction against caches, directory, TLBs and
+	// branch predictors: no timing, no statistics (memsys/warm.go).
+	segWarm
+	// segDetail simulates the instructions on core pipelines.
+	segDetail
+)
+
+// segment is one step of a plan: n instructions per core, covered as kind
+// says.
+type segment struct {
+	kind segKind
+	n    uint64
+	// trainPF (segWarm) also feeds every access to the generic prefetchers, so
+	// a detailed segment opens with them trained. The warm-up prefix does not:
+	// its snapshot is shared by specs of every prefetcher kind.
+	trainPF bool
+	// from, to (segDetail) bound the measured window in instructions committed
+	// per core since the segment began. The segment always runs to completion
+	// — the store buffer drains into the caches — so the next segment starts
+	// from a consistent architectural state; a window open to math.MaxUint64
+	// closes there.
+	from, to uint64
+}
+
+// eachSegment calls visit with every non-empty segment of the spec's plan, in
+// order, with its index; it stops at visit's first error and returns it.
+//
+// Full detail is [warm WarmupInsts][detail Insts, measured to completion]. A
+// sampled run keeps the warm-up and then, per sampling period, places the
+// detailed segment (WarmInsts unmeasured, DetailedInsts measured) at a
+// pseudo-random offset — a fixed placement would alias with a workload whose
+// phase period divides the sampling period — and covers the gap before it
+// functionally: all of it warmed, or with a bounded HistoryInsts only its tail,
+// the head merely touched. The gap runs from the previous detailed segment to
+// this one, across the period boundary, so the bound applies to the contiguous
+// distance to the measurement. The xorshift sequence depends only on the seed:
+// same spec, same plan.
+func (s RunSpec) eachSegment(visit func(k uint64, seg segment) error) error {
+	k := uint64(0)
+	emit := func(seg segment) error {
+		if seg.n == 0 {
+			return nil
+		}
+		k++
+		return visit(k-1, seg)
+	}
+	if err := emit(s.warmup()); err != nil {
+		return err
+	}
+	cfg := s.Sampling
+	if !cfg.Enabled() {
+		return emit(segment{kind: segDetail, n: s.Insts, to: math.MaxUint64})
+	}
+	jitter := s.Seed*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
+	gap := uint64(0)
+	for remaining := s.Insts; remaining > 0; {
+		span := min(cfg.IntervalInsts, remaining)
+		remaining -= span
+		dk := min(cfg.DetailedInsts, span)
+		wk := min(cfg.WarmInsts, span-dk)
+		after := span - wk - dk
+		if after > 0 {
+			jitter ^= jitter << 13
+			jitter ^= jitter >> 7
+			jitter ^= jitter << 17
+			before := jitter % (after + 1)
+			gap += before
+			after -= before
+		}
+		warm := gap
+		if h := cfg.HistoryInsts; h > 0 && gap > h {
+			warm = h
+		}
+		for _, seg := range [...]segment{
+			{kind: segTouch, n: gap - warm},
+			{kind: segWarm, n: warm, trainPF: true},
+			{kind: segDetail, n: wk + dk, from: wk, to: wk + dk},
+		} {
+			if err := emit(seg); err != nil {
+				return err
+			}
+		}
+		gap = after
+	}
+	return emit(segment{kind: segSkip, n: gap})
+}
+
+// warmup is the functional-warming prefix: segment 0 of every plan that has
+// one, and the only segment a warm-start group executes.
+func (s RunSpec) warmup() segment { return segment{kind: segWarm, n: s.WarmupInsts} }
+
+// machine owns everything that lives between the segments of a run: the
+// memory system, the TLBs and branch predictors (kept outside any core: cores
+// exist only inside a detailed segment), the instruction streams and how far
+// they have been consumed, and the cycle the next detailed segment starts at.
+type machine struct {
+	spec  RunSpec
+	cfg   config.MachineConfig
+	sys   *memsys.System
+	dtlbs []*tlb.TLB
+	bps   []*bpred.Predictor // nil entries when the predictor is not modelled
+	progs []*trace.Program
+	// consumed is the per-core instruction count the streams stand at, at the
+	// last segment edge.
+	consumed uint64
+	// cycleBase carries the clock across detailed segments: the memory system
+	// stamps its state with absolute cycles, so each segment's cores continue
+	// where the previous segment's stopped. Functional segments advance no
+	// cycles — anything left in flight is simply ready when the next detailed
+	// segment begins, which is what the elided gap would have done.
+	cycleBase uint64
+}
+
+// newMachine builds the cold machine of a normalized spec. The caller releases
+// it.
+func newMachine(spec RunSpec) (*machine, error) {
+	if err := spec.Sampling.validate(); err != nil {
+		return nil, err
+	}
+	cfg, err := spec.machineConfig()
+	if err != nil {
+		return nil, err
+	}
+	progs, err := buildReaders(spec)
+	if err != nil {
+		return nil, err
+	}
+	m := &machine{
+		spec: spec, cfg: cfg, progs: progs,
+		sys:   memsys.New(cfg, spec.Cores),
+		dtlbs: make([]*tlb.TLB, spec.Cores),
+		bps:   make([]*bpred.Predictor, spec.Cores),
+	}
+	for i := range m.dtlbs {
+		m.dtlbs[i] = tlb.New(tlb.Config{Entries: cfg.TLB.Entries, Ways: cfg.TLB.Ways, WalkLat: cfg.TLB.WalkLat})
+		if spec.ModelBranchPredictor {
+			m.bps[i] = bpred.New(bpred.TableI())
+		}
+	}
+	return m, nil
+}
+
+// release hands the machine's large arrays back to their pools.
+func (m *machine) release() {
+	for i, t := range m.dtlbs {
+		t.Release()
+		if m.bps[i] != nil {
+			m.bps[i].Release()
+		}
+	}
+	m.sys.Release()
+}
+
+// bpWire wraps a possibly-absent predictor snapshot: gob rejects nil
+// pointers as slice elements but skips nil pointer fields inside structs.
+type bpWire struct {
+	BP *bpred.Snapshot
+}
+
+// machineState is a machine at a segment edge, as a deep copy that shares no
+// memory with it. The same value serves as a warm-start group's in-memory
+// snapshot and as the machine part of a checkpoint file. The generic
+// prefetchers travel separately from the memory system because a warm-start
+// snapshot must not carry them (see Runner.buildWarm).
+type machineState struct {
+	Sys       *memsys.SystemSnapshot
+	PF        []prefetch.State
+	DTLBs     []*tlb.Snapshot
+	BPs       []bpWire
+	Consumed  uint64
+	CycleBase uint64
+	// progs are the stream cursors, cloned. They are not serialized: a
+	// Program's cursor after n instructions is a pure function of (workload,
+	// seed, n) and Skip(n) is state-equivalent to n Next calls, so a file
+	// records only Consumed and the resume replays the generator — immune to
+	// generator-internals drift within a checkpoint version. A fork keeps the
+	// clones: replaying a long warm-up once per fork would cost what the
+	// shared snapshot saves.
+	progs []*trace.Program
+}
+
+func (m *machine) state() *machineState {
+	st := &machineState{
+		Sys:       m.sys.Snapshot(),
+		PF:        m.sys.PrefetcherStates(),
+		DTLBs:     make([]*tlb.Snapshot, len(m.dtlbs)),
+		BPs:       make([]bpWire, len(m.bps)),
+		Consumed:  m.consumed,
+		CycleBase: m.cycleBase,
+		progs:     trace.ClonePrograms(m.progs),
+	}
+	for i, t := range m.dtlbs {
+		st.DTLBs[i] = t.Snapshot()
+		if m.bps[i] != nil {
+			st.BPs[i].BP = m.bps[i].Snapshot()
+		}
+	}
+	return st
+}
+
+// fits reports why a decoded state cannot be restored into m.
+func (st *machineState) fits(m *machine) error {
+	if st == nil || st.Sys == nil || len(st.DTLBs) != len(m.dtlbs) || len(st.BPs) != len(m.bps) {
+		return fmt.Errorf("machine state missing or of another core count")
+	}
+	if err := st.Sys.Fits(m.sys); err != nil {
+		return err
+	}
+	if err := m.sys.PrefetcherStatesFit(st.PF); err != nil {
+		return err
+	}
+	for i, t := range m.dtlbs {
+		if err := st.DTLBs[i].Fits(t); err != nil {
+			return err
+		}
+		if bp := st.BPs[i].BP; (bp != nil) != (m.bps[i] != nil) {
+			return fmt.Errorf("predictor presence differs from the spec's")
+		} else if bp != nil {
+			if err := bp.Fits(m.bps[i]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// restore loads a state into a cold machine of the same spec. A state taken in
+// this process is trusted and brings its stream cursors; one decoded from a
+// file has none: it is first checked against the machine — a checksum-valid
+// file written by a binary with another core table or prefetcher zoo is an
+// invalid checkpoint (errCkptInvalid), never the geometry panic the Restore
+// methods reserve for programming mistakes — and its streams are replayed.
+func (m *machine) restore(st *machineState) error {
+	if st != nil && st.progs != nil {
+		m.progs = trace.ClonePrograms(st.progs)
+	} else {
+		if err := st.fits(m); err != nil {
+			return fmt.Errorf("%w: %v", errCkptInvalid, err)
+		}
+		for _, p := range m.progs {
+			p.Skip(st.Consumed)
+		}
+	}
+	m.sys.Restore(st.Sys)
+	if st.PF != nil {
+		m.sys.RestorePrefetcherStates(st.PF)
+	}
+	for i, t := range m.dtlbs {
+		t.Restore(st.DTLBs[i])
+		if m.bps[i] != nil {
+			m.bps[i].Restore(st.BPs[i].BP)
+		}
+	}
+	m.consumed, m.cycleBase = st.Consumed, st.CycleBase
+	return nil
+}
+
+// warmMemo elides redundant warm accesses: per core, the block and PC of
+// the immediately preceding memory access. Re-touching the most recent
+// block is a state no-op — the line is already MRU, the TLB entry is already
+// MRU (same block ⇒ same page), a repeat store to an already-Modified line
+// changes nothing, and a same-PC same-block repeat is a zero-delta no-op for
+// the stream prefetcher too. A store after a load is NOT elidable (it may
+// need a directory upgrade), so the memo also records whether the line is
+// known writable; an access from a different PC is not elidable either (it
+// would train a different prefetcher table entry).
+type warmMemo struct {
+	block    mem.Block
+	pc       uint64
+	writable bool
+	valid    bool
+}
+
+// functional covers a non-detailed segment. A warm segment replays round-robin
+// — one instruction per core per round, matching in-order multi-core
+// interleaving. Skip and touch segments advance the streams one after another
+// instead, in bulk: every stream owns its RNG and region cursors, so with no
+// private state touched the order cannot matter to a skip, and the LLC
+// interleaving a touch produces, coarser than the real one, is acceptable for
+// functional warming. ctx is polled between chunks of each.
+func (m *machine) functional(ctx context.Context, seg segment) error {
+	lanes, chunk := len(m.progs), uint64(progressEvery)*64
+	var memos []warmMemo
+	switch seg.kind {
+	case segWarm:
+		lanes, chunk = 1, progressEvery
+		memos = make([]warmMemo, len(m.progs))
+	case segTouch:
+		// Dense burst ops surface their footprint as O(1) spans, so this tier
+		// costs only a little more than a skip; it is still polled more often.
+		chunk = progressEvery * 8
+	}
+	for lane := 0; lane < lanes; lane++ {
+		for left := seg.n; left > 0; {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			k := min(left, chunk)
+			switch seg.kind {
+			case segSkip:
+				m.progs[lane].Skip(k)
+			case segTouch:
+				m.progs[lane].SkipTouch(k, m.sys.Port(lane).WarmTouch)
+			case segWarm:
+				m.warm(k, seg.trainPF, memos)
+			}
+			left -= k
+		}
+	}
+	m.consumed += seg.n
+	return nil
+}
+
+// warm replays n instructions per core against the memory system, TLBs and
+// branch predictors. Consecutive same-block accesses take the warmMemo fast
+// path. In multi-core interleavings one core's real access can downgrade,
+// invalidate or back-invalidate another core's line, so every real access
+// kills the other cores' memos; single-core warming keeps its memo across the
+// whole segment. With trainPF the access also trains the port's generic
+// prefetcher (Port.WarmObserve).
+func (m *machine) warm(n uint64, trainPF bool, memos []warmMemo) {
+	var in trace.Inst
+	for ; n > 0; n-- {
+		for i, p := range m.progs {
+			if !p.Next(&in) {
+				continue
+			}
+			switch in.Kind {
+			case trace.KindBranch:
+				if m.bps[i] != nil {
+					m.bps[i].Warm(in.PC, in.Taken)
+				}
+			case trace.KindLoad, trace.KindStore:
+				store := in.Kind == trace.KindStore
+				b := mem.BlockOf(in.Addr)
+				if mm := &memos[i]; mm.valid && mm.block == b && mm.pc == in.PC && (mm.writable || !store) {
+					continue
+				}
+				m.dtlbs[i].Warm(in.Addr)
+				port := m.sys.Port(i)
+				var hit bool
+				if store {
+					hit = port.WarmStore(in.Addr)
+				} else {
+					hit = port.WarmLoad(in.Addr)
+				}
+				if trainPF {
+					port.WarmObserve(in.PC, in.Addr, !hit, store)
+				}
+				memos[i] = warmMemo{block: b, pc: in.PC, writable: store, valid: true}
+				for j := range memos {
+					if j != i {
+						memos[j].valid = false
+					}
+				}
+			}
+		}
+	}
+}
+
+// window is the measurement state of one detailed segment: per core, the
+// counters at the commit that opened the window and at the one that closed
+// it, and the memory system's when the last core did either.
+type window struct {
+	Start, End       []cpu.Stats
+	Started, Ended   []bool
+	NStarted, NEnded int
+	MemStart, MemEnd MemStats
+}
+
+func newWindow(cores int) *window {
+	return &window{
+		Start: make([]cpu.Stats, cores), End: make([]cpu.Stats, cores),
+		Started: make([]bool, cores), Ended: make([]bool, cores),
+	}
+}
+
+// capture records the crossings the last step produced. It runs on the state a
+// step leaves behind (and once before the first, for a window that opens at
+// zero); a core crosses a threshold by committing, in a tick, so no crossing
+// is slept over.
+func (w *window) capture(cores []*cpu.Core, from, to uint64, sys *memsys.System) {
+	if w.NStarted == len(cores) && (w.NEnded == len(cores) || to == math.MaxUint64) {
+		return
+	}
+	for i, c := range cores {
+		if !w.Started[i] && c.St.Committed >= from {
+			w.Started[i], w.Start[i] = true, c.St
+			if w.NStarted++; w.NStarted == len(cores) {
+				w.MemStart = collectMem(sys)
+			}
+		}
+		if w.Started[i] && !w.Ended[i] && c.St.Committed >= to {
+			w.Ended[i], w.End[i] = true, c.St
+			if w.NEnded++; w.NEnded == len(cores) {
+				w.MemEnd = collectMem(sys)
+			}
+		}
+	}
+}
+
+// cycles is the span the window has measured so far: the longest of the
+// cores' (the aggregate convention: cycles = max, everything else = sum).
+func (w *window) cycles(cores []*cpu.Core) uint64 {
+	span := uint64(0)
+	for i, c := range cores {
+		end := c.St.Cycles
+		if w.Ended[i] {
+			end = w.End[i].Cycles
+		}
+		if w.Started[i] {
+			span = max(span, end-w.Start[i].Cycles)
+		}
+	}
+	return span
+}
+
+// cursor is a run's position in its plan and what it has accumulated on the
+// way: with the machine's state, everything a checkpoint stores.
+type cursor struct {
+	// Seg counts the segments completed.
+	Seg uint64
+	// Instructions covered so far, over all cores: functionally (the warm-up
+	// prefix included), in detail (unmeasured detailed warming included), and
+	// inside measured windows.
+	FFInsts, DetailedInsts, MeasuredInsts uint64
+	// CPU and Mem sum the measured windows.
+	CPU cpu.Stats
+	Mem MemStats
+	Acc sampleAccum
+}
+
+// run is one execution of a plan on a machine.
+type run struct {
+	m          *machine
+	cur        cursor
+	ck         *checkpointer
+	onProgress func(Progress)
+	began      time.Time
+}
+
+// report delivers a Progress point: committed and cycles are the open detailed
+// segment's contribution, if one is open.
+func (r *run) report(committed, cycles uint64) {
+	if r.onProgress == nil {
+		return
+	}
+	spec := r.m.spec
+	p := Progress{
+		// Committed counts detail-simulated instructions only; functional
+		// segments ride in FastForwardInsts so they cannot inflate the
+		// detailed-simulation rate.
+		Committed:        r.cur.DetailedInsts + committed,
+		Cycles:           r.cur.CPU.Cycles + cycles,
+		TargetInsts:      spec.Insts * uint64(spec.Cores),
+		FastForwardInsts: r.cur.FFInsts,
+	}
+	if el := time.Since(r.began).Seconds(); el > 0 {
+		p.InstsPerSec = float64(p.Committed) / el
+	}
+	r.onProgress(p)
+}
+
+// checkpoint writes the run's state if the instructions the plan has covered
+// (all cores; open is the open detailed segment's share) cross the cadence.
+// mid is nil at a segment edge; inside a detailed segment it adds what the
+// edge state lacks. Capture is read-only — snapshots copy state out — so a
+// checkpointed run's statistics are byte-identical to an unobserved one.
+func (r *run) checkpoint(open uint64, mid func(*ckptFile)) error {
+	if !r.ck.due(r.cur.FFInsts + r.cur.DetailedInsts + open) {
+		return nil
+	}
+	cf := &ckptFile{Spec: r.m.spec, Cur: r.cur, State: r.m.state()}
+	if mid != nil {
+		mid(cf)
+	}
+	return r.ck.save(cf)
+}
+
+// buildCores constructs the pipelines of a detailed segment, each budgeted to
+// n instructions of its stream from the current position on, with clocks
+// opening at the cycle base (cpu.Options.StartCycle). Besides the cores it
+// returns their Limit wrappers, which know how far into the segment each core
+// has read.
+func (m *machine) buildCores(n uint64) ([]*cpu.Core, []*trace.LimitReader) {
+	spec := m.spec
+	opts := cpu.Options{
+		CoalesceSB:         spec.CoalesceSB,
+		BackwardBursts:     spec.BackwardBursts,
+		CrossPageBursts:    spec.CrossPageBursts,
+		UseBranchPredictor: spec.ModelBranchPredictor,
+		DisableFastForward: spec.DisableFastForward,
+		StartCycle:         m.cycleBase,
+	}
+	cores := make([]*cpu.Core, spec.Cores)
+	lims := make([]*trace.LimitReader, spec.Cores)
+	for i := range cores {
+		lims[i] = trace.Limit(n, m.progs[i])
+		cores[i] = cpu.NewWithOptions(m.cfg.Core, spec.Policy, m.cfg.SPB, m.cfg.TLB, opts,
+			m.sys.Port(i), lims[i], spec.Seed+uint64(i)*7919)
+	}
+	return cores, lims
+}
+
+// detail covers a detailed segment: cores built, the TLB and predictor state
+// loaded in, the lock-step loop, the state carried out, the cores released,
+// the measured window folded into the cursor. mid, when non-nil, is a
+// checkpoint taken inside this very segment: its cores, stream positions and
+// window replace the fresh ones.
+func (r *run) detail(ctx context.Context, seg segment, mid *ckptFile) error {
+	m, spec := r.m, r.m.spec
+	nCores := uint64(spec.Cores)
+	cores, lims := m.buildCores(seg.n)
+	defer func() {
+		for _, c := range cores {
+			c.Release()
+		}
+	}()
+	w := newWindow(len(cores))
+	if mid != nil {
+		if err := mid.fitsCores(cores); err != nil {
+			return fmt.Errorf("%w: %v", errCkptInvalid, err)
+		}
+		w = mid.Win
+		for i, c := range cores {
+			c.Restore(mid.Cores[i])
+			m.progs[i].Skip(mid.Seen[i])
+			lims[i].SetSeen(mid.Seen[i])
+		}
+	} else {
+		for i, c := range cores {
+			c.DTLB().Restore(m.dtlbs[i].Snapshot())
+			if bp := c.BranchPredictor(); bp != nil {
+				bp.Restore(m.bps[i].Snapshot())
+			}
+		}
+	}
+
+	w.capture(cores, seg.from, seg.to, m.sys)
+	err := cpu.Lockstep(ctx, cores, seg.n*1000*nCores+1_000_000, func(steps uint64) (bool, error) {
+		w.capture(cores, seg.from, seg.to, m.sys)
+		if steps%progressEvery != 0 {
+			return false, nil
+		}
+		committed := uint64(0)
+		for _, c := range cores {
+			committed += c.St.Committed
+		}
+		// Cores asleep at their event horizons are captured with their clocks
+		// ahead of the others'; the resumed loop starts at the earliest clock
+		// and finds them still asleep.
+		if err := r.checkpoint(committed, func(cf *ckptFile) {
+			cf.Win = w
+			for i, c := range cores {
+				cf.Cores = append(cf.Cores, c.Snapshot())
+				cf.Seen = append(cf.Seen, lims[i].Seen())
+			}
+		}); err != nil {
+			return false, err
+		}
+		r.report(committed, w.cycles(cores))
+		return false, nil
+	})
+	if err != nil {
+		if err == ctx.Err() {
+			return err
+		}
+		return fmt.Errorf("sim: %v: %w", spec, err)
+	}
+	// A core that never reached a threshold closes its window at its final
+	// state.
+	w.capture(cores, 0, 0, m.sys)
+
+	for i, c := range cores {
+		m.cycleBase = max(m.cycleBase, c.Cycle())
+		m.dtlbs[i].Restore(c.DTLB().Snapshot())
+		if bp := c.BranchPredictor(); bp != nil {
+			m.bps[i].Restore(bp.Snapshot())
+		}
+	}
+	m.consumed += seg.n
+
+	var iv cpu.Stats
+	for i := range cores {
+		d := subCounters(cpuCounters, w.Start[i], w.End[i])
+		iv.Cycles, d.Cycles = max(iv.Cycles, d.Cycles), 0
+		addCounters(cpuCounters, &iv, d)
+	}
+	ivMem := subCounters(memCounters, w.MemStart, w.MemEnd)
+	addCounters(cpuCounters, &r.cur.CPU, iv)
+	addCounters(memCounters, &r.cur.Mem, ivMem)
+	r.cur.DetailedInsts += seg.n * nCores
+	r.cur.MeasuredInsts += iv.Committed
+	if iv.Cycles > 0 && iv.Committed > 0 {
+		r.cur.Acc.add(iv, ivMem)
+	}
+	return nil
+}
+
+// runPlan executes a normalized spec's plan and collects the Result. start is
+// where the machine begins: nil is a cold machine at segment 0; otherwise the
+// state is restored and the plan entered at the start's cursor. ck, when
+// non-nil, checkpoints the run. Neither changes the statistics produced.
+func runPlan(ctx context.Context, spec RunSpec, start *ckptFile, onProgress func(Progress), ck *checkpointer) (Result, error) {
+	// When the caller's context carries an obs.Trace (the spbd request path
+	// does), the run's phases are recorded as sub-spans of the job-level "run"
+	// span. With no trace in ctx the nil *Trace no-ops and nothing allocates.
+	tr := obs.FromContext(ctx)
+	span := tr.StartSpan("run.build")
+	m, err := newMachine(spec)
+	if err != nil {
+		return Result{}, err
+	}
+	defer m.release()
+	r := &run{m: m, ck: ck, onProgress: onProgress, began: time.Now()}
+	if start != nil {
+		if err := m.restore(start.State); err != nil {
+			return Result{}, err
+		}
+		r.cur = start.Cur
+	}
+	// A resumed run writes at the marks the interrupted one would have.
+	ck.arm(r.cur.FFInsts + r.cur.DetailedInsts)
+	span.End()
+
+	span = tr.StartSpan("run.sim")
+	nCores, segs := uint64(spec.Cores), uint64(0)
+	err = spec.eachSegment(func(k uint64, seg segment) error {
+		if segs = k + 1; k < r.cur.Seg {
+			return nil
+		}
+		// A checkpoint taken inside a segment re-enters that segment; any
+		// other start, and every later segment, begins at an edge.
+		var mid *ckptFile
+		if start != nil && start.Cores != nil && k == start.Cur.Seg {
+			mid = start
+		} else if err := r.checkpoint(0, nil); err != nil {
+			return err
+		}
+		var err error
+		switch {
+		case seg.kind == segDetail:
+			err = r.detail(ctx, seg, mid)
+		case mid != nil:
+			err = fmt.Errorf("%w: core state inside a functional segment", errCkptInvalid)
+		default:
+			err = m.functional(ctx, seg)
+			r.cur.FFInsts += seg.n * nCores
+		}
+		if err != nil {
+			return err
+		}
+		r.cur.Seg = segs
+		r.report(0, 0)
+		return nil
+	})
+	if err == nil && r.cur.Seg != segs {
+		err = fmt.Errorf("%w: cursor at segment %d of a %d-segment plan", errCkptInvalid, r.cur.Seg, segs)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	span.End()
+
+	span = tr.StartSpan("run.collect")
+	defer span.End()
+	res := finishResult(spec, r.cur.CPU, r.cur.Mem)
+	if spec.Sampling.Enabled() {
+		res.Sample = SampleStats{
+			Intervals:        r.cur.Acc.N,
+			MeasuredInsts:    r.cur.MeasuredInsts,
+			DetailedInsts:    r.cur.DetailedInsts,
+			FastForwardInsts: r.cur.FFInsts - spec.WarmupInsts*nCores,
+		}
+		r.cur.Acc.finalize(&res.Sample)
+	}
+	return res, nil
+}

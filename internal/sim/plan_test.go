@@ -1,0 +1,209 @@
+package sim
+
+import (
+	"os"
+	"reflect"
+	"testing"
+
+	"spb/internal/config"
+	"spb/internal/core"
+)
+
+// planOf materializes a spec's segment sequence.
+func planOf(t *testing.T, spec RunSpec) []segment {
+	t.Helper()
+	var segs []segment
+	if err := spec.eachSegment(func(k uint64, seg segment) error {
+		if k != uint64(len(segs)) {
+			t.Fatalf("segment %d delivered with index %d", len(segs), k)
+		}
+		segs = append(segs, seg)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
+
+// planSpecs are the shapes a plan takes: full detail with and without a
+// warm-up, sampled with every skipped instruction warmed and with a bounded
+// history, a sampling period that does not divide the budget, one with no gap
+// at all, and the core counts at the two ends.
+func planSpecs() map[string]RunSpec {
+	smp := SamplingConfig{IntervalInsts: 20_000, DetailedInsts: 2_000, WarmInsts: 3_000}
+	hist := smp
+	hist.HistoryInsts = 4_000
+	return map[string]RunSpec{
+		"full":            {Workload: "mcf", SQSize: 14, Insts: 40_000},
+		"warmed":          {Workload: "mcf", SQSize: 14, Insts: 40_000, WarmupInsts: 10_000},
+		"warmed/8":        {Workload: "canneal", Cores: 8, SQSize: 14, Insts: 6_000, WarmupInsts: 3_000},
+		"sampled":         {Workload: "mcf", SQSize: 14, Insts: 100_000, Sampling: smp},
+		"sampled/history": {Workload: "mcf", SQSize: 14, Insts: 100_000, WarmupInsts: 5_000, Sampling: hist},
+		"sampled/long":    {Workload: "mcf", SQSize: 14, Insts: 150_000, WarmupInsts: 5_000, Sampling: SamplingConfig{IntervalInsts: 50_000, DetailedInsts: 8_000, WarmInsts: 12_000, HistoryInsts: 10_000}},
+		"sampled/ragged":  {Workload: "mcf", SQSize: 14, Insts: 47_123, WarmupInsts: 1, Sampling: hist},
+		"sampled/dense":   {Workload: "mcf", SQSize: 14, Insts: 30_000, Sampling: SamplingConfig{IntervalInsts: 10_000, DetailedInsts: 4_000, WarmInsts: 6_000}},
+		"sampled/8":       {Workload: "dedup", Cores: 8, SQSize: 14, Insts: 24_000, WarmupInsts: 2_000, Sampling: SamplingConfig{IntervalInsts: 8_000, DetailedInsts: 1_000, WarmInsts: 1_000, HistoryInsts: 2_000}},
+	}
+}
+
+// TestPlanCoversEveryInstructionOnce: a plan's segments cover exactly
+// WarmupInsts + Insts instructions per core — laid end to end there is no gap
+// and no overlap — the warm-up leads it, every sampling period contributes one
+// detailed segment whose measured window lies inside it, a bounded history
+// bounds every warmed gap, and the sequence is the same on every regeneration,
+// entered at any cursor.
+func TestPlanCoversEveryInstructionOnce(t *testing.T) {
+	for name, spec := range planSpecs() {
+		spec = spec.Normalized()
+		t.Run(name, func(t *testing.T) {
+			segs := planOf(t, spec)
+			var total, detailed, windows uint64
+			for k, seg := range segs {
+				if seg.n == 0 {
+					t.Errorf("segment %d is empty", k)
+				}
+				total += seg.n
+				switch seg.kind {
+				case segDetail:
+					detailed += seg.n
+					windows++
+					if spec.Sampling.Enabled() && (seg.from > seg.to || seg.to != seg.n) {
+						t.Errorf("segment %d: window [%d, %d) not inside its %d instructions", k, seg.from, seg.to, seg.n)
+					}
+				case segWarm:
+					if (k == 0 && spec.WarmupInsts > 0) == seg.trainPF {
+						t.Errorf("segment %d: trainPF = %v; only the warm-up prefix leaves the prefetchers alone", k, seg.trainPF)
+					}
+					if h := spec.Sampling.HistoryInsts; h > 0 && k > 0 && seg.n > h {
+						t.Errorf("segment %d warms %d instructions past a history of %d", k, seg.n, h)
+					}
+				case segTouch:
+					if spec.Sampling.HistoryInsts == 0 {
+						t.Errorf("segment %d: a touch segment without a bounded history", k)
+					}
+				}
+			}
+			if want := spec.WarmupInsts + spec.Insts; total != want {
+				t.Errorf("plan covers %d instructions per core, want %d", total, want)
+			}
+			if spec.WarmupInsts > 0 && (segs[0] != segment{kind: segWarm, n: spec.WarmupInsts}) {
+				t.Errorf("segment 0 = %+v, want the warm-up prefix", segs[0])
+			}
+			if c := spec.Sampling; c.Enabled() {
+				periods := (spec.Insts + c.IntervalInsts - 1) / c.IntervalInsts
+				if windows != periods {
+					t.Errorf("%d detailed segments for %d sampling periods", windows, periods)
+				}
+			} else if windows != 1 || detailed != spec.Insts {
+				t.Errorf("full detail: %d detailed segments over %d instructions", windows, detailed)
+			}
+			// Entered at cursor k, the plan is the tail of itself.
+			for k := range segs {
+				var tail []segment
+				_ = spec.eachSegment(func(i uint64, seg segment) error {
+					if i >= uint64(k) {
+						tail = append(tail, seg)
+					}
+					return nil
+				})
+				if !reflect.DeepEqual(tail, segs[k:]) {
+					t.Fatalf("plan regenerated from cursor %d differs from the original's tail", k)
+				}
+			}
+		})
+	}
+}
+
+// TestCrashResumeAtEveryPlanPosition: with a cadence of one instruction a run
+// checkpoints at every segment edge and at every progress mark inside its
+// detailed segments. Crashed after each write and resumed from it, the run
+// must re-enter the plan at every one of those positions and still end
+// byte-identical to the in-place run.
+func TestCrashResumeAtEveryPlanPosition(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dozens of crash/resume rounds, skipped in -short")
+	}
+	specs := planSpecs()
+	for _, tc := range []struct {
+		name string
+		// marks: the detailed segments are long enough to pass a progress mark.
+		marks bool
+	}{
+		{"warmed", true}, {"warmed/8", true}, {"sampled", false}, {"sampled/history", false},
+		{"sampled/long", true}, {"sampled/8", true},
+	} {
+		name, marks := tc.name, tc.marks
+		spec := specs[name].Normalized()
+		spec.Policy, spec.Prefetcher = core.PolicySPB, config.PrefetchAdaptive
+		t.Run(name, func(t *testing.T) {
+			ref, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges, inside := map[uint64]bool{}, 0
+			got, _ := crashResumeUntilDone(t, t.TempDir(), spec, 1, func(path string) {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cf, err := decodeCkpt(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cf.Cores != nil {
+					inside++
+				} else {
+					edges[cf.Cur.Seg] = true
+				}
+			})
+			assertSameResult(t, ref, got, name)
+			// A Runner enters a warmed plan at segment 1; every later edge but
+			// the end of the plan must have been written at and resumed from.
+			first := uint64(1)
+			if spec.WarmupInsts > 0 {
+				first = 2
+			}
+			segs := uint64(len(planOf(t, spec)))
+			for k := first; k < segs; k++ {
+				if !edges[k] {
+					t.Errorf("no checkpoint at the edge before segment %d of %d", k, segs)
+				}
+			}
+			if marks && inside == 0 {
+				t.Error("no checkpoint was taken inside a detailed segment")
+			}
+		})
+	}
+}
+
+// TestCounterTablesCoverEveryField: every uint64 field of cpu.Stats and
+// MemStats is named by its table exactly once, so no counter can silently
+// drop out of window deltas, aggregation or the export.
+func TestCounterTablesCoverEveryField(t *testing.T) {
+	checkCounterTable(t, cpuCounters)
+	checkCounterTable(t, memCounters)
+}
+
+func checkCounterTable[T any](t *testing.T, tab []counter[T]) {
+	t.Helper()
+	var v T
+	rv := reflect.ValueOf(&v).Elem()
+	named := map[uintptr]int{}
+	for _, c := range tab {
+		named[uintptr(reflect.ValueOf(c.at(&v)).Pointer())]++
+	}
+	for i := 0; i < rv.NumField(); i++ {
+		f := rv.Type().Field(i)
+		if f.Type.Kind() != reflect.Uint64 {
+			t.Errorf("%T.%s is a %s: the tables only carry uint64 counters", v, f.Name, f.Type)
+			continue
+		}
+		if n := named[rv.Field(i).Addr().Pointer()]; n != 1 {
+			t.Errorf("%T.%s appears %d times in its counter table, want once", v, f.Name, n)
+		}
+		delete(named, rv.Field(i).Addr().Pointer())
+	}
+	if len(named) != 0 {
+		t.Errorf("%T: %d table entries point at no field", v, len(named))
+	}
+}

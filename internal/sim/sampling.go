@@ -1,27 +1,19 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"time"
 
-	"spb/internal/bpred"
-	"spb/internal/config"
 	"spb/internal/cpu"
-	"spb/internal/memsys"
-	"spb/internal/obs"
-	"spb/internal/tlb"
-	"spb/internal/trace"
 )
 
 // SMARTS-style sampled simulation (DESIGN.md §14).
 //
 // A sampled run covers the spec's full per-core instruction budget, but only
 // simulates short measurement intervals in detail. The rest of the stream is
-// executed functionally — the same warm() machinery warm-start uses: caches,
-// coherence directory, TLBs and branch predictors stay architecturally warm
-// while timing, ROB/MSHR modeling and statistics are skipped. Each sampling
+// executed functionally — the functional segments of the run plan (plan.go):
+// caches, coherence directory, TLBs and branch predictors stay architecturally
+// warm while timing, ROB/MSHR modeling and statistics are skipped. Each sampling
 // period of IntervalInsts instructions per core ends with WarmInsts of
 // detailed (but unmeasured) simulation that re-warms the timing state the
 // functional mode cannot carry — ROB, store buffer, MSHR occupancy — followed
@@ -31,8 +23,8 @@ import (
 // Result counters sum the measured windows only, so IPC() and the Top-Down
 // report describe the sampled estimate.
 //
-// Everything is deterministic: the interval schedule is a pure function of
-// the spec, so the same spec produces byte-identical canonical stats JSON on
+// Everything is deterministic: the segment plan is a pure function of the
+// spec, so the same spec produces byte-identical canonical stats JSON on
 // every run — the property the content-addressed caches require.
 
 // SamplingConfig configures SMARTS-style systematic sampling of a run. The
@@ -207,18 +199,29 @@ func tQuantile975(df uint64) float64 {
 // TestSampledWithinErrorBound and scripts/bench_sampled.sh).
 const sampleBiasGuard = 0.08
 
-// sampleAccum accumulates per-interval metric samples in a fixed order.
+// sampleAccum accumulates per-interval metric samples in a fixed order. Its
+// fields are exported for the checkpoint encoder only.
 type sampleAccum struct {
-	n     uint64
-	sum   [nSampleMetrics]float64
-	sumsq [nSampleMetrics]float64
+	N     uint64
+	Sum   [nSampleMetrics]float64
+	Sumsq [nSampleMetrics]float64
 }
 
-func (a *sampleAccum) add(v [nSampleMetrics]float64) {
-	a.n++
-	for i, x := range v {
-		a.sum[i] += x
-		a.sumsq[i] += x * x
+// add records one measured window's rates, each per committed instruction.
+func (a *sampleAccum) add(iv cpu.Stats, ivMem MemStats) {
+	com := float64(iv.Committed)
+	a.N++
+	for i, x := range [nSampleMetrics]float64{
+		smCPI:             float64(iv.Cycles) / com,
+		smSBStallPI:       float64(iv.SBStallCycles) / com,
+		smOtherStallPI:    float64(iv.OtherStallCycles()) / com,
+		smFrontendStallPI: float64(iv.FrontendStallCycles) / com,
+		smExecL1DPI:       float64(iv.ExecStallL1DPending) / com,
+		smL1MissPI:        float64(ivMem.L1Misses) / com,
+		smDRAMPI:          float64(ivMem.DRAMReads+ivMem.DRAMWrites) / com,
+	} {
+		a.Sum[i] += x
+		a.Sumsq[i] += x * x
 	}
 }
 
@@ -226,17 +229,17 @@ func (a *sampleAccum) add(v [nSampleMetrics]float64) {
 // 95% CLT half-width (zero below two samples — no variance information)
 // plus the systematic-bias guard.
 func (a *sampleAccum) meanCI(i int) (mean, ci float64) {
-	if a.n == 0 {
+	if a.N == 0 {
 		return 0, 0
 	}
-	n := float64(a.n)
-	mean = a.sum[i] / n
-	if a.n >= 2 {
-		variance := (a.sumsq[i] - n*mean*mean) / (n - 1)
+	n := float64(a.N)
+	mean = a.Sum[i] / n
+	if a.N >= 2 {
+		variance := (a.Sumsq[i] - n*mean*mean) / (n - 1)
 		if variance < 0 {
 			variance = 0 // float cancellation guard
 		}
-		ci = tQuantile975(a.n-1) * math.Sqrt(variance/n)
+		ci = tQuantile975(a.N-1) * math.Sqrt(variance/n)
 	}
 	return mean, ci + sampleBiasGuard*mean
 }
@@ -269,477 +272,4 @@ func (a *sampleAccum) finalize(s *SampleStats) {
 		s.IPCMeanPPM = toPPM(1 / cpi)
 		s.IPCCI95PPM = toPPM(cpiCI / (cpi * cpi))
 	}
-}
-
-// subCPU returns the fieldwise counter delta b-a of one core's stats.
-func subCPU(a, b cpu.Stats) cpu.Stats {
-	return cpu.Stats{
-		Cycles:              b.Cycles - a.Cycles,
-		Committed:           b.Committed - a.Committed,
-		Loads:               b.Loads - a.Loads,
-		Stores:              b.Stores - a.Stores,
-		Branches:            b.Branches - a.Branches,
-		Mispredicts:         b.Mispredicts - a.Mispredicts,
-		WrongPathInsts:      b.WrongPathInsts - a.WrongPathInsts,
-		ForwardedLoads:      b.ForwardedLoads - a.ForwardedLoads,
-		PartialForwards:     b.PartialForwards - a.PartialForwards,
-		SBStallCycles:       b.SBStallCycles - a.SBStallCycles,
-		ROBStallCycles:      b.ROBStallCycles - a.ROBStallCycles,
-		IQStallCycles:       b.IQStallCycles - a.IQStallCycles,
-		LQStallCycles:       b.LQStallCycles - a.LQStallCycles,
-		FrontendStallCycles: b.FrontendStallCycles - a.FrontendStallCycles,
-		SBStallApp:          b.SBStallApp - a.SBStallApp,
-		SBStallLib:          b.SBStallLib - a.SBStallLib,
-		SBStallKernel:       b.SBStallKernel - a.SBStallKernel,
-		ExecStallL1DPending: b.ExecStallL1DPending - a.ExecStallL1DPending,
-		StoresPerformed:     b.StoresPerformed - a.StoresPerformed,
-		SPBBursts:           b.SPBBursts - a.SPBBursts,
-	}
-}
-
-// addCPU adds a per-interval aggregate delta into dst. Cycles add too: the
-// run total is the sum of per-interval (max-across-cores) cycle spans.
-func addCPU(dst *cpu.Stats, d cpu.Stats) {
-	dst.Cycles += d.Cycles
-	dst.Committed += d.Committed
-	dst.Loads += d.Loads
-	dst.Stores += d.Stores
-	dst.Branches += d.Branches
-	dst.Mispredicts += d.Mispredicts
-	dst.WrongPathInsts += d.WrongPathInsts
-	dst.ForwardedLoads += d.ForwardedLoads
-	dst.PartialForwards += d.PartialForwards
-	dst.SBStallCycles += d.SBStallCycles
-	dst.ROBStallCycles += d.ROBStallCycles
-	dst.IQStallCycles += d.IQStallCycles
-	dst.LQStallCycles += d.LQStallCycles
-	dst.FrontendStallCycles += d.FrontendStallCycles
-	dst.SBStallApp += d.SBStallApp
-	dst.SBStallLib += d.SBStallLib
-	dst.SBStallKernel += d.SBStallKernel
-	dst.ExecStallL1DPending += d.ExecStallL1DPending
-	dst.StoresPerformed += d.StoresPerformed
-	dst.SPBBursts += d.SPBBursts
-}
-
-// subMem returns the fieldwise counter delta b-a.
-func subMem(a, b MemStats) MemStats {
-	return MemStats{
-		L1TagAccesses:  b.L1TagAccesses - a.L1TagAccesses,
-		L1Hits:         b.L1Hits - a.L1Hits,
-		L1Misses:       b.L1Misses - a.L1Misses,
-		L2Accesses:     b.L2Accesses - a.L2Accesses,
-		L3Accesses:     b.L3Accesses - a.L3Accesses,
-		DRAMReads:      b.DRAMReads - a.DRAMReads,
-		DRAMWrites:     b.DRAMWrites - a.DRAMWrites,
-		Loads:          b.Loads - a.Loads,
-		Stores:         b.Stores - a.Stores,
-		LoadMisses:     b.LoadMisses - a.LoadMisses,
-		StoreMisses:    b.StoreMisses - a.StoreMisses,
-		WrongPathLoads: b.WrongPathLoads - a.WrongPathLoads,
-		SPFIssued:      b.SPFIssued - a.SPFIssued,
-		SPFDiscarded:   b.SPFDiscarded - a.SPFDiscarded,
-		SPFMissToL2:    b.SPFMissToL2 - a.SPFMissToL2,
-		SPFSuccessful:  b.SPFSuccessful - a.SPFSuccessful,
-		SPFLate:        b.SPFLate - a.SPFLate,
-		SPFEarly:       b.SPFEarly - a.SPFEarly,
-		SPFBurst:       b.SPFBurst - a.SPFBurst,
-		GPFIssued:      b.GPFIssued - a.GPFIssued,
-		GPFUsed:        b.GPFUsed - a.GPFUsed,
-		GPFLate:        b.GPFLate - a.GPFLate,
-		GPFPolluted:    b.GPFPolluted - a.GPFPolluted,
-		Invalidations:  b.Invalidations - a.Invalidations,
-		Writebacks:     b.Writebacks - a.Writebacks,
-	}
-}
-
-func addMem(dst *MemStats, d MemStats) {
-	dst.L1TagAccesses += d.L1TagAccesses
-	dst.L1Hits += d.L1Hits
-	dst.L1Misses += d.L1Misses
-	dst.L2Accesses += d.L2Accesses
-	dst.L3Accesses += d.L3Accesses
-	dst.DRAMReads += d.DRAMReads
-	dst.DRAMWrites += d.DRAMWrites
-	dst.Loads += d.Loads
-	dst.Stores += d.Stores
-	dst.LoadMisses += d.LoadMisses
-	dst.StoreMisses += d.StoreMisses
-	dst.WrongPathLoads += d.WrongPathLoads
-	dst.SPFIssued += d.SPFIssued
-	dst.SPFDiscarded += d.SPFDiscarded
-	dst.SPFMissToL2 += d.SPFMissToL2
-	dst.SPFSuccessful += d.SPFSuccessful
-	dst.SPFLate += d.SPFLate
-	dst.SPFEarly += d.SPFEarly
-	dst.SPFBurst += d.SPFBurst
-	dst.GPFIssued += d.GPFIssued
-	dst.GPFUsed += d.GPFUsed
-	dst.GPFLate += d.GPFLate
-	dst.GPFPolluted += d.GPFPolluted
-	dst.Invalidations += d.Invalidations
-	dst.Writebacks += d.Writebacks
-}
-
-// buildFunctionalState constructs the persistent functional-mode state of a
-// sampled run: one data TLB per core and (when modelled) one branch
-// predictor, matching the geometry the cores will be built with.
-func buildFunctionalState(machine config.MachineConfig, spec RunSpec) (dtlbs []*tlb.TLB, bps []*bpred.Predictor) {
-	dtlbs = make([]*tlb.TLB, spec.Cores)
-	bps = make([]*bpred.Predictor, spec.Cores)
-	for i := range dtlbs {
-		dtlbs[i] = tlb.New(tlb.Config{
-			Entries: machine.TLB.Entries,
-			Ways:    machine.TLB.Ways,
-			WalkLat: machine.TLB.WalkLat,
-		})
-		if spec.ModelBranchPredictor {
-			bps[i] = bpred.New(bpred.TableI())
-		}
-	}
-	return dtlbs, bps
-}
-
-// runSampled executes a sampled simulation on an already-built (and possibly
-// warm-start-restored) machine. It owns sys, dtlbs and bps: all are released
-// before returning. warmupFF is the number of instructions the shared warmup
-// prefix fast-forwarded (reported in Progress.FastForwardInsts but not
-// counted in SampleStats.FastForwardInsts). ck, when active, checkpoints the
-// run at sampling-window edges (the quiescent top of the window loop); rs,
-// when non-nil, is a loaded checkpoint's scheduler state and the machine
-// passed in must already be restored to it (resumeSampled does both).
-func runSampled(ctx context.Context, tr *obs.Trace, spec RunSpec, machine config.MachineConfig,
-	sys *memsys.System, readers []trace.Reader, dtlbs []*tlb.TLB, bps []*bpred.Predictor,
-	warmupFF uint64, onProgress func(Progress), ck *runCkpt, rs *sampledCkpt) (Result, error) {
-
-	loopSpan := tr.StartSpan("run.sim")
-	start := time.Now()
-	cfg := spec.Sampling
-	nCores := uint64(spec.Cores)
-	release := func() {
-		for i := range dtlbs {
-			dtlbs[i].Release()
-			if bps[i] != nil {
-				bps[i].Release()
-			}
-		}
-		sys.Release()
-	}
-
-	var (
-		aggCPU        cpu.Stats
-		aggMem        MemStats
-		acc           sampleAccum
-		ffInsts       uint64 // functional insts executed by the scheduler
-		detailedInsts uint64 // detail-simulated insts (incl. detailed warming)
-		measuredInsts uint64 // committed insts inside measured windows
-	)
-	if rs != nil {
-		aggCPU = rs.AggCPU
-		aggMem = rs.AggMem
-		acc = sampleAccum{n: rs.AccN, sum: rs.AccSum, sumsq: rs.AccSumsq}
-		ffInsts = rs.FFInsts
-		detailedInsts = rs.DetailedInsts
-		measuredInsts = rs.MeasuredInsts
-	}
-	target := spec.Insts * nCores
-	report := func(segCommitted uint64) {
-		p := Progress{
-			// Committed counts detail-simulated instructions only; the
-			// functional skips ride in FastForwardInsts so they cannot
-			// inflate the detailed-simulation rate.
-			Committed:        detailedInsts + segCommitted,
-			TargetInsts:      target,
-			FastForwardInsts: warmupFF + ffInsts,
-		}
-		if el := time.Since(start).Seconds(); el > 0 {
-			p.InstsPerSec = float64(p.Committed) / el
-		}
-		// Cycles: measured spans so far (the sampled estimate's timeline).
-		p.Cycles = aggCPU.Cycles
-		onProgress(p)
-	}
-
-	remaining := spec.Insts
-	// pendingSkip accumulates the functional skip separating detailed
-	// segments — the trailing portion of one interval plus the leading
-	// portion of the next — so the warming-history bound applies to the
-	// contiguous distance to the upcoming measurement, not to each jittered
-	// half separately. It is flushed immediately before each detailed
-	// segment: everything beyond the bound drains (stream advance only), the
-	// last HistoryInsts instructions warm the architectural state the
-	// measurement will see.
-	pendingSkip := uint64(0)
-	flushSkip := func() error {
-		n := pendingSkip
-		if n == 0 {
-			return nil
-		}
-		pendingSkip = 0
-		w := n
-		if h := cfg.HistoryInsts; h > 0 && w > h {
-			if err := drainLLC(ctx, sys, readers, w-h); err != nil {
-				return err
-			}
-			w = h
-		}
-		if err := warm(ctx, sys, dtlbs, bps, readers, w, true); err != nil {
-			return err
-		}
-		ffInsts += n * nCores
-		if onProgress != nil {
-			report(0)
-		}
-		return nil
-	}
-	// Random-start sampling: each interval's detailed segment is placed at a
-	// pseudo-random offset within the sampling period instead of a fixed
-	// position, so the schedule cannot alias with a workload's phase
-	// structure (a fixed placement systematically misses bursts whose period
-	// divides the sampling period). The xorshift sequence depends only on
-	// the spec seed: same spec, same schedule, byte-identical output.
-	jitter := spec.Seed*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
-	if rs != nil {
-		jitter = rs.Jitter
-	}
-	// cycleBase carries the clock across detailed segments: the memory
-	// system is persistent and stamps its state with absolute cycles, so
-	// each segment's cores continue where the previous segment's clock
-	// stopped (cpu.Options.StartCycle). Functional skips advance no cycles —
-	// anything the last segment left in flight is simply ready when the next
-	// one begins, which is exactly what the elided gap would have done.
-	cycleBase := uint64(0)
-	if rs != nil {
-		remaining = rs.Remaining
-		pendingSkip = rs.PendingSkip
-		cycleBase = rs.CycleBase
-	}
-	for remaining > 0 {
-		if ck.active() {
-			// Checkpoint at the quiescent top of the window loop — no cores
-			// exist here, so the persistent functional state (memory system,
-			// prefetchers, TLBs, predictors) plus the scheduler locals are the
-			// entire machine. Boundaries are per-core stream progress crossing
-			// the cadence, i.e. sampling-window edges.
-			progress := spec.Insts - remaining
-			if progress >= ck.nextCkpt {
-				for ck.nextCkpt <= progress {
-					ck.nextCkpt += ck.step
-				}
-				st := &sampledCkpt{
-					Remaining:     remaining,
-					PendingSkip:   pendingSkip,
-					Jitter:        jitter,
-					CycleBase:     cycleBase,
-					FFInsts:       ffInsts,
-					DetailedInsts: detailedInsts,
-					MeasuredInsts: measuredInsts,
-					AggCPU:        aggCPU,
-					AggMem:        aggMem,
-					AccN:          acc.n,
-					AccSum:        acc.sum,
-					AccSumsq:      acc.sumsq,
-					Consumed:      spec.WarmupInsts + progress - pendingSkip,
-					Sys:           sys.Snapshot(),
-					PF:            sys.PrefetcherStates(),
-					DTLBs:         make([]*tlb.Snapshot, len(dtlbs)),
-					BPs:           make([]bpWire, len(bps)),
-				}
-				for i := range dtlbs {
-					st.DTLBs[i] = dtlbs[i].Snapshot()
-					if bps[i] != nil {
-						st.BPs[i] = bpWire{BP: bps[i].Snapshot()}
-					}
-				}
-				cf := &ckptFile{Spec: spec, WarmupFF: warmupFF, NextCkpt: ck.nextCkpt, Sampled: st}
-				if err := ck.c.save(cf); err != nil {
-					release()
-					return Result{}, err
-				}
-			}
-		}
-		span := min(cfg.IntervalInsts, remaining)
-		remaining -= span
-		dk := min(cfg.DetailedInsts, span)
-		wk := min(cfg.WarmInsts, span-dk)
-		ff := span - wk - dk
-		ffBefore, ffAfter := uint64(0), uint64(0)
-		if ff > 0 {
-			jitter ^= jitter << 13
-			jitter ^= jitter >> 7
-			jitter ^= jitter << 17
-			ffBefore = jitter % (ff + 1)
-			ffAfter = ff - ffBefore
-		}
-
-		pendingSkip += ffBefore
-		if err := flushSkip(); err != nil {
-			release()
-			return Result{}, err
-		}
-
-		// Detailed segment: fresh cores on the persistent memory system,
-		// with the functional TLB/predictor state carried in. Measurement
-		// starts once a core has committed wk instructions and stops at
-		// wk+dk; the segment still runs to completion (the store buffer
-		// drains into the caches) so the functional stream resumes from a
-		// consistent architectural state.
-		segSpec := spec
-		segSpec.Insts = wk + dk
-		cores, _ := buildCores(segSpec, machine, sys, readers, cycleBase)
-		for i, c := range cores {
-			c.DTLB().Restore(dtlbs[i].Snapshot())
-			if bp := c.BranchPredictor(); bp != nil {
-				bp.Restore(bps[i].Snapshot())
-			}
-		}
-
-		var (
-			startCPU   = make([]cpu.Stats, len(cores))
-			endCPU     = make([]cpu.Stats, len(cores))
-			started    = make([]bool, len(cores))
-			ended      = make([]bool, len(cores))
-			nStarted   = 0
-			nEnded     = 0
-			memStart   MemStats
-			memEnd     MemStats
-			haveMemEnd bool
-		)
-		// Crossing capture runs on the state a step leaves behind (and once
-		// before the first, for a window that opens at zero); a core crosses
-		// a threshold by committing, in a tick, so no crossing is slept over.
-		capture := func() {
-			for i, c := range cores {
-				if !started[i] && c.St.Committed >= wk {
-					started[i] = true
-					startCPU[i] = c.St
-					nStarted++
-					if nStarted == len(cores) {
-						memStart = collectMem(spec.Cores, sys)
-					}
-				}
-				if started[i] && !ended[i] && c.St.Committed >= wk+dk {
-					ended[i] = true
-					endCPU[i] = c.St
-					nEnded++
-					if nEnded == len(cores) {
-						memEnd = collectMem(spec.Cores, sys)
-						haveMemEnd = true
-					}
-				}
-			}
-		}
-		capture()
-		err := cpu.Lockstep(ctx, cores, segSpec.Insts*1000*nCores+1_000_000, func(steps uint64) (bool, error) {
-			capture()
-			if onProgress != nil && steps%progressEvery == 0 {
-				segC := uint64(0)
-				for _, c := range cores {
-					segC += c.St.Committed
-				}
-				report(segC)
-			}
-			return false, nil
-		})
-		if err != nil {
-			for _, c := range cores {
-				c.Release()
-			}
-			release()
-			return Result{}, stepError(ctx, spec, err)
-		}
-		// A reader that ran dry leaves its core short of the thresholds;
-		// close its window at the final state.
-		for i, c := range cores {
-			if !started[i] {
-				started[i] = true
-				startCPU[i] = c.St
-				nStarted++
-				if nStarted == len(cores) {
-					memStart = collectMem(spec.Cores, sys)
-				}
-			}
-			if !ended[i] {
-				ended[i] = true
-				endCPU[i] = c.St
-				nEnded++
-			}
-		}
-		if !haveMemEnd {
-			memEnd = collectMem(spec.Cores, sys)
-		}
-
-		// Carry the functional state forward and retire the segment cores.
-		for i, c := range cores {
-			if cyc := c.Cycle(); cyc > cycleBase {
-				cycleBase = cyc
-			}
-			dtlbs[i].Restore(c.DTLB().Snapshot())
-			if bp := c.BranchPredictor(); bp != nil {
-				bps[i].Restore(bp.Snapshot())
-			}
-			c.Release()
-		}
-
-		// Fold the measured window into the run aggregate and record the
-		// interval's rate samples.
-		var ivCPU cpu.Stats
-		for i := range cores {
-			d := subCPU(startCPU[i], endCPU[i])
-			cyc := d.Cycles
-			d.Cycles = 0
-			addCPU(&ivCPU, d)
-			if cyc > ivCPU.Cycles {
-				ivCPU.Cycles = cyc
-			}
-		}
-		ivMem := subMem(memStart, memEnd)
-		addCPU(&aggCPU, ivCPU)
-		addMem(&aggMem, ivMem)
-		detailedInsts += (wk + dk) * nCores
-		measuredInsts += ivCPU.Committed
-
-		if ivCPU.Cycles > 0 && ivCPU.Committed > 0 {
-			com := float64(ivCPU.Committed)
-			acc.add([nSampleMetrics]float64{
-				smCPI:             float64(ivCPU.Cycles) / com,
-				smSBStallPI:       float64(ivCPU.SBStallCycles) / com,
-				smOtherStallPI:    float64(ivCPU.OtherStallCycles()) / com,
-				smFrontendStallPI: float64(ivCPU.FrontendStallCycles) / com,
-				smExecL1DPI:       float64(ivCPU.ExecStallL1DPending) / com,
-				smL1MissPI:        float64(ivMem.L1Misses) / com,
-				smDRAMPI:          float64(ivMem.DRAMReads+ivMem.DRAMWrites) / com,
-			})
-		}
-
-		// The rest of the sampling period joins the next interval's leading
-		// skip and is flushed before the next detailed segment.
-		pendingSkip += ffAfter
-	}
-	// Trailing skip after the last detailed segment: nothing is measured
-	// beyond it, so the stream only drains.
-	if pendingSkip > 0 {
-		if err := drain(ctx, readers, pendingSkip); err != nil {
-			release()
-			return Result{}, err
-		}
-		ffInsts += pendingSkip * nCores
-	}
-	if onProgress != nil {
-		report(0)
-	}
-	loopSpan.End()
-
-	collectSpan := tr.StartSpan("run.collect")
-	res := finishResult(spec, aggCPU, aggMem)
-	res.Sample = SampleStats{
-		Intervals:        acc.n,
-		MeasuredInsts:    measuredInsts,
-		DetailedInsts:    detailedInsts,
-		FastForwardInsts: ffInsts,
-	}
-	acc.finalize(&res.Sample)
-	release()
-	collectSpan.End()
-	return res, nil
 }

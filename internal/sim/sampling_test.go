@@ -184,9 +184,9 @@ func TestSampledWithinErrorBound(t *testing.T) {
 }
 
 // TestSampledWarmStartEquivalence proves a sampled run is byte-identical
-// whether its shared warmup prefix was forked from a warm-start snapshot or
-// executed in place — the invariant that lets sampled sweeps ride the
-// warm-start fork engine (DESIGN.md §12) unchanged.
+// whether a Runner started it from a warm-start snapshot or Run executed its
+// shared warmup prefix in place — the invariant that lets sampled sweeps ride
+// the warm-start groups (DESIGN.md §12) unchanged.
 func TestSampledWarmStartEquivalence(t *testing.T) {
 	mk := func(w string, p core.Policy, cores int, bp bool) RunSpec {
 		return RunSpec{
@@ -204,14 +204,11 @@ func TestSampledWarmStartEquivalence(t *testing.T) {
 	}
 	for _, spec := range specs {
 		on := NewRunner()
-		on.SetWarmStart(true)
-		off := NewRunner()
-		off.SetWarmStart(false)
 		a, err := on.Get(spec)
 		if err != nil {
 			t.Fatalf("%s/%v (fork): %v", spec.Workload, spec.Policy, err)
 		}
-		b, err := off.Get(spec)
+		b, err := Run(spec)
 		if err != nil {
 			t.Fatalf("%s/%v (in-place): %v", spec.Workload, spec.Policy, err)
 		}
@@ -326,11 +323,11 @@ func TestSampledCostEstimate(t *testing.T) {
 	if longer.CostEstimate() <= cs {
 		t.Error("sampled cost must grow with the instruction budget")
 	}
-	// Warm-start knowledge composes: a forked sampled run sheds its warmup.
+	// A sampled run's warmup is its group's work, like a full-detail run's.
 	warm := smp
 	warm.WarmupInsts = 50_000_000
-	if warm.CostEstimateAt(true) >= warm.CostEstimateAt(false) {
-		t.Error("CostEstimateAt(true) must discount the warmup prefix")
+	if warm.CostEstimate() != cs {
+		t.Error("the shared warmup prefix must not count towards a sampled point's cost")
 	}
 }
 
@@ -416,24 +413,24 @@ func FuzzFunctionalEquivalence(f *testing.F) {
 	f.Add(uint64(9), uint16(4000), uint8(5))
 	f.Fuzz(func(t *testing.T, seed uint64, n uint16, opmask uint8) {
 		insts := uint64(n%6000) + 500
-		machine := config.Skylake().WithSQ(14).WithPrefetcher(config.PrefetchNone)
+		cfg := config.Skylake().WithSQ(14).WithPrefetcher(config.PrefetchNone)
 		blocks := funcEquivBlocks()
 
 		// Detailed: a full core pipeline simulates the program, then drains.
 		progD := buildEquivProgram(seed%16+1, opmask)
-		sysD := memsys.New(machine, 1)
-		coreD := cpu.NewWithOptions(machine.Core, core.PolicyAtCommit, machine.SPB, machine.TLB,
+		sysD := memsys.New(cfg, 1)
+		coreD := cpu.NewWithOptions(cfg.Core, core.PolicyAtCommit, cfg.SPB, cfg.TLB,
 			cpu.Options{}, sysD.Port(0), trace.Limit(insts, progD), 1)
 		for !coreD.Done() {
 			coreD.Tick()
 		}
 
-		// Functional: the warm() replay the sampled scheduler uses.
+		// Functional: the warm segment every plan covers its gaps with.
 		progF := buildEquivProgram(seed%16+1, opmask)
-		sysF := memsys.New(machine, 1)
-		dtlb := tlb.New(tlb.Config{Entries: machine.TLB.Entries, Ways: machine.TLB.Ways, WalkLat: machine.TLB.WalkLat})
-		if err := warm(context.Background(), sysF, []*tlb.TLB{dtlb},
-			[]*bpred.Predictor{nil}, []trace.Reader{progF}, insts, false); err != nil {
+		sysF := memsys.New(cfg, 1)
+		dtlb := tlb.New(tlb.Config{Entries: cfg.TLB.Entries, Ways: cfg.TLB.Ways, WalkLat: cfg.TLB.WalkLat})
+		fm := &machine{sys: sysF, dtlbs: []*tlb.TLB{dtlb}, bps: []*bpred.Predictor{nil}, progs: []*trace.Program{progF}}
+		if err := fm.functional(context.Background(), segment{kind: segWarm, n: insts}); err != nil {
 			t.Fatal(err)
 		}
 

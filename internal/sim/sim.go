@@ -10,21 +10,16 @@ package sim
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"spb/internal/bpred"
 	"spb/internal/config"
 	"spb/internal/core"
 	"spb/internal/cpu"
 	"spb/internal/energy"
 	"spb/internal/memsys"
-	"spb/internal/obs"
-	"spb/internal/tlb"
 	"spb/internal/topdown"
 	"spb/internal/trace"
 	"spb/internal/workloads"
@@ -52,7 +47,7 @@ type RunSpec struct {
 	// detailed simulation starts. The warmed state depends only on the
 	// workload, seed, core config and this length, never on the SB/policy/
 	// prefetcher knobs a sweep varies, so the Runner simulates one warmup
-	// per such group and forks every member from a snapshot (warm-start,
+	// per such group and starts every member from its snapshot (warm-start,
 	// DESIGN.md §12). 0 disables warming.
 	WarmupInsts uint64
 	// WindowN overrides the SPB window (0 = config default 48).
@@ -182,26 +177,19 @@ func (s RunSpec) Normalized() RunSpec { return s.normalize() }
 // budget across cores; multi-core runs pay lock-step coordination on top; an
 // ideal SB never stalls, so its runs have no dead spans for the event-horizon
 // fast forward to skip; and disabling the fast forward altogether simulates
-// every cycle of every core. CostEstimate assumes the warmup prefix (if any)
-// is simulated by this run; schedulers that fork from shared warm-start
-// snapshots use CostEstimateAt(true) instead.
-func (s RunSpec) CostEstimate() uint64 { return s.CostEstimateAt(false) }
-
-// CostEstimateAt is CostEstimate with explicit warm-start knowledge: when
-// warmStart is true the warmup prefix is elided by a shared snapshot fork,
-// so only the detailed interval counts — LPT then ranks forked points by
-// what they will actually simulate. Functional warming is far cheaper per
-// instruction than detailed simulation, so a non-elided warmup is charged
-// at a quarter weight.
-func (s RunSpec) CostEstimateAt(warmStart bool) uint64 {
+// every cycle of every core. The warm-up prefix does not count: a Runner
+// executes it once per group, not per spec, so a point is ranked by what its
+// own run will simulate.
+func (s RunSpec) CostEstimate() uint64 {
 	n := s.normalize()
 	insts := n.Insts
 	if n.Sampling.Enabled() {
 		// A sampled run simulates only the detailed portion of each sampling
-		// period in detail; the skips run functionally at the same
-		// quarter-weight as a warmup prefix. This is what lets LPT ordering,
-		// batch scheduling and client-pool hedging rank a sampled point by
-		// the work it will actually do, far below its full-detail twin.
+		// period in detail; functional segments are far cheaper per
+		// instruction and are charged at a quarter weight. This is what lets
+		// LPT ordering, batch scheduling and client-pool hedging rank a
+		// sampled point by the work it will actually do, far below its
+		// full-detail twin.
 		cfg := n.Sampling
 		intervals := (n.Insts + cfg.IntervalInsts - 1) / cfg.IntervalInsts
 		detailed := intervals * (cfg.WarmInsts + cfg.DetailedInsts)
@@ -209,9 +197,6 @@ func (s RunSpec) CostEstimateAt(warmStart bool) uint64 {
 			detailed = n.Insts
 		}
 		insts = detailed + (n.Insts-detailed)/4
-	}
-	if !warmStart {
-		insts += n.WarmupInsts / 4
 	}
 	cost := insts * uint64(n.Cores)
 	if n.Cores > 1 {
@@ -255,121 +240,31 @@ func (p Progress) IPC() float64 {
 	return float64(p.Committed) / float64(p.Cycles)
 }
 
-// snapshotProgress aggregates the running cores' counters into a Progress
-// point (cycles = max across cores, committed = sum, like the final Result).
-func snapshotProgress(cores []*cpu.Core, targetInsts uint64) Progress {
-	p := Progress{TargetInsts: targetInsts}
-	for _, c := range cores {
-		p.Committed += c.St.Committed
-		if c.St.Cycles > p.Cycles {
-			p.Cycles = c.St.Cycles
-		}
-	}
-	return p
-}
-
 // progressEvery is how many steps of cpu.Lockstep pass between progress
 // callbacks and checkpoint-boundary checks. A step ticks every core that is
 // awake in one simulated cycle, so at simulator speeds this is a
 // sub-millisecond cadence while keeping the work off the per-cycle hot path.
 const progressEvery = 8192
 
-// stepError dresses a cpu.Lockstep failure for the run's caller: a
-// cancellation stays the context's bare error, anything else names the point.
-func stepError(ctx context.Context, spec RunSpec, err error) error {
-	if err == ctx.Err() {
-		return err
-	}
-	return fmt.Errorf("sim: %v: %w", spec, err)
-}
-
 // Run executes one simulation point.
 func Run(spec RunSpec) (Result, error) {
 	return RunCtx(context.Background(), spec, nil)
 }
 
-// RunCtx executes one simulation point under a context. If ctx is cancelled
-// the simulation stops within a few thousand steps and the context's error is
+// RunCtx executes one simulation point under a context, on a cold machine from
+// the first segment of its plan to the last. If ctx is cancelled the
+// simulation stops within a few thousand steps and the context's error is
 // returned — abandoned or timed-out requests do not keep simulating. If
-// onProgress is non-nil it is invoked periodically (every progressEvery
-// steps) from the simulating goroutine; it must be cheap and must not block.
+// onProgress is non-nil it is invoked periodically (every progressEvery steps
+// of a detailed segment, and after every segment) from the simulating
+// goroutine; it must be cheap and must not block.
 func RunCtx(ctx context.Context, spec RunSpec, onProgress func(Progress)) (Result, error) {
-	return runPoint(ctx, spec, onProgress, nil)
-}
-
-// runPoint is RunCtx with an optional checkpoint context (DESIGN.md §15):
-// when ck is active the detailed or sampled loop periodically serializes its
-// state so a killed daemon resumes instead of restarting. Checkpointing
-// never changes the produced statistics.
-func runPoint(ctx context.Context, spec RunSpec, onProgress func(Progress), ck *runCkpt) (Result, error) {
-	// When the caller's context carries an obs.Trace (the spbd request path
-	// does), the run's internal phases are recorded as sub-spans of the
-	// job-level "run" span. With no trace in ctx (every in-process caller)
-	// this is one context lookup and zero work thereafter: the nil *Trace
-	// no-ops, nothing allocates, and the simulation loop is untouched.
-	tr := obs.FromContext(ctx)
-	buildSpan := tr.StartSpan("run.build")
-
-	spec = spec.normalize()
-	if err := spec.Sampling.validate(); err != nil {
-		return Result{}, err
-	}
-	machine, err := spec.machineConfig()
-	if err != nil {
-		return Result{}, err
-	}
-	readers, err := buildReaders(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	sys := memsys.New(machine, spec.Cores)
-	if spec.Sampling.Enabled() {
-		// Sampled run: the TLBs and branch predictors live outside any core
-		// (the functional mode needs them between detailed segments), and
-		// the shared warmup prefix runs against them before the interval
-		// scheduler takes over.
-		dtlbs, bps := buildFunctionalState(machine, spec)
-		if spec.WarmupInsts > 0 {
-			if err := warm(ctx, sys, dtlbs, bps, readers, spec.WarmupInsts, false); err != nil {
-				for i := range dtlbs {
-					dtlbs[i].Release()
-					if bps[i] != nil {
-						bps[i].Release()
-					}
-				}
-				sys.Release()
-				return Result{}, err
-			}
-		}
-		buildSpan.End()
-		return runSampled(ctx, tr, spec, machine, sys, readers, dtlbs, bps,
-			spec.WarmupInsts*uint64(spec.Cores), onProgress, ck, nil)
-	}
-	cores, lims := buildCores(spec, machine, sys, readers, 0)
-	if spec.WarmupInsts > 0 {
-		// In-place functional warming — the warm-start-off reference path.
-		// Cores are built first: their Limit wrappers bind to the underlying
-		// reader lazily, so consuming the warmup prefix here leaves the
-		// detailed interval reading exactly the post-warmup stream a forked
-		// run sees.
-		dtlbs := make([]*tlb.TLB, len(cores))
-		bps := make([]*bpred.Predictor, len(cores))
-		for i, c := range cores {
-			dtlbs[i] = c.DTLB()
-			bps[i] = c.BranchPredictor()
-		}
-		if err := warm(ctx, sys, dtlbs, bps, readers, spec.WarmupInsts, false); err != nil {
-			sys.Release()
-			return Result{}, err
-		}
-	}
-	buildSpan.End()
-	return runDetailed(ctx, tr, spec, sys, cores, lims, spec.WarmupInsts*uint64(spec.Cores), onProgress, ck)
+	return runPlan(ctx, spec.normalize(), nil, onProgress, nil)
 }
 
 // Validate refuses a spec no machine can be built for: a core count, after
 // normalization, outside 1..memsys.MaxCores (the directory names sharers in a
-// 64-bit mask). Every run path makes the same check and returns the same
+// 64-bit mask). Every run makes the same check and returns the same
 // error; Validate lets a caller that takes specs from outside (spbd's submit
 // and batch handlers, journal replay) refuse one before queueing it. The
 // other ways a spec can be wrong — sampling schedule, machine configuration,
@@ -403,140 +298,40 @@ func (s RunSpec) machineConfig() (config.MachineConfig, error) {
 }
 
 // buildReaders constructs the per-core instruction streams of a normalized
-// spec.
-func buildReaders(spec RunSpec) ([]trace.Reader, error) {
+// spec. Every workload builds compiled trace.Programs, whose bulk Skip and
+// SkipTouch the functional segments and a checkpoint resume rely on.
+func buildReaders(spec RunSpec) ([]*trace.Program, error) {
+	var readers []trace.Reader
 	if spec.Cores == 1 {
 		w, err := workloads.SPECByName(spec.Workload)
 		if err != nil {
 			return nil, err
 		}
-		return []trace.Reader{w.Build(spec.Seed)}, nil
-	}
-	p, err := workloads.PARSECByName(spec.Workload)
-	if err != nil {
-		return nil, err
-	}
-	return p.Build(spec.Seed, spec.Cores), nil
-}
-
-// buildCores constructs the per-core pipelines, each budgeted to spec.Insts
-// committed instructions of its reader's stream from its current position
-// on. startCycle is the value the core clocks open at — zero for a
-// standalone run; a sampled run passes the previous detailed segment's end
-// cycle so every segment shares the memory system's cycle domain (see
-// cpu.Options.StartCycle).
-// Besides the cores it returns their Limit wrappers: a checkpoint records
-// each wrapper's position so a resume can replay the underlying stream and
-// re-budget the remainder.
-func buildCores(spec RunSpec, machine config.MachineConfig, sys *memsys.System, readers []trace.Reader, startCycle uint64) ([]*cpu.Core, []*trace.LimitReader) {
-	cores := make([]*cpu.Core, spec.Cores)
-	lims := make([]*trace.LimitReader, spec.Cores)
-	opts := cpu.Options{
-		CoalesceSB:         spec.CoalesceSB,
-		BackwardBursts:     spec.BackwardBursts,
-		CrossPageBursts:    spec.CrossPageBursts,
-		UseBranchPredictor: spec.ModelBranchPredictor,
-		DisableFastForward: spec.DisableFastForward,
-		StartCycle:         startCycle,
-	}
-	for i := range cores {
-		lims[i] = trace.Limit(spec.Insts, readers[i])
-		cores[i] = cpu.NewWithOptions(machine.Core, spec.Policy, machine.SPB, machine.TLB, opts,
-			sys.Port(i), lims[i], spec.Seed+uint64(i)*7919)
-	}
-	return cores, lims
-}
-
-// runDetailed executes the detailed (statistics-gathering) interval on an
-// already-built machine and collects the Result. It owns the machine from
-// here on: on success the cores' and hierarchy's pooled arrays are released.
-// warmupFF is the functionally-covered instruction count reported in
-// Progress.FastForwardInsts (the warmup prefix, whether this run executed it
-// or a warm-start fork elided it).
-func runDetailed(ctx context.Context, tr *obs.Trace, spec RunSpec, sys *memsys.System, cores []*cpu.Core, lims []*trace.LimitReader, warmupFF uint64, onProgress func(Progress), ck *runCkpt) (Result, error) {
-	loopSpan := tr.StartSpan("run.sim")
-	start := time.Now()
-	report := func() {
-		p := snapshotProgress(cores, spec.Insts*uint64(spec.Cores))
-		p.FastForwardInsts = warmupFF
-		if el := time.Since(start).Seconds(); el > 0 {
-			p.InstsPerSec = float64(p.Committed) / el
+		readers = []trace.Reader{w.Build(spec.Seed)}
+	} else {
+		p, err := workloads.PARSECByName(spec.Workload)
+		if err != nil {
+			return nil, err
 		}
-		onProgress(p)
+		readers = p.Build(spec.Seed, spec.Cores)
 	}
-
-	err := cpu.Lockstep(ctx, cores, spec.Insts*1000*uint64(spec.Cores)+1_000_000, func(steps uint64) (bool, error) {
-		if steps%progressEvery != 0 {
-			return false, nil
+	progs := make([]*trace.Program, len(readers))
+	for i, rd := range readers {
+		p, ok := rd.(*trace.Program)
+		if !ok {
+			return nil, fmt.Errorf("sim: workload %q builds a %T, not a compiled program", spec.Workload, rd)
 		}
-		if ck.active() {
-			// Checkpoint when aggregate committed instructions cross the
-			// cadence boundary. Capture is read-only — snapshots copy state
-			// out — so a checkpointed run's statistics are byte-identical
-			// to an unobserved one. Cores asleep at their event horizons
-			// are captured with their clocks ahead of the others'; the
-			// resumed loop starts at the earliest clock and finds them
-			// still asleep.
-			total := uint64(0)
-			for _, c := range cores {
-				total += c.St.Committed
-			}
-			if total >= ck.nextCkpt {
-				for ck.nextCkpt <= total {
-					ck.nextCkpt += ck.step
-				}
-				cf := &ckptFile{
-					Spec:     spec,
-					WarmupFF: warmupFF,
-					NextCkpt: ck.nextCkpt,
-					Detailed: captureDetailed(spec, sys, cores, lims),
-				}
-				if err := ck.c.save(cf); err != nil {
-					return false, err
-				}
-			}
-		}
-		if onProgress != nil {
-			report()
-		}
-		return false, nil
-	})
-	if err != nil {
-		return Result{}, stepError(ctx, spec, err)
+		progs[i] = p
 	}
-	if onProgress != nil {
-		report()
-	}
-	loopSpan.End()
-	collectSpan := tr.StartSpan("run.collect")
-
-	var aggCPU cpu.Stats
-	for _, c := range cores {
-		st := c.St
-		cyc := st.Cycles
-		st.Cycles = 0
-		addCPU(&aggCPU, st)
-		if cyc > aggCPU.Cycles {
-			aggCPU.Cycles = cyc
-		}
-	}
-	res := finishResult(spec, aggCPU, collectMem(spec.Cores, sys))
-	// Everything the caller gets is copied into res; hand the cores' and the
-	// hierarchy's large arrays back to the pools for the next run.
-	for _, c := range cores {
-		c.Release()
-	}
-	sys.Release()
-	collectSpan.End()
-	return res, nil
+	return progs, nil
 }
 
 // collectMem reads the memory system's cumulative counters into a MemStats.
-// The counters only grow, so the sampled scheduler measures a window as the
-// difference of two collections.
-func collectMem(cores int, sys *memsys.System) MemStats {
+// The counters only grow, so a window is measured as the difference of two
+// collections.
+func collectMem(sys *memsys.System) MemStats {
 	var m MemStats
-	for i := 0; i < cores; i++ {
+	for i := 0; i < sys.Ports(); i++ {
 		p := sys.Port(i)
 		m.L1TagAccesses += p.L1().TagAccesses
 		m.L1Hits += p.L1().Hits
@@ -598,16 +393,17 @@ type Runner struct {
 	// hits); the duplicate-suppression test reads it.
 	runs atomic.Uint64
 
-	// Warm-start fork engine (DESIGN.md §12): specs that agree on their
+	// Warm-start groups (DESIGN.md §12): specs that agree on their
 	// warmup-equivalent projection share one functionally-warmed snapshot,
-	// from which each member's detailed run is forked.
-	warmStart    bool
+	// from which each member's run starts. warmMu guards the four fields.
 	warmMu       sync.Mutex
-	warmCache    map[warmKey]*warmState
+	warmCache    map[warmKey]*warmGroup
 	warmInflight map[warmKey]*warmCall
+	warmClock    uint64 // ticks once per fork: the recency stamp of eviction
+	warmMax      int    // maxWarmGroups; a field so a test can shrink it
 
 	warmGroups     atomic.Uint64 // warmups actually simulated
-	warmForks      atomic.Uint64 // detailed runs forked from a snapshot
+	warmForks      atomic.Uint64 // runs started from a snapshot
 	warmInstsSaved atomic.Uint64 // warmup instructions elided by sharing
 	instsSimulated atomic.Uint64 // instructions simulated (warm + detailed)
 
@@ -615,7 +411,7 @@ type Runner struct {
 	sampleIntervals    atomic.Uint64 // measured detailed intervals
 	sampleInstsSkipped atomic.Uint64 // insts covered functionally by sampling
 
-	// Crash-safe checkpoints (DESIGN.md §15); ckpt is guarded by warmMu.
+	// Crash-safe checkpoints (DESIGN.md §12); ckpt is guarded by warmMu.
 	ckpt        CheckpointPolicy
 	ckptWrites  atomic.Uint64 // checkpoint files durably written
 	ckptResumes atomic.Uint64 // runs resumed from a checkpoint
@@ -630,43 +426,26 @@ type runCall struct {
 	err  error
 }
 
-// NewRunner returns an empty runner. Warm-start forking defaults to on;
-// SPB_WARMSTART=0 in the environment disables it (escape hatch), as does
-// SetWarmStart(false).
+// NewRunner returns an empty runner.
 func NewRunner() *Runner {
 	return &Runner{
 		cache:        make(map[RunSpec]Result),
 		inflight:     make(map[RunSpec]*runCall),
-		warmStart:    os.Getenv("SPB_WARMSTART") != "0",
-		warmCache:    make(map[warmKey]*warmState),
+		warmCache:    make(map[warmKey]*warmGroup),
 		warmInflight: make(map[warmKey]*warmCall),
+		warmMax:      maxWarmGroups,
 	}
-}
-
-// SetWarmStart enables or disables warm-start forking. Off, every spec
-// simulates its own warmup prefix in place; results are byte-identical
-// either way (the equivalence suite enforces this).
-func (r *Runner) SetWarmStart(on bool) {
-	r.warmMu.Lock()
-	r.warmStart = on
-	r.warmMu.Unlock()
-}
-
-// WarmStart reports whether warm-start forking is enabled.
-func (r *Runner) WarmStart() bool {
-	r.warmMu.Lock()
-	defer r.warmMu.Unlock()
-	return r.warmStart
 }
 
 // RunnerStats is a point-in-time view of a runner's execution counters.
 type RunnerStats struct {
 	// Runs counts detailed simulations executed (= Runs()).
 	Runs uint64
-	// WarmGroups counts warmup groups actually simulated: with warm-start
-	// on, each warmup-equivalence group is simulated exactly once.
+	// WarmGroups counts warmup groups actually simulated: each
+	// warmup-equivalence group is simulated once (again only if its snapshot
+	// was evicted in between).
 	WarmGroups uint64
-	// WarmForks counts detailed runs forked from a warm snapshot.
+	// WarmForks counts runs started from a warm snapshot.
 	WarmForks uint64
 	// WarmInstsSaved counts warmup instructions that were never simulated
 	// because a group's snapshot was shared ((forks-1) × warmup × cores
@@ -789,17 +568,16 @@ func (r *Runner) GetAll(specs []RunSpec) ([]Result, error) {
 	return r.GetAllCtx(context.Background(), specs)
 }
 
-// lptOrder returns spec indices sorted by descending CostEstimateAt (ties
-// keep submission order). Dispatching the longest points first keeps a
-// sweep's makespan from being set by an 8-core PARSEC or ideal-SB straggler
-// that a naive ordering hands to a worker last. warmStart tells the estimate
-// whether shared snapshots will elide each spec's warmup prefix.
-func lptOrder(specs []RunSpec, warmStart bool) []int {
+// lptOrder returns spec indices sorted by descending CostEstimate (ties keep
+// submission order). Dispatching the longest points first keeps a sweep's
+// makespan from being set by an 8-core PARSEC or ideal-SB straggler that a
+// naive ordering hands to a worker last.
+func lptOrder(specs []RunSpec) []int {
 	order := make([]int, len(specs))
 	costs := make([]uint64, len(specs))
 	for i, s := range specs {
 		order[i] = i
-		costs[i] = s.CostEstimateAt(warmStart)
+		costs[i] = s.CostEstimate()
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		return costs[order[a]] > costs[order[b]]
@@ -813,13 +591,13 @@ func lptOrder(specs []RunSpec, warmStart bool) []int {
 // indices, so callers see no difference from in-order execution. The first
 // error stops all further dispatch — workers finish the spec they are on and
 // exit, since the batch is doomed anyway — and cancelling ctx aborts the
-// batch the same way, with running simulations stopped via RunCtx. A fixed
+// batch the same way, with running simulations stopped through their ctx. A fixed
 // pool — rather than one goroutine per spec parked behind a semaphore —
 // keeps a five-figure sweep from materializing hundreds of idle goroutines
 // up front.
 func (r *Runner) GetAllCtx(ctx context.Context, specs []RunSpec) ([]Result, error) {
 	results := make([]Result, len(specs))
-	order := lptOrder(specs, r.WarmStart())
+	order := lptOrder(specs)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(specs) {
 		workers = len(specs)

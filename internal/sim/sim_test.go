@@ -356,7 +356,7 @@ func TestCostEstimateOrdersStragglersFirst(t *testing.T) {
 	if noFF.CostEstimate() <= spec1.CostEstimate() {
 		t.Fatal("reference-loop point must rank above a fast-forwarded point")
 	}
-	order := lptOrder([]RunSpec{spec1, parsec, ideal}, false)
+	order := lptOrder([]RunSpec{spec1, parsec, ideal})
 	if order[0] != 1 {
 		t.Fatalf("lptOrder dispatched index %d first, want the PARSEC point (1)", order[0])
 	}
@@ -366,24 +366,16 @@ func TestCostEstimateDiscountsElidedWarmup(t *testing.T) {
 	base := RunSpec{Workload: "leela", Policy: core.PolicyAtCommit, SQSize: 56, Insts: 100_000}
 	warm := base
 	warm.WarmupInsts = 800_000
-	// Without warm-start the warmup prefix is simulated, so it must cost more
-	// than the same detailed interval alone.
-	if warm.CostEstimateAt(false) <= base.CostEstimateAt(false) {
-		t.Fatal("a non-elided warmup must add cost")
+	// The prefix is executed once for the spec's whole group and every member
+	// starts from its snapshot: only the member's own segments count.
+	if got, want := warm.CostEstimate(), base.CostEstimate(); got != want {
+		t.Fatalf("CostEstimate = %d with a warmup, %d without (the shared warmup must not count)", got, want)
 	}
-	// Under warm-start the prefix is forked from a shared snapshot: only the
-	// detailed interval should count, making the estimates identical.
-	if got, want := warm.CostEstimateAt(true), base.CostEstimateAt(true); got != want {
-		t.Fatalf("CostEstimateAt(true) = %d, want %d (warmup must be discounted)", got, want)
-	}
-	if warm.CostEstimate() != warm.CostEstimateAt(false) {
-		t.Fatal("CostEstimate must equal CostEstimateAt(false)")
-	}
-	// LPT under warm-start must not let an elided warmup outrank real work.
+	// LPT must not let an elided warmup outrank real work.
 	big := base
 	big.Insts = 150_000
-	order := lptOrder([]RunSpec{warm, big}, true)
+	order := lptOrder([]RunSpec{warm, big})
 	if order[0] != 1 {
-		t.Fatal("warm-start LPT ranked an elided warmup above a longer detailed run")
+		t.Fatal("LPT ranked an elided warmup above a longer detailed run")
 	}
 }

@@ -3,243 +3,20 @@ package sim
 import (
 	"context"
 	"errors"
-	"sync/atomic"
-
-	"spb/internal/bpred"
-	"spb/internal/mem"
-	"spb/internal/memsys"
-	"spb/internal/obs"
-	"spb/internal/tlb"
-	"spb/internal/trace"
 )
 
-// Warm-start fork engine (DESIGN.md §12).
+// Warm-start groups (DESIGN.md §12, "Where a run may start").
 //
-// The warmed architectural state — cache tags and LRU clocks, coherence
-// directory, TLB entries, branch-predictor tables, trace cursors — depends
+// The warmed architectural state — cache tags and recency, coherence
+// directory, TLB entries, branch-predictor tables, stream cursors — depends
 // only on the instruction stream and the machine geometry, never on the
 // store-buffer size, drain policy or prefetcher knobs a sweep varies (those
-// units are inert during functional warming). So every spec in a sweep that
-// agrees on the warmup-equivalent projection (warmKey) can share one warmup:
-// the Runner simulates it once against a core-less machine, snapshots it,
-// and forks each member's detailed run from the snapshot. With warm-start
-// off, RunCtx performs the identical functional warm in place per spec, so
-// the two modes produce byte-identical statistics; only wall-clock differs.
-
-// warmMemo elides redundant warm accesses: per core, the block and PC of
-// the immediately preceding memory access. Re-touching the most recent
-// block is a state no-op — the line is already MRU (the LRU clock is a
-// counter, so a skipped re-touch shifts absolute clock values but never the
-// relative recency order that drives victim choice), the TLB entry is
-// already MRU (same block ⇒ same page), a repeat store to an
-// already-Modified line changes nothing, and a same-PC same-block repeat is
-// a zero-delta no-op for the stream prefetcher too. A store after a load is
-// NOT elidable (it may need a directory upgrade), so the memo also records
-// whether the line is known writable; an access from a different PC is not
-// elidable either (it would train a different prefetcher table entry).
-type warmMemo struct {
-	block    mem.Block
-	pc       uint64
-	writable bool
-	valid    bool
-}
-
-// warm replays n instructions per core (round-robin, one instruction per
-// core per round, matching in-order multi-core interleaving) against the
-// memory system, TLBs and branch predictors. No statistics are touched. A
-// bps entry may be nil (predictor not modelled). Readers that run dry are
-// skipped; synthetic workload programs never do.
-//
-// Consecutive same-block accesses take the warmMemo fast path. In
-// multi-core interleavings one core's real access can downgrade, invalidate
-// or back-invalidate another core's line, so every real access kills the
-// other cores' memos; single-core warming (the common sampling case) keeps
-// its memo across the whole stream.
-//
-// trainPF additionally feeds every access to the port's generic prefetcher
-// and warm-fills what it requests (Port.WarmObserve). Sampled runs pass
-// true so detailed windows open with trained prefetchers and
-// prefetch-resident lines; the shared warmup prefix passes false — its
-// warmed snapshots are shared across specs regardless of prefetcher kind,
-// so they must stay prefetcher-independent.
-func warm(ctx context.Context, sys *memsys.System, dtlbs []*tlb.TLB, bps []*bpred.Predictor, readers []trace.Reader, n uint64, trainPF bool) error {
-	done := ctx.Done()
-	var in trace.Inst
-	memos := make([]warmMemo, len(readers))
-	multi := len(readers) > 1
-	invalidateOthers := func(i int) {
-		for j := range memos {
-			if j != i {
-				memos[j].valid = false
-			}
-		}
-	}
-	for k := uint64(0); k < n; k++ {
-		if done != nil && k%progressEvery == 0 {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		for i, rd := range readers {
-			if !rd.Next(&in) {
-				continue
-			}
-			switch in.Kind {
-			case trace.KindLoad:
-				b := mem.BlockOf(in.Addr)
-				if m := &memos[i]; m.valid && m.block == b && m.pc == in.PC {
-					continue
-				}
-				dtlbs[i].Warm(in.Addr)
-				port := sys.Port(i)
-				hit := port.WarmLoad(in.Addr)
-				if trainPF {
-					port.WarmObserve(in.PC, in.Addr, !hit, false)
-				}
-				memos[i] = warmMemo{block: b, pc: in.PC, valid: true}
-				if multi {
-					invalidateOthers(i)
-				}
-			case trace.KindStore:
-				b := mem.BlockOf(in.Addr)
-				if m := &memos[i]; m.valid && m.block == b && m.pc == in.PC && m.writable {
-					continue
-				}
-				dtlbs[i].Warm(in.Addr)
-				port := sys.Port(i)
-				hit := port.WarmStore(in.Addr)
-				if trainPF {
-					port.WarmObserve(in.PC, in.Addr, !hit, true)
-				}
-				memos[i] = warmMemo{block: b, pc: in.PC, writable: true, valid: true}
-				if multi {
-					invalidateOthers(i)
-				}
-			case trace.KindBranch:
-				if bps[i] != nil {
-					bps[i].Warm(in.PC, in.Taken)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// streamSkipper is the optional bulk-advance fast path a trace.Reader can
-// offer (trace.Program does): advance n instructions without materializing
-// them.
-type streamSkipper interface{ Skip(n uint64) }
-
-// drain advances the instruction streams n instructions per core without
-// touching caches, TLBs or predictors: only the trace cursors (and their
-// RNG state) move. Sampled runs with a bounded warming history
-// (SamplingConfig.HistoryInsts) drain the head of each long inter-window
-// skip and functionally warm only its tail — the cache-relevant recent
-// past — which is what makes sparse sampling periods cheap. Readers are
-// advanced one after another rather than round-robin: every reader owns its
-// RNG and region cursors, so with no architectural state touched the order
-// cannot matter, and the per-reader bulk Skip is where the speed comes
-// from.
-func drain(ctx context.Context, readers []trace.Reader, n uint64) error {
-	done := ctx.Done()
-	var in trace.Inst
-	for _, rd := range readers {
-		if s, ok := rd.(streamSkipper); ok {
-			for left := n; left > 0; {
-				k := min(left, uint64(progressEvery)*64)
-				s.Skip(k)
-				left -= k
-				if done != nil {
-					select {
-					case <-done:
-						return ctx.Err()
-					default:
-					}
-				}
-			}
-			continue
-		}
-		for k := uint64(0); k < n; k++ {
-			if done != nil && k%progressEvery == 0 {
-				select {
-				case <-done:
-					return ctx.Err()
-				default:
-				}
-			}
-			if !rd.Next(&in) {
-				break
-			}
-		}
-	}
-	return nil
-}
-
-// streamToucher is the footprint-reporting bulk advance (trace.Program's
-// SkipTouch): the stream skips like Skip while handing the consumer every
-// skipped memory access as a byte span.
-type streamToucher interface {
-	SkipTouch(n uint64, touch trace.Touch)
-}
-
-// drainLLC advances the instruction streams n instructions per core like
-// drain, but additionally replays every skipped access's footprint against
-// the shared LLC and the coherence directory (Port.WarmTouch). The private
-// caches, TLBs and predictors have short natural histories that the bounded
-// warming tail preceding each window rebuilds exactly; the LLC's history is
-// as long as its capacity — often longer than a whole sampling period — so
-// it must track every skipped instruction or measured windows inherit stale
-// resident lines the real run would have evicted. Dense burst ops surface
-// their footprint as O(1) spans, so this tier costs only a little more than
-// a pure drain. As in drain, readers advance one after another; the
-// resulting LLC interleaving across cores is coarser than the real one,
-// which is acceptable for functional warming and keeps the bulk fast path.
-func drainLLC(ctx context.Context, sys *memsys.System, readers []trace.Reader, n uint64) error {
-	done := ctx.Done()
-	var in trace.Inst
-	for i, rd := range readers {
-		port := sys.Port(i)
-		touch := func(addr mem.Addr, n uint64, store bool) {
-			port.WarmTouch(addr, n, store)
-		}
-		if s, ok := rd.(streamToucher); ok {
-			for left := n; left > 0; {
-				k := min(left, uint64(progressEvery)*8)
-				s.SkipTouch(k, touch)
-				left -= k
-				if done != nil {
-					select {
-					case <-done:
-						return ctx.Err()
-					default:
-					}
-				}
-			}
-			continue
-		}
-		for k := uint64(0); k < n; k++ {
-			if done != nil && k%progressEvery == 0 {
-				select {
-				case <-done:
-					return ctx.Err()
-				default:
-				}
-			}
-			if !rd.Next(&in) {
-				break
-			}
-			switch in.Kind {
-			case trace.KindLoad:
-				port.WarmTouch(in.Addr, uint64(in.Size), false)
-			case trace.KindStore:
-				port.WarmTouch(in.Addr, uint64(in.Size), true)
-			}
-		}
-	}
-	return nil
-}
+// units are inert during the warm-up segment). So every spec in a sweep that
+// agrees on the warmup-equivalent projection (warmKey) shares one warm-up: the
+// Runner executes segment 0 once, keeps the machine's state at that edge, and
+// starts every member at segment 1 from it. sim.Run executes the same segment
+// in place, so the two produce byte-identical statistics; only wall-clock
+// differs.
 
 // warmKey is the warmup-equivalent projection of a RunSpec: everything that
 // shapes the functionally-warmed state, and nothing else. Policy, SQ size,
@@ -265,278 +42,159 @@ func warmKeyOf(spec RunSpec) warmKey {
 	}
 }
 
-// warmState is one group's shared warmed snapshot. It is immutable once
-// published: forks only read it (ClonePrograms copies the cursors, Restore
-// copies the arrays), so any number of forks may run concurrently.
-type warmState struct {
-	sys   *memsys.SystemSnapshot
-	dtlbs []*tlb.Snapshot
-	bps   []*bpred.Snapshot // nil entries when the predictor is not modelled
-	progs []*trace.Program  // warmed master cursors; cloned per fork
-	forks atomic.Uint64
+// maxWarmGroups bounds the snapshots a Runner keeps. Each pins a full machine
+// state (≥ 8 MiB: 262 144 L3 lines × 32 B, plus L1/L2 per core), so a daemon
+// fed warmed specs under ever-new seeds would otherwise grow without limit.
+// The bound sits above the most groups any in-tree sweep holds at once — a
+// full-scale harness run of every experiment with -warmup is 138 (fig17 alone
+// 115) — so no figure or benchmark grid warms a group twice.
+const maxWarmGroups = 160
+
+// warmGroup is one group's snapshot: a start point at the edge after the
+// warm-up segment. The start is immutable once published — runs only read it
+// (restore clones the cursors and copies the arrays) — so any number may start
+// from it concurrently; the bookkeeping beside it is guarded by Runner.warmMu.
+type warmGroup struct {
+	start *ckptFile
+	forks uint64 // runs started from it
+	used  uint64 // Runner.warmClock at the latest of them
 }
 
-// warmCall is one in-flight warmup other members of the same group wait on.
+// warmCall is one in-flight warm-up other members of the same group wait on.
 type warmCall struct {
 	done chan struct{}
-	ws   *warmState
+	g    *warmGroup
 	err  error
 }
 
-// execute runs one normalized spec, forking from the group's shared warm
-// snapshot when warm-start is enabled. Falls back to the plain in-place path
-// (runPoint) when warm-start is off, the spec has no warmup, or the
-// workload's readers cannot be snapshotted. With a checkpoint policy
-// installed, a valid on-disk checkpoint for the spec short-circuits
-// everything — including the warm-start fork, since the checkpointed state
-// is already past warmup — and the run resumes mid-flight; fresh runs carry
-// a checkpoint context so they can be resumed in turn. Either way the
-// checkpoint file is removed once the run completes.
+// execute runs one normalized spec from wherever its machine can start: a
+// valid on-disk checkpoint (with a checkpoint policy installed) resumes it
+// mid-plan; otherwise a spec with a warm-up starts at segment 1 from its
+// group's snapshot, and one without starts cold. A checkpoint that passed the
+// checksum but does not fit the machine is quarantined and the run starts
+// over. The checkpoint file is removed once the run completes.
 func (r *Runner) execute(ctx context.Context, spec RunSpec, onProgress func(Progress)) (Result, error) {
-	ckp := r.checkpointerFor(spec)
-	var rc *runCkpt
-	if ckp != nil {
-		step := r.CheckpointPolicy().Insts
-		if !spec.Sampling.Enabled() {
-			// Detailed boundaries are in aggregate committed instructions;
-			// sampled boundaries in per-core stream progress.
-			step *= uint64(spec.Cores)
+	ck := r.checkpointerFor(spec)
+	start := ck.load()
+	if start != nil {
+		res, err := runPlan(ctx, spec, start, onProgress, ck)
+		if err == nil {
+			r.ckptResumes.Add(1)
+			r.finished(res, ck)
 		}
-		rc = &runCkpt{c: ckp, step: step, nextCkpt: step}
-		if cf, ok := ckp.load(); ok {
-			tr := obs.FromContext(ctx)
-			var res Result
-			var err error
-			if cf.Detailed != nil {
-				res, err = resumeDetailed(ctx, tr, spec, cf, rc, onProgress)
-			} else {
-				res, err = resumeSampled(ctx, tr, spec, cf, rc, onProgress)
-			}
-			if err == nil {
-				ckp.clear()
-				r.ckptResumes.Add(1)
-				r.instsSimulated.Add(r.executedInsts(res, 0))
-				r.noteSampled(res)
-				return res, nil
-			}
-			if !errors.Is(err, errCkptInvalid) {
-				return Result{}, err
-			}
-			// A structurally invalid payload that still passed the checksum:
-			// quarantine it and fall through to a from-scratch run.
-			ckp.quarantine()
-		}
-	}
-	res, err := r.executeFresh(ctx, spec, onProgress, rc)
-	if err == nil && ckp != nil {
-		ckp.clear()
-	}
-	return res, err
-}
-
-// executeFresh is the pre-checkpoint execute body: warm-start fork when
-// possible, in-place run otherwise, threading the run's checkpoint context.
-func (r *Runner) executeFresh(ctx context.Context, spec RunSpec, onProgress func(Progress), rc *runCkpt) (Result, error) {
-	if spec.WarmupInsts > 0 && r.WarmStart() {
-		ws, err := r.warmFor(ctx, spec)
-		if err != nil {
-			return Result{}, err
-		}
-		if ws != nil {
-			res, err := r.runForked(ctx, spec, ws, onProgress, rc)
-			if err == nil {
-				r.instsSimulated.Add(r.executedInsts(res, 0))
-				r.noteSampled(res)
-			}
+		if !errors.Is(err, errCkptInvalid) {
 			return res, err
 		}
-		// ws == nil: readers are not forkable; warm in place below.
+		ck.quarantine()
+		start = nil
 	}
-	res, err := runPoint(ctx, spec, onProgress, rc)
+	if spec.WarmupInsts > 0 {
+		var err error
+		if start, err = r.warmFor(ctx, spec); err != nil {
+			return Result{}, err
+		}
+	}
+	res, err := runPlan(ctx, spec, start, onProgress, ck)
 	if err == nil {
-		r.instsSimulated.Add(r.executedInsts(res, spec.WarmupInsts*uint64(spec.Cores)))
-		r.noteSampled(res)
+		r.finished(res, ck)
 	}
 	return res, err
 }
 
-// executedInsts is the instruction count a finished run actually executed —
-// detailed plus functional — for the InstsSimulated counter. warmup is the
-// warmup-prefix contribution (0 when a shared snapshot elided it; it was
-// counted once by buildWarmState).
-func (r *Runner) executedInsts(res Result, warmup uint64) uint64 {
-	if res.Spec.Sampling.Enabled() {
-		// CPU.Committed only covers measured windows; Sample carries the full
-		// detailed (incl. per-interval warming) and functional-skip counts.
-		return res.Sample.DetailedInsts + res.Sample.FastForwardInsts + warmup
-	}
-	return res.CPU.Committed + warmup
-}
-
-// noteSampled folds a finished sampled run into the runner's sampling
-// counters (no-op for full-detail runs).
-func (r *Runner) noteSampled(res Result) {
+// finished books a completed run in the runner's counters and clears its
+// checkpoint. The warm-up prefix is not counted here: buildWarm counted it,
+// once for the group.
+func (r *Runner) finished(res Result, ck *checkpointer) {
+	ck.clear()
 	if !res.Spec.Sampling.Enabled() {
+		r.instsSimulated.Add(res.CPU.Committed)
 		return
 	}
+	// CPU.Committed only covers measured windows; Sample carries the full
+	// detailed (incl. per-interval warming) and functional counts.
+	r.instsSimulated.Add(res.Sample.DetailedInsts + res.Sample.FastForwardInsts)
 	r.sampledRuns.Add(1)
 	r.sampleIntervals.Add(res.Sample.Intervals)
 	r.sampleInstsSkipped.Add(res.Sample.FastForwardInsts)
 }
 
-// warmFor returns the shared warm state for spec's group, simulating the
-// warmup if this is the group's first member (per-group singleflight: later
-// members wait, under their own ctx, rather than re-warming). A (nil, nil)
-// return means the group cannot be warm-started and the caller must fall
-// back to the in-place path.
-func (r *Runner) warmFor(ctx context.Context, spec RunSpec) (*warmState, error) {
+// warmFor returns the start point of spec's group, executing the warm-up if
+// this is the group's first member (per-group singleflight: later members
+// wait, under their own ctx, rather than re-warming), and books the fork.
+func (r *Runner) warmFor(ctx context.Context, spec RunSpec) (*ckptFile, error) {
 	key := warmKeyOf(spec)
 	r.warmMu.Lock()
-	if ws, ok := r.warmCache[key]; ok {
-		r.warmMu.Unlock()
-		return ws, nil
-	}
-	if call, ok := r.warmInflight[key]; ok {
+	g := r.warmCache[key]
+	if call, inflight := r.warmInflight[key]; g == nil && inflight {
 		r.warmMu.Unlock()
 		select {
 		case <-call.done:
-			return call.ws, call.err
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-	}
-	call := &warmCall{done: make(chan struct{})}
-	r.warmInflight[key] = call
-	r.warmMu.Unlock()
-
-	call.ws, call.err = r.buildWarmState(ctx, spec)
-
-	r.warmMu.Lock()
-	if call.err == nil {
-		// Cache nil too: a group known to be un-forkable should not retry
-		// the type assertions on every member.
-		r.warmCache[key] = call.ws
-	}
-	delete(r.warmInflight, key)
-	r.warmMu.Unlock()
-	close(call.done)
-	return call.ws, call.err
-}
-
-// buildWarmState simulates one group's warmup against a core-less machine —
-// functional warming never touches a core pipeline, so none is built — and
-// snapshots everything a fork needs. Returns (nil, nil) if the workload's
-// readers are not trace.Programs (nothing in-tree builds such a workload,
-// but the fallback keeps hypothetical ones correct).
-func (r *Runner) buildWarmState(ctx context.Context, spec RunSpec) (*warmState, error) {
-	machine, err := spec.machineConfig()
-	if err != nil {
-		return nil, err
-	}
-	readers, err := buildReaders(spec)
-	if err != nil {
-		return nil, err
-	}
-	progs := make([]*trace.Program, len(readers))
-	for i, rd := range readers {
-		p, ok := rd.(*trace.Program)
-		if !ok {
-			return nil, nil
+		if call.err != nil {
+			return nil, call.err
 		}
-		progs[i] = p
-	}
-
-	sys := memsys.New(machine, spec.Cores)
-	dtlbs := make([]*tlb.TLB, spec.Cores)
-	bps := make([]*bpred.Predictor, spec.Cores)
-	for i := range dtlbs {
-		dtlbs[i] = tlb.New(tlb.Config{
-			Entries: machine.TLB.Entries,
-			Ways:    machine.TLB.Ways,
-			WalkLat: machine.TLB.WalkLat,
-		})
-		if spec.ModelBranchPredictor {
-			bps[i] = bpred.New(bpred.TableI())
+		g = call.g
+		r.warmMu.Lock()
+	} else if g == nil {
+		call := &warmCall{done: make(chan struct{})}
+		r.warmInflight[key] = call
+		r.warmMu.Unlock()
+		call.g, call.err = r.buildWarm(ctx, spec)
+		r.warmMu.Lock()
+		delete(r.warmInflight, key)
+		close(call.done)
+		if call.err != nil {
+			r.warmMu.Unlock()
+			return nil, call.err
 		}
+		g = call.g
+		r.warmCache[key] = g
 	}
-	if err := warm(ctx, sys, dtlbs, bps, readers, spec.WarmupInsts, false); err != nil {
-		sys.Release()
-		return nil, err
-	}
-
-	ws := &warmState{
-		sys:   sys.Snapshot(),
-		dtlbs: make([]*tlb.Snapshot, spec.Cores),
-		bps:   make([]*bpred.Snapshot, spec.Cores),
-		progs: progs,
-	}
-	for i := range dtlbs {
-		ws.dtlbs[i] = dtlbs[i].Snapshot()
-		dtlbs[i].Release()
-		if bps[i] != nil {
-			ws.bps[i] = bps[i].Snapshot()
-			bps[i].Release()
-		}
-	}
-	sys.Release()
-
-	r.warmGroups.Add(1)
-	r.instsSimulated.Add(spec.WarmupInsts * uint64(spec.Cores))
-	return ws, nil
-}
-
-// runForked builds a fresh machine for spec and restores the group's warmed
-// snapshot into it — memory system, TLBs, branch predictors, and cloned
-// trace cursors — then runs the detailed interval. The cores themselves are
-// fresh in both modes (warming never touches a pipeline), so a fork is
-// indistinguishable from an in-place warm-then-run.
-func (r *Runner) runForked(ctx context.Context, spec RunSpec, ws *warmState, onProgress func(Progress), ck *runCkpt) (Result, error) {
-	tr := obs.FromContext(ctx)
-	buildSpan := tr.StartSpan("run.build")
-	machine, err := spec.machineConfig()
-	if err != nil {
-		return Result{}, err
-	}
-	progs := trace.ClonePrograms(ws.progs)
-	readers := make([]trace.Reader, len(progs))
-	for i, p := range progs {
-		readers[i] = p
-	}
-	sys := memsys.New(machine, spec.Cores)
-	sys.Restore(ws.sys)
-	warmupFF := spec.WarmupInsts * uint64(spec.Cores)
-	if spec.Sampling.Enabled() {
-		// Sampled fork: restore the warmed TLB/predictor snapshots into the
-		// persistent functional-state objects the interval scheduler carries
-		// between detailed segments, exactly as the in-place path warms them.
-		dtlbs, bps := buildFunctionalState(machine, spec)
-		for i := range dtlbs {
-			dtlbs[i].Restore(ws.dtlbs[i])
-			if bps[i] != nil {
-				bps[i].Restore(ws.bps[i])
+	r.warmClock++
+	g.used = r.warmClock
+	g.forks++
+	first := g.forks == 1
+	// Evict the least recently forked group beyond the bound. A group evicted
+	// while members are still to come is warmed again: slower, same bytes.
+	for len(r.warmCache) > r.warmMax {
+		oldest, at := key, g.used
+		for k, c := range r.warmCache {
+			if c.used < at {
+				oldest, at = k, c.used
 			}
 		}
-		buildSpan.End()
-		r.warmForks.Add(1)
-		if ws.forks.Add(1) > 1 {
-			r.warmInstsSaved.Add(warmupFF)
-		}
-		return runSampled(ctx, tr, spec, machine, sys, readers, dtlbs, bps, warmupFF, onProgress, ck, nil)
+		delete(r.warmCache, oldest)
 	}
-	cores, lims := buildCores(spec, machine, sys, readers, 0)
-	for i, c := range cores {
-		c.DTLB().Restore(ws.dtlbs[i])
-		if bp := c.BranchPredictor(); bp != nil {
-			bp.Restore(ws.bps[i])
-		}
-	}
-	buildSpan.End()
+	r.warmMu.Unlock()
 
 	r.warmForks.Add(1)
-	if ws.forks.Add(1) > 1 {
-		// Every fork after the group's first rides a warmup that off-mode
-		// would have re-simulated.
-		r.warmInstsSaved.Add(warmupFF)
+	if !first {
+		// Every run after the group's first rides a warm-up it would otherwise
+		// have simulated itself.
+		r.warmInstsSaved.Add(spec.WarmupInsts * uint64(spec.Cores))
 	}
-	return runDetailed(ctx, tr, spec, sys, cores, lims, warmupFF, onProgress, ck)
+	return g.start, nil
+}
+
+// buildWarm executes one group's warm-up segment on a cold machine — no core
+// is ever built — and keeps the state at its edge. The generic prefetchers
+// are dropped from it: the segment never trains them, and the members that
+// start from it differ in prefetcher kind.
+func (r *Runner) buildWarm(ctx context.Context, spec RunSpec) (*warmGroup, error) {
+	m, err := newMachine(spec)
+	if err != nil {
+		return nil, err
+	}
+	defer m.release()
+	if err := m.functional(ctx, spec.warmup()); err != nil {
+		return nil, err
+	}
+	st := m.state()
+	st.PF = nil
+	ff := spec.WarmupInsts * uint64(spec.Cores)
+	r.warmGroups.Add(1)
+	r.instsSimulated.Add(ff)
+	return &warmGroup{start: &ckptFile{Cur: cursor{Seg: 1, FFInsts: ff}, State: st}}, nil
 }

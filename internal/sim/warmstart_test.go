@@ -14,8 +14,8 @@ import (
 // fig5QuickGrid reproduces the shape of the figures package's Fig. 5 sweep at
 // Quick scale — every SB-bound SPEC workload × SB size × policy, plus the
 // ideal normalization run per size — with a warmup prefix attached, at a
-// reduced instruction budget so the double (warm-start on and off) execution
-// stays test-sized.
+// reduced instruction budget so executing it twice (through a Runner and in
+// place) stays test-sized.
 func fig5QuickGrid(warmup, insts uint64) []RunSpec {
 	var specs []RunSpec
 	mk := func(w string, p core.Policy, sq int) RunSpec {
@@ -38,10 +38,10 @@ func fig5QuickGrid(warmup, insts uint64) []RunSpec {
 
 // TestWarmStartEquivalenceFig5Grid is the tentpole invariant: across the full
 // Fig. 5 (quick) grid, the canonical stats JSON of every point is
-// byte-identical whether its warmup was forked from a shared snapshot or
-// simulated in place. It also proves the accounting claim — each
-// warmup-equivalence group (here: one per workload) is simulated exactly
-// once, with every grid point forked from it.
+// byte-identical whether a Runner started it from its group's shared snapshot
+// or sim.Run executed its warm-up in place. It also proves the accounting
+// claim — each warmup-equivalence group (here: one per workload) is simulated
+// exactly once, with every grid point started from it.
 func TestWarmStartEquivalenceFig5Grid(t *testing.T) {
 	const (
 		warmup = 60_000
@@ -49,77 +49,63 @@ func TestWarmStartEquivalenceFig5Grid(t *testing.T) {
 	)
 	specs := fig5QuickGrid(warmup, insts)
 
-	on := NewRunner()
-	on.SetWarmStart(true)
-	off := NewRunner()
-	off.SetWarmStart(false)
-
-	resOn, err := on.GetAll(specs)
+	r := NewRunner()
+	forked, err := r.GetAll(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resOff, err := off.GetAll(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range specs {
-		jOn, err := resOn[i].StatsJSON()
+	for i, spec := range specs {
+		inPlace, err := Run(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jOff, err := resOff[i].StatsJSON()
+		jFork, err := forked[i].StatsJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(jOn, jOff) {
-			t.Errorf("%s/%v/SB%d: stats JSON diverges between warm-start on and off\non:  %s\noff: %s",
-				specs[i].Workload, specs[i].Policy, specs[i].SQSize, jOn, jOff)
+		jRef, err := inPlace.StatsJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(jFork, jRef) {
+			t.Errorf("%s/%v/SB%d: stats JSON diverges between the Runner and the in-place run\nrunner:   %s\nin place: %s",
+				spec.Workload, spec.Policy, spec.SQSize, jFork, jRef)
 		}
 	}
 
 	groups := uint64(len(workloads.SBBoundSPEC()))
 	points := uint64(len(specs))
 	perGroup := points / groups
-	st := on.SimStats()
+	st := r.SimStats()
 	if st.WarmGroups != groups {
 		t.Errorf("WarmGroups = %d, want %d (one warmup per workload, simulated exactly once)", st.WarmGroups, groups)
 	}
 	if st.WarmForks != points {
 		t.Errorf("WarmForks = %d, want %d (every grid point forked)", st.WarmForks, points)
 	}
-	if got := on.Runs(); got != points {
+	if got := r.Runs(); got != points {
 		t.Errorf("Runs() = %d, want %d", got, points)
 	}
 	wantSaved := groups * (perGroup - 1) * warmup
 	if st.WarmInstsSaved != wantSaved {
 		t.Errorf("WarmInstsSaved = %d, want %d", st.WarmInstsSaved, wantSaved)
 	}
-	wantOn := groups*warmup + points*insts
-	if st.InstsSimulated != wantOn {
-		t.Errorf("on: InstsSimulated = %d, want %d", st.InstsSimulated, wantOn)
-	}
-	offSt := off.SimStats()
-	if offSt.WarmGroups != 0 || offSt.WarmForks != 0 || offSt.WarmInstsSaved != 0 {
-		t.Errorf("off-mode runner reported warm-start activity: %+v", offSt)
-	}
-	if want := points * (warmup + insts); offSt.InstsSimulated != want {
-		t.Errorf("off: InstsSimulated = %d, want %d", offSt.InstsSimulated, want)
+	if want := groups*warmup + points*insts; st.InstsSimulated != want {
+		t.Errorf("InstsSimulated = %d, want %d", st.InstsSimulated, want)
 	}
 }
 
-// assertWarmEquivalent runs spec through a warm-start-on runner and a
-// warm-start-off runner and requires bit-identical results.
+// assertWarmEquivalent runs spec through a Runner, which starts it from a
+// group snapshot, and in place through Run, and requires bit-identical
+// results.
 func assertWarmEquivalent(t *testing.T, spec RunSpec) {
 	t.Helper()
-	on := NewRunner()
-	on.SetWarmStart(true)
-	off := NewRunner()
-	off.SetWarmStart(false)
-	a, err := on.Get(spec)
+	r := NewRunner()
+	a, err := r.Get(spec)
 	if err != nil {
 		t.Fatalf("%+v (warm-start): %v", spec, err)
 	}
-	b, err := off.Get(spec)
+	b, err := Run(spec)
 	if err != nil {
 		t.Fatalf("%+v (in-place): %v", spec, err)
 	}
@@ -137,8 +123,8 @@ func assertWarmEquivalent(t *testing.T, spec RunSpec) {
 	if !reflect.DeepEqual(a.TD, b.TD) {
 		t.Errorf("%s/%v: top-down diverges", spec.Workload, spec.Policy)
 	}
-	if on.SimStats().WarmForks != 1 {
-		t.Errorf("%s/%v: expected exactly one fork, got %+v", spec.Workload, spec.Policy, on.SimStats())
+	if r.SimStats().WarmForks != 1 {
+		t.Errorf("%s/%v: expected exactly one fork, got %+v", spec.Workload, spec.Policy, r.SimStats())
 	}
 }
 
@@ -180,7 +166,6 @@ func TestWarmStartEquivalenceVariants(t *testing.T) {
 // predictor modelling) do not.
 func TestWarmStartGroupSharingAcrossKnobs(t *testing.T) {
 	r := NewRunner()
-	r.SetWarmStart(true)
 	base := RunSpec{
 		Workload: "bwaves", Policy: core.PolicyAtCommit, SQSize: 56,
 		Insts: 2000, WarmupInsts: 5000,
@@ -210,7 +195,6 @@ func TestWarmStartGroupSharingAcrossKnobs(t *testing.T) {
 	splitters[2].WarmupInsts = 6000
 	splitters[3].ModelBranchPredictor = true
 	r2 := NewRunner()
-	r2.SetWarmStart(true)
 	if _, err := r2.GetAll(splitters); err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +203,48 @@ func TestWarmStartGroupSharingAcrossKnobs(t *testing.T) {
 	}
 }
 
-// FuzzWarmSnapshotAliasing forks a machine from a warmed snapshot, runs the
-// fork to completion — mutating its caches, directory, store buffer, TLB,
-// predictor and DRAM state — and requires the parent snapshot to be
-// bit-identical to an independently built twin. Any aliasing between a fork
-// and its snapshot (a shared slice, a copied pointer) shows up as the run
-// mutating the parent.
+// TestWarmCacheBounded: a Runner keeps at most warmMax group snapshots, evicts
+// the least recently forked, and a group warmed again after its eviction
+// starts its members byte-identically to the in-place run.
+func TestWarmCacheBounded(t *testing.T) {
+	r := NewRunner()
+	r.warmMax = 3
+	spec := func(seed uint64, p core.Policy) RunSpec {
+		return RunSpec{Workload: "bwaves", Policy: p, SQSize: 14, Insts: 3000, WarmupInsts: 6000, Seed: seed}
+	}
+	for seed := uint64(1); seed <= uint64(r.warmMax)+1; seed++ {
+		if _, err := r.Get(spec(seed, core.PolicySPB)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.warmMu.Lock()
+	kept := len(r.warmCache)
+	_, first := r.warmCache[warmKeyOf(spec(1, core.PolicySPB).Normalized())]
+	r.warmMu.Unlock()
+	if kept != r.warmMax || first {
+		t.Fatalf("after %d groups the cache holds %d (want %d), the oldest among them: %v", r.warmMax+1, kept, r.warmMax, first)
+	}
+	again := spec(1, core.PolicyAtCommit)
+	got, err := r.Get(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.SimStats(); st.WarmGroups != uint64(r.warmMax)+2 {
+		t.Fatalf("WarmGroups = %d, want %d: the evicted group is warmed once more", st.WarmGroups, r.warmMax+2)
+	}
+	ref, err := Run(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, ref, got, "member of a re-warmed group")
+}
+
+// FuzzWarmSnapshotAliasing starts a run from a group's snapshot and runs it to
+// completion — mutating its caches, directory, store buffer, TLB, predictor
+// and DRAM state — and requires the snapshot to be bit-identical to an
+// independently built twin. Any aliasing between a run and the snapshot it
+// started from (a shared slice, a copied pointer) shows up as the run mutating
+// the snapshot.
 func FuzzWarmSnapshotAliasing(f *testing.F) {
 	f.Add(uint64(1), uint32(5000), uint32(3000), uint8(0))
 	f.Add(uint64(7), uint32(9000), uint32(2000), uint8(1))
@@ -249,28 +269,32 @@ func FuzzWarmSnapshotAliasing(f *testing.F) {
 
 		r := NewRunner()
 		ctx := context.Background()
-		parent, err := r.buildWarmState(ctx, spec)
+		parent, err := r.buildWarm(ctx, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin, err := r.buildWarmState(ctx, spec)
+		twin, err := r.buildWarm(ctx, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.runForked(ctx, spec, parent, nil, nil); err != nil {
+		if _, err := runPlan(ctx, spec, parent.start, nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(parent.sys, twin.sys) {
+		a, b := parent.start.State, twin.start.State
+		if !reflect.DeepEqual(a.Sys, b.Sys) {
 			t.Error("running a fork mutated the parent memory-system snapshot")
 		}
-		if !reflect.DeepEqual(parent.dtlbs, twin.dtlbs) {
+		if !reflect.DeepEqual(a.DTLBs, b.DTLBs) {
 			t.Error("running a fork mutated the parent TLB snapshots")
 		}
-		if !reflect.DeepEqual(parent.bps, twin.bps) {
+		if !reflect.DeepEqual(a.BPs, b.BPs) {
 			t.Error("running a fork mutated the parent predictor snapshots")
 		}
-		if !reflect.DeepEqual(parent.progs, twin.progs) {
+		if !reflect.DeepEqual(a.progs, b.progs) {
 			t.Error("running a fork mutated the parent trace cursors")
+		}
+		if !reflect.DeepEqual(parent.start, twin.start) {
+			t.Error("running a fork mutated the parent start point")
 		}
 	})
 }

@@ -1,6 +1,9 @@
 package storebuf
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Warm-start support (DESIGN.md §12): deep snapshot/restore of the store
 // buffer and a pool for the entry ring so repeated Runner invocations stop
@@ -30,11 +33,27 @@ func (sb *StoreBuffer) Snapshot() *Snapshot {
 	}
 }
 
+// Fits reports, as an error, why the snapshot cannot be restored into sb: a
+// ring of another capacity, or sequence numbers that describe more entries (or
+// more senior ones) than it holds. A snapshot taken from a buffer of the same
+// capacity always fits; a decoded one (a checkpoint file) must be checked
+// before Restore, which panics on a mismatch.
+func (s *Snapshot) Fits(sb *StoreBuffer) error {
+	if s == nil || len(s.entries) != len(sb.entries) {
+		return fmt.Errorf("storebuf: snapshot does not have the buffer's %d entries", len(sb.entries))
+	}
+	if n := s.tailSeq - s.headSeq; s.tailSeq < s.headSeq || n > uint64(len(s.entries)) || s.seniors < 0 || uint64(s.seniors) > n {
+		return fmt.Errorf("storebuf: snapshot sequence numbers [%d, %d) with %d seniors do not fit %d entries",
+			s.headSeq, s.tailSeq, s.seniors, len(s.entries))
+	}
+	return nil
+}
+
 // Restore overwrites the store buffer's mutable state with the snapshot's.
 // The buffer must have the capacity of the snapshot's source.
 func (sb *StoreBuffer) Restore(s *Snapshot) {
-	if len(sb.entries) != len(s.entries) {
-		panic("storebuf: Restore with mismatched capacity")
+	if err := s.Fits(sb); err != nil {
+		panic(err)
 	}
 	copy(sb.entries, s.entries)
 	sb.headSeq = s.headSeq

@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"fmt"
 	"sync"
 
 	"spb/internal/mem"
@@ -54,11 +55,21 @@ func (t *TLB) Snapshot() *Snapshot {
 	}
 }
 
+// Fits reports, as an error, why the snapshot cannot be restored into t. A
+// snapshot taken from a TLB of the same geometry always fits; a decoded one (a
+// checkpoint file) must be checked before Restore, which panics on a mismatch.
+func (s *Snapshot) Fits(t *TLB) error {
+	if s == nil || len(s.entries) != len(t.entries) {
+		return fmt.Errorf("tlb: snapshot does not have the TLB's %d entries", len(t.entries))
+	}
+	return nil
+}
+
 // Restore overwrites the TLB's mutable state with the snapshot's. The TLB
 // must have the same geometry as the snapshot's source.
 func (t *TLB) Restore(s *Snapshot) {
-	if len(t.entries) != len(s.entries) {
-		panic("tlb: Restore with mismatched geometry")
+	if err := s.Fits(t); err != nil {
+		panic(err)
 	}
 	copy(t.entries, s.entries)
 	t.clock = s.clock
