@@ -24,24 +24,25 @@ func (p *Predictor) Warm(pc uint64, taken bool) {
 	p.btbTags[(pc>>2)&p.btbMask] = pc
 }
 
-// Snapshot is a deep copy of a predictor's mutable state.
+// Snapshot is a deep copy of a predictor's mutable state, and its own gob
+// form in a checkpoint file (DESIGN.md §12).
 type Snapshot struct {
-	pht     []uint8
-	history uint64
-	btbTags []uint64
+	PHT     []uint8
+	History uint64
+	BTBTags []uint64
 
-	lookups, mispredicts, btbMisses uint64
+	Lookups, Mispredicts, BTBMisses uint64
 }
 
 // Snapshot deep-copies the predictor's mutable state.
 func (p *Predictor) Snapshot() *Snapshot {
 	return &Snapshot{
-		pht:         append([]uint8(nil), p.pht...),
-		history:     p.history,
-		btbTags:     append([]uint64(nil), p.btbTags...),
-		lookups:     p.Lookups,
-		mispredicts: p.Mispredicts,
-		btbMisses:   p.BTBMisses,
+		PHT:         append([]uint8(nil), p.pht...),
+		History:     p.history,
+		BTBTags:     append([]uint64(nil), p.btbTags...),
+		Lookups:     p.Lookups,
+		Mispredicts: p.Mispredicts,
+		BTBMisses:   p.BTBMisses,
 	}
 }
 
@@ -50,7 +51,7 @@ func (p *Predictor) Snapshot() *Snapshot {
 // one (a checkpoint file) must be checked before Restore, which panics on a
 // mismatch.
 func (s *Snapshot) Fits(p *Predictor) error {
-	if s == nil || len(s.pht) != len(p.pht) || len(s.btbTags) != len(p.btbTags) {
+	if s == nil || len(s.PHT) != len(p.pht) || len(s.BTBTags) != len(p.btbTags) {
 		return fmt.Errorf("bpred: snapshot does not have the predictor's %d-entry PHT and %d-entry BTB", len(p.pht), len(p.btbTags))
 	}
 	return nil
@@ -62,12 +63,12 @@ func (p *Predictor) Restore(s *Snapshot) {
 	if err := s.Fits(p); err != nil {
 		panic(err)
 	}
-	copy(p.pht, s.pht)
-	p.history = s.history
-	copy(p.btbTags, s.btbTags)
-	p.Lookups = s.lookups
-	p.Mispredicts = s.mispredicts
-	p.BTBMisses = s.btbMisses
+	copy(p.pht, s.PHT)
+	p.history = s.History
+	copy(p.btbTags, s.BTBTags)
+	p.Lookups = s.Lookups
+	p.Mispredicts = s.Mispredicts
+	p.BTBMisses = s.BTBMisses
 }
 
 // tables is the pooled backing storage of one predictor geometry.

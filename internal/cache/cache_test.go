@@ -439,11 +439,11 @@ func TestSnapshotFits(t *testing.T) {
 	if err := snap.Fits(New("big", 8*2*64, 2, 4), 2); err == nil {
 		t.Error("snapshot of 8 lines accepted by a 16-line cache")
 	}
-	decoded.lines = decoded.lines[:len(decoded.lines)-1]
+	decoded.Lines = decoded.Lines[:len(decoded.Lines)-1]
 	if err := decoded.Fits(c, 2); err == nil {
 		t.Error("truncated line array accepted")
 	}
-	snap.outstanding[0], snap.outstanding[1] = snap.outstanding[1], snap.outstanding[0]
+	snap.Outstanding[0], snap.Outstanding[1] = snap.Outstanding[1], snap.Outstanding[0]
 	if err := snap.Fits(c, 2); err == nil {
 		t.Error("descending in-flight list accepted")
 	}
@@ -455,13 +455,13 @@ func TestSnapshotFits(t *testing.T) {
 		name   string
 		mutate func(s *Snapshot)
 	}{
-		{"live line in state Invalid", func(s *Snapshot) { s.lines[2].State = Invalid }},
-		{"live line in the wrong set", func(s *Snapshot) { s.lines[2].Block = 6 }},
-		{"same block twice in a set", func(s *Snapshot) { s.lines[3] = s.lines[2]; s.live[1] = 0b11 }},
-		{"recency word repeats a way", func(s *Snapshot) { s.rec[1] = 0x00 }},
-		{"recency word names a way the set lacks", func(s *Snapshot) { s.rec[1] = 0x20 }},
-		{"recency word longer than the set", func(s *Snapshot) { s.rec[1] = 0x110 }},
-		{"live bit at or above ways", func(s *Snapshot) { s.live[1] |= 1 << 2 }},
+		{"live line in state Invalid", func(s *Snapshot) { s.Lines[2].State = Invalid }},
+		{"live line in the wrong set", func(s *Snapshot) { s.Lines[2].Block = 6 }},
+		{"same block twice in a set", func(s *Snapshot) { s.Lines[3] = s.Lines[2]; s.Live[1] = 0b11 }},
+		{"recency word repeats a way", func(s *Snapshot) { s.Rec[1] = 0x00 }},
+		{"recency word names a way the set lacks", func(s *Snapshot) { s.Rec[1] = 0x20 }},
+		{"recency word longer than the set", func(s *Snapshot) { s.Rec[1] = 0x110 }},
+		{"live bit at or above ways", func(s *Snapshot) { s.Live[1] |= 1 << 2 }},
 	} {
 		bad := c.Snapshot()
 		if err := bad.Fits(c, 2); err != nil {

@@ -55,15 +55,16 @@ func (c *Cache) WarmInsert(b mem.Block, st State) (line *Line, victim Line, evic
 // recency word and live mask, the in-flight miss list and the statistics
 // counters. For the L3 that includes the coherence directory, which lives in
 // the lines. The short tags are not part of it: Restore derives them from the
-// lines. It shares no memory with the cache it was taken from.
+// lines. It shares no memory with the cache it was taken from, and it is its
+// own gob form in a checkpoint file (DESIGN.md §12).
 type Snapshot struct {
-	lines []Line
-	rec   []uint64
-	live  []uint16
+	Lines []Line
+	Rec   []uint64
+	Live  []uint16
 
-	outstanding []uint64 // ascending
+	Outstanding []uint64 // ascending
 
-	tagAccesses, hits, misses, evictions, writebacks uint64
+	TagAccesses, Hits, Misses, Evictions, Writebacks uint64
 }
 
 // Snapshot deep-copies the cache's mutable state in canonical form: free
@@ -73,23 +74,23 @@ type Snapshot struct {
 // history.
 func (c *Cache) Snapshot() *Snapshot {
 	s := &Snapshot{
-		lines:       make([]Line, len(c.lines)),
-		rec:         append([]uint64(nil), c.rec...),
-		live:        append([]uint16(nil), c.live...),
-		tagAccesses: c.TagAccesses,
-		hits:        c.Hits,
-		misses:      c.Misses,
-		evictions:   c.Evictions,
-		writebacks:  c.Writebacks,
+		Lines:       make([]Line, len(c.lines)),
+		Rec:         append([]uint64(nil), c.rec...),
+		Live:        append([]uint16(nil), c.live...),
+		TagAccesses: c.TagAccesses,
+		Hits:        c.Hits,
+		Misses:      c.Misses,
+		Evictions:   c.Evictions,
+		Writebacks:  c.Writebacks,
 	}
 	for set, live := range c.live {
 		for ; live != 0; live &= live - 1 {
 			i := set*c.ways + bits.TrailingZeros16(live)
-			s.lines[i] = c.lines[i]
+			s.Lines[i] = c.lines[i]
 		}
 	}
 	if len(c.outstanding.a) > 0 {
-		s.outstanding = append([]uint64(nil), c.outstanding.a...)
+		s.Outstanding = append([]uint64(nil), c.outstanding.a...)
 	}
 	return s
 }
@@ -103,22 +104,22 @@ func (c *Cache) Snapshot() *Snapshot {
 // (checkpoint files) must be checked before Restore, which panics on a size
 // mismatch and would otherwise install a cache whose lookups miss or alias.
 func (s *Snapshot) Fits(c *Cache, cores int) error {
-	if len(s.lines) != len(c.lines) || len(s.rec) != len(c.rec) || len(s.live) != len(c.live) {
+	if len(s.Lines) != len(c.lines) || len(s.Rec) != len(c.rec) || len(s.Live) != len(c.live) {
 		return fmt.Errorf("cache %s: snapshot of %d lines, %d/%d recency words/live masks; cache has %d lines in %d sets",
-			c.name, len(s.lines), len(s.rec), len(s.live), len(c.lines), len(c.live))
+			c.name, len(s.Lines), len(s.Rec), len(s.Live), len(c.lines), len(c.live))
 	}
-	for set, live := range s.live {
+	for set, live := range s.Live {
 		if uint(live)>>uint(c.ways) != 0 {
 			return fmt.Errorf("cache %s: snapshot set %d live mask %#x exceeds %d ways", c.name, set, live, c.ways)
 		}
 		var ordered uint
 		for p := 0; p < c.ways; p++ {
-			ordered |= 1 << (s.rec[set] >> (4 * uint(p)) & 15)
+			ordered |= 1 << (s.Rec[set] >> (4 * uint(p)) & 15)
 		}
-		if ordered != 1<<uint(c.ways)-1 || s.rec[set]>>(4*uint(c.ways)) != 0 {
-			return fmt.Errorf("cache %s: snapshot set %d recency word %#x is not an order of %d ways", c.name, set, s.rec[set], c.ways)
+		if ordered != 1<<uint(c.ways)-1 || s.Rec[set]>>(4*uint(c.ways)) != 0 {
+			return fmt.Errorf("cache %s: snapshot set %d recency word %#x is not an order of %d ways", c.name, set, s.Rec[set], c.ways)
 		}
-		ways := s.lines[set*c.ways : (set+1)*c.ways]
+		ways := s.Lines[set*c.ways : (set+1)*c.ways]
 		for w := range ways {
 			l := &ways[w]
 			if live>>uint(w)&1 == 0 {
@@ -132,14 +133,14 @@ func (s *Snapshot) Fits(c *Cache, cores int) error {
 					return fmt.Errorf("cache %s: snapshot set %d holds block %#x twice", c.name, set, l.Block)
 				}
 			}
-			if int(l.owner) > cores || l.Sharers>>uint(cores) != 0 {
+			if int(l.OwnerPlus1) > cores || l.Sharers>>uint(cores) != 0 {
 				return fmt.Errorf("cache %s: snapshot set %d way %d names owner %d, sharers %#x of %d cores",
 					c.name, set, w, l.Owner(), l.Sharers, cores)
 			}
 		}
 	}
-	for i := 1; i < len(s.outstanding); i++ {
-		if s.outstanding[i] < s.outstanding[i-1] {
+	for i := 1; i < len(s.Outstanding); i++ {
+		if s.Outstanding[i] < s.Outstanding[i-1] {
 			return fmt.Errorf("cache %s: snapshot in-flight list not ascending", c.name)
 		}
 	}
@@ -149,19 +150,19 @@ func (s *Snapshot) Fits(c *Cache, cores int) error {
 // Restore overwrites the cache's mutable state with the snapshot's. The
 // cache must have the same geometry as the snapshot's source.
 func (c *Cache) Restore(s *Snapshot) {
-	if len(c.lines) != len(s.lines) || len(c.live) != len(s.live) {
+	if len(c.lines) != len(s.Lines) || len(c.live) != len(s.Live) {
 		panic("cache: Restore with mismatched geometry")
 	}
-	copy(c.lines, s.lines)
-	copy(c.rec, s.rec)
-	copy(c.live, s.live)
+	copy(c.lines, s.Lines)
+	copy(c.rec, s.Rec)
+	copy(c.live, s.Live)
 	for i := range c.lines {
 		c.tags[i] = uint32(uint64(c.lines[i].Block) >> c.setBits)
 	}
-	c.outstanding.a = append(c.outstanding.a[:0], s.outstanding...)
-	c.TagAccesses = s.tagAccesses
-	c.Hits = s.hits
-	c.Misses = s.misses
-	c.Evictions = s.evictions
-	c.Writebacks = s.writebacks
+	c.outstanding.a = append(c.outstanding.a[:0], s.Outstanding...)
+	c.TagAccesses = s.TagAccesses
+	c.Hits = s.Hits
+	c.Misses = s.Misses
+	c.Evictions = s.Evictions
+	c.Writebacks = s.Writebacks
 }

@@ -12,9 +12,7 @@ import (
 )
 
 // The BenchmarkCoreTick family measures the steady-state cost of one core
-// cycle (the simulator's innermost loop) under contrasting workloads. The
-// bench target (scripts/bench.sh) records their results in BENCH_core.json
-// so per-cycle cost is tracked across changes.
+// cycle (the simulator's innermost loop) under contrasting workloads.
 
 // warmTicks runs the core past its cold-start transient (cache fills,
 // ring/heap growth) so the timed region exercises only the steady state.

@@ -49,14 +49,15 @@ const (
 	maxWrongPathStorePFs = 4
 )
 
-// robEntry is one in-flight instruction.
+// robEntry is one in-flight instruction. Its fields are exported because a
+// Snapshot carries the ROB ring as it is into a checkpoint file.
 type robEntry struct {
-	kind   trace.Kind
-	size   uint8
-	addr   mem.Addr
-	pc     uint64
-	doneAt uint64
-	sbSeq  uint64
+	Kind   trace.Kind
+	Size   uint8
+	Addr   mem.Addr
+	PC     uint64
+	DoneAt uint64
+	SBSeq  uint64
 }
 
 // Stats aggregates the per-core counters the figures are built from.
@@ -359,7 +360,7 @@ func (c *Core) NextEventCycle() uint64 {
 	// Commit: the ROB head retires the moment its completion cycle arrives;
 	// younger entries cannot retire before it (in-order commit).
 	if c.robCount > 0 {
-		d := c.rob[c.robHead].doneAt
+		d := c.rob[c.robHead].DoneAt
 		if d <= now {
 			return now
 		}
@@ -460,11 +461,11 @@ func (c *Core) SkipTo(target uint64) {
 func (c *Core) commitStage() {
 	for n := 0; n < c.cfg.Width && c.robCount > 0; n++ {
 		e := &c.rob[c.robHead]
-		if e.doneAt > c.cycle {
+		if e.DoneAt > c.cycle {
 			break
 		}
-		if e.kind == trace.KindStore {
-			c.sb.Commit(e.sbSeq)
+		if e.Kind == trace.KindStore {
+			c.sb.Commit(e.SBSeq)
 			c.onStoreCommit(e)
 		}
 		c.robHead++
@@ -479,12 +480,12 @@ func (c *Core) commitStage() {
 // onStoreCommit fires the at-commit prefetch and feeds the SPB detector.
 func (c *Core) onStoreCommit(e *robEntry) {
 	if c.policy.PrefetchesAtCommit() {
-		c.port.PrefetchOwn(mem.BlockOf(e.addr), c.cycle, false)
+		c.port.PrefetchOwn(mem.BlockOf(e.Addr), c.cycle, false)
 	}
 	if c.det == nil {
 		return
 	}
-	burst, ok := c.det.Observe(e.addr, e.size)
+	burst, ok := c.det.Observe(e.Addr, e.Size)
 	if !ok {
 		return
 	}
@@ -701,12 +702,12 @@ func (c *Core) dispatch(in *trace.Inst) {
 	c.seq++
 
 	c.rob[c.robTail] = robEntry{
-		kind:   in.Kind,
-		size:   in.Size,
-		addr:   in.Addr,
-		pc:     in.PC,
-		doneAt: doneAt,
-		sbSeq:  sbSeq,
+		Kind:   in.Kind,
+		Size:   in.Size,
+		Addr:   in.Addr,
+		PC:     in.PC,
+		DoneAt: doneAt,
+		SBSeq:  sbSeq,
 	}
 	c.robTail++
 	if c.robTail == len(c.rob) {

@@ -24,19 +24,19 @@ import (
 
 // occSnapshot deep-copies an occHeap.
 type occSnapshot struct {
-	buckets []uint16
-	cursor  uint64
-	count   int
-	far     []uint64
+	Buckets []uint16
+	Cursor  uint64
+	Count   int
+	Far     []uint64
 }
 
 func (h *occHeap) snapshot() occSnapshot {
-	s := occSnapshot{cursor: h.cursor, count: h.count}
+	s := occSnapshot{Cursor: h.cursor, Count: h.count}
 	if h.buckets != nil {
-		s.buckets = append([]uint16(nil), h.buckets...)
+		s.Buckets = append([]uint16(nil), h.buckets...)
 	}
 	if len(h.far) > 0 {
-		s.far = append([]uint64(nil), h.far...)
+		s.Far = append([]uint64(nil), h.far...)
 	}
 	return s
 }
@@ -44,93 +44,95 @@ func (h *occHeap) snapshot() occSnapshot {
 // restore rebuilds the occupied-bucket bits from the buckets: they are derived
 // state and not part of a snapshot.
 func (h *occHeap) restore(s occSnapshot) {
-	if h.buckets == nil && s.buckets != nil {
+	if h.buckets == nil && s.Buckets != nil {
 		h.buckets = newOccBuckets()
 	}
 	clear(h.buckets)
-	copy(h.buckets, s.buckets)
+	copy(h.buckets, s.Buckets)
 	h.occ = [occWindow / 64]uint64{}
 	for i, n := range h.buckets {
 		if n != 0 {
 			h.occ[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
-	h.cursor = s.cursor
-	h.count = s.count
-	h.far = append(h.far[:0], s.far...)
+	h.cursor = s.Cursor
+	h.count = s.Count
+	h.far = append(h.far[:0], s.Far...)
 }
 
-// Snapshot is a deep copy of a core's mutable state.
+// Snapshot is a deep copy of a core's mutable state, and its own gob form in
+// a checkpoint file (DESIGN.md §12). The RNG travels as its xorshift state
+// word.
 type Snapshot struct {
-	cycle uint64
+	Cycle uint64
 
-	fetchReadyAt uint64
-	pending      trace.Inst
-	havePending  bool
-	traceDone    bool
+	FetchReadyAt uint64
+	Pending      trace.Inst
+	HavePending  bool
+	TraceDone    bool
 
-	rob      []robEntry
-	robHead  int
-	robTail  int
-	robCount int
+	ROB      []robEntry
+	ROBHead  int
+	ROBTail  int
+	ROBCount int
 
-	doneHist [256]uint64
-	seq      uint64
+	DoneHist [256]uint64
+	Seq      uint64
 
-	iq, lq occSnapshot
+	IQ, LQ occSnapshot
 
-	headAcquired bool
-	headSeq      uint64
-	headReadyAt  uint64
-	headRetries  int
+	HeadAcquired bool
+	HeadSeq      uint64
+	HeadReadyAt  uint64
+	HeadRetries  int
 
-	lastLoadAddr  mem.Addr
-	lastStoreAddr mem.Addr
+	LastLoadAddr  mem.Addr
+	LastStoreAddr mem.Addr
 
-	rng trace.RNG
-	st  Stats
+	RNGState uint64
+	St       Stats
 
-	sb   *storebuf.Snapshot
-	det  core.DetectorSnapshot
-	has  bool // det valid
-	dtlb *tlb.Snapshot
-	bp   *bpred.Snapshot
+	SB     *storebuf.Snapshot
+	Det    core.DetectorSnapshot
+	HasDet bool // Det valid
+	DTLB   *tlb.Snapshot
+	BP     *bpred.Snapshot
 }
 
 // Snapshot deep-copies the core's mutable state (excluding the trace reader
 // and the memory port; see the file comment).
 func (c *Core) Snapshot() *Snapshot {
 	s := &Snapshot{
-		cycle:         c.cycle,
-		fetchReadyAt:  c.fetchReadyAt,
-		pending:       c.pending,
-		havePending:   c.havePending,
-		traceDone:     c.traceDone,
-		rob:           append([]robEntry(nil), c.rob...),
-		robHead:       c.robHead,
-		robTail:       c.robTail,
-		robCount:      c.robCount,
-		doneHist:      c.doneHist,
-		seq:           c.seq,
-		iq:            c.iq.snapshot(),
-		lq:            c.lq.snapshot(),
-		headAcquired:  c.headAcquired,
-		headSeq:       c.headSeq,
-		headReadyAt:   c.headReadyAt,
-		headRetries:   c.headRetries,
-		lastLoadAddr:  c.lastLoadAddr,
-		lastStoreAddr: c.lastStoreAddr,
-		rng:           *c.rng,
-		st:            c.St,
-		sb:            c.sb.Snapshot(),
-		dtlb:          c.dtlb.Snapshot(),
+		Cycle:         c.cycle,
+		FetchReadyAt:  c.fetchReadyAt,
+		Pending:       c.pending,
+		HavePending:   c.havePending,
+		TraceDone:     c.traceDone,
+		ROB:           append([]robEntry(nil), c.rob...),
+		ROBHead:       c.robHead,
+		ROBTail:       c.robTail,
+		ROBCount:      c.robCount,
+		DoneHist:      c.doneHist,
+		Seq:           c.seq,
+		IQ:            c.iq.snapshot(),
+		LQ:            c.lq.snapshot(),
+		HeadAcquired:  c.headAcquired,
+		HeadSeq:       c.headSeq,
+		HeadReadyAt:   c.headReadyAt,
+		HeadRetries:   c.headRetries,
+		LastLoadAddr:  c.lastLoadAddr,
+		LastStoreAddr: c.lastStoreAddr,
+		RNGState:      c.rng.State(),
+		St:            c.St,
+		SB:            c.sb.Snapshot(),
+		DTLB:          c.dtlb.Snapshot(),
 	}
 	if c.det != nil {
-		s.det = c.det.Snapshot()
-		s.has = true
+		s.Det = c.det.Snapshot()
+		s.HasDet = true
 	}
 	if c.bp != nil {
-		s.bp = c.bp.Snapshot()
+		s.BP = c.bp.Snapshot()
 	}
 	return s
 }
@@ -138,7 +140,7 @@ func (c *Core) Snapshot() *Snapshot {
 // fits reports whether the tracker's ring is absent or the one size every
 // tracker uses.
 func (s occSnapshot) fits() bool {
-	return (len(s.buckets) == 0 || len(s.buckets) == occWindow) && s.count >= 0
+	return (len(s.Buckets) == 0 || len(s.Buckets) == occWindow) && s.Count >= 0
 }
 
 // Fits reports, as an error, why the snapshot cannot be restored into c: a ROB,
@@ -148,28 +150,28 @@ func (s occSnapshot) fits() bool {
 // decoded one (a checkpoint file) must be checked before Restore, which panics
 // on a mismatch.
 func (s *Snapshot) Fits(c *Core) error {
-	if s == nil || len(s.rob) != len(c.rob) {
+	if s == nil || len(s.ROB) != len(c.rob) {
 		return fmt.Errorf("cpu: snapshot does not have the core's %d-entry ROB", len(c.rob))
 	}
-	if n := len(s.rob); s.robHead < 0 || s.robHead >= n || s.robCount < 0 || s.robCount > n ||
-		s.robTail != (s.robHead+s.robCount)%n {
+	if n := len(s.ROB); s.ROBHead < 0 || s.ROBHead >= n || s.ROBCount < 0 || s.ROBCount > n ||
+		s.ROBTail != (s.ROBHead+s.ROBCount)%n {
 		return fmt.Errorf("cpu: snapshot ROB indices (head %d, tail %d, count %d) outside a %d-entry ring",
-			s.robHead, s.robTail, s.robCount, n)
+			s.ROBHead, s.ROBTail, s.ROBCount, n)
 	}
-	if (c.det != nil) != s.has || (c.bp != nil) != (s.bp != nil) {
+	if (c.det != nil) != s.HasDet || (c.bp != nil) != (s.BP != nil) {
 		return fmt.Errorf("cpu: snapshot detector/predictor presence differs from the core's")
 	}
-	if !s.iq.fits() || !s.lq.fits() {
+	if !s.IQ.fits() || !s.LQ.fits() {
 		return fmt.Errorf("cpu: snapshot occupancy tracker is not %d cycles wide", occWindow)
 	}
-	if err := s.sb.Fits(c.sb); err != nil {
+	if err := s.SB.Fits(c.sb); err != nil {
 		return err
 	}
-	if err := s.dtlb.Fits(c.dtlb); err != nil {
+	if err := s.DTLB.Fits(c.dtlb); err != nil {
 		return err
 	}
 	if c.bp != nil {
-		return s.bp.Fits(c.bp)
+		return s.BP.Fits(c.bp)
 	}
 	return nil
 }
@@ -181,34 +183,34 @@ func (c *Core) Restore(s *Snapshot) {
 	if err := s.Fits(c); err != nil {
 		panic(err)
 	}
-	c.cycle = s.cycle
-	c.fetchReadyAt = s.fetchReadyAt
-	c.pending = s.pending
-	c.havePending = s.havePending
-	c.traceDone = s.traceDone
-	copy(c.rob, s.rob)
-	c.robHead = s.robHead
-	c.robTail = s.robTail
-	c.robCount = s.robCount
-	c.doneHist = s.doneHist
-	c.seq = s.seq
-	c.iq.restore(s.iq)
-	c.lq.restore(s.lq)
-	c.headAcquired = s.headAcquired
-	c.headSeq = s.headSeq
-	c.headReadyAt = s.headReadyAt
-	c.headRetries = s.headRetries
-	c.lastLoadAddr = s.lastLoadAddr
-	c.lastStoreAddr = s.lastStoreAddr
-	*c.rng = s.rng
-	c.St = s.st
-	c.sb.Restore(s.sb)
-	c.dtlb.Restore(s.dtlb)
+	c.cycle = s.Cycle
+	c.fetchReadyAt = s.FetchReadyAt
+	c.pending = s.Pending
+	c.havePending = s.HavePending
+	c.traceDone = s.TraceDone
+	copy(c.rob, s.ROB)
+	c.robHead = s.ROBHead
+	c.robTail = s.ROBTail
+	c.robCount = s.ROBCount
+	c.doneHist = s.DoneHist
+	c.seq = s.Seq
+	c.iq.restore(s.IQ)
+	c.lq.restore(s.LQ)
+	c.headAcquired = s.HeadAcquired
+	c.headSeq = s.HeadSeq
+	c.headReadyAt = s.HeadReadyAt
+	c.headRetries = s.HeadRetries
+	c.lastLoadAddr = s.LastLoadAddr
+	c.lastStoreAddr = s.LastStoreAddr
+	c.rng.SetState(s.RNGState)
+	c.St = s.St
+	c.sb.Restore(s.SB)
+	c.dtlb.Restore(s.DTLB)
 	if c.det != nil {
-		c.det.Restore(s.det)
+		c.det.Restore(s.Det)
 	}
 	if c.bp != nil {
-		c.bp.Restore(s.bp)
+		c.bp.Restore(s.BP)
 	}
 }
 

@@ -1,14 +1,27 @@
 package dram
 
-// Snapshot is a copy of a DRAM model's full state (warm-start support,
-// DESIGN.md §12). The model holds no reference types, so a value copy is a
-// deep copy.
+// Snapshot is a copy of a DRAM model's mutable state — the channel timeline
+// and the statistics — and its own gob form in a checkpoint file (DESIGN.md
+// §12). Latency, service interval and queue depth are configuration: both
+// sides of a restore build them from the spec.
 type Snapshot struct {
-	d DRAM
+	NextFree uint64
+
+	Reads, Writes, BusyCycles, StallCycles uint64
 }
 
-// Snapshot copies the DRAM state.
-func (d *DRAM) Snapshot() Snapshot { return Snapshot{d: *d} }
+// Snapshot copies the DRAM's mutable state.
+func (d *DRAM) Snapshot() Snapshot {
+	return Snapshot{
+		NextFree: d.nextFree,
+		Reads:    d.Reads, Writes: d.Writes,
+		BusyCycles: d.BusyCycles, StallCycles: d.StallCycles,
+	}
+}
 
-// Restore overwrites the DRAM state with the snapshot's.
-func (d *DRAM) Restore(s Snapshot) { *d = s.d }
+// Restore overwrites the DRAM's mutable state with the snapshot's.
+func (d *DRAM) Restore(s Snapshot) {
+	d.nextFree = s.NextFree
+	d.Reads, d.Writes = s.Reads, s.Writes
+	d.BusyCycles, d.StallCycles = s.BusyCycles, s.StallCycles
+}

@@ -105,7 +105,7 @@ func drivePort(p *Port, phase, n int) {
 }
 
 // TestSnapshotRoundTripsFeedbackState drives every prefetcher kind to a
-// mid-epoch point, checkpoints through the gob wire format, and checks the
+// mid-epoch point, checkpoints through gob, and checks the
 // restored system's epoch machinery and trained prefetcher continue
 // identically.
 func TestSnapshotRoundTripsFeedbackState(t *testing.T) {
@@ -123,10 +123,11 @@ func TestSnapshotRoundTripsFeedbackState(t *testing.T) {
 			snap := s1.Snapshot()
 			states := s1.PrefetcherStates()
 			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			enc := gob.NewEncoder(&buf) // one stream, as in a checkpoint file
+			if err := enc.Encode(snap); err != nil {
 				t.Fatalf("gob encode snapshot: %v", err)
 			}
-			if err := gob.NewEncoder(&buf).Encode(states); err != nil {
+			if err := enc.Encode(states); err != nil {
 				t.Fatalf("gob encode prefetcher states: %v", err)
 			}
 			dec := gob.NewDecoder(bytes.NewReader(buf.Bytes()))

@@ -9,11 +9,12 @@ import (
 	"spb/internal/prefetch"
 )
 
-// Deep snapshot/restore of the shared memory system (warm-start support,
-// DESIGN.md §12). Everything mutable is copied: every cache array (the L3's
-// lines carry the coherence directory), the recent-eviction sets, the DRAM
-// channel state and all statistics counters. The generic prefetcher is NOT
-// part of the snapshot: functional warming never trains it, its type is a
+// Deep snapshot/restore of the shared memory system (DESIGN.md §12): the one
+// state form a warm-start fork copies in memory and a checkpoint file encodes
+// with gob as it stands. Everything mutable is copied: every cache array (the
+// L3's lines carry the coherence directory), the recent-eviction sets, the
+// DRAM channel state and all statistics counters. The generic prefetcher is
+// NOT part of the snapshot: functional warming never trains it, its type is a
 // per-spec configuration knob, and a fork always starts it fresh — exactly
 // matching a cold run.
 
@@ -21,29 +22,29 @@ import (
 // outside the live window and table slots with zero count are stored as
 // zeros, not as whatever the recycled arrays held.
 type recentSnapshot struct {
-	ring   []mem.Block
-	next   int
-	filled bool
-	keys   []mem.Block
-	counts []uint32
+	Ring   []mem.Block
+	Next   int
+	Filled bool
+	Keys   []mem.Block
+	Counts []uint32
 }
 
 func (r *recentSet) snapshot() *recentSnapshot {
 	s := &recentSnapshot{
-		ring:   make([]mem.Block, len(r.ring)),
-		next:   r.next,
-		filled: r.filled,
-		keys:   make([]mem.Block, len(r.keys)),
-		counts: append([]uint32(nil), r.counts...),
+		Ring:   make([]mem.Block, len(r.ring)),
+		Next:   r.next,
+		Filled: r.filled,
+		Keys:   make([]mem.Block, len(r.keys)),
+		Counts: append([]uint32(nil), r.counts...),
 	}
 	live := r.next
 	if r.filled {
 		live = len(r.ring)
 	}
-	copy(s.ring[:live], r.ring[:live])
+	copy(s.Ring[:live], r.ring[:live])
 	for i, n := range r.counts {
 		if n != 0 {
-			s.keys[i] = r.keys[i]
+			s.Keys[i] = r.keys[i]
 		}
 	}
 	return s
@@ -52,111 +53,77 @@ func (r *recentSet) snapshot() *recentSnapshot {
 // fits reports whether the snapshot's arrays are r's size and its cursor is
 // inside the ring.
 func (s *recentSnapshot) fits(r *recentSet) bool {
-	return s != nil && len(s.ring) == len(r.ring) && len(s.keys) == len(r.keys) &&
-		len(s.counts) == len(r.counts) && s.next >= 0 && s.next < len(s.ring)
+	return s != nil && len(s.Ring) == len(r.ring) && len(s.Keys) == len(r.keys) &&
+		len(s.Counts) == len(r.counts) && s.Next >= 0 && s.Next < len(s.Ring)
 }
 
 func (r *recentSet) restore(s *recentSnapshot) {
 	if !s.fits(r) {
 		panic("memsys: recentSet restore with mismatched capacity")
 	}
-	copy(r.ring, s.ring)
-	r.next = s.next
-	r.filled = s.filled
-	copy(r.keys, s.keys)
-	copy(r.counts, s.counts)
+	copy(r.ring, s.Ring)
+	r.next = s.Next
+	r.filled = s.Filled
+	copy(r.keys, s.Keys)
+	copy(r.counts, s.Counts)
 }
 
 // portSnapshot deep-copies one core's private hierarchy and counters.
 type portSnapshot struct {
-	l1, l2                 *cache.Snapshot
-	evictedPF, victimsOfPF *recentSnapshot
+	L1, L2                 *cache.Snapshot
+	EvictedPF, VictimsOfPF *recentSnapshot
 
-	loads, stores, loadMisses, storeMisses, wrongPathLoads uint64
+	Counters PortCounters
 
-	spfIssued, spfDiscarded, spfMissToL2, spfSuccessful,
-	spfLate, spfEarly, spfBurst uint64
-
-	gpfIssued, gpfUsed, gpfLate, gpfPolluted uint64
-
-	epochAccesses uint64
-	lastFB        prefetch.Feedback
+	EpochAccesses uint64
+	LastFB        prefetch.Feedback
 }
 
 func (p *Port) snapshot() *portSnapshot {
 	return &portSnapshot{
-		l1:             p.l1.Snapshot(),
-		l2:             p.l2.Snapshot(),
-		evictedPF:      p.evictedPF.snapshot(),
-		victimsOfPF:    p.victimsOfPF.snapshot(),
-		loads:          p.Loads,
-		stores:         p.Stores,
-		loadMisses:     p.LoadMisses,
-		storeMisses:    p.StoreMisses,
-		wrongPathLoads: p.WrongPathLoads,
-		spfIssued:      p.SPFIssued,
-		spfDiscarded:   p.SPFDiscarded,
-		spfMissToL2:    p.SPFMissToL2,
-		spfSuccessful:  p.SPFSuccessful,
-		spfLate:        p.SPFLate,
-		spfEarly:       p.SPFEarly,
-		spfBurst:       p.SPFBurst,
-		gpfIssued:      p.GPFIssued,
-		gpfUsed:        p.GPFUsed,
-		gpfLate:        p.GPFLate,
-		gpfPolluted:    p.GPFPolluted,
-		epochAccesses:  p.epochAccesses,
-		lastFB:         p.lastFB,
+		L1:            p.l1.Snapshot(),
+		L2:            p.l2.Snapshot(),
+		EvictedPF:     p.evictedPF.snapshot(),
+		VictimsOfPF:   p.victimsOfPF.snapshot(),
+		Counters:      p.PortCounters,
+		EpochAccesses: p.epochAccesses,
+		LastFB:        p.lastFB,
 	}
 }
 
 func (p *Port) restore(s *portSnapshot) {
-	p.l1.Restore(s.l1)
-	p.l2.Restore(s.l2)
-	p.evictedPF.restore(s.evictedPF)
-	p.victimsOfPF.restore(s.victimsOfPF)
-	p.Loads = s.loads
-	p.Stores = s.stores
-	p.LoadMisses = s.loadMisses
-	p.StoreMisses = s.storeMisses
-	p.WrongPathLoads = s.wrongPathLoads
-	p.SPFIssued = s.spfIssued
-	p.SPFDiscarded = s.spfDiscarded
-	p.SPFMissToL2 = s.spfMissToL2
-	p.SPFSuccessful = s.spfSuccessful
-	p.SPFLate = s.spfLate
-	p.SPFEarly = s.spfEarly
-	p.SPFBurst = s.spfBurst
-	p.GPFIssued = s.gpfIssued
-	p.GPFUsed = s.gpfUsed
-	p.GPFLate = s.gpfLate
-	p.GPFPolluted = s.gpfPolluted
-	p.epochAccesses = s.epochAccesses
-	p.lastFB = s.lastFB
+	p.l1.Restore(s.L1)
+	p.l2.Restore(s.L2)
+	p.evictedPF.restore(s.EvictedPF)
+	p.victimsOfPF.restore(s.VictimsOfPF)
+	p.PortCounters = s.Counters
+	p.epochAccesses = s.EpochAccesses
+	p.lastFB = s.LastFB
 }
 
-// SystemSnapshot is a deep copy of the full memory system state. It shares
-// no memory with the system it was taken from.
+// SystemSnapshot is a deep copy of the full memory system state, and its own
+// gob form in a checkpoint file. It shares no memory with the system it was
+// taken from.
 type SystemSnapshot struct {
-	l3    *cache.Snapshot
-	dram  dram.Snapshot
-	ports []*portSnapshot
+	L3    *cache.Snapshot
+	DRAM  dram.Snapshot
+	Ports []*portSnapshot
 
-	l3Accesses, invalidations, writebacksL3, backInvals uint64
+	L3Accesses, Invalidations, WritebacksL3, BackInvals uint64
 }
 
 // Snapshot deep-copies the system's mutable state.
 func (s *System) Snapshot() *SystemSnapshot {
 	snap := &SystemSnapshot{
-		l3:            s.l3.Snapshot(),
-		dram:          s.dram.Snapshot(),
-		l3Accesses:    s.L3Accesses,
-		invalidations: s.Invalidations,
-		writebacksL3:  s.WritebacksL3,
-		backInvals:    s.BackInvals,
+		L3:            s.l3.Snapshot(),
+		DRAM:          s.dram.Snapshot(),
+		L3Accesses:    s.L3Accesses,
+		Invalidations: s.Invalidations,
+		WritebacksL3:  s.WritebacksL3,
+		BackInvals:    s.BackInvals,
 	}
 	for _, p := range s.ports {
-		snap.ports = append(snap.ports, p.snapshot())
+		snap.Ports = append(snap.Ports, p.snapshot())
 	}
 	return snap
 }
@@ -168,22 +135,22 @@ func (s *System) Snapshot() *SystemSnapshot {
 // from a same-configuration System always fit; a decoded one (a checkpoint
 // file) must be checked before Restore, which panics on such a mismatch.
 func (snap *SystemSnapshot) Fits(s *System) error {
-	if snap.l3 == nil || len(snap.ports) != len(s.ports) {
-		return fmt.Errorf("memsys: snapshot of %d cores, system has %d", len(snap.ports), len(s.ports))
+	if snap.L3 == nil || len(snap.Ports) != len(s.ports) {
+		return fmt.Errorf("memsys: snapshot of %d cores, system has %d", len(snap.Ports), len(s.ports))
 	}
-	if err := snap.l3.Fits(s.l3, len(s.ports)); err != nil {
+	if err := snap.L3.Fits(s.l3, len(s.ports)); err != nil {
 		return err
 	}
 	for i, p := range s.ports {
-		ps := snap.ports[i]
-		if ps == nil || ps.l1 == nil || ps.l2 == nil || !ps.evictedPF.fits(p.evictedPF) || !ps.victimsOfPF.fits(p.victimsOfPF) {
+		ps := snap.Ports[i]
+		if ps == nil || ps.L1 == nil || ps.L2 == nil || !ps.EvictedPF.fits(p.evictedPF) || !ps.VictimsOfPF.fits(p.victimsOfPF) {
 			return fmt.Errorf("memsys: snapshot port %d is incomplete or of another size", i)
 		}
 		// Private lines carry no directory state: zero cores may be named.
-		if err := ps.l1.Fits(p.l1, 0); err != nil {
+		if err := ps.L1.Fits(p.l1, 0); err != nil {
 			return err
 		}
-		if err := ps.l2.Fits(p.l2, 0); err != nil {
+		if err := ps.L2.Fits(p.l2, 0); err != nil {
 			return err
 		}
 	}
@@ -194,16 +161,60 @@ func (snap *SystemSnapshot) Fits(s *System) error {
 // system must have the same geometry (core count, cache configuration) as
 // the snapshot's source. Prefetcher state is untouched.
 func (s *System) Restore(snap *SystemSnapshot) {
-	if len(s.ports) != len(snap.ports) {
+	if len(s.ports) != len(snap.Ports) {
 		panic("memsys: Restore with mismatched core count")
 	}
-	s.l3.Restore(snap.l3)
-	s.dram.Restore(snap.dram)
+	s.l3.Restore(snap.L3)
+	s.dram.Restore(snap.DRAM)
 	for i, p := range s.ports {
-		p.restore(snap.ports[i])
+		p.restore(snap.Ports[i])
 	}
-	s.L3Accesses = snap.l3Accesses
-	s.Invalidations = snap.invalidations
-	s.WritebacksL3 = snap.writebacksL3
-	s.BackInvals = snap.backInvals
+	s.L3Accesses = snap.L3Accesses
+	s.Invalidations = snap.Invalidations
+	s.WritebacksL3 = snap.WritebacksL3
+	s.BackInvals = snap.BackInvals
+}
+
+// The prefetcher capture the snapshot deliberately omits. Warm-start shares
+// one SystemSnapshot across specs that differ in prefetcher kind, so trained
+// prefetcher tables cannot live inside it; a mid-run checkpoint is taken for
+// exactly one spec, so it captures them separately via
+// PrefetcherStates/RestorePrefetcherStates.
+
+// PrefetcherStates deep-copies each port's generic-prefetcher state, in port
+// order.
+func (s *System) PrefetcherStates() []prefetch.State {
+	out := make([]prefetch.State, len(s.ports))
+	for i, p := range s.ports {
+		out[i] = prefetch.CaptureState(p.pf)
+	}
+	return out
+}
+
+// PrefetcherStatesFit reports, as an error, why the states cannot be restored
+// into s: another core count, or a state that does not fit its port's
+// prefetcher (see prefetch.State.Fits). Decoded states (a checkpoint file) must
+// be checked before RestorePrefetcherStates, which panics on a mismatch.
+func (s *System) PrefetcherStatesFit(st []prefetch.State) error {
+	if len(st) != len(s.ports) {
+		return fmt.Errorf("memsys: prefetcher states of %d cores, system has %d", len(st), len(s.ports))
+	}
+	for i, p := range s.ports {
+		if err := st[i].Fits(p.pf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RestorePrefetcherStates overwrites each port's generic-prefetcher state.
+// The states must come from a system with the same core count and
+// prefetcher configuration.
+func (s *System) RestorePrefetcherStates(st []prefetch.State) {
+	if err := s.PrefetcherStatesFit(st); err != nil {
+		panic(err)
+	}
+	for i, p := range s.ports {
+		prefetch.RestoreState(p.pf, st[i])
+	}
 }

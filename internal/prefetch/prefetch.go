@@ -79,13 +79,15 @@ func (nonePrefetcher) Observe(_ Event, out []mem.Block) []mem.Block { return out
 
 func (nonePrefetcher) Epoch(Feedback) {}
 
-// streamEntry is one PC-indexed stride-detection slot.
+// streamEntry is one PC-indexed stride-detection slot. Its fields, like
+// dspPage's and dspEntry's, are exported because State carries the tables as
+// they are into a checkpoint file.
 type streamEntry struct {
-	pc     uint64
-	last   mem.Block
-	stride int64
-	conf   int8
-	valid  bool
+	PC     uint64
+	Last   mem.Block
+	Stride int64
+	Conf   int8
+	Valid  bool
 }
 
 // Stream is a PC-indexed stride/stream prefetcher operating at block
@@ -124,28 +126,28 @@ func (s *Stream) SetAggressiveness(distance, degree int) {
 func (s *Stream) Observe(ev Event, out []mem.Block) []mem.Block {
 	h := (ev.PC >> 2) ^ (ev.PC >> 8) ^ (ev.PC >> 16)
 	e := &s.table[h&uint64(len(s.table)-1)]
-	if !e.valid || e.pc != ev.PC {
-		*e = streamEntry{pc: ev.PC, last: ev.Block, valid: true}
+	if !e.Valid || e.PC != ev.PC {
+		*e = streamEntry{PC: ev.PC, Last: ev.Block, Valid: true}
 		return out
 	}
-	delta := int64(ev.Block) - int64(e.last)
+	delta := int64(ev.Block) - int64(e.Last)
 	if delta == 0 {
 		// Same block (e.g. consecutive 8-byte accesses): no information.
 		return out
 	}
-	if delta == e.stride {
-		if e.conf < 3 {
-			e.conf++
+	if delta == e.Stride {
+		if e.Conf < 3 {
+			e.Conf++
 		}
 	} else {
-		e.stride = delta
-		e.conf = 0
+		e.Stride = delta
+		e.Conf = 0
 	}
-	e.last = ev.Block
-	if e.conf < 2 || e.stride == 0 {
+	e.Last = ev.Block
+	if e.Conf < 2 || e.Stride == 0 {
 		return out
 	}
-	if e.stride == 1 {
+	if e.Stride == 1 {
 		// Unit-stride streams (the common case): run `degree` blocks ahead
 		// at `distance`, clamped so the window slides up to — but never
 		// across — the page boundary, like hardware streamers do.
@@ -164,7 +166,7 @@ func (s *Stream) Observe(ev Event, out []mem.Block) []mem.Block {
 	}
 	page := mem.PageOfBlock(ev.Block)
 	for i := 0; i < s.degree; i++ {
-		b := int64(ev.Block) + e.stride*(s.distance+int64(i))
+		b := int64(ev.Block) + e.Stride*(s.distance+int64(i))
 		if b < 0 {
 			break
 		}

@@ -6,22 +6,13 @@ import (
 	"spb/internal/mem"
 )
 
-// Crash-safe checkpoint support (DESIGN.md §15). Warm-start snapshots
+// Crash-safe checkpoint support (DESIGN.md §12). Warm-start snapshots
 // deliberately exclude the generic prefetcher (functional warming never
 // trains it), but a mid-run checkpoint interrupts fully-trained tables, so
-// it must carry them. State is the exported, gob-friendly deep copy of any
-// in-tree Prefetcher's mutable state.
+// it must carry them. State is the deep copy of any in-tree Prefetcher's
+// mutable state, and its own gob form in a checkpoint file.
 
-// StreamEntryState is the wire form of one stride-detection slot.
-type StreamEntryState struct {
-	PC     uint64
-	Last   mem.Block
-	Stride int64
-	Conf   int8
-	Valid  bool
-}
-
-// BOPState is the wire form of the Best-Offset prefetcher's learning state.
+// BOPState is the Best-Offset prefetcher's learning state.
 type BOPState struct {
 	RR        []mem.Block
 	RRNext    int
@@ -33,32 +24,16 @@ type BOPState struct {
 	BestScore uint8
 }
 
-// DSPatchPageState is the wire form of one active-page buffer slot.
-type DSPatchPageState struct {
-	Page    mem.Page
-	Sig     uint32
-	Trigger int
-	Bitmap  uint64
-	Valid   bool
-}
-
-// DSPatchEntryState is the wire form of one dual-pattern table entry.
-type DSPatchEntryState struct {
-	CovP  uint64
-	AccP  uint64
-	Valid bool
-}
-
-// DSPatchState is the wire form of the DSPatch prefetcher's state.
+// DSPatchState is the DSPatch prefetcher's state.
 type DSPatchState struct {
-	Pages   []DSPatchPageState
+	Pages   []dspPage
 	PageClk int
-	Table   []DSPatchEntryState
+	Table   []dspEntry
 	UseAcc  bool
 }
 
-// HybridState is the wire form of the hybrid arbiter: the nested states of
-// its sub-prefetchers plus the attribution and allocation machinery.
+// HybridState is the hybrid arbiter's state: the nested states of its
+// sub-prefetchers plus the attribution and allocation machinery.
 type HybridState struct {
 	Subs   []State
 	Recent [][]mem.Block
@@ -75,7 +50,7 @@ type HybridState struct {
 // have rejected).
 type State struct {
 	Kind  string
-	Table []StreamEntryState
+	Table []streamEntry
 	// Distance and Degree are the stream prefetcher's current
 	// aggressiveness; for Adaptive they are re-derived from Level, but are
 	// carried anyway so Stream restores without consulting the ladder.
@@ -113,19 +88,12 @@ func CaptureState(p Prefetcher) State {
 			BestScore: v.bestScore,
 		}}
 	case *DSPatch:
-		d := &DSPatchState{
-			Pages:   make([]DSPatchPageState, len(v.pages)),
+		return State{Kind: "dspatch", DSPatch: &DSPatchState{
+			Pages:   append([]dspPage(nil), v.pages...),
 			PageClk: v.pageClk,
-			Table:   make([]DSPatchEntryState, len(v.table)),
+			Table:   append([]dspEntry(nil), v.table...),
 			UseAcc:  v.useAcc,
-		}
-		for i, pg := range v.pages {
-			d.Pages[i] = DSPatchPageState{Page: pg.page, Sig: pg.sig, Trigger: pg.trigger, Bitmap: pg.bitmap, Valid: pg.valid}
-		}
-		for i, e := range v.table {
-			d.Table[i] = DSPatchEntryState{CovP: e.covP, AccP: e.accP, Valid: e.valid}
-		}
-		return State{Kind: "dspatch", DSPatch: d}
+		}}
 	case *Hybrid:
 		h := &HybridState{
 			Subs:   make([]State, len(v.subs)),
@@ -147,16 +115,12 @@ func CaptureState(p Prefetcher) State {
 }
 
 func captureStream(v *Stream) State {
-	s := State{
+	return State{
 		Kind:     "stream",
-		Table:    make([]StreamEntryState, len(v.table)),
+		Table:    append([]streamEntry(nil), v.table...),
 		Distance: v.distance,
 		Degree:   v.degree,
 	}
-	for i, e := range v.table {
-		s.Table[i] = StreamEntryState{PC: e.pc, Last: e.last, Stride: e.stride, Conf: e.conf, Valid: e.valid}
-	}
-	return s
 }
 
 // Fits reports, as an error, why the state cannot be restored onto p: another
@@ -231,13 +195,9 @@ func RestoreState(p Prefetcher, s State) {
 		v.best = s.BOP.Best
 		v.bestScore = s.BOP.BestScore
 	case *DSPatch:
-		for i, pg := range s.DSPatch.Pages {
-			v.pages[i] = dspPage{page: pg.Page, sig: pg.Sig, trigger: pg.Trigger, bitmap: pg.Bitmap, valid: pg.Valid}
-		}
+		copy(v.pages, s.DSPatch.Pages)
 		v.pageClk = s.DSPatch.PageClk
-		for i, e := range s.DSPatch.Table {
-			v.table[i] = dspEntry{covP: e.CovP, accP: e.AccP, valid: e.Valid}
-		}
+		copy(v.table, s.DSPatch.Table)
 		v.useAcc = s.DSPatch.UseAcc
 	case *Hybrid:
 		hs := s.Hybrid
@@ -255,9 +215,7 @@ func RestoreState(p Prefetcher, s State) {
 }
 
 func restoreStream(v *Stream, s State) {
-	for i, e := range s.Table {
-		v.table[i] = streamEntry{pc: e.PC, last: e.Last, stride: e.Stride, conf: e.Conf, valid: e.Valid}
-	}
+	copy(v.table, s.Table)
 	v.distance = s.Distance
 	v.degree = s.Degree
 }

@@ -46,7 +46,9 @@ const ckptMagic = "SPBCKPT1"
 // counter and cpu.Snapshot no idle flag.
 // Version 4: one payload for every run — plan cursor, machine state, and the
 // cores, stream positions and window of a checkpoint taken inside a segment.
-const ckptVersion = 4
+// Version 5: snapshots are encoded directly (no per-type Gob methods, no
+// nested gob streams); DRAM and detector snapshots carry mutable state only.
+const ckptVersion = 5
 
 // CheckpointPolicy configures mid-run checkpointing on a Runner. The zero
 // value disables it.
@@ -97,6 +99,12 @@ func (r *Runner) CheckpointPolicy() CheckpointPolicy {
 // machine at it. A warm-start group's snapshot is the same value kept in
 // memory: the edge after segment 0, with no Spec, since every member of the
 // group starts from it.
+//
+// Every type reachable from it is a plain struct of exported fields that gob
+// encodes as it stands: a unit's Snapshot is its serialized form, and its Fits
+// is all that stands between a decoded file and Restore. New state is a field
+// declaration plus its copy-out and copy-in lines
+// (TestCkptFormIsPlainStructs, TestCkptRoundTripIsIdentity).
 type ckptFile struct {
 	Spec  RunSpec // normalized; must match the resuming spec exactly
 	Cur   cursor

@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"spb/internal/cache"
 	"spb/internal/config"
@@ -170,9 +168,8 @@ func TestCheckpointMultiCoreResume(t *testing.T) {
 	assertSameResult(t, ref, got, "multicore")
 }
 
-// coreClocks reads the per-core clocks out of a mid-segment checkpoint file. The
-// snapshot type keeps its fields to itself; its gob form names them.
-func coreClocks(t *testing.T, path string) []uint64 {
+// readCkpt decodes the checkpoint file at path.
+func readCkpt(t *testing.T, path string) *ckptFile {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -182,19 +179,18 @@ func coreClocks(t *testing.T, path string) []uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var clocks []uint64
-	for _, snap := range cf.Cores {
-		raw, err := snap.GobEncode()
-		if err != nil {
-			t.Fatal(err)
+	return cf
+}
+
+// coresApart reports whether a mid-segment checkpoint caught its cores at
+// different clocks.
+func coresApart(cf *ckptFile) bool {
+	for _, c := range cf.Cores[1:] {
+		if c.Cycle != cf.Cores[0].Cycle {
+			return true
 		}
-		var w struct{ Cycle uint64 }
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err != nil {
-			t.Fatal(err)
-		}
-		clocks = append(clocks, w.Cycle)
 	}
-	return clocks
+	return false
 }
 
 // TestCheckpointResumeCoresAtDifferentClocks: cores asleep at their event
@@ -224,12 +220,8 @@ func TestCheckpointResumeCoresAtDifferentClocks(t *testing.T) {
 
 	apart := 0
 	got, attempts := crashResumeUntilDone(t, t.TempDir(), spec, 2_000, func(path string) {
-		clocks := coreClocks(t, path)
-		for _, c := range clocks[1:] {
-			if c != clocks[0] {
-				apart++
-				break
-			}
+		if coresApart(readCkpt(t, path)) {
+			apart++
 		}
 	})
 	if attempts < 3 {
@@ -241,29 +233,15 @@ func TestCheckpointResumeCoresAtDifferentClocks(t *testing.T) {
 	}
 }
 
-// unexported returns a settable view of field name of the struct v points
-// to. The snapshot types keep their state private; the corruption rows below
-// have to write what no exported call will.
-func unexported(v reflect.Value, name string) reflect.Value {
-	f := v.Elem().FieldByName(name)
-	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
-}
-
 // rewrite returns a corruption that decodes a valid checkpoint file, lets
 // mutate change the payload, and seals it again under a fresh checksum: what a
 // binary with another idea of the machine would have written.
 func rewrite(mutate func(t *testing.T, cf *ckptFile)) func(*testing.T, string) {
 	return func(t *testing.T, path string) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cf, err := decodeCkpt(data)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cf := readCkpt(t, path)
 		mutate(t, cf)
-		if data, err = encodeCkpt(cf); err != nil {
+		data, err := encodeCkpt(cf)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -277,11 +255,8 @@ func rewrite(mutate func(t *testing.T, cf *ckptFile)) func(*testing.T, string) {
 // result for the reason the row is named for.
 func corruptL1(mutate func(lines []cache.Line, rec []uint64, live []uint16), wantErr string) func(*testing.T, string) {
 	return rewrite(func(t *testing.T, cf *ckptFile) {
-		port := unexported(reflect.ValueOf(cf.State.Sys), "ports").Index(0)
-		l1 := unexported(port, "l1")
-		mutate(unexported(l1, "lines").Interface().([]cache.Line),
-			unexported(l1, "rec").Interface().([]uint64),
-			unexported(l1, "live").Interface().([]uint16))
+		l1 := cf.State.Sys.Ports[0].L1
+		mutate(l1.Lines, l1.Rec, l1.Live)
 		sys := memsys.New(config.Skylake(), 1)
 		err := cf.State.Sys.Fits(sys)
 		sys.Release()
@@ -328,7 +303,7 @@ func writeCrashCheckpoint(t *testing.T, dir string, spec RunSpec, cadence uint64
 
 // TestCheckpointCorruptionQuarantine is the table test over every way a
 // checkpoint file can be invalid: truncated tail, bad magic, flipped payload
-// byte, version mismatch (a newer and the three previous versions), a
+// byte, version mismatch (a newer and the four previous versions), a
 // checksum-valid payload that does not fit the machine — caches of another
 // size or in a state no run reaches, a foreign prefetcher, core or TLB, ring
 // cursors outside their rings, a missing predictor, a cursor past the plan —
@@ -422,8 +397,8 @@ func TestCheckpointCorruptionQuarantine(t *testing.T) {
 			sys.Release()
 		})},
 		{"v2-envelope", func(t *testing.T, path string) {
-			// The release before this one: caches travelled as tags, use
-			// stamps and a clock.
+			// Three releases back: caches travelled as tags, use stamps and a
+			// clock.
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -434,12 +409,24 @@ func TestCheckpointCorruptionQuarantine(t *testing.T) {
 			}
 		}},
 		{"v3-envelope", func(t *testing.T, path string) {
-			// The release before this one: a Detailed or a Sampled payload.
+			// Two releases back: a Detailed or a Sampled payload.
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			binary.BigEndian.PutUint32(data[len(ckptMagic):], 3)
+			if err := os.WriteFile(path, reseal(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"v4-envelope", func(t *testing.T, path string) {
+			// The release before this one: every snapshot a nested gob stream
+			// of its own, DRAM and detector snapshots carrying configuration.
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.BigEndian.PutUint32(data[len(ckptMagic):], 4)
 			if err := os.WriteFile(path, reseal(data), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -458,11 +445,10 @@ func TestCheckpointCorruptionQuarantine(t *testing.T) {
 			cf.Cores[0] = foreignCore(t)
 		})},
 		{"rob-head-past-ring", rewrite(func(t *testing.T, cf *ckptFile) {
-			unexported(reflect.ValueOf(cf.Cores[0]), "robHead").SetInt(1 << 20)
+			cf.Cores[0].ROBHead = 1 << 20
 		})},
 		{"missing-predictor", rewrite(func(t *testing.T, cf *ckptFile) {
-			bp := unexported(reflect.ValueOf(cf.Cores[0]), "bp")
-			bp.Set(reflect.Zero(bp.Type()))
+			cf.Cores[0].BP = nil
 		})},
 		{"machine-predictor-missing", rewrite(func(t *testing.T, cf *ckptFile) {
 			cf.State.BPs[0].BP = nil

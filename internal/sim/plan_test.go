@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"os"
 	"reflect"
 	"testing"
 
@@ -142,15 +141,7 @@ func TestCrashResumeAtEveryPlanPosition(t *testing.T) {
 			}
 			edges, inside := map[uint64]bool{}, 0
 			got, _ := crashResumeUntilDone(t, t.TempDir(), spec, 1, func(path string) {
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cf, err := decodeCkpt(data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cf.Cores != nil {
+				if cf := readCkpt(t, path); cf.Cores != nil {
 					inside++
 				} else {
 					edges[cf.Cur.Seg] = true

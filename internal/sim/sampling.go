@@ -55,7 +55,8 @@ type SamplingConfig struct {
 	// only needs to cover the short-history private state (~the L1/L2/TLB
 	// fill time), not the LLC's reuse distance. 0 warms every skipped
 	// instruction at every level (exact functional history);
-	// scripts/bench_sampled.sh validates the configuration it ships.
+	// TestSampledWithinErrorBound validates the configuration DefaultSampling
+	// ships.
 	HistoryInsts uint64
 }
 
@@ -196,7 +197,7 @@ func tQuantile975(df uint64) float64 {
 // prefetcher training, empty MSHRs and no wrong-path history; the detailed
 // warming prefix shrinks that bias but cannot bound it, so the reported
 // interval budgets for it explicitly (validated against full-detail runs by
-// TestSampledWithinErrorBound and scripts/bench_sampled.sh).
+// TestSampledWithinErrorBound).
 const sampleBiasGuard = 0.08
 
 // sampleAccum accumulates per-interval metric samples in a fixed order. Its

@@ -20,7 +20,7 @@ import (
 
 // testSampling is the reference sampling configuration of the suite: the
 // shipped default, so the equivalence grid validates exactly what the CLIs'
-// -sample shortcut and scripts/bench_sampled.sh run.
+// -sample shortcut runs.
 var testSampling = DefaultSampling
 
 func TestSamplingNormalizeAndValidate(t *testing.T) {
@@ -134,8 +134,7 @@ const ciSlackPPM = 1000
 // same spec. Both sides share a functional warmup prefix, like real sweeps
 // do: without it a 2M-instruction horizon is dominated by the cold-start
 // transient that sampling's documented soundness envelope excludes
-// (DESIGN.md §14). scripts/bench_sampled.sh repeats this check at the
-// paper's 10M-instruction horizon with no warmup.
+// (DESIGN.md §14).
 func TestSampledWithinErrorBound(t *testing.T) {
 	const insts = 2_000_000
 	var specs []RunSpec

@@ -9,27 +9,28 @@ import (
 // buffer and a pool for the entry ring so repeated Runner invocations stop
 // allocating it.
 
-// Snapshot is a deep copy of a store buffer's mutable state.
+// Snapshot is a deep copy of a store buffer's mutable state, and its own gob
+// form in a checkpoint file (DESIGN.md §12).
 type Snapshot struct {
-	entries  []Entry
-	headSeq  uint64
-	tailSeq  uint64
-	seniors  int
-	maxOcc   int
-	merged   uint64
-	blockCnt [sbFilterSize]uint16
+	Entries  []Entry
+	HeadSeq  uint64
+	TailSeq  uint64
+	Seniors  int
+	MaxOcc   int
+	Merged   uint64
+	BlockCnt [sbFilterSize]uint16
 }
 
 // Snapshot deep-copies the store buffer's mutable state.
 func (sb *StoreBuffer) Snapshot() *Snapshot {
 	return &Snapshot{
-		entries:  append([]Entry(nil), sb.entries...),
-		headSeq:  sb.headSeq,
-		tailSeq:  sb.tailSeq,
-		seniors:  sb.seniors,
-		maxOcc:   sb.MaxOccupancy,
-		merged:   sb.Coalesced,
-		blockCnt: sb.blockCnt,
+		Entries:  append([]Entry(nil), sb.entries...),
+		HeadSeq:  sb.headSeq,
+		TailSeq:  sb.tailSeq,
+		Seniors:  sb.seniors,
+		MaxOcc:   sb.MaxOccupancy,
+		Merged:   sb.Coalesced,
+		BlockCnt: sb.blockCnt,
 	}
 }
 
@@ -39,12 +40,12 @@ func (sb *StoreBuffer) Snapshot() *Snapshot {
 // capacity always fits; a decoded one (a checkpoint file) must be checked
 // before Restore, which panics on a mismatch.
 func (s *Snapshot) Fits(sb *StoreBuffer) error {
-	if s == nil || len(s.entries) != len(sb.entries) {
+	if s == nil || len(s.Entries) != len(sb.entries) {
 		return fmt.Errorf("storebuf: snapshot does not have the buffer's %d entries", len(sb.entries))
 	}
-	if n := s.tailSeq - s.headSeq; s.tailSeq < s.headSeq || n > uint64(len(s.entries)) || s.seniors < 0 || uint64(s.seniors) > n {
+	if n := s.TailSeq - s.HeadSeq; s.TailSeq < s.HeadSeq || n > uint64(len(s.Entries)) || s.Seniors < 0 || uint64(s.Seniors) > n {
 		return fmt.Errorf("storebuf: snapshot sequence numbers [%d, %d) with %d seniors do not fit %d entries",
-			s.headSeq, s.tailSeq, s.seniors, len(s.entries))
+			s.HeadSeq, s.TailSeq, s.Seniors, len(s.Entries))
 	}
 	return nil
 }
@@ -55,13 +56,13 @@ func (sb *StoreBuffer) Restore(s *Snapshot) {
 	if err := s.Fits(sb); err != nil {
 		panic(err)
 	}
-	copy(sb.entries, s.entries)
-	sb.headSeq = s.headSeq
-	sb.tailSeq = s.tailSeq
-	sb.seniors = s.seniors
-	sb.MaxOccupancy = s.maxOcc
-	sb.Coalesced = s.merged
-	sb.blockCnt = s.blockCnt
+	copy(sb.entries, s.Entries)
+	sb.headSeq = s.HeadSeq
+	sb.tailSeq = s.TailSeq
+	sb.seniors = s.Seniors
+	sb.MaxOccupancy = s.MaxOcc
+	sb.Coalesced = s.Merged
+	sb.blockCnt = s.BlockCnt
 }
 
 var ringPools sync.Map // capacity -> *sync.Pool of []Entry

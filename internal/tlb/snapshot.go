@@ -19,39 +19,40 @@ func (t *TLB) Warm(a mem.Addr) {
 	t.clock++
 	for i := range set {
 		e := &set[i]
-		if e.valid && e.page == p {
-			e.lastUse = t.clock
+		if e.Valid && e.Page == p {
+			e.LastUse = t.clock
 			return
 		}
 	}
 	vi := 0
 	for i := 1; i < len(set); i++ {
-		if !set[i].valid {
+		if !set[i].Valid {
 			vi = i
 			break
 		}
-		if set[i].lastUse < set[vi].lastUse {
+		if set[i].LastUse < set[vi].LastUse {
 			vi = i
 		}
 	}
-	set[vi] = entry{page: p, lastUse: t.clock, valid: true}
+	set[vi] = entry{Page: p, LastUse: t.clock, Valid: true}
 }
 
-// Snapshot is a deep copy of a TLB's mutable state.
+// Snapshot is a deep copy of a TLB's mutable state, and its own gob form in a
+// checkpoint file (DESIGN.md §12).
 type Snapshot struct {
-	entries []entry
-	clock   uint64
-	hits    uint64
-	misses  uint64
+	Entries []entry
+	Clock   uint64
+	Hits    uint64
+	Misses  uint64
 }
 
 // Snapshot deep-copies the TLB's mutable state.
 func (t *TLB) Snapshot() *Snapshot {
 	return &Snapshot{
-		entries: append([]entry(nil), t.entries...),
-		clock:   t.clock,
-		hits:    t.Hits,
-		misses:  t.Misses,
+		Entries: append([]entry(nil), t.entries...),
+		Clock:   t.clock,
+		Hits:    t.Hits,
+		Misses:  t.Misses,
 	}
 }
 
@@ -59,7 +60,7 @@ func (t *TLB) Snapshot() *Snapshot {
 // snapshot taken from a TLB of the same geometry always fits; a decoded one (a
 // checkpoint file) must be checked before Restore, which panics on a mismatch.
 func (s *Snapshot) Fits(t *TLB) error {
-	if s == nil || len(s.entries) != len(t.entries) {
+	if s == nil || len(s.Entries) != len(t.entries) {
 		return fmt.Errorf("tlb: snapshot does not have the TLB's %d entries", len(t.entries))
 	}
 	return nil
@@ -71,10 +72,10 @@ func (t *TLB) Restore(s *Snapshot) {
 	if err := s.Fits(t); err != nil {
 		panic(err)
 	}
-	copy(t.entries, s.entries)
-	t.clock = s.clock
-	t.Hits = s.hits
-	t.Misses = s.misses
+	copy(t.entries, s.Entries)
+	t.clock = s.Clock
+	t.Hits = s.Hits
+	t.Misses = s.Misses
 }
 
 var entryPools sync.Map // entry count -> *sync.Pool of []entry

@@ -9,11 +9,12 @@ package tlb
 
 import "spb/internal/mem"
 
-// entry is one cached translation.
+// entry is one cached translation. Its fields are exported because a
+// Snapshot carries entries as they are into a checkpoint file.
 type entry struct {
-	page    mem.Page
-	lastUse uint64
-	valid   bool
+	Page    mem.Page
+	LastUse uint64
+	Valid   bool
 }
 
 // TLB is a set-associative translation lookaside buffer.
@@ -82,8 +83,8 @@ func (t *TLB) Translate(a mem.Addr) (extraLat uint64) {
 	t.clock++
 	for i := range set {
 		e := &set[i]
-		if e.valid && e.page == p {
-			e.lastUse = t.clock
+		if e.Valid && e.Page == p {
+			e.LastUse = t.clock
 			t.Hits++
 			return 0
 		}
@@ -92,15 +93,15 @@ func (t *TLB) Translate(a mem.Addr) (extraLat uint64) {
 	// Fill over the LRU way.
 	vi := 0
 	for i := 1; i < len(set); i++ {
-		if !set[i].valid {
+		if !set[i].Valid {
 			vi = i
 			break
 		}
-		if set[i].lastUse < set[vi].lastUse {
+		if set[i].LastUse < set[vi].LastUse {
 			vi = i
 		}
 	}
-	set[vi] = entry{page: p, lastUse: t.clock, valid: true}
+	set[vi] = entry{Page: p, LastUse: t.clock, Valid: true}
 	return t.walkLat
 }
 
@@ -110,7 +111,7 @@ func (t *TLB) Covers(a mem.Addr) bool {
 	p := mem.PageOf(a)
 	for i := range t.set(p) {
 		e := &t.set(p)[i]
-		if e.valid && e.page == p {
+		if e.Valid && e.Page == p {
 			return true
 		}
 	}

@@ -100,7 +100,7 @@ func TestCoverageInvariant(t *testing.T) {
 		}
 		valid := 0
 		for _, e := range tl.entries {
-			if e.valid {
+			if e.Valid {
 				valid++
 			}
 		}

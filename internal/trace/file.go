@@ -34,14 +34,11 @@ func WriteTrace(w io.Writer, r Reader, max uint64) (written uint64, err error) {
 	zw := gzip.NewWriter(w)
 	bw := bufio.NewWriter(zw)
 
-	// Header with a placeholder count; since gzip streams cannot be
-	// rewritten in place, the count is written up front from a first pass
-	// into memory-free streaming by buffering records. To keep a single
-	// pass, the count is emitted as the true number only when known — so
-	// records are staged through an in-memory run of the reader bounded by
-	// max. For simulator traces (hundreds of MB at most) this is fine; the
-	// alternative (count = 0 meaning "until EOF") is also accepted by
-	// ReadTrace.
+	// The header carries the record count, and a gzip stream cannot be
+	// rewritten in place once the count is known, so the records are staged
+	// in memory first, bounded by max. For simulator traces (hundreds of MB
+	// at most) this is fine. The count is exact: OpenTrace replays that many
+	// records and no more, and a count of 0 is an empty trace.
 	var staged []Inst
 	var in Inst
 	for uint64(len(staged)) < max && r.Next(&in) {
@@ -92,7 +89,7 @@ func encodeRecord(rec *[recordBytes]byte, in *Inst) {
 func decodeRecord(rec *[recordBytes]byte, out *Inst) error {
 	kind := Kind(rec[0])
 	if int(kind) >= NumKinds {
-		return fmt.Errorf("trace: corrupt record: kind %d", rec[0])
+		return fmt.Errorf("%w: corrupt record: kind %d", ErrBadTrace, rec[0])
 	}
 	*out = Inst{
 		Kind:         kind,

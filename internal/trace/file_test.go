@@ -117,3 +117,62 @@ func TestEmptyTrace(t *testing.T) {
 		t.Fatal(fr.Err())
 	}
 }
+
+// FuzzOpenTrace feeds the trace-file decoder arbitrary bytes: a real recorded
+// trace, its halves, and the trace with single bytes changed inside the gzip
+// payload. Nothing may panic, OpenTrace refuses only with ErrBadTrace, a
+// reader never yields more records than its header announced, and one that
+// stops short of them says why with ErrBadTrace.
+func FuzzOpenTrace(f *testing.F) {
+	rng := NewRNG(9)
+	reg := NewMemRegion(0x4000000, 1<<20)
+	src := Mix(rng, 20,
+		Weighted{1, MemsetBurst(reg, 512, 8, PCLib)},
+		Weighted{1, Compute(rng, ComputeOptions{Count: 50, BrFrac: 0.3, MissRate: 0.1, PC: PCApp})},
+	)
+	var buf bytes.Buffer
+	if _, err := WriteTrace(&buf, src(), 500); err != nil {
+		f.Fatal(err)
+	}
+	file := buf.Bytes()
+	f.Add(file)
+	f.Add(file[:len(file)/2])
+	f.Add(file[len(file)/2:])
+	// The gzip header is ten bytes and the trailer eight; between them lies
+	// the deflate payload.
+	for _, pos := range []int{10, 11, 24, len(file) / 3, len(file) / 2, len(file) - 9} {
+		mutated := append([]byte{}, file...)
+		mutated[pos] ^= 0x55
+		f.Add(mutated)
+	}
+	// An intact stream whose one record names a kind that does not exist.
+	var bad bytes.Buffer
+	zw := gzip.NewWriter(&bad)
+	zw.Write(append([]byte(fileMagic+"\x01\x00\x00\x00"+"\x01\x00\x00\x00\x00\x00\x00\x00"), append([]byte{0xFF}, make([]byte, recordBytes-1)...)...))
+	zw.Close()
+	f.Add(bad.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr, err := OpenTrace(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("OpenTrace refused with %v, not ErrBadTrace", err)
+			}
+			return
+		}
+		defer fr.Close()
+		announced := fr.Remaining()
+		var in Inst
+		got := uint64(0)
+		for fr.Next(&in) {
+			if got++; got > announced {
+				t.Fatalf("reader yielded more than the %d records its header announced", announced)
+			}
+		}
+		if got < announced && !errors.Is(fr.Err(), ErrBadTrace) {
+			t.Fatalf("reader stopped after %d of %d records with Err() = %v, not ErrBadTrace", got, announced, fr.Err())
+		}
+		if got == announced && fr.Err() != nil {
+			t.Fatalf("reader yielded every record and still reports %v", fr.Err())
+		}
+	})
+}
