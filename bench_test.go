@@ -37,6 +37,23 @@ func runFigure(b *testing.B, gen func() ([]figures.Table, error),
 	}
 }
 
+// cell reads a headline number by name: the table of tabs whose title starts
+// with table ("" for a single-table figure), its row, its column. A name the
+// figure does not have fails the benchmark rather than reporting a
+// neighbour's value.
+func cell(b *testing.B, tabs []figures.Table, table, row, col string) float64 {
+	b.Helper()
+	tab, err := figures.Find(tabs, table)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v, err := tab.Cell(row, col)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return v
+}
+
 func BenchmarkTableI_Config(b *testing.B) {
 	h := benchHarness()
 	runFigure(b, h.TableI, nil)
@@ -50,29 +67,24 @@ func BenchmarkTableII_Cores(b *testing.B) {
 func BenchmarkFig01_SBStallRatio(b *testing.B) {
 	h := benchHarness()
 	runFigure(b, h.Fig1, func(b *testing.B, tabs []figures.Table) {
-		bound := tabs[0].Rows[1].Vals
-		b.ReportMetric(bound[0], "stall-ratio-SB56")
-		b.ReportMetric(bound[2], "stall-ratio-SB14")
+		b.ReportMetric(cell(b, tabs, "", "SB-Bound", "SB56"), "stall-ratio-SB56")
+		b.ReportMetric(cell(b, tabs, "", "SB-Bound", "SB14"), "stall-ratio-SB14")
 	})
 }
 
 func BenchmarkFig03_StallPCs(b *testing.B) {
 	h := benchHarness()
 	runFigure(b, h.Fig3, func(b *testing.B, tabs []figures.Table) {
-		if len(tabs[0].Rows) > 0 {
+		if rows := tabs[0].Rows; len(rows) > 0 {
 			// Fraction of stalls in library code for the first app.
-			b.ReportMetric(tabs[0].Rows[0].Vals[1], "lib-frac")
+			b.ReportMetric(cell(b, tabs, "", rows[0].Name, "lib"), "lib-frac")
 		}
 	})
 }
 
 func reportFig5(b *testing.B, tabs []figures.Table) {
-	for _, tab := range tabs {
-		for _, r := range tab.Rows {
-			if r.Name == "spb" {
-				b.ReportMetric(r.Vals[1], "spb-vs-ideal-"+tab.Title[8:12])
-			}
-		}
+	for _, sb := range []string{"SB56", "SB28", "SB14"} {
+		b.ReportMetric(cell(b, tabs, "Fig. 5 ("+sb+")", "spb", "SB-BOUND"), "spb-vs-ideal-"+sb)
 	}
 }
 
@@ -89,22 +101,14 @@ func BenchmarkFig06_PerApp(b *testing.B) {
 func BenchmarkFig07_Energy(b *testing.B) {
 	h := benchHarness()
 	runFigure(b, h.Fig7, func(b *testing.B, tabs []figures.Table) {
-		for _, r := range tabs[len(tabs)-1].Rows {
-			if r.Name == "spb" {
-				b.ReportMetric(r.Vals[3], "spb-energy-vs-atcommit-SB14")
-			}
-		}
+		b.ReportMetric(cell(b, tabs, "Fig. 7 (SB14)", "spb", "total SB-BOUND"), "spb-energy-vs-atcommit-SB14")
 	})
 }
 
 func BenchmarkFig08_SBStalls(b *testing.B) {
 	h := benchHarness()
 	runFigure(b, h.Fig8, func(b *testing.B, tabs []figures.Table) {
-		for _, r := range tabs[0].Rows {
-			if r.Name == "spb" {
-				b.ReportMetric(r.Vals[5], "spb-stalls-vs-atcommit-SB14")
-			}
-		}
+		b.ReportMetric(cell(b, tabs, "", "spb", "SB14 SB-BOUND"), "spb-stalls-vs-atcommit-SB14")
 	})
 }
 
@@ -116,46 +120,36 @@ func BenchmarkFig09_PerAppStalls(b *testing.B) {
 func BenchmarkFig10_IssueStalls(b *testing.B) {
 	h := benchHarness()
 	runFigure(b, h.Fig10, func(b *testing.B, tabs []figures.Table) {
-		for _, r := range tabs[len(tabs)-1].Rows {
-			if r.Name == "spb" {
-				b.ReportMetric(r.Vals[2], "spb-net-stalls-SB14")
-			}
-		}
+		b.ReportMetric(cell(b, tabs, "Fig. 10 (SB14)", "spb", "Net"), "spb-net-stalls-SB14")
 	})
 }
 
 func BenchmarkFig11_PrefetchAccuracy(b *testing.B) {
 	h := benchHarness()
 	runFigure(b, h.Fig11, func(b *testing.B, tabs []figures.Table) {
-		for _, r := range tabs[0].Rows {
-			switch r.Name {
-			case "at-commit":
-				b.ReportMetric(r.Vals[0], "atcommit-success-frac")
-			case "spb":
-				b.ReportMetric(r.Vals[0], "spb-success-frac")
-			}
-		}
+		b.ReportMetric(cell(b, tabs, "Fig. 11 (SB56)", "at-commit", "successful"), "atcommit-success-frac")
+		b.ReportMetric(cell(b, tabs, "Fig. 11 (SB56)", "spb", "successful"), "spb-success-frac")
 	})
 }
 
 func BenchmarkFig12_Traffic(b *testing.B) {
 	h := benchHarness()
 	runFigure(b, h.Fig12, func(b *testing.B, tabs []figures.Table) {
-		b.ReportMetric(tabs[0].Rows[2].Vals[1], "spb-req-ratio-SB14")
+		b.ReportMetric(cell(b, tabs, "", "SB14", "REQ SB-BOUND"), "spb-req-ratio-SB14")
 	})
 }
 
 func BenchmarkFig13_TagOverhead(b *testing.B) {
 	h := benchHarness()
 	runFigure(b, h.Fig13, func(b *testing.B, tabs []figures.Table) {
-		b.ReportMetric(tabs[0].Rows[2].Vals[1], "spb-tag-ratio-SB14")
+		b.ReportMetric(cell(b, tabs, "", "SB14", "SB-BOUND"), "spb-tag-ratio-SB14")
 	})
 }
 
 func BenchmarkFig14_ExecStalls(b *testing.B) {
 	h := benchHarness()
 	runFigure(b, h.Fig14, func(b *testing.B, tabs []figures.Table) {
-		b.ReportMetric(tabs[0].Rows[2].Vals[1], "spb-l1dstalls-ratio-SB14")
+		b.ReportMetric(cell(b, tabs, "", "SB14 (spb)", "SB-BOUND"), "spb-l1dstalls-ratio-SB14")
 	})
 }
 
@@ -167,11 +161,7 @@ func BenchmarkFig15_PerAppExecStalls(b *testing.B) {
 func BenchmarkFig16_GenericPrefetchers(b *testing.B) {
 	h := benchHarness()
 	runFigure(b, h.Fig16, func(b *testing.B, tabs []figures.Table) {
-		for _, r := range tabs[len(tabs)-1].Rows {
-			if r.Name == "spb" {
-				b.ReportMetric(r.Vals[3], "spb-vs-ideal-adaptive-SB14")
-			}
-		}
+		b.ReportMetric(cell(b, tabs, "Fig. 16 (adaptive prefetcher)", "spb", "SB14 SB-BOUND"), "spb-vs-ideal-adaptive-SB14")
 	})
 }
 
@@ -179,72 +169,46 @@ func BenchmarkFig17_CoreSweep(b *testing.B) {
 	h := benchHarness()
 	runFigure(b, h.Fig17, func(b *testing.B, tabs []figures.Table) {
 		// SLM at half SB: the paper's worst case for at-commit.
-		b.ReportMetric(tabs[1].Rows[0].Vals[0], "atcommit-SLM-halfSB")
-		b.ReportMetric(tabs[1].Rows[0].Vals[1], "spb-SLM-halfSB")
+		b.ReportMetric(cell(b, tabs, "Fig. 17 (half SB)", "SLM", "at-commit"), "atcommit-SLM-halfSB")
+		b.ReportMetric(cell(b, tabs, "Fig. 17 (half SB)", "SLM", "spb"), "spb-SLM-halfSB")
 	})
 }
 
 func BenchmarkFig18_Parsec(b *testing.B) {
 	h := benchHarness()
 	runFigure(b, h.Fig18, func(b *testing.B, tabs []figures.Table) {
-		for _, r := range tabs[1].Rows {
-			if r.Name == "spb" {
-				b.ReportMetric(r.Vals[1], "spb-vs-ideal-SB14-bound")
-			}
-		}
+		b.ReportMetric(cell(b, tabs, "Fig. 18 (SB14)", "spb", "SB-BOUND"), "spb-vs-ideal-SB14-bound")
 	})
 }
 
 func BenchmarkClaim_SB20EqualsSB56(b *testing.B) {
 	h := benchHarness()
 	runFigure(b, h.SB20, func(b *testing.B, tabs []figures.Table) {
-		for _, r := range tabs[0].Rows {
-			if r.Name == "spb SB20" {
-				b.ReportMetric(r.Vals[0], "spb-SB20-vs-atcommit-SB56")
-			}
-		}
+		b.ReportMetric(cell(b, tabs, "", "spb SB20", "ALL"), "spb-SB20-vs-atcommit-SB56")
 	})
 }
 
 func BenchmarkAblation_WindowN(b *testing.B) {
 	h := benchHarness()
 	runFigure(b, h.SensN, func(b *testing.B, tabs []figures.Table) {
-		for _, r := range tabs[0].Rows {
-			if r.Name == "N=48" {
-				b.ReportMetric(r.Vals[0], "spb-N48-vs-ideal")
-			}
-		}
+		b.ReportMetric(cell(b, tabs, "", "N=48", "SB-BOUND"), "spb-N48-vs-ideal")
 	})
 }
 
 func BenchmarkAblation_Extensions(b *testing.B) {
 	h := benchHarness()
 	runFigure(b, h.Extensions, func(b *testing.B, tabs []figures.Table) {
-		for _, r := range tabs[0].Rows {
-			switch r.Name {
-			case "spb (paper)":
-				b.ReportMetric(r.Vals[0], "spb-plain")
-			case "spb + backward bursts":
-				b.ReportMetric(r.Vals[0], "spb-backward")
-			case "spb + coalescing SB":
-				b.ReportMetric(r.Vals[0], "spb-coalesce")
-			}
-		}
+		b.ReportMetric(cell(b, tabs, "", "spb (paper)", "SB-BOUND"), "spb-plain")
+		b.ReportMetric(cell(b, tabs, "", "spb + backward bursts", "SB-BOUND"), "spb-backward")
+		b.ReportMetric(cell(b, tabs, "", "spb + coalescing SB", "SB-BOUND"), "spb-coalesce")
 	})
 }
 
 func BenchmarkZoo_Prefetchers(b *testing.B) {
 	h := benchHarness()
 	runFigure(b, h.PFZoo, func(b *testing.B, tabs []figures.Table) {
-		for _, r := range tabs[0].Rows {
-			switch r.Name {
-			case "bop":
-				b.ReportMetric(r.Vals[3], "spb-bop-sbbound")
-			case "dspatch":
-				b.ReportMetric(r.Vals[3], "spb-dspatch-sbbound")
-			case "hybrid":
-				b.ReportMetric(r.Vals[3], "spb-hybrid-sbbound")
-			}
+		for _, k := range []string{"bop", "dspatch", "hybrid"} {
+			b.ReportMetric(cell(b, tabs, "", k, "spb SB-BOUND"), "spb-"+k+"-sbbound")
 		}
 	})
 }

@@ -33,11 +33,7 @@ func main() {
 		backward   = flag.Bool("spb-backward", false, "enable the backward-burst extension (paper §IV.A)")
 		crossPage  = flag.Bool("spb-crosspage", false, "enable the cross-page burst extension (paper footnote 2)")
 		coalesce   = flag.Bool("coalesce-sb", false, "enable the store-coalescing SB ablation (related work)")
-		sample     = flag.Bool("sample", false, "SMARTS sampling at the validated default (125k-inst period, 8k detailed, 12k warm)")
-		sampleInt  = flag.Uint64("sample-interval", 0, "sampling period in instructions per core (overrides -sample's default; 0 = off)")
-		sampleDet  = flag.Uint64("sample-detailed", 0, "detailed-window length per sample (0 = engine default)")
-		sampleWarm = flag.Uint64("sample-warm", 0, "detailed warming before each window (0 = engine default)")
-		sampleHist = flag.Uint64("sample-history", 0, "bound full warming to the last N insts of each skip; the LLC+directory stay warm throughout (0 = full-warm the whole skip)")
+		sampling   = sim.SamplingFlags(flag.CommandLine)
 		seed       = flag.Uint64("seed", 1, "workload seed")
 		dump       = flag.Bool("stats", false, "dump every raw counter (stable sorted format)")
 		jsonOut    = flag.Bool("json", false, "emit the full exported stats set as canonical JSON (the spbd service serialization) and nothing else")
@@ -54,14 +50,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "spbsim:", err)
 		os.Exit(2)
 	}
-	sampling := sim.SamplingConfig{
-		IntervalInsts: *sampleInt, DetailedInsts: *sampleDet,
-		WarmInsts: *sampleWarm, HistoryInsts: *sampleHist,
-	}
-	if *sample && !sampling.Enabled() {
-		sampling = sim.DefaultSampling
-	}
-
 	res, err := sim.Run(sim.RunSpec{
 		Workload:        *workload,
 		Policy:          pol,
@@ -76,7 +64,7 @@ func main() {
 		BackwardBursts:  *backward,
 		CrossPageBursts: *crossPage,
 		CoalesceSB:      *coalesce,
-		Sampling:        sampling,
+		Sampling:        sampling(),
 		Seed:            *seed,
 	})
 	if err != nil {

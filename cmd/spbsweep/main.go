@@ -72,6 +72,50 @@ func parsePrefetchers(s string) ([]config.PrefetcherKind, error) {
 	return out, nil
 }
 
+// column is one column of the CSV: its header and how a result fills it.
+type column struct {
+	name  string
+	value func(r sim.Result) string
+}
+
+func itoa(v int) string     { return strconv.Itoa(v) }
+func utoa(v uint64) string  { return strconv.FormatUint(v, 10) }
+func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
+
+// columns is the CSV, left to right.
+var columns = []column{
+	{"workload", func(r sim.Result) string { return r.Spec.Workload }},
+	{"policy", func(r sim.Result) string { return r.Spec.Policy.String() }},
+	{"prefetcher", func(r sim.Result) string { return r.Spec.Prefetcher.String() }},
+	{"sb", func(r sim.Result) string { return itoa(r.Spec.SQSize) }},
+	{"spb_n", func(r sim.Result) string { return itoa(r.Spec.WindowN) }},
+	{"cores", func(r sim.Result) string { return itoa(r.Spec.Cores) }},
+	{"insts", func(r sim.Result) string { return utoa(r.Spec.Insts) }},
+	{"cycles", func(r sim.Result) string { return utoa(r.CPU.Cycles) }},
+	{"ipc", func(r sim.Result) string { return ftoa(r.IPC()) }},
+	{"sb_stall_ratio", func(r sim.Result) string { return ftoa(r.TD.SBStallRatio) }},
+	{"sb_stall_cycles", func(r sim.Result) string { return utoa(r.CPU.SBStallCycles) }},
+	{"other_stall_cycles", func(r sim.Result) string { return utoa(r.CPU.OtherStallCycles()) }},
+	{"exec_stall_l1d_pending", func(r sim.Result) string { return utoa(r.CPU.ExecStallL1DPending) }},
+	{"spb_bursts", func(r sim.Result) string { return utoa(r.CPU.SPBBursts) }},
+	{"spf_issued", func(r sim.Result) string { return utoa(r.Mem.SPFIssued) }},
+	{"spf_successful", func(r sim.Result) string { return utoa(r.Mem.SPFSuccessful) }},
+	{"spf_late", func(r sim.Result) string { return utoa(r.Mem.SPFLate) }},
+	{"spf_early", func(r sim.Result) string { return utoa(r.Mem.SPFEarly) }},
+	{"l1_tag_accesses", func(r sim.Result) string { return utoa(r.Mem.L1TagAccesses) }},
+	{"dram_reads", func(r sim.Result) string { return utoa(r.Mem.DRAMReads) }},
+	{"invalidations", func(r sim.Result) string { return utoa(r.Mem.Invalidations) }},
+	{"energy_cache_dyn_j", func(r sim.Result) string { return ftoa(r.Energy.CacheDynamic) }},
+	{"energy_core_dyn_j", func(r sim.Result) string { return ftoa(r.Energy.CoreDynamic) }},
+	{"energy_static_j", func(r sim.Result) string { return ftoa(r.Energy.Static) }},
+	{"energy_total_j", func(r sim.Result) string { return ftoa(r.Energy.Total()) }},
+	{"sample_intervals", func(r sim.Result) string { return utoa(r.Sample.Intervals) }},
+	{"sample_ipc_mean_ppm", func(r sim.Result) string { return utoa(r.Sample.IPCMeanPPM) }},
+	{"sample_ipc_ci95_ppm", func(r sim.Result) string { return utoa(r.Sample.IPCCI95PPM) }},
+	{"sample_sb_stall_pi_mean_ppm", func(r sim.Result) string { return utoa(r.Sample.SBStallPerInstMeanPPM) }},
+	{"sample_sb_stall_pi_ci95_ppm", func(r sim.Result) string { return utoa(r.Sample.SBStallPerInstCI95PPM) }},
+}
+
 func main() {
 	var (
 		suite    = flag.String("suite", "spec", "workload suite: spec|sbbound|parsec")
@@ -82,14 +126,9 @@ func main() {
 		cores    = flag.Int("cores", 0, "core count (default: 1 for spec, 8 for parsec)")
 		insts    = flag.Uint64("insts", 200_000, "committed instructions per core")
 		warmup   = flag.Uint64("warmup", 0, "functional-warming instructions per core before the measured interval")
-		sample   = flag.Bool("sample", false, "SMARTS sampling at the validated default (125k-inst period, 8k detailed, 12k warm)")
-		sampleI  = flag.Uint64("sample-interval", 0, "sampling period in instructions per core (overrides -sample's default; 0 = off)")
-		sampleD  = flag.Uint64("sample-detailed", 0, "detailed-window length per sample (0 = engine default)")
-		sampleW  = flag.Uint64("sample-warm", 0, "detailed warming before each window (0 = engine default)")
-		sampleH  = flag.Uint64("sample-history", 0, "bound full warming to the last N insts of each skip; the LLC+directory stay warm throughout (0 = full-warm the whole skip)")
+		sampling = sim.SamplingFlags(flag.CommandLine)
 		seed     = flag.Uint64("seed", 1, "workload seed")
-		server   = flag.String("server", "", "comma-separated spbd base URLs; the sweep executes remotely via the sharded client pool")
-		discover = flag.Bool("cluster", false, "expand -server via the daemons' gossip membership: any one live node discovers the fleet")
+		pool     = client.PoolFlags(flag.CommandLine, "the sweep executes")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -162,14 +201,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	sampling := sim.SamplingConfig{
-		IntervalInsts: *sampleI, DetailedInsts: *sampleD,
-		WarmInsts: *sampleW, HistoryInsts: *sampleH,
-	}
-	if *sample && !sampling.Enabled() {
-		sampling = sim.DefaultSampling
-	}
-
 	var specs []sim.RunSpec
 	for _, name := range names {
 		for _, sb := range sbs {
@@ -180,7 +211,7 @@ func main() {
 							Workload: name, Policy: p, SQSize: sb,
 							Prefetcher: pf,
 							Cores:      nCores, Insts: *insts, WarmupInsts: *warmup,
-							WindowN: n, Sampling: sampling, Seed: *seed,
+							WindowN: n, Sampling: sampling(), Seed: *seed,
 						})
 					}
 				}
@@ -193,31 +224,20 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
+	remote, err := pool(ctx)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "spbsweep:", err)
+		os.Exit(2)
+	}
 	var results []sim.Result
-	if *server != "" {
-		seeds := strings.Split(*server, ",")
-		var pool *client.Pool
-		var err error
-		if *discover {
-			pool, err = client.NewClusterPool(ctx, seeds, client.PoolOptions{})
-		} else {
-			pool, err = client.NewPool(seeds, client.PoolOptions{})
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spbsweep:", err)
-			os.Exit(2)
-		}
-		if bs := pool.Backends(); *discover && len(bs) > len(seeds) {
-			fmt.Fprintf(os.Stderr, "spbsweep: cluster discovery: sweeping across %d backends\n", len(bs))
-		}
-		results, err = pool.GetAllCtx(ctx, specs)
+	if remote != nil {
+		results, err = remote.GetAllCtx(ctx, specs)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "spbsweep:", err)
 			os.Exit(1)
 		}
 	} else {
 		runner := sim.NewRunner()
-		var err error
 		results, err = runner.GetAllCtx(ctx, specs)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "spbsweep:", err)
@@ -238,54 +258,18 @@ func main() {
 
 	w := csv.NewWriter(os.Stdout)
 	defer w.Flush()
-	header := []string{
-		"workload", "policy", "prefetcher", "sb", "spb_n", "cores", "insts",
-		"cycles", "ipc", "sb_stall_ratio", "sb_stall_cycles", "other_stall_cycles",
-		"exec_stall_l1d_pending", "spb_bursts",
-		"spf_issued", "spf_successful", "spf_late", "spf_early",
-		"l1_tag_accesses", "dram_reads", "invalidations",
-		"energy_cache_dyn_j", "energy_core_dyn_j", "energy_static_j", "energy_total_j",
-		"sample_intervals", "sample_ipc_mean_ppm", "sample_ipc_ci95_ppm",
-		"sample_sb_stall_pi_mean_ppm", "sample_sb_stall_pi_ci95_ppm",
+	header := make([]string, len(columns))
+	for i, c := range columns {
+		header[i] = c.name
 	}
 	if err := w.Write(header); err != nil {
 		fmt.Fprintln(os.Stderr, "spbsweep:", err)
 		os.Exit(1)
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
-	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
 	for _, r := range results {
-		row := []string{
-			r.Spec.Workload,
-			r.Spec.Policy.String(),
-			r.Spec.Prefetcher.String(),
-			strconv.Itoa(r.Spec.SQSize),
-			strconv.Itoa(r.Spec.WindowN),
-			strconv.Itoa(r.Spec.Cores),
-			u(r.Spec.Insts),
-			u(r.CPU.Cycles),
-			f(r.IPC()),
-			f(r.TD.SBStallRatio),
-			u(r.CPU.SBStallCycles),
-			u(r.CPU.OtherStallCycles()),
-			u(r.CPU.ExecStallL1DPending),
-			u(r.CPU.SPBBursts),
-			u(r.Mem.SPFIssued),
-			u(r.Mem.SPFSuccessful),
-			u(r.Mem.SPFLate),
-			u(r.Mem.SPFEarly),
-			u(r.Mem.L1TagAccesses),
-			u(r.Mem.DRAMReads),
-			u(r.Mem.Invalidations),
-			f(r.Energy.CacheDynamic),
-			f(r.Energy.CoreDynamic),
-			f(r.Energy.Static),
-			f(r.Energy.Total()),
-			u(r.Sample.Intervals),
-			u(r.Sample.IPCMeanPPM),
-			u(r.Sample.IPCCI95PPM),
-			u(r.Sample.SBStallPerInstMeanPPM),
-			u(r.Sample.SBStallPerInstCI95PPM),
+		row := make([]string, len(columns))
+		for i, c := range columns {
+			row[i] = c.value(r)
 		}
 		if err := w.Write(row); err != nil {
 			fmt.Fprintln(os.Stderr, "spbsweep:", err)

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"spb/internal/client"
@@ -34,22 +33,29 @@ func main() {
 		quick      = flag.Bool("quick", false, "reduced scale (SB-bound apps only, fewer instructions)")
 		insts      = flag.Uint64("insts", 0, "override the per-run instruction budget")
 		warmup     = flag.Uint64("warmup", 0, "functional-warming instructions per core before each measured interval (stock scales use 0)")
-		sample     = flag.Bool("sample", false, "SMARTS sampling at the validated default (125k-inst period, 8k detailed, 12k warm); figure values become sampled estimates")
-		sampleI    = flag.Uint64("sample-interval", 0, "sampling period in instructions per core (overrides -sample's default; 0 = off)")
-		sampleD    = flag.Uint64("sample-detailed", 0, "detailed-window length per sample (0 = engine default)")
-		sampleW    = flag.Uint64("sample-warm", 0, "detailed warming before each window (0 = engine default)")
-		sampleH    = flag.Uint64("sample-history", 0, "bound full warming to the last N insts of each skip; the LLC+directory stay warm throughout (0 = full-warm the whole skip)")
+		sampling   = sim.SamplingFlags(flag.CommandLine)
 		list       = flag.Bool("list", false, "list experiment ids and exit")
-		server     = flag.String("server", "", "comma-separated spbd base URLs; sweeps execute remotely via the sharded client pool")
-		discover   = flag.Bool("cluster", false, "expand -server via the daemons' gossip membership: any one live node discovers the fleet")
+		pool       = client.PoolFlags(flag.CommandLine, "sweeps execute")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
+	flag.Lookup("sample").Usage += "; figure values become sampled estimates"
 	flag.Parse()
 
+	exps := figures.Experiments
 	if *list {
-		fmt.Println(strings.Join(figures.Order, "\n"))
+		for _, e := range exps {
+			fmt.Println(e.ID)
+		}
 		return
+	}
+	if *exp != "" {
+		e, ok := figures.ExperimentByID(*exp)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "spbtables: unknown experiment %q (use -list)\n", *exp)
+			os.Exit(2)
+		}
+		exps = []figures.Experiment{e}
 	}
 
 	stop, err := prof.Start(*cpuprofile, *memprofile)
@@ -69,54 +75,28 @@ func main() {
 	if *warmup > 0 {
 		scale.Warmup = *warmup
 	}
-	scale.Sampling = sim.SamplingConfig{
-		IntervalInsts: *sampleI, DetailedInsts: *sampleD,
-		WarmInsts: *sampleW, HistoryInsts: *sampleH,
-	}
-	if *sample && !scale.Sampling.Enabled() {
-		scale.Sampling = sim.DefaultSampling
-	}
+	scale.Sampling = sampling()
 
 	// Ctrl-C cancels the harness context: every queued and in-flight
 	// simulation — local worker pool or remote daemons — stops.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	var exec figures.Executor
-	if *server != "" {
-		seeds := strings.Split(*server, ",")
-		var pool *client.Pool
-		var err error
-		if *discover {
-			pool, err = client.NewClusterPool(ctx, seeds, client.PoolOptions{})
-		} else {
-			pool, err = client.NewPool(seeds, client.PoolOptions{})
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spbtables:", err)
-			os.Exit(2)
-		}
-		if bs := pool.Backends(); *discover && len(bs) > len(seeds) {
-			fmt.Fprintf(os.Stderr, "spbtables: cluster discovery: sweeping across %d backends\n", len(bs))
-		}
-		exec = pool
+	var exec figures.Executor // nil (in-process) without -server
+	p, err := pool(ctx)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "spbtables:", err)
+		os.Exit(2)
+	}
+	if p != nil {
+		exec = p
 	}
 	h := figures.NewHarnessOn(ctx, scale, exec)
-	all := h.All()
-
-	ids := figures.Order
-	if *exp != "" {
-		if _, ok := all[*exp]; !ok {
-			fmt.Fprintf(os.Stderr, "spbtables: unknown experiment %q (use -list)\n", *exp)
-			os.Exit(2)
-		}
-		ids = []string{*exp}
-	}
-	for _, id := range ids {
-		tables, err := all[id]()
+	for _, e := range exps {
+		tables, err := e.Gen(h)
 		if err != nil {
 			stop()
-			fmt.Fprintf(os.Stderr, "spbtables: %s: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "spbtables: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 		for _, t := range tables {

@@ -34,10 +34,10 @@ package client
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"net"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -193,6 +193,31 @@ func NewClusterPool(ctx context.Context, seeds []string, opts PoolOptions) (*Poo
 	return p, nil
 }
 
+// PoolFlags registers the sweep CLIs' -server and -cluster flags on fs;
+// subject is the subject of -server's help ("the sweep executes"). The
+// returned function, valid once fs is parsed, builds the pool the flags
+// select — nil without -server — and, when -cluster found backends beyond the
+// seeds, says so on fs's output.
+func PoolFlags(fs *flag.FlagSet, subject string) func(ctx context.Context) (*Pool, error) {
+	server := fs.String("server", "", "comma-separated spbd base URLs; "+subject+" remotely via the sharded client pool")
+	discover := fs.Bool("cluster", false, "expand -server via the daemons' gossip membership: any one live node discovers the fleet")
+	return func(ctx context.Context) (*Pool, error) {
+		if *server == "" {
+			return nil, nil
+		}
+		seeds := strings.Split(*server, ",")
+		if !*discover {
+			return NewPool(seeds, PoolOptions{})
+		}
+		pool, err := NewClusterPool(ctx, seeds, PoolOptions{})
+		if err == nil && len(pool.Backends()) > len(seeds) {
+			fmt.Fprintf(fs.Output(), "%s: cluster discovery: sweeping across %d backends\n",
+				filepath.Base(fs.Name()), len(pool.Backends()))
+		}
+		return pool, err
+	}
+}
+
 // addLocked appends one backend (caller holds mu or is the constructor).
 func (p *Pool) addLocked(base string, epoch uint64) {
 	if _, ok := p.index[base]; ok {
@@ -321,16 +346,6 @@ func (p *Pool) Backends() []string {
 	return append([]string(nil), p.bases...)
 }
 
-// hrwScore is the rendezvous weight of (key, backend): a stable hash both
-// sides of any re-run compute identically.
-func hrwScore(key, backend string) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, backend)
-	h.Write([]byte{0})
-	io.WriteString(h, key)
-	return h.Sum64()
-}
-
 // rank returns backend indices in descending rendezvous order for key. The
 // first healthy entry owns the point; the next is its hedge/failover.
 func (p *Pool) rank(key string) []int { return p.rankN(key, p.size()) }
@@ -342,7 +357,7 @@ func (p *Pool) rankN(key string, n int) []int {
 	scores := make([]uint64, n)
 	for i := 0; i < n; i++ {
 		idx[i] = i
-		scores[i] = hrwScore(key, p.base(i))
+		scores[i] = cluster.RendezvousScore(key, p.base(i))
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
 	return idx

@@ -682,9 +682,8 @@ func (n *Node) FetchPeer(key string) (sim.Result, string, bool) {
 	return sim.Result{}, "", false
 }
 
-// rankPeers orders alive peers (self excluded) by descending rendezvous
-// score for key — the same fnv64a(backend, 0, key) ranking client.Pool uses
-// for sharding.
+// rankPeers orders alive peers (self excluded) by descending RendezvousScore
+// for key, the ranking client.Pool shards by.
 func (n *Node) rankPeers(key string) []string {
 	type scored struct {
 		url   string
@@ -695,7 +694,7 @@ func (n *Node) rankPeers(key string) []string {
 		if m.ID == n.cfg.ID || m.State != StateAlive {
 			continue
 		}
-		cands = append(cands, scored{url: m.URL, score: rendezvousScore(key, m.URL)})
+		cands = append(cands, scored{url: m.URL, score: RendezvousScore(key, m.URL)})
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].score > cands[j].score })
 	urls := make([]string, len(cands))
@@ -705,9 +704,12 @@ func (n *Node) rankPeers(key string) []string {
 	return urls
 }
 
-// rendezvousScore is the stable (key, backend) weight shared with
-// client.Pool's sharding: highest score owns the key.
-func rendezvousScore(key, backend string) uint64 {
+// RendezvousScore is the rendezvous (highest-random-weight) weight of
+// (key, backend), fnv64a(backend, 0, key): the backend with the highest score
+// owns the key. client.Pool places results by it and rankPeers looks for them
+// by it, so peer read-through probes first the node the pool sent the point
+// to.
+func RendezvousScore(key, backend string) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, backend)
 	h.Write([]byte{0})

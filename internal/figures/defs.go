@@ -5,6 +5,8 @@ import (
 
 	"spb/internal/config"
 	"spb/internal/core"
+	"spb/internal/cpu"
+	"spb/internal/energy"
 	"spb/internal/sim"
 	"spb/internal/workloads"
 )
@@ -12,9 +14,15 @@ import (
 // sbSizes are the store-buffer sizes of the main evaluation.
 var sbSizes = config.StandardSQSizes // 56, 28, 14
 
-// comparedPolicies are the store-prefetch policies every normalized figure
-// sweeps (ideal is the normalization target).
-var comparedPolicies = []core.Policy{core.PolicyAtExecute, core.PolicyAtCommit, core.PolicySPB}
+// sweptPolicies are the store-prefetch policies every normalized figure
+// sweeps: the compared ones, then ideal, their normalization target.
+// Figs. 16-17 and the prefetcher zoo leave at-execute out (the pair).
+var (
+	sweptPolicies    = []core.Policy{core.PolicyAtExecute, core.PolicyAtCommit, core.PolicySPB, core.PolicyIdeal}
+	comparedPolicies = []core.Policy{core.PolicyAtExecute, core.PolicyAtCommit, core.PolicySPB}
+	sweptPair        = []core.Policy{core.PolicyAtCommit, core.PolicySPB, core.PolicyIdeal}
+	comparedPair     = []core.Policy{core.PolicyAtCommit, core.PolicySPB}
+)
 
 // TableI renders the machine configuration (Table I).
 func (h *Harness) TableI() ([]Table, error) {
@@ -60,12 +68,8 @@ func (h *Harness) TableII() ([]Table, error) {
 // Fig1 reproduces Figure 1: the ratio of stall cycles due to a full SB under
 // the default (at-commit) prefetch policy, as the SB shrinks 56 -> 28 -> 14.
 func (h *Harness) Fig1() ([]Table, error) {
-	res, err := h.runMatrix(func(name string) []sim.RunSpec {
-		var specs []sim.RunSpec
-		for _, sq := range sbSizes {
-			specs = append(specs, h.spec(name, core.PolicyAtCommit, sq))
-		}
-		return specs
+	r, err := h.sweep(h.suite(), func(w string) []sim.RunSpec {
+		return grid(w, sbSizes, []core.Policy{core.PolicyAtCommit}, h.spec)
 	})
 	if err != nil {
 		return nil, err
@@ -73,152 +77,124 @@ func (h *Harness) Fig1() ([]Table, error) {
 	t := Table{
 		Title: "Fig. 1: ratio of stall cycles due to a full SB (at-commit)",
 		Cols:  []string{"SB56", "SB28", "SB14"},
+		Rows:  []Row{{Name: "All"}, {Name: "SB-Bound"}},
+		Note:  "arithmetic mean of per-application SB-stall ratios",
 	}
-	var allRow, boundRow Row
-	allRow.Name, boundRow.Name = "All", "SB-Bound"
-	for i := range sbSizes {
-		all, bound := h.aggregateArith(res, i, func(r sim.Result) float64 { return r.TD.SBStallRatio })
-		allRow.Vals = append(allRow.Vals, all)
-		boundRow.Vals = append(boundRow.Vals, bound)
+	for _, sq := range sbSizes {
+		all, bound := over(h.suite(), arith, func(w string) (float64, bool) {
+			return r.of(h.spec(w, core.PolicyAtCommit, sq)).TD.SBStallRatio, true
+		})
+		t.Rows[0].Vals = append(t.Rows[0].Vals, all)
+		t.Rows[1].Vals = append(t.Rows[1].Vals, bound)
 	}
-	t.Rows = []Row{allRow, boundRow}
-	t.Note = "arithmetic mean of per-application SB-stall ratios"
 	return []Table{t}, nil
-}
-
-// aggregateArith is like aggregate but with an arithmetic mean (used for
-// ratios that may legitimately be zero).
-func (h *Harness) aggregateArith(res map[string][]sim.Result, idx int, metric func(sim.Result) float64) (all, sbBound float64) {
-	var as, bs float64
-	var an, bn int
-	for _, w := range h.suite() {
-		v := metric(res[w.Name][idx])
-		as += v
-		an++
-		if w.SBBound {
-			bs += v
-			bn++
-		}
-	}
-	if an > 0 {
-		all = as / float64(an)
-	}
-	if bn > 0 {
-		sbBound = bs / float64(bn)
-	}
-	return all, sbBound
 }
 
 // Fig3 reproduces Figure 3: where the stores causing SB stalls live
 // (application vs C library vs kernel), per SB-bound application.
 func (h *Harness) Fig3() ([]Table, error) {
-	t := Table{
-		Title: "Fig. 3: location of stores causing SB-induced stalls (at-commit, SB56)",
-		Cols:  []string{"app", "lib", "kernel"},
-	}
-	bound := workloads.SBBoundSPEC()
-	specs := make([]sim.RunSpec, len(bound))
-	for i, w := range bound {
-		specs[i] = h.spec(w.Name, core.PolicyAtCommit, 56)
-	}
-	results, err := h.getAll(specs)
+	r, err := h.sweep(boundSPEC(), func(w string) []sim.RunSpec {
+		return []sim.RunSpec{h.spec(w, core.PolicyAtCommit, 56)}
+	})
 	if err != nil {
 		return nil, err
 	}
-	for i, w := range bound {
-		r := results[i]
-		total := float64(r.CPU.SBStallApp + r.CPU.SBStallLib + r.CPU.SBStallKernel)
+	t := Table{
+		Title: "Fig. 3: location of stores causing SB-induced stalls (at-commit, SB56)",
+		Cols:  []string{"app", "lib", "kernel"},
+		Note:  "fraction of SB-stall cycles attributed to the blocking store's PC region",
+	}
+	for _, a := range boundSPEC() {
+		c := r.of(h.spec(a.name, core.PolicyAtCommit, 56)).CPU
+		total := float64(c.SBStallApp + c.SBStallLib + c.SBStallKernel)
 		if total == 0 {
 			// No attributed stalls at this scale: nothing to break down.
 			continue
 		}
-		t.Rows = append(t.Rows, Row{Name: w.Name, Vals: []float64{
-			float64(r.CPU.SBStallApp) / total,
-			float64(r.CPU.SBStallLib) / total,
-			float64(r.CPU.SBStallKernel) / total,
+		t.Rows = append(t.Rows, Row{Name: a.name, Vals: []float64{
+			float64(c.SBStallApp) / total,
+			float64(c.SBStallLib) / total,
+			float64(c.SBStallKernel) / total,
 		}})
 	}
-	t.Note = "fraction of SB-stall cycles attributed to the blocking store's PC region"
 	return []Table{t}, nil
 }
 
-// normPerfSweep runs policy x SB-size and returns performance normalized to
-// the ideal SB at the same size (cyclesIdeal / cyclesPolicy).
-func (h *Harness) normPerfSweep() (map[string][]sim.Result, error) {
-	return h.runMatrix(func(name string) []sim.RunSpec {
-		var specs []sim.RunSpec
-		for _, sq := range sbSizes {
-			for _, p := range comparedPolicies {
-				specs = append(specs, h.spec(name, p, sq))
-			}
-			specs = append(specs, h.spec(name, core.PolicyIdeal, sq))
-		}
-		return specs
-	})
+// policySweep runs every compared policy and the ideal SB at the standard SB
+// sizes over the suite: the one sweep Figs. 5-15 all read, each through its
+// own metric (the runner simulates it once).
+func (h *Harness) policySweep() (results, error) {
+	return h.sweep(h.suite(), func(w string) []sim.RunSpec { return grid(w, sbSizes, sweptPolicies, h.spec) })
 }
 
-// perSizeIdx returns the matrix indices of (size si, policy pi) and the
-// ideal run for size si laid out by normPerfSweep.
-func perSizeIdx(si, pi int) (run, ideal int) {
-	stride := len(comparedPolicies) + 1
-	return si*stride + pi, si*stride + len(comparedPolicies)
-}
-
-// Fig5 reproduces Figure 5: performance normalized to the ideal SB for each
-// policy and SB size, geomean over ALL and over SB-bound applications.
-func (h *Harness) Fig5() ([]Table, error) {
-	res, err := h.normPerfSweep()
+// normPerfTables renders one table per SB size: each compared policy's
+// performance normalized to the ideal SB, geomean over ALL and over SB-BOUND
+// apps (the shape of Figs. 5 and 18). title takes the SB size.
+func (h *Harness) normPerfTables(title string, apps []app, sizes []int, at point) ([]Table, error) {
+	r, err := h.sweep(apps, func(w string) []sim.RunSpec { return grid(w, sizes, sweptPolicies, at) })
 	if err != nil {
 		return nil, err
 	}
 	var tables []Table
-	for si, sq := range sbSizes {
-		t := Table{
-			Title: fmt.Sprintf("Fig. 5 (SB%d): performance normalized to Ideal", sq),
-			Cols:  []string{"ALL", "SB-BOUND"},
-		}
-		for pi, p := range comparedPolicies {
-			ri, ii := perSizeIdx(si, pi)
-			// normalized = idealCycles / policyCycles, per workload.
-			var av, bv []float64
-			for _, w := range h.suite() {
-				rr := res[w.Name]
-				v := float64(rr[ii].CPU.Cycles) / float64(rr[ri].CPU.Cycles)
-				av = append(av, v)
-				if w.SBBound {
-					bv = append(bv, v)
-				}
-			}
-			t.Rows = append(t.Rows, Row{Name: p.String(), Vals: []float64{geomean(av), geomean(bv)}})
+	for _, sq := range sizes {
+		t := Table{Title: fmt.Sprintf(title, sq), Cols: []string{"ALL", "SB-BOUND"}}
+		for _, p := range comparedPolicies {
+			all, bound := r.vsIdeal(apps, at, p, sq)
+			t.Rows = append(t.Rows, Row{Name: p.String(), Vals: []float64{all, bound}})
 		}
 		tables = append(tables, t)
 	}
 	return tables, nil
 }
 
+// vsAtCommit is one counter of app w under policy p divided, by div, by the
+// same counter under at-commit at the same SB size.
+func (h *Harness) vsAtCommit(r results, w string, p core.Policy, sq int,
+	div func(a, b uint64) float64, counter func(sim.Result) uint64) float64 {
+	return div(counter(r.of(h.spec(w, p, sq))), counter(r.of(h.spec(w, core.PolicyAtCommit, sq))))
+}
+
+// perStall is a/b for stall cycles; an at-commit baseline that never stalled
+// counts as one cycle, so a is reported as it is.
+func perStall(a, b uint64) float64 {
+	if b == 0 {
+		b = 1
+	}
+	return float64(a) / float64(b)
+}
+
+func sbStalls(r sim.Result) uint64   { return r.CPU.SBStallCycles }
+func l1dPending(r sim.Result) uint64 { return r.CPU.ExecStallL1DPending }
+
+// Fig5 reproduces Figure 5: performance normalized to the ideal SB for each
+// policy and SB size, geomean over ALL and over SB-bound applications.
+func (h *Harness) Fig5() ([]Table, error) {
+	return h.normPerfTables("Fig. 5 (SB%d): performance normalized to Ideal", h.suite(), sbSizes, h.spec)
+}
+
+// perAppSizes is the SB-size order of the per-application figures (6, 9 and
+// 15): the paper shows the smallest SB first.
+var perAppSizes = []int{14, 28, 56}
+
 // Fig6 reproduces Figure 6: per-SB-bound-application performance normalized
 // to the ideal SB, one table per SB size (a=14, b=28, c=56).
 func (h *Harness) Fig6() ([]Table, error) {
-	res, err := h.normPerfSweep()
+	r, err := h.policySweep()
 	if err != nil {
 		return nil, err
 	}
 	var tables []Table
-	order := []int{2, 1, 0} // paper order: (a) 14, (b) 28, (c) 56
-	letters := []string{"a", "b", "c"}
-	for oi, si := range order {
+	for i, sq := range perAppSizes {
 		t := Table{
-			Title: fmt.Sprintf("Fig. 6(%s): per-application performance normalized to Ideal (SB%d)", letters[oi], sbSizes[si]),
+			Title: fmt.Sprintf("Fig. 6(%c): per-application performance normalized to Ideal (SB%d)", 'a'+i, sq),
 			Cols:  []string{"at-execute", "at-commit", "spb"},
 		}
-		for _, w := range workloads.SBBoundSPEC() {
-			rr := res[w.Name]
-			var vals []float64
-			for pi := range comparedPolicies {
-				ri, ii := perSizeIdx(si, pi)
-				vals = append(vals, float64(rr[ii].CPU.Cycles)/float64(rr[ri].CPU.Cycles))
+		for _, a := range boundSPEC() {
+			row := Row{Name: a.name}
+			for _, p := range comparedPolicies {
+				row.Vals = append(row.Vals, r.perf(h.spec(a.name, p, sq), h.spec(a.name, core.PolicyIdeal, sq)))
 			}
-			t.Rows = append(t.Rows, Row{Name: w.Name, Vals: vals})
+			t.Rows = append(t.Rows, row)
 		}
 		tables = append(tables, t)
 	}
@@ -228,37 +204,26 @@ func (h *Harness) Fig6() ([]Table, error) {
 // Fig7 reproduces Figure 7: energy normalized to at-commit, broken into
 // cache dynamic, core dynamic and total (dynamic+static).
 func (h *Harness) Fig7() ([]Table, error) {
-	res, err := h.normPerfSweep()
+	r, err := h.policySweep()
 	if err != nil {
 		return nil, err
 	}
 	var tables []Table
-	for si, sq := range sbSizes {
+	for _, sq := range sbSizes {
 		t := Table{
 			Title: fmt.Sprintf("Fig. 7 (SB%d): energy normalized to at-commit (less is better)", sq),
 			Cols:  []string{"cacheDyn ALL", "coreDyn ALL", "total ALL", "total SB-BOUND"},
 		}
-		base := 1 // at-commit position in comparedPolicies
-		for pi, p := range comparedPolicies {
-			if pi == base {
-				continue
+		for _, p := range []core.Policy{core.PolicyAtExecute, core.PolicySPB} {
+			vs := func(part func(energy.Breakdown) float64) (all, bound float64) {
+				return over(h.suite(), geomean, func(w string) (float64, bool) {
+					return part(r.of(h.spec(w, p, sq)).Energy) / part(r.of(h.spec(w, core.PolicyAtCommit, sq)).Energy), true
+				})
 			}
-			ri, _ := perSizeIdx(si, pi)
-			bi, _ := perSizeIdx(si, base)
-			var cd, od, tt, ttb []float64
-			for _, w := range h.suite() {
-				rr := res[w.Name]
-				cd = append(cd, rr[ri].Energy.CacheDynamic/rr[bi].Energy.CacheDynamic)
-				od = append(od, rr[ri].Energy.CoreDynamic/rr[bi].Energy.CoreDynamic)
-				v := rr[ri].Energy.Total() / rr[bi].Energy.Total()
-				tt = append(tt, v)
-				if w.SBBound {
-					ttb = append(ttb, v)
-				}
-			}
-			t.Rows = append(t.Rows, Row{Name: p.String(), Vals: []float64{
-				geomean(cd), geomean(od), geomean(tt), geomean(ttb),
-			}})
+			cache, _ := vs(func(e energy.Breakdown) float64 { return e.CacheDynamic })
+			coreDyn, _ := vs(func(e energy.Breakdown) float64 { return e.CoreDynamic })
+			total, totalBound := vs(energy.Breakdown.Total)
+			t.Rows = append(t.Rows, Row{Name: p.String(), Vals: []float64{cache, coreDyn, total, totalBound}})
 		}
 		tables = append(tables, t)
 	}
@@ -267,7 +232,7 @@ func (h *Harness) Fig7() ([]Table, error) {
 
 // Fig8 reproduces Figure 8: SB stalls normalized to at-commit.
 func (h *Harness) Fig8() ([]Table, error) {
-	res, err := h.normPerfSweep()
+	r, err := h.policySweep()
 	if err != nil {
 		return nil, err
 	}
@@ -275,73 +240,34 @@ func (h *Harness) Fig8() ([]Table, error) {
 		Title: "Fig. 8: SB stall cycles normalized to at-commit (less is better)",
 		Cols:  []string{"SB56 ALL", "SB56 SB-BOUND", "SB28 ALL", "SB28 SB-BOUND", "SB14 ALL", "SB14 SB-BOUND"},
 	}
-	for pi, p := range comparedPolicies {
-		if p == core.PolicyAtCommit {
-			continue
-		}
+	for _, p := range []core.Policy{core.PolicyAtExecute, core.PolicySPB} {
 		row := Row{Name: p.String()}
-		for si := range sbSizes {
-			ri, _ := perSizeIdx(si, pi)
-			bi, _ := perSizeIdx(si, 1)
-			var av, bv []float64
-			for _, w := range h.suite() {
-				rr := res[w.Name]
-				den := float64(rr[bi].CPU.SBStallCycles)
-				if den == 0 {
-					den = 1
-				}
-				v := float64(rr[ri].CPU.SBStallCycles) / den
-				av = append(av, v)
-				if w.SBBound {
-					bv = append(bv, v)
-				}
-			}
-			row.Vals = append(row.Vals, arith(av), arith(bv))
+		for _, sq := range sbSizes {
+			all, bound := over(h.suite(), arith, func(w string) (float64, bool) {
+				return h.vsAtCommit(r, w, p, sq, perStall, sbStalls), true
+			})
+			row.Vals = append(row.Vals, all, bound)
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	return []Table{t}, nil
 }
 
-func arith(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
-}
-
-// Fig9 reproduces Figure 9: per-SB-bound-application SB stalls normalized to
-// at-commit, one table per SB size.
-func (h *Harness) Fig9() ([]Table, error) {
-	res, err := h.normPerfSweep()
+// perAppVsAtCommit renders one table per SB size with a row per SB-bound
+// application: a counter under at-execute and under SPB, normalized to
+// at-commit (the shape of Figs. 9 and 15).
+func (h *Harness) perAppVsAtCommit(title string, div func(a, b uint64) float64, counter func(sim.Result) uint64) ([]Table, error) {
+	r, err := h.policySweep()
 	if err != nil {
 		return nil, err
 	}
 	var tables []Table
-	for si, sq := range []int{14, 28, 56} {
-		mi := map[int]int{14: 2, 28: 1, 56: 0}[sq]
-		t := Table{
-			Title: fmt.Sprintf("Fig. 9 (SB%d): per-application SB stalls normalized to at-commit", sq),
-			Cols:  []string{"at-execute", "spb"},
-		}
-		_ = si
-		for _, w := range workloads.SBBoundSPEC() {
-			rr := res[w.Name]
-			_, _ = perSizeIdx(mi, 0)
-			bi, _ := perSizeIdx(mi, 1)
-			den := float64(rr[bi].CPU.SBStallCycles)
-			if den == 0 {
-				den = 1
-			}
-			ae, _ := perSizeIdx(mi, 0)
-			sp, _ := perSizeIdx(mi, 2)
-			t.Rows = append(t.Rows, Row{Name: w.Name, Vals: []float64{
-				float64(rr[ae].CPU.SBStallCycles) / den,
-				float64(rr[sp].CPU.SBStallCycles) / den,
+	for _, sq := range perAppSizes {
+		t := Table{Title: fmt.Sprintf(title, sq), Cols: []string{"at-execute", "spb"}}
+		for _, a := range boundSPEC() {
+			t.Rows = append(t.Rows, Row{Name: a.name, Vals: []float64{
+				h.vsAtCommit(r, a.name, core.PolicyAtExecute, sq, div, counter),
+				h.vsAtCommit(r, a.name, core.PolicySPB, sq, div, counter),
 			}})
 		}
 		tables = append(tables, t)
@@ -349,46 +275,36 @@ func (h *Harness) Fig9() ([]Table, error) {
 	return tables, nil
 }
 
+// Fig9 reproduces Figure 9: per-SB-bound-application SB stalls normalized to
+// at-commit, one table per SB size.
+func (h *Harness) Fig9() ([]Table, error) {
+	return h.perAppVsAtCommit("Fig. 9 (SB%d): per-application SB stalls normalized to at-commit", perStall, sbStalls)
+}
+
 // Fig10 reproduces Figure 10: issue stalls normalized to at-commit, broken
 // into SB-caused and other-resource-caused parts.
 func (h *Harness) Fig10() ([]Table, error) {
-	res, err := h.runMatrix(func(name string) []sim.RunSpec {
-		var specs []sim.RunSpec
-		for _, sq := range sbSizes {
-			for _, p := range []core.Policy{core.PolicyAtExecute, core.PolicyAtCommit, core.PolicySPB, core.PolicyIdeal} {
-				specs = append(specs, h.spec(name, p, sq))
-			}
-		}
-		return specs
-	})
+	r, err := h.policySweep()
 	if err != nil {
 		return nil, err
 	}
-	policies := []core.Policy{core.PolicyAtExecute, core.PolicyAtCommit, core.PolicySPB, core.PolicyIdeal}
 	var tables []Table
-	for si, sq := range sbSizes {
+	for _, sq := range sbSizes {
 		t := Table{
 			Title: fmt.Sprintf("Fig. 10 (SB%d): issue stalls normalized to at-commit", sq),
 			Cols:  []string{"SB part", "Other part", "Net"},
 		}
-		for pi, p := range policies {
-			if p == core.PolicyAtCommit {
-				continue
+		for _, p := range []core.Policy{core.PolicyAtExecute, core.PolicySPB, core.PolicyIdeal} {
+			part := func(stalls func(*cpu.Stats) uint64) float64 {
+				all, _ := over(h.suite(), arith, func(w string) (float64, bool) {
+					run, atCommit := r.of(h.spec(w, p, sq)).CPU, r.of(h.spec(w, core.PolicyAtCommit, sq)).CPU
+					return perStall(stalls(&run), atCommit.IssueStallCycles()), true
+				})
+				return all
 			}
-			idx := si*len(policies) + pi
-			base := si*len(policies) + 1
-			var sb, other []float64
-			for _, w := range h.suite() {
-				rr := res[w.Name]
-				den := float64(rr[base].CPU.IssueStallCycles())
-				if den == 0 {
-					den = 1
-				}
-				sb = append(sb, float64(rr[idx].CPU.SBStallCycles)/den)
-				other = append(other, float64(rr[idx].CPU.OtherStallCycles())/den)
-			}
-			sbm, otm := arith(sb), arith(other)
-			t.Rows = append(t.Rows, Row{Name: p.String(), Vals: []float64{sbm, otm, sbm + otm}})
+			sb := part(func(c *cpu.Stats) uint64 { return c.SBStallCycles })
+			other := part((*cpu.Stats).OtherStallCycles)
+			t.Rows = append(t.Rows, Row{Name: p.String(), Vals: []float64{sb, other, sb + other}})
 		}
 		tables = append(tables, t)
 	}
@@ -398,170 +314,111 @@ func (h *Harness) Fig10() ([]Table, error) {
 // Fig11 reproduces Figure 11: the breakdown of store-prefetch outcomes
 // (successful, late, early, never used) for at-commit and SPB.
 func (h *Harness) Fig11() ([]Table, error) {
-	res, err := h.normPerfSweep()
+	r, err := h.policySweep()
 	if err != nil {
 		return nil, err
 	}
 	var tables []Table
-	for si, sq := range sbSizes {
+	for _, sq := range sbSizes {
 		t := Table{
 			Title: fmt.Sprintf("Fig. 11 (SB%d): store-prefetch outcome breakdown (fractions of usable prefetches)", sq),
 			Cols:  []string{"successful", "late", "early", "never-used"},
+			Note:  "denominator excludes requests discarded because the block was already owned (PopReq)",
 		}
 		for _, p := range []core.Policy{core.PolicyAtCommit, core.PolicySPB} {
-			pi := 1
-			if p == core.PolicySPB {
-				pi = 2
-			}
-			ri, _ := perSizeIdx(si, pi)
-			var s, l, e, n []float64
-			for _, w := range h.suite() {
-				m := res[w.Name][ri].Mem
-				den := float64(m.SPFIssued - m.SPFDiscarded)
-				if den <= 0 {
-					continue
-				}
-				s = append(s, float64(m.SPFSuccessful)/den)
-				l = append(l, float64(m.SPFLate)/den)
-				e = append(e, float64(m.SPFEarly)/den)
-				n = append(n, float64(m.SPFNeverUsed())/den)
+			// An app that issued no usable prefetch has no breakdown and is
+			// left out of the mean.
+			frac := func(outcome func(sim.MemStats) uint64) float64 {
+				all, _ := over(h.suite(), arith, func(w string) (float64, bool) {
+					m := r.of(h.spec(w, p, sq)).Mem
+					usable := float64(m.SPFIssued - m.SPFDiscarded)
+					return float64(outcome(m)) / usable, usable > 0
+				})
+				return all
 			}
 			t.Rows = append(t.Rows, Row{Name: p.String(), Vals: []float64{
-				arith(s), arith(l), arith(e), arith(n),
+				frac(func(m sim.MemStats) uint64 { return m.SPFSuccessful }),
+				frac(func(m sim.MemStats) uint64 { return m.SPFLate }),
+				frac(func(m sim.MemStats) uint64 { return m.SPFEarly }),
+				frac(sim.MemStats.SPFNeverUsed),
 			}})
 		}
-		t.Note = "denominator excludes requests discarded because the block was already owned (PopReq)"
 		tables = append(tables, t)
 	}
 	return tables, nil
+}
+
+// spbVsAtCommit renders one table with a row per SB size: for each counter,
+// SPB's count normalized to at-commit's, averaged over ALL and over SB-BOUND
+// (the shape of Figs. 12-14).
+func (h *Harness) spbVsAtCommit(title string, cols []string, rowName string, counters ...func(sim.Result) uint64) ([]Table, error) {
+	r, err := h.policySweep()
+	if err != nil {
+		return nil, err
+	}
+	t := Table{Title: title, Cols: cols}
+	for _, sq := range sbSizes {
+		row := Row{Name: fmt.Sprintf(rowName, sq)}
+		for _, counter := range counters {
+			all, bound := over(h.suite(), arith, func(w string) (float64, bool) {
+				return h.vsAtCommit(r, w, core.PolicySPB, sq, ratio, counter), true
+			})
+			row.Vals = append(row.Vals, all, bound)
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return []Table{t}, nil
 }
 
 // Fig12 reproduces Figure 12: prefetch traffic normalized to at-commit —
 // requests from the CPU to the L1 controller (REQ) and the subset missing to
 // the L2 (MISS).
 func (h *Harness) Fig12() ([]Table, error) {
-	res, err := h.normPerfSweep()
-	if err != nil {
-		return nil, err
-	}
-	t := Table{
-		Title: "Fig. 12: SPB prefetch traffic normalized to at-commit",
-		Cols:  []string{"REQ ALL", "REQ SB-BOUND", "MISS ALL", "MISS SB-BOUND"},
-	}
-	for si, sq := range sbSizes {
-		ri, _ := perSizeIdx(si, 2)
-		bi, _ := perSizeIdx(si, 1)
-		var reqA, reqB, missA, missB []float64
-		for _, w := range h.suite() {
-			rr := res[w.Name]
-			req := ratio(rr[ri].Mem.SPFIssued, rr[bi].Mem.SPFIssued)
-			miss := ratio(rr[ri].Mem.SPFMissToL2, rr[bi].Mem.SPFMissToL2)
-			reqA = append(reqA, req)
-			missA = append(missA, miss)
-			if w.SBBound {
-				reqB = append(reqB, req)
-				missB = append(missB, miss)
-			}
-		}
-		t.Rows = append(t.Rows, Row{Name: fmt.Sprintf("SB%d", sq), Vals: []float64{
-			arith(reqA), arith(reqB), arith(missA), arith(missB),
-		}})
-	}
-	return []Table{t}, nil
-}
-
-func ratio(a, b uint64) float64 {
-	if b == 0 {
-		if a == 0 {
-			return 1
-		}
-		return float64(a)
-	}
-	return float64(a) / float64(b)
+	return h.spbVsAtCommit("Fig. 12: SPB prefetch traffic normalized to at-commit",
+		[]string{"REQ ALL", "REQ SB-BOUND", "MISS ALL", "MISS SB-BOUND"}, "SB%d",
+		func(r sim.Result) uint64 { return r.Mem.SPFIssued },
+		func(r sim.Result) uint64 { return r.Mem.SPFMissToL2 })
 }
 
 // Fig13 reproduces Figure 13: L1D tag-access overhead of SPB vs at-commit.
 func (h *Harness) Fig13() ([]Table, error) {
-	res, err := h.normPerfSweep()
-	if err != nil {
-		return nil, err
-	}
-	t := Table{
-		Title: "Fig. 13: L1D tag accesses normalized to at-commit",
-		Cols:  []string{"ALL", "SB-BOUND"},
-	}
-	for si, sq := range sbSizes {
-		ri, _ := perSizeIdx(si, 2)
-		bi, _ := perSizeIdx(si, 1)
-		var av, bv []float64
-		for _, w := range h.suite() {
-			rr := res[w.Name]
-			v := ratio(rr[ri].Mem.L1TagAccesses, rr[bi].Mem.L1TagAccesses)
-			av = append(av, v)
-			if w.SBBound {
-				bv = append(bv, v)
-			}
-		}
-		t.Rows = append(t.Rows, Row{Name: fmt.Sprintf("SB%d", sq), Vals: []float64{arith(av), arith(bv)}})
-	}
-	return []Table{t}, nil
+	return h.spbVsAtCommit("Fig. 13: L1D tag accesses normalized to at-commit",
+		[]string{"ALL", "SB-BOUND"}, "SB%d",
+		func(r sim.Result) uint64 { return r.Mem.L1TagAccesses })
 }
 
 // Fig14 reproduces Figure 14: execution stalls with L1D misses pending,
 // normalized to at-commit.
 func (h *Harness) Fig14() ([]Table, error) {
-	res, err := h.normPerfSweep()
-	if err != nil {
-		return nil, err
-	}
-	t := Table{
-		Title: "Fig. 14: execution stalls with L1D misses pending, normalized to at-commit",
-		Cols:  []string{"ALL", "SB-BOUND"},
-	}
-	for si, sq := range sbSizes {
-		ri, _ := perSizeIdx(si, 2)
-		bi, _ := perSizeIdx(si, 1)
-		var av, bv []float64
-		for _, w := range h.suite() {
-			rr := res[w.Name]
-			v := ratio(rr[ri].CPU.ExecStallL1DPending, rr[bi].CPU.ExecStallL1DPending)
-			av = append(av, v)
-			if w.SBBound {
-				bv = append(bv, v)
-			}
-		}
-		t.Rows = append(t.Rows, Row{Name: fmt.Sprintf("SB%d (spb)", sq), Vals: []float64{arith(av), arith(bv)}})
-	}
-	return []Table{t}, nil
+	return h.spbVsAtCommit("Fig. 14: execution stalls with L1D misses pending, normalized to at-commit",
+		[]string{"ALL", "SB-BOUND"}, "SB%d (spb)", l1dPending)
 }
 
 // Fig15 reproduces Figure 15: the per-SB-bound-application version of
 // Fig. 14 (including the roms pathology).
 func (h *Harness) Fig15() ([]Table, error) {
-	res, err := h.normPerfSweep()
-	if err != nil {
-		return nil, err
+	return h.perAppVsAtCommit("Fig. 15 (SB%d): per-application execution stalls with L1D misses pending (norm. to at-commit)", ratio, l1dPending)
+}
+
+// underPrefetcher is Harness.spec with generic L1 prefetcher k.
+func (h *Harness) underPrefetcher(k config.PrefetcherKind) point {
+	return func(w string, p core.Policy, sq int) sim.RunSpec {
+		s := h.spec(w, p, sq)
+		s.Prefetcher = k
+		return s
 	}
-	var tables []Table
-	for _, sq := range []int{14, 28, 56} {
-		si := map[int]int{56: 0, 28: 1, 14: 2}[sq]
-		t := Table{
-			Title: fmt.Sprintf("Fig. 15 (SB%d): per-application execution stalls with L1D misses pending (norm. to at-commit)", sq),
-			Cols:  []string{"at-execute", "spb"},
+}
+
+// prefetcherSweep runs at-commit, SPB and the ideal SB under each generic L1
+// prefetcher at each SB size (the sweep of Fig. 16 and of the zoo).
+func (h *Harness) prefetcherSweep(kinds []config.PrefetcherKind, sizes []int) (results, error) {
+	return h.sweep(h.suite(), func(w string) []sim.RunSpec {
+		var specs []sim.RunSpec
+		for _, k := range kinds {
+			specs = append(specs, grid(w, sizes, sweptPair, h.underPrefetcher(k))...)
 		}
-		for _, w := range workloads.SBBoundSPEC() {
-			rr := res[w.Name]
-			ae, _ := perSizeIdx(si, 0)
-			sp, _ := perSizeIdx(si, 2)
-			bi, _ := perSizeIdx(si, 1)
-			t.Rows = append(t.Rows, Row{Name: w.Name, Vals: []float64{
-				ratio(rr[ae].CPU.ExecStallL1DPending, rr[bi].CPU.ExecStallL1DPending),
-				ratio(rr[sp].CPU.ExecStallL1DPending, rr[bi].CPU.ExecStallL1DPending),
-			}})
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
+		return specs
+	})
 }
 
 // Fig16 reproduces Figure 16: at-commit and SPB under each generic L1
@@ -569,44 +426,22 @@ func (h *Harness) Fig15() ([]Table, error) {
 // the same prefetcher.
 func (h *Harness) Fig16() ([]Table, error) {
 	kinds := []config.PrefetcherKind{config.PrefetchStream, config.PrefetchAggressive, config.PrefetchAdaptive}
-	pols := []core.Policy{core.PolicyAtCommit, core.PolicySPB, core.PolicyIdeal}
 	sizes := []int{56, 14}
-	res, err := h.runMatrix(func(name string) []sim.RunSpec {
-		var specs []sim.RunSpec
-		for _, k := range kinds {
-			for _, sq := range sizes {
-				for _, p := range pols {
-					s := h.spec(name, p, sq)
-					s.Prefetcher = k
-					specs = append(specs, s)
-				}
-			}
-		}
-		return specs
-	})
+	r, err := h.prefetcherSweep(kinds, sizes)
 	if err != nil {
 		return nil, err
 	}
 	var tables []Table
-	for ki, k := range kinds {
+	for _, k := range kinds {
 		t := Table{
 			Title: fmt.Sprintf("Fig. 16 (%s prefetcher): performance normalized to Ideal+%s", k, k),
 			Cols:  []string{"SB56 ALL", "SB56 SB-BOUND", "SB14 ALL", "SB14 SB-BOUND"},
 		}
-		for pi, p := range pols[:2] {
+		for _, p := range comparedPair {
 			row := Row{Name: p.String()}
-			for szi := range sizes {
-				base := ki*len(sizes)*len(pols) + szi*len(pols)
-				var av, bv []float64
-				for _, w := range h.suite() {
-					rr := res[w.Name]
-					v := float64(rr[base+2].CPU.Cycles) / float64(rr[base+pi].CPU.Cycles)
-					av = append(av, v)
-					if w.SBBound {
-						bv = append(bv, v)
-					}
-				}
-				row.Vals = append(row.Vals, geomean(av), geomean(bv))
+			for _, sq := range sizes {
+				all, bound := r.vsIdeal(h.suite(), h.underPrefetcher(k), p, sq)
+				row.Vals = append(row.Vals, all, bound)
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -618,18 +453,17 @@ func (h *Harness) Fig16() ([]Table, error) {
 // Fig17 reproduces Figure 17: at-commit and SPB across the five Table II
 // cores, at the full and half SB sizes, normalized to the ideal SB.
 func (h *Harness) Fig17() ([]Table, error) {
-	cores := config.Cores()
-	pols := []core.Policy{core.PolicyAtCommit, core.PolicySPB, core.PolicyIdeal}
-	res, err := h.runMatrix(func(name string) []sim.RunSpec {
+	onCore := func(c config.CoreConfig) point {
+		return func(w string, p core.Policy, sq int) sim.RunSpec {
+			s := h.spec(w, p, sq)
+			s.CoreName = c.Name
+			return s
+		}
+	}
+	r, err := h.sweep(h.suite(), func(w string) []sim.RunSpec {
 		var specs []sim.RunSpec
-		for _, c := range cores {
-			for _, sq := range []int{c.SQSize, c.SQSize / 2} {
-				for _, p := range pols {
-					s := h.spec(name, p, sq)
-					s.CoreName = c.Name
-					specs = append(specs, s)
-				}
-			}
+		for _, c := range config.Cores() {
+			specs = append(specs, grid(w, []int{c.SQSize, c.SQSize / 2}, sweptPair, onCore(c))...)
 		}
 		return specs
 	})
@@ -637,23 +471,18 @@ func (h *Harness) Fig17() ([]Table, error) {
 		return nil, err
 	}
 	var tables []Table
-	for szi, label := range []string{"full SB", "half SB"} {
+	for i, label := range []string{"full SB", "half SB"} {
 		t := Table{
 			Title: fmt.Sprintf("Fig. 17 (%s): performance normalized to Ideal across core configurations", label),
 			Cols:  []string{"at-commit", "spb"},
 		}
-		for ci, c := range cores {
-			base := ci*2*len(pols) + szi*len(pols)
-			var vals []float64
-			for pi := range pols[:2] {
-				var av []float64
-				for _, w := range h.suite() {
-					rr := res[w.Name]
-					av = append(av, float64(rr[base+2].CPU.Cycles)/float64(rr[base+pi].CPU.Cycles))
-				}
-				vals = append(vals, geomean(av))
+		for _, c := range config.Cores() {
+			row := Row{Name: c.Name}
+			for _, p := range comparedPair {
+				all, _ := r.vsIdeal(h.suite(), onCore(c), p, c.SQSize/(i+1))
+				row.Vals = append(row.Vals, all)
 			}
-			t.Rows = append(t.Rows, Row{Name: c.Name, Vals: vals})
+			t.Rows = append(t.Rows, row)
 		}
 		tables = append(tables, t)
 	}
@@ -663,62 +492,30 @@ func (h *Harness) Fig17() ([]Table, error) {
 // Fig18 reproduces Figure 18: the PARSEC-like 8-thread suite, performance
 // normalized to the ideal SB for SB56 and SB14.
 func (h *Harness) Fig18() ([]Table, error) {
-	suite := workloads.PARSEC()
-	pols := []core.Policy{core.PolicyAtExecute, core.PolicyAtCommit, core.PolicySPB, core.PolicyIdeal}
-	sizes := []int{56, 14}
-	threads := 8
+	var suite []app
+	for _, p := range workloads.PARSEC() {
+		suite = append(suite, app{p.Name, p.SBBound})
+	}
 	insts := h.scale.Insts / 4 // per thread; parallel runs are 8x the work
 	if insts < 20_000 {
 		insts = 20_000
 	}
-	var specs []sim.RunSpec
-	for _, p := range suite {
-		for _, sq := range sizes {
-			for _, pol := range pols {
-				specs = append(specs, sim.RunSpec{
-					Workload: p.Name, Policy: pol, SQSize: sq,
-					Prefetcher: config.PrefetchStream, Cores: threads, Insts: insts,
-					Sampling: h.scale.Sampling,
-				})
-			}
-		}
-	}
-	results, err := h.getAll(specs)
-	if err != nil {
-		return nil, err
-	}
-	var tables []Table
-	per := len(sizes) * len(pols)
-	for szi, sq := range sizes {
-		t := Table{
-			Title: fmt.Sprintf("Fig. 18 (SB%d): PARSEC (8 threads) performance normalized to Ideal", sq),
-			Cols:  []string{"ALL", "SB-BOUND"},
-		}
-		for pi, pol := range pols[:3] {
-			var av, bv []float64
-			for wi, p := range suite {
-				base := wi*per + szi*len(pols)
-				v := float64(results[base+3].CPU.Cycles) / float64(results[base+pi].CPU.Cycles)
-				av = append(av, v)
-				if p.SBBound {
-					bv = append(bv, v)
-				}
-			}
-			t.Rows = append(t.Rows, Row{Name: pol.String(), Vals: []float64{geomean(av), geomean(bv)}})
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
+	return h.normPerfTables("Fig. 18 (SB%d): PARSEC (8 threads) performance normalized to Ideal", suite, []int{56, 14},
+		func(w string, p core.Policy, sq int) sim.RunSpec {
+			s := h.spec(w, p, sq)
+			s.Cores, s.Insts = 8, insts
+			return s
+		})
 }
 
 // SB20 reproduces the §VI.A claim that a 20-entry SB with SPB matches the
 // average performance of a standard 56-entry SB with at-commit.
 func (h *Harness) SB20() ([]Table, error) {
 	sizes := []int{14, 20, 28, 56}
-	res, err := h.runMatrix(func(name string) []sim.RunSpec {
-		specs := []sim.RunSpec{h.spec(name, core.PolicyAtCommit, 56)}
+	r, err := h.sweep(h.suite(), func(w string) []sim.RunSpec {
+		specs := []sim.RunSpec{h.spec(w, core.PolicyAtCommit, 56)}
 		for _, sq := range sizes {
-			specs = append(specs, h.spec(name, core.PolicySPB, sq))
+			specs = append(specs, h.spec(w, core.PolicySPB, sq))
 		}
 		return specs
 	})
@@ -728,93 +525,71 @@ func (h *Harness) SB20() ([]Table, error) {
 	t := Table{
 		Title: "Claim (§VI.A): SPB SB-size sweep vs the standard at-commit SB56 (performance normalized to at-commit SB56)",
 		Cols:  []string{"ALL"},
+		Note:  ">= 1.0 means the SPB configuration matches or beats the standard 56-entry SB",
 	}
-	for i, sq := range sizes {
-		var av []float64
-		for _, w := range h.suite() {
-			rr := res[w.Name]
-			av = append(av, float64(rr[0].CPU.Cycles)/float64(rr[1+i].CPU.Cycles))
-		}
-		t.Rows = append(t.Rows, Row{Name: fmt.Sprintf("spb SB%d", sq), Vals: []float64{geomean(av)}})
+	for _, sq := range sizes {
+		all, _ := over(h.suite(), geomean, func(w string) (float64, bool) {
+			return r.perf(h.spec(w, core.PolicySPB, sq), h.spec(w, core.PolicyAtCommit, 56)), true
+		})
+		t.Rows = append(t.Rows, Row{Name: fmt.Sprintf("spb SB%d", sq), Vals: []float64{all}})
 	}
-	t.Note = ">= 1.0 means the SPB configuration matches or beats the standard 56-entry SB"
 	return []Table{t}, nil
 }
 
 // SensN reproduces the §IV.C sensitivity analysis: the SPB window N and the
 // dynamic store-size ablation, on the SB-bound set.
 func (h *Harness) SensN() ([]Table, error) {
-	ns := []int{8, 16, 24, 32, 48, 64}
-	var specs []sim.RunSpec
-	bound := workloads.SBBoundSPEC()
-	for _, w := range bound {
-		specs = append(specs, h.spec(w.Name, core.PolicyIdeal, 28))
-		for _, n := range ns {
-			s := h.spec(w.Name, core.PolicySPB, 28)
-			s.WindowN = n
-			specs = append(specs, s)
-		}
-		dyn := h.spec(w.Name, core.PolicySPB, 28)
-		dyn.DynamicSPB = true
-		specs = append(specs, dyn)
+	var variants []variant
+	for _, n := range []int{8, 16, 24, 32, 48, 64} {
+		variants = append(variants, variant{fmt.Sprintf("N=%d", n), func(s *sim.RunSpec) { s.WindowN = n }})
 	}
-	results, err := h.getAll(specs)
-	if err != nil {
-		return nil, err
-	}
-	per := len(ns) + 2
-	t := Table{
+	variants = append(variants, variant{"dynamic-S (N=48)", func(s *sim.RunSpec) { s.DynamicSPB = true }})
+	return h.ablation(Table{
 		Title: "§IV.C sensitivity: SPB window N and the dynamic-S ablation (SB28, SB-bound apps, normalized to Ideal)",
 		Cols:  []string{"SB-BOUND"},
-	}
-	for ni, n := range ns {
-		var vals []float64
-		for wi := range bound {
-			base := wi * per
-			vals = append(vals, float64(results[base].CPU.Cycles)/float64(results[base+1+ni].CPU.Cycles))
+	}, 28, variants)
+}
+
+// Experiment is one registered generator of tables.
+type Experiment struct {
+	ID  string
+	Gen func(*Harness) ([]Table, error)
+}
+
+// Experiments is every experiment in presentation order: the one list that
+// `spbtables` (-list, -exp and the default run), Verify and spb.Experiments
+// are derived from.
+var Experiments = []Experiment{
+	{"tableI", (*Harness).TableI},
+	{"tableII", (*Harness).TableII},
+	{"fig1", (*Harness).Fig1},
+	{"fig3", (*Harness).Fig3},
+	{"fig5", (*Harness).Fig5},
+	{"fig6", (*Harness).Fig6},
+	{"fig7", (*Harness).Fig7},
+	{"fig8", (*Harness).Fig8},
+	{"fig9", (*Harness).Fig9},
+	{"fig10", (*Harness).Fig10},
+	{"fig11", (*Harness).Fig11},
+	{"fig12", (*Harness).Fig12},
+	{"fig13", (*Harness).Fig13},
+	{"fig14", (*Harness).Fig14},
+	{"fig15", (*Harness).Fig15},
+	{"fig16", (*Harness).Fig16},
+	{"fig17", (*Harness).Fig17},
+	{"fig18", (*Harness).Fig18},
+	{"sb20", (*Harness).SB20},
+	{"sensN", (*Harness).SensN},
+	{"extensions", (*Harness).Extensions},
+	{"pfzoo", (*Harness).PFZoo},
+}
+
+// ExperimentByID finds a registered experiment.
+func ExperimentByID(id string) (Experiment, bool) {
+	for _, e := range Experiments {
+		if e.ID == id {
+			return e, true
 		}
-		t.Rows = append(t.Rows, Row{Name: fmt.Sprintf("N=%d", n), Vals: []float64{geomean(vals)}})
 	}
-	var dvals []float64
-	for wi := range bound {
-		base := wi * per
-		dvals = append(dvals, float64(results[base].CPU.Cycles)/float64(results[base+per-1].CPU.Cycles))
-	}
-	t.Rows = append(t.Rows, Row{Name: "dynamic-S (N=48)", Vals: []float64{geomean(dvals)}})
-	return []Table{t}, nil
-}
-
-// All maps experiment ids to their generators.
-func (h *Harness) All() map[string]func() ([]Table, error) {
-	return map[string]func() ([]Table, error){
-		"tableI":     h.TableI,
-		"tableII":    h.TableII,
-		"fig1":       h.Fig1,
-		"fig3":       h.Fig3,
-		"fig5":       h.Fig5,
-		"fig6":       h.Fig6,
-		"fig7":       h.Fig7,
-		"fig8":       h.Fig8,
-		"fig9":       h.Fig9,
-		"fig10":      h.Fig10,
-		"fig11":      h.Fig11,
-		"fig12":      h.Fig12,
-		"fig13":      h.Fig13,
-		"fig14":      h.Fig14,
-		"fig15":      h.Fig15,
-		"fig16":      h.Fig16,
-		"fig17":      h.Fig17,
-		"fig18":      h.Fig18,
-		"sb20":       h.SB20,
-		"sensN":      h.SensN,
-		"extensions": h.Extensions,
-		"pfzoo":      h.PFZoo,
-	}
-}
-
-// Order is the presentation order of the experiments.
-var Order = []string{
-	"tableI", "tableII", "fig1", "fig3", "fig5", "fig6", "fig7", "fig8",
-	"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-	"fig17", "fig18", "sb20", "sensN", "extensions", "pfzoo",
+	return Experiment{}, false
 }

@@ -46,7 +46,7 @@ func TestFig7EnergyTables(t *testing.T) {
 		for _, r := range tab.Rows {
 			for i, v := range r.Vals {
 				if v <= 0.2 || v > 3 {
-					t.Fatalf("%s/%s col %d: energy ratio %v implausible", tab.Title, r.Name, i, v)
+					t.Fatalf("%s/%s %s: energy ratio %v implausible", tab.Title, r.Name, tab.Cols[i], v)
 				}
 			}
 		}
@@ -73,9 +73,9 @@ func TestFig10NetParts(t *testing.T) {
 			if len(r.Vals) != 3 {
 				t.Fatalf("%s/%s: want SB/Other/Net", tab.Title, r.Name)
 			}
-			if net := r.Vals[0] + r.Vals[1]; net != r.Vals[2] {
-				t.Fatalf("%s/%s: Net %v != SB %v + Other %v",
-					tab.Title, r.Name, r.Vals[2], r.Vals[0], r.Vals[1])
+			sb, other, net := cell(t, tab, r.Name, "SB part"), cell(t, tab, r.Name, "Other part"), cell(t, tab, r.Name, "Net")
+			if sb+other != net {
+				t.Fatalf("%s/%s: Net %v != SB %v + Other %v", tab.Title, r.Name, net, sb, other)
 			}
 		}
 	}
@@ -123,15 +123,7 @@ func TestFig16AcrossPrefetchers(t *testing.T) {
 		t.Fatalf("Fig16 should render one table per prefetcher, got %d", len(tabs))
 	}
 	for _, tab := range tabs {
-		var atCommit, spb float64
-		for _, r := range tab.Rows {
-			switch r.Name {
-			case "at-commit":
-				atCommit = r.Vals[3] // SB14 SB-BOUND
-			case "spb":
-				spb = r.Vals[3]
-			}
-		}
+		atCommit, spb := cell(t, tab, "at-commit", "SB14 SB-BOUND"), cell(t, tab, "spb", "SB14 SB-BOUND")
 		// The paper's §VI.D point: SPB is still needed on top of any
 		// generic prefetcher.
 		if spb <= atCommit {
@@ -156,9 +148,8 @@ func TestFig17CoreSweep(t *testing.T) {
 			t.Fatalf("%s: want 5 cores", tab.Title)
 		}
 		for _, r := range tab.Rows {
-			if r.Vals[1] <= r.Vals[0]*0.9 {
-				t.Fatalf("%s/%s: spb (%v) far below at-commit (%v)",
-					tab.Title, r.Name, r.Vals[1], r.Vals[0])
+			if spb, atCommit := cell(t, tab, r.Name, "spb"), cell(t, tab, r.Name, "at-commit"); spb <= atCommit*0.9 {
+				t.Fatalf("%s/%s: spb (%v) far below at-commit (%v)", tab.Title, r.Name, spb, atCommit)
 			}
 		}
 	}
@@ -195,8 +186,8 @@ func TestSensNWindow(t *testing.T) {
 		t.Fatalf("SensN should list 6 N values + dynamic, got %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.Vals[0] <= 0.3 || r.Vals[0] > 1.3 {
-			t.Fatalf("%s: normalized perf %v implausible", r.Name, r.Vals[0])
+		if v := cell(t, tabs[0], r.Name, "SB-BOUND"); v <= 0.3 || v > 1.3 {
+			t.Fatalf("%s: normalized perf %v implausible", r.Name, v)
 		}
 	}
 }

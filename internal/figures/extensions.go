@@ -3,8 +3,40 @@ package figures
 import (
 	"spb/internal/core"
 	"spb/internal/sim"
-	"spb/internal/workloads"
 )
+
+// variant is one named modification of the plain SPB point.
+type variant struct {
+	name string
+	mut  func(*sim.RunSpec)
+}
+
+// ablation fills t with one row per variant: the SB-bound suite's geomean
+// performance at SB size sq, normalized to the ideal SB of that size.
+func (h *Harness) ablation(t Table, sq int, variants []variant) ([]Table, error) {
+	of := func(w string, v variant) sim.RunSpec {
+		s := h.spec(w, core.PolicySPB, sq)
+		v.mut(&s)
+		return s
+	}
+	r, err := h.sweep(boundSPEC(), func(w string) []sim.RunSpec {
+		specs := []sim.RunSpec{h.spec(w, core.PolicyIdeal, sq)}
+		for _, v := range variants {
+			specs = append(specs, of(w, v))
+		}
+		return specs
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, v := range variants {
+		_, bound := over(boundSPEC(), geomean, func(w string) (float64, bool) {
+			return r.perf(of(w, v), h.spec(w, core.PolicyIdeal, sq)), true
+		})
+		t.Rows = append(t.Rows, Row{Name: v.name, Vals: []float64{bound}})
+	}
+	return []Table{t}, nil
+}
 
 // Extensions runs the ablation study of the variants the paper mentions but
 // does not evaluate: backward bursts (§IV.A), cross-page bursts (footnote
@@ -12,11 +44,11 @@ import (
 // store-coalescing SB (§VII.B) — each against plain SPB and the at-commit
 // baseline on the SB-bound suite with a 14-entry SB.
 func (h *Harness) Extensions() ([]Table, error) {
-	type variant struct {
-		name string
-		mut  func(*sim.RunSpec)
-	}
-	variants := []variant{
+	return h.ablation(Table{
+		Title: "Extensions ablation (SB14, SB-bound apps, performance normalized to Ideal)",
+		Cols:  []string{"SB-BOUND"},
+		Note:  "variants the paper discusses but does not evaluate, plus the coalescing-SB alternative from related work",
+	}, 14, []variant{
 		{"at-commit", func(s *sim.RunSpec) { s.Policy = core.PolicyAtCommit }},
 		{"spb (paper)", func(s *sim.RunSpec) {}},
 		{"spb + backward bursts", func(s *sim.RunSpec) { s.BackwardBursts = true }},
@@ -27,35 +59,5 @@ func (h *Harness) Extensions() ([]Table, error) {
 			s.Policy = core.PolicyAtCommit
 			s.CoalesceSB = true
 		}},
-	}
-	bound := workloads.SBBoundSPEC()
-	var specs []sim.RunSpec
-	for _, w := range bound {
-		ideal := h.spec(w.Name, core.PolicyIdeal, 14)
-		specs = append(specs, ideal)
-		for _, v := range variants {
-			s := h.spec(w.Name, core.PolicySPB, 14)
-			v.mut(&s)
-			specs = append(specs, s)
-		}
-	}
-	results, err := h.getAll(specs)
-	if err != nil {
-		return nil, err
-	}
-	per := len(variants) + 1
-	t := Table{
-		Title: "Extensions ablation (SB14, SB-bound apps, performance normalized to Ideal)",
-		Cols:  []string{"SB-BOUND"},
-		Note:  "variants the paper discusses but does not evaluate, plus the coalescing-SB alternative from related work",
-	}
-	for vi, v := range variants {
-		var vals []float64
-		for wi := range bound {
-			base := wi * per
-			vals = append(vals, float64(results[base].CPU.Cycles)/float64(results[base+1+vi].CPU.Cycles))
-		}
-		t.Rows = append(t.Rows, Row{Name: v.name, Vals: []float64{geomean(vals)}})
-	}
-	return []Table{t}, nil
+	})
 }

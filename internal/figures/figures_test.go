@@ -3,11 +3,56 @@ package figures
 import (
 	"strings"
 	"testing"
+
+	"spb/internal/core"
+	"spb/internal/sim"
 )
 
 // tiny returns a harness small enough for unit tests.
 func tiny() *Harness {
 	return NewHarness(Scale{Insts: 40_000, SBBoundOnly: true})
+}
+
+// cell reads a table by (row, column) name; a name the table does not have
+// fails the test.
+func cell(t *testing.T, tab Table, row, col string) float64 {
+	t.Helper()
+	v, err := tab.Cell(row, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// find picks the table whose title starts with prefix.
+func find(t *testing.T, tabs []Table, prefix string) Table {
+	t.Helper()
+	tab, err := Find(tabs, prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+func TestCellAndFind(t *testing.T) {
+	tabs := []Table{
+		{Title: "Fig. X (SB56): demo", Cols: []string{"a", "b"}, Rows: []Row{{Name: "r1", Vals: []float64{1, 2}}}},
+		{Title: "Fig. X (SB14): demo", Cols: []string{"a", "b"}, Rows: []Row{{Name: "r1", Vals: []float64{3}}}},
+	}
+	if v := cell(t, find(t, tabs, "Fig. X (SB56)"), "r1", "b"); v != 2 {
+		t.Fatalf("Cell(r1, b) = %v, want 2", v)
+	}
+	for _, prefix := range []string{"Fig. X", "Fig. Y", ""} {
+		if _, err := Find(tabs, prefix); err == nil {
+			t.Fatalf("Find(%q) must fail: it does not name exactly one table", prefix)
+		}
+	}
+	short := find(t, tabs, "Fig. X (SB14)")
+	for _, rc := range [][2]string{{"r2", "a"}, {"r1", "c"}, {"r1", "b"}} {
+		if _, err := short.Cell(rc[0], rc[1]); err == nil {
+			t.Fatalf("Cell(%q, %q) must fail: no such cell", rc[0], rc[1])
+		}
+	}
 }
 
 func TestTableFormat(t *testing.T) {
@@ -23,6 +68,31 @@ func TestTableFormat(t *testing.T) {
 			t.Fatalf("Format output missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestReadOfUnsweptPointPanics: a figure that reads a point its sweep did
+// not run is a bug, and says so instead of reading a zero.
+func TestReadOfUnsweptPointPanics(t *testing.T) {
+	h := NewHarness(Scale{Insts: 5_000, SBBoundOnly: true})
+	r, err := h.sweep(boundSPEC()[:1], func(w string) []sim.RunSpec {
+		return []sim.RunSpec{h.spec(w, core.PolicySPB, 14)}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := boundSPEC()[0].name
+	// Defaulted and explicit spellings of the swept point are the same point.
+	explicit := h.spec(w, core.PolicySPB, 14)
+	explicit.Cores, explicit.WindowN, explicit.Seed = 1, 48, 1
+	if r.of(explicit).CPU.Committed != 5_000 {
+		t.Fatal("the swept point did not come back under its normalized spec")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reading an unswept point must panic")
+		}
+	}()
+	r.of(h.spec(w, core.PolicySPB, 28))
 }
 
 func TestGeomean(t *testing.T) {
@@ -89,18 +159,18 @@ func TestFig1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := tabs[0].Rows
-	if len(rows) != 2 || len(rows[0].Vals) != 3 {
-		t.Fatalf("Fig1 shape wrong: %+v", rows)
+	tab := tabs[0]
+	if len(tab.Rows) != 2 || len(tab.Cols) != 3 {
+		t.Fatalf("Fig1 shape wrong: %+v", tab)
 	}
 	// SB stalls must grow monotonically as the SB shrinks (the paper's
 	// headline motivation).
-	bound := rows[1].Vals
-	if !(bound[0] < bound[1] && bound[1] < bound[2]) {
-		t.Fatalf("SB-bound stall ratio must grow 56->28->14, got %v", bound)
+	sb56, sb28, sb14 := cell(t, tab, "SB-Bound", "SB56"), cell(t, tab, "SB-Bound", "SB28"), cell(t, tab, "SB-Bound", "SB14")
+	if !(sb56 < sb28 && sb28 < sb14) {
+		t.Fatalf("SB-bound stall ratio must grow 56->28->14, got %v %v %v", sb56, sb28, sb14)
 	}
-	if bound[0] <= 0.02 {
-		t.Fatalf("SB-bound set must exceed the 2%% criterion at SB56, got %v", bound[0])
+	if sb56 <= 0.02 {
+		t.Fatalf("SB-bound set must exceed the 2%% criterion at SB56, got %v", sb56)
 	}
 }
 
@@ -116,15 +186,7 @@ func TestFig5Shape(t *testing.T) {
 	// In every table: spb beats at-commit, and both are <= ~ideal (1.0
 	// within noise).
 	for _, tab := range tabs {
-		var atCommit, spb float64
-		for _, r := range tab.Rows {
-			switch r.Name {
-			case "at-commit":
-				atCommit = r.Vals[1]
-			case "spb":
-				spb = r.Vals[1]
-			}
-		}
+		atCommit, spb := cell(t, tab, "at-commit", "SB-BOUND"), cell(t, tab, "spb", "SB-BOUND")
 		if spb <= atCommit {
 			t.Fatalf("%s: spb (%v) must beat at-commit (%v)", tab.Title, spb, atCommit)
 		}
@@ -134,8 +196,8 @@ func TestFig5Shape(t *testing.T) {
 		}
 	}
 	// The at-commit gap must widen as the SB shrinks.
-	ac56 := tabs[0].Rows[1].Vals[1]
-	ac14 := tabs[2].Rows[1].Vals[1]
+	ac56 := cell(t, find(t, tabs, "Fig. 5 (SB56)"), "at-commit", "SB-BOUND")
+	ac14 := cell(t, find(t, tabs, "Fig. 5 (SB14)"), "at-commit", "SB-BOUND")
 	if ac14 >= ac56 {
 		t.Fatalf("at-commit at SB14 (%v) must be worse than at SB56 (%v)", ac14, ac56)
 	}
@@ -147,7 +209,10 @@ func TestFig3RegionsSumToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range tabs[0].Rows {
-		sum := r.Vals[0] + r.Vals[1] + r.Vals[2]
+		sum := 0.0
+		for _, region := range []string{"app", "lib", "kernel"} {
+			sum += cell(t, tabs[0], r.Name, region)
+		}
 		if sum < 0.99 || sum > 1.01 {
 			t.Fatalf("%s: region fractions sum to %v, want 1", r.Name, sum)
 		}
@@ -159,15 +224,10 @@ func TestFig8SPBReducesStalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range tabs[0].Rows {
-		if r.Name != "spb" {
-			continue
-		}
-		// Every column is normalized to at-commit; SPB must cut stalls.
-		for i, v := range r.Vals {
-			if v >= 1.0 {
-				t.Fatalf("spb stall ratio col %d = %v, want < 1", i, v)
-			}
+	// Every column is normalized to at-commit; SPB must cut stalls.
+	for _, col := range tabs[0].Cols {
+		if v := cell(t, tabs[0], "spb", col); v >= 1.0 {
+			t.Fatalf("spb stall ratio %s = %v, want < 1", col, v)
 		}
 	}
 }
@@ -201,8 +261,8 @@ func TestFig12SPBIssuesMoreTraffic(t *testing.T) {
 	// SPB adds burst requests on top of at-commit's per-store requests:
 	// REQ (SB-bound column) must exceed 1.
 	for _, r := range tabs[0].Rows {
-		if r.Vals[1] <= 1.0 {
-			t.Fatalf("%s: SPB REQ ratio %v, want > 1 (bursts add requests)", r.Name, r.Vals[1])
+		if req := cell(t, tabs[0], r.Name, "REQ SB-BOUND"); req <= 1.0 {
+			t.Fatalf("%s: SPB REQ ratio %v, want > 1 (bursts add requests)", r.Name, req)
 		}
 	}
 }
@@ -212,18 +272,9 @@ func TestSB20Claim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := tabs[0].Rows
 	// Performance must improve monotonically with SPB SB size, and SPB
 	// SB20 must be within a few percent of the standard at-commit SB56.
-	var sb20, sb56 float64
-	for _, r := range rows {
-		switch r.Name {
-		case "spb SB20":
-			sb20 = r.Vals[0]
-		case "spb SB56":
-			sb56 = r.Vals[0]
-		}
-	}
+	sb20, sb56 := cell(t, tabs[0], "spb SB20", "ALL"), cell(t, tabs[0], "spb SB56", "ALL")
 	if sb20 < 0.90 {
 		t.Fatalf("SPB SB20 vs at-commit SB56 = %v, want >= 0.90 (paper: ~1.0)", sb20)
 	}
@@ -265,21 +316,8 @@ func TestPFZooShape(t *testing.T) {
 		// SPB must close at least as much of the store-stall gap as
 		// at-commit under every prefetcher (the paper's core claim, which
 		// generic prefetching must not undo).
-		if r.Vals[2] < r.Vals[0]*0.98 {
-			t.Fatalf("row %q: spb %v worse than at-commit %v", r.Name, r.Vals[2], r.Vals[0])
-		}
-	}
-}
-
-func TestAllRegistryComplete(t *testing.T) {
-	h := tiny()
-	all := h.All()
-	if len(all) != len(Order) {
-		t.Fatalf("registry has %d entries, Order lists %d", len(all), len(Order))
-	}
-	for _, id := range Order {
-		if all[id] == nil {
-			t.Fatalf("experiment %q missing from registry", id)
+		if spb, atCommit := cell(t, tab, r.Name, "spb ALL"), cell(t, tab, r.Name, "at-commit ALL"); spb < atCommit*0.98 {
+			t.Fatalf("row %q: spb %v worse than at-commit %v", r.Name, spb, atCommit)
 		}
 	}
 }

@@ -2,8 +2,6 @@ package figures
 
 import (
 	"spb/internal/config"
-	"spb/internal/core"
-	"spb/internal/sim"
 )
 
 // PFZoo extends Figure 16 to the full prefetcher zoo: the store-prefetch
@@ -18,18 +16,7 @@ func (h *Harness) PFZoo() ([]Table, error) {
 		config.PrefetchNone, config.PrefetchStream, config.PrefetchBOP,
 		config.PrefetchDSPatch, config.PrefetchHybrid,
 	}
-	pols := []core.Policy{core.PolicyAtCommit, core.PolicySPB, core.PolicyIdeal}
-	res, err := h.runMatrix(func(name string) []sim.RunSpec {
-		var specs []sim.RunSpec
-		for _, k := range kinds {
-			for _, p := range pols {
-				s := h.spec(name, p, 14)
-				s.Prefetcher = k
-				specs = append(specs, s)
-			}
-		}
-		return specs
-	})
+	r, err := h.prefetcherSweep(kinds, []int{14})
 	if err != nil {
 		return nil, err
 	}
@@ -40,20 +27,11 @@ func (h *Harness) PFZoo() ([]Table, error) {
 		},
 		Note: "rows are generic L1 prefetchers; a column value of 1.0 means the policy fully hides store stalls under that prefetcher",
 	}
-	for ki, k := range kinds {
+	for _, k := range kinds {
 		row := Row{Name: k.String()}
-		base := ki * len(pols)
-		for pi := range pols[:2] {
-			var av, bv []float64
-			for _, w := range h.suite() {
-				rr := res[w.Name]
-				v := float64(rr[base+2].CPU.Cycles) / float64(rr[base+pi].CPU.Cycles)
-				av = append(av, v)
-				if w.SBBound {
-					bv = append(bv, v)
-				}
-			}
-			row.Vals = append(row.Vals, geomean(av), geomean(bv))
+		for _, p := range comparedPair {
+			all, bound := r.vsIdeal(h.suite(), h.underPrefetcher(k), p, 14)
+			row.Vals = append(row.Vals, all, bound)
 		}
 		t.Rows = append(t.Rows, row)
 	}

@@ -1,15 +1,11 @@
 package figures
 
-import (
-	"fmt"
-
-	"spb/internal/core"
-)
+import "fmt"
 
 // Expectation is one checkable claim of the paper: the value the paper
-// reports, and the band the reproduction must land in at the harness's
-// scale (bands are wider than the paper-vs-full-scale gap because the
-// verifier also runs at reduced scale).
+// reports, the cell of the reproduction that measures it, and the band that
+// cell must land in at the harness's scale (bands are wider than the
+// paper-vs-full-scale gap because the verifier also runs at reduced scale).
 type Expectation struct {
 	// ID names the experiment the claim comes from.
 	ID string
@@ -19,8 +15,13 @@ type Expectation struct {
 	Paper float64
 	// Lo and Hi bound the acceptable measured value.
 	Lo, Hi float64
-	// fetch computes the measured value.
-	fetch func(h *Harness) (float64, error)
+	// Table, Row and Col name the measured cell: the experiment's table
+	// whose title starts with Table ("" for a single-table experiment), its
+	// row Row, its column Col.
+	Table, Row, Col string
+	// Over, when set, names a second column of the same row: the measured
+	// value is then the ratio Col / Over.
+	Over string
 }
 
 // VerifyResult is the outcome of checking one expectation.
@@ -31,168 +32,49 @@ type VerifyResult struct {
 	Err      error
 }
 
-// Expectations lists the paper's headline claims as checkable bands.
-func Expectations() []Expectation {
-	fig5 := func(si, pi int, bound bool) func(h *Harness) (float64, error) {
-		return func(h *Harness) (float64, error) {
-			tabs, err := h.Fig5()
-			if err != nil {
-				return 0, err
-			}
-			col := 0
-			if bound {
-				col = 1
-			}
-			return tabs[si].Rows[pi].Vals[col], nil
-		}
+// measure reads the claim's value out of its experiment's tables.
+func (e Expectation) measure(tabs []Table) (float64, error) {
+	t, err := Find(tabs, e.Table)
+	if err != nil {
+		return 0, err
 	}
-	return []Expectation{
-		{
-			ID:    "fig1",
-			Claim: "SB stalls grow as the SB shrinks (SB14/SB56 stall ratio, SB-bound)",
-			Paper: 3.0, Lo: 1.3, Hi: 20,
-			fetch: func(h *Harness) (float64, error) {
-				tabs, err := h.Fig1()
-				if err != nil {
-					return 0, err
-				}
-				b := tabs[0].Rows[1].Vals
-				if b[0] == 0 {
-					return 0, fmt.Errorf("no SB stalls at SB56")
-				}
-				return b[2] / b[0], nil
-			},
-		},
-		{
-			ID:    "fig5",
-			Claim: "at-commit at SB14 (SB-bound, vs ideal)",
-			Paper: 0.701, Lo: 0.55, Hi: 0.85,
-			fetch: fig5(2, 1, true),
-		},
-		{
-			ID:    "fig5",
-			Claim: "SPB at SB14 (SB-bound, vs ideal)",
-			Paper: 0.926, Lo: 0.85, Hi: 1.05,
-			fetch: fig5(2, 2, true),
-		},
-		{
-			ID:    "fig5",
-			Claim: "at-commit at SB56 (SB-bound, vs ideal)",
-			Paper: 0.955, Lo: 0.88, Hi: 1.02,
-			fetch: fig5(0, 1, true),
-		},
-		{
-			ID:    "fig5",
-			Claim: "SPB at SB56 (SB-bound, vs ideal)",
-			Paper: 1.023, Lo: 0.93, Hi: 1.08,
-			fetch: fig5(0, 2, true),
-		},
-		{
-			ID:    "fig8",
-			Claim: "SPB reduces SB stalls vs at-commit (SB14, SB-bound ratio)",
-			Paper: 0.66, Lo: 0.0, Hi: 0.9,
-			fetch: func(h *Harness) (float64, error) {
-				tabs, err := h.Fig8()
-				if err != nil {
-					return 0, err
-				}
-				for _, r := range tabs[0].Rows {
-					if r.Name == core.PolicySPB.String() {
-						return r.Vals[5], nil
-					}
-				}
-				return 0, fmt.Errorf("spb row missing")
-			},
-		},
-		{
-			ID:    "fig11",
-			Claim: "SPB prefetches are mostly timely at SB14 (successful fraction)",
-			Paper: 0.47, Lo: 0.30, Hi: 0.95,
-			fetch: func(h *Harness) (float64, error) {
-				tabs, err := h.Fig11()
-				if err != nil {
-					return 0, err
-				}
-				for _, r := range tabs[2].Rows {
-					if r.Name == core.PolicySPB.String() {
-						return r.Vals[0], nil
-					}
-				}
-				return 0, fmt.Errorf("spb row missing")
-			},
-		},
-		{
-			ID:    "fig11",
-			Claim: "at-commit prefetches are mostly late at SB14 (late fraction)",
-			Paper: 0.90, Lo: 0.55, Hi: 1.0,
-			fetch: func(h *Harness) (float64, error) {
-				tabs, err := h.Fig11()
-				if err != nil {
-					return 0, err
-				}
-				for _, r := range tabs[2].Rows {
-					if r.Name == core.PolicyAtCommit.String() {
-						return r.Vals[1], nil
-					}
-				}
-				return 0, fmt.Errorf("at-commit row missing")
-			},
-		},
-		{
-			ID:    "fig12",
-			Claim: "SPB raises prefetch requests moderately (REQ ratio, SB-bound, SB14)",
-			Paper: 1.1, Lo: 1.0, Hi: 1.6,
-			fetch: func(h *Harness) (float64, error) {
-				tabs, err := h.Fig12()
-				if err != nil {
-					return 0, err
-				}
-				return tabs[0].Rows[2].Vals[1], nil
-			},
-		},
-		{
-			ID:    "fig7",
-			Claim: "SPB saves net energy at SB14 (total, SB-bound, vs at-commit)",
-			Paper: 0.832, Lo: 0.6, Hi: 1.0,
-			fetch: func(h *Harness) (float64, error) {
-				tabs, err := h.Fig7()
-				if err != nil {
-					return 0, err
-				}
-				for _, r := range tabs[2].Rows {
-					if r.Name == core.PolicySPB.String() {
-						return r.Vals[3], nil
-					}
-				}
-				return 0, fmt.Errorf("spb row missing")
-			},
-		},
-		{
-			ID:    "sb20",
-			Claim: "a 20-entry SB with SPB matches the standard 56-entry SB",
-			Paper: 1.0, Lo: 0.9, Hi: 1.15,
-			fetch: func(h *Harness) (float64, error) {
-				tabs, err := h.SB20()
-				if err != nil {
-					return 0, err
-				}
-				for _, r := range tabs[0].Rows {
-					if r.Name == "spb SB20" {
-						return r.Vals[0], nil
-					}
-				}
-				return 0, fmt.Errorf("SB20 row missing")
-			},
-		},
+	v, err := t.Cell(e.Row, e.Col)
+	if err != nil || e.Over == "" {
+		return v, err
 	}
+	den, err := t.Cell(e.Row, e.Over)
+	if err != nil {
+		return 0, err
+	}
+	if den == 0 {
+		return 0, fmt.Errorf("figures: %s is 0 in row %q of %q: no ratio to take", e.Over, e.Row, t.Title)
+	}
+	return v / den, nil
 }
 
-// Verify evaluates every expectation against the harness.
+// Verify evaluates every expectation against the harness, generating each
+// experiment once however many claims read it.
 func (h *Harness) Verify() []VerifyResult {
+	type generated struct {
+		tabs []Table
+		err  error
+	}
+	done := map[string]generated{}
 	var out []VerifyResult
 	for _, e := range Expectations() {
-		r := VerifyResult{Expectation: e}
-		r.Measured, r.Err = e.fetch(h)
+		g, ok := done[e.ID]
+		if !ok {
+			if exp, known := ExperimentByID(e.ID); known {
+				g.tabs, g.err = exp.Gen(h)
+			} else {
+				g.err = fmt.Errorf("figures: no experiment %q", e.ID)
+			}
+			done[e.ID] = g
+		}
+		r := VerifyResult{Expectation: e, Err: g.err}
+		if r.Err == nil {
+			r.Measured, r.Err = e.measure(g.tabs)
+		}
 		r.Pass = r.Err == nil && r.Measured >= e.Lo && r.Measured <= e.Hi
 		out = append(out, r)
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"flag"
 	"reflect"
 	"testing"
 
@@ -456,4 +457,29 @@ func FuzzFunctionalEquivalence(f *testing.F) {
 			t.Errorf("stream cursors diverge after %d insts: detailed next=%+v functional next=%+v", insts, a, b)
 		}
 	})
+}
+
+// TestSamplingFlags: the one declaration of the CLIs' -sample* flags keeps
+// their rule — -sample means DefaultSampling unless an interval was given.
+func TestSamplingFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want SamplingConfig
+	}{
+		{nil, SamplingConfig{}},
+		{[]string{"-sample"}, DefaultSampling},
+		{[]string{"-sample", "-sample-interval", "50000"}, SamplingConfig{IntervalInsts: 50_000}},
+		{[]string{"-sample-interval", "50000", "-sample-detailed", "100", "-sample-warm", "200", "-sample-history", "300"},
+			SamplingConfig{IntervalInsts: 50_000, DetailedInsts: 100, WarmInsts: 200, HistoryInsts: 300}},
+		{[]string{"-sample-detailed", "100"}, SamplingConfig{DetailedInsts: 100}},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		get := SamplingFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if got := get(); got != tc.want {
+			t.Errorf("%v selects %+v, want %+v", tc.args, got, tc.want)
+		}
+	}
 }

@@ -21,9 +21,10 @@ echo "== sampling suite (CI accuracy, skip/touch equivalence, accounting) =="
 go test -run 'Sampled|Sampling|Skip' ./internal/sim ./internal/workloads ./internal/server
 echo "== fuzz seed corpora (functional == detailed state; a run never writes into the snapshot it started from; no checkpoint bytes panic or change a result; no trace-file bytes panic or fail as anything but ErrBadTrace) =="
 go test -run 'FuzzFunctionalEquivalence|FuzzWarmSnapshotAliasing|FuzzDecodeCkpt|FuzzOpenTrace' ./internal/sim ./internal/trace
-echo "== engine exactness (per-core sleeping == every-cycle loop; golden result hashes; the run plan covers every instruction once and resumes at every position; a checkpoint is plain exported structs and round-trips to itself; each packed structure == its naive reference) =="
+echo "== engine exactness (per-core sleeping == every-cycle loop; golden result hashes; the run plan covers every instruction once and resumes at every position; a checkpoint is plain exported structs and round-trips to itself; each packed structure == its naive reference; every figure's bytes and simulation count == the recorded ones; out/tables_full.txt holds the registry's tables) =="
 go test -count=1 -run 'FastForwardEquivalence|GoldenStatsHashes|CheckpointResumeCoresAtDifferentClocks|PlanCoversEveryInstructionOnce|CrashResumeAtEveryPlanPosition|CounterTablesCoverEveryField|CkptFormIsPlainStructs|CkptRoundTripIsIdentity' ./internal/sim
 go test -count=1 -run 'MatchesReference|ToFront' ./internal/cache ./internal/cpu
+go test -count=1 -run 'TablesGolden|OutTablesFullTitles' ./internal/figures
 echo "== go test -race (sim, figures, server, client, cluster, obs, memsys, cpu, trace, prefetch) =="
 go test -race ./internal/sim ./internal/figures ./internal/server ./internal/client ./internal/cluster ./internal/obs ./internal/memsys ./internal/cpu ./internal/trace ./internal/prefetch
 echo "== serve-check (spbd end-to-end smoke) =="

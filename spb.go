@@ -20,10 +20,17 @@
 //		Insts:    1_000_000,
 //	})
 //
-// or regenerate a paper figure:
+// or regenerate a paper figure and read its values by (row, column) name:
 //
 //	h := spb.NewHarness(spb.FullScale)
-//	tables, err := h.Fig5()
+//	tables, err := h.Fig5() // one table per SB size
+//	for _, t := range tables {
+//		v, err := t.Cell("spb", "SB-BOUND")
+//	}
+//
+// Experiments lists the ids `spbtables -exp` accepts, in presentation order;
+// h.Verify checks the paper's headline claims, each one row naming a table
+// cell and the band it must land in.
 package spb
 
 import (
@@ -129,4 +136,10 @@ var (
 func NewHarness(scale Scale) *Harness { return figures.NewHarness(scale) }
 
 // Experiments lists the experiment ids in presentation order.
-func Experiments() []string { return append([]string(nil), figures.Order...) }
+func Experiments() []string {
+	var ids []string
+	for _, e := range figures.Experiments {
+		ids = append(ids, e.ID)
+	}
+	return ids
+}
