@@ -1,35 +1,23 @@
-.PHONY: check test build serve-check chaos chaos-kill cluster-check
+.PHONY: check test build e2e
 
 # Full pre-merge gate: vet + build + tests + race pass on the concurrent
-# packages.
+# packages + the end-to-end harness.
 check:
 	sh scripts/check.sh
 
-# End-to-end smoke of the spbd service: build, start on a random port,
-# verify cold-run stats match spbsim -json, cache hit on repeat, cancel,
-# /healthz + /metrics, SIGTERM drain.
-serve-check:
-	sh scripts/serve_check.sh
-
-# Resilience gate: race-enabled chaos/fault-injection suites, then a real
-# 3-backend sweep under a seeded fault storm (byte-identical CSV), disk
-# corruption quarantine-and-heal, and SIGTERM drain of faulted daemons.
-chaos:
-	sh scripts/chaos_check.sh
-
-# Crash-safety gate: kill -9 a daemon mid-batch and mid-long-run; the
-# restart must recover the job journal (original IDs, recovered markers),
-# resume the interrupted run from its on-disk checkpoint, and produce
-# byte-identical stats and sweep CSVs throughout.
-chaos-kill:
-	sh scripts/chaos_kill_check.sh
-
-# Cluster gate: a real 3-node fleet — gossip convergence, peer cache
-# read-through, work stealing under skewed load, kill/rejoin with epoch
+# End-to-end gate of the spbd service plane (internal/e2e, build tag e2e):
+# real daemons on port 0, driven through internal/client, beside spbsim,
+# spbsweep and spbload for the byte comparisons. TestServe: cold-run stats ==
+# spbsim -json, cache hit on repeat, cancel, batch, traces, /healthz +
+# /metrics, SIGTERM drain. TestChaos: a 3-backend sweep under a seeded fault
+# storm (byte-identical CSV), disk corruption quarantine-and-heal. TestChaosKill:
+# kill -9 mid-batch and mid-run; journal recovery under the original IDs and
+# checkpoint resume, byte-identical throughout. TestCluster: a 3-node fleet —
+# gossip convergence, peer read-through, stealing, kill/rejoin with epoch
 # supersession, byte-identical cluster sweeps (incl. under a cluster fault
-# storm), and multi-tenant auth/quota/fairness.
-cluster-check:
-	sh scripts/cluster_check.sh
+# storm), tenant auth/quota/fairness, the cluster secret.
+e2e:
+	go vet -tags e2e ./internal/e2e && go test -tags e2e -count=1 -v ./internal/e2e
 
 test:
 	go test ./...

@@ -1,12 +1,15 @@
 // Command spbd is the simulation-as-a-service daemon: it accepts RunSpec
-// jobs over HTTP, executes them on a bounded worker pool with FIFO queueing
-// and per-spec deduplication, and answers repeats from a two-tier cache
-// (in-memory + content-addressed disk store that survives restarts).
+// jobs over HTTP, deduplicates them per spec, answers repeats from its
+// result tiers (the in-memory memo, a content-addressed disk store that
+// survives restarts and, in a cluster, the peers' disk stores) and runs the
+// rest on a bounded worker pool fed by a tenant-aware queue (strict priority
+// lanes, weighted-fair within a lane).
 //
 // Endpoints:
 //
 //	POST /v1/runs            submit a run (JSON RunRequest; ?wait=1 blocks for the result)
-//	GET  /v1/runs            list accepted runs
+//	POST /v1/batch           submit a whole sweep, results streamed back as NDJSON
+//	GET  /v1/runs            list the live runs and the most recently ended ones
 //	GET  /v1/runs/{id}       job status + stats when done
 //	GET  /v1/runs/{id}/events  SSE progress stream (committed, cycles, IPC-so-far)
 //	POST /v1/runs/{id}/cancel  stop a queued or running job

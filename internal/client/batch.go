@@ -6,12 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
-	"time"
 
-	"spb/internal/obs"
 	"spb/internal/server"
 	"spb/internal/sim"
 )
@@ -37,66 +33,17 @@ func (c *Client) Batch(ctx context.Context, specs []sim.RunSpec, fn func(server.
 	if err != nil {
 		return err
 	}
-	start := time.Now()
-	var lastErr error
-	for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			delay := c.retry.backoff(attempt, lastErr)
-			if time.Since(start)+delay > c.retry.Budget {
-				break
-			}
-			select {
-			case <-time.After(delay):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		consumed, err := c.batchOnce(ctx, body, fn)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if consumed || !retryable(err) || ctx.Err() != nil {
-			return err
-		}
-	}
-	return lastErr
+	return c.retrying(ctx, func() (bool, error) { return c.batchOnce(ctx, body, fn) })
 }
 
 // batchOnce performs a single batch request. consumed reports whether any
 // stream line reached fn (after which a retry would replay indices).
 func (c *Client) batchOnce(ctx context.Context, body []byte, fn func(server.BatchItem) error) (consumed bool, err error) {
-	c.faults.Sleep("client.request", ctx.Done())
-	if err := c.faults.Err("client.request"); err != nil {
-		return false, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/batch", bytes.NewReader(body))
-	if err != nil {
-		return false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if c.traceID != "" {
-		req.Header.Set(obs.TraceHeader, c.traceID)
-	}
-	if c.apiKey != "" {
-		req.Header.Set(server.TenantKeyHeader, c.apiKey)
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.roundTrip(ctx, http.MethodPost, "/v1/batch", body, false)
 	if err != nil {
 		return false, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(resp.Body)
-		var e struct {
-			Error string `json:"error"`
-		}
-		_ = json.Unmarshal(data, &e)
-		if e.Error == "" {
-			e.Error = strings.TrimSpace(string(data))
-		}
-		return false, &StatusError{Code: resp.StatusCode, Message: e.Error, RetryAfter: resp.Header.Get("Retry-After")}
-	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024) // result payloads are large
 	for sc.Scan() {

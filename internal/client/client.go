@@ -34,14 +34,22 @@ import (
 
 // RetryPolicy shapes the client's transient-failure handling: up to
 // MaxAttempts tries per call, exponential backoff from BaseDelay capped at
-// MaxDelay (with jitter), the whole call bounded by Budget. A Retry-After
-// header from the daemon (429 backpressure) overrides the computed backoff.
+// retryMaxDelay (with jitter), the whole call bounded by retryBudget. A
+// Retry-After header from the daemon (429 backpressure) overrides the
+// computed backoff.
 type RetryPolicy struct {
 	MaxAttempts int           // total tries including the first (default 4; negative disables retries)
 	BaseDelay   time.Duration // first backoff step (default 100ms)
-	MaxDelay    time.Duration // backoff ceiling (default 5s)
-	Budget      time.Duration // wall-clock bound per call, waits included (default 30s)
 }
+
+const (
+	// retryMaxDelay is the backoff ceiling: past it a daemon is down, not
+	// busy, and waiting longer between tries only delays saying so.
+	retryMaxDelay = 5 * time.Second
+	// retryBudget bounds one call's wall clock, waits included: a retry
+	// whose backoff would cross it is not attempted.
+	retryBudget = 30 * time.Second
+)
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts == 0 {
@@ -52,12 +60,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = 100 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 5 * time.Second
-	}
-	if p.Budget <= 0 {
-		p.Budget = 30 * time.Second
 	}
 	return p
 }
@@ -73,8 +75,8 @@ func (p RetryPolicy) backoff(attempt int, lastErr error) time.Duration {
 		}
 	}
 	d := p.BaseDelay << (attempt - 1)
-	if d > p.MaxDelay || d <= 0 {
-		d = p.MaxDelay
+	if d > retryMaxDelay || d <= 0 {
+		d = retryMaxDelay
 	}
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
@@ -189,22 +191,16 @@ func retryable(err error) bool {
 	return errors.As(err, &ue) // connection refused/reset, truncated response, ...
 }
 
-// do runs one JSON request with the retry policy. The body is marshalled
-// once and replayed on every attempt.
-func (c *Client) do(ctx context.Context, method, path string, body any, out any) error {
-	var data []byte
-	if body != nil {
-		var err error
-		if data, err = json.Marshal(body); err != nil {
-			return err
-		}
-	}
+// retrying runs attempt under the retry policy — the client's one retry
+// loop. attempt reports final when its failure must not be retried whatever
+// the error (a batch stream that already delivered lines to its caller).
+func (c *Client) retrying(ctx context.Context, attempt func() (final bool, err error)) error {
 	start := time.Now()
 	var lastErr error
-	for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			delay := c.retry.backoff(attempt, lastErr)
-			if time.Since(start)+delay > c.retry.Budget {
+	for n := 0; n < c.retry.MaxAttempts; n++ {
+		if n > 0 {
+			delay := c.retry.backoff(n, lastErr)
+			if time.Since(start)+delay > retryBudget {
 				break
 			}
 			select {
@@ -213,30 +209,38 @@ func (c *Client) do(ctx context.Context, method, path string, body any, out any)
 				return ctx.Err()
 			}
 		}
-		err := c.doOnce(ctx, method, path, data, out)
+		final, err := attempt()
 		if err == nil {
 			return nil
 		}
 		lastErr = err
-		if !retryable(err) || ctx.Err() != nil {
+		if final || !retryable(err) || ctx.Err() != nil {
 			return err
 		}
 	}
 	return lastErr
 }
 
-func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, out any) error {
-	c.faults.Sleep("client.request", ctx.Done())
-	if err := c.faults.Err("client.request"); err != nil {
-		return err
-	}
+// roundTrip is the one HTTP exchange under every call: the "client.request"
+// fault site, the request with the client's trace ID and API key on it, and
+// a non-2xx answer turned into a *StatusError. On a nil error the caller
+// owns resp.Body. probe marks the readiness probe, the one call with
+// exceptions: it bypasses fault injection (probing is itself the recovery
+// path) and takes a 503 for an answer.
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, probe bool) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
+	if !probe {
+		c.faults.Sleep("client.request", ctx.Done())
+		if err := c.faults.Err("client.request"); err != nil {
+			return nil, err
+		}
+	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -249,35 +253,56 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if resp.StatusCode/100 == 2 || probe && resp.StatusCode == http.StatusServiceUnavailable {
+		return resp, nil
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
+	data, _ := io.ReadAll(resp.Body)
+	var e struct {
+		Error string `json:"error"`
 	}
-	if resp.StatusCode/100 != 2 {
-		var e struct {
-			Error string `json:"error"`
+	if _ = json.Unmarshal(data, &e); e.Error == "" { // not the daemon's JSON error shape: report the body as it is
+		e.Error = strings.TrimSpace(string(data))
+	}
+	return nil, &StatusError{Code: resp.StatusCode, Message: e.Error, RetryAfter: resp.Header.Get("Retry-After")}
+}
+
+// do runs one request under the retry policy and returns the response body.
+// A request body is marshalled once and replayed on every attempt.
+func (c *Client) do(ctx context.Context, method, path string, body any) (data []byte, err error) {
+	var sent []byte
+	if body != nil {
+		if sent, err = json.Marshal(body); err != nil {
+			return nil, err
 		}
-		_ = json.Unmarshal(data, &e)
-		if e.Error == "" {
-			e.Error = strings.TrimSpace(string(data))
+	}
+	err = c.retrying(ctx, func() (bool, error) {
+		resp, err := c.roundTrip(ctx, method, path, sent, false)
+		if err != nil {
+			return false, err
 		}
-		return &StatusError{Code: resp.StatusCode, Message: e.Error, RetryAfter: resp.Header.Get("Retry-After")}
+		defer resp.Body.Close()
+		data, err = io.ReadAll(resp.Body)
+		return false, err
+	})
+	return data, err
+}
+
+// call is do for the endpoints that answer one JSON document of type T.
+func call[T any](c *Client, ctx context.Context, method, path string, body any) (v T, err error) {
+	data, err := c.do(ctx, method, path, body)
+	if err == nil {
+		err = json.Unmarshal(data, &v)
 	}
-	if out != nil {
-		return json.Unmarshal(data, out)
-	}
-	return nil
+	return v, err
 }
 
 // Submit enqueues spec without waiting and returns the accepted (or
 // cache-answered) job view.
 func (c *Client) Submit(ctx context.Context, spec sim.RunSpec) (server.JobView, error) {
-	var v server.JobView
-	err := c.do(ctx, http.MethodPost, "/v1/runs", server.Request(spec), &v)
-	return v, err
+	return call[server.JobView](c, ctx, http.MethodPost, "/v1/runs", server.Request(spec))
 }
 
 // Run submits spec and blocks until the daemon returns the result (the
@@ -285,37 +310,27 @@ func (c *Client) Submit(ctx context.Context, spec sim.RunSpec) (server.JobView, 
 // interested the daemon stops the simulation. Transient failures retry —
 // safe because a re-submitted spec coalesces or cache-hits.
 func (c *Client) Run(ctx context.Context, spec sim.RunSpec) (server.JobView, error) {
-	var v server.JobView
-	err := c.do(ctx, http.MethodPost, "/v1/runs?wait=1", server.Request(spec), &v)
-	if err != nil {
-		return v, err
+	v, err := call[server.JobView](c, ctx, http.MethodPost, "/v1/runs?wait=1", server.Request(spec))
+	if err == nil && v.Status != server.StatusDone {
+		err = fmt.Errorf("spbd: run %s ended %s: %s", v.ID, v.Status, v.Error)
 	}
-	if v.Status != server.StatusDone {
-		return v, fmt.Errorf("spbd: run %s ended %s: %s", v.ID, v.Status, v.Error)
-	}
-	return v, nil
+	return v, err
 }
 
 // Get fetches the current view of a job.
 func (c *Client) Get(ctx context.Context, id string) (server.JobView, error) {
-	var v server.JobView
-	err := c.do(ctx, http.MethodGet, "/v1/runs/"+id, nil, &v)
-	return v, err
+	return call[server.JobView](c, ctx, http.MethodGet, "/v1/runs/"+id, nil)
 }
 
 // JobTrace fetches a job's per-phase span timeline. The daemon answers 404
 // when the job is unknown or tracing is disabled.
 func (c *Client) JobTrace(ctx context.Context, id string) (obs.TraceView, error) {
-	var tv obs.TraceView
-	err := c.do(ctx, http.MethodGet, "/v1/runs/"+id+"/trace", nil, &tv)
-	return tv, err
+	return call[obs.TraceView](c, ctx, http.MethodGet, "/v1/runs/"+id+"/trace", nil)
 }
 
 // Cancel asks the daemon to stop a job.
 func (c *Client) Cancel(ctx context.Context, id string) (server.JobView, error) {
-	var v server.JobView
-	err := c.do(ctx, http.MethodPost, "/v1/runs/"+id+"/cancel", nil, &v)
-	return v, err
+	return call[server.JobView](c, ctx, http.MethodPost, "/v1/runs/"+id+"/cancel", nil)
 }
 
 // Wait polls a job until it reaches a terminal state.
@@ -328,7 +343,7 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (serve
 		if err != nil {
 			return v, err
 		}
-		if v.Status == server.StatusDone || v.Status == server.StatusFailed || v.Status == server.StatusCancelled {
+		if v.Status.Terminal() {
 			return v, nil
 		}
 		select {
@@ -343,19 +358,11 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (serve
 // until the stream ends (job terminal), ctx is cancelled, or fn returns
 // false.
 func (c *Client) Events(ctx context.Context, id string, fn func(name string, data json.RawMessage) bool) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/runs/"+id+"/events", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.roundTrip(ctx, http.MethodGet, "/v1/runs/"+id+"/events", nil, false)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(resp.Body)
-		return &StatusError{Code: resp.StatusCode, Message: strings.TrimSpace(string(data))}
-	}
 	sc := bufio.NewScanner(resp.Body)
 	var name string
 	for sc.Scan() {
@@ -380,9 +387,7 @@ func (c *Client) Events(ctx context.Context, id string, fn func(name string, dat
 
 // Healthz fetches the daemon's liveness document.
 func (c *Client) Healthz(ctx context.Context) (map[string]any, error) {
-	var v map[string]any
-	err := c.do(ctx, http.MethodGet, "/healthz", nil, &v)
-	return v, err
+	return call[map[string]any](c, ctx, http.MethodGet, "/healthz", nil)
 }
 
 // ReadyView is the readiness document served at GET /healthz?ready=1.
@@ -398,56 +403,24 @@ type ReadyView struct {
 // Ready probes the daemon's readiness. Unlike every other call it never
 // retries and bypasses fault injection: a 503 *is* the answer (an unready
 // view with a nil error), and probing is itself the recovery path. Only
-// transport-level failure returns an error.
-func (c *Client) Ready(ctx context.Context) (ReadyView, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz?ready=1", nil)
+// transport-level failure (or another status) returns an error.
+func (c *Client) Ready(ctx context.Context) (rv ReadyView, err error) {
+	resp, err := c.roundTrip(ctx, http.MethodGet, "/healthz?ready=1", nil, true)
 	if err != nil {
-		return ReadyView{}, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return ReadyView{}, err
+		return rv, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return ReadyView{}, err
-	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return ReadyView{}, &StatusError{Code: resp.StatusCode, Message: strings.TrimSpace(string(data))}
-	}
-	var rv ReadyView
-	if err := json.Unmarshal(data, &rv); err != nil {
-		return ReadyView{}, err
-	}
-	return rv, nil
+	return rv, json.NewDecoder(resp.Body).Decode(&rv)
 }
 
 // Members fetches the daemon's cluster membership view. Standalone daemons
 // (no cluster attached) answer 404.
 func (c *Client) Members(ctx context.Context) (cluster.MembersView, error) {
-	var v cluster.MembersView
-	err := c.do(ctx, http.MethodGet, "/v1/cluster/members", nil, &v)
-	return v, err
+	return call[cluster.MembersView](c, ctx, http.MethodGet, "/v1/cluster/members", nil)
 }
 
 // Metrics fetches the raw Prometheus exposition text.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", &StatusError{Code: resp.StatusCode, Message: strings.TrimSpace(string(data))}
-	}
-	return string(data), nil
+	data, err := c.do(ctx, http.MethodGet, "/metrics", nil)
+	return string(data), err
 }

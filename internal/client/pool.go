@@ -55,13 +55,10 @@ type PoolOptions struct {
 	// time (one dispatch chunk; default 16). It should be at least the
 	// backend's worker count or the backend idles between chunks.
 	MaxInflight int
-	// HedgeMin floors the straggler hedge delay (default 2s). Hedging
-	// before any latency samples exist uses exactly this floor.
+	// HedgeMin floors the straggler hedge delay (default 2s): a point is
+	// hedged once it has been outstanding max(HedgeMin, hedgeMult × p95).
+	// Hedging before any latency samples exist uses exactly this floor.
 	HedgeMin time.Duration
-	// HedgeMult scales the observed p95 completion latency into the hedge
-	// delay (default 3.0): a point is hedged once it has been outstanding
-	// max(HedgeMin, HedgeMult × p95).
-	HedgeMult float64
 	// HedgeTick is how often outstanding points are scanned for stragglers
 	// (default 50ms).
 	HedgeTick time.Duration
@@ -75,9 +72,6 @@ type PoolOptions struct {
 	// BreakerMaxTrips is how many consecutive trips (no success in between)
 	// mark a backend permanently dead for this pool (default 3).
 	BreakerMaxTrips int
-	// ProbeTimeout bounds the readiness probe issued before a run's first
-	// dispatch to a backend and on every half-open trial (default 2s).
-	ProbeTimeout time.Duration
 	// ClientOptions configures the per-backend clients (transport, retry,
 	// fault injection). The pool halves the default retry attempts to 2:
 	// it has failover of its own and prefers re-sharding over long
@@ -87,15 +81,22 @@ type PoolOptions struct {
 	Logf func(format string, args ...any)
 }
 
+const (
+	// hedgeMult scales the observed p95 completion latency into the hedge
+	// delay: three times the tail is a straggler, not variance.
+	hedgeMult = 3.0
+	// probeTimeout bounds the readiness probe issued before a run's first
+	// dispatch to a backend and on every half-open trial; a daemon that
+	// cannot answer /healthz in that long is not one to dispatch to.
+	probeTimeout = 2 * time.Second
+)
+
 func (o PoolOptions) withDefaults() PoolOptions {
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 16
 	}
 	if o.HedgeMin <= 0 {
 		o.HedgeMin = 2 * time.Second
-	}
-	if o.HedgeMult <= 0 {
-		o.HedgeMult = 3.0
 	}
 	if o.HedgeTick <= 0 {
 		o.HedgeTick = 50 * time.Millisecond
@@ -108,9 +109,6 @@ func (o PoolOptions) withDefaults() PoolOptions {
 	}
 	if o.BreakerMaxTrips <= 0 {
 		o.BreakerMaxTrips = 3
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
 	}
 	if o.ClientOptions.Retry.MaxAttempts == 0 {
 		o.ClientOptions.Retry.MaxAttempts = 2
@@ -140,19 +138,6 @@ type Pool struct {
 	index    map[string]int
 }
 
-// normalizeBase canonicalizes a backend base URL the same way the daemons
-// advertise themselves: scheme prefixed, trailing slash trimmed.
-func normalizeBase(b string) string {
-	b = strings.TrimSpace(b)
-	if b == "" {
-		return ""
-	}
-	if !strings.Contains(b, "://") {
-		b = "http://" + b
-	}
-	return strings.TrimRight(b, "/")
-}
-
 // NewPool builds a pool over the given backend base URLs (e.g.
 // "http://host:7077"; a bare host:port gets http:// prepended).
 func NewPool(bases []string, opts PoolOptions) (*Pool, error) {
@@ -167,7 +152,7 @@ func NewPool(bases []string, opts PoolOptions) (*Pool, error) {
 		p.opts.ClientOptions.TraceID = obs.NewTraceID()
 	}
 	for _, b := range bases {
-		if b = normalizeBase(b); b != "" {
+		if b = cluster.NormalizeURL(b); b != "" {
 			p.addLocked(b, 0)
 		}
 	}
@@ -265,7 +250,7 @@ func (p *Pool) mergeMembers(ms []cluster.Member) (added, readmitted int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, m := range ms {
-		base := normalizeBase(m.URL)
+		base := cluster.NormalizeURL(m.URL)
 		if base == "" || m.State != cluster.StateAlive {
 			continue
 		}
@@ -594,7 +579,7 @@ func (r *poolRun) hasWork(b int) bool {
 // daemon is a probe failure; a daemon that is merely out of queue headroom
 // is alive and accepted — the batch path waits for queue space server-side.
 func (r *poolRun) probe(b int) error {
-	ctx, cancel := context.WithTimeout(r.ctx, r.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(r.ctx, probeTimeout)
 	defer cancel()
 	rv, err := r.p.client(b).Ready(ctx)
 	if err != nil {
@@ -907,7 +892,7 @@ func (r *poolRun) recordLatencyLocked(d time.Duration) {
 	r.latNext = (r.latNext + 1) % latencyRing
 }
 
-// hedgeDelay is the adaptive straggler threshold: HedgeMult × the p95 of
+// hedgeDelay is the adaptive straggler threshold: hedgeMult × the p95 of
 // recent completion latencies, floored at HedgeMin.
 func (r *poolRun) hedgeDelay() time.Duration {
 	r.mu.Lock()
@@ -918,7 +903,7 @@ func (r *poolRun) hedgeDelay() time.Duration {
 	lat := append([]time.Duration(nil), r.latencies...)
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	p95 := obs.PercentileDuration(lat, 0.95)
-	d := time.Duration(r.opts.HedgeMult * float64(p95))
+	d := time.Duration(hedgeMult * float64(p95))
 	if d < r.opts.HedgeMin {
 		d = r.opts.HedgeMin
 	}

@@ -29,7 +29,7 @@
 //     trivially safe — a key names exactly one result — so a sweep re-run
 //     against any node of the fleet reuses every other node's cache.
 //
-// Fault sites (DESIGN.md §10): "gossip.drop" skips a gossip exchange,
+// Fault sites (DESIGN.md §8.8): "gossip.drop" skips a gossip exchange,
 // "steal.cut" severs a steal response after ownership transferred (forcing
 // the reclaim path), "peer.read" fails the peer read-through endpoint.
 package cluster

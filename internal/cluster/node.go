@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"spb/internal/faults"
+	"spb/internal/obs"
 	"spb/internal/sim"
 )
 
@@ -76,13 +77,6 @@ type Config struct {
 
 	// GossipInterval is the anti-entropy period (default 500ms).
 	GossipInterval time.Duration
-	// Fanout is how many peers each gossip round contacts (default 2).
-	Fanout int
-	// SuspectAfter marks a member suspect when nothing fresh has been
-	// heard about it for this long (default 5×GossipInterval).
-	SuspectAfter time.Duration
-	// RemoveAfter prunes a member from the table (default 60×GossipInterval).
-	RemoveAfter time.Duration
 
 	// DisableSteal turns the work-stealing loop off (gossip and peer reads
 	// keep running).
@@ -94,9 +88,6 @@ type Config struct {
 	// (default 2: never steal a queue's last dregs, the victim's own
 	// workers are about to take them).
 	StealThreshold int
-	// StealMax caps jobs taken per steal request (default: the thief's
-	// free worker capacity).
-	StealMax int
 	// StealTimeout is the victim-side reclaim deadline: a handoff with no
 	// completion for this long is re-enqueued locally (default 30s).
 	StealTimeout time.Duration
@@ -114,9 +105,6 @@ type Config struct {
 	// PeerFanout is how many rendezvous-ranked peers a read-through
 	// consults before giving up (default 2).
 	PeerFanout int
-	// PeerReadTimeout bounds each peer read (default 500ms — a disk read
-	// plus one RTT; anything slower is cheaper to simulate).
-	PeerReadTimeout time.Duration
 
 	// HTTPClient overrides the transport for gossip/steal/peer calls.
 	HTTPClient *http.Client
@@ -130,21 +118,27 @@ type Config struct {
 	Epoch uint64
 }
 
+const (
+	// gossipFanout is how many peers each gossip round contacts: two keeps
+	// the tables converging in O(log n) rounds at O(1) requests per round.
+	gossipFanout = 2
+	// suspectRounds and removeRounds judge silence in gossip intervals: a
+	// member nothing fresh has been heard about for 5 rounds is suspect (no
+	// longer a steal victim or a peer to read from), and after 60 it is
+	// pruned from the table — a restart reappears under a new epoch.
+	suspectRounds = 5
+	removeRounds  = 60
+	// peerReadTimeout bounds each peer read: a disk read plus one RTT;
+	// anything slower is cheaper to simulate.
+	peerReadTimeout = 500 * time.Millisecond
+)
+
 func (c Config) withDefaults() Config {
 	if c.ID == "" {
 		c.ID = c.Advertise
 	}
 	if c.GossipInterval <= 0 {
 		c.GossipInterval = 500 * time.Millisecond
-	}
-	if c.Fanout <= 0 {
-		c.Fanout = 2
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 5 * c.GossipInterval
-	}
-	if c.RemoveAfter <= 0 {
-		c.RemoveAfter = 60 * c.GossipInterval
 	}
 	if c.StealInterval <= 0 {
 		c.StealInterval = 250 * time.Millisecond
@@ -158,9 +152,6 @@ func (c Config) withDefaults() Config {
 	if c.PeerFanout <= 0 {
 		c.PeerFanout = 2
 	}
-	if c.PeerReadTimeout <= 0 {
-		c.PeerReadTimeout = 500 * time.Millisecond
-	}
 	if c.HTTPClient == nil {
 		c.HTTPClient = &http.Client{}
 	}
@@ -173,15 +164,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// NodeStats are the node's own protocol counters, exported under
-// spbd_cluster_* at /metrics.
+// NodeStats are the node's own protocol counters; each field's tag is its
+// /metrics declaration (obs.Families).
 type NodeStats struct {
-	GossipRounds   atomic.Uint64 // exchanges initiated
-	GossipFailures atomic.Uint64 // exchanges that errored (peer down, injected drop)
-	StealRequests  atomic.Uint64 // steal attempts initiated (thief side)
-	StealJobsTaken atomic.Uint64 // jobs received from victims (thief side)
-	PeerLookups    atomic.Uint64 // read-through probes sent
-	PeerFetched    atomic.Uint64 // read-through probes answered with a result
+	GossipRounds   atomic.Uint64 `metric:"spbd_cluster_gossip_rounds_total" help:"Gossip exchanges initiated."`
+	GossipFailures atomic.Uint64 `metric:"spbd_cluster_gossip_failures_total" help:"Gossip exchanges that failed (peer down or injected drop)."`
+	StealRequests  atomic.Uint64 `metric:"spbd_cluster_steal_requests_total" help:"Steal attempts initiated by this node (thief side)."`
+	StealJobsTaken atomic.Uint64 `metric:"spbd_cluster_steal_jobs_taken_total" help:"Jobs received from victims (thief side)."`
+	PeerLookups    atomic.Uint64 `metric:"spbd_cluster_peer_lookups_total" help:"Peer cache read-through probes sent."`
+	PeerFetched    atomic.Uint64 `metric:"spbd_cluster_peer_fetched_total" help:"Peer cache read-through probes that returned a result."`
 }
 
 // Node runs the cluster protocols for one daemon. Create with New, mount its
@@ -208,9 +199,9 @@ func New(cfg Config, be Backend) (*Node, error) {
 	if cfg.Advertise == "" {
 		return nil, fmt.Errorf("cluster: Advertise is required")
 	}
-	cfg.Advertise = normalizeURL(cfg.Advertise)
+	cfg.Advertise = NormalizeURL(cfg.Advertise)
 	for i, s := range cfg.Seeds {
-		cfg.Seeds[i] = normalizeURL(s)
+		cfg.Seeds[i] = NormalizeURL(s)
 	}
 	n := &Node{
 		cfg:   cfg,
@@ -224,9 +215,10 @@ func New(cfg Config, be Backend) (*Node, error) {
 	return n, nil
 }
 
-// normalizeURL mirrors client.Pool's base normalization so the same daemon
-// is never known under two spellings.
-func normalizeURL(u string) string {
+// NormalizeURL canonicalizes a daemon's base URL — scheme prefixed, trailing
+// slash trimmed — for the member table and for client.Pool alike, so the
+// same daemon is never known under two spellings.
+func NormalizeURL(u string) string {
 	u = strings.TrimSpace(u)
 	if u == "" {
 		return u
@@ -268,7 +260,7 @@ func (n *Node) self() Member {
 func (n *Node) Members() []Member {
 	now := time.Now()
 	n.table.Merge(n.self(), now) // self is always fresh
-	return n.table.Snapshot(now, n.cfg.SuspectAfter, n.cfg.RemoveAfter)
+	return n.table.Snapshot(now, suspectRounds*n.cfg.GossipInterval, removeRounds*n.cfg.GossipInterval)
 }
 
 // Stats exposes the protocol counters (metrics, tests).
@@ -320,7 +312,7 @@ func (n *Node) gossipLoop() {
 	}
 }
 
-// gossipOnce exchanges tables with up to Fanout peers. Candidate targets are
+// gossipOnce exchanges tables with up to gossipFanout peers. Candidate targets are
 // everything in the table plus the configured seeds — seeds stay reachable
 // through partitions that empty the table.
 func (n *Node) gossipOnce() {
@@ -356,8 +348,8 @@ func (n *Node) gossipTargets() []string {
 	n.rngMu.Lock()
 	n.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 	n.rngMu.Unlock()
-	if len(cands) > n.cfg.Fanout {
-		cands = cands[:n.cfg.Fanout]
+	if len(cands) > gossipFanout {
+		cands = cands[:gossipFanout]
 	}
 	return cands
 }
@@ -377,7 +369,7 @@ func protoTimeout(d time.Duration) time.Duration {
 func (n *Node) exchange(url string) error {
 	req := gossipRequest{From: n.self(), Members: n.Members()}
 	var resp gossipRequest
-	if err := n.postJSON(url+"/v1/cluster/gossip", req, &resp, protoTimeout(n.cfg.GossipInterval*4)); err != nil {
+	if err := n.roundTrip(http.MethodPost, url+"/v1/cluster/gossip", req, &resp, protoTimeout(n.cfg.GossipInterval*4)); err != nil {
 		return err
 	}
 	now := time.Now()
@@ -487,16 +479,13 @@ func (n *Node) stealOnce() {
 	if ld.Draining || free <= 0 {
 		return
 	}
-	if n.cfg.StealMax > 0 && free > n.cfg.StealMax {
-		free = n.cfg.StealMax
-	}
 	victim, ok := n.pickVictim()
 	if !ok {
 		return
 	}
 	n.stats.StealRequests.Add(1)
 	var resp stealResponse
-	err := n.postJSON(victim.URL+"/v1/cluster/steal",
+	err := n.roundTrip(http.MethodPost, victim.URL+"/v1/cluster/steal",
 		stealRequest{Thief: n.cfg.Advertise, Max: free}, &resp, protoTimeout(n.cfg.StealInterval*8))
 	if err != nil {
 		n.cfg.Logf("cluster: steal from %s failed: %v", victim.URL, err)
@@ -575,7 +564,7 @@ func (n *Node) runStolen(job StolenJob, victimURL string) {
 			case <-time.After(time.Duration(attempt) * 200 * time.Millisecond):
 			}
 		}
-		if perr := n.postJSON(victimURL+"/v1/cluster/steal/complete", comp, nil, protoTimeout(n.cfg.StealTimeout/2)); perr == nil {
+		if perr := n.roundTrip(http.MethodPost, victimURL+"/v1/cluster/steal/complete", comp, nil, protoTimeout(n.cfg.StealTimeout/2)); perr == nil {
 			return
 		}
 	}
@@ -673,8 +662,8 @@ func (n *Node) FetchPeer(key string) (sim.Result, string, bool) {
 	}
 	for _, url := range peers {
 		n.stats.PeerLookups.Add(1)
-		res, ok := n.fetchOne(url, key)
-		if ok {
+		var res sim.Result
+		if n.roundTrip(http.MethodGet, url+"/v1/peer/results/"+key, nil, &res, peerReadTimeout) == nil {
 			n.stats.PeerFetched.Add(1)
 			return res, url, true
 		}
@@ -717,46 +706,27 @@ func RendezvousScore(key, backend string) uint64 {
 	return h.Sum64()
 }
 
-func (n *Node) fetchOne(url, key string) (sim.Result, bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.PeerReadTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/peer/results/"+key, nil)
-	if err != nil {
-		return sim.Result{}, false
-	}
-	if n.cfg.Secret != "" {
-		req.Header.Set(ClusterKeyHeader, n.cfg.Secret)
-	}
-	resp, err := n.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return sim.Result{}, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return sim.Result{}, false
-	}
-	var res sim.Result
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return sim.Result{}, false
-	}
-	return res, true
-}
-
-// ---- plumbing -----------------------------------------------------------
-
-func (n *Node) postJSON(url string, body, out any, timeout time.Duration) error {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return err
+// roundTrip is the one HTTP exchange under every cluster-plane call: the
+// JSON body (nil for a GET), the fleet secret, the deadline, a non-2xx answer
+// as an error, and a 2xx body decoded into out (nil discards it).
+func (n *Node) roundTrip(method, url string, body, out any, timeout time.Duration) error {
+	var rd io.Reader
+	if body != nil {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		rd = bytes.NewReader(data)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(data))
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	if n.cfg.Secret != "" {
 		req.Header.Set(ClusterKeyHeader, n.cfg.Secret)
 	}
@@ -776,29 +746,19 @@ func (n *Node) postJSON(url string, body, out any, timeout time.Duration) error 
 	return nil
 }
 
-// WriteMetrics renders the node's spbd_cluster_* gauges and counters in
-// Prometheus text format (appended to the daemon's /metrics page).
-func (n *Node) WriteMetrics(w io.Writer) {
-	alive, suspect := 0, 0
-	for _, m := range n.Members() {
-		switch m.State {
-		case StateAlive:
-			alive++
-		case StateSuspect:
-			suspect++
-		}
-	}
-	fmt.Fprintf(w, "# HELP spbd_cluster_members Fleet members in this node's table, by state.\n# TYPE spbd_cluster_members gauge\n")
-	fmt.Fprintf(w, "spbd_cluster_members{state=%q} %d\n", StateAlive, alive)
-	fmt.Fprintf(w, "spbd_cluster_members{state=%q} %d\n", StateSuspect, suspect)
-	fmt.Fprintf(w, "# HELP spbd_cluster_self_epoch This node's liveness epoch (unix nanos at start).\n# TYPE spbd_cluster_self_epoch gauge\nspbd_cluster_self_epoch %d\n", n.cfg.Epoch)
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("spbd_cluster_gossip_rounds_total", "Gossip exchanges initiated.", n.stats.GossipRounds.Load())
-	counter("spbd_cluster_gossip_failures_total", "Gossip exchanges that failed (peer down or injected drop).", n.stats.GossipFailures.Load())
-	counter("spbd_cluster_steal_requests_total", "Steal attempts initiated by this node (thief side).", n.stats.StealRequests.Load())
-	counter("spbd_cluster_steal_jobs_taken_total", "Jobs received from victims (thief side).", n.stats.StealJobsTaken.Load())
-	counter("spbd_cluster_peer_lookups_total", "Peer cache read-through probes sent.", n.stats.PeerLookups.Load())
-	counter("spbd_cluster_peer_fetched_total", "Peer cache read-through probes that returned a result.", n.stats.PeerFetched.Load())
+// Families declares the node's spbd_cluster_* series (the daemon appends them
+// to its /metrics page).
+func (n *Node) Families() []obs.Family {
+	members := obs.Family{Name: "spbd_cluster_members", Type: "gauge", Help: "Fleet members in this node's table, by state.",
+		Collect: func(emit func(string, any)) {
+			count := map[string]int{}
+			for _, m := range n.Members() {
+				count[m.State]++
+			}
+			for _, state := range []string{StateAlive, StateSuspect} {
+				emit(fmt.Sprintf("state=%q", state), count[state])
+			}
+		}}
+	epoch := obs.Read("spbd_cluster_self_epoch", "gauge", "This node's liveness epoch (unix nanos at start).", n.Epoch)
+	return append([]obs.Family{members, epoch}, obs.Families(&n.stats)...)
 }

@@ -30,7 +30,7 @@
 //
 //	SPB_FAULTS="seed=7;store.read:corrupt:0.5;batch.stream:cut:0.1;client.request:delay:0.3:20ms"
 //
-// Sites wired into the repo (see DESIGN.md §10):
+// Sites wired into the repo (see DESIGN.md §8.8):
 //
 //	submit         error   spbd job submission fails with a 503 + Retry-After
 //	run            delay   worker stalls before executing a simulation

@@ -18,8 +18,8 @@ import (
 // per-spec results back as newline-delimited JSON, so a five-figure grid
 // costs one connection instead of N submit+poll loops. Specs are
 // deduplicated twice before any simulation is enqueued — within the request
-// (identical points share one job) and against both cache tiers (submit
-// consults the memory and disk stores) — and the surviving misses are
+// (identical points share one job) and against the active jobs and the
+// result tiers (submit coalesces, then walks them) — and the surviving misses are
 // dispatched longest-processing-time first so the sweep's makespan is not
 // set by an 8-core PARSEC or ideal-SB straggler landing last.
 
@@ -261,7 +261,7 @@ dispatch:
 			return
 		}
 		j.retain() // the batch's interest in this point
-		if st := func() Status { j.mu.Lock(); defer j.mu.Unlock(); return j.status }(); st.terminal() {
+		if st := func() Status { j.mu.Lock(); defer j.mu.Unlock(); return j.status }(); st.Terminal() {
 			streamOut(j, g.indices)
 			<-sem
 			continue
@@ -286,7 +286,7 @@ dispatch:
 
 // ErrorOf returns the item's error as a Go error (nil for non-failed items).
 func (it BatchItem) ErrorOf() error {
-	if it.Status == StatusDone || !it.Status.terminal() {
+	if it.Status == StatusDone || !it.Status.Terminal() {
 		return nil
 	}
 	msg := it.Error

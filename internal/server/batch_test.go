@@ -44,7 +44,7 @@ func terminalByIndex(t *testing.T, items []BatchItem) map[int]BatchItem {
 	t.Helper()
 	out := make(map[int]BatchItem)
 	for _, it := range items {
-		if !it.Status.terminal() {
+		if !it.Status.Terminal() {
 			continue
 		}
 		if _, dup := out[it.Index]; dup {
@@ -125,7 +125,7 @@ func TestBatchAnswersFromCacheTiers(t *testing.T) {
 	}
 	// Cached answers carry no ack line: the single item is terminal.
 	for _, it := range items {
-		if !it.Status.terminal() {
+		if !it.Status.Terminal() {
 			t.Fatalf("cache-answered spec produced a %q line", it.Status)
 		}
 	}

@@ -152,7 +152,7 @@ func TestStealRunsExactlyOnce(t *testing.T) {
 	// StealThreshold 1: if a steal takes only part of the backlog (free
 	// capacity is sampled racily), the remainder must still be stealable —
 	// the victim's only worker stays pinned for the whole test.
-	thief, tsT := testServer(t, Config{Workers: 4, QueueDepth: 64})
+	thief, tsT := testServer(t, Config{Workers: 4, QueueDepth: 64, CacheDir: t.TempDir()})
 	nT := attachNode(t, thief, tsT, cluster.Config{ID: "thief", Epoch: 2, Seeds: []string{tsV.URL}, StealThreshold: 1})
 
 	waitCluster(t, 5*time.Second, "gossip convergence", func() bool {
@@ -194,8 +194,14 @@ func TestStealRunsExactlyOnce(t *testing.T) {
 	if victim.Metrics().StealsOut.Load() == 0 {
 		t.Error("victim's StealsOut counter did not advance")
 	}
-	if thief.Metrics().StealsIn.Load() == 0 {
-		t.Error("thief's StealsIn counter did not advance")
+	if got := thief.Metrics().StealsIn.Load(); got != thiefRuns {
+		t.Errorf("thief's StealsIn = %d, want one per stolen job it ran (%d)", got, thiefRuns)
+	}
+	// A stolen run goes through the same run routine as a local one: the
+	// node that simulates it times it, writes it back and records it.
+	waitStoreWrites(t, thief, thiefRuns)
+	if runs, writes := thief.Metrics().RunDuration.Count(), thief.Metrics().StoreWrite.Count(); runs != thiefRuns || writes != thiefRuns {
+		t.Errorf("thief ran %d stolen jobs but observed %d run durations and %d store writes", thiefRuns, runs, writes)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -145,23 +144,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	wait := r.URL.Query().Get("wait") == "1" || r.URL.Query().Get("wait") == "true"
-	if !wait {
-		j.retain() // asynchronous interest pins the job (the client polls later)
+	// The request's interest in the job: an asynchronous submitter's pins it
+	// for good (the client polls later), a waiter's is released on disconnect.
+	j.retain()
+	if wait := r.URL.Query().Get("wait"); wait != "1" && wait != "true" {
+		v := j.view()
 		code := http.StatusAccepted
-		if v := j.view(); v.Status.terminal() {
+		if v.Status.Terminal() {
 			code = http.StatusOK
-			writeJSON(w, code, v)
-			return
 		}
-		writeJSON(w, code, j.view())
+		writeJSON(w, code, v)
 		return
 	}
 
 	// Synchronous: hold the request open until the job finishes. If every
 	// synchronous waiter disconnects first, the job is cancelled — an
 	// abandoned request stops simulating.
-	j.retain()
 	select {
 	case <-j.done:
 		writeJSON(w, http.StatusOK, j.view())
@@ -186,13 +184,21 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"runs": views})
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
+// jobFor resolves the request's {id}, answering 404 itself — for an id that
+// was never issued and for one evicted from the job table alike — when it
+// returns nil.
+func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) *job {
 	j := s.jobByID(r.PathValue("id"))
 	if j == nil {
 		writeError(w, http.StatusNotFound, "no such run %q", r.PathValue("id"))
-		return
 	}
-	writeJSON(w, http.StatusOK, j.view())
+	return j
+}
+
+func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
+	if j := s.jobFor(w, r); j != nil {
+		writeJSON(w, http.StatusOK, j.view())
+	}
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -203,22 +209,18 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnauthorized, "%v", err)
 		return
 	}
-	j := s.jobByID(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such run %q", r.PathValue("id"))
-		return
+	if j := s.jobFor(w, r); j != nil {
+		s.cancelJob(j, errors.New("cancelled by client request"))
+		writeJSON(w, http.StatusAccepted, j.view())
 	}
-	s.cancelJob(j, errors.New("cancelled by client request"))
-	writeJSON(w, http.StatusAccepted, j.view())
 }
 
 // handleTrace returns the job's span timeline (obs.TraceView). 404 covers
 // both an unknown job and a daemon running with tracing disabled; the error
 // message distinguishes them.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j := s.jobByID(r.PathValue("id"))
+	j := s.jobFor(w, r)
 	if j == nil {
-		writeError(w, http.StatusNotFound, "no such run %q", r.PathValue("id"))
 		return
 	}
 	if j.trace == nil {
@@ -245,9 +247,8 @@ type sseEvent struct {
 // A disconnecting client just ends the stream; the job keeps running for
 // whoever still holds interest in it.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.jobByID(r.PathValue("id"))
+	j := s.jobFor(w, r)
 	if j == nil {
-		writeError(w, http.StatusNotFound, "no such run %q", r.PathValue("id"))
 		return
 	}
 	fl, ok := w.(http.Flusher)
@@ -376,30 +377,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WriteText(w, s.QueueDepth, s.Inflight, s.Degraded, s.runner.SimStats)
-	s.writeTenantMetrics(w)
-	if s.cluster != nil {
-		s.cluster.WriteMetrics(w)
-	}
-}
-
-// writeTenantMetrics renders the per-tenant spbd_tenant_* series. The
-// implicit default tenant keeps the series present on single-tenant daemons.
-func (s *Server) writeTenantMetrics(w io.Writer) {
-	series := func(name, typ, help string, value func(*tenantState) int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, tn := range s.tenantList {
-			fmt.Fprintf(w, "%s{tenant=%q} %d\n", name, tn.Name, value(tn))
-		}
-	}
-	series("spbd_tenant_weight", "gauge", "Configured WFQ weight per tenant.",
-		func(tn *tenantState) int64 { return int64(tn.Weight) })
-	series("spbd_tenant_active", "gauge", "Outstanding (queued+running) jobs per tenant.",
-		func(tn *tenantState) int64 { return tn.active.Load() })
-	series("spbd_tenant_submitted_total", "counter", "Jobs accepted onto the queue per tenant.",
-		func(tn *tenantState) int64 { return int64(tn.submitted.Load()) })
-	series("spbd_tenant_completed_total", "counter", "Jobs that reached a terminal state per tenant.",
-		func(tn *tenantState) int64 { return int64(tn.completed.Load()) })
-	series("spbd_tenant_quota_rejected_total", "counter", "Submissions rejected by the tenant's quota.",
-		func(tn *tenantState) int64 { return int64(tn.rejected.Load()) })
+	s.writeMetrics(w)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,9 +10,10 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
+
+	"spb/internal/durable"
 )
 
 // The job journal is spbd's write-ahead log of admissions: every job that
@@ -31,7 +33,7 @@ import (
 // bad line", never to a parse failure or a resurrected terminal job.
 // Compaction happens on open, when there is exactly one reader and no
 // writers: live accepted records are rewritten to a fresh file (atomically,
-// temp + rename) and the history of finished jobs is dropped.
+// durable.WriteFile) and the history of finished jobs is dropped.
 
 // journalRecord is one NDJSON line. Kind is the lifecycle edge; Key, Tenant,
 // TraceID and Spec travel only on "accepted" records (the others are matched
@@ -104,9 +106,6 @@ const maxJournalLine = 1 << 20
 // compacts it to only the live accepted records, and returns the journal
 // ready for appending plus the live jobs in acceptance order.
 func openJournal(path string, syncWrites bool, onError func(error)) (*journal, []recoveredJob, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, nil, fmt.Errorf("server: open journal: %w", err)
-	}
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, nil, fmt.Errorf("server: open journal: %w", err)
@@ -116,7 +115,7 @@ func openJournal(path string, syncWrites bool, onError func(error)) (*journal, [
 	// Compact: rewrite only the surviving accepted records, atomically. A
 	// crash anywhere in here leaves either the old file or the new one —
 	// both replay to the same live set.
-	var buf strings.Builder
+	var buf bytes.Buffer
 	for _, rec := range recs {
 		line, merr := json.Marshal(rec)
 		if merr != nil {
@@ -125,27 +124,8 @@ func openJournal(path string, syncWrites bool, onError func(error)) (*journal, [
 		buf.Write(line)
 		buf.WriteByte('\n')
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return nil, nil, fmt.Errorf("server: compact journal: %w", err)
-	}
-	_, werr := tmp.WriteString(buf.String())
-	var serr error
-	if syncWrites && werr == nil {
-		serr = tmp.Sync()
-	}
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return nil, nil, fmt.Errorf("server: compact journal %s: write %v, sync %v, close %v", path, werr, serr, cerr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return nil, nil, fmt.Errorf("server: compact journal: %w", err)
-	}
-	if syncWrites {
-		syncDir(dir)
+	if err := durable.WriteFile(path, buf.Bytes(), syncWrites); err != nil {
+		return nil, nil, fmt.Errorf("server: compact journal %s: %w", path, err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -292,38 +272,4 @@ func (jl *journal) Close() error {
 	err := jl.f.Close()
 	jl.f = nil
 	return err
-}
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry is
-// durable — the half of atomic-write hygiene that os.Rename alone skips.
-// Best-effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
-}
-
-// sweepOrphanTemps removes leftover atomic-write temp files under dir —
-// debris from a process killed between CreateTemp and the rename. Every
-// atomic writer in this codebase (disk store, journal compaction, sim
-// checkpoints) names its temps ".<final>.tmp<random>", so the sweep keys on
-// that shape and cannot touch real entries. Returns the number removed.
-func sweepOrphanTemps(dir string) int {
-	n := 0
-	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return nil // unreadable subtree: leave it; sweeping is hygiene, not correctness
-		}
-		base := filepath.Base(path)
-		if strings.HasPrefix(base, ".") && strings.Contains(base, ".tmp") {
-			if os.Remove(path) == nil {
-				n++
-			}
-		}
-		return nil
-	})
-	return n
 }

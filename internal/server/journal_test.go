@@ -242,7 +242,7 @@ func waitJobDone(t *testing.T, s *Server, id string) Status {
 		j.mu.Lock()
 		st := j.status
 		j.mu.Unlock()
-		if st.terminal() {
+		if st.Terminal() {
 			return st
 		}
 		if time.Now().After(deadline) {
@@ -483,7 +483,7 @@ func TestRecoveryCompletesFromDiskTier(t *testing.T) {
 		t.Error("recovered stats differ from the persisted result")
 	}
 	// Simulating zero instructions is the point.
-	if n := s.runner.SimStats().InstsSimulated; n != 0 {
+	if n := s.Runner().SimStats().InstsSimulated; n != 0 {
 		t.Errorf("recovery simulated %d instructions, want 0", n)
 	}
 }
@@ -550,7 +550,7 @@ func TestServerCheckpointWiring(t *testing.T) {
 	if st := waitJobDone(t, s, j.id); st != StatusDone {
 		t.Fatalf("job ended %s", st)
 	}
-	ss := s.runner.SimStats()
+	ss := s.Runner().SimStats()
 	if ss.CheckpointWrites == 0 {
 		t.Error("no checkpoints written — Config wiring is broken")
 	}
@@ -562,7 +562,7 @@ func TestServerCheckpointWiring(t *testing.T) {
 		t.Errorf("checkpoint dir not cleared after completion: %v", ents)
 	}
 	var buf bytes.Buffer
-	s.metrics.WriteText(&buf, s.QueueDepth, s.Inflight, s.Degraded, s.runner.SimStats)
+	s.writeMetrics(&buf)
 	for _, name := range []string{"spbd_checkpoint_writes_total", "spbd_recovery_requeued_total", "spbd_journal_errors_total", "spbd_orphan_temps_swept_total"} {
 		if !strings.Contains(buf.String(), name) {
 			t.Errorf("metrics text missing %s", name)

@@ -10,7 +10,6 @@ import (
 
 	"spb/internal/cpu"
 	"spb/internal/obs"
-	"spb/internal/sim"
 	"spb/internal/topdown"
 )
 
@@ -18,59 +17,61 @@ import (
 // exported at GET /metrics in Prometheus text format. Hand-rolled (the repo
 // takes no dependencies): counters are plain atomics bumped on the request
 // path, latency distributions are obs.Histogram log-bucketed instruments
-// (lock-free, allocation-free Observe), and the text rendering walks them
-// under a snapshot. Gauges (queue depth, in-flight runs) are read live from
-// the server at scrape time.
+// (lock-free, allocation-free Observe). A field's tag is its whole /metrics
+// declaration (obs.Families): name, help and, where several fields make one
+// family, the label that tells them apart. What is computed at scrape time
+// instead — live gauges, the runner's counters, the per-tenant and
+// per-endpoint series — is declared in Server.families.
 type Metrics struct {
-	CacheHitsMemory  atomic.Uint64
-	CacheHitsDisk    atomic.Uint64
-	CacheMisses      atomic.Uint64
-	RunsCoalesced    atomic.Uint64
-	RunsCompleted    atomic.Uint64
-	RunsFailed       atomic.Uint64
-	RunsCancelled    atomic.Uint64
-	QueueRejected    atomic.Uint64
-	SSESubscribers   atomic.Int64
-	DiskStoreErrors  atomic.Uint64
-	StoreCorrupt     atomic.Uint64 // quarantined disk cache entries
-	ProgressSnapshot atomic.Uint64 // progress callbacks delivered
-	BatchRequests    atomic.Uint64
-	BatchSpecs       atomic.Uint64 // specs received across all batch requests
+	SSESubscribers   atomic.Int64  `metric:"spbd_sse_subscribers" help:"Open SSE progress streams."`
+	CacheHitsMemory  atomic.Uint64 `metric:"spbd_cache_hits_total" labels:"tier=\"memory\"" help:"Run requests answered from cache, by tier."`
+	CacheHitsDisk    atomic.Uint64 `metric:"spbd_cache_hits_total" labels:"tier=\"disk\""`
+	CacheMisses      atomic.Uint64 `metric:"spbd_cache_misses_total" help:"Run requests that had to simulate."`
+	RunsCoalesced    atomic.Uint64 `metric:"spbd_runs_coalesced_total" help:"Submissions deduplicated onto an active identical job."`
+	RunsCompleted    atomic.Uint64 `metric:"spbd_runs_completed_total" help:"Jobs that finished successfully."`
+	RunsFailed       atomic.Uint64 `metric:"spbd_runs_failed_total" help:"Jobs that ended in a simulation error."`
+	RunsCancelled    atomic.Uint64 `metric:"spbd_runs_cancelled_total" help:"Jobs stopped by cancellation or timeout."`
+	QueueRejected    atomic.Uint64 `metric:"spbd_queue_rejected_total" help:"Submissions rejected with 429 because the queue was full."`
+	DiskStoreErrors  atomic.Uint64 `metric:"spbd_disk_store_errors_total" help:"Disk cache tier read/write failures."`
+	StoreCorrupt     atomic.Uint64 `metric:"spbd_store_corrupt_total" help:"Corrupt disk cache entries quarantined and recomputed."`
+	ProgressSnapshot atomic.Uint64 `metric:"spbd_progress_snapshots_total" help:"Progress callbacks delivered by running simulations."`
+	BatchRequests    atomic.Uint64 `metric:"spbd_batch_requests_total" help:"Batch sweep requests accepted."`
+	BatchSpecs       atomic.Uint64 `metric:"spbd_batch_specs_total" help:"Specs received across all batch requests."`
 
 	// Cluster protocol counters (the daemon side; the node's own gossip
-	// counters live in cluster.NodeStats). Always rendered so dashboards
-	// and serve_check see the series on standalone daemons too.
-	PeerHits        atomic.Uint64 // submissions answered from a peer's disk tier
-	PeerMisses      atomic.Uint64 // read-throughs that found no peer copy
-	PeerServed      atomic.Uint64 // peer read-through requests this daemon answered
-	StealsOut       atomic.Uint64 // queued jobs handed to thief peers
-	StealsIn        atomic.Uint64 // stolen jobs executed for victim peers
-	StealsReclaimed atomic.Uint64 // handoffs taken back from silent thieves
-	QuotaRejected   atomic.Uint64 // submissions rejected by a tenant quota
+	// counters are cluster.NodeStats). Always rendered, so dashboards see
+	// the series on standalone daemons too.
+	PeerHits        atomic.Uint64 `metric:"spbd_cluster_peer_hits_total" help:"Submissions answered from a peer's disk tier."`
+	PeerMisses      atomic.Uint64 `metric:"spbd_cluster_peer_misses_total" help:"Peer read-throughs that found no copy in the fleet."`
+	PeerServed      atomic.Uint64 `metric:"spbd_cluster_peer_served_total" help:"Peer read-through requests this daemon answered from its disk tier."`
+	StealsOut       atomic.Uint64 `metric:"spbd_cluster_steals_out_total" help:"Queued jobs handed to thief peers."`
+	StealsIn        atomic.Uint64 `metric:"spbd_cluster_steals_in_total" help:"Stolen jobs executed on behalf of victim peers."`
+	StealsReclaimed atomic.Uint64 `metric:"spbd_cluster_steal_reclaimed_total" help:"Stolen-job handoffs reclaimed from silent thieves."`
+	QuotaRejected   atomic.Uint64 `metric:"spbd_tenant_quota_rejected_all_total" help:"Submissions rejected by any tenant quota."`
 
-	// Crash-safety counters (journal.go + the recovery path in server.go).
-	RecoveryRequeued  atomic.Uint64 // journaled jobs re-admitted to the queue after a restart
-	RecoveryCompleted atomic.Uint64 // recovered jobs answered from the disk tier (terminal record was lost)
-	RecoveryDropped   atomic.Uint64 // journaled jobs that could not be re-admitted
-	JournalErrors     atomic.Uint64 // journal append/sync failures (jobs continue, less durable)
-	OrphanTempsSwept  atomic.Uint64 // leftover atomic-write temp files removed at startup
+	// Crash-safety counters (the journal and the recovery path).
+	RecoveryRequeued  atomic.Uint64 `metric:"spbd_recovery_requeued_total" help:"Journaled jobs re-admitted to the queue after a restart."`
+	RecoveryCompleted atomic.Uint64 `metric:"spbd_recovery_completed_total" help:"Recovered jobs answered from the disk tier (their terminal record was lost in the crash)."`
+	RecoveryDropped   atomic.Uint64 `metric:"spbd_recovery_dropped_total" help:"Journaled jobs that could not be re-admitted after a restart."`
+	JournalErrors     atomic.Uint64 `metric:"spbd_journal_errors_total" help:"Job journal append/sync failures (jobs continue, less durable)."`
+	OrphanTempsSwept  atomic.Uint64 `metric:"spbd_orphan_temps_swept_total" help:"Leftover atomic-write temp files removed at startup."`
 
 	// Top-Down stall accounting aggregated over every completed run (paper
 	// §V): raw cycle counters so operators can derive fleet-level stall
 	// ratios, plus how many runs met the >2% SB-bound criterion.
-	TDCycles        atomic.Uint64
-	TDSBStall       atomic.Uint64
-	TDOtherStall    atomic.Uint64
-	TDFrontendStall atomic.Uint64
-	TDExecL1DStall  atomic.Uint64
-	TDSBBoundRuns   atomic.Uint64
+	TDCycles        atomic.Uint64 `metric:"spbd_topdown_cycles_total" labels:"class=\"all\"" help:"Simulated cycles aggregated over completed runs, by Top-Down stall class."`
+	TDSBStall       atomic.Uint64 `metric:"spbd_topdown_cycles_total" labels:"class=\"sb_stall\""`
+	TDOtherStall    atomic.Uint64 `metric:"spbd_topdown_cycles_total" labels:"class=\"other_stall\""`
+	TDFrontendStall atomic.Uint64 `metric:"spbd_topdown_cycles_total" labels:"class=\"frontend_stall\""`
+	TDExecL1DStall  atomic.Uint64 `metric:"spbd_topdown_cycles_total" labels:"class=\"exec_l1d_pending\""`
+	TDSBBoundRuns   atomic.Uint64 `metric:"spbd_topdown_sb_bound_runs_total" help:"Completed runs exceeding the paper's 2% SB-stall criterion."`
 
 	// Phase latency histograms: where a job's wall-clock time goes.
-	QueueWait   obs.Histogram // submission → worker pickup
-	RunDuration obs.Histogram // simulation execution (sim.Runner.GetCtx)
-	StoreRead   obs.Histogram // disk-tier lookups
-	StoreWrite  obs.Histogram // disk-tier persists
-	BatchStream obs.Histogram // batch start → each terminal NDJSON line
+	QueueWait   obs.Histogram `metric:"spbd_queue_wait_seconds" help:"Time jobs spent waiting for a worker."`
+	RunDuration obs.Histogram `metric:"spbd_run_duration_seconds" help:"Simulation execution time per job."`
+	StoreRead   obs.Histogram `metric:"spbd_store_read_seconds" help:"Disk cache tier lookup latency."`
+	StoreWrite  obs.Histogram `metric:"spbd_store_write_seconds" help:"Disk cache tier persist latency."`
+	BatchStream obs.Histogram `metric:"spbd_batch_stream_seconds" help:"Batch submission to terminal NDJSON line, per spec."`
 
 	mu        sync.Mutex
 	endpoints map[string]*obs.Histogram
@@ -94,113 +95,112 @@ func (m *Metrics) ObserveLatency(endpoint string, d time.Duration) {
 	h.Observe(d)
 }
 
-// ObserveTopDown folds one completed run's aggregated core statistics into
-// the fleet-level Top-Down counters.
-func (m *Metrics) ObserveTopDown(st *cpu.Stats) {
-	m.TDCycles.Add(st.Cycles)
-	m.TDSBStall.Add(st.SBStallCycles)
-	m.TDOtherStall.Add(st.OtherStallCycles())
-	m.TDFrontendStall.Add(st.FrontendStallCycles)
-	m.TDExecL1DStall.Add(st.ExecStallL1DPending)
-	if sb, _, _, _ := topdown.StatPPM(st); sb > topdown.SBBoundThresholdPPM {
-		m.TDSBBoundRuns.Add(1)
+// cacheHit counts a request answered from a local tier (a peer hit is the
+// fleet walk's own PeerHits).
+func (m *Metrics) cacheHit(tier string) {
+	switch tier {
+	case "memory":
+		m.CacheHitsMemory.Add(1)
+	case "disk":
+		m.CacheHitsDisk.Add(1)
 	}
 }
 
-// WriteText renders every metric in Prometheus exposition format. The
-// queueDepth, inflight and degraded callbacks supply the live gauges; sim
-// supplies the runner's execution counters (simulated instructions and
-// warm-start fork accounting), read at scrape time.
-func (m *Metrics) WriteText(w io.Writer, queueDepth, inflight func() int, degraded func() bool, simStats func() sim.RunnerStats) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	gauge("spbd_queue_depth", "Jobs waiting in the FIFO queue.", int64(queueDepth()))
-	gauge("spbd_inflight_runs", "Simulations currently executing.", int64(inflight()))
-	gauge("spbd_sse_subscribers", "Open SSE progress streams.", m.SSESubscribers.Load())
-	var deg int64
-	if degraded() {
-		deg = 1
-	}
-	gauge("spbd_store_degraded", "1 while the disk tier is in degraded memory-only mode.", deg)
-
-	fmt.Fprintf(w, "# HELP spbd_cache_hits_total Run requests answered from cache, by tier.\n")
-	fmt.Fprintf(w, "# TYPE spbd_cache_hits_total counter\n")
-	fmt.Fprintf(w, "spbd_cache_hits_total{tier=\"memory\"} %d\n", m.CacheHitsMemory.Load())
-	fmt.Fprintf(w, "spbd_cache_hits_total{tier=\"disk\"} %d\n", m.CacheHitsDisk.Load())
-	counter("spbd_cache_misses_total", "Run requests that had to simulate.", m.CacheMisses.Load())
-	counter("spbd_runs_coalesced_total", "Submissions deduplicated onto an active identical job.", m.RunsCoalesced.Load())
-	counter("spbd_runs_completed_total", "Jobs that finished successfully.", m.RunsCompleted.Load())
-	counter("spbd_runs_failed_total", "Jobs that ended in a simulation error.", m.RunsFailed.Load())
-	counter("spbd_runs_cancelled_total", "Jobs stopped by cancellation or timeout.", m.RunsCancelled.Load())
-	counter("spbd_queue_rejected_total", "Submissions rejected with 429 because the queue was full.", m.QueueRejected.Load())
-	counter("spbd_disk_store_errors_total", "Disk cache tier read/write failures.", m.DiskStoreErrors.Load())
-	counter("spbd_store_corrupt_total", "Corrupt disk cache entries quarantined and recomputed.", m.StoreCorrupt.Load())
-	counter("spbd_progress_snapshots_total", "Progress callbacks delivered by running simulations.", m.ProgressSnapshot.Load())
-	counter("spbd_batch_requests_total", "Batch sweep requests accepted.", m.BatchRequests.Load())
-	counter("spbd_batch_specs_total", "Specs received across all batch requests.", m.BatchSpecs.Load())
-	counter("spbd_cluster_peer_hits_total", "Submissions answered from a peer's disk tier.", m.PeerHits.Load())
-	counter("spbd_cluster_peer_misses_total", "Peer read-throughs that found no copy in the fleet.", m.PeerMisses.Load())
-	counter("spbd_cluster_peer_served_total", "Peer read-through requests this daemon answered from its disk tier.", m.PeerServed.Load())
-	counter("spbd_cluster_steals_out_total", "Queued jobs handed to thief peers.", m.StealsOut.Load())
-	counter("spbd_cluster_steals_in_total", "Stolen jobs executed on behalf of victim peers.", m.StealsIn.Load())
-	counter("spbd_cluster_steal_reclaimed_total", "Stolen-job handoffs reclaimed from silent thieves.", m.StealsReclaimed.Load())
-	counter("spbd_tenant_quota_rejected_all_total", "Submissions rejected by any tenant quota.", m.QuotaRejected.Load())
-	counter("spbd_recovery_requeued_total", "Journaled jobs re-admitted to the queue after a restart.", m.RecoveryRequeued.Load())
-	counter("spbd_recovery_completed_total", "Recovered jobs answered from the disk tier (their terminal record was lost in the crash).", m.RecoveryCompleted.Load())
-	counter("spbd_recovery_dropped_total", "Journaled jobs that could not be re-admitted after a restart.", m.RecoveryDropped.Load())
-	counter("spbd_journal_errors_total", "Job journal append/sync failures (jobs continue, less durable).", m.JournalErrors.Load())
-	counter("spbd_orphan_temps_swept_total", "Leftover atomic-write temp files removed at startup.", m.OrphanTempsSwept.Load())
-
-	ss := simStats()
-	counter("spbd_sim_insts_total", "Instructions simulated (functional warming + detailed intervals).", ss.InstsSimulated)
-	counter("spbd_warmstart_groups_total", "Warmup-equivalence groups simulated (one warmup each).", ss.WarmGroups)
-	counter("spbd_warmstart_forks_total", "Detailed runs forked from a shared warm snapshot.", ss.WarmForks)
-	counter("spbd_warmstart_insts_saved_total", "Warmup instructions elided by warm-start snapshot sharing.", ss.WarmInstsSaved)
-	counter("spbd_sample_runs_total", "Completed runs that used SMARTS sampling.", ss.SampledRuns)
-	counter("spbd_sample_intervals_total", "Detailed measurement intervals executed by sampled runs.", ss.SampleIntervals)
-	counter("spbd_sample_insts_skipped_total", "Instructions functionally warmed instead of detailed-simulated by sampling.", ss.SampleInstsSkipped)
-	counter("spbd_checkpoint_writes_total", "Mid-run checkpoints written to disk.", ss.CheckpointWrites)
-	counter("spbd_checkpoint_resumes_total", "Runs resumed from an on-disk checkpoint instead of from scratch.", ss.CheckpointResumes)
-	counter("spbd_checkpoint_corrupt_total", "Invalid checkpoint files quarantined (the run restarted from scratch).", ss.CheckpointCorrupt)
-
-	fmt.Fprintf(w, "# HELP spbd_topdown_cycles_total Simulated cycles aggregated over completed runs, by Top-Down stall class.\n")
-	fmt.Fprintf(w, "# TYPE spbd_topdown_cycles_total counter\n")
-	fmt.Fprintf(w, "spbd_topdown_cycles_total{class=\"all\"} %d\n", m.TDCycles.Load())
-	fmt.Fprintf(w, "spbd_topdown_cycles_total{class=\"sb_stall\"} %d\n", m.TDSBStall.Load())
-	fmt.Fprintf(w, "spbd_topdown_cycles_total{class=\"other_stall\"} %d\n", m.TDOtherStall.Load())
-	fmt.Fprintf(w, "spbd_topdown_cycles_total{class=\"frontend_stall\"} %d\n", m.TDFrontendStall.Load())
-	fmt.Fprintf(w, "spbd_topdown_cycles_total{class=\"exec_l1d_pending\"} %d\n", m.TDExecL1DStall.Load())
-	counter("spbd_topdown_sb_bound_runs_total", "Completed runs exceeding the paper's 2% SB-stall criterion.", m.TDSBBoundRuns.Load())
-
-	hist := func(name, help string, h *obs.Histogram) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-		h.WriteProm(w, name, "")
-	}
-	hist("spbd_queue_wait_seconds", "Time jobs spent waiting for a worker.", &m.QueueWait)
-	hist("spbd_run_duration_seconds", "Simulation execution time per job.", &m.RunDuration)
-	hist("spbd_store_read_seconds", "Disk cache tier lookup latency.", &m.StoreRead)
-	hist("spbd_store_write_seconds", "Disk cache tier persist latency.", &m.StoreWrite)
-	hist("spbd_batch_stream_seconds", "Batch submission to terminal NDJSON line, per spec.", &m.BatchStream)
-
-	m.mu.Lock()
-	eps := make([]string, 0, len(m.endpoints))
-	for ep := range m.endpoints {
-		eps = append(eps, ep)
-	}
-	sort.Strings(eps)
-	hists := make([]*obs.Histogram, len(eps))
-	for i, ep := range eps {
-		hists[i] = m.endpoints[ep]
-	}
-	m.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP spbd_http_request_duration_seconds HTTP request latency by endpoint.\n")
-	fmt.Fprintf(w, "# TYPE spbd_http_request_duration_seconds histogram\n")
-	for i, ep := range eps {
-		hists[i].WriteProm(w, "spbd_http_request_duration_seconds", fmt.Sprintf("endpoint=%q", ep))
+// runEnded counts one admitted job's ending under its status and folds a
+// completed run's aggregated core statistics into the fleet-level Top-Down
+// counters.
+func (m *Metrics) runEnded(st Status, cs *cpu.Stats) {
+	switch st {
+	case StatusFailed:
+		m.RunsFailed.Add(1)
+	case StatusCancelled:
+		m.RunsCancelled.Add(1)
+	case StatusDone:
+		m.RunsCompleted.Add(1)
+		m.TDCycles.Add(cs.Cycles)
+		m.TDSBStall.Add(cs.SBStallCycles)
+		m.TDOtherStall.Add(cs.OtherStallCycles())
+		m.TDFrontendStall.Add(cs.FrontendStallCycles)
+		m.TDExecL1DStall.Add(cs.ExecStallL1DPending)
+		if sb, _, _, _ := topdown.StatPPM(cs); sb > topdown.SBBoundThresholdPPM {
+			m.TDSBBoundRuns.Add(1)
+		}
 	}
 }
+
+// httpLatency declares the per-endpoint request latency family.
+func (m *Metrics) httpLatency() obs.Family {
+	return obs.Family{Name: "spbd_http_request_duration_seconds", Type: "histogram", Help: "HTTP request latency by endpoint.",
+		Collect: func(emit func(string, any)) {
+			m.mu.Lock()
+			eps := make([]string, 0, len(m.endpoints))
+			for ep := range m.endpoints {
+				eps = append(eps, ep)
+			}
+			sort.Strings(eps)
+			hists := make([]*obs.Histogram, len(eps))
+			for i, ep := range eps {
+				hists[i] = m.endpoints[ep]
+			}
+			m.mu.Unlock()
+			for i, ep := range eps {
+				emit(fmt.Sprintf("endpoint=%q", ep), hists[i])
+			}
+		}}
+}
+
+// families declares every series GET /metrics serves: the live gauges, the
+// Metrics fields, the runner's execution counters (simulated instructions,
+// warm-start forks, sampling, checkpoints), the per-endpoint latencies, the
+// per-tenant series and, on a cluster node, the node's own.
+func (s *Server) families() []obs.Family {
+	gauge := func(name, help string, read func() int) obs.Family { return obs.Read(name, "gauge", help, read) }
+	ss := s.tiers.runner.SimStats()
+	counter := func(name, help string, v uint64) obs.Family {
+		return obs.Read(name, "counter", help, func() uint64 { return v })
+	}
+	tenant := func(name, typ, help string, value func(*tenantState) int64) obs.Family {
+		return obs.Family{Name: name, Type: typ, Help: help, Collect: func(emit func(string, any)) {
+			for _, tn := range s.tenantList {
+				emit(fmt.Sprintf("tenant=%q", tn.Name), value(tn))
+			}
+		}}
+	}
+	fams := []obs.Family{
+		gauge("spbd_queue_depth", "Jobs waiting in the FIFO queue.", s.QueueDepth),
+		gauge("spbd_inflight_runs", "Simulations currently executing.", s.Inflight),
+		gauge("spbd_store_degraded", "1 while the disk tier is in degraded memory-only mode.", func() int {
+			if s.Degraded() {
+				return 1
+			}
+			return 0
+		}),
+	}
+	fams = append(fams, obs.Families(s.metrics)...)
+	fams = append(fams,
+		counter("spbd_sim_insts_total", "Instructions simulated (functional warming + detailed intervals).", ss.InstsSimulated),
+		counter("spbd_warmstart_groups_total", "Warmup-equivalence groups simulated (one warmup each).", ss.WarmGroups),
+		counter("spbd_warmstart_forks_total", "Detailed runs forked from a shared warm snapshot.", ss.WarmForks),
+		counter("spbd_warmstart_insts_saved_total", "Warmup instructions elided by warm-start snapshot sharing.", ss.WarmInstsSaved),
+		counter("spbd_sample_runs_total", "Completed runs that used SMARTS sampling.", ss.SampledRuns),
+		counter("spbd_sample_intervals_total", "Detailed measurement intervals executed by sampled runs.", ss.SampleIntervals),
+		counter("spbd_sample_insts_skipped_total", "Instructions functionally warmed instead of detailed-simulated by sampling.", ss.SampleInstsSkipped),
+		counter("spbd_checkpoint_writes_total", "Mid-run checkpoints written to disk.", ss.CheckpointWrites),
+		counter("spbd_checkpoint_resumes_total", "Runs resumed from an on-disk checkpoint instead of from scratch.", ss.CheckpointResumes),
+		counter("spbd_checkpoint_corrupt_total", "Invalid checkpoint files quarantined (the run restarted from scratch).", ss.CheckpointCorrupt),
+		s.metrics.httpLatency(),
+		// The implicit default tenant keeps these present on single-tenant daemons.
+		tenant("spbd_tenant_weight", "gauge", "Configured WFQ weight per tenant.", func(tn *tenantState) int64 { return int64(tn.Weight) }),
+		tenant("spbd_tenant_active", "gauge", "Outstanding (queued+running) jobs per tenant.", func(tn *tenantState) int64 { return tn.active.Load() }),
+		tenant("spbd_tenant_submitted_total", "counter", "Jobs accepted onto the queue per tenant.", func(tn *tenantState) int64 { return int64(tn.submitted.Load()) }),
+		tenant("spbd_tenant_completed_total", "counter", "Jobs that reached a terminal state per tenant.", func(tn *tenantState) int64 { return int64(tn.completed.Load()) }),
+		tenant("spbd_tenant_quota_rejected_total", "counter", "Submissions rejected by the tenant's quota.", func(tn *tenantState) int64 { return int64(tn.rejected.Load()) }),
+	)
+	if s.tiers.fleet != nil {
+		fams = append(fams, s.tiers.fleet.Families()...)
+	}
+	return fams
+}
+
+// writeMetrics renders the daemon's /metrics page.
+func (s *Server) writeMetrics(w io.Writer) { obs.WriteFamilies(w, s.families()) }

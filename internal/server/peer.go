@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"time"
 
 	"spb/internal/cluster"
@@ -39,11 +40,11 @@ func stealToken() string {
 	return hex.EncodeToString(b[:])
 }
 
-// AttachCluster mounts n's protocol endpoints on the server's mux and wires
-// the peer read-through into the submit path. Must be called before the
-// server starts serving requests.
+// AttachCluster mounts n's protocol endpoints on the server's mux and makes
+// the fleet the last of the result tiers. Must be called before the server
+// starts serving requests.
 func (s *Server) AttachCluster(n *cluster.Node) {
-	s.cluster = n
+	s.tiers.fleet = n
 	s.mux.HandleFunc("POST /v1/cluster/gossip", n.HandleGossip)
 	s.mux.HandleFunc("GET /v1/cluster/members", n.HandleMembers)
 	s.mux.HandleFunc("POST /v1/cluster/steal", n.HandleSteal)
@@ -52,7 +53,7 @@ func (s *Server) AttachCluster(n *cluster.Node) {
 }
 
 // Cluster reports the attached node (nil on a standalone daemon).
-func (s *Server) Cluster() *cluster.Node { return s.cluster }
+func (s *Server) Cluster() *cluster.Node { return s.tiers.fleet }
 
 // Load implements cluster.Backend: the node gossips this on every round.
 func (s *Server) Load() cluster.Load {
@@ -78,15 +79,14 @@ func (s *Server) StealJobs(max int) []cluster.StolenJob {
 		if j == nil {
 			break
 		}
-		if j.ctx.Err() != nil { // cancelled while queued: finalize, don't export
-			if j.finish(StatusCancelled, sim.Result{}, nil, cancelMsg(j.ctx)) {
-				s.metrics.RunsCancelled.Add(1)
-			}
-			s.clearActive(j)
+		if j.ctx.Err() != nil { // cancelled while queued: already over, don't export
+			s.cancelled(j, j.ctx)
 			continue
 		}
 		j.setRunning() // remotely, but running: SSE/status views stay truthful
-		s.journalStarted(j)
+		if j.journaled {
+			s.journal.started(j.id)
+		}
 		j.trace.Event("steal-out")
 		tok := stealToken()
 		s.mu.Lock()
@@ -100,91 +100,63 @@ func (s *Server) StealJobs(max int) []cluster.StolenJob {
 
 // CompleteStolen implements cluster.Backend: a thief delivering a stolen
 // job's terminal result. False means the handoff is unknown (reclaimed or
-// duplicate delivery) and the caller should not retry.
+// duplicate delivery) and the caller should not retry. The thief simulated
+// it, but this daemon owns the job: its ending seeds both local tiers, so
+// future submitters hit instead of re-simulating.
 func (s *Server) CompleteStolen(id string, res sim.Result, errMsg string) bool {
 	s.mu.Lock()
 	h, ok := s.stolen[id]
-	if ok {
-		delete(s.stolen, id)
-	}
+	delete(s.stolen, id)
 	s.mu.Unlock()
 	if !ok {
 		return false
 	}
-	j := h.j
-	defer s.clearActive(j)
-	defer j.trace.Finish()
-	j.trace.Span("remote-run", h.at, time.Now())
+	h.j.trace.Span("remote-run", h.at, time.Now())
 	if errMsg != "" {
-		if j.finish(StatusFailed, sim.Result{}, nil, errMsg) {
-			s.metrics.RunsFailed.Add(1)
-		}
-		return true
+		s.end(h.j, StatusFailed, sim.Result{}, errMsg)
+	} else {
+		s.end(h.j, StatusDone, res, "")
 	}
-	stats, err := res.StatsJSON()
-	if err != nil {
-		if j.finish(StatusFailed, sim.Result{}, nil, err.Error()) {
-			s.metrics.RunsFailed.Add(1)
-		}
-		return true
-	}
-	// Seed both local tiers: the thief simulated it, but this daemon owns
-	// the job — its future submitters must hit, not re-simulate.
-	s.runner.Put(j.spec, res)
-	j.committed.Store(resultCommitted(&res))
-	j.cycles.Store(res.CPU.Cycles)
-	if j.finish(StatusDone, res, stats, "") {
-		s.metrics.RunsCompleted.Add(1)
-		s.metrics.ObserveTopDown(&res.CPU)
-	}
-	s.persist(j, res)
 	return true
+}
+
+// takeBack removes from the handoff table, and returns by token, every
+// handoff whose thief has been silent for at least olderThan.
+func (s *Server) takeBack(olderThan time.Duration) map[string]*stolenHandoff {
+	cutoff := time.Now().Add(-olderThan)
+	back := make(map[string]*stolenHandoff)
+	s.mu.Lock()
+	for tok, h := range s.stolen {
+		if !h.at.After(cutoff) {
+			delete(s.stolen, tok)
+			back[tok] = h
+		}
+	}
+	s.mu.Unlock()
+	return back
 }
 
 // ReclaimStolen implements cluster.Backend: take back handoffs whose thief
 // has been silent past the deadline. Reclaimed jobs re-enter the local
-// queue; if it is momentarily full they stay in the handoff table for the
-// next janitor pass rather than being dropped.
+// queue (a cancelled one ends when a worker picks it up); if the queue is
+// momentarily full they stay in the handoff table for the next janitor pass
+// rather than being dropped.
 func (s *Server) ReclaimStolen(olderThan time.Duration) int {
-	cutoff := time.Now().Add(-olderThan)
-	type reclaim struct {
-		tok string
-		j   *job
-	}
-	s.mu.Lock()
-	var back []reclaim
-	for tok, h := range s.stolen {
-		if h.at.Before(cutoff) {
-			delete(s.stolen, tok)
-			back = append(back, reclaim{tok, h.j})
-		}
-	}
-	s.mu.Unlock()
 	reclaimed := 0
-	for _, r := range back {
-		j := r.j
-		if j.ctx.Err() != nil {
-			if j.finish(StatusCancelled, sim.Result{}, nil, cancelMsg(j.ctx)) {
-				s.metrics.RunsCancelled.Add(1)
-			}
-			s.clearActive(j)
-			continue
-		}
-		j.trace.Event("steal-reclaim")
-		switch err := s.tq.push(j); err {
+	for tok, h := range s.takeBack(olderThan) {
+		h.j.trace.Event("steal-reclaim")
+		switch err := s.tq.push(h.j); err {
 		case nil:
 			s.metrics.StealsReclaimed.Add(1)
 			reclaimed++
 		case errDraining:
-			if j.finish(StatusCancelled, sim.Result{}, nil, errDraining.Error()) {
-				s.metrics.RunsCancelled.Add(1)
-			}
-			s.clearActive(j)
+			s.end(h.j, StatusCancelled, sim.Result{}, err.Error())
 		default: // queue full right now: park it for the next pass
 			// Under the original token: a thief's very late completion
 			// can still land while the job is parked, saving a re-run.
+			h.at = time.Now()
 			s.mu.Lock()
-			s.stolen[r.tok] = &stolenHandoff{j: j, at: time.Now()}
+			s.stolen[tok] = h
 			s.mu.Unlock()
 		}
 	}
@@ -195,152 +167,43 @@ func (s *Server) ReclaimStolen(olderThan time.Duration) int {
 // local disk tier only. Never simulates, never consults peers — recursion
 // ends here.
 func (s *Server) ReadLocal(key string) (sim.Result, bool) {
-	if !s.diskUsable() {
-		return sim.Result{}, false
+	res, _, ok := s.tiers.lookup(sim.RunSpec{}, key, diskTier)
+	if ok {
+		s.metrics.PeerServed.Add(1)
 	}
-	res, ok, err := s.store.Get(key)
-	if err != nil || !ok {
-		return sim.Result{}, false
-	}
-	s.metrics.PeerServed.Add(1)
-	return res, true
+	return res, ok
 }
 
 // RunStolen implements cluster.Backend: execute a stolen spec on this node.
 // It deliberately bypasses the admission queue — stolen work is bounded by
 // the thief's free worker capacity at steal time, already has an owner
 // (the victim's clients), and must not be re-stealable or quota-rejected.
-// Cache tiers are consulted first, so stealing a point this node has seen
-// costs a map lookup.
+// The local tiers are consulted first, so stealing a point this node has
+// seen costs a map lookup; otherwise the spec becomes a job of this daemon's
+// own — resolvable by id, with progress and a trace — that goes straight to
+// the run routine, neither admitted (no slot, no spbd_runs_* counter: those
+// are the victim's) nor in the active map.
 func (s *Server) RunStolen(ctx context.Context, spec sim.RunSpec) (sim.Result, error) {
+	start := time.Now()
 	spec = spec.Normalized()
 	key := Key(spec)
 	s.metrics.StealsIn.Add(1)
-	if res, ok := s.runner.Lookup(spec); ok {
+	if res, tier, ok := s.tiers.lookup(spec, key, localTiers); ok {
+		s.metrics.cacheHit(tier)
 		return res, nil
 	}
-	if s.diskUsable() {
-		res, ok, err := s.store.Get(key)
-		switch {
-		case err != nil:
-			s.diskError("read", key, err)
-		case ok:
-			s.diskHealthy()
-			s.runner.Put(spec, res)
-			return res, nil
-		default:
-			s.diskHealthy()
-		}
-	}
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	res, err := s.runner.GetCtx(ctx, spec, func(sim.Progress) {})
-	if err != nil {
-		return sim.Result{}, err
-	}
-	if s.diskUsable() {
-		if perr := s.store.Put(key, res); perr != nil {
-			s.diskError("write", key, perr)
-		} else {
-			s.diskHealthy()
-		}
-	}
-	return res, nil
-}
-
-// clearActive removes j from the active-by-key map if it still owns its key.
-func (s *Server) clearActive(j *job) {
+	j := s.newJob("", key, spec, nil, "", start)
 	s.mu.Lock()
-	if s.active[j.key] == j {
-		delete(s.active, j.key)
-	}
+	s.jobs[j.id] = j
 	s.mu.Unlock()
-}
-
-// persist writes a finished job's result to the disk tier (shared by the
-// local worker path and the stolen-completion path).
-func (s *Server) persist(j *job, res sim.Result) {
-	if !s.diskUsable() {
-		return
+	defer context.AfterFunc(ctx, func() { j.cancel(context.Cause(ctx)) })()
+	s.run(j)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.status != StatusDone {
+		return sim.Result{}, errors.New(j.errMsg)
 	}
-	writeStart := time.Now()
-	perr := s.store.Put(j.key, res)
-	writeEnd := time.Now()
-	j.trace.Span("store-write", writeStart, writeEnd)
-	s.metrics.StoreWrite.Observe(writeEnd.Sub(writeStart))
-	if perr != nil {
-		s.diskError("write", j.key, perr)
-	} else {
-		s.diskHealthy()
-	}
-}
-
-// peerMissTTL is how long a fleet-wide miss for a key suppresses further
-// peer probes for it. Sized to cover many batchQueuePoll retry iterations
-// while staying well under a simulation's life: the fleet can only gain a
-// copy of a key somebody is about to simulate locally anyway.
-const peerMissTTL = time.Second
-
-// peerMissCap bounds the negative cache; crossing it sweeps expired
-// entries on the next insert.
-const peerMissCap = 4096
-
-// fetchFromPeers is submit's read-through: after both local tiers miss, ask
-// the fleet. A hit seeds both local tiers and becomes a terminal job with
-// cache tier "peer"; a fleet-wide miss is remembered for peerMissTTL so
-// dispatch retry loops (queue full, quota) don't re-probe the fleet on
-// every poll.
-func (s *Server) fetchFromPeers(key string, spec sim.RunSpec, traceID string, submitStart time.Time) (*job, bool) {
-	if s.cluster == nil {
-		return nil, false
-	}
-	now := time.Now()
-	s.mu.Lock()
-	at, seen := s.peerMiss[key]
-	if seen && now.Sub(at) < peerMissTTL {
-		s.mu.Unlock()
-		return nil, false
-	}
-	if seen {
-		delete(s.peerMiss, key)
-	}
-	s.mu.Unlock()
-	res, from, ok := s.cluster.FetchPeer(key)
-	if !ok {
-		s.metrics.PeerMisses.Add(1)
-		s.notePeerMiss(key, now)
-		return nil, false
-	}
-	s.metrics.PeerHits.Add(1)
-	s.cfg.Logf("spbd: peer cache hit %.12s from %s", key, from)
-	s.runner.Put(spec, res)
-	if s.diskUsable() {
-		if perr := s.store.Put(key, res); perr != nil {
-			s.diskError("write", key, perr)
-		} else {
-			s.diskHealthy()
-		}
-	}
-	j, err := s.completedJob(key, spec, res, "peer", traceID, submitStart)
-	if err != nil {
-		return nil, false
-	}
-	return j, true
-}
-
-// notePeerMiss records a fleet-wide miss for key, sweeping expired entries
-// when the cache is over its cap.
-func (s *Server) notePeerMiss(key string, at time.Time) {
-	s.mu.Lock()
-	if len(s.peerMiss) >= peerMissCap {
-		for k, t := range s.peerMiss {
-			if at.Sub(t) >= peerMissTTL {
-				delete(s.peerMiss, k)
-			}
-		}
-	}
-	s.peerMiss[key] = at
-	s.mu.Unlock()
+	return j.result, nil
 }
 
 // Compile-time check: the server is the cluster's backend.

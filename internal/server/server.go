@@ -14,7 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spb/internal/cluster"
+	"spb/internal/durable"
 	"spb/internal/faults"
 	"spb/internal/obs"
 	"spb/internal/sim"
@@ -117,15 +117,13 @@ const (
 	StatusCancelled Status = "cancelled"
 )
 
-func (s Status) terminal() bool {
+// Terminal reports whether the status is final (done, failed or cancelled).
+func (s Status) Terminal() bool {
 	return s == StatusDone || s == StatusFailed || s == StatusCancelled
 }
 
-// Terminal reports whether the status is final (done, failed or cancelled);
-// batch-stream consumers filter on it.
-func (s Status) Terminal() bool { return s.terminal() }
-
-// job is one accepted simulation request.
+// job is one simulation request with an id of its own: admitted to the
+// queue, born already answered from a tier, or run here for a victim peer.
 type job struct {
 	id        string
 	key       string
@@ -135,25 +133,21 @@ type job struct {
 
 	// Tenant scheduling state. tenant is always non-nil (the implicit
 	// default tenant on single-tenant daemons); cost is the spec's work
-	// estimate (sim.RunSpec.CostEstimate); lane is the strict
-	// priority lane; vfinish/seq are stamped by tenantQueue.push (guarded
-	// by its mutex). onTerminal, when set, runs exactly once as the job
-	// reaches a terminal state — it returns the tenant's quota slot.
-	tenant     *tenantState
-	cost       float64
-	lane       int
-	vfinish    float64
-	seq        uint64
-	onTerminal func()
-	// onFinish, when set, observes the terminal status exactly once from
-	// inside finish — the single hook behind the journal's terminal records
-	// (every finish call site, worker, cancel, drain, steal, is covered).
-	onFinish func(Status)
+	// estimate (sim.RunSpec.CostEstimate); lane is the strict priority lane;
+	// vfinish/seq are stamped by tenantQueue.push (guarded by its mutex).
+	tenant  *tenantState
+	cost    float64
+	lane    int
+	vfinish float64
+	seq     uint64
 
-	// journaled marks jobs with an "accepted" record in the job journal;
-	// only those append started/terminal records. Set before the job is
-	// published to workers. recovered marks jobs re-admitted from the
-	// journal after a restart (surfaced in the job view).
+	// What the job's ending owes (Server.end). admitted: the job went through
+	// admit, so it holds one of its tenant's outstanding-job slots and ends in
+	// one of the spbd_runs_* counters. journaled: the journal holds its
+	// "accepted" record, so its started and terminal records follow. Both are
+	// set before the job is published to workers. recovered marks a job
+	// brought back from the journal after a restart (surfaced in the view).
+	admitted  bool
 	journaled bool
 	recovered bool
 
@@ -176,38 +170,14 @@ type job struct {
 	// simulating.
 	waiters atomic.Int64
 
-	done chan struct{} // closed when terminal
+	done chan struct{} // closed when terminal, after everything end owes is paid
 
 	mu     sync.Mutex
 	status Status
 	result sim.Result
 	stats  json.RawMessage
 	errMsg string
-	cached string // "", "memory" or "disk"
-}
-
-// finish moves the job to a terminal state exactly once; later calls are
-// no-ops returning false (a cancel handler and the worker can race here).
-func (j *job) finish(st Status, res sim.Result, stats json.RawMessage, errMsg string) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status.terminal() {
-		return false
-	}
-	j.status = st
-	j.result = res
-	j.stats = stats
-	j.errMsg = errMsg
-	close(j.done)
-	if j.onTerminal != nil {
-		j.onTerminal()
-		j.onTerminal = nil
-	}
-	if j.onFinish != nil {
-		j.onFinish(st)
-		j.onFinish = nil
-	}
-	return true
+	cached string // "", "memory", "disk" or "peer"
 }
 
 func (j *job) setRunning() {
@@ -221,26 +191,34 @@ func (j *job) setRunning() {
 func (j *job) release() int64 { return j.waiters.Add(-1) }
 func (j *job) retain()        { j.waiters.Add(1) }
 
-// Server is the spbd daemon: HTTP API + queue + worker pool + 2-tier cache.
+// maxTerminalJobs is how many ended jobs stay resolvable by id (oldest-ended
+// evicted first; a live job is never evicted). An ended job keeps its result,
+// stats JSON and trace — about 2.5 KB — so the table tops out near 40 MB; an
+// evicted id answers 404 like an unknown one.
+const maxTerminalJobs = 16384
+
+// Server is the spbd daemon: HTTP API, tenant-aware queue, worker pool and
+// the result tiers.
 type Server struct {
 	cfg     Config
-	runner  *sim.Runner
-	store   *DiskStore // nil when the disk tier is disabled
-	journal *journal   // nil when the job journal is disabled
+	tiers   *tiers
+	journal *journal // nil when the job journal is disabled
 	metrics *Metrics
 	mux     *http.ServeMux
 
 	baseCtx    context.Context
 	baseCancel context.CancelCauseFunc
 
-	mu       sync.Mutex
-	jobs     map[string]*job // every job ever accepted, by id
-	active   map[string]*job // queued or running jobs, by spec key
-	stolen   map[string]*stolenHandoff
-	tq       *tenantQueue
-	inflight atomic.Int64
-	draining bool
-	nextID   atomic.Uint64
+	mu          sync.Mutex
+	jobs        map[string]*job // every live job and the last maxTerminal ended ones, by id
+	ended       []string        // ids of the ended jobs in jobs, oldest first
+	maxTerminal int             // maxTerminalJobs; a field so a test can shrink it
+	active      map[string]*job // queued, running or handed-off jobs, by spec key
+	stolen      map[string]*stolenHandoff
+	tq          *tenantQueue
+	inflight    atomic.Int64
+	draining    bool
+	nextID      atomic.Uint64
 
 	// Multi-tenancy (tenant.go): tenants maps API key → state,
 	// defaultTenant serves keyless single-tenant traffic, tenantList is
@@ -249,24 +227,6 @@ type Server struct {
 	defaultTenant *tenantState
 	tenantList    []*tenantState
 
-	// cluster is the attached fleet node (AttachCluster); nil standalone.
-	cluster *cluster.Node
-	// peerMiss remembers keys whose last fleet read-through found nothing
-	// (by miss time, guarded by mu): retry loops hammering submit for a
-	// queue-full/quota-rejected key skip re-probing peers until the TTL
-	// passes. Entries are dropped on expiry, on a later hit, and by the
-	// size-capped sweep in notePeerMiss.
-	peerMiss map[string]time.Time
-
-	// Degraded-mode bookkeeping for the disk tier: diskErrStreak counts
-	// consecutive I/O errors; crossing DiskErrorThreshold sets degraded and
-	// the tier goes memory-only except for one probe per DiskRetryInterval
-	// (diskProbeAt, unix nanos). Any successful operation clears the streak
-	// and leaves degraded mode.
-	diskErrStreak atomic.Int64
-	degraded      atomic.Bool
-	diskProbeAt   atomic.Int64
-
 	workers sync.WaitGroup
 }
 
@@ -274,14 +234,17 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		runner:  sim.NewRunner(),
-		metrics: NewMetrics(),
-		jobs:    make(map[string]*job),
-		active:  make(map[string]*job),
-		stolen:  make(map[string]*stolenHandoff),
-		tq:      newTenantQueue(cfg.QueueDepth),
-
+		cfg:         cfg,
+		metrics:     NewMetrics(),
+		jobs:        make(map[string]*job),
+		maxTerminal: maxTerminalJobs,
+		active:      make(map[string]*job),
+		stolen:      make(map[string]*stolenHandoff),
+		tq:          newTenantQueue(cfg.QueueDepth),
+	}
+	s.tiers = &tiers{
+		runner: sim.NewRunner(), metrics: s.metrics, logf: cfg.Logf,
+		errThreshold: cfg.DiskErrorThreshold, retryEvery: cfg.DiskRetryInterval,
 		peerMiss: make(map[string]time.Time),
 	}
 	if err := s.initTenants(cfg.Tenants); err != nil {
@@ -298,7 +261,7 @@ func New(cfg Config) (*Server, error) {
 			s.metrics.StoreCorrupt.Add(1)
 			s.cfg.Logf("spbd: disk cache entry %.12s quarantined: %v (will recompute)", key, cause)
 		}
-		s.store = store
+		s.tiers.store = store
 		s.sweepTemps(cfg.CacheDir)
 	}
 	if cfg.CheckpointDir != "" {
@@ -306,7 +269,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: checkpoint dir: %w", err)
 		}
 		s.sweepTemps(cfg.CheckpointDir)
-		s.runner.SetCheckpointPolicy(sim.CheckpointPolicy{
+		s.tiers.runner.SetCheckpointPolicy(sim.CheckpointPolicy{
 			Dir:   cfg.CheckpointDir,
 			Insts: cfg.CheckpointInsts,
 			Sync:  !cfg.DisableSync,
@@ -321,7 +284,7 @@ func New(cfg Config) (*Server, error) {
 	// AttachCluster/Start (main wires the node after New returns), so a
 	// restarted node always recovers its own journal first; jobs it had
 	// stolen from peers are not journaled here — the victims reclaim those
-	// through the existing steal-timeout janitor.
+	// through the steal-timeout janitor.
 	if cfg.JournalPath != "" {
 		s.sweepTemps(filepath.Dir(cfg.JournalPath))
 		jl, recovered, err := openJournal(cfg.JournalPath, !cfg.DisableSync, func(err error) {
@@ -342,16 +305,16 @@ func New(cfg Config) (*Server, error) {
 }
 
 // sweepTemps removes orphaned atomic-write temp files under dir — debris a
-// crashed writer left between CreateTemp and rename.
+// writer killed mid-write left behind.
 func (s *Server) sweepTemps(dir string) {
-	if n := sweepOrphanTemps(dir); n > 0 {
+	if n := durable.SweepTemps(dir); n > 0 {
 		s.metrics.OrphanTempsSwept.Add(uint64(n))
 		s.cfg.Logf("spbd: swept %d orphaned temp file(s) under %s", n, dir)
 	}
 }
 
 // Runner exposes the in-memory tier (tests assert on its run count).
-func (s *Server) Runner() *sim.Runner { return s.runner }
+func (s *Server) Runner() *sim.Runner { return s.tiers.runner }
 
 // Metrics exposes the metrics registry (tests and the /metrics handler).
 func (s *Server) Metrics() *Metrics { return s.metrics }
@@ -359,22 +322,24 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Sentinel submission errors, mapped to HTTP statuses by the handler.
+// What admit answers when it does not queue the job; the handlers map the
+// first two to HTTP statuses (errQuota is tenant.go's).
 var (
 	errQueueFull = errors.New("server: queue full")
 	errDraining  = errors.New("server: draining, not accepting jobs")
+	errCoalesced = errors.New("server: an identical job is already active")
 )
 
-// submit resolves a normalized spec against the cache tiers (memory, disk,
-// then cluster peers) or places it on the tenant-aware queue. It returns the
-// job (fresh, coalesced, or already-complete from cache) — never both a job
-// and an error. traceID, usually propagated from the client's X-Spb-Trace-Id
-// header, groups the job's trace with the caller's; empty mints a fresh ID
-// (when tracing is enabled). tn is the submitting tenant (nil means the
-// implicit default tenant): cache hits and coalesces are free, only a fresh
-// enqueue consumes its quota.
+// submit answers a spec with a job: the active job for its key (coalesced),
+// one born already done from the first tier that holds the result (memory,
+// disk, then the fleet), or a fresh one on the tenant-aware queue — never
+// both a job and an error. traceID, usually propagated from the client's
+// X-Spb-Trace-Id header, groups the job's trace with the caller's; empty
+// mints a fresh ID (when tracing is enabled). tn is the submitting tenant
+// (nil means the implicit default tenant): hits and coalesces are free, only
+// a fresh admission consumes its quota.
 func (s *Server) submit(spec sim.RunSpec, traceID string, tn *tenantState) (*job, error) {
-	submitStart := time.Now()
+	start := time.Now()
 	if err := s.cfg.Faults.Err("submit"); err != nil {
 		return nil, err
 	}
@@ -384,139 +349,54 @@ func (s *Server) submit(spec sim.RunSpec, traceID string, tn *tenantState) (*job
 	spec = spec.Normalized()
 	key := Key(spec)
 
-	// Tier 1: memory (the Runner's memoization map).
-	if res, ok := s.runner.Lookup(spec); ok {
-		s.metrics.CacheHitsMemory.Add(1)
-		return s.completedJob(key, spec, res, "memory", traceID, submitStart)
-	}
-	// Tier 2: content-addressed disk store; hits re-seed the memory tier.
-	// In degraded mode the tier is skipped except for one probe per
-	// DiskRetryInterval.
-	if s.diskUsable() {
-		readStart := time.Now()
-		res, ok, err := s.store.Get(key)
-		s.metrics.StoreRead.Observe(time.Since(readStart))
-		switch {
-		case err != nil:
-			s.diskError("read", key, err)
-		case ok:
-			s.diskHealthy()
-			s.runner.Put(spec, res)
-			s.metrics.CacheHitsDisk.Add(1)
-			return s.completedJob(key, spec, res, "disk", traceID, submitStart)
-		default:
-			s.diskHealthy()
-		}
-	}
-	// Coalesce before consulting the fleet: a key already queued or running
-	// here is by definition a local-tier miss, so every duplicate
-	// submission would otherwise pay PeerFanout network probes just to
-	// re-discover that — and batch dispatch retry loops re-enter submit
-	// every poll. Ride the active job instead; its result lands locally.
+	// Coalesce before walking the tiers: a key queued or running here has
+	// missed them already, and batch dispatch retry loops re-enter submit
+	// every poll — each duplicate would otherwise pay a disk read and
+	// PeerFanout network probes to re-discover that.
 	s.mu.Lock()
-	if j, ok := s.active[key]; ok {
-		s.mu.Unlock()
-		s.metrics.RunsCoalesced.Add(1)
-		j.trace.Event("coalesce")
-		return j, nil
-	}
+	dup := s.active[key]
 	s.mu.Unlock()
-
-	// Tier 3: the fleet. Both local tiers missed; a rendezvous-ranked peer
-	// may have simulated this key already (content addressing makes any
-	// answer the right answer).
-	if j, ok := s.fetchFromPeers(key, spec, traceID, submitStart); ok {
-		return j, nil
+	if dup != nil {
+		return s.coalesce(dup), nil
 	}
-
-	// A genuine miss is about to consume a quota slot; the slot is
-	// released if the submission coalesces or is rejected below, and
-	// otherwise returned by the job's onTerminal hook.
-	if !tn.acquire() {
-		tn.rejected.Add(1)
-		s.metrics.QuotaRejected.Add(1)
-		return nil, errQuota
+	if res, tier, ok := s.tiers.lookup(spec, key, everyTier); ok {
+		s.metrics.cacheHit(tier)
+		return s.bornEnded(s.newJob("", key, spec, nil, traceID, start), StatusDone, res, tier, ""), nil
 	}
-	s.mu.Lock()
-	if j, ok := s.active[key]; ok {
-		s.mu.Unlock()
-		tn.release()
-		s.metrics.RunsCoalesced.Add(1)
-		// The coalesced submitter rides the active job's trace; the marker
-		// records that a second request folded in (and when).
-		j.trace.Event("coalesce")
-		return j, nil
-	}
-	if s.draining {
-		s.mu.Unlock()
-		tn.release()
-		return nil, errDraining
-	}
-	j := s.newJobLocked(key, spec, tn)
-	// The terminal hook returns the quota slot; it must be in place before
-	// the push makes the job visible to workers (a worker can finish it
-	// before submit resumes). Likewise the journal's terminal hook: a
-	// worker may finish the job before submit appends "accepted" — replay
-	// tolerates that order (terminal records win unconditionally).
-	j.onTerminal = tn.finishJob
-	s.hookJournal(j)
-	// Attach the trace before the job becomes visible to workers via the
-	// queue; assigning after the push would race with runJob.
-	j.trace = s.cfg.Tracer.Start(traceID, j.id, key)
-	j.trace.Span("submit", submitStart, time.Now())
-	if err := s.tq.push(j); err != nil {
-		s.mu.Unlock()
-		tn.release()
-		j.onTerminal = nil
-		j.onFinish = nil
-		j.journaled = false
-		if errors.Is(err, errQueueFull) {
-			s.metrics.QueueRejected.Add(1)
+	j := s.newJob("", key, spec, tn, traceID, start)
+	if dup, err := s.admit(j); err != nil {
+		j.cancel(err)
+		j.trace.Finish() // refused: close out the orphan trace
+		if dup != nil {
+			return s.coalesce(dup), nil
 		}
-		j.trace.Finish() // rejected: close out the orphan trace
 		return nil, err
 	}
-	s.jobs[j.id] = j
-	s.active[key] = j
-	s.mu.Unlock()
 	// Durable acceptance: the record (with an fsync unless disabled) is on
 	// disk before the submitter is answered, so a post-202 crash cannot
-	// forget the job.
+	// forget the job. A worker may end the job before this lands — replay
+	// tolerates that order (terminal records win unconditionally).
 	if j.journaled {
 		s.journal.accepted(j.id, key, tn.Name, j.trace.TraceID(), Request(spec))
 	}
-	tn.submitted.Add(1)
 	s.metrics.CacheMisses.Add(1)
 	return j, nil
 }
 
-// hookJournal marks j as journaled and installs the terminal-record hook.
-// No-op on daemons without a journal.
-func (s *Server) hookJournal(j *job) {
-	if s.journal == nil {
-		return
-	}
-	j.journaled = true
-	j.onFinish = func(st Status) { s.journal.terminal(j.id, st) }
+// coalesce folds one more submitter onto the active job j: it rides j's
+// trace, and the marker records that a second request folded in (and when).
+func (s *Server) coalesce(j *job) *job {
+	s.metrics.RunsCoalesced.Add(1)
+	j.trace.Event("coalesce")
+	return j
 }
 
-// journalStarted appends j's "started" record (local worker pickup or
-// steal-out to a thief peer).
-func (s *Server) journalStarted(j *job) {
-	if j.journaled {
-		s.journal.started(j.id)
-	}
-}
-
-func (s *Server) newJobLocked(key string, spec sim.RunSpec, tn *tenantState) *job {
-	id := fmt.Sprintf("r%06d-%s", s.nextID.Add(1), key[:8])
-	return s.jobWithID(id, key, spec, tn)
-}
-
-// jobWithID constructs a job under an explicit ID — the recovery path
-// re-admits journaled jobs under their pre-crash IDs so clients polling
-// those IDs keep working across the restart.
-func (s *Server) jobWithID(id, key string, spec sim.RunSpec, tn *tenantState) *job {
+// newJob constructs a job and starts its trace. An empty id mints the next
+// sequential one and stamps the "submit" span from start; a given id is a
+// job coming back from the journal under its pre-crash ID — so clients
+// polling that ID keep working across the restart — whose accepted record is
+// already there. A nil tenant means the implicit default (quota-free paths).
+func (s *Server) newJob(id, key string, spec sim.RunSpec, tn *tenantState, traceID string, start time.Time) *job {
 	if tn == nil {
 		tn = s.defaultTenant
 	}
@@ -525,6 +405,8 @@ func (s *Server) jobWithID(id, key string, spec sim.RunSpec, tn *tenantState) *j
 		key:         key,
 		spec:        spec,
 		submitted:   time.Now(),
+		journaled:   id != "",
+		recovered:   id != "",
 		targetInsts: spec.Insts * uint64(spec.Cores),
 		done:        make(chan struct{}),
 		status:      StatusQueued,
@@ -532,7 +414,71 @@ func (s *Server) jobWithID(id, key string, spec sim.RunSpec, tn *tenantState) *j
 		cost:        float64(spec.CostEstimate()),
 		lane:        tn.laneIdx,
 	}
+	if id == "" {
+		j.id = fmt.Sprintf("r%06d-%.8s", s.nextID.Add(1), key)
+	}
 	j.ctx, j.cancel = context.WithCancelCause(s.baseCtx)
+	j.trace = s.cfg.Tracer.Start(traceID, j.id, key)
+	if j.recovered {
+		j.trace.Event("recovered")
+	} else {
+		j.trace.Span("submit", start, j.submitted)
+	}
+	return j
+}
+
+// admit puts j on the queue under its tenant's quota and registers it by id
+// and key. It refuses with errQuota, errCoalesced (returning the active job
+// for j's key), errDraining or errQueueFull, and a refused job is as it was
+// before the call: the slot it took is back.
+func (s *Server) admit(j *job) (dup *job, err error) {
+	tn := j.tenant
+	if !tn.acquire() {
+		tn.rejected.Add(1)
+		s.metrics.QuotaRejected.Add(1)
+		return nil, errQuota
+	}
+	s.mu.Lock()
+	switch dup = s.active[j.key]; {
+	case dup != nil:
+		err = errCoalesced
+	case s.draining:
+		err = errDraining
+	default:
+		// The push makes the job visible to workers, and one may end it
+		// before admit resumes: what its ending reads is set first.
+		j.admitted, j.journaled = true, s.journal != nil
+		if err = s.tq.push(j); err == nil {
+			s.jobs[j.id], s.active[j.key] = j, j
+		} else {
+			j.admitted, j.journaled = false, j.recovered
+		}
+	}
+	s.mu.Unlock()
+	if err != nil {
+		tn.release()
+		if errors.Is(err, errQueueFull) {
+			s.metrics.QueueRejected.Add(1)
+		}
+		return dup, err
+	}
+	tn.submitted.Add(1)
+	return nil, nil
+}
+
+// bornEnded makes j a job that is over before anyone saw it live: a hit in
+// tier (the response shape and GET /v1/runs/{id} stay uniform across hits
+// and misses), or a recovery that cannot run again.
+func (s *Server) bornEnded(j *job, st Status, res sim.Result, tier, msg string) *job {
+	j.cached = tier
+	if tier != "" {
+		j.trace.Event("cache-hit") // which tier is in the job view's "cached" field
+	}
+	s.mu.Lock()
+	s.jobs[j.id] = j
+	s.mu.Unlock()
+	s.end(j, st, res, msg)
+	j.retain() // uniform with queued jobs: the submitter pins it
 	return j
 }
 
@@ -549,28 +495,77 @@ func resultCommitted(res *sim.Result) uint64 {
 	return res.CPU.Committed
 }
 
-// completedJob materializes a cache hit as an already-terminal job so the
-// response shape (and GET /v1/runs/{id}) is uniform across hits and misses.
-func (s *Server) completedJob(key string, spec sim.RunSpec, res sim.Result, tier string, traceID string, submitStart time.Time) (*job, error) {
-	stats, err := res.StatsJSON()
-	if err != nil {
-		return nil, err
+// end is the one terminal transition. Exactly once per job — later calls
+// are no-ops returning false (a cancel handler and the worker can race here)
+// — it records the outcome and pays everything the ending owes: for an
+// admitted job the one spbd_runs_* counter of its status (with the Top-Down
+// fold of a completed run) and its tenant's slot; for a journaled job the
+// terminal record; the key's active entry, and the oldest ended job's place
+// in the table once maxTerminal others have ended since; the job's context
+// (so baseCtx drops the child); then done closes — whoever waits on it finds
+// all of that settled — and, off the waiters' latency, a result this daemon
+// did not hold before (a run's, a thief's) is written back to the tiers, the
+// trace finishing after its "store-write" span.
+func (s *Server) end(j *job, st Status, res sim.Result, msg string) bool {
+	var stats json.RawMessage
+	if st == StatusDone {
+		var err error
+		if stats, err = res.StatsJSON(); err != nil {
+			st, res, msg = StatusFailed, sim.Result{}, err.Error()
+		}
+	}
+	j.mu.Lock()
+	if j.status.Terminal() {
+		j.mu.Unlock()
+		return false
+	}
+	j.status, j.result, j.stats, j.errMsg = st, res, stats, msg
+	if st == StatusDone {
+		j.committed.Store(resultCommitted(&res))
+		j.cycles.Store(res.CPU.Cycles)
+		j.ffInsts.Store(res.Sample.FastForwardInsts)
+	}
+	if j.admitted {
+		s.metrics.runEnded(st, &res.CPU)
+		j.tenant.finishJob()
+	}
+	if j.journaled {
+		s.journal.terminal(j.id, st)
 	}
 	s.mu.Lock()
-	j := s.newJobLocked(key, spec, nil) // cache hits are quota-free
-	s.jobs[j.id] = j
+	if s.active[j.key] == j {
+		delete(s.active, j.key)
+	}
+	if s.ended = append(s.ended, j.id); len(s.ended) > s.maxTerminal {
+		delete(s.jobs, s.ended[0])
+		s.ended = s.ended[1:]
+	}
 	s.mu.Unlock()
-	j.cached = tier
-	j.committed.Store(resultCommitted(&res))
-	j.ffInsts.Store(res.Sample.FastForwardInsts)
-	j.cycles.Store(res.CPU.Cycles)
-	j.trace = s.cfg.Tracer.Start(traceID, j.id, key)
-	j.trace.Span("submit", submitStart, time.Now())
-	j.trace.Event("cache-hit") // tier is in the job view's "cached" field
-	j.finish(StatusDone, res, stats, "")
-	j.trace.Finish()
-	j.retain() // uniform with queued jobs: the submitter pins it
-	return j, nil
+	// The trace finishes once its last span is on it: here, unless the disk
+	// write below still owes it "store-write".
+	learned := st == StatusDone && j.cached == ""
+	if !learned || s.tiers.store == nil {
+		j.trace.Finish()
+	}
+	j.cancel(nil)
+	close(j.done)
+	j.mu.Unlock()
+
+	if learned {
+		s.tiers.put(j.spec, j.key, res, j.trace)
+		j.trace.Finish()
+	}
+	return true
+}
+
+// cancelled ends j as cancelled for the most specific reason its context
+// knows.
+func (s *Server) cancelled(j *job, ctx context.Context) {
+	msg := "cancelled"
+	if cause := context.Cause(ctx); cause != nil {
+		msg = cause.Error()
+	}
+	s.end(j, StatusCancelled, sim.Result{}, msg)
 }
 
 // recoverJournal re-admits the journal's live jobs after a restart. Runs
@@ -578,21 +573,17 @@ func (s *Server) completedJob(key string, spec sim.RunSpec, res sim.Result, tier
 // advances past every recovered sequence number first so fresh jobs can
 // never collide with a recovered ID.
 func (s *Server) recoverJournal(recovered []recoveredJob) {
-	var maxSeq uint64
-	for _, rj := range recovered {
-		var seq uint64
-		if _, err := fmt.Sscanf(rj.ID, "r%d-", &seq); err == nil && seq > maxSeq {
-			maxSeq = seq
-		}
-	}
-	if maxSeq > s.nextID.Load() {
-		s.nextID.Store(maxSeq)
-	}
 	wasRunning := 0
 	for _, rj := range recovered {
+		var seq uint64
+		if _, err := fmt.Sscanf(rj.ID, "r%d-", &seq); err == nil && seq > s.nextID.Load() {
+			s.nextID.Store(seq)
+		}
 		if rj.Started {
 			wasRunning++
 		}
+	}
+	for _, rj := range recovered {
 		s.readmit(rj)
 	}
 	if len(recovered) > 0 {
@@ -603,100 +594,48 @@ func (s *Server) recoverJournal(recovered []recoveredJob) {
 }
 
 // readmit re-creates one journaled job under its original ID. Three
-// outcomes: answered from the disk tier (the previous process finished it
+// outcomes: answered from a local tier (the previous process finished it
 // and died before the terminal record landed), requeued to run again (a
-// checkpointed run resumes mid-flight), or dropped — terminal-failed when
-// its spec no longer validates, terminal-cancelled when it cannot be
-// re-admitted — and the ID still resolves in every case, so a client polling
-// across the restart always learns its job's fate.
+// checkpointed run resumes mid-flight), or dropped — born failed when its
+// spec no longer validates, born cancelled when it cannot be admitted — and
+// the ID still resolves in every case, so a client polling across the
+// restart always learns its job's fate, and the terminal record stops the
+// next restart from replaying it.
 func (s *Server) readmit(rj recoveredJob) {
 	drop := func(j *job, st Status, msg string) {
-		j.onTerminal = nil
-		j.finish(st, sim.Result{}, nil, msg)
-		j.trace.Finish()
-		s.mu.Lock()
-		s.jobs[j.id] = j
-		s.mu.Unlock()
-		j.retain()
+		s.bornEnded(j, st, sim.Result{}, "", msg)
 		s.metrics.RecoveryDropped.Add(1)
 		s.cfg.Logf("spbd: journal recovery: dropping %s: %s", rj.ID, msg)
 	}
-
 	spec, err := rj.Req.Spec()
 	if err != nil {
 		// Journaled after validation, so the binary changed under the
 		// journal (a release that validates more than the one that accepted
-		// the job): nothing to run, but the ID still resolves — as failed,
-		// with the reason — and the terminal record stops the next restart
-		// from replaying it.
-		j := s.jobWithID(rj.ID, "", sim.RunSpec{}, nil)
-		j.recovered = true
-		s.hookJournal(j)
-		j.trace = s.cfg.Tracer.Start(rj.TraceID, j.id, "")
-		j.trace.Event("recovered")
-		drop(j, StatusFailed, fmt.Sprintf("recovery: spec no longer valid: %v", err))
+		// the job): nothing to run.
+		drop(s.newJob(rj.ID, "", sim.RunSpec{}, nil, rj.TraceID, time.Time{}),
+			StatusFailed, fmt.Sprintf("recovery: spec no longer valid: %v", err))
 		return
 	}
 	spec = spec.Normalized()
 	key := Key(spec)
 	tn := s.tenantByName(rj.Tenant)
-
-	// The disk tier is the tiebreaker for "finished but the terminal record
-	// never landed": serve the persisted result instead of re-running.
-	if s.diskUsable() {
-		if res, ok, gerr := s.store.Get(key); gerr == nil && ok {
-			if stats, serr := res.StatsJSON(); serr == nil {
-				s.runner.Put(spec, res)
-				s.mu.Lock()
-				j := s.jobWithID(rj.ID, key, spec, nil) // like cache hits: quota-free
-				j.recovered = true
-				s.jobs[j.id] = j
-				s.mu.Unlock()
-				j.cached = "disk"
-				j.committed.Store(resultCommitted(&res))
-				j.ffInsts.Store(res.Sample.FastForwardInsts)
-				j.cycles.Store(res.CPU.Cycles)
-				j.trace = s.cfg.Tracer.Start(rj.TraceID, j.id, key)
-				j.trace.Event("recovered")
-				j.finish(StatusDone, res, stats, "")
-				j.trace.Finish()
-				j.retain()
-				s.journal.terminal(j.id, StatusDone)
-				s.metrics.RecoveryCompleted.Add(1)
-				return
-			}
-		}
+	j := s.newJob(rj.ID, key, spec, tn, rj.TraceID, time.Time{})
+	if res, tier, ok := s.tiers.lookup(spec, key, localTiers); ok {
+		s.bornEnded(j, StatusDone, res, tier, "")
+		s.metrics.RecoveryCompleted.Add(1)
+		return
 	}
-
-	s.mu.Lock()
-	j := s.jobWithID(rj.ID, key, spec, tn)
-	j.recovered = true
-	s.hookJournal(j)
-	j.trace = s.cfg.Tracer.Start(rj.TraceID, j.id, key)
-	j.trace.Event("recovered")
-	if dup := s.active[key]; dup != nil {
-		s.mu.Unlock()
+	switch dup, err := s.admit(j); {
+	case err == nil:
+		j.retain() // the pre-crash submitter's pin survives the restart
+		s.metrics.RecoveryRequeued.Add(1)
+	case dup != nil:
 		drop(j, StatusCancelled, fmt.Sprintf("recovery: duplicate of recovered job %s", dup.id))
-		return
-	}
-	if !tn.acquire() {
-		s.mu.Unlock()
+	case errors.Is(err, errQuota):
 		drop(j, StatusCancelled, fmt.Sprintf("recovery: tenant %q quota exhausted", tn.Name))
-		return
-	}
-	j.onTerminal = tn.finishJob
-	if err := s.tq.push(j); err != nil {
-		s.mu.Unlock()
-		tn.release()
+	default:
 		drop(j, StatusCancelled, "recovery: "+err.Error())
-		return
 	}
-	s.jobs[j.id] = j
-	s.active[key] = j
-	s.mu.Unlock()
-	tn.submitted.Add(1)
-	j.retain() // the pre-crash submitter's pin survives the restart
-	s.metrics.RecoveryRequeued.Add(1)
 }
 
 // tenantByName resolves a journaled tenant name against the current
@@ -718,39 +657,34 @@ func (s *Server) worker() {
 		if !ok {
 			return
 		}
-		s.inflight.Add(1)
-		s.runJob(j)
-		s.inflight.Add(-1)
+		s.dequeued(j)
 	}
 }
 
-func (s *Server) runJob(j *job) {
-	defer func() {
-		s.mu.Lock()
-		if s.active[j.key] == j {
-			delete(s.active, j.key)
-		}
-		s.mu.Unlock()
-	}()
+// dequeued is what happens to a job that left the queue for this daemon's
+// own CPUs: a worker's pop, or Drain's direct re-run of a reclaimed handoff.
+func (s *Server) dequeued(j *job) {
+	now := time.Now()
+	j.trace.Span("queue-wait", j.submitted, now)
+	s.metrics.QueueWait.Observe(now.Sub(j.submitted))
+	s.run(j)
+}
 
-	// The job's trace outlives this function only for batch streams (their
-	// terminal write lands as a post-Finish span); every other path is
-	// complete here, so the NDJSON line is emitted on return.
-	defer j.trace.Finish()
-
-	dequeued := time.Now()
-	j.trace.Span("queue-wait", j.submitted, dequeued)
-	s.metrics.QueueWait.Observe(dequeued.Sub(j.submitted))
-
-	if err := j.ctx.Err(); err != nil {
-		// Cancelled while still queued.
-		if j.finish(StatusCancelled, sim.Result{}, nil, cancelMsg(j.ctx)) {
-			s.metrics.RunsCancelled.Add(1)
-		}
+// run simulates j and ends it: the one routine behind a worker, Drain's
+// re-runs and RunStolen. It owns the in-flight gauge, the started record,
+// the "run" fault site, the run timeout, progress, the "run" span and
+// histogram; the ending it calls owns the rest, write-back included.
+func (s *Server) run(j *job) {
+	if j.ctx.Err() != nil { // cancelled before it started: while queued, or while handed off
+		s.cancelled(j, j.ctx)
 		return
 	}
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
 	j.setRunning()
-	s.journalStarted(j)
+	if j.journaled {
+		s.journal.started(j.id)
+	}
 	s.cfg.Faults.Sleep("run", j.ctx.Done())
 
 	ctx := j.ctx
@@ -760,78 +694,41 @@ func (s *Server) runJob(j *job) {
 			fmt.Errorf("run timeout %v exceeded", s.cfg.RunTimeout))
 		defer cancel()
 	}
-
 	// The trace rides the context so the simulator records its run.* phase
 	// sub-spans (build/sim/collect) onto the same timeline.
-	runStart := time.Now()
-	res, err := s.runner.GetCtx(obs.NewContext(ctx, j.trace), j.spec, func(p sim.Progress) {
+	start := time.Now()
+	res, err := s.tiers.runner.GetCtx(obs.NewContext(ctx, j.trace), j.spec, func(p sim.Progress) {
 		j.committed.Store(p.Committed)
 		j.cycles.Store(p.Cycles)
 		j.ffInsts.Store(p.FastForwardInsts)
 		s.metrics.ProgressSnapshot.Add(1)
 	})
-	runEnd := time.Now()
-	j.trace.Span("run", runStart, runEnd)
-	s.metrics.RunDuration.Observe(runEnd.Sub(runStart))
+	end := time.Now()
+	j.trace.Span("run", start, end)
+	s.metrics.RunDuration.Observe(end.Sub(start))
 	switch {
 	case err == nil:
-		stats, jerr := res.StatsJSON()
-		if jerr != nil {
-			if j.finish(StatusFailed, sim.Result{}, nil, jerr.Error()) {
-				s.metrics.RunsFailed.Add(1)
-			}
-			return
-		}
-		j.committed.Store(resultCommitted(&res))
-		j.cycles.Store(res.CPU.Cycles)
-		if j.finish(StatusDone, res, stats, "") {
-			s.metrics.RunsCompleted.Add(1)
-			s.metrics.ObserveTopDown(&res.CPU)
-		}
-		if s.diskUsable() {
-			writeStart := time.Now()
-			perr := s.store.Put(j.key, res)
-			writeEnd := time.Now()
-			j.trace.Span("store-write", writeStart, writeEnd)
-			s.metrics.StoreWrite.Observe(writeEnd.Sub(writeStart))
-			if perr != nil {
-				s.diskError("write", j.key, perr)
-			} else {
-				s.diskHealthy()
-			}
-		}
+		s.end(j, StatusDone, res, "")
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if j.finish(StatusCancelled, sim.Result{}, nil, cancelMsg(ctx)) {
-			s.metrics.RunsCancelled.Add(1)
-		}
+		s.cancelled(j, ctx)
 	default:
-		if j.finish(StatusFailed, sim.Result{}, nil, err.Error()) {
-			s.metrics.RunsFailed.Add(1)
-		}
+		s.end(j, StatusFailed, sim.Result{}, err.Error())
 	}
-}
-
-// cancelMsg renders the most specific cancellation cause available.
-func cancelMsg(ctx context.Context) string {
-	if cause := context.Cause(ctx); cause != nil {
-		return cause.Error()
-	}
-	return "cancelled"
 }
 
 // cancelJob cancels a job's context and, if the job is not actually
 // executing anywhere — still queued locally, or handed off to a thief —
-// finalizes it immediately (so it doesn't report a live status until
-// somebody gets around to it). A stolen job's handoff is dropped; the
-// thief's late completion is answered with "unknown handoff" and ignored.
+// ends it immediately (so it doesn't report a live status until somebody
+// gets around to it). A stolen job's handoff is dropped; the thief's late
+// completion is answered with "unknown handoff" and ignored.
 func (s *Server) cancelJob(j *job, cause error) {
 	j.cancel(cause)
 	s.mu.Lock()
-	stolenOut := false
+	handedOff := false
 	for tok, h := range s.stolen { // keyed by random token, so scan for j
 		if h.j == j {
 			delete(s.stolen, tok)
-			stolenOut = true
+			handedOff = true
 			break
 		}
 	}
@@ -839,12 +736,9 @@ func (s *Server) cancelJob(j *job, cause error) {
 	j.mu.Lock()
 	queued := j.status == StatusQueued
 	j.mu.Unlock()
-	if queued || stolenOut {
-		if j.finish(StatusCancelled, sim.Result{}, nil, cause.Error()) {
-			s.metrics.RunsCancelled.Add(1)
-			j.trace.Event("cancel")
-		}
-		s.clearActive(j)
+	if queued || handedOff {
+		j.trace.Event("cancel")
+		s.cancelled(j, j.ctx)
 	}
 }
 
@@ -871,93 +765,60 @@ func (s *Server) Drain(ctx context.Context) error {
 
 	idle := make(chan struct{})
 	go func() {
+		defer close(idle)
 		s.workers.Wait()
 		// Wait out stolen handoffs too: their thieves are still computing
 		// results this daemon's clients are blocked on. The cluster node is
-		// already stopped by now (main stops it before Drain), so its
-		// janitor no longer runs — reclaim silent thieves here, executing
-		// the jobs directly since the worker pool has exited.
+		// already stopped by now (main stops it before Drain), so its janitor
+		// no longer runs — take silent thieves' handoffs back here, and run
+		// them directly since the worker pool has exited. Without a node
+		// there is no steal timeout to judge silence by.
 		var rerun sync.WaitGroup
+		defer rerun.Wait()
 		for ctx.Err() == nil {
 			s.mu.Lock()
 			n := len(s.stolen)
 			s.mu.Unlock()
-			for _, j := range s.reclaimOverdue() {
-				rerun.Add(1)
-				go func(j *job) {
-					defer rerun.Done()
-					s.inflight.Add(1)
-					s.runJob(j)
-					s.inflight.Add(-1)
-				}(j)
-			}
 			if n == 0 {
-				break
+				return
+			}
+			if s.tiers.fleet != nil {
+				for _, h := range s.takeBack(s.tiers.fleet.StealTimeout()) {
+					h.j.trace.Event("steal-reclaim")
+					s.metrics.StealsReclaimed.Add(1)
+					rerun.Add(1)
+					go func() {
+						defer rerun.Done()
+						s.dequeued(h.j)
+					}()
+				}
 			}
 			select {
 			case <-time.After(20 * time.Millisecond):
 			case <-ctx.Done():
 			}
 		}
-		rerun.Wait()
-		close(idle)
 	}()
+	forced := false
 	select {
 	case <-idle:
-		s.journal.Close() // every surviving job has its terminal record by now
-		return nil
 	case <-ctx.Done():
+		forced = true
 		s.baseCancel(fmt.Errorf("drain deadline exceeded: %w", context.Cause(ctx)))
 		<-idle // cancellation propagates within a few thousand sim cycles
-		s.failStolen(fmt.Errorf("drain deadline exceeded"))
-		s.journal.Close()
+	}
+	// Handoffs the deadline cut off end cancelled (the thief's eventual
+	// completion will be answered with "unknown handoff" and dropped); after
+	// a clean drain there are none.
+	for _, h := range s.takeBack(0) {
+		forced = true
+		s.end(h.j, StatusCancelled, sim.Result{}, "drain deadline exceeded")
+	}
+	s.journal.Close() // every surviving job has its terminal record by now
+	if forced {
 		return ctx.Err()
 	}
-}
-
-// reclaimOverdue takes back handoffs whose thief has been silent past the
-// cluster's steal timeout and returns their jobs for the caller to execute
-// directly — the drain path's stand-in for the stopped cluster janitor,
-// running after the worker pool has exited. Nil without a cluster (the
-// handoff table can only fill through one).
-func (s *Server) reclaimOverdue() []*job {
-	if s.cluster == nil {
-		return nil
-	}
-	cutoff := time.Now().Add(-s.cluster.StealTimeout())
-	s.mu.Lock()
-	var back []*job
-	for tok, h := range s.stolen {
-		if h.at.Before(cutoff) {
-			delete(s.stolen, tok)
-			back = append(back, h.j)
-		}
-	}
-	s.mu.Unlock()
-	for _, j := range back {
-		j.trace.Event("steal-reclaim")
-		s.metrics.StealsReclaimed.Add(1)
-	}
-	return back
-}
-
-// failStolen finalizes every outstanding stolen handoff as cancelled (drain
-// deadline: the thief's eventual completion will be answered with "unknown
-// handoff" and dropped).
-func (s *Server) failStolen(cause error) {
-	s.mu.Lock()
-	var orphans []*job
-	for id, h := range s.stolen {
-		delete(s.stolen, id)
-		orphans = append(orphans, h.j)
-	}
-	s.mu.Unlock()
-	for _, j := range orphans {
-		if j.finish(StatusCancelled, sim.Result{}, nil, cause.Error()) {
-			s.metrics.RunsCancelled.Add(1)
-		}
-		s.clearActive(j)
-	}
+	return nil
 }
 
 // Close force-stops the server (tests). Prefer Drain in production.
@@ -981,46 +842,4 @@ func (s *Server) Inflight() int { return int(s.inflight.Load()) }
 
 // Degraded reports whether the disk tier is in memory-only mode after
 // repeated I/O errors (readiness + metrics gauge).
-func (s *Server) Degraded() bool { return s.degraded.Load() }
-
-// diskUsable reports whether the disk tier should be consulted for this
-// operation. A healthy tier always is; a degraded tier admits exactly one
-// probe per DiskRetryInterval so recovery is noticed without hammering a
-// dead disk on every request.
-func (s *Server) diskUsable() bool {
-	if s.store == nil {
-		return false
-	}
-	if !s.degraded.Load() {
-		return true
-	}
-	now := time.Now().UnixNano()
-	at := s.diskProbeAt.Load()
-	if now < at {
-		return false
-	}
-	// One winner per interval gets to probe.
-	return s.diskProbeAt.CompareAndSwap(at, now+s.cfg.DiskRetryInterval.Nanoseconds())
-}
-
-// diskError accounts one disk-tier I/O failure. Crossing the consecutive-
-// error threshold flips the tier into degraded memory-only mode. Corrupt
-// entries never land here — the store heals those itself as clean misses.
-func (s *Server) diskError(op, key string, err error) {
-	s.metrics.DiskStoreErrors.Add(1)
-	streak := s.diskErrStreak.Add(1)
-	s.cfg.Logf("spbd: disk cache %s %.12s: %v (error streak %d)", op, key, err, streak)
-	if streak >= int64(s.cfg.DiskErrorThreshold) && s.degraded.CompareAndSwap(false, true) {
-		s.diskProbeAt.Store(time.Now().Add(s.cfg.DiskRetryInterval).UnixNano())
-		s.cfg.Logf("spbd: disk tier degraded after %d consecutive errors; memory-only until a probe succeeds", streak)
-	}
-}
-
-// diskHealthy accounts one successful disk-tier operation: the error streak
-// resets and a degraded tier rejoins service.
-func (s *Server) diskHealthy() {
-	s.diskErrStreak.Store(0)
-	if s.degraded.CompareAndSwap(true, false) {
-		s.cfg.Logf("spbd: disk tier recovered; leaving memory-only mode")
-	}
-}
+func (s *Server) Degraded() bool { return s.tiers.degraded.Load() }

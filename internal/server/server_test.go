@@ -37,9 +37,9 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// waitStoreWrites blocks until s has finished n disk-tier writes. runJob
-// releases a ?wait=1 client before it persists the result (the journal covers
-// the window, and the fsync stays off the request's latency), so a test that
+// waitStoreWrites blocks until s has finished n disk-tier writes. A job's
+// ending releases a ?wait=1 client before it persists the result (the journal
+// covers the window, and the fsync stays off the request's latency), so a test that
 // reads the disk tier or the store-write histogram right after a reply must
 // first wait for the write it expects.
 func waitStoreWrites(t *testing.T, s *Server, n uint64) {
@@ -253,7 +253,7 @@ func waitStatus(t *testing.T, ts *httptest.Server, id string, want Status) JobVi
 		if v.Status == want {
 			return v
 		}
-		if v.Status.terminal() {
+		if v.Status.Terminal() {
 			t.Fatalf("job %s ended %s (%s) while waiting for %s", id, v.Status, v.Error, want)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -306,7 +306,7 @@ func TestCancellationHaltsCoreLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if after.Status.terminal() {
+		if after.Status.Terminal() {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -517,7 +517,7 @@ func waitTerminal(t *testing.T, ts *httptest.Server, id string) JobView {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.Status.terminal() {
+		if v.Status.Terminal() {
 			return v
 		}
 		time.Sleep(2 * time.Millisecond)

@@ -1,9 +1,12 @@
-// Package server implements spbd, the simulation-as-a-service daemon: an
-// HTTP front end that accepts RunSpec jobs, executes them on a bounded
-// worker pool with FIFO queueing and per-spec deduplication, and answers
-// repeat requests from a two-tier cache (the in-memory sim.Runner backed by
-// a content-addressed on-disk store). Progress is streamed over SSE and
-// operational counters are exported in Prometheus text format.
+// Package server implements spbd, the simulation-as-a-service daemon. A job
+// has one life, and each stage of it is written once (DESIGN.md §8): submit
+// coalesces duplicates and walks the result tiers (tiers.go: the in-memory
+// sim.Runner, the content-addressed disk store, the fleet); admit puts a
+// miss on the tenant-aware queue (tenantq.go) under quota and journal; run
+// simulates it, for a worker, for Drain and for a thief alike; end is the
+// one terminal transition and pays everything an ending owes. Progress is
+// streamed over SSE and operational counters are exported in Prometheus
+// text format.
 package server
 
 import (

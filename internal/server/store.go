@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"spb/internal/durable"
 	"spb/internal/faults"
 	"spb/internal/sim"
 )
@@ -18,7 +19,7 @@ import (
 // DiskStore is the second cache tier: a content-addressed directory of
 // finished results, one JSON file per spec key, sharded by the key's first
 // byte (dir/ab/abcd....json) to keep directories small under large sweeps.
-// Entries are written atomically (temp file + rename), so a crashed or
+// Entries are written atomically (durable.WriteFile), so a crashed or
 // SIGKILLed daemon never leaves a torn entry, and they survive restarts —
 // a warm spbd answers repeat sweep points without simulating.
 //
@@ -38,12 +39,9 @@ type DiskStore struct {
 	Faults *faults.Injector
 	// OnCorrupt, when set, observes every quarantined entry (metrics/logs).
 	OnCorrupt func(key string, err error)
-	// Sync makes Put fsync the temp file before the rename and the parent
-	// directory after it. Without both, "atomically written" only holds
-	// against process crashes — a power loss or kernel panic can still lose
-	// or tear the entry, because neither the data pages nor the directory
-	// update were forced to stable storage. The daemon enables this by
-	// default (Config.DisableSync opts out).
+	// Sync makes Put fsync the entry and its directory (durable.WriteFile),
+	// so a stored result survives power loss, not just a process crash. The
+	// daemon enables this by default (Config.DisableSync opts out).
 	Sync bool
 }
 
@@ -98,10 +96,7 @@ func (s *DiskStore) path(key string) string {
 // again) and reports it. The entry then reads as a miss, so the caller
 // recomputes and Put overwrites with a clean copy.
 func (s *DiskStore) quarantine(key, path string, cause error) {
-	if err := os.Rename(path, path+".corrupt"); err != nil {
-		// Last resort: make sure the bad entry cannot be read again.
-		os.Remove(path)
-	}
+	durable.Quarantine(path)
 	if s.OnCorrupt != nil {
 		s.OnCorrupt(key, cause)
 	}
@@ -183,30 +178,8 @@ func (s *DiskStore) Put(key string, res sim.Result) error {
 	if err != nil {
 		return fmt.Errorf("server: disk store put: %w", err)
 	}
-	path := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("server: disk store put: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("server: disk store put: %w", err)
-	}
-	_, werr := tmp.Write(append(data, '\n'))
-	var serr error
-	if s.Sync && werr == nil {
-		serr = tmp.Sync()
-	}
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: disk store put %s: write %v, sync %v, close %v", key, werr, serr, cerr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: disk store put: %w", err)
-	}
-	if s.Sync {
-		syncDir(filepath.Dir(path))
+	if err := durable.WriteFile(s.path(key), append(data, '\n'), s.Sync); err != nil {
+		return fmt.Errorf("server: disk store put %s: %w", key, err)
 	}
 	return nil
 }

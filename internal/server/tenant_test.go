@@ -169,7 +169,7 @@ func TestTenantQuota(t *testing.T) {
 		t.Errorf("keyless cancel = %d, want 401", kr.StatusCode)
 	}
 
-	// Cancelling the job returns the slot via its terminal hook; the
+	// Cancelling the job returns the slot in its ending; the
 	// rejected spec now fits.
 	cancelRunWithKey(t, ts, v1.ID, "kc")
 	var v2 JobView

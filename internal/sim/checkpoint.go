@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 
 	"spb/internal/cpu"
+	"spb/internal/durable"
 )
 
 // Mid-run checkpoints (DESIGN.md §12, "Where a run may start"). A long run
@@ -231,46 +232,16 @@ func decodeCkpt(data []byte) (*ckptFile, error) {
 	return cf, nil
 }
 
-// save durably writes the checkpoint: temp file in the same directory,
-// optional fsync, atomic rename, optional directory fsync, then the OnWrite
-// hook. The previous checkpoint is replaced atomically, so a crash during
-// save leaves either the old or the new file intact.
+// save durably writes the checkpoint (durable.WriteFile: the previous
+// checkpoint is replaced atomically, so a crash during save leaves either
+// the old or the new file intact), then runs the OnWrite hook.
 func (c *checkpointer) save(cf *ckptFile) error {
 	data, err := encodeCkpt(cf)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(c.path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := durable.WriteFile(c.path, data, c.sync); err != nil {
 		return err
-	}
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(c.path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if c.sync {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			os.Remove(tmpName)
-			return err
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, c.path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if c.sync {
-		syncDir(dir)
 	}
 	c.runner.ckptWrites.Add(1)
 	if c.onWrite != nil {
@@ -279,16 +250,6 @@ func (c *checkpointer) save(cf *ckptFile) error {
 		}
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives power loss.
-// Errors are ignored: some filesystems reject directory fsync, and the
-// rename itself already succeeded.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }
 
 // load reads and validates the run's checkpoint. A missing file (or a run that
@@ -311,13 +272,10 @@ func (c *checkpointer) load() *ckptFile {
 	return cf
 }
 
-// quarantine renames the checkpoint aside for post-mortem inspection
-// instead of deleting evidence; a rename failure falls back to removal so
-// the bad file cannot be re-read forever.
+// quarantine moves the checkpoint aside for post-mortem inspection instead
+// of deleting evidence (durable.Quarantine) and counts it.
 func (c *checkpointer) quarantine() {
-	if err := os.Rename(c.path, c.path+".corrupt"); err != nil {
-		os.Remove(c.path)
-	}
+	durable.Quarantine(c.path)
 	c.runner.ckptCorrupt.Add(1)
 }
 

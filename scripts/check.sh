@@ -1,9 +1,10 @@
 #!/bin/sh
 # check.sh — the full pre-merge gate: gofmt, vet, build, tests (the bench/
 # module's too: it calls internal/ APIs and the root ./... cannot see it),
-# and a race pass over the packages with real concurrency (the Runner's
+# a race pass over the packages with real concurrency (the Runner's
 # singleflight / worker pool, the figure pipelines that drive it, the spbd
-# job queue, and the client pool's sharding/hedging machinery).
+# job queue, and the client pool's sharding/hedging machinery), and the
+# end-to-end harness that drives real spbd processes (internal/e2e).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -25,14 +26,8 @@ echo "== engine exactness (per-core sleeping == every-cycle loop; golden result 
 go test -count=1 -run 'FastForwardEquivalence|GoldenStatsHashes|CheckpointResumeCoresAtDifferentClocks|PlanCoversEveryInstructionOnce|CrashResumeAtEveryPlanPosition|CounterTablesCoverEveryField|CkptFormIsPlainStructs|CkptRoundTripIsIdentity' ./internal/sim
 go test -count=1 -run 'MatchesReference|ToFront' ./internal/cache ./internal/cpu
 go test -count=1 -run 'TablesGolden|OutTablesFullTitles' ./internal/figures
-echo "== go test -race (sim, figures, server, client, cluster, obs, memsys, cpu, trace, prefetch) =="
-go test -race ./internal/sim ./internal/figures ./internal/server ./internal/client ./internal/cluster ./internal/obs ./internal/memsys ./internal/cpu ./internal/trace ./internal/prefetch
-echo "== serve-check (spbd end-to-end smoke) =="
-sh scripts/serve_check.sh
-echo "== chaos-check (fault injection + self-healing) =="
-sh scripts/chaos_check.sh
-echo "== chaos-kill (kill -9 crash/recovery gate) =="
-sh scripts/chaos_kill_check.sh
-echo "== cluster-check (3-node fleet: gossip, stealing, peering, tenants) =="
-sh scripts/cluster_check.sh
+echo "== go test -race (sim, figures, server, client, cluster, faults, obs, memsys, cpu, trace, prefetch, cmd/spbd) =="
+go test -race ./internal/sim ./internal/figures ./internal/server ./internal/client ./internal/cluster ./internal/faults ./internal/obs ./internal/memsys ./internal/cpu ./internal/trace ./internal/prefetch ./cmd/spbd
+echo "== e2e (real spbd processes: service smoke, fault storms, kill -9 recovery, 3-node fleet) =="
+go vet -tags e2e ./internal/e2e && go test -tags e2e -count=1 ./internal/e2e
 echo "OK"
