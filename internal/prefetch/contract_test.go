@@ -11,7 +11,9 @@ import (
 // constructible kind: Observe must append to and return out — never nil,
 // never clobbering what the caller already holds (the memory system reuses
 // the returned slice as its scratch buffer) — and every appended block must
-// stay on the triggering access's page.
+// stay on the triggering access's page. Once its scratch has grown to size,
+// Observe allocates nothing: it runs once per demand access of a detailed run
+// (DESIGN.md §7, "Allocation-free steady state").
 func TestObserveContract(t *testing.T) {
 	for _, k := range config.Prefetchers {
 		t.Run(k.String(), func(t *testing.T) {
@@ -45,6 +47,13 @@ func TestObserveContract(t *testing.T) {
 				}
 			}
 			p.Epoch(Feedback{}) // idle epoch must be safe for every kind
+			ev := Event{PC: 0x400000, Block: blk, Miss: true}
+			if allocs := testing.AllocsPerRun(200, func() {
+				out = p.Observe(ev, out[:1])
+				ev.Block++
+			}); allocs != 0 {
+				t.Errorf("Observe allocates %.1f times per call in steady state, want 0", allocs)
+			}
 		})
 	}
 }

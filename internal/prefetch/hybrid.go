@@ -30,7 +30,11 @@ type Hybrid struct {
 	hits   []uint64 // per-sub attributed demand hits this epoch
 	alloc  []int    // per-sub slots per trigger; sums to hybridBudget
 
-	scratch [][]mem.Block // per-sub proposal buffers, reused across calls
+	// Observe's working storage, reused across calls: per-sub proposal
+	// buffers, slots taken this trigger, and read position in the proposals.
+	scratch [][]mem.Block
+	taken   []int
+	cursor  []int
 }
 
 // NewHybrid returns the default hybrid: baseline stream + BOP + DSPatch
@@ -53,6 +57,8 @@ func NewHybridOf(subs ...Prefetcher) *Hybrid {
 		hits:    make([]uint64, len(subs)),
 		alloc:   make([]int, len(subs)),
 		scratch: make([][]mem.Block, len(subs)),
+		taken:   make([]int, len(subs)),
+		cursor:  make([]int, len(subs)),
 	}
 	for i := range subs {
 		h.recent[i] = make([]mem.Block, hybridRecent)
@@ -108,12 +114,12 @@ func (h *Hybrid) remember(i int, b mem.Block) {
 // shared budget, deduplicating across subs.
 func (h *Hybrid) Observe(ev Event, out []mem.Block) []mem.Block {
 	h.credit(ev.Block)
+	taken, cursor := h.taken, h.cursor
 	for i, sub := range h.subs {
 		h.scratch[i] = sub.Observe(ev, h.scratch[i][:0])
+		taken[i], cursor[i] = 0, 0
 	}
 	base := len(out)
-	taken := make([]int, len(h.subs))
-	cursor := make([]int, len(h.subs))
 	emitted := 0
 drain:
 	for emitted < hybridBudget {

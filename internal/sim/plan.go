@@ -324,11 +324,11 @@ type warmMemo struct {
 // functional warming. ctx is polled between chunks of each.
 func (m *machine) functional(ctx context.Context, seg segment) error {
 	lanes, chunk := len(m.progs), uint64(progressEvery)*64
-	var memos []warmMemo
+	var w *warmer
 	switch seg.kind {
 	case segWarm:
 		lanes, chunk = 1, progressEvery
-		memos = make([]warmMemo, len(m.progs))
+		w = m.newWarmer(seg.trainPF)
 	case segTouch:
 		// Dense burst ops surface their footprint as O(1) spans, so this tier
 		// costs only a little more than a skip; it is still polled more often.
@@ -346,7 +346,7 @@ func (m *machine) functional(ctx context.Context, seg segment) error {
 			case segTouch:
 				m.progs[lane].SkipTouch(k, m.sys.Port(lane).WarmTouch)
 			case segWarm:
-				m.warm(k, seg.trainPF, memos)
+				w.warm(k)
 			}
 			left -= k
 		}
@@ -355,49 +355,82 @@ func (m *machine) functional(ctx context.Context, seg segment) error {
 	return nil
 }
 
-// warm replays n instructions per core against the memory system, TLBs and
-// branch predictors. Consecutive same-block accesses take the warmMemo fast
-// path. In multi-core interleavings one core's real access can downgrade,
-// invalidate or back-invalidate another core's line, so every real access
-// kills the other cores' memos; single-core warming keeps its memo across the
-// whole segment. With trainPF the access also trains the port's generic
-// prefetcher (Port.WarmObserve).
-func (m *machine) warm(n uint64, trainPF bool, memos []warmMemo) {
-	var in trace.Inst
-	for ; n > 0; n-- {
-		for i, p := range m.progs {
-			if !p.Next(&in) {
-				continue
-			}
-			switch in.Kind {
-			case trace.KindBranch:
-				if m.bps[i] != nil {
-					m.bps[i].Warm(in.PC, in.Taken)
-				}
-			case trace.KindLoad, trace.KindStore:
-				store := in.Kind == trace.KindStore
-				b := mem.BlockOf(in.Addr)
-				if mm := &memos[i]; mm.valid && mm.block == b && mm.pc == in.PC && (mm.writable || !store) {
-					continue
-				}
-				m.dtlbs[i].Warm(in.Addr)
-				port := m.sys.Port(i)
-				var hit bool
-				if store {
-					hit = port.WarmStore(in.Addr)
-				} else {
-					hit = port.WarmLoad(in.Addr)
-				}
-				if trainPF {
-					port.WarmObserve(in.PC, in.Addr, !hit, store)
-				}
-				memos[i] = warmMemo{block: b, pc: in.PC, writable: store, valid: true}
-				for j := range memos {
-					if j != i {
-						memos[j].valid = false
-					}
-				}
-			}
+// warmer is the sink of one warm segment: what Program.Warm reports, replayed
+// against the memory system, the TLBs and the branch predictors. Its closures
+// are built once for the segment, so warming allocates nothing per chunk or
+// per access. With trainPF an access also trains the port's generic prefetcher
+// (Port.WarmObserve).
+type warmer struct {
+	m       *machine
+	trainPF bool
+	memos   []warmMemo
+	// Per core: the access sink, and the branch sink — the predictor's own
+	// Warm, nil when none is modelled, which tells the walk not to compute
+	// branch directions at all.
+	access []func(pc uint64, addr mem.Addr, store bool)
+	branch []func(pc uint64, taken bool)
+}
+
+func (m *machine) newWarmer(trainPF bool) *warmer {
+	w := &warmer{
+		m: m, trainPF: trainPF,
+		memos:  make([]warmMemo, len(m.progs)),
+		access: make([]func(uint64, mem.Addr, bool), len(m.progs)),
+		branch: make([]func(uint64, bool), len(m.progs)),
+	}
+	for i := range m.progs {
+		w.access[i] = func(pc uint64, addr mem.Addr, store bool) { w.touch(i, pc, addr, store) }
+		if bp := m.bps[i]; bp != nil {
+			w.branch[i] = bp.Warm
+		}
+	}
+	return w
+}
+
+// warm replays n instructions per core. One core hands its program the whole
+// budget, and the walk steps over a dense op's same-block repeats itself — a
+// subset of what the memo below would drop, since within one call nothing
+// comes between an access and its repeat. Several cores take a budget of one
+// instruction per core per round: the interleaving is the round-robin one,
+// access for access, and the walk, which never elides across calls, leaves
+// every repeat to the memo and its kill rule.
+func (w *warmer) warm(n uint64) {
+	budget := uint64(1)
+	if len(w.m.progs) == 1 {
+		budget = n
+	}
+	for ; n > 0; n -= budget {
+		for i, p := range w.m.progs {
+			p.Warm(budget, w.access[i], w.branch[i])
+		}
+	}
+}
+
+// touch replays one access of core i. Consecutive same-block accesses take the
+// warmMemo fast path. In multi-core interleavings one core's real access can
+// downgrade, invalidate or back-invalidate another core's line, so every real
+// access kills the other cores' memos; single-core warming keeps its memo
+// across the whole segment.
+func (w *warmer) touch(i int, pc uint64, addr mem.Addr, store bool) {
+	b := mem.BlockOf(addr)
+	if mm := &w.memos[i]; mm.valid && mm.block == b && mm.pc == pc && (mm.writable || !store) {
+		return
+	}
+	w.m.dtlbs[i].Warm(addr)
+	port := w.m.sys.Port(i)
+	var hit bool
+	if store {
+		hit = port.WarmStore(addr)
+	} else {
+		hit = port.WarmLoad(addr)
+	}
+	if w.trainPF {
+		port.WarmObserve(pc, addr, !hit, store)
+	}
+	w.memos[i] = warmMemo{block: b, pc: pc, writable: store, valid: true}
+	for j := range w.memos {
+		if j != i {
+			w.memos[j].valid = false
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -185,18 +186,20 @@ func (s RunSpec) CostEstimate() uint64 {
 	insts := n.Insts
 	if n.Sampling.Enabled() {
 		// A sampled run simulates only the detailed portion of each sampling
-		// period in detail; functional segments are far cheaper per
-		// instruction and are charged at a quarter weight. This is what lets
-		// LPT ordering, batch scheduling and client-pool hedging rank a
-		// sampled point by the work it will actually do, far below its
-		// full-detail twin.
+		// period in detail; a functionally warmed instruction is charged 3/8
+		// of a detailed one, the ratio the benchmark's traced run measures on
+		// the SB-bound sweep: sim.warm_ns_per_inst 38.2 and 38.9 in two runs
+		// against cpu.run_ns_per_inst 105.8 and 106.4 (0.36, 0.37; it was 56.3
+		// and 62.8 against 106 before the warm tier walked the program). This is what lets LPT ordering, batch
+		// scheduling and client-pool hedging rank a sampled point by the work
+		// it will actually do, far below its full-detail twin.
 		cfg := n.Sampling
 		intervals := (n.Insts + cfg.IntervalInsts - 1) / cfg.IntervalInsts
 		detailed := intervals * (cfg.WarmInsts + cfg.DetailedInsts)
 		if detailed > n.Insts {
 			detailed = n.Insts
 		}
-		insts = detailed + (n.Insts-detailed)/4
+		insts = detailed + (n.Insts-detailed)/8*3
 	}
 	cost := insts * uint64(n.Cores)
 	if n.Cores > 1 {
@@ -406,6 +409,10 @@ type Runner struct {
 	warmForks      atomic.Uint64 // runs started from a snapshot
 	warmInstsSaved atomic.Uint64 // warmup instructions elided by sharing
 	instsSimulated atomic.Uint64 // instructions simulated (warm + detailed)
+	// warmStalls counts GetAll workers that waited for a warm-up in flight
+	// while their batch still had undrawn specs: the wait a batch sets specs
+	// aside to avoid (TestGetAllNeverParksBehindWarmup).
+	warmStalls atomic.Uint64
 
 	sampledRuns        atomic.Uint64 // runs executed in sampling mode
 	sampleIntervals    atomic.Uint64 // measured detailed intervals
@@ -424,6 +431,9 @@ type runCall struct {
 	done chan struct{}
 	res  Result
 	err  error
+	// aside: the executor was a batch worker that set the spec aside instead
+	// of running it (see batch). Nothing ran; a waiter starts over.
+	aside bool
 }
 
 // NewRunner returns an empty runner.
@@ -526,36 +536,55 @@ func (r *Runner) Put(spec RunSpec, res Result) {
 // cached; the next call re-runs the spec. onProgress only fires for the
 // caller that actually executes.
 func (r *Runner) GetCtx(ctx context.Context, spec RunSpec, onProgress func(Progress)) (Result, error) {
-	spec = spec.normalize()
+	res, _, err := r.get(ctx, spec.normalize(), onProgress, nil)
+	return res, err
+}
+
+// get is GetCtx on a normalized spec. A worker of batch b that would have to
+// wait for a warm-up another goroutine is building, while b has other work for
+// it, gets that warm-up's call back instead, nothing run and nothing recorded.
+func (r *Runner) get(ctx context.Context, spec RunSpec, onProgress func(Progress), b *batch) (Result, *warmCall, error) {
 	r.mu.Lock()
-	if res, ok := r.cache[spec]; ok {
-		r.mu.Unlock()
-		return res, nil
-	}
-	if call, ok := r.inflight[spec]; ok {
+	for {
+		if res, ok := r.cache[spec]; ok {
+			r.mu.Unlock()
+			return res, nil, nil
+		}
+		call, ok := r.inflight[spec]
+		if !ok {
+			break
+		}
 		r.mu.Unlock()
 		select {
 		case <-call.done:
-			return call.res, call.err
+			if !call.aside {
+				return call.res, nil, call.err
+			}
 		case <-ctx.Done():
-			return Result{}, ctx.Err()
+			return Result{}, nil, ctx.Err()
 		}
+		r.mu.Lock()
 	}
 	call := &runCall{done: make(chan struct{})}
 	r.inflight[spec] = call
 	r.mu.Unlock()
 
 	r.runs.Add(1)
-	call.res, call.err = r.execute(ctx, spec, onProgress)
+	var busy *warmCall
+	call.res, busy, call.err = r.execute(ctx, spec, onProgress, b)
+	if busy != nil {
+		call.aside = true
+		r.runs.Add(^uint64(0)) // nothing ran
+	}
 
 	r.mu.Lock()
-	if call.err == nil {
+	if call.err == nil && !call.aside {
 		r.cache[spec] = call.res
 	}
 	delete(r.inflight, spec)
 	r.mu.Unlock()
 	close(call.done)
-	return call.res, call.err
+	return call.res, busy, call.err
 }
 
 // Runs reports how many simulations this runner actually executed (cache and
@@ -585,25 +614,109 @@ func lptOrder(specs []RunSpec) []int {
 	return order
 }
 
+// batch is the dispatch state of one GetAllCtx call: the specs in dispatch
+// order, how many of them have been drawn, and the drawn ones set aside.
+//
+// A worker whose spec belongs to a warm-start group another goroutine is
+// building does not wait for that warm-up while the batch has anything else
+// for it to run: the spec is set aside with the call it would have waited on,
+// and the worker draws again. A set-aside spec is drawable, ahead of the
+// undrawn ones, from the moment its call is done — published, failed or
+// cancelled alike; whoever draws it finds the snapshot, or builds it. Only a
+// worker with nothing else left waits, in warmFor, as a single GetCtx does.
+type batch struct {
+	mu    sync.Mutex
+	order []int
+	next  int // order[next:] is undrawn
+	aside []asideSpec
+}
+
+type asideSpec struct {
+	i    int
+	call *warmCall
+}
+
+// ready returns the position in aside of a spec whose warm-up is over, or -1.
+// The caller holds b.mu.
+func (b *batch) ready() int {
+	for k, a := range b.aside {
+		select {
+		case <-a.call.done:
+			return k
+		default:
+		}
+	}
+	return -1
+}
+
+// draw hands a worker its next spec: a set-aside one whose warm-up is over,
+// else the next undrawn one, else — nothing else being left — the oldest
+// set-aside one, to wait for.
+func (b *batch) draw() (i int, ok bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	k := b.ready()
+	if k < 0 {
+		if b.next < len(b.order) {
+			b.next++
+			return b.order[b.next-1], true
+		}
+		if len(b.aside) == 0 {
+			return 0, false
+		}
+		k = 0
+	}
+	i = b.aside[k].i
+	b.aside = slices.Delete(b.aside, k, k+1)
+	return i, true
+}
+
+// undrawn reports whether specs remain that no worker has drawn yet; runnable,
+// whether a worker that gave up its spec now would find another to run.
+// Both are false for a nil batch: a single GetCtx has nothing else to do.
+func (b *batch) undrawn() bool {
+	if b == nil {
+		return false
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.next < len(b.order)
+}
+
+func (b *batch) runnable() bool {
+	if b == nil {
+		return false
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.next < len(b.order) || b.ready() >= 0
+}
+
+func (b *batch) setAside(i int, call *warmCall) {
+	b.mu.Lock()
+	b.aside = append(b.aside, asideSpec{i, call})
+	b.mu.Unlock()
+}
+
 // GetAllCtx runs the specs on a fixed worker pool (min(GOMAXPROCS,
 // len(specs)) workers) and returns the results in spec order. Specs are
 // dispatched longest-first (see lptOrder) but results land at their original
-// indices, so callers see no difference from in-order execution. The first
-// error stops all further dispatch — workers finish the spec they are on and
-// exit, since the batch is doomed anyway — and cancelling ctx aborts the
-// batch the same way, with running simulations stopped through their ctx. A fixed
-// pool — rather than one goroutine per spec parked behind a semaphore —
-// keeps a five-figure sweep from materializing hundreds of idle goroutines
-// up front.
+// indices, so callers see no difference from in-order execution; a worker never
+// waits behind a warm-up another is building while it has other specs to run
+// (see batch). The first error stops all further dispatch — workers finish the
+// spec they are on and exit, since the batch is doomed anyway — and cancelling
+// ctx aborts the batch the same way, with running simulations stopped through
+// their ctx. A fixed pool — rather than one goroutine per spec parked behind a
+// semaphore — keeps a five-figure sweep from materializing hundreds of idle
+// goroutines up front.
 func (r *Runner) GetAllCtx(ctx context.Context, specs []RunSpec) ([]Result, error) {
 	results := make([]Result, len(specs))
-	order := lptOrder(specs)
+	b := &batch{order: lptOrder(specs)}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(specs) {
 		workers = len(specs)
 	}
 	var (
-		next    atomic.Int64
 		failed  atomic.Bool
 		errOnce sync.Once
 		firstEr error
@@ -617,12 +730,15 @@ func (r *Runner) GetAllCtx(ctx context.Context, specs []RunSpec) ([]Result, erro
 				if failed.Load() || ctx.Err() != nil {
 					return
 				}
-				k := int(next.Add(1)) - 1
-				if k >= len(order) {
+				i, ok := b.draw()
+				if !ok {
 					return
 				}
-				i := order[k]
-				res, err := r.GetCtx(ctx, specs[i], nil)
+				res, busy, err := r.get(ctx, specs[i].normalize(), nil, b)
+				if busy != nil {
+					b.setAside(i, busy)
+					continue
+				}
 				if err != nil {
 					errOnce.Do(func() { firstEr = err })
 					failed.Store(true)

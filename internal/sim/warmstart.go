@@ -73,7 +73,7 @@ type warmCall struct {
 // group's snapshot, and one without starts cold. A checkpoint that passed the
 // checksum but does not fit the machine is quarantined and the run starts
 // over. The checkpoint file is removed once the run completes.
-func (r *Runner) execute(ctx context.Context, spec RunSpec, onProgress func(Progress)) (Result, error) {
+func (r *Runner) execute(ctx context.Context, spec RunSpec, onProgress func(Progress), b *batch) (Result, *warmCall, error) {
 	ck := r.checkpointerFor(spec)
 	start := ck.load()
 	if start != nil {
@@ -83,22 +83,25 @@ func (r *Runner) execute(ctx context.Context, spec RunSpec, onProgress func(Prog
 			r.finished(res, ck)
 		}
 		if !errors.Is(err, errCkptInvalid) {
-			return res, err
+			return res, nil, err
 		}
 		ck.quarantine()
 		start = nil
 	}
 	if spec.WarmupInsts > 0 {
-		var err error
-		if start, err = r.warmFor(ctx, spec); err != nil {
-			return Result{}, err
+		var (
+			busy *warmCall
+			err  error
+		)
+		if start, busy, err = r.warmFor(ctx, spec, b); busy != nil || err != nil {
+			return Result{}, busy, err
 		}
 	}
 	res, err := runPlan(ctx, spec, start, onProgress, ck)
 	if err == nil {
 		r.finished(res, ck)
 	}
-	return res, err
+	return res, nil, err
 }
 
 // finished books a completed run in the runner's counters and clears its
@@ -120,20 +123,28 @@ func (r *Runner) finished(res Result, ck *checkpointer) {
 
 // warmFor returns the start point of spec's group, executing the warm-up if
 // this is the group's first member (per-group singleflight: later members
-// wait, under their own ctx, rather than re-warming), and books the fork.
-func (r *Runner) warmFor(ctx context.Context, spec RunSpec) (*ckptFile, error) {
+// wait, under their own ctx, rather than re-warming), and books the fork. A
+// later member that is a worker of batch b with other work to do does not
+// wait: it gets the in-flight call back, to set the spec aside with.
+func (r *Runner) warmFor(ctx context.Context, spec RunSpec, b *batch) (*ckptFile, *warmCall, error) {
 	key := warmKeyOf(spec)
 	r.warmMu.Lock()
 	g := r.warmCache[key]
 	if call, inflight := r.warmInflight[key]; g == nil && inflight {
 		r.warmMu.Unlock()
+		if b.runnable() {
+			return nil, call, nil
+		}
+		if b.undrawn() {
+			r.warmStalls.Add(1)
+		}
 		select {
 		case <-call.done:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
 		if call.err != nil {
-			return nil, call.err
+			return nil, nil, call.err
 		}
 		g = call.g
 		r.warmMu.Lock()
@@ -147,7 +158,7 @@ func (r *Runner) warmFor(ctx context.Context, spec RunSpec) (*ckptFile, error) {
 		close(call.done)
 		if call.err != nil {
 			r.warmMu.Unlock()
-			return nil, call.err
+			return nil, nil, call.err
 		}
 		g = call.g
 		r.warmCache[key] = g
@@ -175,7 +186,7 @@ func (r *Runner) warmFor(ctx context.Context, spec RunSpec) (*ckptFile, error) {
 		// have simulated itself.
 		r.warmInstsSaved.Add(spec.WarmupInsts * uint64(spec.Cores))
 	}
-	return g.start, nil
+	return g.start, nil, nil
 }
 
 // buildWarm executes one group's warm-up segment on a cold machine — no core

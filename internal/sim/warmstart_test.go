@@ -3,8 +3,12 @@ package sim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"spb/internal/config"
 	"spb/internal/core"
@@ -332,5 +336,111 @@ func FuzzNormalizeIdempotent(f *testing.F) {
 		if n1.Cores == 0 || n1.Insts == 0 || n1.WindowN == 0 || n1.Seed == 0 {
 			t.Fatalf("Normalized left a defaulted field zero: %+v", n1)
 		}
+	})
+}
+
+// warmGroupsBatch is two warm-start groups of three equal-cost members each,
+// submitted group-major: the order in which a two-worker pool, drawing in
+// submission order, sends its second worker straight into the warm-up its
+// first is building.
+func warmGroupsBatch() []RunSpec {
+	var specs []RunSpec
+	for _, w := range []string{"bwaves", "x264"} {
+		for _, sq := range []int{14, 28, 56} {
+			specs = append(specs, RunSpec{
+				Workload: w, Policy: core.PolicySPB, SQSize: sq,
+				Insts: 5_000, WarmupInsts: 300_000,
+			})
+		}
+	}
+	return specs
+}
+
+// TestGetAllNeverParksBehindWarmup: a GetAll worker that draws a member of a
+// group whose warm-up another worker is building sets it aside and draws on —
+// no worker ever waits for a warm-up while specs remain undrawn — and setting
+// aside changes neither how often a group is warmed nor any result. When a
+// group's warm-up fails — its members name a core no table has — the batch
+// returns that error, and returns at all: GetAll comes back only once every
+// worker has left, so a member set aside behind the failed warm-up held nobody;
+// a batch cancelled with members set aside behind two warm-ups in flight
+// returns the cancellation the same way.
+func TestGetAllNeverParksBehindWarmup(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	noStalls := func(t *testing.T, r *Runner) {
+		t.Helper()
+		if n := r.warmStalls.Load(); n != 0 {
+			t.Errorf("%d waits for an in-flight warm-up with specs still undrawn, want 0", n)
+		}
+	}
+	t.Run("set aside", func(t *testing.T) {
+		specs := warmGroupsBatch()
+		r := NewRunner()
+		results, err := r.GetAll(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		noStalls(t, r)
+		if st := r.SimStats(); st.WarmGroups != 2 || st.WarmForks != 6 || st.Runs != 6 {
+			t.Errorf("WarmGroups, WarmForks, Runs = %d, %d, %d, want 2, 6, 6", st.WarmGroups, st.WarmForks, st.Runs)
+		}
+		for i, spec := range specs {
+			inPlace, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := results[i].StatsJSON()
+			want, _ := inPlace.StatsJSON()
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s/SB%d: stats JSON differs from the in-place run's", spec.Workload, spec.SQSize)
+			}
+		}
+	})
+	t.Run("failed warm-up", func(t *testing.T) {
+		specs := warmGroupsBatch()
+		for i := range specs[:3] {
+			specs[i].CoreName = "no-such-core"
+		}
+		before := runtime.NumGoroutine()
+		r := NewRunner()
+		_, err := r.GetAll(specs)
+		if err == nil || !strings.Contains(err.Error(), "no-such-core") {
+			t.Fatalf("GetAll = %v, want the failed warm-up's unknown-core error", err)
+		}
+		noStalls(t, r)
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%d goroutines after the failed batch, %d before it", after, before)
+		}
+	})
+	t.Run("cancelled warm-up", func(t *testing.T) {
+		specs := warmGroupsBatch()
+		for i := range specs {
+			specs[i].WarmupInsts = 2_000_000_000
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		r := NewRunner()
+		done := make(chan error, 1)
+		go func() {
+			_, err := r.GetAllCtx(ctx, specs)
+			done <- err
+		}()
+		// Both workers building means the second set the first group's other
+		// members aside on its way to the second group.
+		for building := 0; building < 2; time.Sleep(time.Millisecond) {
+			r.warmMu.Lock()
+			building = len(r.warmInflight)
+			r.warmMu.Unlock()
+		}
+		cancel()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("GetAllCtx = %v, want context.Canceled", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("cancelled batch did not return")
+		}
+		noStalls(t, r)
 	})
 }

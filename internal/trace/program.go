@@ -62,6 +62,10 @@ type Leaf struct {
 	// Repeat runs the leaf that many consecutive activations (each with a
 	// fresh NextChunk), like Repeat(n, fragment); 0 means once.
 	Repeat int
+
+	// OpCompute's BrFrac, DivFrac and DepFrac as RNG.below thresholds, set by
+	// NewProgram: the draws a walk reads, once per skipped instruction.
+	brBelow, divBelow, depBelow uint64
 }
 
 // Phase is one weighted alternative of a Program's pick loop: either a
@@ -100,8 +104,9 @@ type Program struct {
 	branches int
 }
 
-// NewProgram builds a program over the given phases. Weights follow Mix's
-// rules: negative weights and an all-zero total panic.
+// NewProgram builds a program over the given phases, whose leaves it completes
+// in place (the draw thresholds a walk reads). Weights follow Mix's rules:
+// negative weights and an all-zero total panic.
 func NewProgram(rng *RNG, phases ...Phase) *Program {
 	total := 0
 	for i := range phases {
@@ -109,6 +114,10 @@ func NewProgram(rng *RNG, phases ...Phase) *Program {
 			panic("trace: negative Program phase weight")
 		}
 		total += phases[i].Weight
+		for j := range phases[i].Leaves {
+			l := &phases[i].Leaves[j]
+			l.brBelow, l.divBelow, l.depBelow = threshold(l.Compute.BrFrac), threshold(l.Compute.DivFrac), threshold(l.Compute.DepFrac)
+		}
 	}
 	if total == 0 {
 		panic("trace: Program with zero total weight")
@@ -203,7 +212,7 @@ func (p *Program) Next(out *Inst) bool {
 // are jumped in constant time; RNG-consuming ops replay their draws without
 // materializing instructions. Sampled runs use this to drain the unwarmed
 // head of each inter-window skip at a fraction of Next's cost.
-func (p *Program) Skip(n uint64) { p.SkipTouch(n, nil) }
+func (p *Program) Skip(n uint64) { p.walk(n, &sink{}) }
 
 // Touch receives the memory footprint of skipped instructions: addr is the
 // first byte of a touched span, n its length, store whether the span is
@@ -220,7 +229,74 @@ type Touch func(addr mem.Addr, n uint64, store bool)
 // spans instead of materialized instructions, and the RNG-addressed ops
 // surface the very draws Skip must replay anyway. A nil touch is exactly
 // Skip.
-func (p *Program) SkipTouch(n uint64, touch Touch) {
+func (p *Program) SkipTouch(n uint64, touch Touch) { p.walk(n, &sink{touch: touch}) }
+
+// Warm is Skip for a consumer that replays the stream against per-access
+// state — caches, TLB, prefetcher tables, a branch predictor: the program
+// advances exactly as n Next calls would, and access receives every load and
+// store of those n instructions in program order, with its PC, without an
+// Inst being built. branch receives every branch with its direction; pass nil
+// when no predictor is modelled and the direction draws are replayed unread.
+//
+// Within one call, an access to the same block, from the same PC and of the
+// same kind as the access reported immediately before it is dropped: seven of
+// every eight stores of a memset, and likewise a strided run whose stride is
+// below the block size. To such a consumer the repeat is a no-op — the line,
+// the TLB entry and the PC's prefetcher entry are already most recent and the
+// line already in the state the first access left it — and a dense op steps
+// over the repeats block by block instead of producing them. The elision
+// never looks across calls: a consumer that interleaves several programs, or
+// does anything else between two calls, sees each call's first access.
+func (p *Program) Warm(n uint64, access func(pc uint64, addr mem.Addr, store bool), branch func(pc uint64, taken bool)) {
+	p.walk(n, &sink{access: access, branch: branch})
+}
+
+// sink is what a walk reports to: nothing (Skip), byte spans (SkipTouch), or
+// accesses and branches (Warm). touch and access are never both set.
+type sink struct {
+	touch  Touch
+	access func(pc uint64, addr mem.Addr, store bool)
+	branch func(pc uint64, taken bool)
+
+	// The access reported last in this walk (Warm's elision rule).
+	lastPC    uint64
+	lastBlock mem.Block
+	lastStore bool
+	reported  bool
+}
+
+// one reports one access unless it repeats the one before it.
+func (s *sink) one(pc uint64, a mem.Addr, store bool) {
+	b := mem.BlockOf(a)
+	if s.reported && s.lastBlock == b && s.lastPC == pc && s.lastStore == store {
+		return
+	}
+	s.lastPC, s.lastBlock, s.lastStore, s.reported = pc, b, store, true
+	s.access(pc, a, store)
+}
+
+// run reports n accesses from one PC, stride bytes apart from a on: the first
+// in each block, stepping over the ones behind it that stay in that block.
+func (s *sink) run(pc uint64, a mem.Addr, stride, n uint64, store bool) {
+	for n > 0 {
+		s.one(pc, a, store)
+		k := uint64(1)
+		if stride < mem.BlockSize {
+			if stride == 0 {
+				return
+			}
+			k = min(n, (mem.BlockSize-mem.BlockOffset(a)+stride-1)/stride)
+		}
+		a += mem.Addr(k * stride)
+		n -= k
+	}
+}
+
+// walk advances the stream by exactly n instructions without materializing
+// them, reporting to s what they touch. It is the one stepping loop behind
+// Skip, SkipTouch and Warm; Next keeps its own, a direct switch on the
+// detailed path.
+func (p *Program) walk(n uint64, s *sink) {
 	for n > 0 {
 		if p.phase == nil {
 			p.pick()
@@ -229,7 +305,7 @@ func (p *Program) SkipTouch(n uint64, touch Touch) {
 		if ph.Sub != nil {
 			if p.takeLeft > 0 {
 				k := min(n, p.takeLeft)
-				ph.Sub.SkipTouch(k, touch)
+				ph.Sub.walk(k, s)
 				p.takeLeft -= k
 				n -= k
 				continue
@@ -238,7 +314,7 @@ func (p *Program) SkipTouch(n uint64, touch Touch) {
 			continue
 		}
 		if p.active {
-			taken, exhausted := p.skipLeaf(n, touch)
+			taken, exhausted := p.walkLeaf(n, s)
 			n -= taken
 			if !exhausted {
 				continue // budget ran out mid-activation (n is now 0)
@@ -265,12 +341,12 @@ func (p *Program) SkipTouch(n uint64, touch Touch) {
 	}
 }
 
-// skipLeaf consumes up to budget instructions from the current activation,
+// walkLeaf consumes up to budget instructions from the current activation,
 // returning how many it took and whether that exhausted the activation. Each
 // case advances the exact state (and RNG draws) the corresponding emit case
-// would; the dense ops do it in constant time. A non-nil touch receives the
-// skipped instructions' memory footprint (see SkipTouch).
-func (p *Program) skipLeaf(budget uint64, touch Touch) (taken uint64, exhausted bool) {
+// would; the dense ops do it in constant time when nothing or only spans are
+// reported, and block by block for a Warm consumer.
+func (p *Program) walkLeaf(budget uint64, s *sink) (taken uint64, exhausted bool) {
 	l := p.leaf
 	clamp := func(remaining uint64) uint64 {
 		if remaining <= budget {
@@ -283,8 +359,13 @@ func (p *Program) skipLeaf(budget uint64, touch Touch) (taken uint64, exhausted 
 		sz := uint64(l.Size)
 		remaining := (l.Bytes - min(p.off, l.Bytes) + sz - 1) / sz
 		taken = clamp(remaining)
-		if touch != nil && taken > 0 {
-			touch(p.base+mem.Addr(p.off), taken*sz, true)
+		if taken > 0 {
+			a := p.base + mem.Addr(p.off)
+			if s.access != nil {
+				s.run(l.PC, a, sz, taken, true)
+			} else if s.touch != nil {
+				s.touch(a, taken*sz, true)
+			}
 		}
 		p.off += taken * sz
 		return taken, taken == remaining
@@ -292,27 +373,51 @@ func (p *Program) skipLeaf(budget uint64, touch Touch) (taken uint64, exhausted 
 	case OpMemcpy:
 		remaining := 2*((l.Bytes-min(p.off, l.Bytes)+7)/8) - uint64(p.step)
 		taken = clamp(remaining)
-		if touch != nil && taken > 0 {
+		if s.access != nil {
+			// The load and the store of a pair differ in PC and, unless source
+			// and destination share a block, in block: every access is reported.
+			for k, off, step := uint64(0), p.off, p.step; k < taken; k++ {
+				if step == 0 {
+					s.one(l.PC, p.srcBase+mem.Addr(off), false)
+					step = 1
+				} else {
+					s.one(l.PC+4, p.base+mem.Addr(off), true)
+					off += 8
+					step = 0
+				}
+			}
+		} else if s.touch != nil && taken > 0 {
 			// Micro-steps alternate load/store; with step 1 the pending
 			// store at the current offset comes first and the next load is
 			// one element on.
 			nLoads := (taken + uint64(1-p.step)) / 2
 			if nLoads > 0 {
-				touch(p.srcBase+mem.Addr(p.off+8*uint64(p.step)), 8*nLoads, false)
+				s.touch(p.srcBase+mem.Addr(p.off+8*uint64(p.step)), 8*nLoads, false)
 			}
 			if nStores := taken - nLoads; nStores > 0 {
-				touch(p.base+mem.Addr(p.off), 8*nStores, true)
+				s.touch(p.base+mem.Addr(p.off), 8*nStores, true)
 			}
 		}
-		s := uint64(p.step) + taken
-		p.off += 8 * (s / 2)
-		p.step = int(s % 2)
+		n := uint64(p.step) + taken
+		p.off += 8 * (n / 2)
+		p.step = int(n % 2)
 		return taken, taken == remaining
 
 	case OpRMW:
 		remaining := 3*((l.Bytes-min(p.off, l.Bytes)+7)/8) - uint64(p.step)
 		taken = clamp(remaining)
-		if touch != nil && taken > 0 {
+		if s.access != nil {
+			for k, off, step := uint64(0), p.off, p.step; k < taken; k++ {
+				switch step {
+				case 0:
+					s.one(l.PC, p.base+mem.Addr(off), false)
+				case 2:
+					s.one(l.PC+8, p.base+mem.Addr(off), true)
+					off += 8
+				}
+				step = (step + 1) % 3
+			}
+		} else if s.touch != nil && taken > 0 {
 			// Triples step load/ALU/store at one offset, then advance; a
 			// mid-triple entry owes its load already, so the next load sits
 			// one element on while the store still lands at the current
@@ -329,31 +434,36 @@ func (p *Program) skipLeaf(budget uint64, touch Touch) (taken uint64, exhausted 
 				loadOff += 8
 			}
 			if nLoads > 0 {
-				touch(p.base+mem.Addr(loadOff), 8*nLoads, false)
+				s.touch(p.base+mem.Addr(loadOff), 8*nLoads, false)
 			}
 			if nStores := count((2 - uint64(p.step) + 3) % 3); nStores > 0 {
-				touch(p.base+mem.Addr(p.off), 8*nStores, true)
+				s.touch(p.base+mem.Addr(p.off), 8*nStores, true)
 			}
 		}
-		s := uint64(p.step) + taken
-		p.off += 8 * (s / 3)
-		p.step = int(s % 3)
+		n := uint64(p.step) + taken
+		p.off += 8 * (n / 3)
+		p.step = int(n % 3)
 		return taken, taken == remaining
 
 	case OpStridedStores, OpStridedLoads:
 		remaining := uint64(l.Count - p.i)
 		taken = clamp(remaining)
-		if touch != nil && taken > 0 {
+		if taken > 0 {
 			store := l.Op == OpStridedStores
-			sz := uint64(8)
-			if store {
-				sz = uint64(l.Size)
-			}
-			if l.Stride <= mem.BlockSize {
-				touch(p.base+mem.Addr(uint64(p.i)*l.Stride), (taken-1)*l.Stride+sz, store)
-			} else {
-				for k := uint64(0); k < taken; k++ {
-					touch(p.base+mem.Addr((uint64(p.i)+k)*l.Stride), sz, store)
+			a := p.base + mem.Addr(uint64(p.i)*l.Stride)
+			if s.access != nil {
+				s.run(l.PC, a, l.Stride, taken, store)
+			} else if s.touch != nil {
+				sz := uint64(8)
+				if store {
+					sz = uint64(l.Size)
+				}
+				if l.Stride <= mem.BlockSize {
+					s.touch(a, (taken-1)*l.Stride+sz, store)
+				} else {
+					for k := uint64(0); k < taken; k++ {
+						s.touch(a+mem.Addr(k*l.Stride), sz, store)
+					}
 				}
 			}
 		}
@@ -366,8 +476,10 @@ func (p *Program) skipLeaf(budget uint64, touch Touch) (taken uint64, exhausted 
 		store := l.Op == OpScatterStores
 		for k := uint64(0); k < taken; k++ {
 			a := l.Dst.RandomAddr(p.rng, 8, 8)
-			if touch != nil {
-				touch(a, 8, store)
+			if s.access != nil {
+				s.one(l.PC, a, store)
+			} else if s.touch != nil {
+				s.touch(a, 8, store)
 			}
 		}
 		p.i += int(taken)
@@ -377,22 +489,25 @@ func (p *Program) skipLeaf(budget uint64, touch Touch) (taken uint64, exhausted 
 		o := &l.Compute
 		remaining := uint64(o.Count - p.i)
 		taken = clamp(remaining)
-		rng := p.rng
+		rng, branch := p.rng, s.branch
 		// Draws whose outcome does not steer control flow or program state
 		// (misprediction, FP class, latency class, dependence distance) are
 		// replayed with Advance: same state evolution, no value computed.
 		for k := uint64(0); k < taken; k++ {
 			p.i++
-			if rng.Bool(o.BrFrac) {
+			if rng.below(l.brBelow) {
 				p.branches++
 				rng.Advance()
+				if branch != nil {
+					branch(o.PC+uint64(p.i%64)*4, p.branches%8 != 0)
+				}
 				continue
 			}
 			rng.Advance()
-			if !rng.Bool(o.DivFrac) {
+			if !rng.below(l.divBelow) {
 				rng.Advance()
 			}
-			if rng.Bool(o.DepFrac) {
+			if rng.below(l.depBelow) {
 				rng.Advance()
 			}
 		}
@@ -405,12 +520,19 @@ func (p *Program) skipLeaf(budget uint64, touch Touch) (taken uint64, exhausted 
 		for k := uint64(0); k < taken; k++ {
 			if p.step == 0 {
 				a := l.Dst.RandomAddr(rng, 8, 8)
-				if touch != nil {
-					touch(a, 8, false)
+				if s.access != nil {
+					s.one(l.PC, a, false)
+				} else if s.touch != nil {
+					s.touch(a, 8, false)
 				}
 				p.step = 1
 			} else {
-				rng.Advance() // taken draw — value unused when skipping
+				// The direction draw is read only by a modelled predictor.
+				if s.branch != nil {
+					s.branch(l.PC+4, rng.Bool(0.85))
+				} else {
+					rng.Advance()
+				}
 				rng.Advance() // misprediction draw
 				p.i++
 				p.step = 0

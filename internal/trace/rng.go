@@ -1,5 +1,7 @@
 package trace
 
+import "math"
+
 // RNG is a deterministic xorshift64* pseudo-random generator. Every workload
 // owns one, seeded from the workload name, so simulations are exactly
 // reproducible across runs and platforms (a hard requirement for the
@@ -78,3 +80,21 @@ func (r *RNG) Float64() float64 {
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
+
+// threshold returns the t for which below(t) is Bool(p), draw for draw.
+// Float64 is k/2^53 for the integer k = Uint64()>>11, exactly — k has 53 bits
+// and the divisor is a power of two — so k/2^53 < p is k < p·2^53, which for
+// an integer k is k < ceil(p·2^53); p·2^53 is exact too.
+func threshold(p float64) uint64 {
+	switch {
+	case p >= 1:
+		return 1 << 53 // above every k
+	case p > 0:
+		return uint64(math.Ceil(p * (1 << 53)))
+	}
+	return 0 // p <= 0 or NaN: never
+}
+
+// below is Bool against a threshold computed ahead of time: no conversion to
+// floating point per draw.
+func (r *RNG) below(t uint64) bool { return r.Uint64()>>11 < t }

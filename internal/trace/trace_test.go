@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -46,6 +47,42 @@ func TestRNGFloat64Range(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		if f := r.Float64(); f < 0 || f >= 1 {
 			t.Fatalf("Float64 = %v out of [0,1)", f)
+		}
+	}
+}
+
+// TestBelowMatchesBool: below(threshold(p)) decides every draw as Bool(p) does
+// — at the draws either side of the threshold, where a rounding slip would
+// show, at the ends of the range, for probabilities outside [0, 1] and NaN —
+// and consumes the same one draw.
+func TestBelowMatchesBool(t *testing.T) {
+	ps := []float64{0, 1, 0.85, 0.5, 0.1, 1.0 / 3, 0.02, 1e-9, 1e-17, 1 - 1e-16, 1.5, -0.25, math.NaN(), math.Inf(1)}
+	src := NewRNG(99)
+	for i := 0; i < 200; i++ {
+		ps = append(ps, src.Float64())
+	}
+	for _, p := range ps {
+		th := threshold(p)
+		ks := []uint64{0, 1, 1<<53 - 1}
+		for _, d := range []uint64{0, 1, 2} {
+			if th >= d {
+				ks = append(ks, min(th-d, 1<<53-1))
+			}
+			ks = append(ks, min(th+d, 1<<53-1))
+		}
+		for _, k := range ks {
+			if want, got := float64(k)/(1<<53) < p, k < th; want != got {
+				t.Fatalf("p = %v, draw %d/2^53: Bool says %v, below(%d) says %v", p, k, want, th, got)
+			}
+		}
+		a, b := NewRNG(7), NewRNG(7)
+		for i := 0; i < 1000; i++ {
+			if a.Bool(p) != b.below(th) {
+				t.Fatalf("p = %v: draw %d decided differently", p, i)
+			}
+		}
+		if a.State() != b.State() {
+			t.Fatalf("p = %v: below and Bool left different RNG states", p)
 		}
 	}
 }

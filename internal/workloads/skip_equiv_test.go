@@ -164,3 +164,104 @@ func TestProgramSkipEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// warmEvent is one thing Program.Warm reports: a load or store (branch false)
+// or a branch with its direction.
+type warmEvent struct {
+	pc     uint64
+	addr   mem.Addr
+	store  bool
+	branch bool
+	taken  bool
+}
+
+// checkWarmEquivalence interleaves Warm, Next and Skip calls of odd budgets on
+// one program against a Next-only twin. After every call the two streams must
+// stand at the same instruction, and what a Warm call reported must be exactly
+// the loads, stores and branches of the instructions it covered, in order,
+// less every access that repeats the (PC, block, kind) of the access before it
+// within that call — the elision Warm documents — with branches present only
+// when a branch sink was passed.
+func checkWarmEquivalence(t *testing.T, mk func() *trace.Program) {
+	t.Helper()
+	ref, tst := mk(), mk()
+	lens := []uint64{1, 7, 0, 63, 513, 4099, 31, 2, 12289, 255, 1, 100_003, 9, 3071}
+	var want, got trace.Inst
+	var events []warmEvent
+	access := func(pc uint64, addr mem.Addr, store bool) {
+		events = append(events, warmEvent{pc: pc, addr: addr, store: store})
+	}
+	branch := func(pc uint64, taken bool) {
+		events = append(events, warmEvent{pc: pc, branch: true, taken: taken})
+	}
+	pos, call := uint64(0), 0
+	for round := 0; round < 4; round++ {
+		for _, k := range lens {
+			call++
+			switch call % 4 {
+			case 0: // Skip between Warm calls: the cursors must carry over.
+				tst.Skip(k)
+				for j := uint64(0); j < k; j++ {
+					ref.Next(&want)
+				}
+			default:
+				withBranches := call%4 == 1
+				events = events[:0]
+				if withBranches {
+					tst.Warm(k, access, branch)
+				} else {
+					tst.Warm(k, access, nil)
+				}
+				var expect []warmEvent
+				var last *warmEvent
+				for j := uint64(0); j < k; j++ {
+					ref.Next(&want)
+					switch want.Kind {
+					case trace.KindBranch:
+						if withBranches {
+							expect = append(expect, warmEvent{pc: want.PC, branch: true, taken: want.Taken})
+						}
+					case trace.KindLoad, trace.KindStore:
+						ev := warmEvent{pc: want.PC, addr: want.Addr, store: want.Kind == trace.KindStore}
+						repeat := last != nil && last.pc == ev.pc && mem.BlockOf(last.addr) == mem.BlockOf(ev.addr) && last.store == ev.store
+						if last = &ev; !repeat {
+							expect = append(expect, ev)
+						}
+					}
+				}
+				if len(events) != len(expect) {
+					t.Fatalf("Warm(%d) at %d reported %d events, the Next stream has %d", k, pos, len(events), len(expect))
+				}
+				for j := range expect {
+					if events[j] != expect[j] {
+						t.Fatalf("Warm(%d) at %d: event %d is %+v, the Next stream has %+v", k, pos, j, events[j], expect[j])
+					}
+				}
+			}
+			pos += k
+			for j := 0; j < 5; j++ {
+				ref.Next(&want)
+				tst.Next(&got)
+				if want != got {
+					t.Fatalf("instruction %d diverged after call %d:\n  next-only %+v\n  walked    %+v", pos, call, want, got)
+				}
+				pos++
+			}
+		}
+	}
+}
+
+func TestProgramWarmEquivalence(t *testing.T) {
+	for _, w := range SPEC() {
+		t.Run(w.Name, func(t *testing.T) {
+			checkWarmEquivalence(t, func() *trace.Program { return w.Build(7).(*trace.Program) })
+		})
+	}
+	for _, p := range PARSEC() {
+		for _, thread := range []int{0, 3} {
+			t.Run(fmt.Sprintf("%s/t%d", p.Name, thread), func(t *testing.T) {
+				checkWarmEquivalence(t, func() *trace.Program { return p.Build(7, 4)[thread].(*trace.Program) })
+			})
+		}
+	}
+}
