@@ -407,6 +407,21 @@ func TestInsertCarriesDirectoryState(t *testing.T) {
 	}
 }
 
+// viaGob returns s as it comes back from a gob encode and decode: the trip a
+// snapshot makes through a checkpoint file.
+func viaGob(t *testing.T, s *Snapshot) *Snapshot {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+		t.Fatal(err)
+	}
+	decoded := &Snapshot{}
+	if err := gob.NewDecoder(&buf).Decode(decoded); err != nil {
+		t.Fatal(err)
+	}
+	return decoded
+}
+
 // TestSnapshotFits: a snapshot restores into a cache of its own geometry and
 // is refused — as an error — by one of another size, by a core count its
 // directory state exceeds, when its in-flight list is out of order, and when
@@ -422,14 +437,7 @@ func TestSnapshotFits(t *testing.T) {
 	if err := snap.Fits(c, 2); err != nil {
 		t.Fatalf("own snapshot refused: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	decoded := &Snapshot{}
-	if err := gob.NewDecoder(&buf).Decode(decoded); err != nil {
-		t.Fatal(err)
-	}
+	decoded := viaGob(t, snap)
 	if !reflect.DeepEqual(snap, decoded) {
 		t.Fatal("gob round trip changed the snapshot")
 	}
@@ -450,18 +458,27 @@ func TestSnapshotFits(t *testing.T) {
 
 	// A payload that is the right size but names a state no sequence of
 	// operations reaches: Restore would install a cache whose lookups miss or
-	// alias. Block 5 sits in set 1, way 0 of the 4x2 cache.
+	// alias. Block 5 sits in set 1, way 0 of the 4x2 cache and is the only
+	// live line, so it is Lines[0].
 	for _, tc := range []struct {
 		name   string
 		mutate func(s *Snapshot)
 	}{
-		{"live line in state Invalid", func(s *Snapshot) { s.Lines[2].State = Invalid }},
-		{"live line in the wrong set", func(s *Snapshot) { s.Lines[2].Block = 6 }},
-		{"same block twice in a set", func(s *Snapshot) { s.Lines[3] = s.Lines[2]; s.Live[1] = 0b11 }},
+		{"live line in state Invalid", func(s *Snapshot) { s.Lines[0].State = Invalid }},
+		{"live line in the wrong set", func(s *Snapshot) { s.Lines[0].Block = 6 }},
+		{"same block twice in a set", func(s *Snapshot) { s.Lines = append(s.Lines, s.Lines[0]); s.Live[1] = 0b11 }},
+		{"one line short of the live count", func(s *Snapshot) { s.Lines = nil }},
+		{"one line long of the live count", func(s *Snapshot) { s.Lines = append(s.Lines, Line{Block: 2, State: Shared}) }},
+		{"live bit set without its line", func(s *Snapshot) { s.Live[3] = 0b01 }},
+		{"live bit cleared with its line left behind", func(s *Snapshot) { s.Live[1] = 0 }},
+		{"live bit moved to another set without its line", func(s *Snapshot) { s.Live[1], s.Live[2] = 0, 0b01 }},
 		{"recency word repeats a way", func(s *Snapshot) { s.Rec[1] = 0x00 }},
 		{"recency word names a way the set lacks", func(s *Snapshot) { s.Rec[1] = 0x20 }},
 		{"recency word longer than the set", func(s *Snapshot) { s.Rec[1] = 0x110 }},
-		{"live bit at or above ways", func(s *Snapshot) { s.Live[1] |= 1 << 2 }},
+		{"live bit at or above ways", func(s *Snapshot) {
+			s.Live[1] |= 1 << 2
+			s.Lines = append(s.Lines, Line{Block: 9, State: Shared})
+		}},
 	} {
 		bad := c.Snapshot()
 		if err := bad.Fits(c, 2); err != nil {
@@ -479,5 +496,84 @@ func TestSnapshotFits(t *testing.T) {
 	fresh.Restore(c.Snapshot())
 	if l := fresh.Peek(5); l == nil || l.Owner() != 1 {
 		t.Fatalf("restored cache lost block 5: %+v", l)
+	}
+}
+
+// TestSnapshotHoldsLiveLinesOnly drives 1-, 8- and 16-way caches with random
+// fills, lookups and invalidations — so the live masks have holes — and checks
+// the snapshot by what it must do, not by where it keeps a line: it holds one
+// line per live way; restored into an arena another cache dirtied, the copy
+// snapshots to the same value (gob round trip included) and answers every
+// lookup as the source does; and the two stay equal under further identical
+// traffic, so nothing a free way held leaks into behaviour.
+func TestSnapshotHoldsLiveLinesOnly(t *testing.T) {
+	for _, ways := range []int{1, 8, 16} {
+		const sets = 16
+		size := sets * ways * mem.BlockSize
+		rng := rand.New(rand.NewSource(int64(ways)))
+		pool := make([]mem.Block, 3*sets*ways)
+		for i := range pool {
+			pool[i] = mem.Block(rng.Intn(8 * sets * ways))
+		}
+		traffic := func(n int, cs ...*Cache) {
+			for ; n > 0; n-- {
+				b, k, ready := pool[rng.Intn(len(pool))], rng.Intn(10), uint64(rng.Intn(1000))
+				for _, c := range cs {
+					switch {
+					case k < 4:
+						if l, _, _ := c.Insert(b, Modified, ready, k == 0, false); k == 1 {
+							l.SetOwner(int(ready % 4))
+							l.Sharers = ready & 0xf
+						}
+					case k < 7:
+						c.Invalidate(b)
+					default:
+						c.Lookup(b, k == 9)
+					}
+				}
+			}
+		}
+
+		src := New("src", size, ways, 4)
+		traffic(20*sets*ways, src)
+		src.NoteMiss(40)
+		snap := src.Snapshot()
+		live := 0
+		src.ForEach(func(*Line) bool { live++; return true })
+		if len(snap.Lines) != live || live == 0 || live == sets*ways {
+			t.Fatalf("%d-way: snapshot holds %d lines, cache has %d live of %d (the traffic must leave holes)", ways, len(snap.Lines), live, sets*ways)
+		}
+		if err := snap.Fits(src, 4); err != nil {
+			t.Fatalf("%d-way: own snapshot refused: %v", ways, err)
+		}
+		decoded := viaGob(t, snap)
+		if !reflect.DeepEqual(snap, decoded) {
+			t.Fatalf("%d-way: gob round trip changed the snapshot", ways)
+		}
+
+		dirty := New("dirty", size, ways, 4)
+		traffic(20*sets*ways, dirty)
+		dirty.Release()
+		dst := New("dst", size, ways, 4) // usually dirty's arena, straight from the pool
+		dst.Restore(decoded)
+		if again := dst.Snapshot(); !reflect.DeepEqual(again, snap) {
+			t.Fatalf("%d-way: restore + snapshot is not the identity", ways)
+		}
+		for _, b := range pool {
+			got, want := dst.Lookup(b, false), src.Lookup(b, false)
+			if (got == nil) != (want == nil) || got != nil && *got != *want {
+				t.Fatalf("%d-way: Lookup(%#x) = %+v after restore, source %+v", ways, b, got, want)
+			}
+		}
+		traffic(20*sets*ways, src, dst)
+		if a, b := src.Snapshot(), dst.Snapshot(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%d-way: source and restored copy diverged under the same traffic", ways)
+		}
+
+		// A cache nothing ever filled: no lines, and the same value after gob.
+		cold := New("cold", size, ways, 4).Snapshot()
+		if len(cold.Lines) != 0 || !reflect.DeepEqual(cold, viaGob(t, cold)) {
+			t.Fatalf("%d-way: cold snapshot holds %d lines or changed over gob", ways, len(cold.Lines))
+		}
 	}
 }

@@ -15,7 +15,17 @@ import "spb/internal/mem"
 const (
 	hybridBudget = 4  // issued prefetches per trigger, shared across subs
 	hybridRecent = 64 // per-sub attribution ring entries
+	// hybridFilter is the slot count of the per-sub table that says whether a
+	// ring can hold a block at all: four slots per ring entry, so most are
+	// zero, and a slot index is one byte.
+	hybridFilter = 256
 )
+
+// filterSlot hashes a block to its slot of a sub's ring filter: the top byte
+// of a Fibonacci hash.
+func filterSlot(b mem.Block) uint8 {
+	return uint8(uint64(b) * 0x9E3779B97F4A7C15 >> 56)
+}
 
 // Hybrid arbitrates a shared prefetch-issue budget across sub-prefetchers.
 type Hybrid struct {
@@ -25,6 +35,11 @@ type Hybrid struct {
 	// access matching one counts as a hit for that sub.
 	recent [][]mem.Block
 	rnext  []int
+	// ringCnt[i] counts sub i's ring entries per filterSlot of their block (a
+	// ring has 64, so a uint8 holds any count). It is derived from the ring —
+	// rebuilt on restore, not part of HybridState — and exact when it reads
+	// zero: credit skips the scan of a ring that cannot hold the block.
+	ringCnt [][hybridFilter]uint8
 
 	issued []uint64 // per-sub prefetches issued this epoch
 	hits   []uint64 // per-sub attributed demand hits this epoch
@@ -53,6 +68,7 @@ func NewHybridOf(subs ...Prefetcher) *Hybrid {
 		subs:    subs,
 		recent:  make([][]mem.Block, len(subs)),
 		rnext:   make([]int, len(subs)),
+		ringCnt: make([][hybridFilter]uint8, len(subs)),
 		issued:  make([]uint64, len(subs)),
 		hits:    make([]uint64, len(subs)),
 		alloc:   make([]int, len(subs)),
@@ -92,21 +108,46 @@ func (h *Hybrid) credit(b mem.Block) {
 	if b == 0 {
 		return // 0 doubles as the rings' empty sentinel
 	}
+	slot := filterSlot(b)
 	for i := range h.recent {
+		if h.ringCnt[i][slot] == 0 {
+			continue
+		}
 		for j := range h.recent[i] {
 			if h.recent[i][j] == b {
 				h.hits[i]++
 				h.recent[i][j] = 0
+				h.ringCnt[i][slot]--
 				break
 			}
 		}
 	}
 }
 
-// remember records an issued block in sub i's attribution ring.
+// remember records an issued block in sub i's attribution ring, over the
+// ring's oldest entry.
 func (h *Hybrid) remember(i int, b mem.Block) {
-	h.recent[i][h.rnext[i]] = b
+	at := &h.recent[i][h.rnext[i]]
+	if *at != 0 {
+		h.ringCnt[i][filterSlot(*at)]--
+	}
+	if b != 0 {
+		h.ringCnt[i][filterSlot(b)]++
+	}
+	*at = b
 	h.rnext[i] = (h.rnext[i] + 1) % len(h.recent[i])
+}
+
+// refilter recounts the ring filters from the rings, after a restore.
+func (h *Hybrid) refilter() {
+	for i, ring := range h.recent {
+		h.ringCnt[i] = [hybridFilter]uint8{}
+		for _, b := range ring {
+			if b != 0 {
+				h.ringCnt[i][filterSlot(b)]++
+			}
+		}
+	}
 }
 
 // Observe implements Prefetcher: credit attribution, collect every sub's

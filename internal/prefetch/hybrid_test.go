@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"reflect"
 	"testing"
 
 	"spb/internal/mem"
@@ -121,5 +122,50 @@ func TestHybridDefaultComposition(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("default hybrid issued nothing on a unit-stride stream")
+	}
+}
+
+// TestHybridRingFilterCountsTheRings: credit skips a ring whose filter slot
+// reads zero, which is only sound while each slot counts exactly the ring
+// entries that hash to it. Strided runs from random starts in a small block
+// range — proposals repeat, get credited and get overwritten — and a restore
+// must all leave the filters equal to a recount of the rings.
+func TestHybridRingFilterCountsTheRings(t *testing.T) {
+	h := NewHybridOf(NewStream(2, 1), NewBOP())
+	recounted := func(h *Hybrid) bool {
+		got := append([][hybridFilter]uint8(nil), h.ringCnt...)
+		h.refilter()
+		for i := range got {
+			if got[i] != h.ringCnt[i] {
+				return false
+			}
+		}
+		return true
+	}
+	var out []mem.Block
+	x, b, credited := uint64(1), mem.Block(0), uint64(0)
+	for i := 0; i < 20000; i++ {
+		if i%40 == 0 {
+			x = x*6364136223846793005 + 1442695040888963407
+			b = mem.Block(x >> 33 % 2000)
+		}
+		b++
+		out = h.Observe(Event{PC: 0x400000 + uint64(i%40/20)*8, Block: b, Miss: true}, out[:0])
+		if !recounted(h) {
+			t.Fatalf("access %d: a ring filter is not a count of its ring", i)
+		}
+		if i%1000 == 999 {
+			credited += h.hits[0] + h.hits[1]
+			h.Epoch(Feedback{})
+		}
+	}
+	if credited == 0 {
+		t.Fatal("no prefetch was ever credited: the traffic does not exercise the consuming path")
+	}
+	h2 := NewHybridOf(NewStream(2, 1), NewBOP())
+	h2.remember(0, 42) // a stale count the restore must not keep
+	RestoreState(h2, CaptureState(h))
+	if !reflect.DeepEqual(h2.ringCnt, h.ringCnt) {
+		t.Fatal("restored ring filters differ from the source's")
 	}
 }

@@ -207,6 +207,7 @@ func RestoreState(p Prefetcher, s State) {
 		for i, r := range hs.Recent {
 			copy(v.recent[i], r)
 		}
+		v.refilter()
 		copy(v.rnext, hs.RNext)
 		copy(v.issued, hs.Issued)
 		copy(v.hits, hs.Hits)

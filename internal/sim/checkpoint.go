@@ -49,7 +49,10 @@ const ckptMagic = "SPBCKPT1"
 // cores, stream positions and window of a checkpoint taken inside a segment.
 // Version 5: snapshots are encoded directly (no per-type Gob methods, no
 // nested gob streams); DRAM and detector snapshots carry mutable state only.
-const ckptVersion = 5
+// Version 6: cache.Snapshot.Lines holds the live ways only, one line per live
+// bit in set-then-way order, instead of every way with the free ones zeroed;
+// the store buffer's forwarding filter grew to 4096 counters.
+const ckptVersion = 6
 
 // CheckpointPolicy configures mid-run checkpointing on a Runner. The zero
 // value disables it.

@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -253,10 +255,9 @@ func rewrite(mutate func(t *testing.T, cf *ckptFile)) func(*testing.T, string) {
 // corruptL1 returns a corruption that rewrites core 0's L1 state inside a
 // valid checkpoint file, after checking that the memory system refuses the
 // result for the reason the row is named for.
-func corruptL1(mutate func(lines []cache.Line, rec []uint64, live []uint16), wantErr string) func(*testing.T, string) {
+func corruptL1(mutate func(l1 *cache.Snapshot), wantErr string) func(*testing.T, string) {
 	return rewrite(func(t *testing.T, cf *ckptFile) {
-		l1 := cf.State.Sys.Ports[0].L1
-		mutate(l1.Lines, l1.Rec, l1.Live)
+		mutate(cf.State.Sys.Ports[0].L1)
 		sys := memsys.New(config.Skylake(), 1)
 		err := cf.State.Sys.Fits(sys)
 		sys.Release()
@@ -264,6 +265,17 @@ func corruptL1(mutate func(lines []cache.Line, rec []uint64, live []uint16), wan
 			t.Fatalf("corrupted snapshot: Fits = %v, want an error containing %q", err, wantErr)
 		}
 	})
+}
+
+// putWay makes way w of set 0 live and holding l, keeping the snapshot's one
+// line per live bit: set 0's lines open Lines, in way order.
+func putWay(s *cache.Snapshot, w int, l cache.Line) {
+	at := bits.OnesCount16(s.Live[0] & (1<<uint(w) - 1))
+	if s.Live[0]>>uint(w)&1 == 0 {
+		s.Lines = slices.Insert(s.Lines, at, l)
+		s.Live[0] |= 1 << uint(w)
+	}
+	s.Lines[at] = l
 }
 
 // foreignCore builds a core of another Table II configuration than the
@@ -303,7 +315,7 @@ func writeCrashCheckpoint(t *testing.T, dir string, spec RunSpec, cadence uint64
 
 // TestCheckpointCorruptionQuarantine is the table test over every way a
 // checkpoint file can be invalid: truncated tail, bad magic, flipped payload
-// byte, version mismatch (a newer and the four previous versions), a
+// byte, version mismatch (a newer and the five previous versions), a
 // checksum-valid payload that does not fit the machine — caches of another
 // size or in a state no run reaches, a foreign prefetcher, core or TLB, ring
 // cursors outside their rings, a missing predictor, a cursor past the plan —
@@ -329,6 +341,22 @@ func TestCheckpointCorruptionQuarantine(t *testing.T) {
 		body := data[:len(data)-sha256.Size]
 		sum := sha256.Sum256(body)
 		return append(append([]byte{}, body...), sum[:]...)
+	}
+
+	// stamped rewrites the envelope's version and reseals: the file a binary
+	// with that ckptVersion would have left behind, whose payload must never
+	// be decoded into this one's structures.
+	stamped := func(version uint32) func(*testing.T, string) {
+		return func(t *testing.T, path string) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.BigEndian.PutUint32(data[len(ckptMagic):], version)
+			if err := os.WriteFile(path, reseal(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 
 	cases := []struct {
@@ -364,73 +392,27 @@ func TestCheckpointCorruptionQuarantine(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"version-mismatch", func(t *testing.T, path string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			binary.BigEndian.PutUint32(data[len(ckptMagic):], ckptVersion+1)
-			if err := os.WriteFile(path, reseal(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"v1-envelope", func(t *testing.T, path string) {
-			// A file the previous release wrote: its memory-system payload
-			// (directory shards, unordered miss list) would mis-decode.
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			binary.BigEndian.PutUint32(data[len(ckptMagic):], 1)
-			if err := os.WriteFile(path, reseal(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{"version-mismatch", stamped(ckptVersion + 1)},
+		// The five earlier formats (DESIGN.md §12 has the table): directory
+		// shards and unordered miss lists; caches as tags, use stamps and a
+		// clock; a Detailed or a Sampled payload; every snapshot a nested gob
+		// stream of its own; every cache a dense line array with the free ways
+		// stored as zero lines.
+		{"v1-envelope", stamped(1)},
+		{"v2-envelope", stamped(2)},
+		{"v3-envelope", stamped(3)},
+		{"v4-envelope", stamped(4)},
+		{"v5-envelope", stamped(5)},
 		{"truncated-lines", rewrite(func(t *testing.T, cf *ckptFile) {
 			// A well-formed, checksummed envelope for this very spec whose
-			// caches hold fewer lines than the machine's: Restore would panic
-			// on it, so resume must refuse it first.
+			// L3 has half the machine's sets: Restore would panic on it, so
+			// resume must refuse it first.
 			small := config.Skylake()
 			small.L3.SizeBytes /= 2
 			sys := memsys.New(small, 1)
 			cf.State.Sys = sys.Snapshot()
 			sys.Release()
 		})},
-		{"v2-envelope", func(t *testing.T, path string) {
-			// Three releases back: caches travelled as tags, use stamps and a
-			// clock.
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			binary.BigEndian.PutUint32(data[len(ckptMagic):], 2)
-			if err := os.WriteFile(path, reseal(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"v3-envelope", func(t *testing.T, path string) {
-			// Two releases back: a Detailed or a Sampled payload.
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			binary.BigEndian.PutUint32(data[len(ckptMagic):], 3)
-			if err := os.WriteFile(path, reseal(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"v4-envelope", func(t *testing.T, path string) {
-			// The release before this one: every snapshot a nested gob stream
-			// of its own, DRAM and detector snapshots carrying configuration.
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			binary.BigEndian.PutUint32(data[len(ckptMagic):], 4)
-			if err := os.WriteFile(path, reseal(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
 		// Checksummed payloads a binary with another core table or prefetcher
 		// zoo would have written for this spec's key: every Restore below the
 		// run would panic on them.
@@ -462,22 +444,30 @@ func TestCheckpointCorruptionQuarantine(t *testing.T) {
 		// Checksummed, right-sized payloads whose L1 names a state no run
 		// reaches; Restore would install a cache whose lookups miss or alias.
 		// Set 0 of the 8-way L1 is rewritten each time.
-		{"live-line-invalid", corruptL1(func(lines []cache.Line, rec []uint64, live []uint16) {
-			lines[0], live[0] = cache.Line{Block: 0, State: cache.Invalid}, live[0]|1
+		{"live-line-invalid", corruptL1(func(l1 *cache.Snapshot) {
+			putWay(l1, 0, cache.Line{Block: 0, State: cache.Invalid})
 		}, "in state I")},
-		{"line-in-wrong-set", corruptL1(func(lines []cache.Line, rec []uint64, live []uint16) {
-			lines[0], live[0] = cache.Line{Block: 1, State: cache.Shared}, live[0]|1
+		{"line-in-wrong-set", corruptL1(func(l1 *cache.Snapshot) {
+			putWay(l1, 0, cache.Line{Block: 1, State: cache.Shared})
 		}, "holds block 0x1")},
-		{"duplicate-block", corruptL1(func(lines []cache.Line, rec []uint64, live []uint16) {
-			lines[0] = cache.Line{Block: 64, State: cache.Shared}
-			lines[1], live[0] = lines[0], live[0]|3
+		{"duplicate-block", corruptL1(func(l1 *cache.Snapshot) {
+			putWay(l1, 0, cache.Line{Block: 64, State: cache.Shared})
+			putWay(l1, 1, cache.Line{Block: 64, State: cache.Shared})
 		}, "twice")},
-		{"recency-not-an-order", corruptL1(func(lines []cache.Line, rec []uint64, live []uint16) {
-			rec[0] = 0x76543211
+		{"recency-not-an-order", corruptL1(func(l1 *cache.Snapshot) {
+			l1.Rec[0] = 0x76543211
 		}, "not an order")},
-		{"live-bit-past-ways", corruptL1(func(lines []cache.Line, rec []uint64, live []uint16) {
-			live[0] |= 1 << 12
+		{"live-bit-past-ways", corruptL1(func(l1 *cache.Snapshot) {
+			putWay(l1, 12, cache.Line{Block: 128, State: cache.Shared})
 		}, "exceeds 8 ways")},
+		// One line per live bit: a mask edited without its line, or a line array
+		// cut short, must be refused before anything is sliced by it.
+		{"live-bit-without-line", corruptL1(func(l1 *cache.Snapshot) {
+			l1.Live[len(l1.Live)-1] ^= 1
+		}, "live masks mark")},
+		{"lines-cut-short", corruptL1(func(l1 *cache.Snapshot) {
+			l1.Lines = l1.Lines[:len(l1.Lines)-1]
+		}, "live masks mark")},
 		{"spec-mismatch", func(t *testing.T, path string) {
 			// A perfectly valid checkpoint — for a different simulation
 			// point. KeyOf maps both seeds to the same file name, so the

@@ -127,7 +127,7 @@ func midSegmentCkpt(t *testing.T, spec RunSpec) (file, cf *ckptFile) {
 // (Snapshot stores an empty list as nil, which is how gob returns it), and a
 // machine restored from a file snapshots back to that file. Every prefetcher
 // kind, one core and eight at different clocks, the modelled predictor on and
-// off, a sampled plan.
+// off, a sampled plan; and a cold machine, whose caches hold no line at all.
 func TestCkptRoundTripIsIdentity(t *testing.T) {
 	cases := map[string]RunSpec{
 		"bpred":     {Workload: "mcf", Policy: core.PolicySPB, SQSize: 14, Insts: 12_000, WarmupInsts: 2_000, ModelBranchPredictor: true},
@@ -157,6 +157,44 @@ func TestCkptRoundTripIsIdentity(t *testing.T) {
 			}
 		})
 	}
+	// A machine nothing has run on: no cache holds a line, and a snapshot's
+	// empty Lines must be the value gob hands back.
+	t.Run("cold", func(t *testing.T) {
+		spec := cases["bpred"].Normalized()
+		state := func(from *machineState) *machineState {
+			m, err := newMachine(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.release()
+			if from != nil {
+				if err := m.restore(from); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := m.state()
+			st.progs = nil
+			return st
+		}
+		cf := &ckptFile{Spec: spec, State: state(nil)}
+		if n := len(cf.State.Sys.L3.Lines) + len(cf.State.Sys.Ports[0].L1.Lines) + len(cf.State.Sys.Ports[0].L2.Lines); n != 0 {
+			t.Fatalf("a cold machine's snapshot holds %d cache lines", n)
+		}
+		data, err := encodeCkpt(cf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := decodeCkpt(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, cf) {
+			t.Errorf("decodeCkpt(encodeCkpt(cf)) differs from cf%s", firstDiff(reflect.ValueOf(back), reflect.ValueOf(cf), "cf"))
+		}
+		if again := state(back.State); !reflect.DeepEqual(again, cf.State) {
+			t.Errorf("a cold machine restored from a file snapshots to another value%s", firstDiff(reflect.ValueOf(again), reflect.ValueOf(cf.State), "State"))
+		}
+	})
 }
 
 // firstDiff names the first place two values of one type differ, for the

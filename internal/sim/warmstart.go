@@ -42,12 +42,20 @@ func warmKeyOf(spec RunSpec) warmKey {
 	}
 }
 
-// maxWarmGroups bounds the snapshots a Runner keeps. Each pins a full machine
-// state (≥ 8 MiB: 262 144 L3 lines × 32 B, plus L1/L2 per core), so a daemon
-// fed warmed specs under ever-new seeds would otherwise grow without limit.
-// The bound sits above the most groups any in-tree sweep holds at once — a
-// full-scale harness run of every experiment with -warmup is 138 (fig17 alone
-// 115) — so no figure or benchmark grid warms a group twice.
+// maxWarmGroups bounds the snapshots a Runner keeps, so a daemon fed warmed
+// specs under ever-new seeds does not grow without limit. A snapshot costs what
+// its warm-up left live: 32 B per occupied cache line (cache.Snapshot.Lines)
+// plus, per core, about 0.6 MB that does not depend on it — the per-set recency
+// words and live masks (0.17 MB with the L3's), the two recent-eviction sets,
+// which stay dense (0.4 MB), TLB and predictor tables. Measured on the eight
+// SB-bound SPEC groups, lines only: 1.1 MB (x264) to 3.8 MB (roms) after a 1 M
+// warm-up, 19.8 MB in all; 1.1 to 8.9 MB after 10 M, where roms has filled the
+// L3 — 8.93 MB per core (262 144 L3 + 16 384 L2 + 512 L1 lines) is the worst
+// case, and what every group cost when free ways were stored too. The bound
+// sits above the most groups any in-tree sweep holds at once — a full-scale
+// harness run of every experiment with -warmup is 138 (fig17 alone 115) — so no
+// figure or benchmark grid warms a group twice; at the worst case it pins
+// 1.5 GB.
 const maxWarmGroups = 160
 
 // warmGroup is one group's snapshot: a start point at the edge after the

@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/bits"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
+	"spb/internal/cache"
 	"spb/internal/config"
 	"spb/internal/core"
+	"spb/internal/mem"
 	"spb/internal/workloads"
 )
 
@@ -241,6 +245,43 @@ func TestWarmCacheBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameResult(t, ref, got, "member of a re-warmed group")
+}
+
+// TestWarmGroupSnapshotCostsWhatIsLive: a group's snapshot carries the cache
+// lines its warm-up filled, not the arrays' capacity. The benchmark's bwaves
+// group (1 M warm-up instructions, Skylake hierarchy: 279 040 ways of 32 B,
+// 8.93 MB had every way been stored) holds under 2 MB of lines, and the cost is
+// exactly the live count.
+func TestWarmGroupSnapshotCostsWhatIsLive(t *testing.T) {
+	spec := RunSpec{
+		Workload: "bwaves", Policy: core.PolicySPB, SQSize: 14,
+		Prefetcher: config.PrefetchStream, Insts: 50_000, WarmupInsts: 1_000_000, Seed: 1,
+	}.Normalized()
+	g, err := NewRunner().buildWarm(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := g.start.State.Sys
+	lines, live, ways := 0, 0, 0
+	for _, c := range []*cache.Snapshot{sys.L3, sys.Ports[0].L2, sys.Ports[0].L1} {
+		lines += len(c.Lines)
+		for _, m := range c.Live {
+			live += bits.OnesCount16(m)
+		}
+	}
+	cfg := config.Skylake()
+	for _, c := range []config.CacheConfig{cfg.L3, cfg.L2, cfg.L1D} {
+		ways += c.SizeBytes / mem.BlockSize
+	}
+	const lineBytes = int(unsafe.Sizeof(cache.Line{}))
+	t.Logf("%d of %d ways live: %.2f MB of lines, %.2f MB had every way been stored",
+		lines, ways, float64(lines*lineBytes)/1e6, float64(ways*lineBytes)/1e6)
+	if lines != live {
+		t.Errorf("the snapshot holds %d lines for %d live ways", lines, live)
+	}
+	if lines == 0 || lines*lineBytes >= 2<<20 {
+		t.Errorf("the snapshot holds %d bytes of lines, want some and under 2 MiB", lines*lineBytes)
+	}
 }
 
 // FuzzWarmSnapshotAliasing starts a run from a group's snapshot and runs it to

@@ -71,7 +71,11 @@ type StoreBuffer struct {
 }
 
 const (
-	sbFilterSize = 512 // power of two, > the largest SB capacity
+	// sbFilterSize is a power of two four times the largest capacity a core is
+	// built with (config.IdealSQSize, the ideal policy's 1024 entries), so most
+	// slots stay zero even when that buffer is full and a load's filter check
+	// still spares it the walk. 8 KB per core.
+	sbFilterSize = 4096
 	sbFilterMask = sbFilterSize - 1
 )
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"spb/internal/config"
 	"spb/internal/mem"
 )
 
@@ -230,5 +231,14 @@ func TestOccupancyInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestForwardFilterOutsizesTheIdealBuffer: the forwarding filter spares a load
+// the associative walk only while most of its slots are zero, so it must stay
+// well above the largest buffer a core is built with — the ideal policy's.
+func TestForwardFilterOutsizesTheIdealBuffer(t *testing.T) {
+	if sbFilterSize < 4*config.IdealSQSize || sbFilterSize&sbFilterMask != 0 {
+		t.Fatalf("sbFilterSize = %d, want a power of two at least 4 x config.IdealSQSize (%d)", sbFilterSize, config.IdealSQSize)
 	}
 }
