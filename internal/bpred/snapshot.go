@@ -2,7 +2,8 @@ package bpred
 
 import (
 	"fmt"
-	"sync"
+
+	"spb/internal/pool"
 )
 
 // Warm-start support (DESIGN.md §12): counter-free functional warming, deep
@@ -77,28 +78,14 @@ type tables struct {
 	btbTags []uint64
 }
 
-var tablePools sync.Map // [2]int{pht, btb} -> *sync.Pool of *tables
-
-func tablePoolFor(pht, btb int) *sync.Pool {
-	key := [2]int{pht, btb}
-	if p, ok := tablePools.Load(key); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := tablePools.LoadOrStore(key, &sync.Pool{})
-	return p.(*sync.Pool)
-}
+var tablePool pool.Keyed[[2]int, *tables] // by {PHT, BTB} entries
 
 // newTables returns zeroed PHT/BTB arrays, reusing released ones of the same
 // geometry when available.
 func newTables(pht, btb int) *tables {
-	if v := tablePoolFor(pht, btb).Get(); v != nil {
-		t := v.(*tables)
-		for i := range t.pht {
-			t.pht[i] = 0
-		}
-		for i := range t.btbTags {
-			t.btbTags[i] = 0
-		}
+	if t, ok := tablePool.Get([2]int{pht, btb}); ok {
+		clear(t.pht)
+		clear(t.btbTags)
 		return t
 	}
 	return &tables{pht: make([]uint8, pht), btbTags: make([]uint64, btb)}
@@ -110,7 +97,7 @@ func (p *Predictor) Release() {
 	if p.pht == nil {
 		return
 	}
-	tablePoolFor(len(p.pht), len(p.btbTags)).Put(&tables{pht: p.pht, btbTags: p.btbTags})
+	tablePool.Put([2]int{len(p.pht), len(p.btbTags)}, &tables{pht: p.pht, btbTags: p.btbTags})
 	p.pht = nil
 	p.btbTags = nil
 }

@@ -8,9 +8,9 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"spb/internal/mem"
+	"spb/internal/pool"
 )
 
 // State is a MESI coherence state. Levels below the L1 mostly use
@@ -134,15 +134,7 @@ type arena struct {
 // count, which the line count alone does not give.
 type geometry struct{ sets, ways int }
 
-var arenaPools sync.Map // geometry -> *sync.Pool of *arena
-
-func poolFor(g geometry) *sync.Pool {
-	if p, ok := arenaPools.Load(g); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := arenaPools.LoadOrStore(g, &sync.Pool{})
-	return p.(*sync.Pool)
-}
+var arenaPool pool.Keyed[geometry, *arena]
 
 // Cache is one set-associative cache array. What the hot scans read is
 // word-sized: a set's short tags (4 bytes per way: a 16-way set is one
@@ -185,10 +177,8 @@ func New(name string, sizeBytes, ways, mshrs int) *Cache {
 	if mshrs <= 0 {
 		panic(fmt.Sprintf("cache %s: MSHR count must be positive", name))
 	}
-	var ar *arena
-	if v := poolFor(geometry{sets, ways}).Get(); v != nil {
-		ar = v.(*arena)
-	} else {
+	ar, ok := arenaPool.Get(geometry{sets, ways})
+	if !ok {
 		n := sets * ways
 		ar = &arena{lines: make([]Line, n), tags: make([]uint32, n), rec: make([]uint64, sets), live: make([]uint16, sets)}
 	}
@@ -219,7 +209,7 @@ func (c *Cache) Release() {
 	if c.ar == nil {
 		return
 	}
-	poolFor(geometry{len(c.live), c.ways}).Put(c.ar)
+	arenaPool.Put(geometry{len(c.live), c.ways}, c.ar)
 	c.ar = nil
 	c.lines = nil
 }

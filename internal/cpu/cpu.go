@@ -307,13 +307,15 @@ func (c *Core) RunCtx(ctx context.Context, n uint64) error {
 	})
 }
 
-// dispatchBlock classifies why the dispatch stage cannot make progress,
-// mirroring the cause chain of dispatchStage exactly (the attribution order
-// is part of the paper's stall taxonomy).
+// dispatchBlock is why the dispatch stage cannot take the pending instruction.
+// The order of the causes is the order they are tested in, which is part of
+// the paper's stall taxonomy: dispatchBlockAt is the one statement of it, and
+// charge the one attribution — the per-cycle loop and the fast-forward both
+// go through them.
 type dispatchBlock int
 
 const (
-	// dispatchReady: the pending instruction would dispatch next Tick.
+	// dispatchReady: the pending instruction can dispatch.
 	dispatchReady dispatchBlock = iota
 	blockFrontend
 	blockROB
@@ -323,28 +325,56 @@ const (
 )
 
 // dispatchBlockAt evaluates the dispatch cause chain for the pending
-// instruction at cycle t. It returns the blocking cause and the cycle at
-// which that cause could lift on its own. Causes released by commit or SB
-// drain (ROB full, SB full) return math.MaxUint64: the commit and drain
-// events bound the skip instead. Callers must ensure havePending.
-func (c *Core) dispatchBlockAt(t uint64) (dispatchBlock, uint64) {
-	if t < c.fetchReadyAt {
-		return blockFrontend, c.fetchReadyAt
-	}
-	if c.robCount == len(c.rob) {
-		return blockROB, math.MaxUint64
-	}
+// instruction at cycle t. Callers must ensure havePending.
+func (c *Core) dispatchBlockAt(t uint64) dispatchBlock {
 	in := &c.pending
-	if in.Kind == trace.KindStore && !c.sb.CanAccept(in.Addr, in.Size) {
-		return blockSB, math.MaxUint64
+	switch {
+	case t < c.fetchReadyAt:
+		return blockFrontend
+	case c.robCount == len(c.rob):
+		return blockROB
+	case in.Kind == trace.KindStore && !c.sb.CanAccept(in.Addr, in.Size):
+		return blockSB
+	case in.Kind == trace.KindLoad && c.lq.occupancy(t) >= c.cfg.LQSize:
+		return blockLQ
+	case c.iq.occupancy(t) >= c.cfg.IQSize:
+		return blockIQ
 	}
-	if in.Kind == trace.KindLoad && c.lq.occupancy(t) >= c.cfg.LQSize {
-		return blockLQ, c.lq.releaseCycle(c.cfg.LQSize)
+	return dispatchReady
+}
+
+// liftCycle returns the cycle at which a blocking cause could lift on its
+// own. Causes released by commit or SB drain (ROB full, SB full) return
+// math.MaxUint64: the commit and drain events bound a skip instead.
+func (c *Core) liftCycle(cause dispatchBlock) uint64 {
+	switch cause {
+	case blockFrontend:
+		return c.fetchReadyAt
+	case blockLQ:
+		return c.lq.releaseCycle(c.cfg.LQSize)
+	case blockIQ:
+		return c.iq.releaseCycle(c.cfg.IQSize)
 	}
-	if c.iq.occupancy(t) >= c.cfg.IQSize {
-		return blockIQ, c.iq.releaseCycle(c.cfg.IQSize)
+	return math.MaxUint64
+}
+
+// charge attributes n cycles in which nothing dispatched to their cause: one
+// for a ticked cycle, a whole dead span for a fast-forward, during which the
+// cause — and the store at the head of the SB — cannot change.
+func (c *Core) charge(cause dispatchBlock, n uint64) {
+	switch cause {
+	case blockFrontend:
+		c.St.FrontendStallCycles += n
+	case blockROB:
+		c.St.ROBStallCycles += n
+	case blockSB:
+		c.St.SBStallCycles += n
+		c.attributeSBStall(n)
+	case blockLQ:
+		c.St.LQStallCycles += n
+	case blockIQ:
+		c.St.IQStallCycles += n
 	}
-	return dispatchReady, t
 }
 
 // NextEventCycle returns the earliest cycle at or after the current one at
@@ -352,17 +382,20 @@ func (c *Core) dispatchBlockAt(t uint64) (dispatchBlock, uint64) {
 // architectural or statistical state. A return value equal to the current
 // cycle means the next Tick may act and nothing can be skipped; a larger
 // value means every cycle strictly before it is dead (the event horizon) and
-// can be jumped over with SkipTo without changing any statistic.
-func (c *Core) NextEventCycle() uint64 {
+// can be jumped over with SkipTo without changing any statistic. With it comes
+// what blocks dispatch over that span (dispatchReady: nothing is pending),
+// which SkipTo charges.
+func (c *Core) NextEventCycle() (uint64, dispatchBlock) {
 	now := c.cycle
 	next := uint64(math.MaxUint64)
+	cause := dispatchReady
 
 	// Commit: the ROB head retires the moment its completion cycle arrives;
 	// younger entries cannot retire before it (in-order commit).
 	if c.robCount > 0 {
 		d := c.rob[c.robHead].DoneAt
 		if d <= now {
-			return now
+			return now, dispatchReady
 		}
 		next = d
 	}
@@ -372,14 +405,14 @@ func (c *Core) NextEventCycle() uint64 {
 	// recorded fill time. An unacquired head issues its request next Tick.
 	if e, ok := c.sb.Head(); ok {
 		if !c.headAcquired || c.headSeq != e.Seq {
-			return now
+			return now, dispatchReady
 		}
 		ev := c.headReadyAt + 1 // retry / force-perform path
 		if r, writable := c.port.WritableReadyCycle(e.Addr); writable && r < ev {
 			ev = r // the store performs the moment the fill completes
 		}
 		if ev <= now {
-			return now
+			return now, dispatchReady
 		}
 		if ev < next {
 			next = ev
@@ -391,57 +424,37 @@ func (c *Core) NextEventCycle() uint64 {
 	// blocking cause is constant over the dead span, and its lift cycle —
 	// where one is not already bounded by the commit/drain events above —
 	// caps the skip.
-	if c.havePending || !c.traceDone {
-		if !c.havePending {
-			return now
+	if c.havePending {
+		if cause = c.dispatchBlockAt(now); cause == dispatchReady {
+			return now, dispatchReady
 		}
-		cause, lift := c.dispatchBlockAt(now)
-		if cause == dispatchReady {
-			return now
-		}
-		if lift < next {
-			next = lift
-		}
+		next = min(next, c.liftCycle(cause))
+	} else if !c.traceDone {
+		return now, dispatchReady
 	}
 
 	if next == math.MaxUint64 {
-		return now
+		return now, dispatchReady
 	}
-	return next
+	return next, cause
 }
 
 // SkipTo advances the core from its current cycle straight to target,
 // charging every counter the cycle-by-cycle loop would have charged for the
-// skipped span. It must only be called with a target obtained from
+// skipped span. It must only be called with a target and cause obtained from
 // NextEventCycle (every cycle in [current, target) is dead).
-func (c *Core) SkipTo(target uint64) {
+func (c *Core) SkipTo(target uint64, cause dispatchBlock) {
 	now := c.cycle
 	if target <= now {
 		return
 	}
 	span := target - now
 
-	// Dispatch-stall attribution: the blocking cause cannot change inside a
-	// dead span (nothing commits, drains, or dispatches), so each skipped
-	// cycle charges the same counter the reference loop would have. With the
-	// trace exhausted and nothing pending, the reference loop charges no
-	// dispatch-stall counter at all.
-	if c.havePending {
-		cause, _ := c.dispatchBlockAt(now)
-		switch cause {
-		case blockFrontend:
-			c.St.FrontendStallCycles += span
-		case blockROB:
-			c.St.ROBStallCycles += span
-		case blockSB:
-			c.St.SBStallCycles += span
-			c.attributeSBStall(span)
-		case blockLQ:
-			c.St.LQStallCycles += span
-		case blockIQ:
-			c.St.IQStallCycles += span
-		}
-	}
+	// The blocking cause cannot change inside a dead span (nothing commits,
+	// drains, or dispatches), so each skipped cycle charges the counter the
+	// reference loop would have; with the trace exhausted and nothing pending
+	// that is none.
+	c.charge(cause, span)
 
 	// ExecStallL1DPending: a skipped cycle t counts when at least one L1D
 	// miss is still in flight, i.e. while t is before the latest outstanding
@@ -559,39 +572,13 @@ func (c *Core) dispatchStage() int {
 			}
 			c.havePending = true
 		}
-		if c.cycle < c.fetchReadyAt {
+		if cause := c.dispatchBlockAt(c.cycle); cause != dispatchReady {
 			if dispatched == 0 {
-				c.St.FrontendStallCycles++
+				c.charge(cause, 1)
 			}
 			break
 		}
-		if c.robCount == len(c.rob) {
-			if dispatched == 0 {
-				c.St.ROBStallCycles++
-			}
-			break
-		}
-		in := &c.pending
-		if in.Kind == trace.KindStore && !c.sb.CanAccept(in.Addr, in.Size) {
-			if dispatched == 0 {
-				c.St.SBStallCycles++
-				c.attributeSBStall(1)
-			}
-			break
-		}
-		if in.Kind == trace.KindLoad && c.lq.occupancy(c.cycle) >= c.cfg.LQSize {
-			if dispatched == 0 {
-				c.St.LQStallCycles++
-			}
-			break
-		}
-		if c.iq.occupancy(c.cycle) >= c.cfg.IQSize {
-			if dispatched == 0 {
-				c.St.IQStallCycles++
-			}
-			break
-		}
-		c.dispatch(in)
+		c.dispatch(&c.pending)
 		c.havePending = false
 		dispatched++
 	}

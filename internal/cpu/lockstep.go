@@ -59,8 +59,8 @@ func Lockstep(ctx context.Context, cores []*Core, budget uint64, afterStep func(
 		for _, c := range cores {
 			// A finished core's clock stands still, at or behind now.
 			if c.cycle == now && !c.Done() && c.Tick() && !c.noFF {
-				if t := c.NextEventCycle(); t > c.cycle {
-					c.SkipTo(t)
+				if t, cause := c.NextEventCycle(); t > c.cycle {
+					c.SkipTo(t, cause)
 				}
 			}
 			if c.cycle < next && !c.Done() {

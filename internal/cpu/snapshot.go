@@ -2,11 +2,11 @@ package cpu
 
 import (
 	"fmt"
-	"sync"
 
 	"spb/internal/bpred"
 	"spb/internal/core"
 	"spb/internal/mem"
+	"spb/internal/pool"
 	"spb/internal/storebuf"
 	"spb/internal/tlb"
 	"spb/internal/trace"
@@ -214,36 +214,26 @@ func (c *Core) Restore(s *Snapshot) {
 	}
 }
 
-var robPools sync.Map // ROB size -> *sync.Pool of []robEntry
-
-func robPoolFor(n int) *sync.Pool {
-	if p, ok := robPools.Load(n); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := robPools.LoadOrStore(n, &sync.Pool{})
-	return p.(*sync.Pool)
-}
+var (
+	robPool    pool.Keyed[int, []robEntry] // by ROB size
+	bucketPool pool.Keyed[int, []uint16]   // occupancy bucket rings, by length
+)
 
 // newROB returns a ROB ring of the given size, reusing a released one when
 // available. Ring slots are written at dispatch before commit ever reads
 // them, so no zeroing is needed.
 func newROB(n int) []robEntry {
-	if v := robPoolFor(n).Get(); v != nil {
-		return v.([]robEntry)
+	if rob, ok := robPool.Get(n); ok {
+		return rob
 	}
 	return make([]robEntry, n)
 }
 
-var occBucketPool = sync.Pool{}
-
 // newOccBuckets returns a zeroed occWindow-sized bucket ring, reusing a
 // released one when available.
 func newOccBuckets() []uint16 {
-	if v := occBucketPool.Get(); v != nil {
-		b := v.([]uint16)
-		for i := range b {
-			b[i] = 0
-		}
+	if b, ok := bucketPool.Get(occWindow); ok {
+		clear(b)
 		return b
 	}
 	return make([]uint16, occWindow)
@@ -254,7 +244,7 @@ func (h *occHeap) release() {
 	if h.buckets == nil {
 		return
 	}
-	occBucketPool.Put(h.buckets)
+	bucketPool.Put(len(h.buckets), h.buckets)
 	h.buckets = nil
 }
 
@@ -264,7 +254,7 @@ func (h *occHeap) release() {
 // safe.
 func (c *Core) Release() {
 	if c.rob != nil {
-		robPoolFor(len(c.rob)).Put(c.rob)
+		robPool.Put(len(c.rob), c.rob)
 		c.rob = nil
 	}
 	c.iq.release()

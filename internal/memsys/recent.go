@@ -1,9 +1,8 @@
 package memsys
 
 import (
-	"sync"
-
 	"spb/internal/mem"
+	"spb/internal/pool"
 )
 
 // recentSet is a bounded FIFO set of block addresses. The memory system uses
@@ -27,20 +26,17 @@ type recentSet struct {
 	mask   uint64
 }
 
-var recentPools sync.Map // ring capacity -> *sync.Pool of *recentSet
+var recentPool pool.Keyed[int, *recentSet] // by ring capacity
 
 func newRecentSet(capacity int) *recentSet {
 	if capacity <= 0 {
 		panic("memsys: recentSet capacity must be positive")
 	}
-	if p, ok := recentPools.Load(capacity); ok {
-		if v := p.(*sync.Pool).Get(); v != nil {
-			r := v.(*recentSet)
-			r.next = 0
-			r.filled = false
-			clear(r.counts) // ring slots are overwritten before being read
-			return r
-		}
+	if r, ok := recentPool.Get(capacity); ok {
+		r.next = 0
+		r.filled = false
+		clear(r.counts) // ring slots are overwritten before being read
+		return r
 	}
 	tableCap := 1
 	for tableCap < 2*capacity {
@@ -57,8 +53,7 @@ func newRecentSet(capacity int) *recentSet {
 // release hands the set back for reuse by a later newRecentSet of the same
 // capacity. The set must not be used afterwards.
 func (r *recentSet) release() {
-	p, _ := recentPools.LoadOrStore(len(r.ring), &sync.Pool{})
-	p.(*sync.Pool).Put(r)
+	recentPool.Put(len(r.ring), r)
 }
 
 // blockHash is the splitmix64 finalizer: block addresses are highly regular

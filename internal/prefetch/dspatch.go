@@ -175,3 +175,23 @@ func (d *DSPatch) Epoch(fb Feedback) {
 		d.useAcc = true
 	}
 }
+
+func (d *DSPatch) capture() State {
+	return State{DSPatch: &DSPatchState{
+		Pages:   append([]dspPage(nil), d.pages...),
+		PageClk: d.pageClk,
+		Table:   append([]dspEntry(nil), d.table...),
+		UseAcc:  d.useAcc,
+	}}
+}
+
+func (d *DSPatch) fits(s State) bool {
+	st := s.DSPatch
+	return st != nil && len(d.pages) == len(st.Pages) && len(d.table) == len(st.Table) && inRing(st.PageClk, len(st.Pages))
+}
+
+func (d *DSPatch) restore(s State) {
+	copy(d.pages, s.DSPatch.Pages)
+	copy(d.table, s.DSPatch.Table)
+	d.pageClk, d.useAcc = s.DSPatch.PageClk, s.DSPatch.UseAcc
+}

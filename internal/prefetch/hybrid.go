@@ -248,3 +248,44 @@ func (h *Hybrid) Epoch(fb Feedback) {
 		sub.Epoch(fb)
 	}
 }
+
+func (h *Hybrid) capture() State {
+	st := &HybridState{
+		Subs:   make([]State, len(h.subs)),
+		Recent: make([][]mem.Block, len(h.recent)),
+		RNext:  append([]int(nil), h.rnext...),
+		Issued: append([]uint64(nil), h.issued...),
+		Hits:   append([]uint64(nil), h.hits...),
+		Alloc:  append([]int(nil), h.alloc...),
+	}
+	for i, sub := range h.subs {
+		st.Subs[i] = CaptureState(sub)
+		st.Recent[i] = append([]mem.Block(nil), h.recent[i]...)
+	}
+	return State{Hybrid: st}
+}
+
+func (h *Hybrid) fits(s State) bool {
+	st := s.Hybrid
+	ok := st != nil && len(h.subs) == len(st.Subs) && len(h.recent) == len(st.Recent) &&
+		len(h.rnext) == len(st.RNext) && len(h.issued) == len(st.Issued) &&
+		len(h.hits) == len(st.Hits) && len(h.alloc) == len(st.Alloc)
+	for i := 0; ok && i < len(h.subs); i++ {
+		ok = st.Subs[i].Fits(h.subs[i]) == nil &&
+			len(h.recent[i]) == len(st.Recent[i]) && inRing(st.RNext[i], len(st.Recent[i]))
+	}
+	return ok
+}
+
+func (h *Hybrid) restore(s State) {
+	st := s.Hybrid
+	for i, sub := range h.subs {
+		RestoreState(sub, st.Subs[i])
+		copy(h.recent[i], st.Recent[i])
+	}
+	h.refilter()
+	copy(h.rnext, st.RNext)
+	copy(h.issued, st.Issued)
+	copy(h.hits, st.Hits)
+	copy(h.alloc, st.Alloc)
+}

@@ -79,6 +79,10 @@ func (nonePrefetcher) Observe(_ Event, out []mem.Block) []mem.Block { return out
 
 func (nonePrefetcher) Epoch(Feedback) {}
 
+func (nonePrefetcher) capture() State  { return State{} }
+func (nonePrefetcher) fits(State) bool { return true }
+func (nonePrefetcher) restore(State)   {}
+
 // streamEntry is one PC-indexed stride-detection slot. Its fields, like
 // dspPage's and dspEntry's, are exported because State carries the tables as
 // they are into a checkpoint file.
@@ -182,6 +186,17 @@ func (s *Stream) Observe(ev Event, out []mem.Block) []mem.Block {
 // Epoch implements Prefetcher (static schemes ignore feedback).
 func (s *Stream) Epoch(Feedback) {}
 
+func (s *Stream) capture() State {
+	return State{Table: append([]streamEntry(nil), s.table...), Distance: s.distance, Degree: s.degree}
+}
+
+func (s *Stream) fits(st State) bool { return len(s.table) == len(st.Table) }
+
+func (s *Stream) restore(st State) {
+	copy(s.table, st.Table)
+	s.distance, s.degree = st.Distance, st.Degree
+}
+
 // Adaptive is feedback-directed prefetching (Srinath et al., HPCA 2007): a
 // stream prefetcher whose (distance, degree) follow a 5-level aggressiveness
 // ladder driven by measured accuracy, lateness and pollution.
@@ -251,4 +266,19 @@ func (a *Adaptive) Epoch(fb Feedback) {
 		a.level--
 	}
 	a.apply()
+}
+
+func (a *Adaptive) capture() State {
+	st := a.Stream.capture()
+	st.Level = a.level
+	return st
+}
+
+func (a *Adaptive) fits(st State) bool {
+	return a.Stream.fits(st) && st.Level >= 1 && st.Level <= len(aggressivenessLadder)
+}
+
+func (a *Adaptive) restore(st State) {
+	a.Stream.restore(st)
+	a.level = st.Level
 }

@@ -10,7 +10,8 @@ import (
 // deliberately exclude the generic prefetcher (functional warming never
 // trains it), but a mid-run checkpoint interrupts fully-trained tables, so
 // it must carry them. State is the deep copy of any in-tree Prefetcher's
-// mutable state, and its own gob form in a checkpoint file.
+// mutable state, and its own gob form in a checkpoint file. Each kind copies,
+// checks and restores its own fields, in its own file (stateful).
 
 // BOPState is the Best-Offset prefetcher's learning state.
 type BOPState struct {
@@ -44,8 +45,8 @@ type HybridState struct {
 }
 
 // State is a deep copy of a prefetcher's mutable state. Kind names the
-// concrete scheme; restoring onto a prefetcher of a different kind is a
-// configuration mismatch and panics (checkpoints embed the spec, so a
+// concrete scheme (its Name); restoring onto a prefetcher of a different kind
+// is a configuration mismatch and panics (checkpoints embed the spec, so a
 // mismatch indicates a corrupt or mis-keyed checkpoint the caller should
 // have rejected).
 type State struct {
@@ -64,63 +65,28 @@ type State struct {
 	Hybrid  *HybridState
 }
 
-// CaptureState deep-copies p's mutable state.
-func CaptureState(p Prefetcher) State {
-	switch v := p.(type) {
-	case nonePrefetcher:
-		return State{Kind: "none"}
-	case *Adaptive:
-		s := captureStream(&v.Stream)
-		s.Kind = "adaptive"
-		s.Level = v.level
-		return s
-	case *Stream:
-		return captureStream(v)
-	case *BOP:
-		return State{Kind: "bop", BOP: &BOPState{
-			RR:        append([]mem.Block(nil), v.rr...),
-			RRNext:    v.rrNext,
-			RRFilled:  v.rrFilled,
-			Scores:    append([]uint8(nil), v.scores...),
-			CandIdx:   v.candIdx,
-			Round:     v.round,
-			Best:      v.best,
-			BestScore: v.bestScore,
-		}}
-	case *DSPatch:
-		return State{Kind: "dspatch", DSPatch: &DSPatchState{
-			Pages:   append([]dspPage(nil), v.pages...),
-			PageClk: v.pageClk,
-			Table:   append([]dspEntry(nil), v.table...),
-			UseAcc:  v.useAcc,
-		}}
-	case *Hybrid:
-		h := &HybridState{
-			Subs:   make([]State, len(v.subs)),
-			Recent: make([][]mem.Block, len(v.recent)),
-			RNext:  append([]int(nil), v.rnext...),
-			Issued: append([]uint64(nil), v.issued...),
-			Hits:   append([]uint64(nil), v.hits...),
-			Alloc:  append([]int(nil), v.alloc...),
-		}
-		for i, sub := range v.subs {
-			h.Subs[i] = CaptureState(sub)
-		}
-		for i, r := range v.recent {
-			h.Recent[i] = append([]mem.Block(nil), r...)
-		}
-		return State{Kind: "hybrid", Hybrid: h}
-	}
-	panic(fmt.Sprintf("prefetch: cannot capture state of %T", p))
+// stateful is the checkpoint side of an in-tree prefetcher: every kind New
+// returns implements it beside the fields it copies.
+type stateful interface {
+	Prefetcher
+	// capture deep-copies the mutable state; CaptureState stamps the Kind.
+	capture() State
+	// fits reports whether s, already known to be of this kind, carries the
+	// kind's payload at this prefetcher's table geometry.
+	fits(s State) bool
+	// restore overwrites the mutable state with s, which fits.
+	restore(s State)
 }
 
-func captureStream(v *Stream) State {
-	return State{
-		Kind:     "stream",
-		Table:    append([]streamEntry(nil), v.table...),
-		Distance: v.distance,
-		Degree:   v.degree,
+// CaptureState deep-copies p's mutable state.
+func CaptureState(p Prefetcher) State {
+	sp, ok := p.(stateful)
+	if !ok {
+		panic(fmt.Sprintf("prefetch: cannot capture state of %T", p))
 	}
+	s := sp.capture()
+	s.Kind = p.Name()
+	return s
 }
 
 // Fits reports, as an error, why the state cannot be restored onto p: another
@@ -129,43 +95,14 @@ func captureStream(v *Stream) State {
 // one (a checkpoint file) must be checked before RestoreState, which panics on
 // a mismatch.
 func (s State) Fits(p Prefetcher) error {
-	kind, ok := "", false
-	switch v := p.(type) {
-	case nonePrefetcher:
-		kind, ok = "none", true
-	case *Adaptive:
-		kind, ok = "adaptive", len(v.table) == len(s.Table)
-	case *Stream:
-		kind, ok = "stream", len(v.table) == len(s.Table)
-	case *BOP:
-		kind = "bop"
-		b := s.BOP
-		ok = b != nil && len(v.rr) == len(b.RR) && len(v.scores) == len(b.Scores) &&
-			inRing(b.RRNext, len(b.RR)) && inRing(b.CandIdx, len(b.Scores))
-	case *DSPatch:
-		kind = "dspatch"
-		d := s.DSPatch
-		ok = d != nil && len(v.pages) == len(d.Pages) && len(v.table) == len(d.Table) && inRing(d.PageClk, len(d.Pages))
-	case *Hybrid:
-		kind = "hybrid"
-		hs := s.Hybrid
-		ok = hs != nil && len(v.subs) == len(hs.Subs) && len(v.recent) == len(hs.Recent) &&
-			len(v.rnext) == len(hs.RNext) && len(v.issued) == len(hs.Issued) &&
-			len(v.hits) == len(hs.Hits) && len(v.alloc) == len(hs.Alloc)
-		for i := 0; ok && i < len(v.subs); i++ {
-			if err := hs.Subs[i].Fits(v.subs[i]); err != nil {
-				return err
-			}
-			ok = len(v.recent[i]) == len(hs.Recent[i]) && inRing(hs.RNext[i], len(hs.Recent[i]))
-		}
-	default:
+	sp, ok := p.(stateful)
+	switch {
+	case !ok:
 		return fmt.Errorf("prefetch: cannot restore state onto %T", p)
-	}
-	if s.Kind != kind {
-		return fmt.Errorf("prefetch: state of kind %q does not fit a %s prefetcher", s.Kind, kind)
-	}
-	if !ok {
-		return fmt.Errorf("prefetch: %s state is incomplete or of another table geometry", kind)
+	case s.Kind != p.Name():
+		return fmt.Errorf("prefetch: state of kind %q does not fit a %s prefetcher", s.Kind, p.Name())
+	case !sp.fits(s):
+		return fmt.Errorf("prefetch: %s state is incomplete or of another table geometry", s.Kind)
 	}
 	return nil
 }
@@ -179,44 +116,5 @@ func RestoreState(p Prefetcher, s State) {
 	if err := s.Fits(p); err != nil {
 		panic(err)
 	}
-	switch v := p.(type) {
-	case *Adaptive:
-		restoreStream(&v.Stream, s)
-		v.level = s.Level
-	case *Stream:
-		restoreStream(v, s)
-	case *BOP:
-		copy(v.rr, s.BOP.RR)
-		v.rrNext = s.BOP.RRNext
-		v.rrFilled = s.BOP.RRFilled
-		copy(v.scores, s.BOP.Scores)
-		v.candIdx = s.BOP.CandIdx
-		v.round = s.BOP.Round
-		v.best = s.BOP.Best
-		v.bestScore = s.BOP.BestScore
-	case *DSPatch:
-		copy(v.pages, s.DSPatch.Pages)
-		v.pageClk = s.DSPatch.PageClk
-		copy(v.table, s.DSPatch.Table)
-		v.useAcc = s.DSPatch.UseAcc
-	case *Hybrid:
-		hs := s.Hybrid
-		for i, sub := range v.subs {
-			RestoreState(sub, hs.Subs[i])
-		}
-		for i, r := range hs.Recent {
-			copy(v.recent[i], r)
-		}
-		v.refilter()
-		copy(v.rnext, hs.RNext)
-		copy(v.issued, hs.Issued)
-		copy(v.hits, hs.Hits)
-		copy(v.alloc, hs.Alloc)
-	}
-}
-
-func restoreStream(v *Stream, s State) {
-	copy(v.table, s.Table)
-	v.distance = s.Distance
-	v.degree = s.Degree
+	p.(stateful).restore(s)
 }

@@ -81,8 +81,24 @@ func TestCaptureStateKinds(t *testing.T) {
 		config.PrefetchHybrid:     "hybrid",
 	}
 	for _, k := range config.Prefetchers {
+		if _, ok := New(k).(stateful); !ok {
+			t.Fatalf("New(%v) returns a %T, which cannot capture, check and restore its own state (stateful)", k, New(k))
+		}
 		if got := CaptureState(New(k)).Kind; got != want[k] {
 			t.Fatalf("CaptureState(%v).Kind = %q, want %q", k, got, want[k])
+		}
+	}
+}
+
+// TestAdaptiveLevelOffTheLadderDoesNotFit: a decoded state whose level would
+// index past the aggressiveness ladder at the next epoch is refused.
+func TestAdaptiveLevelOffTheLadderDoesNotFit(t *testing.T) {
+	a := NewAdaptive()
+	st := CaptureState(a)
+	for _, level := range []int{0, -1, len(aggressivenessLadder) + 1} {
+		st.Level = level
+		if st.Fits(a) == nil {
+			t.Fatalf("a state at level %d fits an adaptive prefetcher", level)
 		}
 	}
 }

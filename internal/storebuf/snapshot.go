@@ -2,7 +2,8 @@ package storebuf
 
 import (
 	"fmt"
-	"sync"
+
+	"spb/internal/pool"
 )
 
 // Warm-start support (DESIGN.md §12): deep snapshot/restore of the store
@@ -65,22 +66,14 @@ func (sb *StoreBuffer) Restore(s *Snapshot) {
 	sb.blockCnt = s.BlockCnt
 }
 
-var ringPools sync.Map // capacity -> *sync.Pool of []Entry
-
-func ringPoolFor(n int) *sync.Pool {
-	if p, ok := ringPools.Load(n); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := ringPools.LoadOrStore(n, &sync.Pool{})
-	return p.(*sync.Pool)
-}
+var ringPool pool.Keyed[int, []Entry] // by capacity
 
 // newRing returns an entry ring of the given capacity, reusing a released
 // one when available. Ring slots are written before they are ever read
 // (only seqs in [headSeq, tailSeq) are consulted), so no zeroing is needed.
 func newRing(n int) []Entry {
-	if v := ringPoolFor(n).Get(); v != nil {
-		return v.([]Entry)
+	if ring, ok := ringPool.Get(n); ok {
+		return ring
 	}
 	return make([]Entry, n)
 }
@@ -91,6 +84,6 @@ func (sb *StoreBuffer) Release() {
 	if sb.entries == nil {
 		return
 	}
-	ringPoolFor(len(sb.entries)).Put(sb.entries)
+	ringPool.Put(len(sb.entries), sb.entries)
 	sb.entries = nil
 }

@@ -2,9 +2,9 @@ package tlb
 
 import (
 	"fmt"
-	"sync"
 
 	"spb/internal/mem"
+	"spb/internal/pool"
 )
 
 // Warm-start support (DESIGN.md §12): counter-free functional warming, deep
@@ -78,24 +78,13 @@ func (t *TLB) Restore(s *Snapshot) {
 	t.Misses = s.Misses
 }
 
-var entryPools sync.Map // entry count -> *sync.Pool of []entry
-
-func entryPoolFor(n int) *sync.Pool {
-	if p, ok := entryPools.Load(n); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := entryPools.LoadOrStore(n, &sync.Pool{})
-	return p.(*sync.Pool)
-}
+var entryPool pool.Keyed[int, []entry] // by entry count
 
 // newEntries returns a zeroed entry array of length n, reusing a released one
 // of the same geometry when available.
 func newEntries(n int) []entry {
-	if v := entryPoolFor(n).Get(); v != nil {
-		ents := v.([]entry)
-		for i := range ents {
-			ents[i] = entry{}
-		}
+	if ents, ok := entryPool.Get(n); ok {
+		clear(ents)
 		return ents
 	}
 	return make([]entry, n)
@@ -107,6 +96,6 @@ func (t *TLB) Release() {
 	if t.entries == nil {
 		return
 	}
-	entryPoolFor(len(t.entries)).Put(t.entries)
+	entryPool.Put(len(t.entries), t.entries)
 	t.entries = nil
 }

@@ -1,143 +1,25 @@
 package trace
 
-// This file implements deep-copying of compiled trace programs, the piece of
-// warm-start forking (DESIGN.md §12) that lives in this package. A Program is
-// a cursor over an immutable phase table plus mutable region allocators and
-// an RNG; Clone copies every mutable part so a forked simulation advances its
-// own stream without disturbing the parent's. Identity of shared objects is
-// preserved: if two leaves (or two programs cloned together) reference the
-// same *MemRegion or *RNG, their clones share a single copy, keeping the
-// chunk-allocation interleaving identical to the original.
+import "slices"
 
-// cloneCtx maps original objects to their clones so shared references stay
-// shared in the copy.
-type cloneCtx struct {
-	regions map[*MemRegion]*MemRegion
-	rngs    map[*RNG]*RNG
-	progs   map[*Program]*Program
-}
-
-func newCloneCtx() *cloneCtx {
-	return &cloneCtx{
-		regions: make(map[*MemRegion]*MemRegion),
-		rngs:    make(map[*RNG]*RNG),
-		progs:   make(map[*Program]*Program),
-	}
-}
-
-func (c *cloneCtx) region(r *MemRegion) *MemRegion {
-	if r == nil {
-		return nil
-	}
-	if cp, ok := c.regions[r]; ok {
-		return cp
-	}
-	cp := &MemRegion{Base: r.Base, Size: r.Size, cur: r.cur}
-	c.regions[r] = cp
-	return cp
-}
-
-func (c *cloneCtx) rng(r *RNG) *RNG {
-	if r == nil {
-		return nil
-	}
-	if cp, ok := c.rngs[r]; ok {
-		return cp
-	}
-	cp := &RNG{state: r.state}
-	c.rngs[r] = cp
-	return cp
-}
-
-// clone deep-copies the program under ctx. The clone is registered before
-// phases are copied so cyclic Sub references (not produced by the workload
-// builders, but legal) terminate.
-func (p *Program) clone(ctx *cloneCtx) *Program {
-	if p == nil {
-		return nil
-	}
-	if cp, ok := ctx.progs[p]; ok {
-		return cp
-	}
-	cp := &Program{}
-	ctx.progs[p] = cp
-
-	cp.rng = ctx.rng(p.rng)
-	cp.total = p.total
-	cp.phases = make([]Phase, len(p.phases))
-	for i := range p.phases {
-		ph := &p.phases[i]
-		nph := &cp.phases[i]
-		nph.Weight = ph.Weight
-		nph.Take = ph.Take
-		nph.Sub = ph.Sub.clone(ctx)
-		if ph.Leaves != nil {
-			nph.Leaves = make([]Leaf, len(ph.Leaves))
-			for j := range ph.Leaves {
-				l := ph.Leaves[j]
-				l.Dst = ctx.region(l.Dst)
-				l.Src = ctx.region(l.Src)
-				nph.Leaves[j] = l
-			}
-		}
-	}
-
-	// Re-anchor the interior cursor pointers into the cloned tables.
-	if p.phase != nil {
-		for i := range p.phases {
-			if p.phase == &p.phases[i] {
-				cp.phase = &cp.phases[i]
-				break
-			}
-		}
-	}
-	if p.leaf != nil {
-		// p.leaf points into some phase's Leaves; find it by identity. A
-		// stale leaf (activation finished, leafIdx advanced past it) is
-		// never dereferenced before reassignment, so not finding it in the
-		// current phase is impossible by construction — leaf pointers only
-		// ever target the owning program's own phase table.
-	search:
-		for i := range p.phases {
-			ls := p.phases[i].Leaves
-			for j := range ls {
-				if p.leaf == &ls[j] {
-					cp.leaf = &cp.phases[i].Leaves[j]
-					break search
-				}
-			}
-		}
-	}
-
-	cp.leafIdx = p.leafIdx
-	cp.takeLeft = p.takeLeft
-	cp.active = p.active
-	cp.reps = p.reps
-	cp.base = p.base
-	cp.srcBase = p.srcBase
-	cp.off = p.off
-	cp.i = p.i
-	cp.step = p.step
-	cp.branches = p.branches
-	return cp
-}
-
-// Clone returns a deep copy of the program: same phase definitions, private
-// copies of the RNG, every referenced MemRegion, any sub-programs, and the
-// full activation cursor. The clone produces exactly the instruction stream
-// the original would have from this point on.
+// Clone forks the stream (warm-start, DESIGN.md §12): the copy shares the
+// program's shape, which nothing changes after NewProgram, and owns a copy of
+// its cursor — generator state, chunk cursors, position, sub-programs' cursors
+// — so it produces exactly the instructions the original would have from this
+// point on, and neither disturbs the other. What it costs does not depend on
+// the phase table.
 func (p *Program) Clone() *Program {
-	return p.clone(newCloneCtx())
+	cp := *p
+	cp.regs = slices.Clone(p.regs)
+	cp.subs = ClonePrograms(p.subs)
+	return &cp
 }
 
-// ClonePrograms deep-copies a set of programs under one shared identity map,
-// so regions or RNGs shared between the programs stay shared between the
-// clones (the multi-threaded workload case).
+// ClonePrograms clones each of a set of programs (one per core).
 func ClonePrograms(ps []*Program) []*Program {
-	ctx := newCloneCtx()
 	out := make([]*Program, len(ps))
 	for i, p := range ps {
-		out[i] = p.clone(ctx)
+		out[i] = p.Clone()
 	}
 	return out
 }

@@ -1,22 +1,40 @@
 package trace
 
-import "spb/internal/mem"
+import (
+	"slices"
 
-// This file implements the compiled form of a workload generator. The
-// closure combinators in synth.go (Seq, Mix, Forever, the fragment builders)
-// are convenient to compose but cost three or four nested closure calls per
-// instruction on the simulator's hottest path. A Program flattens one
-// Forever(Mix(...)) phase loop into a table of Phase descriptors, each a
-// sequence of Leaf records, stepped by a single switch — no interface
-// dispatch, no per-phase allocation — while calling the shared RNG and the
-// MemRegion chunk allocator in exactly the order the closures do, so the
-// generated instruction stream is bit-identical.
+	"spb/internal/mem"
+)
+
+// This file implements the compiled form of a workload generator, in three
+// parts.
 //
-// The equivalence relies on a property of the closure tree workloads build:
-// Mix picks fragments lazily (one rng.Intn per phase, immediately before the
-// phase's first instruction) and re-activating Mix under Forever has no side
-// effects, so Forever(Mix(phases, parts...)) reduces to an unbounded
-// pick-a-phase / run-it-to-completion loop.
+// The shape is what a workload is: a table of weighted Phases, each a sequence
+// of Leaves, fixed once NewProgram has completed it and shared by every fork
+// of the stream. A dense leaf — memset, memcpy, read-modify-write, a strided
+// run — is stated once, as a template: the micro-ops of one element, the bytes
+// an element advances, the element count and the chunk an activation draws
+// (Leaf.dense). Next, Skip, SkipTouch, Warm and Leaf.Insts all read that
+// template, so a new dense op is one template row. The ops that draw from the
+// RNG for every instruction (chase, scatter, compute, load-use) keep one case
+// where instructions are built and one where they are walked: the draws are
+// their cost, and a shared body would branch on every instruction of the
+// detailed path.
+//
+// The cursor is where a stream stands: the generator's state word, the
+// regions' chunk cursors, the position in the table and in the current
+// activation, and the cursors of any sub-programs. It is a plain value: a fork
+// (Clone, DESIGN.md §12) copies it and nothing of the shape.
+//
+// The reference is synth.go: the closure combinators the workloads were first
+// written with, kept for the tests that hold a Program to them instruction for
+// instruction (FuzzLeafWrittenOnce here, TestProgramMatchesClosures* in
+// internal/workloads). A Program is Forever(Mix(rng, ·, parts...)) over the
+// same fragments: Mix picks lazily (one rng.Intn per phase, immediately before
+// the phase's first instruction) and re-activating it under Forever has no
+// side effects, so the tree reduces to an unbounded pick-a-phase /
+// run-it-to-completion loop that calls the RNG and the chunk allocator in
+// exactly the closures' order.
 
 // Op identifies the generator a Leaf runs; each corresponds to one of the
 // fragment builders in synth.go.
@@ -46,83 +64,183 @@ const (
 // Leaf is one compiled fragment. Which fields matter depends on Op, matching
 // the corresponding builder's parameters in synth.go.
 type Leaf struct {
-	Op  Op
-	Dst *MemRegion // region streamed/scattered through (builders' buf/dst)
-	Src *MemRegion // OpMemcpy source
+	Op Op
+	// Dst is the region streamed or scattered through (the builders' buf/dst),
+	// Src the source of a memcpy. Leaves naming the same region share its chunk
+	// cursor within their Program; each Program keeps cursors of its own.
+	Dst, Src *MemRegion
 
-	Bytes  uint64 // burst size (OpMemset/OpMemcpy/OpRMW)
+	Bytes  uint64 // burst size (memset, memcpy, read-modify-write)
 	Count  int    // element count (strided/chase/scatter/load-use)
 	Stride uint64 // byte distance between strided elements
-	Size   int    // store size for OpMemset/OpStridedStores
+	Size   int    // store size (memset, strided stores), at least 1
 
 	PC       uint64
-	MissRate float64        // OpLoadUse branch misprediction probability
-	Compute  ComputeOptions // OpCompute parameters
+	MissRate float64        // load-use branch misprediction probability
+	Compute  ComputeOptions // compute-block parameters
 
 	// Repeat runs the leaf that many consecutive activations (each with a
 	// fresh NextChunk), like Repeat(n, fragment); 0 means once.
 	Repeat int
 
-	// OpCompute's BrFrac, DivFrac and DepFrac as RNG.below thresholds, set by
-	// NewProgram: the draws a walk reads, once per skipped instruction.
+	// Set by NewProgram: Dst and Src as indices into the cursor's regions, the
+	// dense template, and OpCompute's BrFrac, DivFrac and DepFrac as RNG.below
+	// thresholds — the draws a walk reads, once per skipped instruction.
+	dst, src int
+	template
 	brBelow, divBelow, depBelow uint64
+}
+
+// template is the activation of a dense op: elems elements adv bytes apart,
+// each the micro-ops of slots[:period] in order, over a chunk of that many
+// bytes drawn from the region of every slot that addresses one (the source
+// first).
+type template struct {
+	slots  [3]slot
+	period int // slots in use; 0 for an op that is not dense
+	elems  int
+	adv    uint64
+	chunk  uint64
+}
+
+// slot is one micro-op of an element: the instruction as emitted, less the
+// address, which a memory slot takes from its element's offset in the current
+// chunk of Dst (reg 0) or Src (reg 1).
+type slot struct {
+	Inst
+	reg uint8
+}
+
+// dense returns the leaf's template: the one place each dense op is spelled
+// out. An op that draws per instruction has none (period 0).
+func (l *Leaf) dense() template {
+	load := func(reg uint8) slot { return slot{Inst{Kind: KindLoad, Size: 8, PC: l.PC}, reg} }
+	store := func(size int, dep uint8, pc uint64) slot {
+		return slot{Inst: Inst{Kind: KindStore, Size: uint8(size), Dep1: dep, PC: l.PC + pc}}
+	}
+	words, run := int((l.Bytes+7)/8), uint64(l.Count)*l.Stride
+	switch l.Op {
+	case OpMemset:
+		size := uint64(l.Size)
+		return template{[3]slot{store(l.Size, 0, 0)}, 1, int((l.Bytes + size - 1) / size), size, l.Bytes}
+	case OpMemcpy: // the store writes what the load before it read
+		return template{[3]slot{load(1), store(8, 1, 4)}, 2, words, 8, l.Bytes}
+	case OpRMW:
+		alu := slot{Inst: Inst{Kind: KindIntALU, Dep1: 1, PC: l.PC + 4}}
+		return template{[3]slot{load(0), alu, store(8, 1, 8)}, 3, words, 8, l.Bytes}
+	case OpStridedStores:
+		return template{[3]slot{store(l.Size, 0, 0)}, 1, l.Count, l.Stride, run}
+	case OpStridedLoads:
+		return template{[3]slot{load(0)}, 1, l.Count, l.Stride, run}
+	}
+	return template{}
+}
+
+// Insts returns how many instructions the leaf emits each time its phase
+// reaches it, repeats included.
+func (l *Leaf) Insts() int {
+	var n int
+	switch l.Op {
+	case OpPointerChase, OpScatterStores:
+		n = l.Count
+	case OpCompute:
+		n = l.Compute.Count
+	case OpLoadUse:
+		n = 2 * l.Count
+	default:
+		t := l.dense()
+		n = t.elems * t.period
+	}
+	return n * max(l.Repeat, 1)
 }
 
 // Phase is one weighted alternative of a Program's pick loop: either a
 // sequence of Leaves run in order to completion, or Take instructions drawn
-// from a persistent sub-program (the PARSEC private-stream case).
+// from a persistent sub-program (the PARSEC private-stream case). The
+// sub-program becomes part of the Program it is handed to.
 type Phase struct {
 	Weight int
 	Leaves []Leaf
 
 	Sub  *Program
 	Take uint64
+
+	sub int // Sub's index in the cursor's subs, set by NewProgram
 }
 
 // Program is a compiled workload generator: an endless weighted-phase loop
 // equivalent to Forever(Mix(rng, ·, parts...)) over the same fragments.
 // It implements Reader.
 type Program struct {
-	rng    *RNG
+	// The shape: fixed by NewProgram, shared by every clone.
 	phases []Phase
 	total  int
+
+	cursor
+}
+
+// cursor is everything a running Program changes, and so all a fork copies.
+type cursor struct {
+	rng  RNG
+	regs []MemRegion // the leaves' regions, each with its chunk cursor
+	subs []*Program  // the Sub phases' programs
 
 	// Current phase.
 	phase    *Phase
 	leafIdx  int
-	takeLeft uint64
+	takeLeft uint64 // instructions a Sub phase has yet to draw
 
 	// Current leaf activation.
 	leaf     *Leaf
 	active   bool
 	reps     int
-	base     mem.Addr // current chunk base (dst side)
-	srcBase  mem.Addr // current chunk base of the memcpy source
-	off      uint64
-	i        int
-	step     int
+	base     [2]mem.Addr // current chunk bases: Dst's, Src's
+	i        int         // element
+	step     int         // micro-op within the element
 	branches int
 }
 
-// NewProgram builds a program over the given phases, whose leaves it completes
-// in place (the draw thresholds a walk reads). Weights follow Mix's rules:
-// negative weights and an all-zero total panic.
+// NewProgram builds a program over the given phases, which become its shape:
+// it completes them in place and they must not be changed afterwards. The
+// program draws from a generator of its own, started in rng's state, and
+// allocates chunks from its own copy of each region its leaves name. Weights
+// follow Mix's rules: negative weights and an all-zero total panic.
 func NewProgram(rng *RNG, phases ...Phase) *Program {
-	total := 0
+	p := &Program{phases: phases}
+	p.rng = *rng
+	seen := make([]*MemRegion, 0, 8)
+	index := func(r *MemRegion) int {
+		i := slices.Index(seen, r)
+		if i < 0 && r != nil {
+			i, seen = len(seen), append(seen, r)
+		}
+		return i
+	}
 	for i := range phases {
-		if phases[i].Weight < 0 {
+		ph := &phases[i]
+		if ph.Weight < 0 {
 			panic("trace: negative Program phase weight")
 		}
-		total += phases[i].Weight
-		for j := range phases[i].Leaves {
-			l := &phases[i].Leaves[j]
+		p.total += ph.Weight
+		if ph.Sub == nil {
+			ph.Take = 0
+		} else {
+			ph.sub, p.subs = len(p.subs), append(p.subs, ph.Sub)
+		}
+		for j := range ph.Leaves {
+			l := &ph.Leaves[j]
+			l.dst, l.src, l.template = index(l.Dst), index(l.Src), l.dense()
 			l.brBelow, l.divBelow, l.depBelow = threshold(l.Compute.BrFrac), threshold(l.Compute.DivFrac), threshold(l.Compute.DepFrac)
 		}
 	}
-	if total == 0 {
+	if p.total == 0 {
 		panic("trace: Program with zero total weight")
 	}
-	return &Program{rng: rng, phases: phases, total: total}
+	p.regs = make([]MemRegion, len(seen))
+	for i, r := range seen {
+		p.regs[i] = *r
+	}
+	return p
 }
 
 // pick selects the next phase by weight, consuming one rng.Intn exactly as
@@ -137,70 +255,62 @@ func (p *Program) pick() {
 		}
 		n -= p.phases[k].Weight
 	}
-	ph := &p.phases[idx]
-	p.phase = ph
-	p.leafIdx = 0
-	p.active = false
-	p.takeLeft = ph.Take
+	p.phase = &p.phases[idx]
+	p.leafIdx, p.takeLeft = 0, p.phase.Take
 }
 
-// activate starts one activation of the current leaf, drawing its region
-// chunks in the same order the closure builders do (memcpy: src then dst).
+// activate starts one activation of the current leaf, drawing a dense leaf's
+// chunks in the order the closure builders do (memcpy: src then dst).
 func (p *Program) activate() {
 	l := p.leaf
-	p.off, p.i, p.step, p.branches = 0, 0, 0, 0
-	switch l.Op {
-	case OpMemset, OpRMW:
-		p.base = l.Dst.NextChunk(l.Bytes)
-	case OpMemcpy:
-		p.srcBase = l.Src.NextChunk(l.Bytes)
-		p.base = l.Dst.NextChunk(l.Bytes)
-	case OpStridedStores, OpStridedLoads:
-		p.base = l.Dst.NextChunk(uint64(l.Count) * l.Stride)
+	p.i, p.step, p.branches = 0, 0, 0
+	if l.period == 0 {
+		return
 	}
+	if l.src >= 0 {
+		p.base[1] = p.regs[l.src].NextChunk(l.chunk)
+	}
+	p.base[0] = p.regs[l.dst].NextChunk(l.chunk)
+}
+
+// advance moves the cursor off an activation that has run dry, or off none,
+// onto the next thing that can yield instructions: the leaf's next repeat,
+// the phase's next leaf, or a freshly picked phase's first leaf or Take. It is
+// called only when an instruction is wanted, so picks and chunk draws happen
+// as lazily under Skip and Warm as under Next.
+func (p *Program) advance() {
+	if p.active {
+		if p.reps--; p.reps > 0 {
+			p.activate()
+			return
+		}
+		p.active = false
+		p.leafIdx++
+	}
+	for p.phase == nil || p.leafIdx >= len(p.phase.Leaves) {
+		if p.pick(); p.takeLeft > 0 {
+			return
+		}
+	}
+	p.leaf = &p.phase.Leaves[p.leafIdx]
+	p.reps = max(p.leaf.Repeat, 1)
+	p.activate()
+	p.active = true
 }
 
 // Next implements Reader.
 func (p *Program) Next(out *Inst) bool {
 	for {
-		if p.phase == nil {
-			p.pick()
-		}
-		ph := p.phase
-		if ph.Sub != nil {
-			if p.takeLeft > 0 {
-				p.takeLeft--
-				if ph.Sub.Next(out) {
-					return true
-				}
-			}
-			p.phase = nil
-			continue
-		}
-		if p.active {
+		switch {
+		case p.active:
 			if p.emit(out) {
 				return true
 			}
-			// Activation exhausted: repeat the leaf or advance the sequence.
-			p.reps--
-			if p.reps > 0 {
-				p.activate()
-				continue
-			}
-			p.active = false
-			p.leafIdx++
+		case p.takeLeft > 0:
+			p.takeLeft--
+			return p.subs[p.phase.sub].Next(out)
 		}
-		if p.leafIdx >= len(ph.Leaves) {
-			p.phase = nil
-			continue
-		}
-		p.leaf = &ph.Leaves[p.leafIdx]
-		p.reps = p.leaf.Repeat
-		if p.reps < 1 {
-			p.reps = 1
-		}
-		p.activate()
-		p.active = true
+		p.advance()
 	}
 }
 
@@ -292,204 +402,108 @@ func (s *sink) run(pc uint64, a mem.Addr, stride, n uint64, store bool) {
 	}
 }
 
-// walk advances the stream by exactly n instructions without materializing
-// them, reporting to s what they touch. It is the one stepping loop behind
-// Skip, SkipTouch and Warm; Next keeps its own, a direct switch on the
-// detailed path.
-func (p *Program) walk(n uint64, s *sink) {
-	for n > 0 {
-		if p.phase == nil {
-			p.pick()
-		}
-		ph := p.phase
-		if ph.Sub != nil {
-			if p.takeLeft > 0 {
-				k := min(n, p.takeLeft)
-				ph.Sub.walk(k, s)
-				p.takeLeft -= k
-				n -= k
-				continue
-			}
-			p.phase = nil
-			continue
-		}
-		if p.active {
-			taken, exhausted := p.walkLeaf(n, s)
-			n -= taken
-			if !exhausted {
-				continue // budget ran out mid-activation (n is now 0)
-			}
-			p.reps--
-			if p.reps > 0 {
-				p.activate()
-				continue
-			}
-			p.active = false
-			p.leafIdx++
-		}
-		if p.leafIdx >= len(ph.Leaves) {
-			p.phase = nil
-			continue
-		}
-		p.leaf = &ph.Leaves[p.leafIdx]
-		p.reps = p.leaf.Repeat
-		if p.reps < 1 {
-			p.reps = 1
-		}
-		p.activate()
-		p.active = true
+// word reports the 8-byte access of an RNG-addressed op to whichever consumer
+// is attached.
+func (s *sink) word(pc uint64, a mem.Addr, store bool) {
+	if s.access != nil {
+		s.one(pc, a, store)
+	} else if s.touch != nil {
+		s.touch(a, 8, store)
 	}
 }
 
-// walkLeaf consumes up to budget instructions from the current activation,
-// returning how many it took and whether that exhausted the activation. Each
-// case advances the exact state (and RNG draws) the corresponding emit case
-// would; the dense ops do it in constant time when nothing or only spans are
-// reported, and block by block for a Warm consumer.
-func (p *Program) walkLeaf(budget uint64, s *sink) (taken uint64, exhausted bool) {
-	l := p.leaf
-	clamp := func(remaining uint64) uint64 {
-		if remaining <= budget {
-			return remaining
+// walk advances the stream by exactly n instructions without materializing
+// them, reporting to s what they touch: Next's loop with a budget.
+func (p *Program) walk(n uint64, s *sink) {
+	for n > 0 {
+		k := uint64(0)
+		switch {
+		case p.active:
+			k = p.walkLeaf(n, s)
+		case p.takeLeft > 0:
+			k = min(n, p.takeLeft)
+			p.subs[p.phase.sub].walk(k, s)
+			p.takeLeft -= k
 		}
-		return budget
+		if k == 0 {
+			p.advance()
+		}
+		n -= k
 	}
+}
+
+// walkDense consumes up to budget micro-ops of the current dense activation
+// and returns how many that was: in constant time when nothing is reported, a
+// span per slot for a footprint, block by block for a Warm consumer.
+func (p *Program) walkDense(budget uint64, s *sink) uint64 {
+	l := p.leaf
+	period := uint64(l.period)
+	from := uint64(p.i)*period + uint64(p.step)
+	n := min(budget, uint64(l.elems)*period-from)
+	to := from + n
+	switch {
+	case s.access == nil && s.touch == nil:
+	case s.access != nil && period > 1:
+		// Neighbouring micro-ops differ in PC, so none repeats the access
+		// before it and every one is reported, in program order.
+		for k, e, j := n, uint64(p.i), p.step; k > 0; k-- {
+			if sl := &l.slots[j]; sl.Kind.IsMem() {
+				s.one(sl.PC, p.base[sl.reg]+mem.Addr(e*l.adv), sl.Kind == KindStore)
+			}
+			if j++; j == l.period {
+				j, e = 0, e+1
+			}
+		}
+	default:
+		for j := range l.slots[:l.period] {
+			// Slot j is micro-op j, j+period, …: `first` of those lie before
+			// from, so the slot's next element is first, and cnt lie in
+			// [from, to).
+			sl := &l.slots[j]
+			first := (from + period - 1 - uint64(j)) / period
+			cnt := (to+period-1-uint64(j))/period - first
+			if cnt == 0 || !sl.Kind.IsMem() {
+				continue
+			}
+			a, size, store := p.base[sl.reg]+mem.Addr(first*l.adv), uint64(sl.Size), sl.Kind == KindStore
+			switch {
+			case s.access != nil:
+				s.run(sl.PC, a, l.adv, cnt, store)
+			case l.adv <= mem.BlockSize:
+				s.touch(a, (cnt-1)*l.adv+size, store)
+			default:
+				for ; cnt > 0; cnt, a = cnt-1, a+mem.Addr(l.adv) {
+					s.touch(a, size, store)
+				}
+			}
+		}
+	}
+	p.i, p.step = int(to/period), int(to%period)
+	return n
+}
+
+// walkLeaf consumes up to budget instructions from the current activation and
+// returns how many it took; none means the activation has run dry. Each case
+// advances the exact state (and RNG draws) the corresponding emit case would.
+func (p *Program) walkLeaf(budget uint64, s *sink) (taken uint64) {
+	l := p.leaf
+	if l.period > 0 {
+		return p.walkDense(budget, s)
+	}
+	rng := &p.rng
 	switch l.Op {
-	case OpMemset:
-		sz := uint64(l.Size)
-		remaining := (l.Bytes - min(p.off, l.Bytes) + sz - 1) / sz
-		taken = clamp(remaining)
-		if taken > 0 {
-			a := p.base + mem.Addr(p.off)
-			if s.access != nil {
-				s.run(l.PC, a, sz, taken, true)
-			} else if s.touch != nil {
-				s.touch(a, taken*sz, true)
-			}
-		}
-		p.off += taken * sz
-		return taken, taken == remaining
-
-	case OpMemcpy:
-		remaining := 2*((l.Bytes-min(p.off, l.Bytes)+7)/8) - uint64(p.step)
-		taken = clamp(remaining)
-		if s.access != nil {
-			// The load and the store of a pair differ in PC and, unless source
-			// and destination share a block, in block: every access is reported.
-			for k, off, step := uint64(0), p.off, p.step; k < taken; k++ {
-				if step == 0 {
-					s.one(l.PC, p.srcBase+mem.Addr(off), false)
-					step = 1
-				} else {
-					s.one(l.PC+4, p.base+mem.Addr(off), true)
-					off += 8
-					step = 0
-				}
-			}
-		} else if s.touch != nil && taken > 0 {
-			// Micro-steps alternate load/store; with step 1 the pending
-			// store at the current offset comes first and the next load is
-			// one element on.
-			nLoads := (taken + uint64(1-p.step)) / 2
-			if nLoads > 0 {
-				s.touch(p.srcBase+mem.Addr(p.off+8*uint64(p.step)), 8*nLoads, false)
-			}
-			if nStores := taken - nLoads; nStores > 0 {
-				s.touch(p.base+mem.Addr(p.off), 8*nStores, true)
-			}
-		}
-		n := uint64(p.step) + taken
-		p.off += 8 * (n / 2)
-		p.step = int(n % 2)
-		return taken, taken == remaining
-
-	case OpRMW:
-		remaining := 3*((l.Bytes-min(p.off, l.Bytes)+7)/8) - uint64(p.step)
-		taken = clamp(remaining)
-		if s.access != nil {
-			for k, off, step := uint64(0), p.off, p.step; k < taken; k++ {
-				switch step {
-				case 0:
-					s.one(l.PC, p.base+mem.Addr(off), false)
-				case 2:
-					s.one(l.PC+8, p.base+mem.Addr(off), true)
-					off += 8
-				}
-				step = (step + 1) % 3
-			}
-		} else if s.touch != nil && taken > 0 {
-			// Triples step load/ALU/store at one offset, then advance; a
-			// mid-triple entry owes its load already, so the next load sits
-			// one element on while the store still lands at the current
-			// offset.
-			count := func(first uint64) uint64 {
-				if taken <= first {
-					return 0
-				}
-				return (taken - first + 2) / 3
-			}
-			nLoads := count((3 - uint64(p.step)) % 3)
-			loadOff := p.off
-			if p.step != 0 {
-				loadOff += 8
-			}
-			if nLoads > 0 {
-				s.touch(p.base+mem.Addr(loadOff), 8*nLoads, false)
-			}
-			if nStores := count((2 - uint64(p.step) + 3) % 3); nStores > 0 {
-				s.touch(p.base+mem.Addr(p.off), 8*nStores, true)
-			}
-		}
-		n := uint64(p.step) + taken
-		p.off += 8 * (n / 3)
-		p.step = int(n % 3)
-		return taken, taken == remaining
-
-	case OpStridedStores, OpStridedLoads:
-		remaining := uint64(l.Count - p.i)
-		taken = clamp(remaining)
-		if taken > 0 {
-			store := l.Op == OpStridedStores
-			a := p.base + mem.Addr(uint64(p.i)*l.Stride)
-			if s.access != nil {
-				s.run(l.PC, a, l.Stride, taken, store)
-			} else if s.touch != nil {
-				sz := uint64(8)
-				if store {
-					sz = uint64(l.Size)
-				}
-				if l.Stride <= mem.BlockSize {
-					s.touch(a, (taken-1)*l.Stride+sz, store)
-				} else {
-					for k := uint64(0); k < taken; k++ {
-						s.touch(a+mem.Addr(k*l.Stride), sz, store)
-					}
-				}
-			}
-		}
-		p.i += int(taken)
-		return taken, taken == remaining
-
 	case OpPointerChase, OpScatterStores:
-		remaining := uint64(l.Count - p.i)
-		taken = clamp(remaining)
-		store := l.Op == OpScatterStores
+		taken = min(budget, uint64(l.Count-p.i))
 		for k := uint64(0); k < taken; k++ {
-			a := l.Dst.RandomAddr(p.rng, 8, 8)
-			if s.access != nil {
-				s.one(l.PC, a, store)
-			} else if s.touch != nil {
-				s.touch(a, 8, store)
-			}
+			s.word(l.PC, p.regs[l.dst].RandomAddr(rng, 8, 8), l.Op == OpScatterStores)
 		}
 		p.i += int(taken)
-		return taken, taken == remaining
+		return taken
 
 	case OpCompute:
 		o := &l.Compute
-		remaining := uint64(o.Count - p.i)
-		taken = clamp(remaining)
-		rng, branch := p.rng, s.branch
+		taken = min(budget, uint64(o.Count-p.i))
+		branch := s.branch
 		// Draws whose outcome does not steer control flow or program state
 		// (misprediction, FP class, latency class, dependence distance) are
 		// replayed with Advance: same state evolution, no value computed.
@@ -511,20 +525,13 @@ func (p *Program) walkLeaf(budget uint64, s *sink) (taken uint64, exhausted bool
 				rng.Advance()
 			}
 		}
-		return taken, taken == remaining
+		return taken
 
 	case OpLoadUse:
-		remaining := 2*uint64(l.Count-p.i) - uint64(p.step)
-		taken = clamp(remaining)
-		rng := p.rng
+		taken = min(budget, 2*uint64(l.Count-p.i)-uint64(p.step))
 		for k := uint64(0); k < taken; k++ {
 			if p.step == 0 {
-				a := l.Dst.RandomAddr(rng, 8, 8)
-				if s.access != nil {
-					s.one(l.PC, a, false)
-				} else if s.touch != nil {
-					s.touch(a, 8, false)
-				}
+				s.word(l.PC, p.regs[l.dst].RandomAddr(rng, 8, 8), false)
 				p.step = 1
 			} else {
 				// The direction draw is read only by a modelled predictor.
@@ -538,71 +545,33 @@ func (p *Program) walkLeaf(budget uint64, s *sink) (taken uint64, exhausted bool
 				p.step = 0
 			}
 		}
-		return taken, taken == remaining
+		return taken
 	}
 	panic("trace: unknown program op")
 }
 
 // emit produces the current activation's next instruction, or reports false
-// when the activation is exhausted. Each case mirrors its synth.go builder
-// statement for statement — in particular every RNG call, in order.
+// when the activation is exhausted. A dense op emits its template's micro-ops
+// in turn; each other case mirrors its synth.go builder statement for
+// statement — in particular every RNG call, in order.
 func (p *Program) emit(out *Inst) bool {
 	l := p.leaf
+	if l.period > 0 {
+		if p.i >= l.elems {
+			return false
+		}
+		sl := &l.slots[p.step]
+		*out = sl.Inst
+		if sl.Kind.IsMem() {
+			out.Addr = p.base[sl.reg] + mem.Addr(uint64(p.i)*l.adv)
+		}
+		if p.step++; p.step == l.period {
+			p.step, p.i = 0, p.i+1
+		}
+		return true
+	}
+	rng := &p.rng
 	switch l.Op {
-	case OpMemset:
-		if p.off >= l.Bytes {
-			return false
-		}
-		*out = Inst{Kind: KindStore, Addr: p.base + mem.Addr(p.off), Size: uint8(l.Size), PC: l.PC}
-		p.off += uint64(l.Size)
-		return true
-
-	case OpMemcpy:
-		if p.off >= l.Bytes {
-			return false
-		}
-		if p.step == 0 {
-			*out = Inst{Kind: KindLoad, Addr: p.srcBase + mem.Addr(p.off), Size: 8, PC: l.PC}
-			p.step = 1
-		} else {
-			*out = Inst{Kind: KindStore, Addr: p.base + mem.Addr(p.off), Size: 8, Dep1: 1, PC: l.PC + 4}
-			p.off += 8
-			p.step = 0
-		}
-		return true
-
-	case OpRMW:
-		if p.off >= l.Bytes {
-			return false
-		}
-		switch p.step {
-		case 0:
-			*out = Inst{Kind: KindLoad, Addr: p.base + mem.Addr(p.off), Size: 8, PC: l.PC}
-		case 1:
-			*out = Inst{Kind: KindIntALU, Dep1: 1, PC: l.PC + 4}
-		default:
-			*out = Inst{Kind: KindStore, Addr: p.base + mem.Addr(p.off), Size: 8, Dep1: 1, PC: l.PC + 8}
-			p.off += 8
-		}
-		p.step = (p.step + 1) % 3
-		return true
-
-	case OpStridedStores:
-		if p.i >= l.Count {
-			return false
-		}
-		*out = Inst{Kind: KindStore, Addr: p.base + mem.Addr(uint64(p.i)*l.Stride), Size: uint8(l.Size), PC: l.PC}
-		p.i++
-		return true
-
-	case OpStridedLoads:
-		if p.i >= l.Count {
-			return false
-		}
-		*out = Inst{Kind: KindLoad, Addr: p.base + mem.Addr(uint64(p.i)*l.Stride), Size: 8, PC: l.PC}
-		p.i++
-		return true
-
 	case OpPointerChase:
 		if p.i >= l.Count {
 			return false
@@ -611,7 +580,7 @@ func (p *Program) emit(out *Inst) bool {
 		if p.i > 0 {
 			dep = 1
 		}
-		*out = Inst{Kind: KindLoad, Addr: l.Dst.RandomAddr(p.rng, 8, 8), Size: 8, Dep1: dep, PC: l.PC}
+		*out = Inst{Kind: KindLoad, Addr: p.regs[l.dst].RandomAddr(rng, 8, 8), Size: 8, Dep1: dep, PC: l.PC}
 		p.i++
 		return true
 
@@ -619,7 +588,7 @@ func (p *Program) emit(out *Inst) bool {
 		if p.i >= l.Count {
 			return false
 		}
-		*out = Inst{Kind: KindStore, Addr: l.Dst.RandomAddr(p.rng, 8, 8), Size: 8, PC: l.PC}
+		*out = Inst{Kind: KindStore, Addr: p.regs[l.dst].RandomAddr(rng, 8, 8), Size: 8, PC: l.PC}
 		p.i++
 		return true
 
@@ -630,7 +599,6 @@ func (p *Program) emit(out *Inst) bool {
 		}
 		p.i++
 		*out = Inst{PC: o.PC + uint64(p.i%64)*4}
-		rng := p.rng
 		if rng.Bool(o.BrFrac) {
 			out.Kind = KindBranch
 			out.Dep1 = 1
@@ -666,13 +634,13 @@ func (p *Program) emit(out *Inst) bool {
 			return false
 		}
 		if p.step == 0 {
-			*out = Inst{Kind: KindLoad, Addr: l.Dst.RandomAddr(p.rng, 8, 8), Size: 8, PC: l.PC}
+			*out = Inst{Kind: KindLoad, Addr: p.regs[l.dst].RandomAddr(rng, 8, 8), Size: 8, PC: l.PC}
 			p.step = 1
 		} else {
 			*out = Inst{
 				Kind: KindBranch, Dep1: 1, PC: l.PC + 4,
-				Taken:        p.rng.Bool(0.85),
-				Mispredicted: p.rng.Bool(l.MissRate),
+				Taken:        rng.Bool(0.85),
+				Mispredicted: rng.Bool(l.MissRate),
 			}
 			p.i++
 			p.step = 0

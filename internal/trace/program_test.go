@@ -1,0 +1,491 @@
+package trace
+
+import (
+	"encoding/binary"
+	"testing"
+
+	"spb/internal/mem"
+)
+
+// This file is the oracle of the compiled Program, in the package that owns
+// it. A fuzz input spells a program out leaf by leaf; the same spelling builds
+// the synth.go closure tree — the reference — and three Programs, and the
+// target holds them to four laws:
+//
+//	(a) Next is the closure tree, instruction for instruction;
+//	(b) any interleaving of Next, Skip, SkipTouch and Warm, split wherever the
+//	    script says — mid-element, mid-activation, across a Take boundary —
+//	    leaves the stream where that many Next calls would;
+//	(c) SkipTouch's spans hold every access Next makes, and cover no block of
+//	    either kind that Next does not touch; Warm reports Next's accesses and
+//	    branches in order, less only what its documented elision rule drops;
+//	(d) a Clone taken anywhere continues as its parent would have, whatever
+//	    the parent does meanwhile and whatever the clone does to the parent.
+//
+// The workloads package checks the same laws on the 27 shipped
+// parameterisations (element size 8, strides 64 and 256, page-multiple
+// bursts); here sizes run 1–32, bursts end mid-element, strides run 1–4096,
+// leaves repeat, share regions and outgrow them.
+
+// leafSpec is one decoded leaf: the parameters both constructions are built
+// from.
+type leafSpec struct {
+	op       Op
+	dst, src int
+	bytes    uint64
+	count    int
+	stride   uint64
+	size     int
+	repeat   int
+	pc       uint64
+}
+
+const (
+	recLen    = 8  // bytes per leaf record
+	opBreak   = 9  // record op that starts a new phase
+	numRecOps = 10 // ops a record byte is reduced to
+)
+
+// rec spells one leaf record; decodeLeaves is its inverse. n is the element
+// size of a memset or of strided stores and the count of everything counted.
+func rec(op Op, dst, src int, bytes uint16, n uint8, stride uint16, repeat uint8) []byte {
+	b := make([]byte, recLen)
+	b[0], b[1], b[4], b[7] = byte(op), byte(dst<<2|src), n, repeat
+	binary.LittleEndian.PutUint16(b[2:], bytes)
+	binary.LittleEndian.PutUint16(b[5:], stride)
+	return b
+}
+
+func phaseBreak() []byte { return rec(opBreak, 0, 0, 0, 0, 0, 0) }
+
+func decodeLeaves(data []byte) [][]leafSpec {
+	phases, leaves := [][]leafSpec{nil}, 0
+	for i := 0; len(data) >= recLen && i < 24; i, data = i+1, data[recLen:] {
+		r := data[:recLen]
+		if r[0]%numRecOps == opBreak {
+			phases = append(phases, nil)
+			continue
+		}
+		raw := uint64(binary.LittleEndian.Uint16(r[2:]))
+		s := leafSpec{
+			op: Op(r[0] % numRecOps), dst: int(r[1] >> 2 & 3), src: int(r[1] & 3),
+			bytes:  1 + raw%9000,
+			count:  1 + int(r[4]) + int(raw&0x100),
+			stride: 1 + uint64(binary.LittleEndian.Uint16(r[5:]))%4096,
+			size:   1 + int(r[4])%32,
+			repeat: int(r[7] % 4),
+			pc:     PCApp + uint64(i+1)<<12,
+		}
+		last := len(phases) - 1
+		phases[last] = append(phases[last], s)
+		leaves++
+	}
+	if leaves == 0 { // a program of empty phases never emits
+		phases[0] = []leafSpec{{op: OpMemset, bytes: 100, size: 8, pc: PCLib}}
+	}
+	return phases
+}
+
+func specCompute(s leafSpec) ComputeOptions {
+	return ComputeOptions{Count: s.count, FPFrac: 0.4, MulFrac: 0.15, DivFrac: 0.02,
+		DepFrac: 0.5, BrFrac: float64(s.size) / 40, MissRate: 0.03, PC: s.pc}
+}
+
+// fuzzRegions returns the four regions a spelled program addresses: small, so
+// that bursts wrap them and the longest outgrow them.
+func fuzzRegions(base mem.Addr) []*MemRegion {
+	return []*MemRegion{
+		NewMemRegion(base+0x10_0000, 1*mem.PageSize),
+		NewMemRegion(base+0x20_0000, 2*mem.PageSize),
+		NewMemRegion(base+0x30_0000, 4*mem.PageSize),
+		NewMemRegion(base+0x40_0000, 16*mem.PageSize),
+	}
+}
+
+func (s leafSpec) leaf(regs []*MemRegion) Leaf {
+	l := Leaf{Op: s.op, Dst: regs[s.dst], PC: s.pc, Repeat: s.repeat}
+	switch s.op {
+	case OpMemset:
+		l.Bytes, l.Size = s.bytes, s.size
+	case OpMemcpy:
+		l.Src, l.Bytes = regs[s.src], s.bytes
+	case OpRMW:
+		l.Bytes = s.bytes
+	case OpStridedStores:
+		l.Count, l.Stride, l.Size = s.count, s.stride, s.size
+	case OpStridedLoads:
+		l.Count, l.Stride = s.count, s.stride
+	case OpPointerChase, OpScatterStores:
+		l.Count = s.count
+	case OpCompute:
+		l.Compute = specCompute(s)
+	case OpLoadUse:
+		l.Count, l.MissRate = s.count, 0.05
+	}
+	return l
+}
+
+func (s leafSpec) fragment(rng *RNG, regs []*MemRegion) Factory {
+	var f Factory
+	switch s.op {
+	case OpMemset:
+		f = MemsetBurst(regs[s.dst], s.bytes, s.size, s.pc)
+	case OpMemcpy:
+		f = MemcpyBurst(regs[s.src], regs[s.dst], s.bytes, s.pc)
+	case OpRMW:
+		f = RMWBurst(regs[s.dst], s.bytes, s.pc)
+	case OpStridedStores:
+		f = StridedStores(regs[s.dst], s.count, s.stride, s.size, s.pc)
+	case OpStridedLoads:
+		f = StridedLoads(regs[s.dst], s.count, s.stride, s.pc)
+	case OpPointerChase:
+		f = PointerChase(rng, regs[s.dst], s.count, s.pc)
+	case OpScatterStores:
+		f = ScatterStores(rng, regs[s.dst], s.count, s.pc)
+	case OpCompute:
+		f = Compute(rng, specCompute(s))
+	case OpLoadUse:
+		f = LoadUse(rng, regs[s.dst], s.count, 0.05, s.pc)
+	}
+	if s.repeat > 0 {
+		f = Repeat(s.repeat, f)
+	}
+	return f
+}
+
+// The header byte of an input: whether the spelled program runs as the
+// Sub/Take phase of an outer one (the PARSEC construction), and how many
+// instructions a Take draws.
+const flagSub = 1
+
+func buildProgram(seed uint64, flags, take byte, phases [][]leafSpec) *Program {
+	regs := fuzzRegions(0)
+	parts := make([]Phase, len(phases))
+	for i, ph := range phases {
+		parts[i].Weight = 1 + i%3
+		for _, s := range ph {
+			parts[i].Leaves = append(parts[i].Leaves, s.leaf(regs))
+		}
+	}
+	p := NewProgram(NewRNG(seed), parts...)
+	if flags&flagSub == 0 {
+		return p
+	}
+	outer := fuzzRegions(0x1000_0000)
+	return NewProgram(NewRNG(seed^0xBEEF),
+		Phase{Weight: 3, Sub: p, Take: 1 + uint64(take)},
+		Phase{Weight: 1, Leaves: []Leaf{
+			{Op: OpLoadUse, Dst: outer[2], Count: 5, MissRate: 0.05, PC: PCApp + 0x5000},
+			{Op: OpMemset, Dst: outer[0], Bytes: 100, Size: 8, PC: PCApp + 0x5800},
+		}})
+}
+
+func buildClosures(seed uint64, flags, take byte, phases [][]leafSpec) Reader {
+	regs := fuzzRegions(0)
+	rng := NewRNG(seed)
+	parts := make([]Weighted, len(phases))
+	for i, ph := range phases {
+		frags := make([]Factory, len(ph))
+		for j, s := range ph {
+			frags[j] = s.fragment(rng, regs)
+		}
+		parts[i] = Weighted{Weight: 1 + i%3, Fragment: Seq(frags...)}
+	}
+	r := Forever(Mix(rng, 64, parts...))()
+	if flags&flagSub == 0 {
+		return r
+	}
+	outer := fuzzRegions(0x1000_0000)
+	orng := NewRNG(seed ^ 0xBEEF)
+	return Forever(Mix(orng, 16,
+		Weighted{Weight: 3, Fragment: func() Reader { return Limit(1+uint64(take), r) }},
+		Weighted{Weight: 1, Fragment: Seq(
+			LoadUse(orng, outer[2], 5, 0.05, PCApp+0x5000),
+			MemsetBurst(outer[0], 100, 8, PCApp+0x5800),
+		)},
+	))()
+}
+
+// span is one SkipTouch report; event one Warm report.
+type span struct {
+	addr  mem.Addr
+	n     uint64
+	store bool
+}
+
+type event struct {
+	pc            uint64
+	addr          mem.Addr
+	store         bool
+	branch, taken bool
+}
+
+func blocksOf(set map[mem.Block]bool, a mem.Addr, n uint64) {
+	for b := mem.BlockOf(a); b <= mem.BlockOf(a+mem.Addr(n-1)); b++ {
+		set[b] = true
+	}
+}
+
+// checkTouch holds the spans of one SkipTouch call against the instructions
+// it skipped.
+func checkTouch(t *testing.T, at int, insts []Inst, spans []span) {
+	t.Helper()
+	var want, got [2]map[mem.Block]bool
+	for k := range want {
+		want[k], got[k] = map[mem.Block]bool{}, map[mem.Block]bool{}
+	}
+	kind := func(store bool) int {
+		if store {
+			return 1
+		}
+		return 0
+	}
+	for _, sp := range spans {
+		if sp.n == 0 {
+			t.Fatalf("SkipTouch at %d reported an empty span at %#x", at, sp.addr)
+		}
+		blocksOf(got[kind(sp.store)], sp.addr, sp.n)
+	}
+	for i, in := range insts {
+		if !in.Kind.IsMem() {
+			continue
+		}
+		store := in.Kind == KindStore
+		blocksOf(want[kind(store)], in.Addr, uint64(in.Size))
+		held := false
+		for _, sp := range spans {
+			if sp.store == store && sp.addr <= in.Addr && in.Addr+mem.Addr(in.Size) <= sp.addr+mem.Addr(sp.n) {
+				held = true
+				break
+			}
+		}
+		if !held {
+			t.Fatalf("SkipTouch at %d: no span holds instruction %d %+v", at, at+i, in)
+		}
+	}
+	for k, name := range []string{"load", "store"} {
+		for b := range got[k] {
+			if !want[k][b] {
+				t.Fatalf("SkipTouch at %d: %s block %#x reported, never touched", at, name, uint64(b))
+			}
+		}
+	}
+}
+
+// checkWarm holds the events of one Warm call against the instructions it
+// covered: every load, store and (when asked for) branch, in order, less an
+// access repeating the (PC, block, kind) of the access before it.
+func checkWarm(t *testing.T, at int, insts []Inst, events []event, branches bool) {
+	t.Helper()
+	var expect []event
+	var last *event
+	for _, in := range insts {
+		switch {
+		case in.Kind == KindBranch && branches:
+			expect = append(expect, event{pc: in.PC, branch: true, taken: in.Taken})
+		case in.Kind.IsMem():
+			ev := event{pc: in.PC, addr: in.Addr, store: in.Kind == KindStore}
+			repeat := last != nil && last.pc == ev.pc && last.store == ev.store && mem.BlockOf(last.addr) == mem.BlockOf(ev.addr)
+			if last = &ev; !repeat {
+				expect = append(expect, ev)
+			}
+		}
+	}
+	if len(events) != len(expect) {
+		t.Fatalf("Warm at %d over %d instructions reported %d events, Next has %d", at, len(insts), len(events), len(expect))
+	}
+	for i := range expect {
+		if events[i] != expect[i] {
+			t.Fatalf("Warm at %d: event %d is %+v, Next has %+v", at, i, events[i], expect[i])
+		}
+	}
+}
+
+// stepLen spreads a script byte over the lengths that matter: 0–127 lands on
+// every slot of every element, the rest cross activations and phases.
+func stepLen(b byte) int {
+	if b < 128 {
+		return int(b)
+	}
+	return int(b-127) * 41
+}
+
+func checkProgram(t *testing.T, seed uint64, shape, script []byte) {
+	if len(shape) < 2 {
+		return
+	}
+	flags, take, phases := shape[0], shape[1], decodeLeaves(shape[2:])
+	ref := buildClosures(seed, flags, take, phases)
+	twin := buildProgram(seed, flags, take, phases) // Next only
+	p := buildProgram(seed, flags, take, phases)    // driven by the script
+
+	// hist is the stream so far: the twin's, checked against the closures.
+	var hist []Inst
+	extend := func(n int) []Inst {
+		from := len(hist)
+		for i := 0; i < n; i++ {
+			var want, got Inst
+			if !ref.Next(&want) || !twin.Next(&got) {
+				t.Fatalf("stream ran dry at %d", len(hist))
+			}
+			if want != got {
+				t.Fatalf("instruction %d: closures emit %+v, Program.Next %+v", len(hist), want, got)
+			}
+			hist = append(hist, got)
+		}
+		return hist[from:]
+	}
+	expectNext := func(who string, q *Program, insts []Inst, at int) {
+		t.Helper()
+		for i, want := range insts {
+			var got Inst
+			if !q.Next(&got) || got != want {
+				t.Fatalf("%s: instruction %d is %+v, want %+v", who, at+i, got, want)
+			}
+		}
+	}
+
+	type fork struct {
+		p  *Program
+		at int
+	}
+	var forks []fork
+	if len(script) > 96 {
+		script = script[:96]
+	}
+	for i := 0; i+1 < len(script); i += 2 {
+		at, k := len(hist), stepLen(script[i+1])
+		insts := extend(k)
+		switch script[i] % 6 {
+		case 0:
+			expectNext("after Next", p, insts, at)
+		case 1:
+			p.Skip(uint64(k))
+		case 2:
+			var spans []span
+			p.SkipTouch(uint64(k), func(a mem.Addr, n uint64, store bool) { spans = append(spans, span{a, n, store}) })
+			checkTouch(t, at, insts, spans)
+		case 3, 4:
+			var events []event
+			access := func(pc uint64, a mem.Addr, store bool) { events = append(events, event{pc: pc, addr: a, store: store}) }
+			var branch func(uint64, bool)
+			if script[i]%6 == 3 {
+				branch = func(pc uint64, taken bool) { events = append(events, event{pc: pc, branch: true, taken: taken}) }
+			}
+			p.Warm(uint64(k), access, branch)
+			checkWarm(t, at, insts, events, branch != nil)
+		case 5:
+			p.Skip(uint64(k))
+			forks = append(forks, fork{p.Clone(), len(hist)})
+		}
+		// Whatever the call was, the stream stands where k Next calls leave it.
+		expectNext("after script step", p, extend(2), len(hist)-2)
+	}
+	// Each clone, run only now, continues from where it was taken: nothing the
+	// parent did since reached it. A clone of the clone does the same.
+	extend(600)
+	for _, f := range forks {
+		tail := hist[f.at:]
+		if len(tail) > 600 {
+			tail = tail[:600]
+		}
+		f.p.Skip(uint64(len(tail) / 3))
+		second := f.p.Clone()
+		expectNext("clone", f.p, tail[len(tail)/3:], f.at+len(tail)/3)
+		expectNext("clone of clone", second, tail[len(tail)/3:], f.at+len(tail)/3)
+	}
+	// And nothing the clones did reached the parent.
+	expectNext("parent after its clones ran", p, hist[len(hist)-600:], len(hist)-600)
+}
+
+// leafTable is the hand-written half of the oracle: each dense op alone at
+// sizes that end a burst mid-element, the stride classes a span and a block
+// step treat differently, repeats, shared and outgrown regions, every op in
+// one phase, and the Sub/Take wrapping. The scripts below visit every call at
+// every small length.
+var leafTable = []struct {
+	name  string
+	flags byte
+	take  byte
+	recs  [][]byte
+}{
+	{"memset/size3-ends-mid-element", 0, 0, [][]byte{rec(OpMemset, 0, 0, 1000, 2, 0, 0)}},
+	{"memset/size32-repeat3", 0, 0, [][]byte{rec(OpMemset, 1, 0, 4999, 31, 0, 3)}},
+	{"memset/outgrows-region", 0, 0, [][]byte{rec(OpMemset, 0, 0, 8000, 6, 0, 2)}},
+	{"memcpy/odd-bytes", 0, 0, [][]byte{rec(OpMemcpy, 1, 2, 1001, 0, 0, 0)}},
+	{"memcpy/onto-itself", 0, 0, [][]byte{rec(OpMemcpy, 2, 2, 777, 0, 0, 2)}},
+	{"rmw/odd-bytes-repeat", 0, 0, [][]byte{rec(OpRMW, 2, 0, 333, 0, 0, 1)}},
+	{"stores/stride1", 0, 0, [][]byte{rec(OpStridedStores, 1, 0, 0, 200, 0, 0)}},
+	{"stores/stride48-size17", 0, 0, [][]byte{rec(OpStridedStores, 2, 0, 0, 16, 47, 1)}},
+	{"stores/stride64", 0, 0, [][]byte{rec(OpStridedStores, 3, 0, 0, 100, 63, 0)}},
+	{"stores/stride65-size32", 0, 0, [][]byte{rec(OpStridedStores, 3, 0, 0, 31, 64, 3)}},
+	{"stores/stride4096", 0, 0, [][]byte{rec(OpStridedStores, 3, 0, 0, 40, 4095, 0)}},
+	{"loads/stride7", 0, 0, [][]byte{rec(OpStridedLoads, 1, 0, 0, 250, 6, 2)}},
+	{"loads/stride256-long", 0, 0, [][]byte{rec(OpStridedLoads, 3, 0, 0x100, 99, 255, 0)}},
+	{"shared-region", 0, 0, [][]byte{
+		rec(OpMemset, 1, 0, 700, 4, 0, 0), rec(OpStridedLoads, 1, 0, 0, 30, 99, 0),
+		rec(OpMemcpy, 1, 1, 500, 0, 0, 0), rec(OpRMW, 1, 0, 90, 0, 0, 0)}},
+	{"every-op-one-phase", 0, 0, [][]byte{
+		rec(OpMemset, 0, 0, 130, 4, 0, 0), rec(OpMemcpy, 1, 2, 130, 0, 0, 0), rec(OpRMW, 2, 0, 130, 0, 0, 0),
+		rec(OpStridedStores, 3, 0, 0, 20, 23, 0), rec(OpStridedLoads, 3, 0, 0, 20, 99, 0),
+		rec(OpPointerChase, 3, 0, 0, 9, 0, 0), rec(OpScatterStores, 2, 0, 0, 9, 0, 1),
+		rec(OpCompute, 0, 0, 0, 70, 0, 0), rec(OpLoadUse, 1, 0, 0, 9, 0, 2)}},
+	{"phases", 0, 0, [][]byte{
+		rec(OpMemcpy, 2, 1, 300, 0, 0, 0), phaseBreak(), rec(OpCompute, 0, 0, 0, 40, 0, 0), phaseBreak(),
+		phaseBreak(), rec(OpRMW, 0, 0, 50, 0, 0, 3), rec(OpStridedLoads, 0, 0, 0, 7, 63, 0)}},
+	{"sub/take1", flagSub, 0, [][]byte{rec(OpRMW, 2, 0, 100, 0, 0, 0), rec(OpMemcpy, 1, 2, 100, 0, 0, 0)}},
+	{"sub/take200", flagSub, 199, [][]byte{
+		rec(OpMemset, 1, 0, 3000, 7, 0, 1), phaseBreak(), rec(OpLoadUse, 2, 0, 0, 30, 0, 0),
+		rec(OpStridedStores, 3, 0, 0, 50, 31, 0)}},
+}
+
+func FuzzLeafWrittenOnce(f *testing.F) {
+	// Every call at every length 0–11, then a long stretch of each.
+	var small, long []byte
+	for k := byte(0); k < 12; k++ {
+		for op := byte(0); op < 6; op++ {
+			small = append(small, op, k)
+		}
+	}
+	for op := byte(0); op < 6; op++ {
+		long = append(long, op, 100, op, 140, op, 255, op+1, 3)
+	}
+	for _, c := range leafTable {
+		shape := []byte{c.flags, c.take}
+		for _, r := range c.recs {
+			shape = append(shape, r...)
+		}
+		f.Add(uint64(7), shape, small)
+		f.Add(uint64(42), shape, long)
+	}
+	f.Fuzz(checkProgram)
+}
+
+// TestCloneCostIsTheCursor: a fork copies the cursor — the generator state,
+// the region cursors, the sub-program cursors — and nothing of the phase
+// table, so what Clone allocates does not grow with it.
+func TestCloneCostIsTheCursor(t *testing.T) {
+	build := func(phases, leaves int) *Program {
+		regs := fuzzRegions(0)
+		parts := make([]Phase, phases)
+		for i := range parts {
+			parts[i].Weight = 1
+			for j := 0; j < leaves; j++ {
+				parts[i].Leaves = append(parts[i].Leaves,
+					Leaf{Op: OpMemcpy, Src: regs[j%4], Dst: regs[(j+1)%4], Bytes: 256, PC: PCApp})
+			}
+		}
+		p := NewProgram(NewRNG(1), parts...)
+		p.Skip(1000)
+		return p
+	}
+	var sink *Program
+	allocs := func(p *Program) float64 {
+		return testing.AllocsPerRun(100, func() { sink = p.Clone() })
+	}
+	small, large := allocs(build(1, 1)), allocs(build(64, 16))
+	_ = sink
+	if small != large || large > 2 {
+		t.Fatalf("Clone allocates %v times for 1 leaf and %v times for 1024: a fork must cost the cursor (the Program and its region cursors), not the phase table", small, large)
+	}
+}

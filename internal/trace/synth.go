@@ -223,8 +223,9 @@ func (r *MemRegion) RandomAddr(rng *RNG, align, room uint64) mem.Addr {
 }
 
 // MemsetBurst emits a memset-like run of contiguous stores of storeSize
-// bytes covering `bytes` bytes of dst, with a loop branch every cache block
-// (matching the paper's Fig. 2 pattern). pc labels the static store for the
+// bytes covering `bytes` bytes of dst — stores only, no loop branch: the
+// paper's Fig. 2 pattern as the store buffer sees it (the compiled OpMemset
+// matches it instruction for instruction). pc labels the static store for the
 // Fig. 3 region attribution.
 func MemsetBurst(dst *MemRegion, bytes uint64, storeSize int, pc uint64) Factory {
 	return func() Reader {

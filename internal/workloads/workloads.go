@@ -12,6 +12,7 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"spb/internal/mem"
@@ -76,9 +77,9 @@ type profile struct {
 	reuse bool
 }
 
-// SPEC returns the SPEC CPU 2017-like suite in a stable order.
-func SPEC() []Workload {
-	ws := []Workload{
+// specTable lists the SPEC CPU 2017-like suite.
+func specTable() []Workload {
+	return []Workload{
 		// ---- SB-bound applications (paper Fig. 1/3/6/9/15) ----
 		{Name: "bwaves", SBBound: true, profile: profile{
 			kind: burstMemcpy, burstShare: 0.45, computeW: 4, loadW: 2,
@@ -175,16 +176,30 @@ func SPEC() []Workload {
 			burstPages: 1, wsBytes: 4 << 20, loadWS: 2 << 20,
 			missRate: 0.02, fpFrac: 0.7}},
 	}
-	sort.SliceStable(ws, func(i, j int) bool { return ws[i].Name < ws[j].Name })
-	return ws
 }
 
-// SPECByName returns the named workload or an error listing valid names.
+// The suites, built once: in name order, and by name.
+var (
+	specSuite, specIndex     = index(specTable(), func(w Workload) string { return w.Name })
+	parsecSuite, parsecIndex = index(parsecTable(), func(p Parallel) string { return p.Name })
+)
+
+func index[T any](suite []T, name func(T) string) ([]T, map[string]T) {
+	sort.SliceStable(suite, func(i, j int) bool { return name(suite[i]) < name(suite[j]) })
+	byName := make(map[string]T, len(suite))
+	for _, w := range suite {
+		byName[name(w)] = w
+	}
+	return suite, byName
+}
+
+// SPEC returns the SPEC CPU 2017-like suite in a stable order.
+func SPEC() []Workload { return slices.Clone(specSuite) }
+
+// SPECByName returns the named workload or an error.
 func SPECByName(name string) (Workload, error) {
-	for _, w := range SPEC() {
-		if w.Name == name {
-			return w, nil
-		}
+	if w, ok := specIndex[name]; ok {
+		return w, nil
 	}
 	return Workload{}, fmt.Errorf("workloads: unknown SPEC workload %q", name)
 }
@@ -192,7 +207,7 @@ func SPECByName(name string) (Workload, error) {
 // SBBoundSPEC returns only the paper's SB-bound applications.
 func SBBoundSPEC() []Workload {
 	var out []Workload
-	for _, w := range SPEC() {
+	for _, w := range specSuite {
 		if w.SBBound {
 			out = append(out, w)
 		}
@@ -248,36 +263,26 @@ func (w Workload) build(seed uint64, base mem.Addr) *trace.Program {
 	default:
 		panic("workloads: unknown burst kind")
 	}
-	// Instructions per burst phase, by construction of the fragments.
-	burstInsts := int(burstBytes / 8) // memset / clear_page: one store per 8 bytes
-	switch p.kind {
-	case burstMemcpy, burstAppCopy:
-		burstInsts = int(burstBytes / 4) // load + store per 8 bytes
-	case burstRMW:
-		burstInsts = 3 * int(burstBytes/8) // load + ALU + store
-	}
 	if p.reuse {
 		// After writing, stream back over the freshly written data with
 		// loads feeding branches: the read-back that lets SPB's exclusive
 		// prefetches also serve loads (§VI.A's super-linear speedups).
 		burst = append(burst, trace.Leaf{Op: trace.OpStridedLoads, Dst: burstReg,
 			Count: int(burstBytes / 256), Stride: 256, PC: trace.PCApp + 0x1000})
-		burstInsts += int(burstBytes / 256)
 	}
 
-	// Phase lengths of the non-burst fragments.
-	const (
-		computeLen = 600
-		loadUseLen = 120 // emits 2 instructions per count
-		stridedLen = 160
-		scatterLen = 48
-	)
+	// The non-burst phases, each weighted in thousandths of its profile
+	// weight; otherInsts is their instructions per thousandth.
 	parts := []trace.Phase{}
 	otherInsts := 0
+	add := func(w int, leaf trace.Leaf) {
+		parts = append(parts, trace.Phase{Weight: w * 1000, Leaves: []trace.Leaf{leaf}})
+		otherInsts += w * leaf.Insts()
+	}
 	if p.computeW > 0 {
-		parts = append(parts, trace.Phase{Weight: p.computeW * 1000, Leaves: []trace.Leaf{{
+		add(p.computeW, trace.Leaf{
 			Op: trace.OpCompute, Compute: trace.ComputeOptions{
-				Count:    computeLen,
+				Count:    600,
 				FPFrac:   p.fpFrac,
 				MulFrac:  0.15,
 				DivFrac:  0.02,
@@ -285,25 +290,16 @@ func (w Workload) build(seed uint64, base mem.Addr) *trace.Program {
 				BrFrac:   0.18,
 				MissRate: p.missRate,
 				PC:       trace.PCApp + 0x2000,
-			}}}})
-		otherInsts += p.computeW * computeLen
+			}})
 	}
 	if p.loadW > 0 {
-		stridedW := (p.loadW + 1) / 2
-		parts = append(parts,
-			trace.Phase{Weight: p.loadW * 1000, Leaves: []trace.Leaf{{
-				Op: trace.OpLoadUse, Dst: loadReg, Count: loadUseLen,
-				MissRate: p.missRate, PC: trace.PCApp + 0x3000}}},
-			trace.Phase{Weight: stridedW * 1000, Leaves: []trace.Leaf{{
-				Op: trace.OpStridedLoads, Dst: loadReg, Count: stridedLen,
-				Stride: 64, PC: trace.PCApp + 0x3800}}},
-		)
-		otherInsts += p.loadW*loadUseLen*2 + stridedW*stridedLen
+		add(p.loadW, trace.Leaf{Op: trace.OpLoadUse, Dst: loadReg, Count: 120,
+			MissRate: p.missRate, PC: trace.PCApp + 0x3000})
+		add((p.loadW+1)/2, trace.Leaf{Op: trace.OpStridedLoads, Dst: loadReg, Count: 160,
+			Stride: 64, PC: trace.PCApp + 0x3800})
 	}
 	if p.scatterW > 0 {
-		parts = append(parts, trace.Phase{Weight: p.scatterW * 1000, Leaves: []trace.Leaf{{
-			Op: trace.OpScatterStores, Dst: scatterReg, Count: scatterLen, PC: trace.PCApp + 0x4000}}})
-		otherInsts += p.scatterW * scatterLen
+		add(p.scatterW, trace.Leaf{Op: trace.OpScatterStores, Dst: scatterReg, Count: 48, PC: trace.PCApp + 0x4000})
 	}
 
 	// Solve the burst weight so that the expected instruction share of
@@ -313,6 +309,10 @@ func (w Workload) build(seed uint64, base mem.Addr) *trace.Program {
 		share := p.burstShare
 		if share >= 0.95 {
 			share = 0.95
+		}
+		burstInsts := 0
+		for i := range burst {
+			burstInsts += burst[i].Insts()
 		}
 		wB := int(share/(1-share)*float64(otherInsts*1000)/float64(burstInsts) + 0.5)
 		if wB < 1 {
@@ -334,10 +334,10 @@ type Parallel struct {
 	shareW int
 }
 
-// PARSEC returns the PARSEC-like suite (the paper runs all of PARSEC except
+// parsecTable lists the PARSEC-like suite (the paper runs all of PARSEC except
 // freqmine and raytrace, with 8 threads).
-func PARSEC() []Parallel {
-	ps := []Parallel{
+func parsecTable() []Parallel {
+	return []Parallel{
 		{Name: "bodytrack", SBBound: true, shareW: 2, base: profile{
 			kind: burstMemcpy, burstShare: 0.08, computeW: 6, loadW: 3,
 			burstPages: 4, wsBytes: 32 << 20, loadWS: 512 << 10,
@@ -383,16 +383,15 @@ func PARSEC() []Parallel {
 			burstPages: 2, wsBytes: 8 << 20, loadWS: 8 << 20,
 			missRate: 0.02, fpFrac: 0.7}},
 	}
-	sort.SliceStable(ps, func(i, j int) bool { return ps[i].Name < ps[j].Name })
-	return ps
 }
+
+// PARSEC returns the PARSEC-like suite in a stable order.
+func PARSEC() []Parallel { return slices.Clone(parsecSuite) }
 
 // PARSECByName returns the named parallel workload.
 func PARSECByName(name string) (Parallel, error) {
-	for _, p := range PARSEC() {
-		if p.Name == name {
-			return p, nil
-		}
+	if p, ok := parsecIndex[name]; ok {
+		return p, nil
 	}
 	return Parallel{}, fmt.Errorf("workloads: unknown PARSEC workload %q", name)
 }
