@@ -92,6 +92,10 @@ func (l *Line) Holders() uint64 {
 	return l.Sharers | 1<<(l.OwnerPlus1-1)
 }
 
+// mruFirstSets is the most sets a cache may have for find to read the recency
+// word ahead of the tags: 512 bytes of them, beside the L1D's 2 KB of tags.
+const mruFirstSets = 64
+
 // maxWays is the widest set the per-set recency word can order: sixteen
 // nibbles in a uint64.
 const maxWays = 16
@@ -119,7 +123,7 @@ func toFront(word uint64, w int) uint64 {
 }
 
 // arena is a reusable backing store: the line array plus the metadata the
-// scans walk. Caches of the same geometry recycle arenas through a pool; a
+// scans walk. Caches of the same geometry recycle arenas through a free list; a
 // fresh user resets only the per-set words (10 bytes per set), so per-run
 // setup never allocates or zeroes the multi-megabyte line array — a way's
 // line record and tag are garbage until its live bit says otherwise.
@@ -136,6 +140,13 @@ type geometry struct{ sets, ways int }
 
 var arenaPool pool.Keyed[geometry, *arena]
 
+// ArenasBuilt reports how many caches of this size and associativity found no
+// recycled arena and allocated one: what a busy process should do once per
+// machine it runs at a time.
+func ArenasBuilt(sizeBytes, ways int) uint64 {
+	return arenaPool.Misses(geometry{sizeBytes / (mem.BlockSize * ways), ways})
+}
+
 // Cache is one set-associative cache array. What the hot scans read is
 // word-sized: a set's short tags (4 bytes per way: a 16-way set is one
 // 64-byte host cache line) and, per set, one recency word and one live mask.
@@ -150,6 +161,14 @@ type Cache struct {
 	rec     []uint64 // per set: ways in recency order, one nibble each, most recent lowest
 	live    []uint16 // per set: bit w set = way w holds a block (authoritative liveness)
 	ar      *arena   // backing storage, recycled via Release
+	// absent is b+1 for the block b the last failed find looked for, until
+	// something fills or restores: the fill that follows a miss reads it
+	// instead of scanning the set a second time. 0 names no block.
+	absent uint64
+	// mruFirst: find tries the set's most recent way before scanning. Worth
+	// it only where the recency words stay in the host's L1 (an L1D's 64
+	// sets); for a larger cache the word is one more host line per probe.
+	mruFirst bool
 
 	mshrs       int
 	outstanding readyList // ready cycles of in-flight misses
@@ -188,16 +207,17 @@ func New(name string, sizeBytes, ways, mshrs int) *Cache {
 		ar.rec[i] = identity
 	}
 	return &Cache{
-		name:    name,
-		ways:    ways,
-		setBits: uint(bits.TrailingZeros(uint(sets))),
-		setMask: uint64(sets - 1),
-		lines:   ar.lines,
-		tags:    ar.tags,
-		rec:     ar.rec,
-		live:    ar.live,
-		ar:      ar,
-		mshrs:   mshrs,
+		name:     name,
+		ways:     ways,
+		setBits:  uint(bits.TrailingZeros(uint(sets))),
+		setMask:  uint64(sets - 1),
+		lines:    ar.lines,
+		tags:     ar.tags,
+		rec:      ar.rec,
+		live:     ar.live,
+		ar:       ar,
+		mruFirst: sets <= mruFirstSets,
+		mshrs:    mshrs,
 	}
 }
 
@@ -230,11 +250,17 @@ func (c *Cache) find(b mem.Block) (set, way int) {
 	set = int(uint64(b) & c.setMask)
 	base := set * c.ways
 	short := uint32(uint64(b) >> c.setBits)
+	if c.mruFirst {
+		if w := int(c.rec[set] & 15); c.tags[base+w] == short && c.live[set]>>uint(w)&1 != 0 && c.lines[base+w].Block == b {
+			return set, w
+		}
+	}
 	for w, tag := range c.tags[base : base+c.ways] {
 		if tag == short && c.live[set]>>uint(w)&1 != 0 && c.lines[base+w].Block == b {
 			return set, w
 		}
 	}
+	c.absent = uint64(b) + 1
 	return set, -1
 }
 
@@ -256,6 +282,25 @@ func (c *Cache) Lookup(b mem.Block, touch bool) *Line {
 		c.Hits++
 	}
 	return &c.lines[set*c.ways+w]
+}
+
+// Write is the tag access of a store performing at cycle t: the line holding b,
+// counted and touched as a demand hit, when it is writable and its fill has
+// arrived; otherwise nil and nothing counted — a store buffer waits for the
+// fill, it does not re-probe the tags every cycle.
+func (c *Cache) Write(b mem.Block, t uint64) *Line {
+	set, w := c.find(b)
+	if w < 0 {
+		return nil
+	}
+	line := &c.lines[set*c.ways+w]
+	if !line.State.Writable() || line.ReadyAt > t {
+		return nil
+	}
+	c.TagAccesses++
+	c.Hits++
+	c.rec[set] = toFront(c.rec[set], w)
+	return line
 }
 
 // Peek returns the line holding b without counting a tag access or touching
@@ -285,7 +330,11 @@ func (c *Cache) ForEach(fn func(*Line) bool) {
 // victim (occupied). The way's tag and live bit are set; the line record is
 // the caller's to write.
 func (c *Cache) place(b mem.Block) (i int, present, occupied bool) {
-	set, w := c.find(b)
+	set, w := int(uint64(b)&c.setMask), -1
+	if c.absent != uint64(b)+1 {
+		set, w = c.find(b)
+	}
+	c.absent = 0
 	if present = w >= 0; !present {
 		if free := ^c.live[set] & (1<<uint(c.ways) - 1); free != 0 {
 			w = bits.TrailingZeros16(free)

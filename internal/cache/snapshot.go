@@ -174,6 +174,7 @@ func (c *Cache) Restore(s *Snapshot) {
 	}
 	copy(c.rec, s.Rec)
 	copy(c.live, s.Live)
+	c.absent = 0
 	next := 0
 	for set, live := range s.Live {
 		for ; live != 0; live &= live - 1 {

@@ -232,13 +232,14 @@ func TestPoolReshardsAroundDeadBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Six specs, and then as many more as it takes for the dead backend to own
+	// one: ranks hash the live backend's port, which the OS picks, and one run
+	// in 64 used to find all six ranked to the live one.
 	var specs []sim.RunSpec
-	for seed := uint64(1); seed <= 6; seed++ {
-		specs = append(specs, poolSpec(seed))
-	}
 	deadOwned := 0
-	for _, spec := range specs {
-		if p.rank(server.Key(spec))[0] == 0 {
+	for seed := uint64(1); seed <= 6 || deadOwned == 0 && seed <= 64; seed++ {
+		specs = append(specs, poolSpec(seed))
+		if p.rank(server.Key(specs[len(specs)-1]))[0] == 0 {
 			deadOwned++
 		}
 	}

@@ -123,7 +123,10 @@ type Core struct {
 	dtlb   *tlb.TLB
 	bp     *bpred.Predictor
 	reader trace.Reader
-	rng    *trace.RNG
+	// limited is reader when it is a *trace.LimitReader, as every run plan's
+	// is: dispatch then calls Next without going through the interface.
+	limited *trace.LimitReader
+	rng     *trace.RNG
 
 	cycle uint64
 
@@ -242,6 +245,7 @@ func NewWithOptions(cfg config.CoreConfig, policy core.Policy, spbCfg config.SPB
 	if opts.UseBranchPredictor {
 		c.bp = bpred.New(bpred.TableI())
 	}
+	c.limited, _ = reader.(*trace.LimitReader)
 	c.noFF = opts.DisableFastForward
 	c.cycle = opts.StartCycle
 	c.St.Cycles = c.cycle
@@ -566,7 +570,13 @@ func (c *Core) dispatchStage() int {
 			if c.traceDone {
 				break
 			}
-			if !c.reader.Next(&c.pending) {
+			more := false
+			if c.limited != nil {
+				more = c.limited.Next(&c.pending) // a direct call, once per instruction
+			} else {
+				more = c.reader.Next(&c.pending)
+			}
+			if !more {
 				c.traceDone = true
 				break
 			}

@@ -3,31 +3,131 @@
 // same geometry are interchangeable once their user has reset what it reads.
 package pool
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
-// Keyed is a sync.Pool per key — the geometry an array was made for. The zero
-// value is ready to use. Whether a recycled value must be zeroed is its
-// user's business: some are fully overwritten before they are read.
-type Keyed[K comparable, T any] struct {
-	pools sync.Map // K -> *sync.Pool
+// keepCollections is how many garbage collections a released array may sit
+// untaken before it is let go. A busy process takes its arrays back within a
+// cycle or two, so they are built once per concurrently running machine; the
+// runtime forces a collection every two minutes on an idle one, so a daemon
+// nobody talks to — or the arrays of a one-off geometry (cores: 64 is 38 MB)
+// — are handed back after a quarter of an hour. The standard library's pool
+// keeps a value for two cycles, which lost a loaded spbd a machine's 10 MB
+// several times a minute.
+const keepCollections = 8
+
+var (
+	epoch    atomic.Uint64 // collections finished since the first Keyed was used
+	trimMu   sync.Mutex
+	trimmers []func(now uint64) // one per Keyed in use; the first arms the sentinel
+)
+
+// sentinel is an object nothing refers to: each collection finalizes the one
+// at hand, which counts the collection and ages every free list. It holds a
+// pointer so that the allocator does not pack it in with live tiny objects.
+type sentinel struct{ _ *sentinel }
+
+func arm() {
+	runtime.SetFinalizer(new(sentinel), func(*sentinel) {
+		arm() // first: whoever sees the new epoch finds the next sentinel armed
+		now := epoch.Add(1)
+		trimMu.Lock()
+		all := trimmers // append-only: a trim takes its pool's lock, which registering holds
+		trimMu.Unlock()
+		for _, trim := range all {
+			trim(now)
+		}
+	})
 }
 
-// Get returns a value released under key, if one is at hand.
-func (p *Keyed[K, T]) Get(key K) (T, bool) {
-	if sp, ok := p.pools.Load(key); ok {
-		if v := sp.(*sync.Pool).Get(); v != nil {
-			return v.(T), true
+// Keyed is a LIFO free list per key — the geometry an array was made for —
+// that holds its values by strong reference until they have gone
+// keepCollections collections untaken. The zero value is ready to use; a Keyed
+// in use is registered for ageing for good, so it is a package-level variable.
+// Whether a recycled value must be zeroed is its user's business: some are
+// fully overwritten before they are read.
+type Keyed[K comparable, T any] struct {
+	mu      sync.Mutex
+	shelves map[K]*shelf[T]
+}
+
+type shelf[T any] struct {
+	free   []aged[T] // oldest Put first
+	misses uint64
+}
+
+type aged[T any] struct {
+	v   T
+	put uint64 // epoch of the Put
+}
+
+// shelf returns key's list, registering the pool for ageing on first use. The
+// caller holds p.mu.
+func (p *Keyed[K, T]) shelf(key K) *shelf[T] {
+	if p.shelves == nil {
+		p.shelves = make(map[K]*shelf[T])
+		trimMu.Lock()
+		if trimmers == nil {
+			arm()
 		}
+		trimmers = append(trimmers, p.trim)
+		trimMu.Unlock()
 	}
-	var none T
-	return none, false
+	s := p.shelves[key]
+	if s == nil {
+		s = new(shelf[T])
+		p.shelves[key] = s
+	}
+	return s
+}
+
+// Get returns the value most recently released under key, if one is at hand.
+func (p *Keyed[K, T]) Get(key K) (T, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s := p.shelf(key)
+	n := len(s.free) - 1
+	if n < 0 {
+		s.misses++
+		var none T
+		return none, false
+	}
+	v := s.free[n].v
+	s.free[n] = aged[T]{}
+	s.free = s.free[:n]
+	return v, true
 }
 
 // Put releases v for a later Get of the same key. v must not be used again.
 func (p *Keyed[K, T]) Put(key K, v T) {
-	sp, ok := p.pools.Load(key)
-	if !ok {
-		sp, _ = p.pools.LoadOrStore(key, &sync.Pool{})
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s := p.shelf(key)
+	s.free = append(s.free, aged[T]{v, epoch.Load()})
+}
+
+// Misses reports how many Gets of key found nothing: the values its users
+// had to build.
+func (p *Keyed[K, T]) Misses(key K) uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.shelf(key).misses
+}
+
+// trim drops every value released keepCollections or more epochs before now.
+func (p *Keyed[K, T]) trim(now uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, s := range p.shelves {
+		n := 0
+		for n < len(s.free) && now-s.free[n].put >= keepCollections {
+			n++
+		}
+		kept := copy(s.free, s.free[n:])
+		clear(s.free[kept:])
+		s.free = s.free[:kept]
 	}
-	sp.(*sync.Pool).Put(v)
 }

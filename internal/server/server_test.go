@@ -9,10 +9,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"spb/internal/cache"
+	"spb/internal/config"
 	"spb/internal/core"
 	"spb/internal/sim"
 )
@@ -183,6 +187,83 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	_, third := postRun(t, ts2, smallSpec, "?wait=1")
 	if third.Cached != "memory" {
 		t.Fatalf("post-disk-hit request cached = %q, want memory", third.Cached)
+	}
+}
+
+// TestDaemonHoldsItsWorkersMachinesAndABoundedMemo: what a loaded spbd keeps
+// resident is planned for, not luck. 200 never-seen specs through two workers,
+// the collector running all the while, build two machines' cache arrays in
+// all; and once the Runner's memo has forgotten a spec, the disk tier answers
+// for it byte for byte, as it would after a restart.
+func TestDaemonHoldsItsWorkersMachinesAndABoundedMemo(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 2, CacheDir: t.TempDir(), DisableSync: true})
+	m := config.Skylake()
+	levels := []config.CacheConfig{m.L1D, m.L2, m.L3}
+	built := func() (n [3]uint64) {
+		for i, c := range levels {
+			n[i] = cache.ArenasBuilt(c.SizeBytes, c.Ways)
+		}
+		return n
+	}
+	before := built()
+	req := func(seed int) RunRequest {
+		r := smallSpec
+		r.Insts, r.Seed = 2000, uint64(seed)
+		return r
+	}
+	var first JobView
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < 200; i += 2 {
+				_, v := postRun(t, ts, req(1000+i), "?wait=1")
+				if v.Status != StatusDone || v.Cached != "" {
+					t.Errorf("spec %d: status %s, cached %q, want a cold run", i, v.Status, v.Cached)
+					return
+				}
+				if i == 0 {
+					first = v
+				}
+				if i%10 == c {
+					runtime.GC()
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, was := range before {
+		if got := built()[i] - was; got > 2 {
+			t.Errorf("200 runs on two workers built %d %s arenas, want at most 2", got, levels[i].Name)
+		}
+	}
+	waitStoreWrites(t, s, 200)
+
+	spec, err := req(1000).Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); ; i++ {
+		if _, held := s.Runner().Lookup(spec); !held {
+			break
+		}
+		if i > 1<<16 {
+			t.Fatal("the memo still holds a spec after 65536 newer ones")
+		}
+		filler := spec
+		filler.Seed = 1<<32 + i
+		s.Runner().Put(filler, sim.Result{})
+	}
+	_, again := postRun(t, ts, req(1000), "?wait=1")
+	if again.Cached != "disk" || string(again.Stats) != string(first.Stats) {
+		t.Fatalf("a spec the memo forgot answered cached=%q, stats equal %v; want the disk tier's bytes", again.Cached, string(again.Stats) == string(first.Stats))
+	}
+	if got := s.Runner().Runs(); got != 200 {
+		t.Fatalf("Runs = %d, want 200: nothing is simulated twice", got)
 	}
 }
 

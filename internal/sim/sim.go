@@ -386,10 +386,20 @@ func finishResult(spec RunSpec, aggCPU cpu.Stats, aggMem MemStats) Result {
 	return res
 }
 
+// maxMemo bounds the results a Runner remembers (oldest-inserted evicted
+// first), so a daemon fed never-seen specs around the clock does not grow
+// without limit: a result and its spec are about 1 KB, so the memo tops out
+// near 15 MB. An evicted spec is simulated again — or, in spbd, found in the
+// disk tier and written back, exactly as after a restart. The size is the job
+// table's (server.maxTerminalJobs): ten times the largest figure sweep.
+const maxMemo = 16384
+
 // Runner is a memoizing, parallel executor of simulation points.
 type Runner struct {
 	mu       sync.Mutex
 	cache    map[RunSpec]Result
+	memoed   []RunSpec // the keys of cache, oldest first
+	memoMax  int       // maxMemo; a field so a test can shrink it
 	inflight map[RunSpec]*runCall
 
 	// runs counts actual simulations executed (not cache or singleflight
@@ -440,6 +450,7 @@ type runCall struct {
 func NewRunner() *Runner {
 	return &Runner{
 		cache:        make(map[RunSpec]Result),
+		memoMax:      maxMemo,
 		inflight:     make(map[RunSpec]*runCall),
 		warmCache:    make(map[warmKey]*warmGroup),
 		warmInflight: make(map[warmKey]*warmCall),
@@ -522,10 +533,21 @@ func (r *Runner) Lookup(spec RunSpec) (Result, bool) {
 // memory hits. The result is keyed under the normalized spec regardless of
 // the form res.Spec is in.
 func (r *Runner) Put(spec RunSpec, res Result) {
-	spec = spec.normalize()
 	r.mu.Lock()
-	r.cache[spec] = res
+	r.memoize(spec.normalize(), res)
 	r.mu.Unlock()
+}
+
+// memoize remembers res under the normalized spec, forgetting the spec
+// remembered longest ago once memoMax are held. The caller holds r.mu.
+func (r *Runner) memoize(spec RunSpec, res Result) {
+	if _, held := r.cache[spec]; !held {
+		if r.memoed = append(r.memoed, spec); len(r.memoed) > r.memoMax {
+			delete(r.cache, r.memoed[0])
+			r.memoed = r.memoed[1:]
+		}
+	}
+	r.cache[spec] = res
 }
 
 // GetCtx is Get with cancellation and progress reporting. The first caller
@@ -579,7 +601,7 @@ func (r *Runner) get(ctx context.Context, spec RunSpec, onProgress func(Progress
 
 	r.mu.Lock()
 	if call.err == nil && !call.aside {
-		r.cache[spec] = call.res
+		r.memoize(spec, call.res)
 	}
 	delete(r.inflight, spec)
 	r.mu.Unlock()

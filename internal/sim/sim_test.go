@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"spb/internal/cache"
 	"spb/internal/config"
 	"spb/internal/core"
 	"spb/internal/memsys"
@@ -234,6 +235,70 @@ func TestRunnerMemoizes(t *testing.T) {
 	}
 	if a.CPU != b.CPU {
 		t.Fatal("memoized result should be identical")
+	}
+}
+
+// TestRunnerMemoIsBounded: a Runner remembers its memoMax most recently
+// learned results; the oldest is simulated again, the newest are hits.
+func TestRunnerMemoIsBounded(t *testing.T) {
+	r := NewRunner()
+	r.memoMax = 3
+	spec := func(seed uint64) RunSpec {
+		return RunSpec{Workload: "leela", Policy: core.PolicySPB, SQSize: 14, Insts: 2000, Seed: seed}
+	}
+	first, err := r.Get(spec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Put(spec(2), first) // learned elsewhere: counts like a run's own
+	r.Put(spec(2), first) // and learning it twice holds it once
+	for seed := uint64(3); seed <= 4; seed++ {
+		if _, err := r.Get(spec(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := r.Lookup(spec(1)); ok || len(r.cache) != 3 || len(r.memoed) != 3 {
+		t.Fatalf("after 4 specs: oldest held %v, %d results under %d keys, want 3 without the oldest", ok, len(r.cache), len(r.memoed))
+	}
+	for seed := uint64(2); seed <= 4; seed++ {
+		if _, err := r.Get(spec(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := r.Runs(); got != 3 {
+		t.Fatalf("Runs = %d after re-reading the three newest, want 3: they are hits", got)
+	}
+	again, err := r.Get(spec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Runs(); got != 4 || again.CPU != first.CPU {
+		t.Fatalf("Runs = %d, want 4: the evicted spec is simulated once more, to the same result", got)
+	}
+}
+
+// TestRunnerRecyclesMachinesAcrossCollections: two workers running cold spec
+// after cold spec build two machines' arrays in all, however often the
+// collector runs between one machine's release and the next one's build.
+func TestRunnerRecyclesMachinesAcrossCollections(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	l3 := config.Skylake().L3
+	built := cache.ArenasBuilt(l3.SizeBytes, l3.Ways)
+	r := NewRunner()
+	for seed := uint64(1); seed <= 40; seed += 2 {
+		pair := []RunSpec{
+			{Workload: "leela", Policy: core.PolicySPB, SQSize: 14, Insts: 2000, Seed: seed},
+			{Workload: "leela", Policy: core.PolicySPB, SQSize: 14, Insts: 2000, Seed: seed + 1},
+		}
+		if _, err := r.GetAll(pair); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+		}
+	}
+	if got := cache.ArenasBuilt(l3.SizeBytes, l3.Ways) - built; r.Runs() != 40 || got > 2 {
+		t.Fatalf("%d runs on two workers built %d L3 arenas, want at most 2", r.Runs(), got)
 	}
 }
 

@@ -66,24 +66,14 @@ func (sb *StoreBuffer) Restore(s *Snapshot) {
 	sb.blockCnt = s.BlockCnt
 }
 
-var ringPool pool.Keyed[int, []Entry] // by capacity
+var bufPool pool.Keyed[int, *StoreBuffer] // by capacity
 
-// newRing returns an entry ring of the given capacity, reusing a released
-// one when available. Ring slots are written before they are ever read
-// (only seqs in [headSeq, tailSeq) are consulted), so no zeroing is needed.
-func newRing(n int) []Entry {
-	if ring, ok := ringPool.Get(n); ok {
-		return ring
-	}
-	return make([]Entry, n)
-}
-
-// Release returns the entry ring to the capacity's shared pool. The buffer
-// must not be used afterwards; skipping Release is always safe.
+// Release hands the buffer — its entry ring and its 8 KB forward filter — to
+// the next New of the same capacity. The buffer must not be used afterwards;
+// skipping Release is always safe.
 func (sb *StoreBuffer) Release() {
-	if sb.entries == nil {
-		return
+	if n := sb.capacity; n > 0 {
+		sb.capacity = 0
+		bufPool.Put(n, sb)
 	}
-	ringPool.Put(len(sb.entries), sb.entries)
-	sb.entries = nil
 }

@@ -91,15 +91,20 @@ func (sb *StoreBuffer) noteBlocks(addr mem.Addr, size uint8, delta int) {
 	}
 }
 
-// New returns an empty store buffer with the given number of entries.
+// New returns an empty store buffer with the given number of entries, a
+// released one of that capacity when one is at hand. Its ring slots are
+// written before they are ever read (only seqs in [headSeq, tailSeq) are
+// consulted), so the ring is kept as it is; everything else starts from zero.
 func New(capacity int) *StoreBuffer {
 	if capacity <= 0 {
 		panic("storebuf: capacity must be positive")
 	}
-	return &StoreBuffer{
-		entries:  newRing(capacity),
-		capacity: capacity,
+	sb, ok := bufPool.Get(capacity)
+	if !ok {
+		sb = &StoreBuffer{entries: make([]Entry, capacity)}
 	}
+	*sb = StoreBuffer{entries: sb.entries, capacity: capacity}
+	return sb
 }
 
 // NewCoalescing returns a store buffer that merges contiguous same-block

@@ -13,29 +13,7 @@ import (
 
 // Warm replays a translation for functional warming: identical LRU and fill
 // effects to Translate, but no latency result and no statistics counters.
-func (t *TLB) Warm(a mem.Addr) {
-	p := mem.PageOf(a)
-	set := t.set(p)
-	t.clock++
-	for i := range set {
-		e := &set[i]
-		if e.Valid && e.Page == p {
-			e.LastUse = t.clock
-			return
-		}
-	}
-	vi := 0
-	for i := 1; i < len(set); i++ {
-		if !set[i].Valid {
-			vi = i
-			break
-		}
-		if set[i].LastUse < set[vi].LastUse {
-			vi = i
-		}
-	}
-	set[vi] = entry{Page: p, LastUse: t.clock, Valid: true}
-}
+func (t *TLB) Warm(a mem.Addr) { t.touch(mem.PageOf(a)) }
 
 // Snapshot is a deep copy of a TLB's mutable state, and its own gob form in a
 // checkpoint file (DESIGN.md §12).

@@ -78,18 +78,26 @@ func (t *TLB) set(p mem.Page) []entry {
 // the access pays (0 on a hit, the walk latency on a miss, which also
 // fills the entry).
 func (t *TLB) Translate(a mem.Addr) (extraLat uint64) {
-	p := mem.PageOf(a)
+	if t.touch(mem.PageOf(a)) {
+		t.Hits++
+		return 0
+	}
+	t.Misses++
+	return t.walkLat
+}
+
+// touch makes p's translation the most recently used of its set, filling it
+// over the LRU way when it is absent, and reports whether it was present.
+func (t *TLB) touch(p mem.Page) (hit bool) {
 	set := t.set(p)
 	t.clock++
 	for i := range set {
 		e := &set[i]
 		if e.Valid && e.Page == p {
 			e.LastUse = t.clock
-			t.Hits++
-			return 0
+			return true
 		}
 	}
-	t.Misses++
 	// Fill over the LRU way.
 	vi := 0
 	for i := 1; i < len(set); i++ {
@@ -102,7 +110,7 @@ func (t *TLB) Translate(a mem.Addr) (extraLat uint64) {
 		}
 	}
 	set[vi] = entry{Page: p, LastUse: t.clock, Valid: true}
-	return t.walkLat
+	return false
 }
 
 // Covers reports whether the page containing a currently has a cached

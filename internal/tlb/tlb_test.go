@@ -1,6 +1,8 @@
 package tlb
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -108,5 +110,74 @@ func TestCoverageInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scanTranslate is Translate (count) or Warm (not) written out on its own: the
+// reference the one routine under both must agree with.
+func scanTranslate(t *TLB, a mem.Addr, count bool) {
+	p := mem.PageOf(a)
+	set := t.set(p)
+	t.clock++
+	for i := range set {
+		if e := &set[i]; e.Valid && e.Page == p {
+			e.LastUse = t.clock
+			if count {
+				t.Hits++
+			}
+			return
+		}
+	}
+	if count {
+		t.Misses++
+	}
+	vi := 0
+	for i := 1; i < len(set); i++ {
+		if !set[i].Valid {
+			vi = i
+			break
+		}
+		if set[i].LastUse < set[vi].LastUse {
+			vi = i
+		}
+	}
+	set[vi] = entry{Page: p, LastUse: t.clock, Valid: true}
+}
+
+// TestTranslateAndWarmMatchScan: over 100 000 accesses — runs within a page,
+// random pages that thrash the sets, Translate and Warm mixed — the TLB holds,
+// entry for entry, what the reference leaves (so the same victims), with the
+// same Hits, Misses and clock; so it does after a Restore.
+func TestTranslateAndWarmMatchScan(t *testing.T) {
+	for _, cfg := range []Config{TableI(), {Entries: 8, Ways: 2, WalkLat: 7}, {Entries: 4, Ways: 4}} {
+		got, want := New(cfg), New(cfg)
+		rng := rand.New(rand.NewSource(int64(cfg.Entries)))
+		var at *Snapshot
+		var page mem.Page
+		for i := 0; i < 100_000; i++ {
+			if rng.Intn(4) == 0 {
+				page = mem.Page(rng.Intn(3 * cfg.Entries))
+			}
+			a, warm := mem.AddrOfPage(page)+mem.Addr(rng.Intn(mem.PageSize)), rng.Intn(8) == 0
+			if warm {
+				got.Warm(a)
+			} else if lat := got.Translate(a); lat != 0 && lat != uint64(cfg.WalkLat) {
+				t.Fatalf("Translate returned %d, want 0 or the walk latency %d", lat, cfg.WalkLat)
+			}
+			scanTranslate(want, a, !warm)
+			if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+				t.Fatalf("%+v: access %d (page %d, warm %v): TLB and reference diverge\n got %+v\nwant %+v", cfg, i, page, warm, got.Snapshot(), want.Snapshot())
+			}
+			switch i {
+			case 30_000:
+				at = got.Snapshot()
+			case 60_000:
+				got.Restore(at)
+				want.Restore(at)
+			}
+		}
+		if got.Hits == 0 || got.Misses == 0 {
+			t.Fatalf("%+v: %d hits, %d misses: the walk exercises one path only", cfg, got.Hits, got.Misses)
+		}
 	}
 }

@@ -84,11 +84,11 @@ type Leaf struct {
 	Repeat int
 
 	// Set by NewProgram: Dst and Src as indices into the cursor's regions, the
-	// dense template, and OpCompute's BrFrac, DivFrac and DepFrac as RNG.below
-	// thresholds — the draws a walk reads, once per skipped instruction.
+	// dense template, and OpCompute's fractions as RNG.below thresholds — the
+	// draws a walk reads (the first three) or emit makes, once per instruction.
 	dst, src int
 	template
-	brBelow, divBelow, depBelow uint64
+	brBelow, divBelow, depBelow, missBelow, fpBelow, mulBelow uint64
 }
 
 // template is the activation of a dense op: elems elements adv bytes apart,
@@ -231,6 +231,7 @@ func NewProgram(rng *RNG, phases ...Phase) *Program {
 			l := &ph.Leaves[j]
 			l.dst, l.src, l.template = index(l.Dst), index(l.Src), l.dense()
 			l.brBelow, l.divBelow, l.depBelow = threshold(l.Compute.BrFrac), threshold(l.Compute.DivFrac), threshold(l.Compute.DepFrac)
+			l.missBelow, l.fpBelow, l.mulBelow = threshold(l.Compute.MissRate), threshold(l.Compute.FPFrac), threshold(l.Compute.MulFrac)
 		}
 	}
 	if p.total == 0 {
@@ -599,23 +600,23 @@ func (p *Program) emit(out *Inst) bool {
 		}
 		p.i++
 		*out = Inst{PC: o.PC + uint64(p.i%64)*4}
-		if rng.Bool(o.BrFrac) {
+		if rng.below(l.brBelow) {
 			out.Kind = KindBranch
 			out.Dep1 = 1
 			p.branches++
 			out.Taken = p.branches%8 != 0
-			out.Mispredicted = rng.Bool(o.MissRate)
+			out.Mispredicted = rng.below(l.missBelow)
 			return true
 		}
 		kind := KindIntALU
-		fp := rng.Bool(o.FPFrac)
+		fp := rng.below(l.fpBelow)
 		switch {
-		case rng.Bool(o.DivFrac):
+		case rng.below(l.divBelow):
 			kind = KindIntDiv
 			if fp {
 				kind = KindFPDiv
 			}
-		case rng.Bool(o.MulFrac):
+		case rng.below(l.mulBelow):
 			kind = KindIntMul
 			if fp {
 				kind = KindFPMul
@@ -624,7 +625,7 @@ func (p *Program) emit(out *Inst) bool {
 			kind = KindFPALU
 		}
 		out.Kind = kind
-		if rng.Bool(o.DepFrac) {
+		if rng.below(l.depBelow) {
 			out.Dep1 = uint8(1 + rng.Intn(4))
 		}
 		return true

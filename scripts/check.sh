@@ -14,7 +14,8 @@ echo "== gofmt =="
 test -z "$(gofmt -l .)"
 echo "== go vet =="
 go vet ./...
-echo "== go build =="
+echo "== go build (every committed default.pgo must parse: a main package is built with its own) =="
+for f in cmd/*/default.pgo; do go tool pprof -raw "$f" >/dev/null; done
 go build ./...
 echo "== go test (uncached) =="
 go test -count=1 ./...
