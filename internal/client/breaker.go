@@ -54,8 +54,9 @@ func newBreaker(threshold int, cooldown time.Duration, maxTrips int) *breaker {
 	return &breaker{threshold: threshold, cooldown: cooldown, maxTrips: maxTrips}
 }
 
-// Acquire asks to dispatch. ok means go ahead (trial marks it as the one
-// half-open trial — the caller must report Success or Fail). When not ok,
+// Acquire asks to dispatch. ok means go ahead, and the caller must report
+// the dispatch's one verdict — Success, Fail or Abandon (trial marks it as
+// the one half-open trial, which holds the circuit until then). When not ok,
 // wait is how long to back off before asking again; wait==0 means the
 // circuit is dead and the caller should evacuate instead.
 func (br *breaker) Acquire() (ok bool, trial bool, wait time.Duration) {
@@ -119,6 +120,15 @@ func (br *breaker) Fail(hard bool) {
 	if br.softFails >= br.threshold {
 		br.tripLocked()
 	}
+}
+
+// Abandon reports a dispatch that ended without evidence either way — the
+// sweep it served finished first. It releases a half-open trial for the
+// next dispatch and changes nothing else.
+func (br *breaker) Abandon() {
+	br.mu.Lock()
+	defer br.mu.Unlock()
+	br.probing = false
 }
 
 func (br *breaker) tripLocked() {

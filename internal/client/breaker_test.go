@@ -90,12 +90,12 @@ func TestPoolBreakerTripsAndRecovers(t *testing.T) {
 	}))
 	t.Cleanup(front.Close)
 
-	p, err := NewPool([]string{front.URL}, PoolOptions{
-		MaxInflight:      4,
-		BreakerThreshold: 2,
-		BreakerCooldown:  10 * time.Millisecond,
-		BreakerMaxTrips:  1 << 20, // the outage is transient; never give up
-		Logf:             t.Logf,
+	p, err := newPool([]string{front.URL}, func(p *Pool) {
+		p.maxInflight = 4
+		p.breakerThreshold = 2
+		p.breakerCooldown = 10 * time.Millisecond
+		p.breakerMaxTrips = 1 << 20 // the outage is transient; never give up
+		p.logf = t.Logf
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestPoolBreakerTripsAndRecovers(t *testing.T) {
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if st := p.breakers[0].State(); st == breakerOpen || st == breakerHalfOpen {
+		if st := p.backends[0].breaker.State(); st == breakerOpen || st == breakerHalfOpen {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -139,7 +139,7 @@ func TestPoolBreakerTripsAndRecovers(t *testing.T) {
 			t.Fatalf("spec %d: post-recovery result differs from local run", i)
 		}
 	}
-	if st := p.breakers[0].State(); st != breakerClosed {
+	if st := p.backends[0].breaker.State(); st != breakerClosed {
 		t.Fatalf("circuit ended %s, want closed", st)
 	}
 }

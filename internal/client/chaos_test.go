@@ -92,7 +92,7 @@ func corruptEntryFile(t *testing.T, path string) {
 func TestBatchResumeAfterTruncation(t *testing.T) {
 	inj := faults.MustParse("batch.stream:cut:1:after=3:limit=1")
 	s, ts := chaosDaemon(t, server.Config{Faults: inj})
-	cl := NewWithOptions(ts.URL, Options{Retry: RetryPolicy{BaseDelay: time.Millisecond}})
+	cl := NewWithOptions(ts.URL, Options{Retry: RetryPolicy{baseDelay: time.Millisecond}})
 
 	const n = 6
 	specs := make([]sim.RunSpec, n)
@@ -151,20 +151,20 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 	}
 	bases = append(bases, "http://127.0.0.1:1") // nobody home
 
-	p, err := NewPool(bases, PoolOptions{
-		MaxInflight:      4,
-		HedgeMin:         60 * time.Second, // no hedging: keep exactly-once accounting strict
-		BreakerThreshold: 50,               // stream cuts must not bury a live backend
-		BreakerCooldown:  25 * time.Millisecond,
-		Logf:             t.Logf,
-		ClientOptions:    Options{Retry: RetryPolicy{BaseDelay: time.Millisecond}},
+	p, err := newPool(bases, func(p *Pool) {
+		p.maxInflight = 4
+		p.hedgeMin = 60 * time.Second // no hedging: keep exactly-once accounting strict
+		p.breakerThreshold = 50       // stream cuts must not bury a live backend
+		p.breakerCooldown = 25 * time.Millisecond
+		p.logf = t.Logf
+		p.retry.baseDelay = time.Millisecond
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	owner := func(spec sim.RunSpec) int {
-		return p.rank(server.Key(spec.Normalized()))[0]
+		return rank(server.Key(spec.Normalized()), p.backends)[0]
 	}
 	var specs []sim.RunSpec
 	for seed := uint64(1); seed <= 18; seed++ {
@@ -302,12 +302,12 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 func TestChaosMidSweepBackendCrash(t *testing.T) {
 	sA, tsA := chaosDaemon(t, server.Config{})
 	_, tsB := chaosDaemon(t, server.Config{})
-	p, err := NewPool([]string{tsA.URL, tsB.URL}, PoolOptions{
-		MaxInflight:     2,
-		HedgeMin:        60 * time.Second,
-		BreakerCooldown: 25 * time.Millisecond,
-		Logf:            t.Logf,
-		ClientOptions:   Options{Retry: RetryPolicy{BaseDelay: time.Millisecond}},
+	p, err := newPool([]string{tsA.URL, tsB.URL}, func(p *Pool) {
+		p.maxInflight = 2
+		p.hedgeMin = 60 * time.Second
+		p.breakerCooldown = 25 * time.Millisecond
+		p.logf = t.Logf
+		p.retry.baseDelay = time.Millisecond
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -33,16 +33,20 @@ import (
 )
 
 // RetryPolicy shapes the client's transient-failure handling: up to
-// MaxAttempts tries per call, exponential backoff from BaseDelay capped at
-// retryMaxDelay (with jitter), the whole call bounded by retryBudget. A
+// MaxAttempts tries per call, exponential backoff from retryBaseDelay capped
+// at retryMaxDelay (with jitter), the whole call bounded by retryBudget. A
 // Retry-After header from the daemon (429 backpressure) overrides the
 // computed backoff.
 type RetryPolicy struct {
-	MaxAttempts int           // total tries including the first (default 4; negative disables retries)
-	BaseDelay   time.Duration // first backoff step (default 100ms)
+	MaxAttempts int // total tries including the first (default 4; negative disables retries)
+
+	baseDelay time.Duration // retryBaseDelay; a field so the package's tests can shorten it
 }
 
 const (
+	// retryBaseDelay is the first backoff step: doubling from it, the
+	// default four tries wait at most 0.7 s in all, so a blip costs little.
+	retryBaseDelay = 100 * time.Millisecond
 	// retryMaxDelay is the backoff ceiling: past it a daemon is down, not
 	// busy, and waiting longer between tries only delays saying so.
 	retryMaxDelay = 5 * time.Second
@@ -58,8 +62,8 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts < 0 {
 		p.MaxAttempts = 1
 	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 100 * time.Millisecond
+	if p.baseDelay <= 0 {
+		p.baseDelay = retryBaseDelay
 	}
 	return p
 }
@@ -74,7 +78,7 @@ func (p RetryPolicy) backoff(attempt int, lastErr error) time.Duration {
 			return d
 		}
 	}
-	d := p.BaseDelay << (attempt - 1)
+	d := p.baseDelay << (attempt - 1)
 	if d > retryMaxDelay || d <= 0 {
 		d = retryMaxDelay
 	}

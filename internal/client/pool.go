@@ -2,33 +2,27 @@
 // several spbd daemons, one batch stream per dispatch chunk, with
 // straggler hedging and failover.
 //
-// Sharding is rendezvous (highest-random-weight) hashing of each point's
-// canonical content address (server.Key) against the backend base URLs:
-// every client computes the same spec→backend mapping without coordination,
-// the mapping is stable across sweep re-runs — maximizing each backend's
-// disk-cache hit rate — and removing a backend only remaps the points that
-// backend owned. Stragglers are hedged: a point that has been outstanding
-// longer than an adaptive delay (a multiple of the observed p95 completion
-// latency) is re-dispatched to the next backend in its rendezvous order,
-// first result wins, and the loser's job is cancelled so no point is ever
-// simulated twice.
+// Each decision is one function. place chooses a point's backend: the
+// first in the point's rendezvous order (cluster.RendezvousScore of its
+// content address, server.Key — every client computes the same mapping
+// without coordination, it is stable across sweeps so each backend's caches
+// stay warm, and removing a backend remaps only its share) that is not dead
+// and holds no live claim on the point, preferring one whose circuit admits
+// a dispatch now. It serves the initial shard, a failed chunk's points, a
+// point cancelled on its daemon by someone other than the pool, and a
+// straggler — a point whose one live claim is older than
+// max(hedgeMin, hedgeMult × p95 of recent completions); the first result
+// wins and the loser's job is cancelled, so no point is simulated twice.
+// live lists a point's claims still running. A backend's health is its
+// circuit breaker (breaker.go) and nothing else, and every dispatch a
+// circuit grants gets one verdict, in dispatcher: success, failure, or
+// abandoned when the sweep ended first.
 //
-// Failure handling is a per-backend circuit breaker (closed → open →
-// half-open, see breaker.go) shared across the pool's sweeps: batch streams
-// that die without progress accumulate toward a trip, dial failures trip
-// immediately, a tripped backend sheds its queued points to the next
-// backend in each point's rendezvous order, and a half-open trial — led by
-// a readiness probe of GET /healthz?ready=1 — decides whether it rejoins.
-// Backends that keep flapping are marked dead and removed from the
-// rendezvous; their points re-shard across the survivors.
-//
-// Membership is no longer fixed at construction: the pool can learn
-// backends from the daemons' own gossip view (GET /v1/cluster/members) via
-// RefreshMembers/Watch, and a member advertising a newer liveness epoch —
-// the daemon restarted — gets its dead circuit replaced with a fresh one,
-// re-admitting the backend without rebuilding the pool. Membership only
-// ever grows in place (indices are stable); each sweep snapshots the size
-// at start, so joins take effect on the next run.
+// Membership grows in place: RefreshMembers merges the daemons' gossip view
+// (GET /v1/cluster/members), and a member advertising a newer liveness
+// epoch than the one on record — the daemon restarted — gets its dead
+// circuit replaced with a fresh one. A sweep runs on the backend records it
+// snapshotted at start, so joins and re-admissions take effect on the next.
 package client
 
 import (
@@ -38,6 +32,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -49,114 +44,109 @@ import (
 	"spb/internal/sim"
 )
 
-// PoolOptions tunes a Pool. The zero value gives sensible defaults.
-type PoolOptions struct {
-	// MaxInflight bounds how many specs are outstanding on one backend at a
-	// time (one dispatch chunk; default 16). It should be at least the
-	// backend's worker count or the backend idles between chunks.
-	MaxInflight int
-	// HedgeMin floors the straggler hedge delay (default 2s): a point is
-	// hedged once it has been outstanding max(HedgeMin, hedgeMult × p95).
-	// Hedging before any latency samples exist uses exactly this floor.
-	HedgeMin time.Duration
-	// HedgeTick is how often outstanding points are scanned for stragglers
-	// (default 50ms).
-	HedgeTick time.Duration
-	// BreakerThreshold is how many consecutive no-progress stream failures
-	// trip a backend's circuit (default 5). Streams that deliver at least
-	// one new terminal result before dying reset the count.
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped circuit stays open before a
-	// half-open trial (default 500ms).
-	BreakerCooldown time.Duration
-	// BreakerMaxTrips is how many consecutive trips (no success in between)
-	// mark a backend permanently dead for this pool (default 3).
-	BreakerMaxTrips int
-	// ClientOptions configures the per-backend clients (transport, retry,
-	// fault injection). The pool halves the default retry attempts to 2:
-	// it has failover of its own and prefers re-sharding over long
-	// client-side retry loops.
-	ClientOptions Options
-	// Logf receives operational log lines (default: discard).
-	Logf func(format string, args ...any)
-}
-
 const (
+	// poolMaxInflight is one dispatch chunk: the specs outstanding on one
+	// backend at a time. It should be at least a backend's worker count, or
+	// the backend idles between chunks.
+	poolMaxInflight = 16
+	// poolHedgeMin floors the straggler delay, and is the delay until a
+	// completion has been timed: below it a hedge mostly duplicates points
+	// that were about to finish.
+	poolHedgeMin = 2 * time.Second
+	// poolHedgeTick is how often outstanding points are scanned for
+	// stragglers.
+	poolHedgeTick = 50 * time.Millisecond
 	// hedgeMult scales the observed p95 completion latency into the hedge
 	// delay: three times the tail is a straggler, not variance.
 	hedgeMult = 3.0
+	// poolBreakerThreshold consecutive streams that die without resolving a
+	// point trip a circuit. A stream that resolved one resets the count, so
+	// a long sweep cannot trip a live backend by being cut repeatedly.
+	poolBreakerThreshold = 5
+	// poolBreakerCooldown is how long a tripped circuit stays open before a
+	// half-open trial, which costs one readiness probe: trying again soon is
+	// cheap.
+	poolBreakerCooldown = 500 * time.Millisecond
+	// poolBreakerMaxTrips consecutive trips without a success bury a
+	// backend until it restarts with a newer epoch: its points re-shard to
+	// the survivors instead of timing out against it forever.
+	poolBreakerMaxTrips = 3
+	// poolRetryAttempts halves the client's default tries: the pool has
+	// failover of its own and prefers re-sharding to long retry loops.
+	poolRetryAttempts = 2
 	// probeTimeout bounds the readiness probe issued before a run's first
 	// dispatch to a backend and on every half-open trial; a daemon that
 	// cannot answer /healthz in that long is not one to dispatch to.
 	probeTimeout = 2 * time.Second
+	// poolTaskMaxRetries bounds re-dispatches of a point whose job was
+	// cancelled out from under the sweep (a draining backend, an operator
+	// cancel) before the sweep gives up on it.
+	poolTaskMaxRetries = 3
+	// latencyRing is how many recent completions the p95 is taken over.
+	latencyRing = 512
 )
-
-func (o PoolOptions) withDefaults() PoolOptions {
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = 16
-	}
-	if o.HedgeMin <= 0 {
-		o.HedgeMin = 2 * time.Second
-	}
-	if o.HedgeTick <= 0 {
-		o.HedgeTick = 50 * time.Millisecond
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 500 * time.Millisecond
-	}
-	if o.BreakerMaxTrips <= 0 {
-		o.BreakerMaxTrips = 3
-	}
-	if o.ClientOptions.Retry.MaxAttempts == 0 {
-		o.ClientOptions.Retry.MaxAttempts = 2
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
-	}
-	return o
-}
 
 // Pool fans a sweep out over several spbd backends. It implements the same
 // GetAllCtx shape as sim.Runner, so the figures harness and the sweep CLIs
 // can swap in-process execution for the distributed path without caring
 // which they got.
 type Pool struct {
-	opts PoolOptions
+	// The pool* constants; fields so the package's tests can shorten them
+	// (newPool).
+	maxInflight      int
+	hedgeMin         time.Duration
+	hedgeTick        time.Duration
+	breakerThreshold int
+	breakerCooldown  time.Duration
+	breakerMaxTrips  int
+	retry            RetryPolicy
+	logf             func(format string, args ...any)
 
-	// Membership state, guarded by mu. The parallel slices only ever grow,
-	// and only under the write lock; an index handed out while holding the
-	// read lock stays valid forever (re-admission replaces the breaker at
-	// the same index, it never reorders).
-	mu       sync.RWMutex
-	bases    []string
-	clients  []*Client
-	breakers []*breaker // per-backend circuits, shared across sweeps
-	epochs   []uint64   // newest liveness epoch seen per backend (0 = unknown)
+	// One trace ID per pool: every job any backend runs for its sweeps is
+	// grouped under it, so one grep over the daemons' trace logs
+	// reconstructs a whole distributed sweep.
+	traceID string
+
+	mu       sync.Mutex
+	backends []backend // only grows: an index names one backend for good
 	index    map[string]int
+}
+
+// backend is one member of the pool. Re-admission replaces its breaker in
+// the pool's record; a sweep keeps the copy it took at start.
+type backend struct {
+	base    string
+	client  *Client
+	breaker *breaker // shared by every sweep that snapshots this record
+	epoch   uint64   // newest liveness epoch seen (0 = unknown)
 }
 
 // NewPool builds a pool over the given backend base URLs (e.g.
 // "http://host:7077"; a bare host:port gets http:// prepended).
-func NewPool(bases []string, opts PoolOptions) (*Pool, error) {
-	if len(bases) == 0 {
-		return nil, fmt.Errorf("client: pool needs at least one backend")
+func NewPool(bases []string) (*Pool, error) { return newPool(bases, nil) }
+
+// newPool is NewPool with tune applied to the tunables before any backend
+// is built.
+func newPool(bases []string, tune func(*Pool)) (*Pool, error) {
+	p := &Pool{
+		maxInflight:      poolMaxInflight,
+		hedgeMin:         poolHedgeMin,
+		hedgeTick:        poolHedgeTick,
+		breakerThreshold: poolBreakerThreshold,
+		breakerCooldown:  poolBreakerCooldown,
+		breakerMaxTrips:  poolBreakerMaxTrips,
+		retry:            RetryPolicy{MaxAttempts: poolRetryAttempts},
+		logf:             func(string, ...any) {},
+		traceID:          obs.NewTraceID(),
+		index:            make(map[string]int, len(bases)),
 	}
-	p := &Pool{opts: opts.withDefaults(), index: make(map[string]int, len(bases))}
-	// One trace ID per pool: every job any backend runs for this sweep is
-	// grouped under it, so a single grep over the daemons' trace logs
-	// reconstructs the whole distributed sweep.
-	if p.opts.ClientOptions.TraceID == "" {
-		p.opts.ClientOptions.TraceID = obs.NewTraceID()
+	if tune != nil {
+		tune(p)
 	}
 	for _, b := range bases {
-		if b = cluster.NormalizeURL(b); b != "" {
-			p.addLocked(b, 0)
-		}
+		p.add(cluster.NormalizeURL(b), 0)
 	}
-	if len(p.bases) == 0 {
+	if len(p.backends) == 0 {
 		return nil, fmt.Errorf("client: pool needs at least one backend")
 	}
 	return p, nil
@@ -165,24 +155,27 @@ func NewPool(bases []string, opts PoolOptions) (*Pool, error) {
 // NewClusterPool builds a pool from seed URLs and immediately expands it
 // with the backends the seeds gossip about: point it at one live daemon of
 // a cluster and it discovers the rest. Discovery failure is not fatal — the
-// pool starts with whatever seeds it was given (call Watch to keep trying).
-func NewClusterPool(ctx context.Context, seeds []string, opts PoolOptions) (*Pool, error) {
-	p, err := NewPool(seeds, opts)
-	if err != nil {
-		return nil, err
+// pool starts with whatever seeds it was given.
+func NewClusterPool(ctx context.Context, seeds []string) (*Pool, error) {
+	p, err := NewPool(seeds)
+	if err == nil {
+		p.discover(ctx)
 	}
+	return p, err
+}
+
+func (p *Pool) discover(ctx context.Context) {
 	if err := p.RefreshMembers(ctx); err != nil {
-		p.opts.Logf("pool: cluster discovery from seeds failed (continuing with %d seeds): %v",
+		p.logf("pool: cluster discovery from seeds failed (continuing with %d seeds): %v",
 			len(p.Backends()), err)
 	}
-	return p, nil
 }
 
 // PoolFlags registers the sweep CLIs' -server and -cluster flags on fs;
 // subject is the subject of -server's help ("the sweep executes"). The
 // returned function, valid once fs is parsed, builds the pool the flags
-// select — nil without -server — and, when -cluster found backends beyond the
-// seeds, says so on fs's output.
+// select — nil without -server — logging its events (a backend buried,
+// points shed or hedged, what -cluster discovered) to fs's output.
 func PoolFlags(fs *flag.FlagSet, subject string) func(ctx context.Context) (*Pool, error) {
 	server := fs.String("server", "", "comma-separated spbd base URLs; "+subject+" remotely via the sharded client pool")
 	discover := fs.Bool("cluster", false, "expand -server via the daemons' gossip membership: any one live node discovers the fleet")
@@ -191,84 +184,85 @@ func PoolFlags(fs *flag.FlagSet, subject string) func(ctx context.Context) (*Poo
 			return nil, nil
 		}
 		seeds := strings.Split(*server, ",")
-		if !*discover {
-			return NewPool(seeds, PoolOptions{})
+		p, err := newPool(seeds, func(p *Pool) {
+			p.logf = func(format string, args ...any) {
+				fmt.Fprintf(fs.Output(), "%s: %s\n", filepath.Base(fs.Name()), fmt.Sprintf(format, args...))
+			}
+		})
+		if err != nil || !*discover {
+			return p, err
 		}
-		pool, err := NewClusterPool(ctx, seeds, PoolOptions{})
-		if err == nil && len(pool.Backends()) > len(seeds) {
-			fmt.Fprintf(fs.Output(), "%s: cluster discovery: sweeping across %d backends\n",
-				filepath.Base(fs.Name()), len(pool.Backends()))
+		p.discover(ctx)
+		if n := len(p.Backends()); n > len(seeds) {
+			p.logf("cluster discovery: sweeping across %d backends", n)
 		}
-		return pool, err
+		return p, nil
 	}
 }
 
-// addLocked appends one backend (caller holds mu or is the constructor).
-func (p *Pool) addLocked(base string, epoch uint64) {
-	if _, ok := p.index[base]; ok {
-		return
+// add appends a backend unless base is blank or already known, and reports
+// whether it did (caller holds mu or is the constructor).
+func (p *Pool) add(base string, epoch uint64) bool {
+	if _, known := p.index[base]; known || base == "" {
+		return false
 	}
-	p.index[base] = len(p.bases)
-	p.bases = append(p.bases, base)
-	p.clients = append(p.clients, NewWithOptions(base, p.opts.ClientOptions))
-	p.breakers = append(p.breakers, newBreaker(
-		p.opts.BreakerThreshold, p.opts.BreakerCooldown, p.opts.BreakerMaxTrips))
-	p.epochs = append(p.epochs, epoch)
+	p.index[base] = len(p.backends)
+	p.backends = append(p.backends, backend{
+		base:    base,
+		client:  NewWithOptions(base, Options{Retry: p.retry, TraceID: p.traceID}),
+		breaker: p.newBreaker(),
+		epoch:   epoch,
+	})
+	return true
 }
 
-func (p *Pool) size() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.bases)
+func (p *Pool) newBreaker() *breaker {
+	return newBreaker(p.breakerThreshold, p.breakerCooldown, p.breakerMaxTrips)
 }
 
-func (p *Pool) base(i int) string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.bases[i]
+// members snapshots the backend records.
+func (p *Pool) members() []backend {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return slices.Clone(p.backends)
 }
 
-func (p *Pool) client(i int) *Client {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.clients[i]
-}
-
-func (p *Pool) breaker(i int) *breaker {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.breakers[i]
+// Backends returns the normalized backend base URLs.
+func (p *Pool) Backends() []string {
+	var bases []string
+	for _, b := range p.members() {
+		bases = append(bases, b.base)
+	}
+	return bases
 }
 
 // mergeMembers folds a gossip membership view into the pool: unknown alive
-// members join the rendezvous (effective next sweep), and a known member
-// advertising a newer liveness epoch than the one on record — the daemon
-// restarted since the pool buried it — gets its dead circuit replaced with
-// a fresh one, re-admitting the backend without a client restart. Returns
-// how many backends were added and how many re-admitted.
+// members join, and a known member advertising a newer liveness epoch than
+// the one on record — the daemon restarted since the pool buried it — gets
+// its dead circuit replaced with a fresh one. Returns how many backends
+// were added and how many re-admitted.
 func (p *Pool) mergeMembers(ms []cluster.Member) (added, readmitted int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, m := range ms {
-		base := cluster.NormalizeURL(m.URL)
-		if base == "" || m.State != cluster.StateAlive {
+		if m.State != cluster.StateAlive {
 			continue
 		}
-		i, ok := p.index[base]
-		if !ok {
-			p.addLocked(base, m.Epoch)
-			p.opts.Logf("pool: discovered backend %s (id %s) via cluster gossip", base, m.ID)
+		base := cluster.NormalizeURL(m.URL)
+		if p.add(base, m.Epoch) {
+			p.logf("pool: discovered backend %s (id %s) via cluster gossip", base, m.ID)
 			added++
 			continue
 		}
-		if m.Epoch <= p.epochs[i] {
+		i, known := p.index[base]
+		if !known || m.Epoch <= p.backends[i].epoch {
 			continue
 		}
-		p.epochs[i] = m.Epoch
-		if p.breakers[i].Dead() {
-			p.breakers[i] = newBreaker(
-				p.opts.BreakerThreshold, p.opts.BreakerCooldown, p.opts.BreakerMaxTrips)
-			p.opts.Logf("pool: backend %s is back with a newer epoch, re-admitting", base)
+		b := &p.backends[i]
+		b.epoch = m.Epoch
+		if b.breaker.Dead() {
+			b.breaker = p.newBreaker()
+			p.logf("pool: backend %s is back with a newer epoch, re-admitting", base)
 			readmitted++
 		}
 	}
@@ -279,42 +273,15 @@ func (p *Pool) mergeMembers(ms []cluster.Member) (added, readmitted int) {
 // merges the first answer it gets. Standalone daemons (no cluster attached)
 // answer 404 and are skipped.
 func (p *Pool) RefreshMembers(ctx context.Context) error {
-	n := p.size()
-	var lastErr error
-	for i := 0; i < n; i++ {
-		v, err := p.client(i).Members(ctx)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		p.mergeMembers(v.Members)
-		return nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("client: no backend answered the membership probe")
-	}
-	return lastErr
-}
-
-// Watch polls the cluster membership every interval until ctx ends,
-// merging joins and epoch-based re-admissions as they appear. Blocking —
-// run it in a goroutine.
-func (p *Pool) Watch(ctx context.Context, every time.Duration) {
-	if every <= 0 {
-		every = 2 * time.Second
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if err := p.RefreshMembers(ctx); err != nil {
-				p.opts.Logf("pool: membership refresh failed: %v", err)
-			}
+	err := errors.New("client: no backend answered the membership probe")
+	for _, b := range p.members() {
+		var v cluster.MembersView
+		if v, err = b.client.Members(ctx); err == nil {
+			p.mergeMembers(v.Members)
+			return nil
 		}
 	}
+	return err
 }
 
 // isHardErr reports whether err is a hard connection failure — nothing is
@@ -324,36 +291,28 @@ func isHardErr(err error) bool {
 	return errors.As(err, &oe) && oe.Op == "dial"
 }
 
-// Backends returns the normalized backend base URLs.
-func (p *Pool) Backends() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return append([]string(nil), p.bases...)
-}
-
-// rank returns backend indices in descending rendezvous order for key. The
-// first healthy entry owns the point; the next is its hedge/failover.
-func (p *Pool) rank(key string) []int { return p.rankN(key, p.size()) }
-
-// rankN ranks the first n backends — the membership snapshot a sweep took
-// at start, so a mid-sweep join cannot produce out-of-range indices.
-func (p *Pool) rankN(key string, n int) []int {
-	idx := make([]int, n)
-	scores := make([]uint64, n)
-	for i := 0; i < n; i++ {
+// rank returns the indices of bs in descending rendezvous order for key:
+// the order place walks.
+func rank(key string, bs []backend) []int {
+	idx := make([]int, len(bs))
+	scores := make([]uint64, len(bs))
+	for i, b := range bs {
 		idx[i] = i
-		scores[i] = cluster.RendezvousScore(key, p.base(i))
+		scores[i] = cluster.RendezvousScore(key, b.base)
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
 	return idx
 }
 
-// assignment is one backend's claim on a task (primary or hedge).
+// assignment is one backend's claim on a task (primary or hedge). A claim
+// is live until it is over: its stream ended, or the pool cancelled its job
+// because another claim won.
 type assignment struct {
+	t            *poolTask
 	backend      int
 	jobID        string // learned from the ack line; empty until then
 	dispatchedAt time.Time
-	cancelled    bool // the pool itself cancelled this job (the other side won)
+	over         bool
 }
 
 // poolTask is one unique simulation point of the sweep.
@@ -361,31 +320,40 @@ type poolTask struct {
 	key     string
 	spec    sim.RunSpec
 	indices []int // positions in the caller's spec slice
-	rank    []int // rendezvous order over all backends
+	rank    []int // rendezvous order over the sweep's backends
 
-	assigns []*assignment // one per dispatch (primary, then at most one hedge)
+	assigns []*assignment // one per dispatch
 	pending bool          // waiting in some backend's queue
 	retries int           // externally-cancelled re-dispatches consumed
 	done    bool
 	res     sim.Result
 }
 
-// poolTaskMaxRetries bounds re-dispatches of a point whose job was
-// cancelled out from under the sweep (a draining backend, an operator
-// cancel) before the sweep gives up on it.
-const poolTaskMaxRetries = 3
+// live returns t's live claims.
+func (t *poolTask) live() []*assignment {
+	var claims []*assignment
+	for _, a := range t.assigns {
+		if !a.over {
+			claims = append(claims, a)
+		}
+	}
+	return claims
+}
+
+// homeless reports whether t needs place: unresolved, queued nowhere and
+// carried by no live claim.
+func (t *poolTask) homeless() bool { return !t.done && !t.pending && len(t.live()) == 0 }
 
 // poolRun is the state of one GetAllCtx invocation.
 type poolRun struct {
-	p      *Pool
-	ctx    context.Context
-	cancel context.CancelFunc
-	opts   PoolOptions
+	p        *Pool
+	ctx      context.Context
+	cancel   context.CancelFunc
+	backends []backend // the pool's records at the sweep's start
 
 	mu        sync.Mutex
 	tasks     []*poolTask
-	queues    [][]*poolTask // per-backend pending tasks
-	failed    []bool        // per-backend connection health
+	queues    [][]*poolTask // per-backend pending tasks, longest first
 	remaining int
 	err       error
 	latencies []time.Duration // completion-latency ring for the p95 estimate
@@ -395,8 +363,6 @@ type poolRun struct {
 	doneCh chan struct{}
 	wg     sync.WaitGroup
 }
-
-const latencyRing = 512
 
 // GetAllCtx runs every spec across the pool's backends and returns results
 // in spec order, semantically identical to sim.Runner.GetAllCtx: the first
@@ -408,14 +374,11 @@ func (p *Pool) GetAllCtx(ctx context.Context, specs []sim.RunSpec) ([]sim.Result
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// Snapshot the membership size: backends discovered mid-sweep join the
-	// rendezvous on the next GetAllCtx, not this one.
-	n := p.size()
+	bs := p.members()
 	r := &poolRun{
-		p: p, ctx: ctx, cancel: cancel, opts: p.opts,
-		queues: make([][]*poolTask, n),
-		failed: make([]bool, n),
-		kicks:  make([]chan struct{}, n),
+		p: p, ctx: ctx, cancel: cancel, backends: bs,
+		queues: make([][]*poolTask, len(bs)),
+		kicks:  make([]chan struct{}, len(bs)),
 		doneCh: make(chan struct{}),
 	}
 	for i := range r.kicks {
@@ -429,42 +392,27 @@ func (p *Pool) GetAllCtx(ctx context.Context, specs []sim.RunSpec) ([]sim.Result
 		key := server.Key(spec)
 		t, ok := byKey[key]
 		if !ok {
-			t = &poolTask{key: key, spec: spec, rank: p.rankN(key, n)}
+			t = &poolTask{key: key, spec: spec, rank: rank(key, bs)}
 			byKey[key] = t
 			r.tasks = append(r.tasks, t)
 		}
 		t.indices = append(t.indices, i)
 	}
 	r.remaining = len(r.tasks)
-
-	// Initial sharding: every task to its highest-ranked backend whose
-	// circuit is not permanently dead (earlier sweeps may have buried some).
-	// LPT ordering within each backend queue happens at enqueue time.
-	r.mu.Lock()
-	for _, t := range r.tasks {
-		target := -1
-		for _, cand := range t.rank {
-			if !p.breaker(cand).Dead() {
-				target = cand
-				break
-			}
-		}
-		if target < 0 {
-			r.mu.Unlock()
+	for _, t := range r.tasks { // no dispatcher runs yet: r.mu is not needed
+		b := r.place(t)
+		if b < 0 {
 			return nil, fmt.Errorf("client: every pool backend is dead")
 		}
-		r.enqueueLocked(t, target)
+		r.enqueue(t, b)
 	}
-	r.mu.Unlock()
 
-	for b := 0; b < n; b++ {
+	for b := range bs {
 		r.wg.Add(1)
 		go r.dispatcher(b)
-		r.kick(b)
 	}
 	r.wg.Add(1)
 	go r.hedgeMonitor()
-
 	select {
 	case <-r.doneCh:
 	case <-ctx.Done():
@@ -472,17 +420,12 @@ func (p *Pool) GetAllCtx(ctx context.Context, specs []sim.RunSpec) ([]sim.Result
 	cancel()
 	r.wg.Wait()
 
-	r.mu.Lock()
-	err := r.err
-	if err == nil && r.remaining > 0 {
-		err = ctx.Err()
-		if err == nil {
-			err = fmt.Errorf("client: pool finished with %d unresolved points", r.remaining)
-		}
+	// Every goroutine that writes r.err or r.remaining has returned.
+	if r.err != nil {
+		return nil, r.err
 	}
-	r.mu.Unlock()
-	if err != nil {
-		return nil, err
+	if r.remaining > 0 {
+		return nil, ctx.Err()
 	}
 	results := make([]sim.Result, len(specs))
 	for _, t := range r.tasks {
@@ -493,50 +436,62 @@ func (p *Pool) GetAllCtx(ctx context.Context, specs []sim.RunSpec) ([]sim.Result
 	return results, nil
 }
 
-// enqueueLocked appends t to backend b's pending queue in LPT position
-// (queues are kept sorted by descending cost so chunks dispatch the longest
-// points first).
-func (r *poolRun) enqueueLocked(t *poolTask, b int) {
+// place is the one rule that chooses a backend for t: the first in its
+// rendezvous order that is not dead and holds no live claim on it,
+// preferring one whose circuit admits a dispatch now to one waiting out a
+// cooldown, so a tripped backend sheds load instead of queueing it. Returns
+// -1 when no backend qualifies. Caller holds r.mu.
+func (r *poolRun) place(t *poolTask) int {
+	claims := t.live()
+	fallback := -1
+	for _, b := range t.rank {
+		br := r.backends[b].breaker
+		if br.Dead() || slices.ContainsFunc(claims, func(a *assignment) bool { return a.backend == b }) {
+			continue
+		}
+		if br.Settled() {
+			return b
+		}
+		if fallback < 0 {
+			fallback = b
+		}
+	}
+	return fallback
+}
+
+// enqueue puts t in backend b's queue in LPT position — queues are sorted
+// by descending cost so chunks dispatch the longest points first — and
+// wakes b's dispatcher. Caller holds r.mu.
+func (r *poolRun) enqueue(t *poolTask, b int) {
 	t.pending = true
 	q := r.queues[b]
 	cost := t.spec.CostEstimate()
 	pos := sort.Search(len(q), func(i int) bool { return q[i].spec.CostEstimate() < cost })
-	q = append(q, nil)
-	copy(q[pos+1:], q[pos:])
-	q[pos] = t
-	r.queues[b] = q
-}
-
-func (r *poolRun) kick(b int) {
+	r.queues[b] = slices.Insert(q, pos, t)
 	select {
 	case r.kicks[b] <- struct{}{}:
 	default:
 	}
 }
 
-// dispatcher drains backend b's pending queue in chunks of at most
-// MaxInflight specs, one batch stream per chunk, serially: the bound on
-// outstanding work per backend is the chunk size. Every dispatch passes
-// through the backend's circuit breaker: an open circuit waits out its
-// cooldown, a half-open trial (and a run's first dispatch) leads with a
-// readiness probe, and a dead circuit evacuates the queue for good.
+// dispatcher drains backend b's queue in chunks of at most maxInflight
+// specs, one batch stream per chunk, serially: the bound on outstanding
+// work per backend is the chunk size. Every dispatch passes through b's
+// circuit — an open one waits out its cooldown, a dead one sheds the queue
+// — and every dispatch it grants gets its verdict here, the pool's only
+// verdict site.
 func (r *poolRun) dispatcher(b int) {
 	defer r.wg.Done()
-	br := r.p.breaker(b)
+	br := r.backends[b].breaker
 	probed := false
 	for {
-		select {
-		case <-r.ctx.Done():
-			return
-		case <-r.kicks[b]:
-		}
 		for r.hasWork(b) {
 			ok, trial, wait := br.Acquire()
+			if !ok && wait == 0 {
+				r.shed(b, nil, errors.New("circuit permanently open"))
+				break
+			}
 			if !ok {
-				if wait == 0 { // dead: this backend is done for
-					r.shedLoad(b, nil, fmt.Errorf("circuit permanently open"))
-					break
-				}
 				select {
 				case <-r.ctx.Done():
 					return
@@ -544,27 +499,39 @@ func (r *poolRun) dispatcher(b int) {
 				}
 				continue
 			}
+			// A half-open trial, and a run's first dispatch, lead with a
+			// readiness probe.
+			var orphans []*poolTask
+			var progressed bool
+			var err error
 			if trial || !probed {
-				if err := r.probe(b); err != nil {
-					br.Fail(isHardErr(err))
-					r.opts.Logf("pool: backend %s failed its readiness probe (circuit %s): %v",
-						r.p.base(b), br.State(), err)
-					r.shedLoad(b, nil, err)
-					continue
-				}
-				probed = true
+				err = r.probe(b)
+				probed = err == nil
 			}
-			chunk := r.takeChunk(b)
-			if len(chunk) == 0 {
-				if trial {
-					br.Success() // the probe passed; nothing left to prove it with
-				}
-				break
+			if err == nil {
+				orphans, progressed, err = r.runChunk(b)
 			}
-			r.runChunk(b, chunk)
+			switch {
+			case r.ctx.Err() != nil && !progressed:
+				br.Abandon() // the sweep ended first: no evidence either way
+			case err == nil || progressed:
+				// A stream that resolved a point before dying is a live
+				// backend producing: resume elsewhere, don't punish.
+				br.Success()
+			default:
+				br.Fail(isHardErr(err))
+			}
 			if r.ctx.Err() != nil {
 				return
 			}
+			if err != nil {
+				r.shed(b, orphans, err)
+			}
+		}
+		select {
+		case <-r.ctx.Done():
+			return
+		case <-r.kicks[b]:
 		}
 	}
 }
@@ -572,7 +539,7 @@ func (r *poolRun) dispatcher(b int) {
 func (r *poolRun) hasWork(b int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.queues[b]) > 0 && !r.failed[b]
+	return len(r.queues[b]) > 0
 }
 
 // probe checks backend b's readiness. A transport failure or a draining
@@ -581,142 +548,72 @@ func (r *poolRun) hasWork(b int) bool {
 func (r *poolRun) probe(b int) error {
 	ctx, cancel := context.WithTimeout(r.ctx, probeTimeout)
 	defer cancel()
-	rv, err := r.p.client(b).Ready(ctx)
-	if err != nil {
-		return err
+	rv, err := r.backends[b].client.Ready(ctx)
+	if err == nil && rv.Draining {
+		err = fmt.Errorf("backend %s is draining", r.backends[b].base)
 	}
-	if rv.Draining {
-		return fmt.Errorf("backend %s is draining", r.p.base(b))
-	}
-	return nil
+	return err
 }
 
-// takeChunk pops up to MaxInflight not-yet-done tasks from backend b's
-// queue and registers an assignment for each.
-func (r *poolRun) takeChunk(b int) []*poolTask {
+// runChunk claims up to maxInflight of backend b's queued tasks, streams
+// them as one batch and folds the items into the run. When the stream ends,
+// so do its claims; it returns the tasks that left homeless, whether the
+// stream resolved any task, and what ended it — a clean end that left a
+// task homeless is an error too.
+func (r *poolRun) runChunk(b int) (orphans []*poolTask, progressed bool, err error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.failed[b] {
-		return nil
-	}
-	var chunk []*poolTask
+	var chunk []*assignment
+	var specs []sim.RunSpec
 	q := r.queues[b]
-	for len(q) > 0 && len(chunk) < r.opts.MaxInflight {
-		t := q[0]
-		q = q[1:]
-		if t.done {
-			continue
+	for ; len(q) > 0 && len(chunk) < r.p.maxInflight; q = q[1:] {
+		if t := q[0]; !t.done {
+			t.pending = false
+			a := &assignment{t: t, backend: b, dispatchedAt: time.Now()}
+			t.assigns = append(t.assigns, a)
+			chunk, specs = append(chunk, a), append(specs, t.spec)
 		}
-		t.pending = false
-		t.assigns = append(t.assigns, &assignment{backend: b, dispatchedAt: time.Now()})
-		chunk = append(chunk, t)
 	}
 	r.queues[b] = q
-	return chunk
-}
-
-// runChunk streams one batch of tasks to backend b and folds the results
-// back into the run, then settles with the circuit breaker: a stream that
-// delivered at least one new terminal result counts as a success even if it
-// died afterwards (the backend is alive and producing — resume, don't
-// punish), while a stream that died without progress counts toward a trip —
-// immediately, when nothing was even listening. Unfinished tasks are
-// re-queued either way.
-func (r *poolRun) runChunk(b int, chunk []*poolTask) {
-	specs := make([]sim.RunSpec, len(chunk))
-	for i, t := range chunk {
-		specs[i] = t.spec
+	r.mu.Unlock()
+	if len(chunk) == 0 {
+		return nil, false, nil
 	}
-	progressed := false
-	err := r.p.client(b).Batch(r.ctx, specs, func(it server.BatchItem) error {
-		if it.Index < 0 || it.Index >= len(chunk) {
-			return nil
-		}
-		if r.observe(b, chunk[it.Index], it) {
+
+	err = r.backends[b].client.Batch(r.ctx, specs, func(it server.BatchItem) error {
+		if it.Index >= 0 && it.Index < len(chunk) && r.observe(chunk[it.Index], it) {
 			progressed = true
 		}
 		return nil
 	})
-	br := r.p.breaker(b)
-	if r.ctx.Err() != nil {
-		// The run is over — usually because this stream delivered its last
-		// result, which cancels the run before Batch returns. That is a
-		// healthy backend: settle, or a half-open trial stays open forever.
-		if progressed {
-			br.Success()
-		}
-		return
-	}
-	if err == nil && !r.chunkHasUnfinished(b, chunk) {
-		br.Success()
-		return
-	}
-	if progressed {
-		br.Success()
-	} else {
-		br.Fail(isHardErr(err))
-	}
-	if err == nil {
-		err = fmt.Errorf("stream ended with unresolved points")
-	}
-	r.shedLoad(b, chunk, err)
-}
-
-// chunkHasUnfinished reports whether any chunk task still needs a home
-// after its stream ended.
-func (r *poolRun) chunkHasUnfinished(b int, chunk []*poolTask) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, t := range chunk {
-		if !t.done && !t.pending && !r.liveElsewhereLocked(t, b) {
-			return true
+	for _, a := range chunk {
+		a.over = true
+		if a.t.homeless() {
+			orphans = append(orphans, a.t)
 		}
 	}
-	return false
-}
-
-// liveElsewhereLocked reports whether t has a live claim on a healthy
-// backend other than b (a hedge still running it).
-func (r *poolRun) liveElsewhereLocked(t *poolTask, b int) bool {
-	for _, a := range t.assigns {
-		if a.backend != b && !a.cancelled && !r.failed[a.backend] {
-			return true
-		}
+	if err == nil && len(orphans) > 0 {
+		err = errors.New("stream ended with unresolved points")
 	}
-	return false
+	return orphans, progressed, err
 }
 
-// observe folds one batch item for task t (dispatched on backend b) into
-// the run state. It reports whether the item newly resolved the task — the
-// per-stream progress signal the circuit breaker keys on.
-func (r *poolRun) observe(b int, t *poolTask, it server.BatchItem) bool {
+// observe folds one batch item for claim a into the run state. It reports
+// whether the item newly resolved a's task — the per-stream progress
+// signal the circuit breaker keys on.
+func (r *poolRun) observe(a *assignment, it server.BatchItem) bool {
 	r.mu.Lock()
-	var a *assignment
-	for _, cand := range t.assigns {
-		if cand.backend == b {
-			a = cand
-		}
-	}
-	if a == nil { // can't happen: items only arrive on streams we opened
-		r.mu.Unlock()
-		return false
-	}
+	defer r.mu.Unlock()
+	t := a.t
 	if !it.Status.Terminal() {
-		a.jobID = it.ID // ack: remember the id so the loser can be cancelled
-		// The point may have already been won elsewhere while this ack was
-		// in flight; cancel the losing job now that its id is known.
-		lose := t.done && !a.cancelled
-		if lose {
-			a.cancelled = true
-		}
-		r.mu.Unlock()
-		if lose {
-			r.cancelJob(a)
+		a.jobID = it.ID // ack: the id a losing claim is cancelled by
+		if t.done {
+			r.cancelLocked(a) // won elsewhere while this ack was in flight
 		}
 		return false
 	}
 	if t.done {
-		r.mu.Unlock()
 		return false
 	}
 	switch it.Status {
@@ -724,67 +621,63 @@ func (r *poolRun) observe(b int, t *poolTask, it server.BatchItem) bool {
 		res, err := it.DecodeResult()
 		if err != nil {
 			r.failLocked(err)
-			r.mu.Unlock()
 			return false
 		}
-		t.done = true
-		t.res = res
-		r.remaining--
-		r.recordLatencyLocked(time.Since(a.dispatchedAt))
-		// Cancel the losing assignment's job, if any: the point must not be
-		// simulated twice.
-		var losers []*assignment
-		for _, other := range t.assigns {
-			if other != a && !other.cancelled && other.jobID != "" {
-				other.cancelled = true
-				losers = append(losers, other)
+		t.done, t.res = true, res
+		if len(r.latencies) < latencyRing {
+			r.latencies = append(r.latencies, time.Since(a.dispatchedAt))
+		} else {
+			r.latencies[r.latNext] = time.Since(a.dispatchedAt)
+			r.latNext = (r.latNext + 1) % latencyRing
+		}
+		for _, l := range t.assigns { // the point must not be simulated twice
+			if l != a {
+				r.cancelLocked(l)
 			}
 		}
-		done := r.remaining == 0
-		r.mu.Unlock()
-		for _, l := range losers {
-			r.cancelJob(l)
-		}
-		if done {
+		if r.remaining--; r.remaining == 0 {
 			close(r.doneCh)
 		}
 		return true
 	case server.StatusCancelled:
-		// Our own cancellation of a losing job echoes back on its stream;
-		// anything else (a draining backend, an operator) cancelled the job
-		// out from under the sweep. Re-dispatch the point a bounded number
-		// of times before declaring the sweep failed.
-		if !a.cancelled {
-			a.cancelled = true
-			if t.retries < poolTaskMaxRetries {
-				t.retries++
-				target := r.requeueTargetLocked(t)
-				if target >= 0 {
-					r.opts.Logf("pool: %s (key %.12s) cancelled externally on %s, re-dispatching to %s (retry %d)",
-						t.spec.Workload, t.key, r.p.base(b), r.p.base(target), t.retries)
-					r.enqueueLocked(t, target)
-					r.mu.Unlock()
-					r.kick(target)
-					return false
-				}
-			}
-			r.failLocked(fmt.Errorf("client: %s cancelled externally on %s: %s",
-				t.spec.Workload, r.p.base(b), it.Error))
+		// The pool's own cancellation of a losing claim echoes back on its
+		// stream; anything else (a draining backend, an operator) cancelled
+		// the job out from under the sweep.
+		if a.over {
+			return false
 		}
+		a.over = true
+		if !t.homeless() {
+			return false
+		}
+		if b := r.place(t); b >= 0 && t.retries < poolTaskMaxRetries {
+			t.retries++
+			r.p.logf("pool: %s (key %.12s) cancelled externally on %s, re-dispatching to %s (retry %d)",
+				t.spec.Workload, t.key, r.backends[a.backend].base, r.backends[b].base, t.retries)
+			r.enqueue(t, b)
+			return false
+		}
+		r.failLocked(fmt.Errorf("client: %s (key %.12s) cancelled externally on %s: %s",
+			t.spec.Workload, t.key, r.backends[a.backend].base, it.Error))
 	case server.StatusFailed:
 		r.failLocked(it.ErrorOf())
 	}
-	r.mu.Unlock()
 	return false
 }
 
-// cancelJob asks an assignment's backend to stop its job, detached from the
-// run's (possibly already finished) context.
-func (r *poolRun) cancelJob(a *assignment) {
+// cancelLocked ends claim a and asks its backend to stop the job, detached
+// from the run's (possibly already finished) context. A claim whose ack has
+// not arrived keeps running until it does: the ack cancels it.
+func (r *poolRun) cancelLocked(a *assignment) {
+	if a.over || a.jobID == "" {
+		return
+	}
+	a.over = true
+	c, id := r.backends[a.backend].client, a.jobID
 	go func() {
-		cctx, cc := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cc()
-		_, _ = r.p.client(a.backend).Cancel(cctx, a.jobID)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_, _ = c.Cancel(ctx, id) // best effort: the daemon drops an unwanted job anyway once its stream goes
 	}()
 }
 
@@ -796,127 +689,43 @@ func (r *poolRun) failLocked(err error) {
 	}
 }
 
-// shedLoad evacuates backend b's outstanding work after a failure. The
-// failed chunk's assignments on b are written off; when b's circuit has gone
-// permanently dead the backend is also marked failed for this run and its
-// whole pending queue drains. Every orphaned task is re-homed onto the best
-// available backend in its rendezvous order — which may be b itself when the
-// circuit is merely open (the point parks until the cooldown's half-open
-// trial). With no backend left at all the sweep fails.
-func (r *poolRun) shedLoad(b int, chunk []*poolTask, cause error) {
-	dead := r.p.breaker(b).Dead()
+// shed re-homes what backend b could not run — its failed chunk's orphans
+// and, once its circuit is dead, its whole queue — through place. With no
+// backend left the sweep fails.
+func (r *poolRun) shed(b int, orphans []*poolTask, cause error) {
+	br, base := r.backends[b].breaker, r.backends[b].base
 	r.mu.Lock()
-	for _, t := range chunk {
-		for _, a := range t.assigns {
-			if a.backend == b {
-				a.cancelled = true
-			}
-		}
-	}
-	orphans := append([]*poolTask(nil), chunk...)
-	if dead {
-		if !r.failed[b] {
-			r.failed[b] = true
-			r.opts.Logf("pool: backend %s is dead (circuit tripped %d times), re-sharding: %v",
-				r.p.base(b), r.opts.BreakerMaxTrips, cause)
-		}
+	defer r.mu.Unlock()
+	if br.Dead() {
+		r.p.logf("pool: backend %s is dead (circuit tripped %d times), re-sharding: %v", base, r.p.breakerMaxTrips, cause)
 		for _, t := range r.queues[b] {
-			t.pending = false // drained: no longer queued anywhere
+			t.pending = false
 		}
 		orphans = append(orphans, r.queues[b]...)
 		r.queues[b] = nil
-	} else if len(chunk) > 0 {
-		r.opts.Logf("pool: shedding %d points from %s (circuit %s): %v",
-			len(chunk), r.p.base(b), r.p.breaker(b).State(), cause)
+	} else if len(orphans) > 0 {
+		r.p.logf("pool: shedding %d points from %s (circuit %s): %v", len(orphans), base, br.State(), cause)
 	}
-	rekicks := map[int]bool{}
 	for _, t := range orphans {
-		if t.done || t.pending {
+		if !t.homeless() {
 			continue
 		}
-		if r.liveAssignLocked(t) {
-			continue // a hedge is still running it elsewhere
-		}
-		target := r.requeueTargetLocked(t)
+		target := r.place(t)
 		if target < 0 {
-			r.failLocked(fmt.Errorf("client: every pool backend failed (last: %s: %w)", r.p.base(b), cause))
-			r.mu.Unlock()
+			r.failLocked(fmt.Errorf("client: every pool backend failed (last: %s: %w)", base, cause))
 			return
 		}
-		r.enqueueLocked(t, target)
-		rekicks[target] = true
-	}
-	r.mu.Unlock()
-	for cand := range rekicks {
-		r.kick(cand)
+		r.enqueue(t, target)
 	}
 }
 
-// requeueTargetLocked picks a new home for t: the highest-ranked backend
-// that is still in the run and not circuit-dead, preferring one whose
-// circuit would admit a dispatch right now over one waiting out a cooldown.
-// Returns -1 when no backend is left.
-func (r *poolRun) requeueTargetLocked(t *poolTask) int {
-	fallback := -1
-	for _, cand := range t.rank {
-		if r.failed[cand] || r.p.breaker(cand).Dead() {
-			continue
-		}
-		if r.p.breaker(cand).Settled() {
-			return cand
-		}
-		if fallback < 0 {
-			fallback = cand
-		}
-	}
-	return fallback
-}
-
-// liveAssignLocked reports whether t still has an assignment on a healthy
-// backend.
-func (r *poolRun) liveAssignLocked(t *poolTask) bool {
-	for _, a := range t.assigns {
-		if !r.failed[a.backend] && !a.cancelled {
-			return true
-		}
-	}
-	return false
-}
-
-func (r *poolRun) recordLatencyLocked(d time.Duration) {
-	if len(r.latencies) < latencyRing {
-		r.latencies = append(r.latencies, d)
-		return
-	}
-	r.latencies[r.latNext] = d
-	r.latNext = (r.latNext + 1) % latencyRing
-}
-
-// hedgeDelay is the adaptive straggler threshold: hedgeMult × the p95 of
-// recent completion latencies, floored at HedgeMin.
-func (r *poolRun) hedgeDelay() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.latencies) == 0 {
-		return r.opts.HedgeMin
-	}
-	lat := append([]time.Duration(nil), r.latencies...)
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	p95 := obs.PercentileDuration(lat, 0.95)
-	d := time.Duration(hedgeMult * float64(p95))
-	if d < r.opts.HedgeMin {
-		d = r.opts.HedgeMin
-	}
-	return d
-}
-
-// hedgeMonitor periodically re-dispatches stragglers: a point outstanding
-// on its primary backend longer than the adaptive delay is queued on the
-// next healthy backend in its rendezvous order. One hedge per point; first
-// result wins.
+// hedgeMonitor hands stragglers to place every hedgeTick: a task whose one
+// live claim is older than the hedge delay (hedgeMult × the p95 of recent
+// completions, floored at hedgeMin) gets a second claim on a backend that
+// does not hold the first. First result wins.
 func (r *poolRun) hedgeMonitor() {
 	defer r.wg.Done()
-	ticker := time.NewTicker(r.opts.HedgeTick)
+	ticker := time.NewTicker(r.p.hedgeTick)
 	defer ticker.Stop()
 	for {
 		select {
@@ -924,43 +733,22 @@ func (r *poolRun) hedgeMonitor() {
 			return
 		case <-ticker.C:
 		}
-		delay := r.hedgeDelay()
-		now := time.Now()
-		rekicks := map[int]bool{}
 		r.mu.Lock()
+		lat := slices.Clone(r.latencies)
+		slices.Sort(lat)
+		delay := max(r.p.hedgeMin, time.Duration(hedgeMult*float64(obs.PercentileDuration(lat, 0.95))))
 		for _, t := range r.tasks {
 			if t.done || t.pending {
 				continue
 			}
-			// Hedge when exactly one live claim exists and it has aged past
-			// the delay. (A hedge whose backend later failed leaves the task
-			// with one live claim again, making it eligible once more.)
-			var live *assignment
-			claimed := map[int]bool{}
-			lives := 0
-			for _, a := range t.assigns {
-				if !a.cancelled && !r.failed[a.backend] {
-					live = a
-					lives++
-					claimed[a.backend] = true
-				}
-			}
-			if lives != 1 || now.Sub(live.dispatchedAt) < delay {
-				continue
-			}
-			for _, cand := range t.rank {
-				if !claimed[cand] && !r.failed[cand] && !r.p.breaker(cand).Dead() {
-					r.opts.Logf("pool: hedging %s (key %.12s) from %s to %s after %v",
-						t.spec.Workload, t.key, r.p.base(live.backend), r.p.base(cand), now.Sub(live.dispatchedAt))
-					r.enqueueLocked(t, cand)
-					rekicks[cand] = true
-					break
+			if claims := t.live(); len(claims) == 1 && time.Since(claims[0].dispatchedAt) >= delay {
+				if b := r.place(t); b >= 0 {
+					r.p.logf("pool: hedging %s (key %.12s) from %s to %s after %v", t.spec.Workload, t.key,
+						r.backends[claims[0].backend].base, r.backends[b].base, time.Since(claims[0].dispatchedAt))
+					r.enqueue(t, b)
 				}
 			}
 		}
 		r.mu.Unlock()
-		for cand := range rekicks {
-			r.kick(cand)
-		}
 	}
 }

@@ -16,12 +16,12 @@ import (
 // circuit — no client restart required. Same-epoch sightings must NOT
 // re-admit: the pool buried that incarnation for a reason.
 func TestMergeMembersReadmitsOnNewerEpoch(t *testing.T) {
-	p, err := NewPool([]string{"http://a:1", "http://b:2"}, PoolOptions{BreakerMaxTrips: 1, Logf: t.Logf})
+	p, err := newPool([]string{"http://a:1", "http://b:2"}, func(p *Pool) { p.breakerMaxTrips, p.logf = 1, t.Logf })
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.breakers[1].Fail(true) // hard failure; maxTrips=1 buries it immediately
-	if !p.breakers[1].Dead() {
+	p.backends[1].breaker.Fail(true) // hard failure; maxTrips=1 buries it immediately
+	if !p.backends[1].breaker.Dead() {
 		t.Fatal("breaker should be dead after a hard trip with maxTrips=1")
 	}
 
@@ -36,7 +36,7 @@ func TestMergeMembersReadmitsOnNewerEpoch(t *testing.T) {
 	if readmitted != 1 {
 		t.Errorf("readmitted = %d, want 1 (b came back with a newer epoch)", readmitted)
 	}
-	if p.breakers[1].Dead() {
+	if p.backends[1].breaker.Dead() {
 		t.Error("b's circuit is still dead after epoch-based re-admission")
 	}
 	bs := p.Backends()
@@ -48,18 +48,18 @@ func TestMergeMembersReadmitsOnNewerEpoch(t *testing.T) {
 	}
 
 	// Bury b again; the same epoch must not revive it...
-	p.breakers[1].Fail(true)
+	p.backends[1].breaker.Fail(true)
 	_, readmitted = p.mergeMembers([]cluster.Member{
 		{ID: "b", URL: "http://b:2", Epoch: 5, State: cluster.StateAlive},
 	})
-	if readmitted != 0 || !p.breakers[1].Dead() {
+	if readmitted != 0 || !p.backends[1].breaker.Dead() {
 		t.Error("same-epoch sighting must not re-admit a dead backend")
 	}
 	// ...but the next restart (epoch 6) does.
 	_, readmitted = p.mergeMembers([]cluster.Member{
 		{ID: "b", URL: "http://b:2", Epoch: 6, State: cluster.StateAlive},
 	})
-	if readmitted != 1 || p.breakers[1].Dead() {
+	if readmitted != 1 || p.backends[1].breaker.Dead() {
 		t.Error("newer-epoch sighting must re-admit the dead backend")
 	}
 }
@@ -82,7 +82,7 @@ func TestRefreshMembersDiscoversFleet(t *testing.T) {
 	ts = httptest.NewServer(mux)
 	defer ts.Close()
 
-	p, err := NewPool([]string{ts.URL}, PoolOptions{Logf: t.Logf})
+	p, err := newPool([]string{ts.URL}, func(p *Pool) { p.logf = t.Logf })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func (f *firstProbe) RoundTrip(r *http.Request) (*http.Response, error) {
 // cluster.RendezvousScore; this fails if either stops using it.
 func TestPeerReadProbesWherePoolPlaced(t *testing.T) {
 	urls := []string{"http://n1:7077", "http://n2:7077", "http://n3:7077", "http://n4:7077", "http://n5:7077"}
-	pool, err := NewPool(urls, PoolOptions{})
+	pool, err := NewPool(urls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestPeerReadProbesWherePoolPlaced(t *testing.T) {
 	owned := make(map[int]int)
 	for k := 0; k < 1000; k++ {
 		key := fmt.Sprintf("%064x", k*2654435761)
-		owner := pool.rank(key)[0]
+		owner := rank(key, pool.backends)[0]
 		owned[owner]++
 		for i := range nodes {
 			if i == owner {
@@ -117,5 +117,21 @@ func TestPoolFlags(t *testing.T) {
 	}
 	if u := fs.Lookup("server").Usage; !strings.Contains(u, "; the sweep executes remotely") {
 		t.Fatalf("-server help %q lost its subject", u)
+	}
+
+	// The pool's events reach the flag set's output, under its name: here a
+	// -cluster seed where nothing listens.
+	var out bytes.Buffer
+	fs = flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(&out)
+	get = PoolFlags(fs, "the sweep executes")
+	if err := fs.Parse([]string{"-server", "127.0.0.1:1", "-cluster"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := get(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); !strings.HasPrefix(got, "test: pool: cluster discovery from seeds failed") {
+		t.Fatalf("flag set output %q, want the pool's discovery failure", got)
 	}
 }

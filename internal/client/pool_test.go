@@ -1,8 +1,15 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,11 +24,11 @@ func poolSpec(seed uint64) sim.RunSpec {
 
 func TestHRWSameSpecSameBackend(t *testing.T) {
 	bases := []string{"http://a:1", "http://b:1", "http://c:1"}
-	p1, err := NewPool(bases, PoolOptions{})
+	p1, err := NewPool(bases)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := NewPool(bases, PoolOptions{})
+	p2, err := NewPool(bases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +43,7 @@ func TestHRWSameSpecSameBackend(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 100; seed++ {
 		k := server.Key(poolSpec(seed))
-		r1, r2 := p1.rank(k), p2.rank(k)
+		r1, r2 := rank(k, p1.backends), rank(k, p2.backends)
 		for i := range r1 {
 			if r1[i] != r2[i] {
 				t.Fatalf("rank(%s) differs between identical pools", k[:12])
@@ -47,11 +54,11 @@ func TestHRWSameSpecSameBackend(t *testing.T) {
 
 func TestHRWRemovalOnlyRemapsRemovedShare(t *testing.T) {
 	all := []string{"http://a:1", "http://b:1", "http://c:1"}
-	p3, err := NewPool(all, PoolOptions{})
+	p3, err := NewPool(all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := NewPool(all[:2], PoolOptions{})
+	p2, err := NewPool(all[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +66,9 @@ func TestHRWRemovalOnlyRemapsRemovedShare(t *testing.T) {
 	moved := 0
 	for seed := uint64(1); seed <= 300; seed++ {
 		k := server.Key(poolSpec(seed))
-		o3 := p3.rank(k)[0]
+		o3 := rank(k, p3.backends)[0]
 		owned[o3]++
-		o2 := p2.rank(k)[0]
+		o2 := rank(k, p2.backends)[0]
 		if o3 != 2 { // c did not own it: the owner must not change
 			if o2 != o3 {
 				t.Fatalf("key %.12s moved from backend %d to %d when c was removed", k, o3, o2)
@@ -97,7 +104,7 @@ func poolDaemon(t *testing.T, workers int) (*server.Server, string) {
 
 func TestPoolSingleBackendMatchesLocal(t *testing.T) {
 	s, url := poolDaemon(t, 2)
-	p, err := NewPool([]string{url}, PoolOptions{MaxInflight: 4})
+	p, err := newPool([]string{url}, func(p *Pool) { p.maxInflight = 4 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +132,7 @@ func TestPoolSingleBackendMatchesLocal(t *testing.T) {
 
 func TestPoolPropagatesSimulationError(t *testing.T) {
 	_, url := poolDaemon(t, 1)
-	p, err := NewPool([]string{url}, PoolOptions{})
+	p, err := NewPool([]string{url})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +152,11 @@ func TestPoolPropagatesSimulationError(t *testing.T) {
 func TestPoolHedgesStalledBackend(t *testing.T) {
 	sA, urlA := poolDaemon(t, 1)
 	sB, urlB := poolDaemon(t, 2)
-	p, err := NewPool([]string{urlA, urlB}, PoolOptions{
-		MaxInflight: 8,
-		HedgeMin:    25 * time.Millisecond,
-		HedgeTick:   5 * time.Millisecond,
-		Logf:        t.Logf,
+	p, err := newPool([]string{urlA, urlB}, func(p *Pool) {
+		p.maxInflight = 8
+		p.hedgeMin = 25 * time.Millisecond
+		p.hedgeTick = 5 * time.Millisecond
+		p.logf = t.Logf
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +169,7 @@ func TestPoolHedgesStalledBackend(t *testing.T) {
 	ownedA, ownedB := 0, 0
 	for seed := uint64(1); seed <= 64 && (ownedA < 2 || ownedB < 2); seed++ {
 		spec := poolSpec(seed)
-		if p.rank(server.Key(spec))[0] == 0 {
+		if rank(server.Key(spec), p.backends)[0] == 0 {
 			if ownedA >= 2 {
 				continue
 			}
@@ -228,7 +235,7 @@ func TestPoolHedgesStalledBackend(t *testing.T) {
 func TestPoolReshardsAroundDeadBackend(t *testing.T) {
 	sB, urlB := poolDaemon(t, 2)
 	dead := "http://127.0.0.1:1" // nothing listens on port 1
-	p, err := NewPool([]string{dead, urlB}, PoolOptions{MaxInflight: 4, Logf: t.Logf})
+	p, err := newPool([]string{dead, urlB}, func(p *Pool) { p.maxInflight, p.logf = 4, t.Logf })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +246,7 @@ func TestPoolReshardsAroundDeadBackend(t *testing.T) {
 	deadOwned := 0
 	for seed := uint64(1); seed <= 6 || deadOwned == 0 && seed <= 64; seed++ {
 		specs = append(specs, poolSpec(seed))
-		if p.rank(server.Key(specs[len(specs)-1]))[0] == 0 {
+		if rank(server.Key(specs[len(specs)-1]), p.backends)[0] == 0 {
 			deadOwned++
 		}
 	}
@@ -267,7 +274,7 @@ func TestPoolReshardsAroundDeadBackend(t *testing.T) {
 }
 
 func TestPoolAllBackendsDead(t *testing.T) {
-	p, err := NewPool([]string{"http://127.0.0.1:1", "http://127.0.0.1:1/x"}, PoolOptions{})
+	p, err := NewPool([]string{"http://127.0.0.1:1", "http://127.0.0.1:1/x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,10 +287,168 @@ func TestPoolAllBackendsDead(t *testing.T) {
 }
 
 func TestPoolRejectsEmpty(t *testing.T) {
-	if _, err := NewPool(nil, PoolOptions{}); err == nil {
+	if _, err := NewPool(nil); err == nil {
 		t.Fatal("NewPool(nil) succeeded")
 	}
-	if _, err := NewPool([]string{" ", ""}, PoolOptions{}); err == nil {
+	if _, err := NewPool([]string{" ", ""}); err == nil {
 		t.Fatal("NewPool(blank) succeeded")
+	}
+}
+
+// TestPoolSweepAfterAbandonedTrial: a half-open trial that the sweep
+// outlives is abandoned — neither a success nor a failure — so it neither
+// holds the circuit against the pool's next sweep nor counts toward
+// burying the backend. Backend A answers its first batch 500 (one trip:
+// threshold 1), then parks the trial's batch stream (its point is hedged to
+// B and the sweep ends) or the trial's readiness probe (the caller cancels
+// the sweep). Sweep 2 sends A two fresh points; with maxTrips 2 a cut probe
+// counted as a failure would bury A and move them to B.
+func TestPoolSweepAfterAbandonedTrial(t *testing.T) {
+	for name, parked := range map[string]string{"stream": "/v1/batch", "probe": "/healthz"} {
+		t.Run(name, func(t *testing.T) {
+			sA, _ := poolDaemon(t, 2)
+			_, urlB := poolDaemon(t, 2)
+			var batches, probes atomic.Int32
+			parkedCh := make(chan struct{}, 1)
+			front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				n := int32(0) // which request of its kind this is
+				switch r.URL.Path {
+				case "/v1/batch":
+					if n = batches.Add(1); n == 1 {
+						http.Error(w, `{"error":"injected"}`, http.StatusInternalServerError)
+						return
+					}
+				case "/healthz":
+					n = probes.Add(1)
+				}
+				if r.URL.Path == parked && n == 2 {
+					io.Copy(io.Discard, r.Body) // undrained, the server never notices the client leave
+					select {
+					case parkedCh <- struct{}{}:
+					default:
+					}
+					<-r.Context().Done()
+					return
+				}
+				sA.ServeHTTP(w, r)
+			}))
+			t.Cleanup(front.Close)
+
+			p, err := newPool([]string{front.URL, urlB}, func(p *Pool) {
+				p.maxInflight = 1
+				p.hedgeMin, p.hedgeTick = 25*time.Millisecond, 5*time.Millisecond
+				p.breakerThreshold, p.breakerCooldown, p.breakerMaxTrips = 1, 10*time.Millisecond, 2
+				p.retry.MaxAttempts = -1
+				p.logf = t.Logf
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			owned := func(b, n int, from uint64) (specs []sim.RunSpec, next uint64) {
+				for next = from; len(specs) < n; next++ {
+					if spec := poolSpec(next); rank(server.Key(spec), p.backends)[0] == b {
+						specs = append(specs, spec)
+					}
+				}
+				return specs, next
+			}
+			first, seed := owned(0, 2, 1)
+			onB, seed := owned(1, 1, seed)
+			second, _ := owned(0, 2, seed)
+
+			ctx1, cancel1 := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel1()
+			if parked == "/healthz" { // A's second point waits on A: only the caller ends this sweep
+				go func() {
+					<-parkedCh
+					cancel1()
+				}()
+			}
+			_, err = p.GetAllCtx(ctx1, append(first, onB...))
+			t.Logf("sweep 1: %v", err)
+
+			p.hedgeMin = time.Hour // sweep 2's points stay on A however slow the host
+			ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel2()
+			start := time.Now()
+			results, err := p.GetAllCtx(ctx2, second)
+			if err != nil {
+				t.Fatalf("sweep 2 after %v: %v", time.Since(start), err)
+			}
+			for i, spec := range second {
+				local, err := sim.Run(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if results[i].CPU != local.CPU {
+					t.Fatalf("sweep 2 spec %d differs from local run", i)
+				}
+			}
+			if got := sA.Runner().Runs(); got != uint64(len(second)) {
+				t.Fatalf("A ran %d simulations, want its %d points of sweep 2", got, len(second))
+			}
+		})
+	}
+}
+
+// TestPoolRetriesExternallyCancelledPoint: a point cancelled on its daemon
+// by someone other than the pool (here a proxy rewriting its terminal line)
+// is placed again, up to poolTaskMaxRetries times — each retry hits the
+// daemon's memo, so it is still simulated once — and then fails the sweep
+// with an error that names it.
+func TestPoolRetriesExternallyCancelledPoint(t *testing.T) {
+	for _, k := range []int{1, poolTaskMaxRetries, poolTaskMaxRetries + 1} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			s, _ := poolDaemon(t, 1)
+			var left atomic.Int32
+			left.Store(int32(k))
+			front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/v1/batch" {
+					s.ServeHTTP(w, r)
+					return
+				}
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, r)
+				for _, line := range bytes.SplitAfter(rec.Body.Bytes(), []byte("\n")) {
+					var it server.BatchItem
+					if json.Unmarshal(line, &it) == nil && it.Status == server.StatusDone && left.Add(-1) >= 0 {
+						it.Status, it.Error, it.Stats, it.Result = server.StatusCancelled, "cancelled by an operator", nil, nil
+						line, _ = json.Marshal(it)
+						line = append(line, '\n')
+					}
+					w.Write(line)
+				}
+			}))
+			t.Cleanup(front.Close)
+			p, err := newPool([]string{front.URL}, func(p *Pool) { p.logf = t.Logf })
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := poolSpec(1)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			results, err := p.GetAllCtx(ctx, []sim.RunSpec{spec})
+			if k > poolTaskMaxRetries {
+				if err == nil || !strings.Contains(err.Error(), "cancelled externally") || !strings.Contains(err.Error(), spec.Workload) {
+					t.Fatalf("after %d external cancellations: err %v, want one naming %s", k, err, spec.Workload)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			local, err := sim.Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := local.StatsJSON()
+			got, _ := results[0].StatsJSON()
+			if string(got) != string(want) {
+				t.Fatalf("result after %d external cancellations differs from local run", k)
+			}
+			if runs := s.Runner().Runs(); runs != 1 {
+				t.Fatalf("daemon ran %d simulations, want 1 (re-dispatches hit its memo)", runs)
+			}
+		})
 	}
 }

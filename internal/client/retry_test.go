@@ -46,7 +46,7 @@ func TestClientRetries429WithRetryAfter(t *testing.T) {
 		backend.ServeHTTP(w, r)
 	}))
 	t.Cleanup(front.Close)
-	cl = NewWithOptions(front.URL, Options{Retry: RetryPolicy{BaseDelay: time.Millisecond}})
+	cl = NewWithOptions(front.URL, Options{Retry: RetryPolicy{baseDelay: time.Millisecond}})
 
 	v, err := cl.Run(context.Background(), quickSpec)
 	if err != nil {
@@ -67,7 +67,7 @@ func TestClientRetryExhaustionSurfaces429(t *testing.T) {
 		w.Write([]byte(`{"error":"queue full"}`))
 	}))
 	t.Cleanup(always.Close)
-	cl := NewWithOptions(always.URL, Options{Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}})
+	cl := NewWithOptions(always.URL, Options{Retry: RetryPolicy{MaxAttempts: 3, baseDelay: time.Millisecond}})
 
 	_, err := cl.Run(context.Background(), quickSpec)
 	var se *StatusError
@@ -78,7 +78,7 @@ func TestClientRetryExhaustionSurfaces429(t *testing.T) {
 
 func TestClientRetriesInjectedTransportFault(t *testing.T) {
 	_, cl := testDaemon(t)
-	cl.retry = RetryPolicy{BaseDelay: time.Millisecond}.withDefaults()
+	cl.retry = RetryPolicy{baseDelay: time.Millisecond}.withDefaults()
 	cl.faults = faults.MustParse("client.request:error:1:limit=2")
 
 	if _, err := cl.Run(context.Background(), quickSpec); err != nil {
@@ -97,7 +97,7 @@ func TestClientDoesNotRetryBadRequests(t *testing.T) {
 		w.Write([]byte(`{"error":"bad spec"}`))
 	}))
 	t.Cleanup(srv.Close)
-	cl := NewWithOptions(srv.URL, Options{Retry: RetryPolicy{BaseDelay: time.Millisecond}})
+	cl := NewWithOptions(srv.URL, Options{Retry: RetryPolicy{baseDelay: time.Millisecond}})
 
 	_, err := cl.Run(context.Background(), quickSpec)
 	var se *StatusError

@@ -72,11 +72,11 @@ func TestPoolMintsSweepTraceID(t *testing.T) {
 		ts.Close()
 		s.Close()
 	})
-	p, err := NewPool([]string{ts.URL}, PoolOptions{HedgeMin: time.Hour, Logf: t.Logf})
+	p, err := newPool([]string{ts.URL}, func(p *Pool) { p.hedgeMin, p.logf = time.Hour, t.Logf })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.clients) != 1 || p.clients[0].TraceID() == "" {
+	if len(p.backends) != 1 || p.backends[0].client.TraceID() == "" {
 		t.Fatal("pool clients must carry a minted sweep trace ID")
 	}
 }

@@ -296,7 +296,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// Comment-line heartbeats keep idle connections alive through proxies
 	// and let clients distinguish "quiet" from "dead". Both tickers stop on
 	// every return path (client disconnect included) via the defers.
-	heartbeat := time.NewTicker(s.cfg.SSEHeartbeat)
+	heartbeat := time.NewTicker(s.cfg.sseHeartbeat)
 	defer heartbeat.Stop()
 	for {
 		select {

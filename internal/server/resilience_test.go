@@ -137,8 +137,8 @@ func TestDiskDegradedModeEntersAndRecovers(t *testing.T) {
 		Workers:            2,
 		CacheDir:           t.TempDir(),
 		Faults:             faults.MustParse("store.write:error:1:limit=1"),
-		DiskErrorThreshold: 1,
-		DiskRetryInterval:  5 * time.Millisecond,
+		diskErrorThreshold: 1,
+		diskRetryInterval:  5 * time.Millisecond,
 	})
 
 	// The first completed run's disk write fails (asynchronously, after the
@@ -165,7 +165,7 @@ func TestDiskDegradedModeEntersAndRecovers(t *testing.T) {
 	}
 
 	// Recovery: the fault budget is spent, so the next probe (one disk
-	// operation per DiskRetryInterval) succeeds and clears degraded mode.
+	// operation per diskRetryInterval) succeeds and clears degraded mode.
 	deadline = time.Now().Add(5 * time.Second)
 	for i := 0; s.Degraded(); i++ {
 		if time.Now().After(deadline) {

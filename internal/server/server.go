@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -35,9 +36,6 @@ type Config struct {
 	// SSEInterval is the progress-event period on /events streams
 	// (default: 250ms).
 	SSEInterval time.Duration
-	// SSEHeartbeat is the period of comment-line heartbeats on /events
-	// streams, keeping idle connections alive through proxies (default: 15s).
-	SSEHeartbeat time.Duration
 	// Tracer, when set, records a per-phase span timeline for every job,
 	// retrievable at GET /v1/runs/{id}/trace. Nil disables tracing at zero
 	// cost (every per-job trace handle is nil and all span calls no-op).
@@ -46,12 +44,6 @@ type Config struct {
 	// "run", "store.read", "store.write", "batch.stream"). Nil disables
 	// injection at zero cost.
 	Faults *faults.Injector
-	// DiskErrorThreshold is how many *consecutive* disk-tier I/O errors put
-	// the store into degraded memory-only mode (default: 5).
-	DiskErrorThreshold int
-	// DiskRetryInterval is how often a degraded disk tier is re-probed with
-	// one real operation (default: 5s). A success leaves degraded mode.
-	DiskRetryInterval time.Duration
 	// JournalPath is the durable job journal (journal.go): accepted,
 	// started and terminal transitions are appended as checksummed NDJSON
 	// and replayed on startup, so queued and running jobs survive a crash
@@ -76,7 +68,25 @@ type Config struct {
 	Tenants []TenantConfig
 	// Logf receives operational log lines (default: log.Printf).
 	Logf func(format string, args ...any)
+
+	// The constants below; fields so the package's tests can shorten them.
+	sseHeartbeat       time.Duration
+	diskErrorThreshold int
+	diskRetryInterval  time.Duration
 }
+
+const (
+	// sseHeartbeat is the period of comment-line heartbeats on /events
+	// streams, keeping idle connections alive through proxies that close
+	// them after 30–60 s of silence.
+	sseHeartbeat = 15 * time.Second
+	// diskErrorThreshold consecutive disk-tier I/O errors put the store into
+	// degraded memory-only mode: one error is a blip, five in a row a disk.
+	diskErrorThreshold = 5
+	// diskRetryInterval is how often a degraded disk tier is re-probed with
+	// one real operation; a success leaves degraded mode.
+	diskRetryInterval = 5 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -88,15 +98,9 @@ func (c Config) withDefaults() Config {
 	if c.SSEInterval <= 0 {
 		c.SSEInterval = 250 * time.Millisecond
 	}
-	if c.SSEHeartbeat <= 0 {
-		c.SSEHeartbeat = 15 * time.Second
-	}
-	if c.DiskErrorThreshold <= 0 {
-		c.DiskErrorThreshold = 5
-	}
-	if c.DiskRetryInterval <= 0 {
-		c.DiskRetryInterval = 5 * time.Second
-	}
+	c.sseHeartbeat = cmp.Or(c.sseHeartbeat, sseHeartbeat)
+	c.diskErrorThreshold = cmp.Or(c.diskErrorThreshold, diskErrorThreshold)
+	c.diskRetryInterval = cmp.Or(c.diskRetryInterval, diskRetryInterval)
 	if c.CheckpointInsts == 0 {
 		c.CheckpointInsts = 10_000_000
 	}
@@ -244,7 +248,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.tiers = &tiers{
 		runner: sim.NewRunner(), metrics: s.metrics, logf: cfg.Logf,
-		errThreshold: cfg.DiskErrorThreshold, retryEvery: cfg.DiskRetryInterval,
+		errThreshold: cfg.diskErrorThreshold, retryEvery: cfg.diskRetryInterval,
 		peerMiss: make(map[string]time.Time),
 	}
 	if err := s.initTenants(cfg.Tenants); err != nil {

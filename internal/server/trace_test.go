@@ -227,7 +227,7 @@ func TestSSERetryHintAndHeartbeat(t *testing.T) {
 	_, ts := testServer(t, Config{
 		Workers:      1,
 		SSEInterval:  time.Hour, // no progress events after the first: heartbeats must carry the stream
-		SSEHeartbeat: 5 * time.Millisecond,
+		sseHeartbeat: 5 * time.Millisecond,
 	})
 	resp, v := postRun(t, ts, longSpec, "")
 	if resp.StatusCode != http.StatusAccepted {

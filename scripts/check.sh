@@ -5,7 +5,8 @@
 # calls internal/ APIs and the root ./... cannot see it), a race pass over the
 # packages with real concurrency (the Runner's singleflight / worker pool, the
 # figure pipelines that drive it, the spbd job queue, the client pool's
-# sharding/hedging machinery, the arena pools), and the end-to-end harness
+# sharding/hedging machinery — its tests ten times over — the arena pools),
+# and the end-to-end harness
 # that drives real spbd processes (internal/e2e).
 set -eu
 cd "$(dirname "$0")/.."
@@ -24,6 +25,8 @@ echo "== bench module (own go.mod: the root ./... neither compiles nor runs it) 
 echo "== go test -race (sim without the warm-walk oracle: its 1 088 machines share nothing between goroutines, it has run above, and under the race runtime it takes three minutes) =="
 go test -race -skip 'TestWarmWalkMatchesPerInstructionReference' ./internal/sim
 go test -race ./internal/figures ./internal/server ./internal/client ./internal/cluster ./internal/faults ./internal/obs ./internal/memsys ./internal/cpu ./internal/trace ./internal/prefetch ./internal/pool ./cmd/spbd
+echo "== the sweep pool's scheduler, ten times under -race (a concurrent scheduler fails as a flake, not as a red run; ~3.5 min) =="
+go test -race -count=10 -run 'Pool|Chaos|Breaker|Merge|Refresh|HRW' ./internal/client
 echo "== e2e (real spbd processes: service smoke, fault storms, kill -9 recovery, 3-node fleet) =="
 go vet -tags e2e ./internal/e2e && go test -tags e2e -count=1 ./internal/e2e
 echo "== code lines per package (non-blank, non-comment, non-test Go; bench/ is its own module) =="
