@@ -122,18 +122,6 @@ func toFront(word uint64, w int) uint64 {
 	return word&^(1<<(at+4)-1) | below<<4 | uint64(w)
 }
 
-// arena is a reusable backing store: the line array plus the metadata the
-// scans walk. Caches of the same geometry recycle arenas through a free list; a
-// fresh user resets only the per-set words (10 bytes per set), so per-run
-// setup never allocates or zeroes the multi-megabyte line array — a way's
-// line record and tag are garbage until its live bit says otherwise.
-type arena struct {
-	lines []Line
-	tags  []uint32
-	rec   []uint64
-	live  []uint16
-}
-
 // geometry keys the arena pools: the per-set arrays are as long as the set
 // count, which the line count alone does not give.
 type geometry struct{ sets, ways int }
@@ -160,7 +148,7 @@ type Cache struct {
 	tags    []uint32 // block >> setBits per way; a match is confirmed against lines[i].Block
 	rec     []uint64 // per set: ways in recency order, one nibble each, most recent lowest
 	live    []uint16 // per set: bit w set = way w holds a block (authoritative liveness)
-	ar      *arena   // backing storage, recycled via Release
+	ar      *arena   // backing storage, recycled via Release; keeps the views mapped
 	// absent is b+1 for the block b the last failed find looked for, until
 	// something fills or restores: the fill that follows a miss reads it
 	// instead of scanning the set a second time. 0 names no block.
@@ -198,8 +186,7 @@ func New(name string, sizeBytes, ways, mshrs int) *Cache {
 	}
 	ar, ok := arenaPool.Get(geometry{sets, ways})
 	if !ok {
-		n := sets * ways
-		ar = &arena{lines: make([]Line, n), tags: make([]uint32, n), rec: make([]uint64, sets), live: make([]uint16, sets)}
+		ar = newArena(sets, ways)
 	}
 	clear(ar.live)
 	identity := uint64(recencyIdentity) & (1<<(4*uint(ways)) - 1)
@@ -221,17 +208,17 @@ func New(name string, sizeBytes, ways, mshrs int) *Cache {
 	}
 }
 
-// Release returns the line array to the geometry's shared pool so a later
-// cache can reuse it without reallocating or zeroing. The cache must not be
-// used afterwards. Skipping Release is always safe — the array is simply
-// garbage collected.
+// Release returns the arena to the geometry's shared pool so a later cache
+// can reuse it without rebuilding or zeroing. The cache drops every view of
+// it, so a use afterwards panics instead of touching the machine the arena
+// goes to next. Skipping Release is always safe — the arena is handed back
+// once the cache is unreachable.
 func (c *Cache) Release() {
 	if c.ar == nil {
 		return
 	}
 	arenaPool.Put(geometry{len(c.live), c.ways}, c.ar)
-	c.ar = nil
-	c.lines = nil
+	c.ar, c.lines, c.tags, c.rec, c.live = nil, nil, nil, nil, nil
 }
 
 // Name returns the cache's configured name.

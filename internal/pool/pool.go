@@ -10,13 +10,17 @@ import (
 )
 
 // keepCollections is how many garbage collections a released array may sit
-// untaken before it is let go. A busy process takes its arrays back within a
-// cycle or two, so they are built once per concurrently running machine; the
-// runtime forces a collection every two minutes on an idle one, so a daemon
-// nobody talks to — or the arrays of a one-off geometry (cores: 64 is 38 MB)
-// — are handed back after a quarter of an hour. The standard library's pool
-// keeps a value for two cycles, which lost a loaded spbd a machine's 10 MB
-// several times a minute.
+// untaken before it is let go. The clock is fast under load: with the cache
+// arenas outside the Go heap, a busy spbd's heap no longer holds its machines,
+// its goal is a few MB to a few tens of MB, and it collects one to three
+// times a second, so eight collections are three to eight seconds. A
+// worker takes its machine's arrays back at its next run, milliseconds later,
+// so they are still built once per concurrently running machine. The runtime
+// forces a collection every two minutes on an idle process, so a daemon nobody
+// talks to — or the arrays of a one-off geometry (cores: 64 is 38 MB) — hands
+// them back within a quarter of an hour. The standard library's pool keeps a
+// value for two cycles, which lost a loaded spbd a machine's 10 MB several
+// times a minute.
 const keepCollections = 8
 
 var (

@@ -5,16 +5,19 @@
 # calls internal/ APIs and the root ./... cannot see it), a race pass over the
 # packages with real concurrency (the Runner's singleflight / worker pool, the
 # figure pipelines that drive it, the spbd job queue, the client pool's
-# sharding/hedging machinery — its tests ten times over — the arena pools),
-# and the end-to-end harness
-# that drives real spbd processes (internal/e2e).
+# sharding/hedging machinery — its tests ten times over — the arena pools, and
+# internal/cache, whose -race build puts its arenas back on the heap, the only
+# memory the detector sees), and the end-to-end harness that drives real spbd
+# processes (internal/e2e).
 set -eu
 cd "$(dirname "$0")/.."
 
 echo "== gofmt =="
 test -z "$(gofmt -l .)"
-echo "== go vet =="
+echo "== go vet (and internal/cache's arena files on the platforms that take the other build-tag branch) =="
 go vet ./...
+GOOS=windows go vet ./internal/cache
+GOOS=darwin go vet ./internal/cache
 echo "== go build (every committed default.pgo must parse: a main package is built with its own) =="
 for f in cmd/*/default.pgo; do go tool pprof -raw "$f" >/dev/null; done
 go build ./...
@@ -24,7 +27,7 @@ echo "== bench module (own go.mod: the root ./... neither compiles nor runs it) 
 (cd bench && go vet ./... && go test ./...)
 echo "== go test -race (sim without the warm-walk oracle: its 1 088 machines share nothing between goroutines, it has run above, and under the race runtime it takes three minutes) =="
 go test -race -skip 'TestWarmWalkMatchesPerInstructionReference' ./internal/sim
-go test -race ./internal/figures ./internal/server ./internal/client ./internal/cluster ./internal/faults ./internal/obs ./internal/memsys ./internal/cpu ./internal/trace ./internal/prefetch ./internal/pool ./cmd/spbd
+go test -race ./internal/figures ./internal/server ./internal/client ./internal/cluster ./internal/faults ./internal/obs ./internal/memsys ./internal/cpu ./internal/trace ./internal/prefetch ./internal/pool ./internal/cache ./cmd/spbd
 echo "== the sweep pool's scheduler, ten times under -race (a concurrent scheduler fails as a flake, not as a red run; ~3.5 min) =="
 go test -race -count=10 -run 'Pool|Chaos|Breaker|Merge|Refresh|HRW' ./internal/client
 echo "== e2e (real spbd processes: service smoke, fault storms, kill -9 recovery, 3-node fleet) =="
