@@ -11,11 +11,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"spb/internal/config"
 	"spb/internal/core"
 	"spb/internal/sim"
-	"spb/internal/stats"
 )
 
 func main() {
@@ -127,8 +127,16 @@ func main() {
 	fmt.Printf("energy              cache %.3g J, core %.3g J, static %.3g J, total %.3g J\n",
 		res.Energy.CacheDynamic, res.Energy.CoreDynamic, res.Energy.Static, res.Energy.Total())
 	if *dump {
-		set := stats.NewSet()
+		set := map[string]uint64{}
 		res.ExportStats(set)
-		fmt.Print("\n", set.String())
+		names := make([]string, 0, len(set))
+		for name := range set {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		fmt.Println()
+		for _, name := range names {
+			fmt.Printf("%-40s %d\n", name, set[name])
+		}
 	}
 }

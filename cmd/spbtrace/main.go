@@ -144,7 +144,7 @@ func replay(args []string) {
 
 	machine := config.Skylake().WithSQ(*sb)
 	sys := memsys.New(machine, 1)
-	c := cpu.NewWithTLB(machine.Core, pol, machine.SPB, machine.TLB, sys.Port(0), fr, 1)
+	c := cpu.New(machine.Core, pol, machine.SPB, sys.Port(0), fr, 1)
 	if err := c.Run(total); err != nil {
 		fatal(err)
 	}

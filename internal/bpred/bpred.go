@@ -3,10 +3,11 @@
 // the simulator models its *effect* statistically (per-workload mispredict
 // rates, as the paper's characterization provides), and this package is the
 // structural alternative: a gshare direction predictor plus a BTB whose
-// misses cost a front-end bubble. Cores enable it with
-// cpu.Options.UseBranchPredictor, which replaces the trace's statistical
-// mispredict flags with modelled outcomes derived from actual branch
-// directions.
+// misses cost a front-end bubble. A run that models it
+// (sim.RunSpec.ModelBranchPredictor) gives each core of its machine one, which
+// the core borrows (cpu.NewWithOptions) and which replaces the trace's
+// statistical mispredict flags with modelled outcomes derived from actual
+// branch directions.
 package bpred
 
 // Predictor is a gshare direction predictor with a direct-mapped BTB.

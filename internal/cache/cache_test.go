@@ -377,33 +377,25 @@ func TestLineIs32Bytes(t *testing.T) {
 // even in a recycled way, an in-place upgrade keeps it, and the victim copy
 // hands it out — the three properties memsys's in-line directory relies on.
 func TestInsertCarriesDirectoryState(t *testing.T) {
-	for _, warm := range []bool{false, true} {
-		c := small() // blocks 0, 4, 8 map to set 0
-		insert := func(b mem.Block, st State) (*Line, Line, bool) {
-			if warm {
-				return c.WarmInsert(b, st)
-			}
-			return c.Insert(b, st, 0, false, false)
-		}
-		l0, _, _ := insert(0, Shared)
-		if l0 != c.Peek(0) {
-			t.Fatalf("warm=%v: Insert returned %p, the line is %p", warm, l0, c.Peek(0))
-		}
-		l0.SetOwner(3)
-		l0.Sharers = 0b1010
-		if up, _, evicted := insert(0, Modified); evicted || up != l0 || up.Owner() != 3 || up.Sharers != 0b1010 {
-			t.Fatalf("warm=%v: upgrade in place lost directory state: %+v", warm, up)
-		}
-		insert(4, Shared)
-		c.Lookup(4, true) // 0 is now the LRU way
-		l8, victim, evicted := insert(8, Shared)
-		if !evicted || victim.Block != 0 || victim.Owner() != 3 || victim.Sharers != 0b1010 {
-			t.Fatalf("warm=%v: victim = %+v evicted=%v, want block 0 with its directory state", warm, victim, evicted)
-		}
-		if l8.Owner() != -1 || l8.Sharers != 0 {
-			t.Fatalf("warm=%v: fill into a recycled way inherited directory state: %+v", warm, l8)
-		}
-		c.Release()
+	c := small() // blocks 0, 4, 8 map to set 0
+	defer c.Release()
+	l0, _, _ := c.Insert(0, Shared, 0, false, false)
+	if l0 != c.Peek(0) {
+		t.Fatalf("Insert returned %p, the line is %p", l0, c.Peek(0))
+	}
+	l0.SetOwner(3)
+	l0.Sharers = 0b1010
+	if up, _, evicted := c.Insert(0, Modified, 0, false, false); evicted || up != l0 || up.Owner() != 3 || up.Sharers != 0b1010 {
+		t.Fatalf("upgrade in place lost directory state: %+v", up)
+	}
+	c.Insert(4, Shared, 0, false, false)
+	c.Lookup(4, true) // 0 is now the LRU way
+	l8, victim, evicted := c.Insert(8, Shared, 0, false, false)
+	if !evicted || victim.Block != 0 || victim.Owner() != 3 || victim.Sharers != 0b1010 {
+		t.Fatalf("victim = %+v evicted=%v, want block 0 with its directory state", victim, evicted)
+	}
+	if l8.Owner() != -1 || l8.Sharers != 0 {
+		t.Fatalf("fill into a recycled way inherited directory state: %+v", l8)
 	}
 }
 

@@ -51,29 +51,23 @@ func (r *refCache) touch(w *refWay) {
 	w.stamp = r.clock
 }
 
-func (r *refCache) lookup(b mem.Block, touch, counted bool) *Line {
-	if counted {
-		r.tagAccesses++
-	}
+func (r *refCache) lookup(b mem.Block, touch bool) *Line {
+	r.tagAccesses++
 	w := r.find(b)
 	if w == nil {
-		if touch && counted {
+		if touch {
 			r.misses++
 		}
 		return nil
 	}
 	if touch {
 		r.touch(w)
-		if counted {
-			r.hits++
-		}
+		r.hits++
 	}
 	return &w.line
 }
 
-// insert is Insert (counted) and WarmInsert (not counted, ReadyAt 0, flags
-// cleared) over the same way choice.
-func (r *refCache) insert(b mem.Block, st State, readyAt uint64, prefetched, pfWrite, counted bool) (line *Line, victim Line, evicted bool) {
+func (r *refCache) insert(b mem.Block, st State, readyAt uint64, prefetched, pfWrite bool) (line *Line, victim Line, evicted bool) {
 	if w := r.find(b); w != nil {
 		r.touch(w)
 		w.line.State = st
@@ -99,11 +93,9 @@ func (r *refCache) insert(b mem.Block, st State, readyAt uint64, prefetched, pfW
 			}
 		}
 		victim, evicted = set[pick].line, true
-		if counted {
-			r.evictions++
-			if victim.State == Modified {
-				r.writebacks++
-			}
+		r.evictions++
+		if victim.State == Modified {
+			r.writebacks++
 		}
 	}
 	w := &set[pick]
@@ -173,10 +165,10 @@ func TestCacheMatchesReference(t *testing.T) {
 			for op := 0; op < 200_000; op++ {
 				b := pool[rng.Intn(len(pool))]
 				st := states[rng.Intn(len(states))]
-				switch k := rng.Intn(10); {
+				switch k := rng.Intn(8); {
 				case k < 3:
 					touch := rng.Intn(4) != 0
-					got, want := c.Lookup(b, touch), ref.lookup(b, touch, true)
+					got, want := c.Lookup(b, touch), ref.lookup(b, touch)
 					if !sameLine(got, want) {
 						t.Fatalf("op %d: Lookup(%#x, %v) = %+v, reference %+v", op, b, touch, got, want)
 					}
@@ -187,26 +179,15 @@ func TestCacheMatchesReference(t *testing.T) {
 						want.SetOwner(core)
 						got.Sharers, want.Sharers = uint64(op)&0xff, uint64(op)&0xff
 					}
-				case k < 4:
-					if got, want := c.WarmLookup(b), ref.lookup(b, true, false); !sameLine(got, want) {
-						t.Fatalf("op %d: WarmLookup(%#x) = %+v, reference %+v", op, b, got, want)
-					}
-				case k < 7:
+				case k < 6:
 					readyAt, pf, pfw := uint64(rng.Intn(1000)), rng.Intn(2) == 0, rng.Intn(2) == 0
 					gl, gv, ge := c.Insert(b, st, readyAt, pf, pfw)
-					wl, wv, we := ref.insert(b, st, readyAt, pf, pfw, true)
+					wl, wv, we := ref.insert(b, st, readyAt, pf, pfw)
 					if !sameLine(gl, wl) || gv != wv || ge != we {
 						t.Fatalf("op %d: Insert(%#x) = %+v, victim %+v (holders %#x) %v; reference %+v, victim %+v (holders %#x) %v",
 							op, b, gl, gv, gv.Holders(), ge, wl, wv, wv.Holders(), we)
 					}
-				case k < 8:
-					gl, gv, ge := c.WarmInsert(b, st)
-					wl, wv, we := ref.insert(b, st, 0, false, false, false)
-					if !sameLine(gl, wl) || gv != wv || ge != we {
-						t.Fatalf("op %d: WarmInsert(%#x) = %+v, victim %+v %v; reference %+v, victim %+v %v",
-							op, b, gl, gv, ge, wl, wv, we)
-					}
-				case k < 9:
+				case k < 7:
 					gl, gok := c.Invalidate(b)
 					wl, wok := ref.invalidate(b)
 					if gl != wl || gok != wok {

@@ -3,53 +3,11 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-
-	"spb/internal/mem"
 )
 
-// This file adds the two pieces warm-start simulation (DESIGN.md §12) needs
-// from the cache arrays: counter-free "functional warming" accesses, and a
-// deep-copy Snapshot/Restore of all mutable state.
-//
-// Functional warming replays a workload prefix against the tag/LRU arrays
-// without touching the statistics counters, the MSHR model, or fill timing —
-// so the warmed state depends only on the instruction stream, never on the
-// per-grid-point configuration knobs a sweep varies. WarmLookup and
-// WarmInsert mirror Lookup and Insert effect-for-effect on the array state
-// (same recency updates, same victim choice) minus the counters, and fill
-// with ReadyAt 0 (data "already arrived": warmup models steady state, not
-// the transient).
-
-// WarmLookup returns the line holding b, touching LRU state exactly as a
-// demand Lookup(b, true) would, but without counting the access.
-func (c *Cache) WarmLookup(b mem.Block) *Line {
-	set, w := c.find(b)
-	if w < 0 {
-		return nil
-	}
-	c.rec[set] = toFront(c.rec[set], w)
-	return &c.lines[set*c.ways+w]
-}
-
-// WarmInsert fills block b in state st with the fill already complete
-// (ReadyAt 0), choosing the victim exactly as Insert would but without
-// counting the eviction. The caller propagates state effects (inclusive
-// back-invalidation) of a valid victim; no writeback is modelled.
-func (c *Cache) WarmInsert(b mem.Block, st State) (line *Line, victim Line, evicted bool) {
-	i, present, occupied := c.place(b)
-	line = &c.lines[i]
-	if present {
-		line.State = st
-		line.Prefetched = false
-		line.PrefetchWrite = false
-		return line, Line{}, false
-	}
-	if occupied {
-		victim = *line
-	}
-	*line = Line{Block: b, State: st}
-	return line, victim, occupied
-}
+// This file adds what warm-start simulation (DESIGN.md §12) needs from the
+// cache arrays besides their one access path: a deep-copy Snapshot/Restore of
+// all mutable state.
 
 // Snapshot is a deep copy of a cache's mutable state: the occupied lines, each
 // set's recency word and live mask, the in-flight miss list and the statistics

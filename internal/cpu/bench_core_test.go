@@ -59,8 +59,8 @@ func BenchmarkCoreTick(b *testing.B) {
 	})
 }
 
-// BenchmarkCoreTickRun measures whole short runs (Run includes the
-// event-horizon fast-forward path that a bare Tick loop never takes). Each
+// BenchmarkCoreTickRun measures whole short runs (Run includes the sleep to
+// the event horizon that a bare Tick loop never takes). Each
 // iteration releases its machine back to the arena pools, so the steady
 // state measures what a sweep pays per point — recycled ROB/cache/table
 // arenas, not fresh ones.

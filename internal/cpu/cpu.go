@@ -120,6 +120,9 @@ type Core struct {
 	port   *memsys.Port
 	sb     *storebuf.StoreBuffer
 	det    *core.Detector
+	// dtlb and bp are the machine's: a core borrows its TLB and predictor
+	// (bp nil: the trace's statistical mispredict flags) and never releases
+	// them.
 	dtlb   *tlb.TLB
 	bp     *bpred.Predictor
 	reader trace.Reader
@@ -127,8 +130,6 @@ type Core struct {
 	// is: dispatch then calls Next without going through the interface.
 	limited *trace.LimitReader
 	rng     *trace.RNG
-
-	cycle uint64
 
 	// Frontend.
 	fetchReadyAt uint64
@@ -164,6 +165,7 @@ type Core struct {
 	lastLoadAddr  mem.Addr
 	lastStoreAddr mem.Addr
 
+	// St.Cycles is the core's clock.
 	St Stats
 }
 
@@ -178,11 +180,8 @@ type Options struct {
 	BackwardBursts bool
 	// CrossPageBursts lets bursts continue into the next page (footnote 2).
 	CrossPageBursts bool
-	// UseBranchPredictor replaces the trace's statistical mispredict flags
-	// with a modelled gshare + BTB front end (Table I's predictor class).
-	UseBranchPredictor bool
 	// DisableFastForward forces Run into the cycle-by-cycle reference loop
-	// instead of skipping provably dead cycles (see NextEventCycle). The two
+	// instead of sleeping through provably dead cycles (see sleep). The two
 	// modes produce bit-identical statistics; the knob exists for the
 	// equivalence test and for debugging.
 	DisableFastForward bool
@@ -197,26 +196,20 @@ type Options struct {
 	StartCycle uint64
 }
 
-// New builds a core running the given policy over the instruction stream.
-// For PolicyIdeal the configured SQ size is overridden with the
-// never-stalling 1024-entry buffer of the paper.
+// New builds a standalone core running the given policy over the instruction
+// stream, with a Table I data TLB of its own and statistical mispredicts. For
+// PolicyIdeal the configured SQ size is overridden with the never-stalling
+// 1024-entry buffer of the paper.
 func New(cfg config.CoreConfig, policy core.Policy, spbCfg config.SPBConfig,
 	port *memsys.Port, reader trace.Reader, seed uint64) *Core {
-	return NewWithOptions(cfg, policy, spbCfg,
-		config.TLBConfig{Entries: 128, Ways: 8, WalkLat: 30}, Options{},
-		port, reader, seed)
+	return NewWithOptions(cfg, policy, spbCfg, tlb.New(tlb.TableI()), nil, Options{}, port, reader, seed)
 }
 
-// NewWithTLB builds a core with an explicit data-TLB configuration.
-func NewWithTLB(cfg config.CoreConfig, policy core.Policy, spbCfg config.SPBConfig,
-	tlbCfg config.TLBConfig, port *memsys.Port, reader trace.Reader, seed uint64) *Core {
-	return NewWithOptions(cfg, policy, spbCfg, tlbCfg, Options{}, port, reader, seed)
-}
-
-// NewWithOptions builds a core with explicit TLB configuration and
-// extension options.
+// NewWithOptions builds a core on its machine's data TLB and branch predictor
+// (nil: the trace's statistical mispredict flags; otherwise a modelled gshare
+// + BTB front end, Table I's predictor class), with extension options.
 func NewWithOptions(cfg config.CoreConfig, policy core.Policy, spbCfg config.SPBConfig,
-	tlbCfg config.TLBConfig, opts Options, port *memsys.Port, reader trace.Reader, seed uint64) *Core {
+	dtlb *tlb.TLB, bp *bpred.Predictor, opts Options, port *memsys.Port, reader trace.Reader, seed uint64) *Core {
 	sqSize := cfg.SQSize
 	if policy == core.PolicyIdeal {
 		sqSize = config.IdealSQSize
@@ -230,7 +223,8 @@ func NewWithOptions(cfg config.CoreConfig, policy core.Policy, spbCfg config.SPB
 		policy: policy,
 		port:   port,
 		sb:     sb,
-		dtlb:   tlb.New(tlb.Config{Entries: tlbCfg.Entries, Ways: tlbCfg.Ways, WalkLat: tlbCfg.WalkLat}),
+		dtlb:   dtlb,
+		bp:     bp,
 		reader: reader,
 		rng:    trace.NewRNG(seed),
 		rob:    newROB(cfg.ROBSize),
@@ -242,30 +236,17 @@ func NewWithOptions(cfg config.CoreConfig, policy core.Policy, spbCfg config.SPB
 			CrossPage: opts.CrossPageBursts,
 		})
 	}
-	if opts.UseBranchPredictor {
-		c.bp = bpred.New(bpred.TableI())
-	}
 	c.limited, _ = reader.(*trace.LimitReader)
 	c.noFF = opts.DisableFastForward
-	c.cycle = opts.StartCycle
-	c.St.Cycles = c.cycle
+	c.St.Cycles = opts.StartCycle
 	return c
 }
-
-// BranchPredictor exposes the modelled predictor (nil unless enabled).
-func (c *Core) BranchPredictor() *bpred.Predictor { return c.bp }
 
 // SB exposes the store buffer (tests and invariant checks).
 func (c *Core) SB() *storebuf.StoreBuffer { return c.sb }
 
-// DTLB exposes the data TLB (statistics).
-func (c *Core) DTLB() *tlb.TLB { return c.dtlb }
-
 // Detector exposes the SPB detector (nil unless PolicySPB).
 func (c *Core) Detector() *core.Detector { return c.det }
-
-// Cycle returns the core's current cycle.
-func (c *Core) Cycle() uint64 { return c.cycle }
 
 // Done reports whether the core has drained: trace exhausted, ROB empty and
 // no senior stores pending.
@@ -276,26 +257,25 @@ func (c *Core) Done() bool {
 // Tick advances the core by one cycle: commit, SB drain, then dispatch. It
 // reports whether the cycle was idle — nothing committed, no store performed,
 // nothing dispatched. Only an idle cycle can start a dead span, so Lockstep
-// computes the event horizon only after one and busy cycles pay nothing for
-// the fast forward.
-func (c *Core) Tick() (idle bool) {
+// sends a core to sleep only after one and busy cycles pay nothing for it.
+func (c *Core) Tick() bool {
 	com0, perf0 := c.St.Committed, c.St.StoresPerformed
 	c.commitStage()
 	c.drainSB()
-	dispatched := c.dispatchStage()
-	if dispatched == 0 && !c.Done() && c.port.OutstandingL1Misses(c.cycle) > 0 {
-		c.St.ExecStallL1DPending++
+	dispatched, cause := c.dispatchStage()
+	if dispatched == 0 {
+		c.idle(cause, 1)
 	}
-	c.cycle++
-	c.St.Cycles = c.cycle
+	c.St.Cycles++
 	return dispatched == 0 && c.St.Committed == com0 && c.St.StoresPerformed == perf0
 }
 
 // Run executes until n instructions have committed (or the trace ends) and
 // the machine has drained. It returns an error if the core livelocks.
 //
-// Unless Options.DisableFastForward is set, Run skips provably dead cycles
-// (see Lockstep). Statistics are bit-identical to the cycle-by-cycle loop.
+// Unless Options.DisableFastForward is set, Run sleeps through provably dead
+// cycles (see Lockstep). Statistics are bit-identical to the cycle-by-cycle
+// loop.
 func (c *Core) Run(n uint64) error { return c.RunCtx(context.Background(), n) }
 
 // RunCtx is Run under a context: if ctx is cancelled the loop stops within
@@ -314,8 +294,8 @@ func (c *Core) RunCtx(ctx context.Context, n uint64) error {
 // dispatchBlock is why the dispatch stage cannot take the pending instruction.
 // The order of the causes is the order they are tested in, which is part of
 // the paper's stall taxonomy: dispatchBlockAt is the one statement of it, and
-// charge the one attribution — the per-cycle loop and the fast-forward both
-// go through them.
+// idle the one attribution — a ticked cycle and a slept span both go through
+// them.
 type dispatchBlock int
 
 const (
@@ -349,7 +329,7 @@ func (c *Core) dispatchBlockAt(t uint64) dispatchBlock {
 
 // liftCycle returns the cycle at which a blocking cause could lift on its
 // own. Causes released by commit or SB drain (ROB full, SB full) return
-// math.MaxUint64: the commit and drain events bound a skip instead.
+// math.MaxUint64: the commit and drain events bound a sleep instead.
 func (c *Core) liftCycle(cause dispatchBlock) uint64 {
 	switch cause {
 	case blockFrontend:
@@ -362,10 +342,14 @@ func (c *Core) liftCycle(cause dispatchBlock) uint64 {
 	return math.MaxUint64
 }
 
-// charge attributes n cycles in which nothing dispatched to their cause: one
-// for a ticked cycle, a whole dead span for a fast-forward, during which the
-// cause — and the store at the head of the SB — cannot change.
-func (c *Core) charge(cause dispatchBlock, n uint64) {
+// idle charges n cycles in which nothing dispatched, from the current one on:
+// each to what blocked dispatch (dispatchReady: nothing was pending), and to
+// the Top-Down "L1D miss pending" count while an L1D miss is in flight. It is
+// the one place an undispatched cycle is charged: n is one for a ticked cycle
+// and a whole dead span for a sleep, during which the cause and the store at
+// the head of the SB cannot change and no miss is issued — so cycle u has one
+// in flight exactly while u is before the latest outstanding fill.
+func (c *Core) idle(cause dispatchBlock, n uint64) {
 	switch cause {
 	case blockFrontend:
 		c.St.FrontendStallCycles += n
@@ -379,29 +363,29 @@ func (c *Core) charge(cause dispatchBlock, n uint64) {
 	case blockIQ:
 		c.St.IQStallCycles += n
 	}
+	if c.Done() {
+		return
+	}
+	if now, ready := c.St.Cycles, c.port.MaxOutstandingL1Ready(c.St.Cycles); ready > now {
+		c.St.ExecStallL1DPending += min(ready-now, n)
+	}
 }
 
-// NextEventCycle returns the earliest cycle at or after the current one at
-// which the core could commit, drain a store, dispatch, or otherwise change
-// architectural or statistical state. A return value equal to the current
-// cycle means the next Tick may act and nothing can be skipped; a larger
-// value means every cycle strictly before it is dead (the event horizon) and
-// can be jumped over with SkipTo without changing any statistic. With it comes
-// what blocks dispatch over that span (dispatchReady: nothing is pending),
-// which SkipTo charges.
-func (c *Core) NextEventCycle() (uint64, dispatchBlock) {
-	now := c.cycle
+// sleep sends an idle core to its event horizon: the earliest cycle at which
+// it could commit, drain a store, dispatch, or otherwise change architectural
+// or statistical state. Every cycle before it is dead, and idle charges them
+// as the cycle-by-cycle loop would have; a horizon at the current cycle means
+// the next Tick may act, and the core stays awake.
+func (c *Core) sleep() {
+	now := c.St.Cycles
 	next := uint64(math.MaxUint64)
-	cause := dispatchReady
 
 	// Commit: the ROB head retires the moment its completion cycle arrives;
 	// younger entries cannot retire before it (in-order commit).
 	if c.robCount > 0 {
-		d := c.rob[c.robHead].DoneAt
-		if d <= now {
-			return now, dispatchReady
+		if next = c.rob[c.robHead].DoneAt; next <= now {
+			return
 		}
-		next = d
 	}
 
 	// SB drain: a senior head either performs when its fill completes, or —
@@ -409,76 +393,44 @@ func (c *Core) NextEventCycle() (uint64, dispatchBlock) {
 	// recorded fill time. An unacquired head issues its request next Tick.
 	if e, ok := c.sb.Head(); ok {
 		if !c.headAcquired || c.headSeq != e.Seq {
-			return now, dispatchReady
+			return
 		}
 		ev := c.headReadyAt + 1 // retry / force-perform path
 		if r, writable := c.port.WritableReadyCycle(e.Addr); writable && r < ev {
 			ev = r // the store performs the moment the fill completes
 		}
 		if ev <= now {
-			return now, dispatchReady
+			return
 		}
-		if ev < next {
-			next = ev
-		}
+		next = min(next, ev)
 	}
 
 	// Dispatch: with no pending instruction and trace remaining, the next
 	// Tick pulls from the reader (an action). With a pending instruction the
 	// blocking cause is constant over the dead span, and its lift cycle —
 	// where one is not already bounded by the commit/drain events above —
-	// caps the skip.
+	// caps the sleep.
+	cause := dispatchReady
 	if c.havePending {
 		if cause = c.dispatchBlockAt(now); cause == dispatchReady {
-			return now, dispatchReady
+			return
 		}
 		next = min(next, c.liftCycle(cause))
 	} else if !c.traceDone {
-		return now, dispatchReady
+		return
 	}
 
 	if next == math.MaxUint64 {
-		return now, dispatchReady
-	}
-	return next, cause
-}
-
-// SkipTo advances the core from its current cycle straight to target,
-// charging every counter the cycle-by-cycle loop would have charged for the
-// skipped span. It must only be called with a target and cause obtained from
-// NextEventCycle (every cycle in [current, target) is dead).
-func (c *Core) SkipTo(target uint64, cause dispatchBlock) {
-	now := c.cycle
-	if target <= now {
 		return
 	}
-	span := target - now
-
-	// The blocking cause cannot change inside a dead span (nothing commits,
-	// drains, or dispatches), so each skipped cycle charges the counter the
-	// reference loop would have; with the trace exhausted and nothing pending
-	// that is none.
-	c.charge(cause, span)
-
-	// ExecStallL1DPending: a skipped cycle t counts when at least one L1D
-	// miss is still in flight, i.e. while t is before the latest outstanding
-	// fill completion. No new misses are issued during a dead span.
-	if maxReady := c.port.MaxOutstandingL1Ready(now); maxReady > now {
-		pend := maxReady - now
-		if pend > span {
-			pend = span
-		}
-		c.St.ExecStallL1DPending += pend
-	}
-
-	c.cycle = target
-	c.St.Cycles = target
+	c.idle(cause, next-now)
+	c.St.Cycles = next
 }
 
 func (c *Core) commitStage() {
 	for n := 0; n < c.cfg.Width && c.robCount > 0; n++ {
 		e := &c.rob[c.robHead]
-		if e.DoneAt > c.cycle {
+		if e.DoneAt > c.St.Cycles {
 			break
 		}
 		if e.Kind == trace.KindStore {
@@ -497,7 +449,7 @@ func (c *Core) commitStage() {
 // onStoreCommit fires the at-commit prefetch and feeds the SPB detector.
 func (c *Core) onStoreCommit(e *robEntry) {
 	if c.policy.PrefetchesAtCommit() {
-		c.port.PrefetchOwn(mem.BlockOf(e.Addr), c.cycle, false)
+		c.port.PrefetchOwn(mem.BlockOf(e.Addr), c.St.Cycles, false)
 	}
 	if c.det == nil {
 		return
@@ -512,7 +464,7 @@ func (c *Core) onStoreCommit(e *robEntry) {
 	// than dumped into the memory system in a single cycle.
 	offset := uint64(0)
 	burst.Blocks(func(b mem.Block) {
-		c.port.PrefetchOwn(b, c.cycle+offset, true)
+		c.port.PrefetchOwn(b, c.St.Cycles+offset, true)
 		offset++
 	})
 }
@@ -525,7 +477,7 @@ func (c *Core) drainSB() {
 	if !ok {
 		return
 	}
-	if c.port.PerformStore(e.Addr, e.PC, c.cycle) {
+	if c.port.PerformStore(e.Addr, e.PC, c.St.Cycles) {
 		c.sb.Pop()
 		c.St.StoresPerformed++
 		c.headAcquired = false
@@ -537,34 +489,33 @@ func (c *Core) drainSB() {
 	// the forward-progress guarantee every TSO implementation provides,
 	// without which two cores hammering one block can starve each other.
 	if !c.headAcquired || c.headSeq != e.Seq {
-		res := c.port.StoreAcquire(e.Addr, e.PC, c.cycle)
+		res := c.port.StoreAcquire(e.Addr, e.PC, c.St.Cycles)
 		c.headAcquired = true
 		c.headSeq = e.Seq
 		c.headReadyAt = res.Done
 		c.headRetries = 0
 		return
 	}
-	if c.cycle <= c.headReadyAt {
+	if c.St.Cycles <= c.headReadyAt {
 		return // fill still in flight
 	}
 	c.headRetries++
 	if c.headRetries >= maxHeadRetries {
-		c.port.ForcePerform(e.Addr, e.PC, c.cycle)
+		c.port.ForcePerform(e.Addr, e.PC, c.St.Cycles)
 		c.sb.Pop()
 		c.St.StoresPerformed++
 		c.headAcquired = false
 		c.headRetries = 0
 		return
 	}
-	res := c.port.StoreAcquire(e.Addr, e.PC, c.cycle)
+	res := c.port.StoreAcquire(e.Addr, e.PC, c.St.Cycles)
 	c.headReadyAt = res.Done
 }
 
 // dispatchStage brings up to Width new instructions into the back end and
-// returns how many it dispatched, performing the paper's stall attribution
-// when it dispatches none.
-func (c *Core) dispatchStage() int {
-	dispatched := 0
+// returns how many it dispatched and, when it stopped short, what blocked the
+// next one (dispatchReady: the trace is exhausted).
+func (c *Core) dispatchStage() (dispatched int, cause dispatchBlock) {
 	for dispatched < c.cfg.Width {
 		if !c.havePending {
 			if c.traceDone {
@@ -582,22 +533,19 @@ func (c *Core) dispatchStage() int {
 			}
 			c.havePending = true
 		}
-		if cause := c.dispatchBlockAt(c.cycle); cause != dispatchReady {
-			if dispatched == 0 {
-				c.charge(cause, 1)
-			}
+		if cause = c.dispatchBlockAt(c.St.Cycles); cause != dispatchReady {
 			break
 		}
 		c.dispatch(&c.pending)
 		c.havePending = false
 		dispatched++
 	}
-	return dispatched
+	return dispatched, cause
 }
 
 // attributeSBStall charges n stall cycles to the code region of the store
-// blocking the head of the SB (Fig. 3). n > 1 batches a fast-forwarded span
-// during which the blocking store cannot change.
+// blocking the head of the SB (Fig. 3). n > 1 batches a slept span during
+// which the blocking store cannot change.
 func (c *Core) attributeSBStall(n uint64) {
 	e, ok := c.sb.Head()
 	if !ok {
@@ -617,7 +565,7 @@ func (c *Core) attributeSBStall(n uint64) {
 
 // dispatch allocates the instruction and computes its execution schedule.
 func (c *Core) dispatch(in *trace.Inst) {
-	ready := c.cycle + 1
+	ready := c.St.Cycles + 1
 	if in.Dep1 > 0 && uint64(in.Dep1) <= c.seq {
 		if t := c.doneHist[(c.seq-uint64(in.Dep1))&255]; t > ready {
 			ready = t
@@ -681,9 +629,9 @@ func (c *Core) dispatch(in *trace.Inst) {
 		if c.bp != nil {
 			_, btbHit := c.bp.Predict(in.PC)
 			mispredicted = c.bp.Update(in.PC, in.Taken)
-			if !btbHit && c.fetchReadyAt < c.cycle+btbMissBubble {
+			if !btbHit && c.fetchReadyAt < c.St.Cycles+btbMissBubble {
 				// Unknown branch: the front end stalls briefly to redirect.
-				c.fetchReadyAt = c.cycle + btbMissBubble
+				c.fetchReadyAt = c.St.Cycles + btbMissBubble
 			}
 		}
 		if mispredicted {
@@ -721,7 +669,7 @@ func (c *Core) dispatch(in *trace.Inst) {
 // earlier, which is how SPB's load-side benefit cuts misspeculation (§VI.A).
 func (c *Core) resolveMispredict(resolveAt uint64) {
 	c.fetchReadyAt = resolveAt + uint64(c.cfg.MispredictPenalty)
-	span := c.fetchReadyAt - c.cycle
+	span := c.fetchReadyAt - c.St.Cycles
 	wasted := span * uint64(c.cfg.Width)
 	// The machine can only hold ROB + fetch-queue worth of wrong-path
 	// work, no matter how long the branch takes to resolve.
@@ -739,7 +687,7 @@ func (c *Core) resolveMispredict(resolveAt uint64) {
 	for i := 0; i < nLoads; i++ {
 		delta := int64(c.rng.Intn(17)-8) * mem.BlockSize
 		addr := mem.Addr(int64(c.lastLoadAddr) + delta)
-		c.port.WrongPathLoad(addr, c.cycle+uint64(i))
+		c.port.WrongPathLoad(addr, c.St.Cycles+uint64(i))
 	}
 	// At-execute speculatively prefetches ownership for wrong-path stores;
 	// that is its documented downside versus at-commit.
@@ -751,7 +699,7 @@ func (c *Core) resolveMispredict(resolveAt uint64) {
 		for i := 0; i < nStores; i++ {
 			delta := int64(c.rng.Intn(5)-2) * mem.BlockSize
 			addr := mem.Addr(int64(c.lastStoreAddr) + delta)
-			c.port.PrefetchOwn(mem.BlockOf(addr), c.cycle+uint64(i), false)
+			c.port.PrefetchOwn(mem.BlockOf(addr), c.St.Cycles+uint64(i), false)
 		}
 	}
 }

@@ -16,12 +16,11 @@ const cancelCheckEvery = 8192
 //
 // A step is one global cycle, now: every running core whose clock equals now
 // ticks, in core order — the order that makes coherence races deterministic.
-// A core whose tick was idle is at once sent to its own event horizon: it
-// takes NextEventCycle and SkipTos there, charging its stall counters for the
-// span, and sleeps until the global clock reaches it. The next now is the
-// earliest clock among the running cores, so cycles in which every core
-// sleeps are never visited and a core stalled on DRAM costs nothing while its
-// neighbours run.
+// A core whose tick was idle is at once sent to sleep: its clock jumps to its
+// own event horizon, its stall counters charged for the span, and it waits
+// there until the global clock reaches it. The next now is the earliest clock
+// among the running cores, so cycles in which every core sleeps are never
+// visited and a core stalled on DRAM costs nothing while its neighbours run.
 //
 // Sleeping through other cores' ticks is exact because nothing a remote core
 // does can move a sleeper's horizon earlier. The horizon is the earliest of
@@ -42,8 +41,8 @@ func Lockstep(ctx context.Context, cores []*Core, budget uint64, afterStep func(
 	done := ctx.Done()
 	now := uint64(math.MaxUint64)
 	for _, c := range cores {
-		if !c.Done() && c.cycle < now {
-			now = c.cycle
+		if !c.Done() && c.St.Cycles < now {
+			now = c.St.Cycles
 		}
 	}
 	start := now
@@ -58,13 +57,11 @@ func Lockstep(ctx context.Context, cores []*Core, budget uint64, afterStep func(
 		next := uint64(math.MaxUint64)
 		for _, c := range cores {
 			// A finished core's clock stands still, at or behind now.
-			if c.cycle == now && !c.Done() && c.Tick() && !c.noFF {
-				if t, cause := c.NextEventCycle(); t > c.cycle {
-					c.SkipTo(t, cause)
-				}
+			if c.St.Cycles == now && !c.Done() && c.Tick() && !c.noFF {
+				c.sleep()
 			}
-			if c.cycle < next && !c.Done() {
-				next = c.cycle
+			if c.St.Cycles < next && !c.Done() {
+				next = c.St.Cycles
 			}
 		}
 		if stop, err := afterStep(steps + 1); stop || err != nil {

@@ -3,12 +3,10 @@ package cpu
 import (
 	"fmt"
 
-	"spb/internal/bpred"
 	"spb/internal/core"
 	"spb/internal/mem"
 	"spb/internal/pool"
 	"spb/internal/storebuf"
-	"spb/internal/tlb"
 	"spb/internal/trace"
 )
 
@@ -18,9 +16,10 @@ import (
 // stop allocating them.
 //
 // A snapshot covers everything the core owns — pipeline registers, ROB,
-// occupancy trackers, RNG, store buffer, detector, TLB, branch predictor and
-// statistics. It does NOT cover the trace reader (cloned separately via
-// trace.Program.Clone) or the memory port (snapshotted by memsys.System).
+// occupancy trackers, RNG, store buffer, detector and statistics, the clock
+// among them. It does NOT cover what the core borrows from its machine: the
+// trace reader (cloned separately via trace.Program.Clone), the memory port
+// (snapshotted by memsys.System), the TLB and the branch predictor.
 
 // occSnapshot deep-copies an occHeap.
 type occSnapshot struct {
@@ -64,8 +63,6 @@ func (h *occHeap) restore(s occSnapshot) {
 // a checkpoint file (DESIGN.md §12). The RNG travels as its xorshift state
 // word.
 type Snapshot struct {
-	Cycle uint64
-
 	FetchReadyAt uint64
 	Pending      trace.Inst
 	HavePending  bool
@@ -95,15 +92,12 @@ type Snapshot struct {
 	SB     *storebuf.Snapshot
 	Det    core.DetectorSnapshot
 	HasDet bool // Det valid
-	DTLB   *tlb.Snapshot
-	BP     *bpred.Snapshot
 }
 
 // Snapshot deep-copies the core's mutable state (excluding the trace reader
 // and the memory port; see the file comment).
 func (c *Core) Snapshot() *Snapshot {
 	s := &Snapshot{
-		Cycle:         c.cycle,
 		FetchReadyAt:  c.fetchReadyAt,
 		Pending:       c.pending,
 		HavePending:   c.havePending,
@@ -125,14 +119,10 @@ func (c *Core) Snapshot() *Snapshot {
 		RNGState:      c.rng.State(),
 		St:            c.St,
 		SB:            c.sb.Snapshot(),
-		DTLB:          c.dtlb.Snapshot(),
 	}
 	if c.det != nil {
 		s.Det = c.det.Snapshot()
 		s.HasDet = true
-	}
-	if c.bp != nil {
-		s.BP = c.bp.Snapshot()
 	}
 	return s
 }
@@ -143,12 +133,11 @@ func (s occSnapshot) fits() bool {
 	return (len(s.Buckets) == 0 || len(s.Buckets) == occWindow) && s.Count >= 0
 }
 
-// Fits reports, as an error, why the snapshot cannot be restored into c: a ROB,
-// store buffer, TLB or predictor of another size, a detector or predictor the
-// core's configuration does not have (or lacks), ROB ring indices outside the
-// ring. A snapshot taken from a core of the same configuration always fits; a
-// decoded one (a checkpoint file) must be checked before Restore, which panics
-// on a mismatch.
+// Fits reports, as an error, why the snapshot cannot be restored into c: a ROB
+// or store buffer of another size, a detector the core's configuration does
+// not have (or lacks), ROB ring indices outside the ring. A snapshot taken
+// from a core of the same configuration always fits; a decoded one (a
+// checkpoint file) must be checked before Restore, which panics on a mismatch.
 func (s *Snapshot) Fits(c *Core) error {
 	if s == nil || len(s.ROB) != len(c.rob) {
 		return fmt.Errorf("cpu: snapshot does not have the core's %d-entry ROB", len(c.rob))
@@ -158,32 +147,22 @@ func (s *Snapshot) Fits(c *Core) error {
 		return fmt.Errorf("cpu: snapshot ROB indices (head %d, tail %d, count %d) outside a %d-entry ring",
 			s.ROBHead, s.ROBTail, s.ROBCount, n)
 	}
-	if (c.det != nil) != s.HasDet || (c.bp != nil) != (s.BP != nil) {
-		return fmt.Errorf("cpu: snapshot detector/predictor presence differs from the core's")
+	if (c.det != nil) != s.HasDet {
+		return fmt.Errorf("cpu: snapshot detector presence differs from the core's")
 	}
 	if !s.IQ.fits() || !s.LQ.fits() {
 		return fmt.Errorf("cpu: snapshot occupancy tracker is not %d cycles wide", occWindow)
 	}
-	if err := s.SB.Fits(c.sb); err != nil {
-		return err
-	}
-	if err := s.DTLB.Fits(c.dtlb); err != nil {
-		return err
-	}
-	if c.bp != nil {
-		return s.BP.Fits(c.bp)
-	}
-	return nil
+	return s.SB.Fits(c.sb)
 }
 
 // Restore overwrites the core's mutable state with the snapshot's. The core
-// must have the same configuration (ROB size, SQ size, TLB/predictor
-// geometry, policy) as the snapshot's source.
+// must have the same configuration (ROB size, SQ size, policy) as the
+// snapshot's source.
 func (c *Core) Restore(s *Snapshot) {
 	if err := s.Fits(c); err != nil {
 		panic(err)
 	}
-	c.cycle = s.Cycle
 	c.fetchReadyAt = s.FetchReadyAt
 	c.pending = s.Pending
 	c.havePending = s.HavePending
@@ -205,12 +184,8 @@ func (c *Core) Restore(s *Snapshot) {
 	c.rng.SetState(s.RNGState)
 	c.St = s.St
 	c.sb.Restore(s.SB)
-	c.dtlb.Restore(s.DTLB)
 	if c.det != nil {
 		c.det.Restore(s.Det)
-	}
-	if c.bp != nil {
-		c.bp.Restore(s.BP)
 	}
 }
 
@@ -248,9 +223,9 @@ func (h *occHeap) release() {
 	h.buckets = nil
 }
 
-// Release returns the core's pooled arrays — ROB ring, occupancy buckets,
-// store-buffer ring, TLB entries and predictor tables — to their shared
-// pools. The core must not be used afterwards; skipping Release is always
+// Release returns the core's pooled arrays — ROB ring, occupancy buckets and
+// store-buffer ring — to their shared pools; what it borrowed, its machine
+// releases. The core must not be used afterwards; skipping Release is always
 // safe.
 func (c *Core) Release() {
 	if c.rob != nil {
@@ -260,8 +235,4 @@ func (c *Core) Release() {
 	c.iq.release()
 	c.lq.release()
 	c.sb.Release()
-	c.dtlb.Release()
-	if c.bp != nil {
-		c.bp.Release()
-	}
 }

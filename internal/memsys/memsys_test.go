@@ -68,7 +68,7 @@ func TestStoreAcquireThenPerform(t *testing.T) {
 	if !p.PerformStore(0x2000, 0x400000, r.Done) {
 		t.Fatal("store must perform once ownership arrived")
 	}
-	if !p.IsWritableReady(0x2000, r.Done) {
+	if at, writable := p.WritableReadyCycle(0x2000); !writable || at > r.Done {
 		t.Fatal("block should be writable after acquire")
 	}
 }
@@ -218,15 +218,17 @@ func TestWrongPathLoadCountsTraffic(t *testing.T) {
 	}
 }
 
+// TestOutstandingL1Misses: the "L1D miss pending" signal holds at a cycle
+// exactly while the latest fill still in flight there completes later.
 func TestOutstandingL1Misses(t *testing.T) {
 	s := New(tiny(), 1)
 	p := s.Port(0)
 	r := p.Load(0xA000, 0x400000, 0)
-	if p.OutstandingL1Misses(1) != 1 {
-		t.Fatal("one miss should be outstanding")
+	if got := p.MaxOutstandingL1Ready(1); got != r.Done {
+		t.Fatalf("latest fill in flight at cycle 1 completes at %d, want the miss's %d", got, r.Done)
 	}
-	if p.OutstandingL1Misses(r.Done+1) != 0 {
-		t.Fatal("miss should have completed")
+	if got := p.MaxOutstandingL1Ready(r.Done); got != 0 {
+		t.Fatalf("a fill completing at %d is still in flight at %d", got, r.Done)
 	}
 }
 
@@ -255,7 +257,7 @@ func TestGenericPrefetcherBringsReadOnly(t *testing.T) {
 	if !found {
 		t.Skip("no prefetched block retained in the tiny L1")
 	}
-	if p.IsWritableReady(mem.AddrOfBlock(pfBlock), done+10000) {
+	if _, writable := p.WritableReadyCycle(mem.AddrOfBlock(pfBlock)); writable {
 		t.Fatal("generic prefetch must not grant write permission")
 	}
 }
@@ -317,7 +319,7 @@ func TestSingleCoreRandomTraffic(t *testing.T) {
 			case 2:
 				p.PrefetchOwn(mem.BlockOf(addr), now, op%8 == 2)
 			default:
-				if p.IsWritableReady(addr, now) {
+				if at, writable := p.WritableReadyCycle(addr); writable && at <= now {
 					if !p.PerformStore(addr, 0x400000, now) {
 						return false
 					}

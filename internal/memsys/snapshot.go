@@ -109,7 +109,7 @@ type SystemSnapshot struct {
 	DRAM  dram.Snapshot
 	Ports []*portSnapshot
 
-	L3Accesses, Invalidations, WritebacksL3, BackInvals uint64
+	Invalidations, BackInvals uint64
 }
 
 // Snapshot deep-copies the system's mutable state.
@@ -117,9 +117,7 @@ func (s *System) Snapshot() *SystemSnapshot {
 	snap := &SystemSnapshot{
 		L3:            s.l3.Snapshot(),
 		DRAM:          s.dram.Snapshot(),
-		L3Accesses:    s.L3Accesses,
 		Invalidations: s.Invalidations,
-		WritebacksL3:  s.WritebacksL3,
 		BackInvals:    s.BackInvals,
 	}
 	for _, p := range s.ports {
@@ -169,9 +167,7 @@ func (s *System) Restore(snap *SystemSnapshot) {
 	for i, p := range s.ports {
 		p.restore(snap.Ports[i])
 	}
-	s.L3Accesses = snap.L3Accesses
 	s.Invalidations = snap.Invalidations
-	s.WritebacksL3 = snap.WritebacksL3
 	s.BackInvals = snap.BackInvals
 }
 

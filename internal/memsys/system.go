@@ -45,9 +45,7 @@ type System struct {
 	ports []*Port
 
 	// Traffic counters for the shared fabric.
-	L3Accesses    uint64
 	Invalidations uint64
-	WritebacksL3  uint64
 	BackInvals    uint64
 }
 
@@ -153,7 +151,6 @@ func (s *System) l3Fill(b mem.Block, st cache.State, ready uint64) *cache.Line {
 	}
 	if victim.State == cache.Modified {
 		s.dram.Write(ready)
-		s.WritebacksL3++
 	}
 	// Inclusion: no private cache may keep a block the L3 dropped.
 	for m := victim.Holders(); m != 0; m &= m - 1 {
@@ -173,7 +170,6 @@ func (s *System) l3Fill(b mem.Block, st cache.State, ready uint64) *cache.Line {
 // the cycle the data reaches the requester's L2 boundary and the level that
 // supplied it (3 = L3, 4 = DRAM).
 func (s *System) readShared(b mem.Block, requester int, t uint64) (done uint64, level int) {
-	s.L3Accesses++
 	line := s.l3.Lookup(b, true)
 	level = 3
 	if line != nil {
@@ -197,7 +193,6 @@ func (s *System) readShared(b mem.Block, requester int, t uint64) (done uint64, 
 // readExclusive obtains block b with write permission for requester,
 // invalidating every other copy.
 func (s *System) readExclusive(b mem.Block, requester int, t uint64) (done uint64, level int) {
-	s.L3Accesses++
 	line := s.l3.Lookup(b, true)
 	level = 3
 	if line != nil {

@@ -11,23 +11,28 @@ import (
 // This file implements functional warming of the memory hierarchy
 // (DESIGN.md §12): replaying a workload prefix's loads and stores against
 // the cache tags, LRU state and the coherence directory without touching
-// statistics counters, latencies, MSHRs, DRAM, or the prefetchers. The
-// warmed state therefore depends only on the instruction stream and the
-// machine geometry — never on the per-grid-point knobs a sweep varies — so
-// one warmed snapshot serves every member of a warmup-equivalence group.
+// latencies, MSHRs, DRAM, the prefetchers or the port's and the fabric's
+// counters. The warmed state therefore depends only on the instruction stream
+// and the machine geometry — never on the per-grid-point knobs a sweep varies
+// — so one warmed snapshot serves every member of a warmup-equivalence group.
 //
-// Each warm path mirrors its demand counterpart effect-for-effect on
-// architectural cache/directory state (same lookup and victim-selection
-// order, same coherence transitions), with fills completing instantly
-// (ReadyAt 0) and no taxonomy bookkeeping.
+// The cache arrays are reached through their one access path (Lookup,
+// Insert): their tag and hit counters count warm accesses too, which no
+// measurement sees, because a window is the difference of two collections
+// inside one detailed segment and nothing warms there. Each warm path above
+// the arrays mirrors its demand counterpart effect-for-effect on architectural
+// cache/directory state (same lookup and victim-selection order, same
+// coherence transitions), with fills completing instantly (ReadyAt 0) and no
+// taxonomy bookkeeping: the demand twins also move the DRAM queue, the MSHR
+// lists, ReadyAt stamps, the recent sets and the prefetcher epochs.
 
 // WarmLoad replays a demand load of the block containing addr (mirrors
-// Port.Load → access → readBelowL1 minus counters and timing) and reports
-// whether it hit the L1 — the miss bit a prefetcher-training caller feeds
-// to WarmObserve.
+// Port.Load → access → readBelowL1 minus the port's counters and timing) and
+// reports whether it hit the L1 — the miss bit a prefetcher-training caller
+// feeds to WarmObserve.
 func (p *Port) WarmLoad(addr mem.Addr) (hit bool) {
 	b := mem.BlockOf(addr)
-	if p.l1.WarmLookup(b) != nil {
+	if p.l1.Lookup(b, true) != nil {
 		return true
 	}
 	p.warmReadBelowL1(b, false)
@@ -41,7 +46,7 @@ func (p *Port) WarmLoad(addr mem.Addr) (hit bool) {
 // Reports whether the block was already present in the L1.
 func (p *Port) WarmStore(addr mem.Addr) (hit bool) {
 	b := mem.BlockOf(addr)
-	if line := p.l1.WarmLookup(b); line != nil {
+	if line := p.l1.Lookup(b, true); line != nil {
 		if line.State.Writable() {
 			line.State = cache.Modified
 			return true
@@ -106,10 +111,10 @@ func (p *Port) WarmTouch(addr mem.Addr, n uint64, store bool) {
 // warmFillPrivate mirrors fillPrivate: install the block in L2 then L1,
 // propagating victim state effects.
 func (p *Port) warmFillPrivate(b mem.Block, st cache.State) {
-	if _, v, evicted := p.l2.WarmInsert(b, st); evicted {
+	if _, v, evicted := p.l2.Insert(b, st, 0, false, false); evicted {
 		p.warmNoteEviction(v)
 	}
-	if _, v, evicted := p.l1.WarmInsert(b, st); evicted {
+	if _, v, evicted := p.l1.Insert(b, st, 0, false, false); evicted {
 		p.warmNoteEviction(v)
 	}
 }
@@ -127,7 +132,7 @@ func (p *Port) warmNoteEviction(v cache.Line) {
 
 // warmReadBelowL1 mirrors readBelowL1's state transitions.
 func (p *Port) warmReadBelowL1(b mem.Block, exclusive bool) {
-	if line := p.l2.WarmLookup(b); line != nil {
+	if line := p.l2.Lookup(b, true); line != nil {
 		if !exclusive || line.State.Writable() {
 			return
 		}
@@ -171,9 +176,9 @@ func (s *System) warmInvalidateOthers(dir *cache.Line, requester int) {
 }
 
 // warmL3Fill mirrors l3Fill: inclusive back-invalidation of the victim in
-// every private hierarchy, no DRAM traffic, no counters.
+// every private hierarchy, no DRAM traffic, no fabric counters.
 func (s *System) warmL3Fill(b mem.Block, st cache.State) *cache.Line {
-	line, victim, evicted := s.l3.WarmInsert(b, st)
+	line, victim, evicted := s.l3.Insert(b, st, 0, false, false)
 	if evicted {
 		for m := victim.Holders(); m != 0; m &= m - 1 {
 			p := s.ports[bits.TrailingZeros64(m)]
@@ -186,7 +191,7 @@ func (s *System) warmL3Fill(b mem.Block, st cache.State) *cache.Line {
 
 // warmReadShared mirrors readShared's state transitions.
 func (s *System) warmReadShared(b mem.Block, requester int) {
-	line := s.l3.WarmLookup(b)
+	line := s.l3.Lookup(b, true)
 	if line != nil {
 		s.warmDowngradeOwner(line, requester)
 	} else {
@@ -197,7 +202,7 @@ func (s *System) warmReadShared(b mem.Block, requester int) {
 
 // warmReadExclusive mirrors readExclusive's state transitions.
 func (s *System) warmReadExclusive(b mem.Block, requester int) {
-	line := s.l3.WarmLookup(b)
+	line := s.l3.Lookup(b, true)
 	if line != nil {
 		s.warmInvalidateOthers(line, requester)
 		line.State = cache.Modified

@@ -9,13 +9,14 @@ import (
 	"sync/atomic"
 )
 
-// keepCollections is how many garbage collections a released array may sit
-// untaken before it is let go. The clock is fast under load: with the cache
-// arenas outside the Go heap, a busy spbd's heap no longer holds its machines,
-// its goal is a few MB to a few tens of MB, and it collects one to three
-// times a second, so eight collections are three to eight seconds. A
-// worker takes its machine's arrays back at its next run, milliseconds later,
-// so they are still built once per concurrently running machine. The runtime
+// keepCollections is how many garbage collections a key's free list may go
+// without a Get or a Put before its arrays are let go. The clock is fast under
+// load: with the cache arenas outside the Go heap, a busy spbd's heap no
+// longer holds its machines, its goal is a few MB to a few tens of MB, and it
+// collects one to three times a second, so eight collections are three to
+// eight seconds. A worker takes its machine's arrays back at its next run,
+// milliseconds later, so they are still built once per concurrently running
+// machine, however long runs go without overlapping. The runtime
 // forces a collection every two minutes on an idle process, so a daemon nobody
 // talks to — or the arrays of a one-off geometry (cores: 64 is 38 MB) — hands
 // them back within a quarter of an hour. The standard library's pool keeps a
@@ -48,24 +49,22 @@ func arm() {
 }
 
 // Keyed is a LIFO free list per key — the geometry an array was made for —
-// that holds its values by strong reference until they have gone
-// keepCollections collections untaken. The zero value is ready to use; a Keyed
-// in use is registered for ageing for good, so it is a package-level variable.
-// Whether a recycled value must be zeroed is its user's business: some are
-// fully overwritten before they are read.
+// that holds its values by strong reference until the key has gone
+// keepCollections collections unused. It is the list that ages, not the
+// value: serialized runs take the top of a list over and over, and the value
+// beneath is what the next overlap needs. The zero value is ready to use; a
+// Keyed in use is registered for ageing for good, so it is a package-level
+// variable. Whether a recycled value must be zeroed is its user's business:
+// some are fully overwritten before they are read.
 type Keyed[K comparable, T any] struct {
 	mu      sync.Mutex
 	shelves map[K]*shelf[T]
 }
 
 type shelf[T any] struct {
-	free   []aged[T] // oldest Put first
+	free   []T    // oldest Put first
+	used   uint64 // epoch of the last Get or Put
 	misses uint64
-}
-
-type aged[T any] struct {
-	v   T
-	put uint64 // epoch of the Put
 }
 
 // shelf returns key's list, registering the pool for ageing on first use. The
@@ -93,14 +92,15 @@ func (p *Keyed[K, T]) Get(key K) (T, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := p.shelf(key)
+	s.used = epoch.Load()
+	var none T
 	n := len(s.free) - 1
 	if n < 0 {
 		s.misses++
-		var none T
 		return none, false
 	}
-	v := s.free[n].v
-	s.free[n] = aged[T]{}
+	v := s.free[n]
+	s.free[n] = none
 	s.free = s.free[:n]
 	return v, true
 }
@@ -110,7 +110,8 @@ func (p *Keyed[K, T]) Put(key K, v T) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := p.shelf(key)
-	s.free = append(s.free, aged[T]{v, epoch.Load()})
+	s.used = epoch.Load()
+	s.free = append(s.free, v)
 }
 
 // Misses reports how many Gets of key found nothing: the values its users
@@ -121,17 +122,14 @@ func (p *Keyed[K, T]) Misses(key K) uint64 {
 	return p.shelf(key).misses
 }
 
-// trim drops every value released keepCollections or more epochs before now.
+// trim empties every list whose key was last used keepCollections or more
+// epochs before now.
 func (p *Keyed[K, T]) trim(now uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, s := range p.shelves {
-		n := 0
-		for n < len(s.free) && now-s.free[n].put >= keepCollections {
-			n++
+		if now-s.used >= keepCollections {
+			s.free = nil
 		}
-		kept := copy(s.free, s.free[n:])
-		clear(s.free[kept:])
-		s.free = s.free[:kept]
 	}
 }

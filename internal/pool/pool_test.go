@@ -66,6 +66,31 @@ func collect(t *testing.T, n int) {
 	}
 }
 
+// TestKeyedKeepsAShelfInUse: a key its users keep taking from and releasing to
+// keeps every value released under it, the one at the bottom of the list too —
+// serialized runs take the top value over and over, and the second is what
+// the next overlap needs.
+func TestKeyedKeepsAShelfInUse(t *testing.T) {
+	var p Keyed[int, *int]
+	a, b := new(int), new(int)
+	p.Put(9, a)
+	p.Put(9, b)
+	for i := 0; i < 3*keepCollections; i++ {
+		v, ok := p.Get(9)
+		if !ok || v != b {
+			t.Fatalf("collection %d: Get returned (%p, %v), want the last released (%p)", i, v, ok, b)
+		}
+		p.Put(9, v)
+		collect(t, 1)
+	}
+	if v, ok := p.Get(9); !ok || v != b {
+		t.Fatalf("Get returned (%p, %v), want %p", v, ok, b)
+	}
+	if v, ok := p.Get(9); !ok || v != a {
+		t.Fatalf("the bottom of a shelf in use was let go: Get returned (%p, %v), want %p", v, ok, a)
+	}
+}
+
 // TestKeyedLetsGoWhenIdle: an array nobody takes for keepCollections
 // collections is dropped and the collector gets it back; taking it and
 // releasing it again in between starts its age afresh.

@@ -52,7 +52,11 @@ const ckptMagic = "SPBCKPT1"
 // Version 6: cache.Snapshot.Lines holds the live ways only, one line per live
 // bit in set-then-way order, instead of every way with the free ones zeroed;
 // the store buffer's forwarding filter grew to 4096 counters.
-const ckptVersion = 6
+// Version 7: a core borrows its machine's TLB and predictor, so cpu.Snapshot
+// carries neither, nor a clock besides St.Cycles; memsys.SystemSnapshot has no
+// L3Accesses or WritebacksL3. TestCkptFormIsPlainStructs pins each version's
+// form (ckptForms).
+const ckptVersion = 7
 
 // CheckpointPolicy configures mid-run checkpointing on a Runner. The zero
 // value disables it.

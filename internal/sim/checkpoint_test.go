@@ -188,7 +188,7 @@ func readCkpt(t *testing.T, path string) *ckptFile {
 // different clocks.
 func coresApart(cf *ckptFile) bool {
 	for _, c := range cf.Cores[1:] {
-		if c.Cycle != cf.Cores[0].Cycle {
+		if c.St.Cycles != cf.Cores[0].St.Cycles {
 			return true
 		}
 	}
@@ -291,8 +291,7 @@ func foreignCore(t *testing.T) *cpu.Snapshot {
 	}
 	sys := memsys.New(other, 1)
 	defer sys.Release()
-	c := cpu.NewWithOptions(other.Core, core.PolicyAtCommit, other.SPB, other.TLB,
-		cpu.Options{UseBranchPredictor: true}, sys.Port(0), trace.Limit(0, nil), 1)
+	c := cpu.New(other.Core, core.PolicyAtCommit, other.SPB, sys.Port(0), trace.Limit(0, nil), 1)
 	defer c.Release()
 	return c.Snapshot()
 }
@@ -315,7 +314,7 @@ func writeCrashCheckpoint(t *testing.T, dir string, spec RunSpec, cadence uint64
 
 // TestCheckpointCorruptionQuarantine is the table test over every way a
 // checkpoint file can be invalid: truncated tail, bad magic, flipped payload
-// byte, version mismatch (a newer and the five previous versions), a
+// byte, version mismatch (a newer and the six previous versions), a
 // checksum-valid payload that does not fit the machine — caches of another
 // size or in a state no run reaches, a foreign prefetcher, core or TLB, ring
 // cursors outside their rings, a missing predictor, a cursor past the plan —
@@ -393,16 +392,17 @@ func TestCheckpointCorruptionQuarantine(t *testing.T) {
 			}
 		}},
 		{"version-mismatch", stamped(ckptVersion + 1)},
-		// The five earlier formats (DESIGN.md §12 has the table): directory
+		// The six earlier formats (DESIGN.md §12 has the table): directory
 		// shards and unordered miss lists; caches as tags, use stamps and a
 		// clock; a Detailed or a Sampled payload; every snapshot a nested gob
 		// stream of its own; every cache a dense line array with the free ways
-		// stored as zero lines.
+		// stored as zero lines; every core its own TLB, predictor and clock.
 		{"v1-envelope", stamped(1)},
 		{"v2-envelope", stamped(2)},
 		{"v3-envelope", stamped(3)},
 		{"v4-envelope", stamped(4)},
 		{"v5-envelope", stamped(5)},
+		{"v6-envelope", stamped(6)},
 		{"truncated-lines", rewrite(func(t *testing.T, cf *ckptFile) {
 			// A well-formed, checksummed envelope for this very spec whose
 			// L3 has half the machine's sets: Restore would panic on it, so
@@ -430,7 +430,7 @@ func TestCheckpointCorruptionQuarantine(t *testing.T) {
 			cf.Cores[0].ROBHead = 1 << 20
 		})},
 		{"missing-predictor", rewrite(func(t *testing.T, cf *ckptFile) {
-			cf.Cores[0].BP = nil
+			cf.State.BPs = nil
 		})},
 		{"machine-predictor-missing", rewrite(func(t *testing.T, cf *ckptFile) {
 			cf.State.BPs[0].BP = nil

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,16 +19,28 @@ import (
 // declared where gob cannot see it, and a file from differing from the value
 // it was written from.
 
+// ckptForms pins the fingerprint of each checkpoint version's form: the
+// SHA-256 of the sorted "type.field type" lines of every stored field
+// TestCkptFormIsPlainStructs meets. gob matches fields by name and zeroes the
+// ones a file lacks, so a form that changed under an unchanged ckptVersion
+// would decode an older file into the new structs with fields silently zero.
+var ckptForms = map[uint32]string{
+	6: "67dd80200c81698a589c176dee91c5932baa52563fa639aedacbe3939b247845",
+	7: "e945063f9f694833882544e4b447769defc08031538b08deef71bf1e41bd22a1",
+}
+
 // TestCkptFormIsPlainStructs walks every type reachable from ckptFile: every
 // struct field is exported, so gob carries it, and no type brings an encoding
 // of its own, so what gob carries is the struct as declared. A field gob would
-// silently skip must be listed here with its reason.
+// silently skip must be listed here with its reason. The stored fields, as a
+// fingerprint, must be the form ckptForms pins for ckptVersion.
 func TestCkptFormIsPlainStructs(t *testing.T) {
 	notStored := map[string]string{
 		"sim.machineState.progs": "stream cursors are replayed from Consumed, not stored",
 	}
 	seen := map[reflect.Type]bool{}
 	structs := 0
+	var form []string
 	var walk func(typ reflect.Type, path string)
 	walk = func(typ reflect.Type, path string) {
 		if seen[typ] {
@@ -51,6 +66,7 @@ func TestCkptFormIsPlainStructs(t *testing.T) {
 				f := typ.Field(i)
 				name := typ.String() + "." + f.Name
 				if f.IsExported() {
+					form = append(form, name+" "+f.Type.String())
 					walk(f.Type, name)
 				} else if _, ok := notStored[name]; ok {
 					delete(notStored, name)
@@ -70,6 +86,12 @@ func TestCkptFormIsPlainStructs(t *testing.T) {
 	// element types they carry: a walk that stopped short proves nothing.
 	if structs < 25 {
 		t.Errorf("the walk met only %d struct types", structs)
+	}
+	slices.Sort(form)
+	sum := sha256.Sum256([]byte(strings.Join(form, "\n")))
+	if got := hex.EncodeToString(sum[:]); got != ckptForms[ckptVersion] {
+		t.Errorf("the checkpoint form is %s, version %d pins %q: bump ckptVersion and re-pin\n%s",
+			got, ckptVersion, ckptForms[ckptVersion], strings.Join(form, "\n"))
 	}
 }
 

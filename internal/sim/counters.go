@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"spb/internal/cpu"
-	"spb/internal/stats"
-)
+import "spb/internal/cpu"
 
 // counter names one uint64 field of a statistics struct once: its key in the
 // canonical stats JSON ("" keeps it out of the export) and where it lives in a
@@ -84,11 +81,11 @@ func addCounters[T any](tab []counter[T], dst *T, d T) {
 	}
 }
 
-// exportCounters adds every named counter of v to the set.
-func exportCounters[T any](s *stats.Set, tab []counter[T], v T) {
+// exportCounters adds every named counter of v to s.
+func exportCounters[T any](s map[string]uint64, tab []counter[T], v T) {
 	for _, c := range tab {
 		if c.name != "" {
-			s.Counter(c.name).Add(*c.at(&v))
+			s[c.name] += *c.at(&v)
 		}
 	}
 }

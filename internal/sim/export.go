@@ -3,33 +3,31 @@ package sim
 import (
 	"encoding/json"
 
-	"spb/internal/stats"
 	"spb/internal/topdown"
 )
 
-// ExportStats writes every counter of the result into a stats.Set under
-// dotted names (cpu.*, mem.*, energy.* in microjoules), the stable format
-// consumed by tooling that diffs simulator runs.
-func (r Result) ExportStats(s *stats.Set) {
+// ExportStats adds every counter of the result into s under dotted names
+// (cpu.*, mem.*, energy.* in microjoules), the stable format consumed by
+// tooling that diffs simulator runs.
+func (r Result) ExportStats(s map[string]uint64) {
 	c := r.CPU
 	exportCounters(s, cpuCounters, c)
 	exportCounters(s, memCounters, r.Mem)
-	s.Counter("mem.spfNeverUsed").Add(r.Mem.SPFNeverUsed())
+	s["mem.spfNeverUsed"] += r.Mem.SPFNeverUsed()
 
 	// Top-Down stall accounting (paper §V) in integer parts-per-million, so
 	// the per-run breakdown travels inside the canonical stats set while the
 	// set stays integer-valued and deterministic. td.sbBound mirrors the
 	// paper's >2% SB-stall criterion as 0/1.
 	sb, other, fe, l1d := topdown.StatPPM(&c)
-	s.Counter("td.cycles").Add(c.Cycles)
-	s.Counter("td.sbStallPPM").Add(sb)
-	s.Counter("td.otherStallPPM").Add(other)
-	s.Counter("td.frontendStallPPM").Add(fe)
-	s.Counter("td.execStallL1DPendingPPM").Add(l1d)
+	s["td.cycles"] += c.Cycles
+	s["td.sbStallPPM"] += sb
+	s["td.otherStallPPM"] += other
+	s["td.frontendStallPPM"] += fe
+	s["td.execStallL1DPendingPPM"] += l1d
+	s["td.sbBound"] += 0 // the key is present when the run is not SB-bound
 	if sb > topdown.SBBoundThresholdPPM {
-		s.Counter("td.sbBound").Add(1)
-	} else {
-		s.Counter("td.sbBound").Add(0)
+		s["td.sbBound"]++
 	}
 
 	// SMARTS sampling summary (DESIGN.md §14), present only for sampled runs
@@ -38,41 +36,41 @@ func (r Result) ExportStats(s *stats.Set) {
 	// confidence half-width.
 	if r.Spec.Sampling.Enabled() {
 		sm := r.Sample
-		s.Counter("sample.intervals").Add(sm.Intervals)
-		s.Counter("sample.measuredInsts").Add(sm.MeasuredInsts)
-		s.Counter("sample.detailedInsts").Add(sm.DetailedInsts)
-		s.Counter("sample.fastForwardInsts").Add(sm.FastForwardInsts)
-		s.Counter("sample.ipcMeanPPM").Add(sm.IPCMeanPPM)
-		s.Counter("sample.ipcCI95PPM").Add(sm.IPCCI95PPM)
-		s.Counter("sample.cpiMeanPPM").Add(sm.CPIMeanPPM)
-		s.Counter("sample.cpiCI95PPM").Add(sm.CPICI95PPM)
-		s.Counter("sample.sbStallPerInstMeanPPM").Add(sm.SBStallPerInstMeanPPM)
-		s.Counter("sample.sbStallPerInstCI95PPM").Add(sm.SBStallPerInstCI95PPM)
-		s.Counter("sample.otherStallPerInstMeanPPM").Add(sm.OtherStallPerInstMeanPPM)
-		s.Counter("sample.otherStallPerInstCI95PPM").Add(sm.OtherStallPerInstCI95PPM)
-		s.Counter("sample.frontendStallPerInstMeanPPM").Add(sm.FrontendStallPerInstMeanPPM)
-		s.Counter("sample.frontendStallPerInstCI95PPM").Add(sm.FrontendStallPerInstCI95PPM)
-		s.Counter("sample.execStallL1DPerInstMeanPPM").Add(sm.ExecStallL1DPerInstMeanPPM)
-		s.Counter("sample.execStallL1DPerInstCI95PPM").Add(sm.ExecStallL1DPerInstCI95PPM)
-		s.Counter("sample.l1MissPerInstMeanPPM").Add(sm.L1MissPerInstMeanPPM)
-		s.Counter("sample.l1MissPerInstCI95PPM").Add(sm.L1MissPerInstCI95PPM)
-		s.Counter("sample.dramPerInstMeanPPM").Add(sm.DRAMPerInstMeanPPM)
-		s.Counter("sample.dramPerInstCI95PPM").Add(sm.DRAMPerInstCI95PPM)
+		s["sample.intervals"] += sm.Intervals
+		s["sample.measuredInsts"] += sm.MeasuredInsts
+		s["sample.detailedInsts"] += sm.DetailedInsts
+		s["sample.fastForwardInsts"] += sm.FastForwardInsts
+		s["sample.ipcMeanPPM"] += sm.IPCMeanPPM
+		s["sample.ipcCI95PPM"] += sm.IPCCI95PPM
+		s["sample.cpiMeanPPM"] += sm.CPIMeanPPM
+		s["sample.cpiCI95PPM"] += sm.CPICI95PPM
+		s["sample.sbStallPerInstMeanPPM"] += sm.SBStallPerInstMeanPPM
+		s["sample.sbStallPerInstCI95PPM"] += sm.SBStallPerInstCI95PPM
+		s["sample.otherStallPerInstMeanPPM"] += sm.OtherStallPerInstMeanPPM
+		s["sample.otherStallPerInstCI95PPM"] += sm.OtherStallPerInstCI95PPM
+		s["sample.frontendStallPerInstMeanPPM"] += sm.FrontendStallPerInstMeanPPM
+		s["sample.frontendStallPerInstCI95PPM"] += sm.FrontendStallPerInstCI95PPM
+		s["sample.execStallL1DPerInstMeanPPM"] += sm.ExecStallL1DPerInstMeanPPM
+		s["sample.execStallL1DPerInstCI95PPM"] += sm.ExecStallL1DPerInstCI95PPM
+		s["sample.l1MissPerInstMeanPPM"] += sm.L1MissPerInstMeanPPM
+		s["sample.l1MissPerInstCI95PPM"] += sm.L1MissPerInstCI95PPM
+		s["sample.dramPerInstMeanPPM"] += sm.DRAMPerInstMeanPPM
+		s["sample.dramPerInstCI95PPM"] += sm.DRAMPerInstCI95PPM
 	}
 
 	// Energy in microjoules so integer counters remain meaningful.
-	s.Counter("energy.cacheDynamicUJ").Add(uint64(r.Energy.CacheDynamic * 1e6))
-	s.Counter("energy.coreDynamicUJ").Add(uint64(r.Energy.CoreDynamic * 1e6))
-	s.Counter("energy.staticUJ").Add(uint64(r.Energy.Static * 1e6))
-	s.Counter("energy.totalUJ").Add(uint64(r.Energy.Total() * 1e6))
+	s["energy.cacheDynamicUJ"] += uint64(r.Energy.CacheDynamic * 1e6)
+	s["energy.coreDynamicUJ"] += uint64(r.Energy.CoreDynamic * 1e6)
+	s["energy.staticUJ"] += uint64(r.Energy.Static * 1e6)
+	s["energy.totalUJ"] += uint64(r.Energy.Total() * 1e6)
 }
 
-// StatsJSON renders the exported stats set as canonical JSON (sorted keys,
-// compact). It is the single serialization shared by `spbsim -json` and the
-// spbd service, so CLI and service output for the same spec are
+// StatsJSON renders the exported counters as canonical JSON (encoding/json
+// sorts map keys; compact). It is the single serialization shared by `spbsim
+// -json` and the spbd service, so CLI and service output for the same spec are
 // byte-comparable.
 func (r Result) StatsJSON() (json.RawMessage, error) {
-	set := stats.NewSet()
-	r.ExportStats(set)
-	return json.Marshal(set)
+	s := map[string]uint64{}
+	r.ExportStats(s)
+	return json.Marshal(s)
 }

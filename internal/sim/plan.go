@@ -134,8 +134,8 @@ func (s RunSpec) eachSegment(visit func(k uint64, seg segment) error) error {
 func (s RunSpec) warmup() segment { return segment{kind: segWarm, n: s.WarmupInsts} }
 
 // machine owns everything that lives between the segments of a run: the
-// memory system, the TLBs and branch predictors (kept outside any core: cores
-// exist only inside a detailed segment), the instruction streams and how far
+// memory system, the TLBs and branch predictors (cores exist only inside a
+// detailed segment, and borrow them), the instruction streams and how far
 // they have been consumed, and the cycle the next detailed segment starts at.
 type machine struct {
 	spec  RunSpec
@@ -554,18 +554,17 @@ func (r *run) checkpoint(open uint64, mid func(*ckptFile)) error {
 	return r.ck.save(cf)
 }
 
-// buildCores constructs the pipelines of a detailed segment, each budgeted to
-// n instructions of its stream from the current position on, with clocks
-// opening at the cycle base (cpu.Options.StartCycle). Besides the cores it
-// returns their Limit wrappers, which know how far into the segment each core
-// has read.
+// buildCores constructs the pipelines of a detailed segment on the machine's
+// TLBs and predictors, each budgeted to n instructions of its stream from the
+// current position on, with clocks opening at the cycle base
+// (cpu.Options.StartCycle). Besides the cores it returns their Limit wrappers,
+// which know how far into the segment each core has read.
 func (m *machine) buildCores(n uint64) ([]*cpu.Core, []*trace.LimitReader) {
 	spec := m.spec
 	opts := cpu.Options{
 		CoalesceSB:         spec.CoalesceSB,
 		BackwardBursts:     spec.BackwardBursts,
 		CrossPageBursts:    spec.CrossPageBursts,
-		UseBranchPredictor: spec.ModelBranchPredictor,
 		DisableFastForward: spec.DisableFastForward,
 		StartCycle:         m.cycleBase,
 	}
@@ -573,17 +572,17 @@ func (m *machine) buildCores(n uint64) ([]*cpu.Core, []*trace.LimitReader) {
 	lims := make([]*trace.LimitReader, spec.Cores)
 	for i := range cores {
 		lims[i] = trace.Limit(n, m.progs[i])
-		cores[i] = cpu.NewWithOptions(m.cfg.Core, spec.Policy, m.cfg.SPB, m.cfg.TLB, opts,
+		cores[i] = cpu.NewWithOptions(m.cfg.Core, spec.Policy, m.cfg.SPB, m.dtlbs[i], m.bps[i], opts,
 			m.sys.Port(i), lims[i], spec.Seed+uint64(i)*7919)
 	}
 	return cores, lims
 }
 
-// detail covers a detailed segment: cores built, the TLB and predictor state
-// loaded in, the lock-step loop, the state carried out, the cores released,
-// the measured window folded into the cursor. mid, when non-nil, is a
-// checkpoint taken inside this very segment: its cores, stream positions and
-// window replace the fresh ones.
+// detail covers a detailed segment: cores built, the lock-step loop, the cores
+// released, the measured window folded into the cursor. mid, when non-nil, is
+// a checkpoint taken inside this very segment: its cores, stream positions and
+// window replace the fresh ones (its machine state, TLBs and predictors
+// included, is already in place).
 func (r *run) detail(ctx context.Context, seg segment, mid *ckptFile) error {
 	m, spec := r.m, r.m.spec
 	nCores := uint64(spec.Cores)
@@ -603,13 +602,6 @@ func (r *run) detail(ctx context.Context, seg segment, mid *ckptFile) error {
 			c.Restore(mid.Cores[i])
 			m.progs[i].Skip(mid.Seen[i])
 			lims[i].SetSeen(mid.Seen[i])
-		}
-	} else {
-		for i, c := range cores {
-			c.DTLB().Restore(m.dtlbs[i].Snapshot())
-			if bp := c.BranchPredictor(); bp != nil {
-				bp.Restore(m.bps[i].Snapshot())
-			}
 		}
 	}
 
@@ -648,12 +640,8 @@ func (r *run) detail(ctx context.Context, seg segment, mid *ckptFile) error {
 	// state.
 	w.capture(cores, 0, 0, m.sys)
 
-	for i, c := range cores {
-		m.cycleBase = max(m.cycleBase, c.Cycle())
-		m.dtlbs[i].Restore(c.DTLB().Snapshot())
-		if bp := c.BranchPredictor(); bp != nil {
-			m.bps[i].Restore(bp.Snapshot())
-		}
+	for _, c := range cores {
+		m.cycleBase = max(m.cycleBase, c.St.Cycles)
 	}
 	m.consumed += seg.n
 

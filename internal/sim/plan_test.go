@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"spb/internal/config"
@@ -127,13 +128,16 @@ func TestCrashResumeAtEveryPlanPosition(t *testing.T) {
 		name string
 		// marks: the detailed segments are long enough to pass a progress mark.
 		marks bool
+		// bpred: the predictor is modelled, so a checkpoint inside a segment
+		// holds one in the middle of its detailed use.
+		bpred bool
 	}{
-		{"warmed", true}, {"warmed/8", true}, {"sampled", false}, {"sampled/history", false},
-		{"sampled/long", true}, {"sampled/8", true},
+		{"warmed", true, false}, {"warmed/8", true, false}, {"sampled", false, false}, {"sampled/history", false, false},
+		{"sampled/long", true, false}, {"sampled/8", true, false}, {"sampled/long/bpred", true, true},
 	} {
 		name, marks := tc.name, tc.marks
-		spec := specs[name].Normalized()
-		spec.Policy, spec.Prefetcher = core.PolicySPB, config.PrefetchAdaptive
+		spec := specs[strings.TrimSuffix(name, "/bpred")].Normalized()
+		spec.Policy, spec.Prefetcher, spec.ModelBranchPredictor = core.PolicySPB, config.PrefetchAdaptive, tc.bpred
 		t.Run(name, func(t *testing.T) {
 			ref, err := Run(spec)
 			if err != nil {

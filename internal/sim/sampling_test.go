@@ -419,8 +419,7 @@ func FuzzFunctionalEquivalence(f *testing.F) {
 		// Detailed: a full core pipeline simulates the program, then drains.
 		progD := buildEquivProgram(seed%16+1, opmask)
 		sysD := memsys.New(cfg, 1)
-		coreD := cpu.NewWithOptions(cfg.Core, core.PolicyAtCommit, cfg.SPB, cfg.TLB,
-			cpu.Options{}, sysD.Port(0), trace.Limit(insts, progD), 1)
+		coreD := cpu.New(cfg.Core, core.PolicyAtCommit, cfg.SPB, sysD.Port(0), trace.Limit(insts, progD), 1)
 		for !coreD.Done() {
 			coreD.Tick()
 		}

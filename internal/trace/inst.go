@@ -78,7 +78,8 @@ type Inst struct {
 	// early the instruction can issue.
 	Dep1, Dep2 uint8
 	// Taken is the branch's actual direction, used when the core models
-	// the branch predictor structurally (cpu.Options.UseBranchPredictor).
+	// the branch predictor structurally (a predictor passed to
+	// cpu.NewWithOptions).
 	Taken bool
 	// Mispredicted marks a branch the front end predicts wrongly; the
 	// pipeline squashes wrong-path fetch when it resolves. It is the
