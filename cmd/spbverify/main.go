@@ -5,7 +5,7 @@
 //
 // Examples:
 //
-//	spbverify            # reduced scale (SB-bound suite), ~2 minutes
+//	spbverify            # reduced scale (SB-bound suite), about a second on 2 vCPUs
 //	spbverify -insts 400000 -full
 package main
 

@@ -63,11 +63,10 @@ type Line struct {
 	// can back-invalidate without a second lookup.
 	Sharers uint64
 	State   State
-	// OwnerPlus1 is the core holding the block in E or M at the directory,
+	// ownerPlus1 is the core holding the block in E or M at the directory,
 	// plus one, so that the zero Line is ownerless rather than owned by core
-	// 0. Read and write it through Owner and SetOwner; it is exported because
-	// a Line is its own gob form in a checkpoint file.
-	OwnerPlus1 uint8
+	// 0. Read and write it through Owner and SetOwner.
+	ownerPlus1 uint8
 	// Prefetched marks a line filled by a prefetch that no demand access
 	// has consumed yet; used for the Fig. 11 accuracy taxonomy.
 	Prefetched bool
@@ -78,18 +77,18 @@ type Line struct {
 
 // Owner returns the core that holds the block exclusively according to the
 // line's directory state, or -1 when no core does.
-func (l *Line) Owner() int { return int(l.OwnerPlus1) - 1 }
+func (l *Line) Owner() int { return int(l.ownerPlus1) - 1 }
 
 // SetOwner records core as the exclusive holder; -1 clears the owner.
-func (l *Line) SetOwner(core int) { l.OwnerPlus1 = uint8(core + 1) }
+func (l *Line) SetOwner(core int) { l.ownerPlus1 = uint8(core + 1) }
 
 // Holders returns the mask of every core the directory state names, owner
 // and sharers alike: the cores an eviction must back-invalidate.
 func (l *Line) Holders() uint64 {
-	if l.OwnerPlus1 == 0 {
+	if l.ownerPlus1 == 0 {
 		return l.Sharers
 	}
-	return l.Sharers | 1<<(l.OwnerPlus1-1)
+	return l.Sharers | 1<<(l.ownerPlus1-1)
 }
 
 // mruFirstSets is the most sets a cache may have for find to read the recency

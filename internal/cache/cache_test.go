@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"math/rand"
 	"reflect"
@@ -414,10 +415,26 @@ func viaGob(t *testing.T, s *Snapshot) *Snapshot {
 	return decoded
 }
 
+// recordCount is the number of records in a stream of c's, or -1 when the
+// stream does not decode to its end.
+func recordCount(c *Cache, p []byte) int {
+	n, prev := 0, uint64(0)
+	for at := 0; at < len(p); n++ {
+		var l Line
+		next, ok := c.record(p, at, 0, prev, &l)
+		if !ok {
+			return -1
+		}
+		at, prev = next, uint64(l.Block)>>c.setBits
+	}
+	return n
+}
+
 // TestSnapshotFits: a snapshot restores into a cache of its own geometry and
 // is refused — as an error — by one of another size, by a core count its
-// directory state exceeds, when its in-flight list is out of order, and when
-// its lines, live masks or recency words name a state no run reaches.
+// directory state exceeds, when its in-flight list is out of order, when its
+// record stream is not one canonical record per live bit, and when its records,
+// live masks or recency words name a state no run reaches.
 func TestSnapshotFits(t *testing.T) {
 	c := small()
 	l, _, _ := c.Insert(5, Modified, 7, false, false)
@@ -426,6 +443,11 @@ func TestSnapshotFits(t *testing.T) {
 	c.NoteMiss(30)
 	c.NoteMiss(20)
 	snap := c.Snapshot()
+	// Block 5 is set 1's only line: tag 5>>2 = 1, one step up from 0
+	// (zigzag 2), Modified, owner 1 + 1, sharers, ready at 7 — one byte each.
+	if want := []byte{2, byte(Modified), 2, 0b10, 7}; !bytes.Equal(snap.Records, want) || recordCount(c, snap.Records) != 1 {
+		t.Fatalf("records %v, want %v", snap.Records, want)
+	}
 	if err := snap.Fits(c, 2); err != nil {
 		t.Fatalf("own snapshot refused: %v", err)
 	}
@@ -439,37 +461,48 @@ func TestSnapshotFits(t *testing.T) {
 	if err := snap.Fits(New("big", 8*2*64, 2, 4), 2); err == nil {
 		t.Error("snapshot of 8 lines accepted by a 16-line cache")
 	}
-	decoded.Lines = decoded.Lines[:len(decoded.Lines)-1]
+	decoded.Records = decoded.Records[:len(decoded.Records)-1]
 	if err := decoded.Fits(c, 2); err == nil {
-		t.Error("truncated line array accepted")
+		t.Error("truncated record stream accepted")
 	}
 	snap.Outstanding[0], snap.Outstanding[1] = snap.Outstanding[1], snap.Outstanding[0]
 	if err := snap.Fits(c, 2); err == nil {
 		t.Error("descending in-flight list accepted")
 	}
 
-	// A payload that is the right size but names a state no sequence of
-	// operations reaches: Restore would install a cache whose lookups miss or
-	// alias. Block 5 sits in set 1, way 0 of the 4x2 cache and is the only
-	// live line, so it is Lines[0].
+	// A payload that is the right size but is not what Snapshot writes, or
+	// names a state no sequence of operations reaches: Restore would install a
+	// cache whose lookups miss or alias, or one that snapshots to other bytes.
+	// Block 5 sits in set 1, way 0 of the 4x2 cache and is the only live line,
+	// so its record is the whole stream. A record names no set: its position
+	// does, so a line cannot sit in a set its block does not map to.
 	for _, tc := range []struct {
 		name   string
 		mutate func(s *Snapshot)
 	}{
-		{"live line in state Invalid", func(s *Snapshot) { s.Lines[0].State = Invalid }},
-		{"live line in the wrong set", func(s *Snapshot) { s.Lines[0].Block = 6 }},
-		{"same block twice in a set", func(s *Snapshot) { s.Lines = append(s.Lines, s.Lines[0]); s.Live[1] = 0b11 }},
-		{"one line short of the live count", func(s *Snapshot) { s.Lines = nil }},
-		{"one line long of the live count", func(s *Snapshot) { s.Lines = append(s.Lines, Line{Block: 2, State: Shared}) }},
-		{"live bit set without its line", func(s *Snapshot) { s.Live[3] = 0b01 }},
-		{"live bit cleared with its line left behind", func(s *Snapshot) { s.Live[1] = 0 }},
-		{"live bit moved to another set without its line", func(s *Snapshot) { s.Live[1], s.Live[2] = 0, 0b01 }},
+		{"live line in state Invalid", func(s *Snapshot) { s.Records[1] = byte(Invalid) }},
+		{"flag bits no line sets", func(s *Snapshot) { s.Records[1] |= 0x10 }},
+		{"tag that overflows its block", func(s *Snapshot) { s.Records = append(binary.AppendUvarint(nil, 1<<63), s.Records[1:]...) }}, // tag 1<<62
+		{"truncated varint", func(s *Snapshot) { s.Records[4] |= 0x80 }},
+		{"varint longer than its value", func(s *Snapshot) { s.Records = append(s.Records[:4], 0x87, 0x00) }},
+		{"11-byte varint", func(s *Snapshot) {
+			s.Records = append(append(bytes.Repeat([]byte{0x81}, 10), 0x00), s.Records[1:]...)
+		}},
+		{"trailing bytes", func(s *Snapshot) { s.Records = append(s.Records, 0) }},
+		{"same block twice in a set", func(s *Snapshot) {
+			s.Records = append(s.Records, 0, byte(Shared), 0, 0, 0) // the tag again
+			s.Live[1] = 0b11
+		}},
+		{"one record short of the live count", func(s *Snapshot) { s.Records = nil }},
+		{"one record long of the live count", func(s *Snapshot) { s.Records = append(s.Records, 0, byte(Shared), 0, 0, 0) }},
+		{"live bit set without its record", func(s *Snapshot) { s.Live[3] = 0b01 }},
+		{"live bit cleared with its record left behind", func(s *Snapshot) { s.Live[1] = 0 }},
 		{"recency word repeats a way", func(s *Snapshot) { s.Rec[1] = 0x00 }},
 		{"recency word names a way the set lacks", func(s *Snapshot) { s.Rec[1] = 0x20 }},
 		{"recency word longer than the set", func(s *Snapshot) { s.Rec[1] = 0x110 }},
 		{"live bit at or above ways", func(s *Snapshot) {
 			s.Live[1] |= 1 << 2
-			s.Lines = append(s.Lines, Line{Block: 9, State: Shared})
+			s.Records = append(s.Records, 2, byte(Shared), 0, 0, 0)
 		}},
 	} {
 		bad := c.Snapshot()
@@ -494,7 +527,7 @@ func TestSnapshotFits(t *testing.T) {
 // TestSnapshotHoldsLiveLinesOnly drives 1-, 8- and 16-way caches with random
 // fills, lookups and invalidations — so the live masks have holes — and checks
 // the snapshot by what it must do, not by where it keeps a line: it holds one
-// line per live way; restored into an arena another cache dirtied, the copy
+// record per live way; restored into an arena another cache dirtied, the copy
 // snapshots to the same value (gob round trip included) and answers every
 // lookup as the source does; and the two stay equal under further identical
 // traffic, so nothing a free way held leaks into behaviour.
@@ -532,8 +565,8 @@ func TestSnapshotHoldsLiveLinesOnly(t *testing.T) {
 		snap := src.Snapshot()
 		live := 0
 		src.ForEach(func(*Line) bool { live++; return true })
-		if len(snap.Lines) != live || live == 0 || live == sets*ways {
-			t.Fatalf("%d-way: snapshot holds %d lines, cache has %d live of %d (the traffic must leave holes)", ways, len(snap.Lines), live, sets*ways)
+		if n := recordCount(src, snap.Records); n != live || live == 0 || live == sets*ways {
+			t.Fatalf("%d-way: snapshot holds %d records, cache has %d live of %d (the traffic must leave holes)", ways, n, live, sets*ways)
 		}
 		if err := snap.Fits(src, 4); err != nil {
 			t.Fatalf("%d-way: own snapshot refused: %v", ways, err)
@@ -564,8 +597,8 @@ func TestSnapshotHoldsLiveLinesOnly(t *testing.T) {
 
 		// A cache nothing ever filled: no lines, and the same value after gob.
 		cold := New("cold", size, ways, 4).Snapshot()
-		if len(cold.Lines) != 0 || !reflect.DeepEqual(cold, viaGob(t, cold)) {
-			t.Fatalf("%d-way: cold snapshot holds %d lines or changed over gob", ways, len(cold.Lines))
+		if cold.Records != nil || !reflect.DeepEqual(cold, viaGob(t, cold)) {
+			t.Fatalf("%d-way: cold snapshot holds %d record bytes or changed over gob", ways, len(cold.Records))
 		}
 	}
 }

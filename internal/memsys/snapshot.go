@@ -1,7 +1,9 @@
 package memsys
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"spb/internal/cache"
 	"spb/internal/dram"
@@ -11,61 +13,105 @@ import (
 
 // Deep snapshot/restore of the shared memory system (DESIGN.md §12): the one
 // state form a warm-start fork copies in memory and a checkpoint file encodes
-// with gob as it stands. Everything mutable is copied: every cache array (the
-// L3's lines carry the coherence directory), the recent-eviction sets, the
-// DRAM channel state and all statistics counters. The generic prefetcher is
-// NOT part of the snapshot: functional warming never trains it, its type is a
-// per-spec configuration knob, and a fork always starts it fresh — exactly
-// matching a cold run.
+// with gob as it stands. Everything mutable is copied, at a cost in proportion
+// to what it holds: every cache's live lines as packed records (the L3's carry
+// the coherence directory), the recent-eviction sets' live windows and
+// occupied slots, the DRAM channel state and all statistics counters. The
+// generic prefetcher is NOT part of the snapshot: functional warming never
+// trains it, its type is a per-spec configuration knob, and a fork always
+// starts it fresh — exactly matching a cold run.
 
-// recentSnapshot is a canonical deep copy of a recentSet: ring positions
-// outside the live window and table slots with zero count are stored as
-// zeros, not as whatever the recycled arrays held.
+// recentSnapshot is what a recentSet holds: the ring's live window — the
+// positions before the cursor, or the whole ring once it has wrapped — and the
+// occupied table slots in ascending order. What the recycled arrays hold
+// elsewhere is never read before it is written, so it is not stored; a set
+// nothing was added to is two nil slices.
 type recentSnapshot struct {
 	Ring   []mem.Block
 	Next   int
 	Filled bool
-	Keys   []mem.Block
-	Counts []uint32
+	Slots  []recentSlot
+}
+
+// recentSlot is one occupied slot of a recentSet's table.
+type recentSlot struct {
+	Key       mem.Block
+	At, Count uint32
+}
+
+// window is the length of the ring's live window.
+func window(next int, filled bool, capacity int) int {
+	if filled {
+		return capacity
+	}
+	return next
 }
 
 func (r *recentSet) snapshot() *recentSnapshot {
-	s := &recentSnapshot{
-		Ring:   make([]mem.Block, len(r.ring)),
-		Next:   r.next,
-		Filled: r.filled,
-		Keys:   make([]mem.Block, len(r.keys)),
-		Counts: append([]uint32(nil), r.counts...),
+	s := &recentSnapshot{Next: r.next, Filled: r.filled}
+	if n := window(r.next, r.filled, len(r.ring)); n > 0 {
+		s.Ring = append([]mem.Block(nil), r.ring[:n]...)
 	}
-	live := r.next
-	if r.filled {
-		live = len(r.ring)
-	}
-	copy(s.Ring[:live], r.ring[:live])
 	for i, n := range r.counts {
 		if n != 0 {
-			s.Keys[i] = r.keys[i]
+			s.Slots = append(s.Slots, recentSlot{Key: r.keys[i], At: uint32(i), Count: n})
 		}
 	}
 	return s
 }
 
-// fits reports whether the snapshot's arrays are r's size and its cursor is
-// inside the ring.
-func (s *recentSnapshot) fits(r *recentSet) bool {
-	return s != nil && len(s.Ring) == len(r.ring) && len(s.Keys) == len(r.keys) &&
-		len(s.Counts) == len(r.counts) && s.Next >= 0 && s.Next < len(s.Ring)
+// fits reports, as an error, why the snapshot cannot be restored into r: its
+// cursor lies outside the ring or its window is not the cursor's; a slot index
+// is not strictly ascending or falls outside the table, or a count is zero;
+// more slots are occupied than the ring has positions, so no empty slot would
+// end a probe; or a key sits where the probe from its home slot — which stops
+// at the first empty slot or the first slot holding the key — never arrives.
+// Restored, any of these could make a lookup miss what the set holds or, on a
+// full table, probe forever.
+func (s *recentSnapshot) fits(r *recentSet) error {
+	switch {
+	case s == nil:
+		return fmt.Errorf("missing")
+	case s.Next < 0 || s.Next >= len(r.ring) || len(s.Ring) != window(s.Next, s.Filled, len(r.ring)):
+		return fmt.Errorf("cursor %d, window of %d in a ring of %d", s.Next, len(s.Ring), len(r.ring))
+	case len(s.Slots) > len(r.ring):
+		return fmt.Errorf("%d occupied slots for a ring of %d", len(s.Slots), len(r.ring))
+	}
+	for k, sl := range s.Slots {
+		if uint64(sl.At) > r.mask || k > 0 && sl.At <= s.Slots[k-1].At || sl.Count == 0 {
+			return fmt.Errorf("slot %d at index %d of %d with count %d", k, sl.At, len(r.counts), sl.Count)
+		}
+	}
+	// The slots are ascending now, so the occupant of an index is a search.
+	occupant := func(i uint64) (mem.Block, bool) {
+		k, ok := slices.BinarySearchFunc(s.Slots, i, func(sl recentSlot, i uint64) int { return cmp.Compare(uint64(sl.At), i) })
+		if !ok {
+			return 0, false
+		}
+		return s.Slots[k].Key, true
+	}
+	for _, sl := range s.Slots {
+		for i := blockHash(sl.Key) & r.mask; i != uint64(sl.At); i = (i + 1) & r.mask {
+			if key, ok := occupant(i); !ok || key == sl.Key {
+				return fmt.Errorf("key %#x at slot %d is not reached by its probe", sl.Key, sl.At)
+			}
+		}
+	}
+	return nil
 }
 
+// restore overwrites r with the snapshot, which must fit it (fits).
 func (r *recentSet) restore(s *recentSnapshot) {
-	if !s.fits(r) {
+	if s.Next >= len(r.ring) || len(s.Ring) > len(r.ring) {
 		panic("memsys: recentSet restore with mismatched capacity")
 	}
 	copy(r.ring, s.Ring)
 	r.next = s.Next
 	r.filled = s.Filled
-	copy(r.keys, s.Keys)
-	copy(r.counts, s.Counts)
+	clear(r.counts)
+	for _, sl := range s.Slots {
+		r.keys[sl.At], r.counts[sl.At] = sl.Key, sl.Count
+	}
 }
 
 // portSnapshot deep-copies one core's private hierarchy and counters.
@@ -141,8 +187,14 @@ func (snap *SystemSnapshot) Fits(s *System) error {
 	}
 	for i, p := range s.ports {
 		ps := snap.Ports[i]
-		if ps == nil || ps.L1 == nil || ps.L2 == nil || !ps.EvictedPF.fits(p.evictedPF) || !ps.VictimsOfPF.fits(p.victimsOfPF) {
-			return fmt.Errorf("memsys: snapshot port %d is incomplete or of another size", i)
+		if ps == nil || ps.L1 == nil || ps.L2 == nil {
+			return fmt.Errorf("memsys: snapshot port %d is incomplete", i)
+		}
+		if err := ps.EvictedPF.fits(p.evictedPF); err != nil {
+			return fmt.Errorf("memsys: snapshot port %d evicted-prefetch set: %v", i, err)
+		}
+		if err := ps.VictimsOfPF.fits(p.victimsOfPF); err != nil {
+			return fmt.Errorf("memsys: snapshot port %d prefetch-victim set: %v", i, err)
 		}
 		// Private lines carry no directory state: zero cores may be named.
 		if err := ps.L1.Fits(p.l1, 0); err != nil {

@@ -54,9 +54,12 @@ const ckptMagic = "SPBCKPT1"
 // the store buffer's forwarding filter grew to 4096 counters.
 // Version 7: a core borrows its machine's TLB and predictor, so cpu.Snapshot
 // carries neither, nor a clock besides St.Cycles; memsys.SystemSnapshot has no
-// L3Accesses or WritebacksL3. TestCkptFormIsPlainStructs pins each version's
-// form (ckptForms).
-const ckptVersion = 7
+// L3Accesses or WritebacksL3.
+// Version 8: cache.Snapshot carries its live lines as one packed record stream
+// (Records) instead of a []Line, and a recent-eviction set its live ring
+// window and occupied table slots instead of dense arrays.
+// TestCkptFormIsPlainStructs pins each version's form (ckptForms).
+const ckptVersion = 8
 
 // CheckpointPolicy configures mid-run checkpointing on a Runner. The zero
 // value disables it.

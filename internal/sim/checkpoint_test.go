@@ -5,11 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -252,12 +250,23 @@ func rewrite(mutate func(t *testing.T, cf *ckptFile)) func(*testing.T, string) {
 	}
 }
 
-// corruptL1 returns a corruption that rewrites core 0's L1 state inside a
-// valid checkpoint file, after checking that the memory system refuses the
+// corruptL1 returns a corruption that gives core 0 inside a valid checkpoint
+// file the L1 of the machine's geometry holding block 0 alone — set 0, way 0,
+// whose record opens the stream: {tag 0, Shared, no owner, no sharers, ready
+// at 0} — lets mutate change it, and checks that the memory system refuses the
 // result for the reason the row is named for.
 func corruptL1(mutate func(l1 *cache.Snapshot), wantErr string) func(*testing.T, string) {
 	return rewrite(func(t *testing.T, cf *ckptFile) {
-		mutate(cf.State.Sys.Ports[0].L1)
+		cfg := config.Skylake().L1D
+		c := cache.New(cfg.Name, cfg.SizeBytes, cfg.Ways, cfg.MSHRs)
+		c.Insert(0, cache.Shared, 0, false, false)
+		l1 := c.Snapshot()
+		c.Release()
+		if want := []byte{0, byte(cache.Shared), 0, 0, 0}; !bytes.Equal(l1.Records, want) {
+			t.Fatalf("an L1 holding block 0 has records %v, want %v", l1.Records, want)
+		}
+		mutate(l1)
+		cf.State.Sys.Ports[0].L1 = l1
 		sys := memsys.New(config.Skylake(), 1)
 		err := cf.State.Sys.Fits(sys)
 		sys.Release()
@@ -265,17 +274,6 @@ func corruptL1(mutate func(l1 *cache.Snapshot), wantErr string) func(*testing.T,
 			t.Fatalf("corrupted snapshot: Fits = %v, want an error containing %q", err, wantErr)
 		}
 	})
-}
-
-// putWay makes way w of set 0 live and holding l, keeping the snapshot's one
-// line per live bit: set 0's lines open Lines, in way order.
-func putWay(s *cache.Snapshot, w int, l cache.Line) {
-	at := bits.OnesCount16(s.Live[0] & (1<<uint(w) - 1))
-	if s.Live[0]>>uint(w)&1 == 0 {
-		s.Lines = slices.Insert(s.Lines, at, l)
-		s.Live[0] |= 1 << uint(w)
-	}
-	s.Lines[at] = l
 }
 
 // foreignCore builds a core of another Table II configuration than the
@@ -314,9 +312,10 @@ func writeCrashCheckpoint(t *testing.T, dir string, spec RunSpec, cadence uint64
 
 // TestCheckpointCorruptionQuarantine is the table test over every way a
 // checkpoint file can be invalid: truncated tail, bad magic, flipped payload
-// byte, version mismatch (a newer and the six previous versions), a
+// byte, version mismatch (a newer and the seven previous versions), a
 // checksum-valid payload that does not fit the machine — caches of another
-// size or in a state no run reaches, a foreign prefetcher, core or TLB, ring
+// size, whose record streams are not one canonical record per live way, or in
+// a state no run reaches, a foreign prefetcher, core or TLB, ring
 // cursors outside their rings, a missing predictor, a cursor past the plan —
 // and a checksum-valid file for a different spec.
 // Each must be quarantined under the *.corrupt convention and the run must
@@ -392,17 +391,19 @@ func TestCheckpointCorruptionQuarantine(t *testing.T) {
 			}
 		}},
 		{"version-mismatch", stamped(ckptVersion + 1)},
-		// The six earlier formats (DESIGN.md §12 has the table): directory
+		// The seven earlier formats (DESIGN.md §12 has the table): directory
 		// shards and unordered miss lists; caches as tags, use stamps and a
 		// clock; a Detailed or a Sampled payload; every snapshot a nested gob
 		// stream of its own; every cache a dense line array with the free ways
-		// stored as zero lines; every core its own TLB, predictor and clock.
+		// stored as zero lines; every core its own TLB, predictor and clock;
+		// every live line a 32-byte Line and every recent-eviction set dense.
 		{"v1-envelope", stamped(1)},
 		{"v2-envelope", stamped(2)},
 		{"v3-envelope", stamped(3)},
 		{"v4-envelope", stamped(4)},
 		{"v5-envelope", stamped(5)},
 		{"v6-envelope", stamped(6)},
+		{"v7-envelope", stamped(7)},
 		{"truncated-lines", rewrite(func(t *testing.T, cf *ckptFile) {
 			// A well-formed, checksummed envelope for this very spec whose
 			// L3 has half the machine's sets: Restore would panic on it, so
@@ -441,32 +442,45 @@ func TestCheckpointCorruptionQuarantine(t *testing.T) {
 		{"cursor-past-plan", rewrite(func(t *testing.T, cf *ckptFile) {
 			cf.Cur.Seg, cf.Cores = 99, nil
 		})},
-		// Checksummed, right-sized payloads whose L1 names a state no run
-		// reaches; Restore would install a cache whose lookups miss or alias.
-		// Set 0 of the 8-way L1 is rewritten each time.
+		// Checksummed, right-sized payloads whose L1 is not what Snapshot
+		// writes or names a state no run reaches; Restore would install a cache
+		// whose lookups miss or alias. A record names no set — its position
+		// does — so the one way it can name a block outside its set is a tag
+		// that overflows when shifted back, which line-in-wrong-set writes.
 		{"live-line-invalid", corruptL1(func(l1 *cache.Snapshot) {
-			putWay(l1, 0, cache.Line{Block: 0, State: cache.Invalid})
+			l1.Records[1] = byte(cache.Invalid)
 		}, "in state I")},
 		{"line-in-wrong-set", corruptL1(func(l1 *cache.Snapshot) {
-			putWay(l1, 0, cache.Line{Block: 1, State: cache.Shared})
-		}, "holds block 0x1")},
+			l1.Records = append(binary.AppendUvarint(nil, 1<<60), l1.Records[1:]...)
+		}, "malformed")},
 		{"duplicate-block", corruptL1(func(l1 *cache.Snapshot) {
-			putWay(l1, 0, cache.Line{Block: 64, State: cache.Shared})
-			putWay(l1, 1, cache.Line{Block: 64, State: cache.Shared})
+			l1.Records = append(l1.Records, l1.Records...)
+			l1.Live[0] = 0b11
 		}, "twice")},
 		{"recency-not-an-order", corruptL1(func(l1 *cache.Snapshot) {
 			l1.Rec[0] = 0x76543211
 		}, "not an order")},
 		{"live-bit-past-ways", corruptL1(func(l1 *cache.Snapshot) {
-			putWay(l1, 12, cache.Line{Block: 128, State: cache.Shared})
+			l1.Live[0] |= 1 << 12
+			l1.Records = append(l1.Records, 2, byte(cache.Shared), 0, 0, 0)
 		}, "exceeds 8 ways")},
-		// One line per live bit: a mask edited without its line, or a line array
-		// cut short, must be refused before anything is sliced by it.
+		{"record-truncated", corruptL1(func(l1 *cache.Snapshot) {
+			l1.Records[len(l1.Records)-1] |= 0x80
+		}, "malformed")},
+		{"varint-longer-than-its-value", corruptL1(func(l1 *cache.Snapshot) {
+			l1.Records = append([]byte{0x80, 0x00}, l1.Records[1:]...)
+		}, "malformed")},
+		// One record per live bit: a mask edited without its record, or a
+		// stream cut short or run long, must be refused before anything is
+		// decoded into the arena by it.
 		{"live-bit-without-line", corruptL1(func(l1 *cache.Snapshot) {
 			l1.Live[len(l1.Live)-1] ^= 1
 		}, "live masks mark")},
 		{"lines-cut-short", corruptL1(func(l1 *cache.Snapshot) {
-			l1.Lines = l1.Lines[:len(l1.Lines)-1]
+			l1.Records = nil
+		}, "live masks mark")},
+		{"records-run-past-live-ways", corruptL1(func(l1 *cache.Snapshot) {
+			l1.Records = append(l1.Records, 1, byte(cache.Shared), 0, 0, 0)
 		}, "live masks mark")},
 		{"spec-mismatch", func(t *testing.T, path string) {
 			// A perfectly valid checkpoint — for a different simulation
@@ -542,9 +556,10 @@ func TestCheckpointPolicyDoesNotPerturbStats(t *testing.T) {
 }
 
 // FuzzDecodeCkpt feeds the checkpoint decoder and the restore step arbitrary
-// bytes and resealed mutations of a real file — pos and flip name one payload
-// byte to change before the checksum is recomputed, which is how a file from
-// a binary with other ideas reaches them. Nothing may panic, every refusal
+// bytes and resealed mutations of a real file — one this binary writes, so of
+// the current ckptVersion, its caches packed records. pos and flip name one
+// payload byte to change before the checksum is recomputed, which is how a
+// file from a binary with other ideas reaches them. Nothing may panic, every refusal
 // must be errCkptInvalid, and a file a Runner accepts or quarantines must end
 // in the from-scratch result. A resealed file whose values changed but still
 // fit is, as far as any check can tell, a valid checkpoint of some other run:

@@ -27,6 +27,7 @@ import (
 var ckptForms = map[uint32]string{
 	6: "67dd80200c81698a589c176dee91c5932baa52563fa639aedacbe3939b247845",
 	7: "e945063f9f694833882544e4b447769defc08031538b08deef71bf1e41bd22a1",
+	8: "55210b296954912e8702ab282d95c970545e81fbc6e66080fe30a92b5eec770b",
 }
 
 // TestCkptFormIsPlainStructs walks every type reachable from ckptFile: every
@@ -180,7 +181,7 @@ func TestCkptRoundTripIsIdentity(t *testing.T) {
 		})
 	}
 	// A machine nothing has run on: no cache holds a line, and a snapshot's
-	// empty Lines must be the value gob hands back.
+	// empty Records must be the value gob hands back.
 	t.Run("cold", func(t *testing.T) {
 		spec := cases["bpred"].Normalized()
 		state := func(from *machineState) *machineState {
@@ -199,8 +200,8 @@ func TestCkptRoundTripIsIdentity(t *testing.T) {
 			return st
 		}
 		cf := &ckptFile{Spec: spec, State: state(nil)}
-		if n := len(cf.State.Sys.L3.Lines) + len(cf.State.Sys.Ports[0].L1.Lines) + len(cf.State.Sys.Ports[0].L2.Lines); n != 0 {
-			t.Fatalf("a cold machine's snapshot holds %d cache lines", n)
+		if n := len(cf.State.Sys.L3.Records) + len(cf.State.Sys.Ports[0].L1.Records) + len(cf.State.Sys.Ports[0].L2.Records); n != 0 {
+			t.Fatalf("a cold machine's snapshot holds %d bytes of cache records", n)
 		}
 		data, err := encodeCkpt(cf)
 		if err != nil {

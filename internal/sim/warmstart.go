@@ -44,18 +44,17 @@ func warmKeyOf(spec RunSpec) warmKey {
 
 // maxWarmGroups bounds the snapshots a Runner keeps, so a daemon fed warmed
 // specs under ever-new seeds does not grow without limit. A snapshot costs what
-// its warm-up left live: 32 B per occupied cache line (cache.Snapshot.Lines)
-// plus, per core, about 0.6 MB that does not depend on it — the per-set recency
-// words and live masks (0.17 MB with the L3's), the two recent-eviction sets,
-// which stay dense (0.4 MB), TLB and predictor tables. Measured on the eight
-// SB-bound SPEC groups, lines only: 1.1 MB (x264) to 3.8 MB (roms) after a 1 M
-// warm-up, 19.8 MB in all; 1.1 to 8.9 MB after 10 M, where roms has filled the
-// L3 — 8.93 MB per core (262 144 L3 + 16 384 L2 + 512 L1 lines) is the worst
-// case, and what every group cost when free ways were stored too. The bound
-// sits above the most groups any in-tree sweep holds at once — a full-scale
-// harness run of every experiment with -warmup is 138 (fig17 alone 115) — so no
-// figure or benchmark grid warms a group twice; at the worst case it pins
-// 1.5 GB.
+// its warm-up left live: about 5 B per occupied cache line, packed
+// (cache.Snapshot.Records), plus, per core, 0.17 MB that does not depend on it
+// — the per-set recency words and live masks — and the TLB and predictor
+// tables; recent-eviction sets, which warming never fills, cost nothing.
+// Measured on the eight SB-bound SPEC groups' memory systems: 0.35 MB (x264)
+// to 0.77 MB (roms) after a 1 M warm-up, 4.6 MB in all; 0.35 to 1.58 MB after
+// 10 M, where roms has filled the L3 (262 144 L3 + 16 384 L2 + 512 L1 lines,
+// 8.93 MB as 32-byte Lines). The bound sits above the most groups any in-tree
+// sweep holds at once — a full-scale harness run of every experiment with
+// -warmup is 138 (fig17 alone 115) — so no figure or benchmark grid warms a
+// group twice; 160 groups at roms' 10 M cost pin 253 MB.
 const maxWarmGroups = 160
 
 // warmGroup is one group's snapshot: a start point at the edge after the

@@ -16,6 +16,7 @@ import (
 	"spb/internal/config"
 	"spb/internal/core"
 	"spb/internal/mem"
+	"spb/internal/memsys"
 	"spb/internal/workloads"
 )
 
@@ -248,10 +249,10 @@ func TestWarmCacheBounded(t *testing.T) {
 }
 
 // TestWarmGroupSnapshotCostsWhatIsLive: a group's snapshot carries the cache
-// lines its warm-up filled, not the arrays' capacity. The benchmark's bwaves
-// group (1 M warm-up instructions, Skylake hierarchy: 279 040 ways of 32 B,
-// 8.93 MB had every way been stored) holds under 2 MB of lines, and the cost is
-// exactly the live count.
+// lines its warm-up filled, packed, not the arrays' capacity. The benchmark's
+// bwaves group (1 M warm-up instructions, Skylake hierarchy: 279 040 ways,
+// 8.93 MB had every way been stored as a 32-byte Line) holds one record per
+// live way — Fits counts them — at under 8 bytes a record.
 func TestWarmGroupSnapshotCostsWhatIsLive(t *testing.T) {
 	spec := RunSpec{
 		Workload: "bwaves", Policy: core.PolicySPB, SQSize: 14,
@@ -261,10 +262,15 @@ func TestWarmGroupSnapshotCostsWhatIsLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := g.start.State.Sys
-	lines, live, ways := 0, 0, 0
-	for _, c := range []*cache.Snapshot{sys.L3, sys.Ports[0].L2, sys.Ports[0].L1} {
-		lines += len(c.Lines)
+	snap := g.start.State.Sys
+	sys := memsys.New(config.Skylake(), 1)
+	defer sys.Release()
+	if err := snap.Fits(sys); err != nil {
+		t.Fatal(err)
+	}
+	size, live, ways := 0, 0, 0
+	for _, c := range []*cache.Snapshot{snap.L3, snap.Ports[0].L2, snap.Ports[0].L1} {
+		size += len(c.Records)
 		for _, m := range c.Live {
 			live += bits.OnesCount16(m)
 		}
@@ -274,13 +280,62 @@ func TestWarmGroupSnapshotCostsWhatIsLive(t *testing.T) {
 		ways += c.SizeBytes / mem.BlockSize
 	}
 	const lineBytes = int(unsafe.Sizeof(cache.Line{}))
-	t.Logf("%d of %d ways live: %.2f MB of lines, %.2f MB had every way been stored",
-		lines, ways, float64(lines*lineBytes)/1e6, float64(ways*lineBytes)/1e6)
-	if lines != live {
-		t.Errorf("the snapshot holds %d lines for %d live ways", lines, live)
+	t.Logf("%d of %d ways live: %.2f MB of records, %.2f MB as Lines, %.2f MB had every way been stored",
+		live, ways, float64(size)/1e6, float64(live*lineBytes)/1e6, float64(ways*lineBytes)/1e6)
+	if live == 0 || size >= 8*live {
+		t.Errorf("the snapshot holds %d bytes of records for %d live ways, want some and under 8 bytes each", size, live)
 	}
-	if lines == 0 || lines*lineBytes >= 2<<20 {
-		t.Errorf("the snapshot holds %d bytes of lines, want some and under 2 MiB", lines*lineBytes)
+}
+
+// heldBytes is the memory the slices and pointers reachable from v hold: each
+// slice's length times its element size, each pointee's size, and what their
+// elements reach in turn.
+func heldBytes(v reflect.Value) int {
+	n := 0
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			n = int(v.Type().Elem().Size()) + heldBytes(v.Elem())
+		}
+	case reflect.Slice:
+		n = v.Len() * int(v.Type().Elem().Size())
+		if k := v.Type().Elem().Kind(); k == reflect.Pointer || k == reflect.Slice || k == reflect.Struct {
+			for i := 0; i < v.Len(); i++ {
+				n += heldBytes(v.Index(i))
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			n += heldBytes(v.Field(i))
+		}
+	}
+	return n
+}
+
+// TestWarmGroupsCostWhatTheyHold: the benchmark sweep's eight SB-bound groups
+// (1 M warm-up instructions, seed 1) are all live at once, because LPT
+// dispatch warms every group first. Their memory-system snapshots — cache
+// records, per-set recency words and live masks, recent-eviction sets — hold
+// at most 8 MB between them: what the warm-ups left live, packed, not the
+// 32-byte line records and dense all-zero eviction sets that cost 24 MB.
+func TestWarmGroupsCostWhatTheyHold(t *testing.T) {
+	total := 0
+	for _, w := range workloads.SBBoundSPEC() {
+		spec := RunSpec{
+			Workload: w.Name, Policy: core.PolicySPB, SQSize: 14,
+			Prefetcher: config.PrefetchStream, Insts: 50_000, WarmupInsts: 1_000_000, Seed: 1,
+		}.Normalized()
+		g, err := NewRunner().buildWarm(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := heldBytes(reflect.ValueOf(g.start.State.Sys))
+		t.Logf("%-10s %.2f MB", w.Name, float64(n)/1e6)
+		total += n
+	}
+	t.Logf("all groups: %.2f MB", float64(total)/1e6)
+	if total > 8e6 {
+		t.Errorf("the eight groups' snapshots hold %.2f MB, want at most 8 MB", float64(total)/1e6)
 	}
 }
 

@@ -1,10 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 
 	"spb/internal/cache"
@@ -147,15 +147,14 @@ func checkWarmWalk(t *testing.T, spec RunSpec, trainPF bool) {
 	}
 }
 
-// sameLines compares the tag arrays of two machine states — nearly all of a
-// state's bytes — as plain values and drops them from both, so that
-// reflect.DeepEqual, which visits a Line field by field, is left with the
-// rest.
+// sameLines compares the cache records of two machine states — most of a
+// state's bytes — and drops them from both, so that a difference there is
+// reported as the lines' and reflect.DeepEqual is left with the rest.
 func sameLines(a, b *machineState) bool {
 	same := true
 	drop := func(x, y *cache.Snapshot) {
-		same = same && slices.Equal(x.Lines, y.Lines)
-		x.Lines, y.Lines = nil, nil
+		same = same && bytes.Equal(x.Records, y.Records)
+		x.Records, y.Records = nil, nil
 	}
 	drop(a.Sys.L3, b.Sys.L3)
 	for i := range a.Sys.Ports {

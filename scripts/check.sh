@@ -23,6 +23,9 @@ for f in cmd/*/default.pgo; do go tool pprof -raw "$f" >/dev/null; done
 go build ./...
 echo "== go test (uncached) =="
 go test -count=1 ./...
+echo "== fuzz the two checkpoint decoders for a fixed budget (the suite above only replays their seeds) =="
+go test -run '^$' -fuzz '^FuzzDecodeCkpt$' -fuzztime 20s ./internal/sim
+go test -run '^$' -fuzz '^FuzzSnapshotFits$' -fuzztime 20s ./internal/cache
 echo "== bench module (own go.mod: the root ./... neither compiles nor runs it) =="
 (cd bench && go vet ./... && go test ./...)
 echo "== go test -race (sim without the warm-walk oracle: its 1 088 machines share nothing between goroutines, it has run above, and under the race runtime it takes three minutes) =="
