@@ -12,10 +12,10 @@ check:
 # /metrics, SIGTERM drain. TestChaos: a 3-backend sweep under a seeded fault
 # storm (byte-identical CSV), disk corruption quarantine-and-heal. TestChaosKill:
 # kill -9 mid-batch and mid-run; journal recovery under the original IDs and
-# checkpoint resume, byte-identical throughout. TestCluster: a 3-node fleet —
-# gossip convergence, peer read-through, stealing, kill/rejoin with epoch
-# supersession, byte-identical cluster sweeps (incl. under a cluster fault
-# storm), tenant auth/quota/fairness, the cluster secret.
+# checkpoint resume, byte-identical throughout. TestCluster: a static fleet of
+# three independent daemons named in one -server list — byte-identical sweeps
+# (incl. under a stream-cut and disk-read fault storm), a keyed daemon's 401,
+# clean SIGTERM drains.
 e2e:
 	go vet -tags e2e ./internal/e2e && go test -tags e2e -count=1 -v ./internal/e2e
 

@@ -1,9 +1,8 @@
 // Command spbd is the simulation-as-a-service daemon: it accepts RunSpec
 // jobs over HTTP, deduplicates them per spec, answers repeats from its
-// result tiers (the in-memory memo, a content-addressed disk store that
-// survives restarts and, in a cluster, the peers' disk stores) and runs the
-// rest on a bounded worker pool fed by a tenant-aware queue (strict priority
-// lanes, weighted-fair within a lane).
+// result tiers (the in-memory memo, then a content-addressed disk store that
+// survives restarts) and runs the rest on a bounded worker pool fed by one
+// FIFO queue.
 //
 // Endpoints:
 //
@@ -18,12 +17,8 @@
 //	GET  /healthz?ready=1    readiness (queue headroom, disk-tier state, drain)
 //	GET  /metrics            Prometheus text metrics (counters + phase latency histograms)
 //
-// With -cluster-join (or a bare -cluster-advertise) the daemon becomes a
-// cluster node: it gossips membership with its peers, serves its disk tier
-// to them (GET /v1/peer/results/{key}), lets idle peers steal its queued
-// jobs, and advertises itself at GET /v1/cluster/members so clients can
-// discover the fleet from any one seed. -tenants turns on multi-tenant
-// admission: API keys, weighted-fair scheduling, priority lanes, quotas.
+// -tenants requires an API key on every submit, batch and cancel, and labels
+// each job with its tenant's name.
 //
 // With -journal the daemon keeps a durable write-ahead log of accepted
 // jobs and replays it on startup, so queued and running jobs survive a
@@ -40,11 +35,11 @@
 //	spbd -addr :7077 -cache-dir /var/cache/spbd &
 //	curl -s localhost:7077/v1/runs?wait=1 -d '{"workload":"bwaves","policy":"spb","sb":56}'
 //
-// Three-node cluster:
+// Several daemons are a static list, sharded by the client pool's
+// rendezvous hash; each daemon knows nothing of the others:
 //
-//	spbd -addr :7077 -cluster-advertise auto &
-//	spbd -addr :7078 -cluster-advertise auto -cluster-join localhost:7077 &
-//	spbd -addr :7079 -cluster-advertise auto -cluster-join localhost:7077 &
+//	spbd -addr :7077 & spbd -addr :7078 & spbd -addr :7079 &
+//	spbsweep -server localhost:7077,localhost:7078,localhost:7079 ...
 package main
 
 import (
@@ -59,11 +54,9 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
-	"spb/internal/cluster"
 	"spb/internal/faults"
 	"spb/internal/obs"
 	"spb/internal/prof"
@@ -88,16 +81,7 @@ func main() {
 		traceCap     = flag.Int("trace-capacity", obs.DefaultTraceCapacity, "traces retained in memory; older ones are evicted first")
 		traceLog     = flag.String("trace-log", "", "append finished traces as NDJSON to this file (empty disables)")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty disables; port 0 picks a free port)")
-
-		clusterAdvertise = flag.String("cluster-advertise", "", "join the cluster advertising this base URL; \"auto\" advertises the bound listen address (empty = standalone)")
-		clusterJoin      = flag.String("cluster-join", "", "comma-separated seed peer URLs to gossip with")
-		clusterID        = flag.String("cluster-id", "", "stable node id (default: the advertised URL)")
-		gossipInterval   = flag.Duration("gossip-interval", 500*time.Millisecond, "membership gossip period")
-		clusterSteal     = flag.Bool("cluster-steal", true, "steal queued jobs from overloaded peers when idle")
-		stealTimeout     = flag.Duration("steal-timeout", 30*time.Second, "reclaim a stolen job if the thief stays silent this long")
-		peerRead         = flag.Bool("peer-read", true, "consult peer disk caches before simulating a miss")
-		clusterSecret    = flag.String("cluster-secret", os.Getenv("SPB_CLUSTER_SECRET"), "shared fleet secret authenticating gossip/steal/peer-read endpoints (default: $SPB_CLUSTER_SECRET; empty leaves the cluster plane open)")
-		tenantsSpec      = flag.String("tenants", os.Getenv("SPB_TENANTS"), "tenant spec 'name:key[:weight=N][:prio=high|normal|low][:quota=N];...' (default: $SPB_TENANTS; empty = single implicit tenant, no auth)")
+		tenantsSpec  = flag.String("tenants", os.Getenv("SPB_TENANTS"), "tenant API keys 'name:key;...' (default: $SPB_TENANTS; empty = single implicit tenant, no auth)")
 	)
 	flag.Parse()
 
@@ -167,45 +151,6 @@ func main() {
 	fmt.Printf("spbd: listening on %s (workers %d, queue %d, cache %q)\n",
 		ln.Addr(), *workers, *queueDepth, *cacheDir)
 
-	// Cluster mode: the advertise URL must resolve after the listener is
-	// bound so "-cluster-advertise auto" works with port 0.
-	var node *cluster.Node
-	if *clusterAdvertise != "" || *clusterJoin != "" {
-		adv := *clusterAdvertise
-		if adv == "" || adv == "auto" {
-			adv = advertiseFor(ln.Addr())
-		}
-		var seeds []string
-		for _, s := range strings.Split(*clusterJoin, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				seeds = append(seeds, s)
-			}
-		}
-		node, err = cluster.New(cluster.Config{
-			ID:              *clusterID,
-			Advertise:       adv,
-			Seeds:           seeds,
-			GossipInterval:  *gossipInterval,
-			DisableSteal:    !*clusterSteal,
-			StealTimeout:    *stealTimeout,
-			DisablePeerRead: !*peerRead,
-			Secret:          *clusterSecret,
-			Faults:          injector,
-			Logf:            log.Printf,
-		}, srv)
-		if err != nil {
-			log.Fatalf("spbd: cluster: %v", err)
-		}
-		srv.AttachCluster(node)
-		node.Start()
-		log.Printf("spbd: cluster node %s advertising %s (seeds %v, steal %v, peer-read %v, secured %v)",
-			node.ID(), adv, seeds, *clusterSteal, *peerRead, *clusterSecret != "")
-		if len(tenants) > 0 && *clusterSecret == "" {
-			log.Printf("spbd: WARNING: -tenants is set but -cluster-secret is empty; " +
-				"the cluster plane (steal, peer reads, gossip) accepts unauthenticated callers")
-		}
-	}
-
 	hs := newHTTPServer(srv)
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
@@ -219,13 +164,6 @@ func main() {
 		log.Fatalf("spbd: serve: %v", err)
 	}
 
-	// Leave the cluster first: stop gossiping/stealing so peers stop routing
-	// work here while the drain empties the queue. The victim-side reclaim
-	// of silent thieves' handoffs survives this — Drain stands in for the
-	// stopped janitor and finishes reclaimed jobs locally.
-	if node != nil {
-		node.Stop()
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
@@ -252,19 +190,4 @@ func newHTTPServer(h http.Handler) *http.Server {
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-}
-
-// advertiseFor derives a peer-reachable base URL from the bound listen
-// address: a wildcard host (":7077", "0.0.0.0", "[::]") becomes localhost —
-// right for single-host fleets and CI; multi-host deployments should pass
-// an explicit -cluster-advertise.
-func advertiseFor(a net.Addr) string {
-	host, port, err := net.SplitHostPort(a.String())
-	if err != nil {
-		return "http://" + a.String()
-	}
-	if ip := net.ParseIP(host); host == "" || (ip != nil && ip.IsUnspecified()) {
-		host = "localhost"
-	}
-	return "http://" + net.JoinHostPort(host, port)
 }

@@ -16,19 +16,11 @@
 // that spec's terminal NDJSON line) at p50/p95/p99 — the numbers a sweep
 // client sees, where submission overhead is paid once for the whole grid.
 //
-// With -tenants the generator becomes a multi-tenant storm: one concurrent
-// batch stream per tenant, each authenticated with that tenant's API key and
-// submitting its own unique (never cache-shared) points. The report shows
-// each tenant's completion share at the moment the first tenant finished —
-// under a saturated daemon the shares should track the tenants' configured
-// WFQ weights.
-//
 // Examples:
 //
 //	spbload -addr http://localhost:7077 -rate 20 -duration 10s \
 //	        -workloads bwaves,mcf -policies spb,at-commit -insts 50000
 //	spbload -addr http://localhost:7077 -batch -count 200 -distinct 32
-//	spbload -addr http://localhost:7077 -tenants 'heavy:kh:weight=3;light:kl' -count 60
 package main
 
 import (
@@ -141,118 +133,6 @@ func runBatch(cl *client.Client, mix []sim.RunSpec, rng *rand.Rand, total, disti
 	}
 }
 
-// runTenantStorm launches one concurrent batch stream per tenant, each
-// authenticated with that tenant's key and submitting perTenant points with
-// tenant-unique seeds (no cross-tenant cache sharing: every completion cost
-// real worker time). The fairness report counts each tenant's completions
-// at the moment the first tenant finished — while every tenant still had
-// work queued — and compares the observed shares with the configured WFQ
-// weight shares.
-func runTenantStorm(base string, cfgs []server.TenantConfig, mix []sim.RunSpec, perTenant int, timeout time.Duration) {
-	if len(cfgs) < 2 {
-		fmt.Fprintln(os.Stderr, "spbload: tenant storm needs at least two tenants")
-		os.Exit(2)
-	}
-	fmt.Printf("spbload: tenant storm: %d tenants × %d specs each against %s\n",
-		len(cfgs), perTenant, base)
-
-	type tenantRun struct {
-		mu   sync.Mutex
-		done []time.Duration // completion offsets from storm start
-		errs int
-	}
-	runs := make([]tenantRun, len(cfgs))
-	start := time.Now()
-	var wg sync.WaitGroup
-	for ti, tc := range cfgs {
-		specs := make([]sim.RunSpec, perTenant)
-		for i := range specs {
-			spec := mix[i%len(mix)]
-			spec.Seed = uint64(1_000_000*(ti+1) + i)
-			specs[i] = spec
-		}
-		tcl := client.NewWithOptions(base, client.Options{APIKey: tc.Key})
-		wg.Add(1)
-		go func(ti int, tcl *client.Client, specs []sim.RunSpec) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
-			defer cancel()
-			tr := &runs[ti]
-			err := tcl.BatchEach(ctx, specs, func(it server.BatchItem) error {
-				if !it.Status.Terminal() {
-					return nil
-				}
-				tr.mu.Lock()
-				defer tr.mu.Unlock()
-				if e := it.ErrorOf(); e != nil {
-					tr.errs++
-				} else {
-					tr.done = append(tr.done, time.Since(start))
-				}
-				return nil
-			})
-			if err != nil {
-				tr.mu.Lock()
-				tr.errs += perTenant - len(tr.done) - tr.errs
-				tr.mu.Unlock()
-				fmt.Fprintf(os.Stderr, "spbload: tenant %s: %v\n", cfgs[ti].Name, err)
-			}
-		}(ti, tcl, specs)
-	}
-	wg.Wait()
-
-	// Fairness window: the earliest per-tenant makespan. Up to that instant
-	// every tenant had work outstanding, so completion shares reflect pure
-	// scheduling policy, not one tenant running alone at the end.
-	window := time.Duration(-1)
-	totalWeight := 0
-	for ti := range runs {
-		w := cfgs[ti].Weight
-		if w < 1 {
-			w = 1
-		}
-		totalWeight += w
-		d := runs[ti].done
-		if len(d) == perTenant {
-			if mk := d[len(d)-1]; window < 0 || mk < window {
-				window = mk
-			}
-		}
-	}
-	if window < 0 {
-		fmt.Println("fairness window     n/a (no tenant completed its whole batch)")
-	} else {
-		fmt.Printf("fairness window     %v (first tenant finished)\n", window.Round(time.Millisecond))
-	}
-	var inWindow int
-	counts := make([]int, len(runs))
-	for ti := range runs {
-		for _, d := range runs[ti].done {
-			if window < 0 || d <= window {
-				counts[ti]++
-			}
-		}
-		inWindow += counts[ti]
-	}
-	exit := 0
-	for ti, tc := range cfgs {
-		w := tc.Weight
-		if w < 1 {
-			w = 1
-		}
-		share, want := 0.0, 100*float64(w)/float64(totalWeight)
-		if inWindow > 0 {
-			share = 100 * float64(counts[ti]) / float64(inWindow)
-		}
-		fmt.Printf("tenant %-12s weight %d  completed %d/%d  share %5.1f%% (weight share %5.1f%%)  errors %d\n",
-			tc.Name, w, len(runs[ti].done), perTenant, share, want, runs[ti].errs)
-		if runs[ti].errs > 0 {
-			exit = 1
-		}
-	}
-	os.Exit(exit)
-}
-
 type sample struct {
 	latency time.Duration
 	err     error
@@ -275,7 +155,6 @@ func main() {
 		batch     = flag.Bool("batch", false, "submit the whole mix as one POST /v1/batch request and report per-spec completion latency")
 		count     = flag.Int("count", 0, "batch mode: number of specs to submit (default: rate×duration)")
 		apiKey    = flag.String("api-key", os.Getenv("SPB_API_KEY"), "tenant API key sent on every request (default: $SPB_API_KEY)")
-		tenants   = flag.String("tenants", "", "tenant storm mode: 'name:key[:weight=N];...' — one concurrent batch per tenant, reporting weighted-fair completion shares")
 	)
 	flag.Parse()
 
@@ -331,20 +210,6 @@ func main() {
 	}
 	interval := time.Duration(float64(time.Second) / *rate)
 	rng := rand.New(rand.NewSource(*seed))
-
-	if *tenants != "" {
-		cfgs, err := server.ParseTenants(*tenants)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spbload: -tenants:", err)
-			os.Exit(2)
-		}
-		perTenant := total
-		if *count > 0 {
-			perTenant = *count
-		}
-		runTenantStorm(base, cfgs, specs, perTenant, *timeout)
-		return
-	}
 
 	if *batch {
 		if *count > 0 {

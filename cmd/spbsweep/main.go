@@ -224,7 +224,7 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	remote, err := pool(ctx)
+	remote, err := pool()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spbsweep:", err)
 		os.Exit(2)

@@ -83,7 +83,7 @@ func main() {
 	defer cancel()
 
 	var exec figures.Executor // nil (in-process) without -server
-	p, err := pool(ctx)
+	p, err := pool()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spbtables:", err)
 		os.Exit(2)

@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"spb/internal/cluster"
 	"spb/internal/faults"
 	"spb/internal/obs"
 	"spb/internal/server"
@@ -415,12 +414,6 @@ func (c *Client) Ready(ctx context.Context) (rv ReadyView, err error) {
 	}
 	defer resp.Body.Close()
 	return rv, json.NewDecoder(resp.Body).Decode(&rv)
-}
-
-// Members fetches the daemon's cluster membership view. Standalone daemons
-// (no cluster attached) answer 404.
-func (c *Client) Members(ctx context.Context) (cluster.MembersView, error) {
-	return call[cluster.MembersView](c, ctx, http.MethodGet, "/v1/cluster/members", nil)
 }
 
 // Metrics fetches the raw Prometheus exposition text.

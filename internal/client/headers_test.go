@@ -60,7 +60,6 @@ func TestEveryCallCarriesKeyAndTraceID(t *testing.T) {
 		}},
 		{"Ready", "GET /healthz", func() error { _, err := cl.Ready(ctx); return err }},
 		{"Metrics", "GET /metrics", func() error { _, err := cl.Metrics(ctx); return err }},
-		{"Members", "GET /v1/cluster/members", func() error { _, err := cl.Members(ctx); return err }},
 	}
 	for _, c := range calls {
 		t.Run(c.name, func(t *testing.T) {

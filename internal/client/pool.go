@@ -3,8 +3,8 @@
 // straggler hedging and failover.
 //
 // Each decision is one function. place chooses a point's backend: the
-// first in the point's rendezvous order (cluster.RendezvousScore of its
-// content address, server.Key — every client computes the same mapping
+// first in the point's rendezvous order (rendezvousScore of its content
+// address, server.Key — every client computes the same mapping
 // without coordination, it is stable across sweeps so each backend's caches
 // stay warm, and removing a backend remaps only its share) that is not dead
 // and holds no live claim on the point, preferring one whose circuit admits
@@ -18,11 +18,9 @@
 // circuit grants gets one verdict, in dispatcher: success, failure, or
 // abandoned when the sweep ended first.
 //
-// Membership grows in place: RefreshMembers merges the daemons' gossip view
-// (GET /v1/cluster/members), and a member advertising a newer liveness
-// epoch than the one on record — the daemon restarted — gets its dead
-// circuit replaced with a fresh one. A sweep runs on the backend records it
-// snapshotted at start, so joins and re-admissions take effect on the next.
+// The backends are the ones the pool was built with: a fleet is a static
+// list of daemons, and a backend whose circuit is dead stays dead for the
+// pool's life.
 package client
 
 import (
@@ -30,6 +28,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"net"
 	"path/filepath"
 	"slices"
@@ -38,7 +38,6 @@ import (
 	"sync"
 	"time"
 
-	"spb/internal/cluster"
 	"spb/internal/obs"
 	"spb/internal/server"
 	"spb/internal/sim"
@@ -68,8 +67,8 @@ const (
 	// cheap.
 	poolBreakerCooldown = 500 * time.Millisecond
 	// poolBreakerMaxTrips consecutive trips without a success bury a
-	// backend until it restarts with a newer epoch: its points re-shard to
-	// the survivors instead of timing out against it forever.
+	// backend: its points re-shard to the survivors instead of timing out
+	// against it forever.
 	poolBreakerMaxTrips = 3
 	// poolRetryAttempts halves the client's default tries: the pool has
 	// failover of its own and prefers re-sharding to long retry loops.
@@ -107,18 +106,14 @@ type Pool struct {
 	// reconstructs a whole distributed sweep.
 	traceID string
 
-	mu       sync.Mutex
-	backends []backend // only grows: an index names one backend for good
-	index    map[string]int
+	backends []backend // fixed at construction: an index names one backend for good
 }
 
-// backend is one member of the pool. Re-admission replaces its breaker in
-// the pool's record; a sweep keeps the copy it took at start.
+// backend is one member of the pool.
 type backend struct {
 	base    string
 	client  *Client
-	breaker *breaker // shared by every sweep that snapshots this record
-	epoch   uint64   // newest liveness epoch seen (0 = unknown)
+	breaker *breaker // shared by every sweep the pool runs
 }
 
 // NewPool builds a pool over the given backend base URLs (e.g.
@@ -138,13 +133,20 @@ func newPool(bases []string, tune func(*Pool)) (*Pool, error) {
 		retry:            RetryPolicy{MaxAttempts: poolRetryAttempts},
 		logf:             func(string, ...any) {},
 		traceID:          obs.NewTraceID(),
-		index:            make(map[string]int, len(bases)),
 	}
 	if tune != nil {
 		tune(p)
 	}
 	for _, b := range bases {
-		p.add(cluster.NormalizeURL(b), 0)
+		base := normalizeURL(b)
+		if base == "" || slices.ContainsFunc(p.backends, func(k backend) bool { return k.base == base }) {
+			continue
+		}
+		p.backends = append(p.backends, backend{
+			base:    base,
+			client:  NewWithOptions(base, Options{Retry: p.retry, TraceID: p.traceID}),
+			breaker: newBreaker(p.breakerThreshold, p.breakerCooldown, p.breakerMaxTrips),
+		})
 	}
 	if len(p.backends) == 0 {
 		return nil, fmt.Errorf("client: pool needs at least one backend")
@@ -152,136 +154,46 @@ func newPool(bases []string, tune func(*Pool)) (*Pool, error) {
 	return p, nil
 }
 
-// NewClusterPool builds a pool from seed URLs and immediately expands it
-// with the backends the seeds gossip about: point it at one live daemon of
-// a cluster and it discovers the rest. Discovery failure is not fatal — the
-// pool starts with whatever seeds it was given.
-func NewClusterPool(ctx context.Context, seeds []string) (*Pool, error) {
-	p, err := NewPool(seeds)
-	if err == nil {
-		p.discover(ctx)
+// normalizeURL canonicalizes a backend base URL: trimmed, http:// when no
+// scheme is given, no trailing slash. Placement hashes the result, so two
+// spellings of one daemon own the same points.
+func normalizeURL(u string) string {
+	u = strings.TrimSpace(u)
+	if u == "" {
+		return u
 	}
-	return p, err
+	if !strings.Contains(u, "://") {
+		u = "http://" + u
+	}
+	return strings.TrimRight(u, "/")
 }
 
-func (p *Pool) discover(ctx context.Context) {
-	if err := p.RefreshMembers(ctx); err != nil {
-		p.logf("pool: cluster discovery from seeds failed (continuing with %d seeds): %v",
-			len(p.Backends()), err)
-	}
-}
-
-// PoolFlags registers the sweep CLIs' -server and -cluster flags on fs;
-// subject is the subject of -server's help ("the sweep executes"). The
-// returned function, valid once fs is parsed, builds the pool the flags
-// select — nil without -server — logging its events (a backend buried,
-// points shed or hedged, what -cluster discovered) to fs's output.
-func PoolFlags(fs *flag.FlagSet, subject string) func(ctx context.Context) (*Pool, error) {
+// PoolFlags registers the sweep CLIs' -server flag on fs; subject is the
+// subject of its help ("the sweep executes"). The returned function, valid
+// once fs is parsed, builds the pool the flag selects — nil without -server
+// — logging its events (a backend buried, points shed or hedged) to fs's
+// output.
+func PoolFlags(fs *flag.FlagSet, subject string) func() (*Pool, error) {
 	server := fs.String("server", "", "comma-separated spbd base URLs; "+subject+" remotely via the sharded client pool")
-	discover := fs.Bool("cluster", false, "expand -server via the daemons' gossip membership: any one live node discovers the fleet")
-	return func(ctx context.Context) (*Pool, error) {
+	return func() (*Pool, error) {
 		if *server == "" {
 			return nil, nil
 		}
-		seeds := strings.Split(*server, ",")
-		p, err := newPool(seeds, func(p *Pool) {
+		return newPool(strings.Split(*server, ","), func(p *Pool) {
 			p.logf = func(format string, args ...any) {
 				fmt.Fprintf(fs.Output(), "%s: %s\n", filepath.Base(fs.Name()), fmt.Sprintf(format, args...))
 			}
 		})
-		if err != nil || !*discover {
-			return p, err
-		}
-		p.discover(ctx)
-		if n := len(p.Backends()); n > len(seeds) {
-			p.logf("cluster discovery: sweeping across %d backends", n)
-		}
-		return p, nil
 	}
-}
-
-// add appends a backend unless base is blank or already known, and reports
-// whether it did (caller holds mu or is the constructor).
-func (p *Pool) add(base string, epoch uint64) bool {
-	if _, known := p.index[base]; known || base == "" {
-		return false
-	}
-	p.index[base] = len(p.backends)
-	p.backends = append(p.backends, backend{
-		base:    base,
-		client:  NewWithOptions(base, Options{Retry: p.retry, TraceID: p.traceID}),
-		breaker: p.newBreaker(),
-		epoch:   epoch,
-	})
-	return true
-}
-
-func (p *Pool) newBreaker() *breaker {
-	return newBreaker(p.breakerThreshold, p.breakerCooldown, p.breakerMaxTrips)
-}
-
-// members snapshots the backend records.
-func (p *Pool) members() []backend {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return slices.Clone(p.backends)
 }
 
 // Backends returns the normalized backend base URLs.
 func (p *Pool) Backends() []string {
 	var bases []string
-	for _, b := range p.members() {
+	for _, b := range p.backends {
 		bases = append(bases, b.base)
 	}
 	return bases
-}
-
-// mergeMembers folds a gossip membership view into the pool: unknown alive
-// members join, and a known member advertising a newer liveness epoch than
-// the one on record — the daemon restarted since the pool buried it — gets
-// its dead circuit replaced with a fresh one. Returns how many backends
-// were added and how many re-admitted.
-func (p *Pool) mergeMembers(ms []cluster.Member) (added, readmitted int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, m := range ms {
-		if m.State != cluster.StateAlive {
-			continue
-		}
-		base := cluster.NormalizeURL(m.URL)
-		if p.add(base, m.Epoch) {
-			p.logf("pool: discovered backend %s (id %s) via cluster gossip", base, m.ID)
-			added++
-			continue
-		}
-		i, known := p.index[base]
-		if !known || m.Epoch <= p.backends[i].epoch {
-			continue
-		}
-		b := &p.backends[i]
-		b.epoch = m.Epoch
-		if b.breaker.Dead() {
-			b.breaker = p.newBreaker()
-			p.logf("pool: backend %s is back with a newer epoch, re-admitting", base)
-			readmitted++
-		}
-	}
-	return added, readmitted
-}
-
-// RefreshMembers asks the backends for their gossip membership view and
-// merges the first answer it gets. Standalone daemons (no cluster attached)
-// answer 404 and are skipped.
-func (p *Pool) RefreshMembers(ctx context.Context) error {
-	err := errors.New("client: no backend answered the membership probe")
-	for _, b := range p.members() {
-		var v cluster.MembersView
-		if v, err = b.client.Members(ctx); err == nil {
-			p.mergeMembers(v.Members)
-			return nil
-		}
-	}
-	return err
 }
 
 // isHardErr reports whether err is a hard connection failure — nothing is
@@ -298,10 +210,21 @@ func rank(key string, bs []backend) []int {
 	scores := make([]uint64, len(bs))
 	for i, b := range bs {
 		idx[i] = i
-		scores[i] = cluster.RendezvousScore(key, b.base)
+		scores[i] = rendezvousScore(key, b.base)
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
 	return idx
+}
+
+// rendezvousScore is the rendezvous (highest-random-weight) weight of
+// (key, backend), fnv64a(backend, 0, key): the backend with the highest
+// score owns the key.
+func rendezvousScore(key, backend string) uint64 {
+	h := fnv.New64a()
+	io.WriteString(h, backend)
+	h.Write([]byte{0})
+	io.WriteString(h, key)
+	return h.Sum64()
 }
 
 // assignment is one backend's claim on a task (primary or hedge). A claim
@@ -346,10 +269,9 @@ func (t *poolTask) homeless() bool { return !t.done && !t.pending && len(t.live(
 
 // poolRun is the state of one GetAllCtx invocation.
 type poolRun struct {
-	p        *Pool
-	ctx      context.Context
-	cancel   context.CancelFunc
-	backends []backend // the pool's records at the sweep's start
+	p      *Pool
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu        sync.Mutex
 	tasks     []*poolTask
@@ -374,9 +296,9 @@ func (p *Pool) GetAllCtx(ctx context.Context, specs []sim.RunSpec) ([]sim.Result
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	bs := p.members()
+	bs := p.backends
 	r := &poolRun{
-		p: p, ctx: ctx, cancel: cancel, backends: bs,
+		p: p, ctx: ctx, cancel: cancel,
 		queues: make([][]*poolTask, len(bs)),
 		kicks:  make([]chan struct{}, len(bs)),
 		doneCh: make(chan struct{}),
@@ -445,7 +367,7 @@ func (r *poolRun) place(t *poolTask) int {
 	claims := t.live()
 	fallback := -1
 	for _, b := range t.rank {
-		br := r.backends[b].breaker
+		br := r.p.backends[b].breaker
 		if br.Dead() || slices.ContainsFunc(claims, func(a *assignment) bool { return a.backend == b }) {
 			continue
 		}
@@ -482,7 +404,7 @@ func (r *poolRun) enqueue(t *poolTask, b int) {
 // verdict site.
 func (r *poolRun) dispatcher(b int) {
 	defer r.wg.Done()
-	br := r.backends[b].breaker
+	br := r.p.backends[b].breaker
 	probed := false
 	for {
 		for r.hasWork(b) {
@@ -548,9 +470,9 @@ func (r *poolRun) hasWork(b int) bool {
 func (r *poolRun) probe(b int) error {
 	ctx, cancel := context.WithTimeout(r.ctx, probeTimeout)
 	defer cancel()
-	rv, err := r.backends[b].client.Ready(ctx)
+	rv, err := r.p.backends[b].client.Ready(ctx)
 	if err == nil && rv.Draining {
-		err = fmt.Errorf("backend %s is draining", r.backends[b].base)
+		err = fmt.Errorf("backend %s is draining", r.p.backends[b].base)
 	}
 	return err
 }
@@ -579,7 +501,7 @@ func (r *poolRun) runChunk(b int) (orphans []*poolTask, progressed bool, err err
 		return nil, false, nil
 	}
 
-	err = r.backends[b].client.Batch(r.ctx, specs, func(it server.BatchItem) error {
+	err = r.p.backends[b].client.Batch(r.ctx, specs, func(it server.BatchItem) error {
 		if it.Index >= 0 && it.Index < len(chunk) && r.observe(chunk[it.Index], it) {
 			progressed = true
 		}
@@ -653,12 +575,12 @@ func (r *poolRun) observe(a *assignment, it server.BatchItem) bool {
 		if b := r.place(t); b >= 0 && t.retries < poolTaskMaxRetries {
 			t.retries++
 			r.p.logf("pool: %s (key %.12s) cancelled externally on %s, re-dispatching to %s (retry %d)",
-				t.spec.Workload, t.key, r.backends[a.backend].base, r.backends[b].base, t.retries)
+				t.spec.Workload, t.key, r.p.backends[a.backend].base, r.p.backends[b].base, t.retries)
 			r.enqueue(t, b)
 			return false
 		}
 		r.failLocked(fmt.Errorf("client: %s (key %.12s) cancelled externally on %s: %s",
-			t.spec.Workload, t.key, r.backends[a.backend].base, it.Error))
+			t.spec.Workload, t.key, r.p.backends[a.backend].base, it.Error))
 	case server.StatusFailed:
 		r.failLocked(it.ErrorOf())
 	}
@@ -673,7 +595,7 @@ func (r *poolRun) cancelLocked(a *assignment) {
 		return
 	}
 	a.over = true
-	c, id := r.backends[a.backend].client, a.jobID
+	c, id := r.p.backends[a.backend].client, a.jobID
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -693,7 +615,7 @@ func (r *poolRun) failLocked(err error) {
 // and, once its circuit is dead, its whole queue — through place. With no
 // backend left the sweep fails.
 func (r *poolRun) shed(b int, orphans []*poolTask, cause error) {
-	br, base := r.backends[b].breaker, r.backends[b].base
+	br, base := r.p.backends[b].breaker, r.p.backends[b].base
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if br.Dead() {
@@ -744,7 +666,7 @@ func (r *poolRun) hedgeMonitor() {
 			if claims := t.live(); len(claims) == 1 && time.Since(claims[0].dispatchedAt) >= delay {
 				if b := r.place(t); b >= 0 {
 					r.p.logf("pool: hedging %s (key %.12s) from %s to %s after %v", t.spec.Workload, t.key,
-						r.backends[claims[0].backend].base, r.backends[b].base, time.Since(claims[0].dispatchedAt))
+						r.p.backends[claims[0].backend].base, r.p.backends[b].base, time.Since(claims[0].dispatchedAt))
 					r.enqueue(t, b)
 				}
 			}

@@ -173,40 +173,17 @@ func (d *daemon) Client(opts client.Options) *client.Client {
 	return client.NewWithOptions(d.Base, opts)
 }
 
-// fleet starts n cluster nodes named prefix1..prefixN that join through the
-// first one, every one with a disk cache of its own under dir and the given
-// flags; workers[i] sizes node i's pool.
-func fleet(t *testing.T, dir, prefix string, workers []int, flags ...string) []*daemon {
+// fleet starts three independent daemons named prefix1..prefix3, every one
+// with a disk cache of its own under dir and the given flags.
+func fleet(t *testing.T, dir, prefix string, flags ...string) []*daemon {
 	t.Helper()
 	var nodes []*daemon
-	for i, w := range workers {
-		name := prefix + strconv.Itoa(i+1)
-		args := append([]string{
-			"-cache-dir", filepath.Join(dir, "cache-"+name), "-workers", strconv.Itoa(w),
-			"-cluster-advertise", "auto", "-cluster-id", name, "-gossip-interval", "100ms",
-		}, flags...)
-		if i > 0 {
-			args = append(args, "-cluster-join", nodes[0].Base)
-		}
+	for i := 1; i <= 3; i++ {
+		name := prefix + strconv.Itoa(i)
+		args := append([]string{"-cache-dir", filepath.Join(dir, "cache-"+name), "-workers", "2"}, flags...)
 		nodes = append(nodes, startDaemon(t, name, args...))
 	}
 	return nodes
-}
-
-// waitAlive polls d's membership view until n members are alive.
-func waitAlive(t *testing.T, d *daemon, n int) {
-	t.Helper()
-	cl := d.Client(client.Options{})
-	waitFor(t, 20*time.Second, fmt.Sprintf("%s to see %d alive members", d.name, n), func() bool {
-		v, err := cl.Members(ctx)
-		alive := 0
-		for _, m := range v.Members {
-			if m.State == "alive" {
-				alive++
-			}
-		}
-		return err == nil && alive == n
-	})
 }
 
 func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {

@@ -155,7 +155,7 @@ func TestServe(t *testing.T) {
 		}
 	})
 
-	t.Run("5 healthz and metrics answer, with the standalone cluster and tenant series", func(t *testing.T) {
+	t.Run("5 healthz and metrics answer, with the default tenant's series", func(t *testing.T) {
 		if rv, err := cl.Ready(ctx); err != nil || !rv.Ready {
 			t.Errorf("readiness = %+v, %v", rv, err)
 		}
@@ -163,12 +163,11 @@ func TestServe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Rendered unconditionally (zero / default tenant), so dashboards are
-		// written once for standalone daemons and fleets.
+		// Rendered unconditionally (the implicit default tenant), so dashboards
+		// are written once for keyless and keyed daemons.
 		for _, want := range []string{
-			"\nspbd_cluster_peer_hits_total ", "\nspbd_cluster_steals_out_total ",
-			"\nspbd_cluster_steal_reclaimed_total ", "\nspbd_tenant_quota_rejected_all_total ",
-			"\n" + `spbd_tenant_weight{tenant="default"} 1`, "\n" + `spbd_topdown_cycles_total{class="all"}`,
+			"\n" + `spbd_tenant_submitted_total{tenant="default"} `, "\n" + `spbd_tenant_completed_total{tenant="default"} `,
+			"\n" + `spbd_topdown_cycles_total{class="all"}`,
 		} {
 			if !strings.Contains(text, want) {
 				t.Errorf("metrics miss %q", strings.TrimSpace(want))

@@ -42,9 +42,6 @@
 //	batch.stream   delay   slow NDJSON streaming
 //	client.request error   client transport fails before the request is sent
 //	client.request delay   client-side network latency
-//	gossip.drop    error   a cluster gossip exchange is lost (sender side)
-//	steal.cut      cut     steal response severed after job ownership moved
-//	peer.read      error   peer cache read-through endpoint fails with a 500
 package faults
 
 import (

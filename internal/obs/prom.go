@@ -9,7 +9,7 @@ import (
 
 // Family is one Prometheus metric family: what /metrics says about it and
 // where its samples come from. Every spbd_* series — the daemon's, the
-// tenants', the cluster node's — is declared as one Family and rendered by
+// runner's, the tenants' — is declared as one Family and rendered by
 // WriteFamilies.
 type Family struct {
 	Name, Type, Help string

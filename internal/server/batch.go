@@ -241,10 +241,10 @@ dispatch:
 				break
 			}
 			var inj *faults.InjectedError
-			if errors.Is(err, errQueueFull) || errors.Is(err, errQuota) || errors.As(err, &inj) {
-				// A saturated queue, a spent tenant quota, or an injected
-				// transient submission fault — all clear with time; wait
-				// and resubmit rather than failing the point.
+			if errors.Is(err, errQueueFull) || errors.As(err, &inj) {
+				// A saturated queue or an injected transient submission
+				// fault — both clear with time; wait and resubmit rather
+				// than failing the point.
 				select {
 				case <-time.After(batchQueuePoll):
 					continue

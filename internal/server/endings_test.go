@@ -17,13 +17,13 @@ import (
 )
 
 // endingEnv is one row's daemon: journal, disk tier and tracer on, one
-// worker, and the run counters as they stood when the row armed the check.
+// worker, and the ending counters as they stood when the row armed the check.
 type endingEnv struct {
 	t    *testing.T
 	dir  string
 	s    *Server
 	ts   *httptest.Server
-	base [3]uint64 // completed, failed, cancelled at arm()
+	base [4]uint64 // completed, failed, cancelled, tenant completions at arm()
 }
 
 func (e *endingEnv) journalPath() string { return filepath.Join(e.dir, "journal.ndjson") }
@@ -36,39 +36,14 @@ func (e *endingEnv) start(cfg Config) {
 	e.s, e.ts = testServer(e.t, cfg)
 }
 
-func (e *endingEnv) counters() [3]uint64 {
+func (e *endingEnv) counters() [4]uint64 {
 	m := e.s.Metrics()
-	return [3]uint64{m.RunsCompleted.Load(), m.RunsFailed.Load(), m.RunsCancelled.Load()}
+	return [4]uint64{m.RunsCompleted.Load(), m.RunsFailed.Load(), m.RunsCancelled.Load(), e.s.defaultTenant.completed.Load()}
 }
 
-// arm snapshots the run counters. A row calls it once no job other than the
+// arm snapshots the ending counters. A row calls it once no job other than the
 // one under test can end before the check.
 func (e *endingEnv) arm() { e.base = e.counters() }
-
-// stealOne pins the only worker with a blocker, queues the small spec behind
-// it and takes it into the handoff table the way a thief's steal request
-// does. It returns the blocker's id, the job's id and the handoff token.
-func (e *endingEnv) stealOne() (blocker, id, tok string) {
-	e.t.Helper()
-	blocker = blockWorker(e.t, e.ts)
-	_, v := postRun(e.t, e.ts, smallSpec, "")
-	jobs := e.s.StealJobs(1)
-	if len(jobs) != 1 {
-		e.t.Fatalf("StealJobs took %d jobs, want 1", len(jobs))
-	}
-	return blocker, v.ID, jobs[0].ID
-}
-
-// endBlocker cancels the blocker and waits until the worker it held is idle
-// and its ending is in the counters, then arms the check.
-func (e *endingEnv) endBlocker(id string) {
-	e.t.Helper()
-	cancelRun(e.t, e.ts, id)
-	waitCluster(e.t, 10*time.Second, "the blocker to end", func() bool {
-		return e.s.Inflight() == 0 && e.s.Metrics().RunsCancelled.Load() == 1
-	})
-	e.arm()
-}
 
 // terminalRecords counts the journal's terminal records for id.
 func (e *endingEnv) terminalRecords(id string) int {
@@ -84,21 +59,19 @@ func (e *endingEnv) terminalRecords(id string) int {
 
 // TestEveryEndingSettlesItsDebts walks every way a job's life ends and
 // checks what each ending owes: the final status, exactly one run counter
-// moved by one (none for a job that was never admitted to this daemon's
-// queue — a cache hit, a recovery that ends inside New — which is what
-// TestMetricsEndpoint pins for hits), the tenant's outstanding count back to
-// what it was before the job, the key gone from the active map, exactly one
-// terminal journal record for a journaled job and none otherwise, the trace
-// finished, and done closed.
+// and the tenant's completions moved by one (neither for a job that was never
+// admitted to this daemon's queue — a cache hit, a recovery that ends inside
+// New — which is what TestMetricsEndpoint pins for hits), the key gone from
+// the active map, exactly one terminal journal record for a journaled job and
+// none otherwise, the trace finished, and done closed.
 func TestEveryEndingSettlesItsDebts(t *testing.T) {
 	rows := []struct {
-		name     string
-		run      func(e *endingEnv) (id string)
-		want     Status
-		errHas   string
-		uncount  bool // never admitted here: no run counter moves
-		unjourn  bool // not journaled: no terminal record
-		othersUp int  // other jobs of the tenant still live at the check
+		name    string
+		run     func(e *endingEnv) (id string)
+		want    Status
+		errHas  string
+		uncount bool // never admitted here: no ending counter moves
+		unjourn bool // not journaled: no terminal record
 	}{
 		{name: "done", want: StatusDone, run: func(e *endingEnv) string {
 			e.start(Config{})
@@ -113,7 +86,7 @@ func TestEveryEndingSettlesItsDebts(t *testing.T) {
 		{name: "answered from memory", want: StatusDone, uncount: true, unjourn: true, run: func(e *endingEnv) string {
 			e.start(Config{})
 			postRun(e.t, e.ts, smallSpec, "?wait=1")
-			waitCluster(e.t, 10*time.Second, "the first run to settle", func() bool { return e.counters()[0] == 1 })
+			waitFor(e.t, 10*time.Second, "the first run to settle", func() bool { return e.counters()[0] == 1 })
 			e.arm()
 			_, v := postRun(e.t, e.ts, smallSpec, "?wait=1")
 			if v.Cached != "memory" {
@@ -121,7 +94,7 @@ func TestEveryEndingSettlesItsDebts(t *testing.T) {
 			}
 			return v.ID
 		}},
-		{name: "cancelled while queued", want: StatusCancelled, othersUp: 1, run: func(e *endingEnv) string {
+		{name: "cancelled while queued", want: StatusCancelled, run: func(e *endingEnv) string {
 			e.start(Config{})
 			blocker := blockWorker(e.t, e.ts)
 			e.t.Cleanup(func() { cancelRun(e.t, e.ts, blocker) })
@@ -147,7 +120,7 @@ func TestEveryEndingSettlesItsDebts(t *testing.T) {
 					resp.Body.Close()
 				}
 			}()
-			waitCluster(e.t, 10*time.Second, "the run to start", func() bool { return e.s.Inflight() == 1 })
+			waitFor(e.t, 10*time.Second, "the run to start", func() bool { return e.s.Inflight() == 1 })
 			spec, _ := longSpec.Spec()
 			e.s.mu.Lock()
 			id := e.s.active[Key(spec)].id
@@ -166,60 +139,10 @@ func TestEveryEndingSettlesItsDebts(t *testing.T) {
 			}
 			return id
 		}},
-		{name: "drain deadline while stolen", want: StatusCancelled, errHas: "drain deadline exceeded", run: func(e *endingEnv) string {
-			e.start(Config{})
-			blocker, id, _ := e.stealOne()
-			e.endBlocker(blocker)
-			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-			defer cancel()
-			if err := e.s.Drain(ctx); err == nil {
-				e.t.Error("Drain past its deadline returned nil")
-			}
-			return id
-		}},
 		{name: "run timeout", want: StatusCancelled, errHas: "run timeout 50ms exceeded", run: func(e *endingEnv) string {
 			e.start(Config{RunTimeout: 50 * time.Millisecond})
 			_, v := postRun(e.t, e.ts, longSpec, "")
 			return v.ID
-		}},
-		{name: "completed by a thief", want: StatusDone, othersUp: 1, run: func(e *endingEnv) string {
-			e.start(Config{})
-			blocker, id, tok := e.stealOne()
-			e.t.Cleanup(func() { cancelRun(e.t, e.ts, blocker) })
-			spec, _ := smallSpec.Spec()
-			res, err := sim.Run(spec)
-			if err != nil {
-				e.t.Fatal(err)
-			}
-			if !e.s.CompleteStolen(tok, res, "") {
-				e.t.Fatal("the handoff token was rejected")
-			}
-			return id
-		}},
-		{name: "thief reported an error", want: StatusFailed, errHas: "thief failed", othersUp: 1, run: func(e *endingEnv) string {
-			e.start(Config{})
-			blocker, id, tok := e.stealOne()
-			e.t.Cleanup(func() { cancelRun(e.t, e.ts, blocker) })
-			if !e.s.CompleteStolen(tok, sim.Result{}, "thief failed") {
-				e.t.Fatal("the handoff token was rejected")
-			}
-			return id
-		}},
-		{name: "handoff reclaimed then run locally", want: StatusDone, run: func(e *endingEnv) string {
-			e.start(Config{})
-			blocker, id, _ := e.stealOne()
-			e.endBlocker(blocker)
-			if n := e.s.ReclaimStolen(0); n != 1 {
-				e.t.Fatalf("ReclaimStolen took back %d handoffs, want 1", n)
-			}
-			return id
-		}},
-		{name: "cancelled while stolen", want: StatusCancelled, othersUp: 1, run: func(e *endingEnv) string {
-			e.start(Config{})
-			blocker, id, _ := e.stealOne()
-			e.t.Cleanup(func() { cancelRun(e.t, e.ts, blocker) })
-			cancelRun(e.t, e.ts, id)
-			return id
 		}},
 		{name: "recovered and answered from disk", want: StatusDone, uncount: true, run: func(e *endingEnv) string {
 			spec, _ := smallSpec.Spec()
@@ -266,6 +189,7 @@ func TestEveryEndingSettlesItsDebts(t *testing.T) {
 			want := e.base
 			if !row.uncount {
 				want[map[Status]int{StatusDone: 0, StatusFailed: 1, StatusCancelled: 2}[row.want]]++
+				want[3]++
 			}
 			wantRecords := 1
 			if row.unjourn {
@@ -276,10 +200,7 @@ func TestEveryEndingSettlesItsDebts(t *testing.T) {
 			debts := func() []string {
 				var owed []string
 				if got := e.counters(); got != want {
-					owed = append(owed, fmt.Sprintf("run counters {completed failed cancelled} = %v, want %v", got, want))
-				}
-				if got := j.tenant.active.Load(); got != int64(row.othersUp) {
-					owed = append(owed, "tenant still holds the job's quota slot")
+					owed = append(owed, fmt.Sprintf("ending counters {completed failed cancelled tenant} = %v, want %v", got, want))
 				}
 				e.s.mu.Lock()
 				holder := e.s.active[j.key]

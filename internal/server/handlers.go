@@ -124,10 +124,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "queue full (%d jobs deep); retry later", s.cfg.QueueDepth)
 		return
-	case errors.Is(err, errQuota):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "tenant %q quota exceeded (%d outstanding jobs); retry later", tn.Name, tn.MaxActive)
-		return
 	case errors.Is(err, errDraining):
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return

@@ -18,8 +18,8 @@ import (
 
 // The job journal is spbd's write-ahead log of admissions: every job that
 // consumes queue space appends an "accepted" record (spec, tenant, trace ID)
-// before the submitter is answered, a "started" record when a worker (local
-// or thief) picks it up, and exactly one terminal record when it finishes.
+// before the submitter is answered, a "started" record when a worker picks
+// it up, and exactly one terminal record when it finishes.
 // On startup the journal is replayed: jobs with an accepted record but no
 // terminal record were queued or running when the previous process died —
 // kill -9, OOM, power loss — and are re-admitted under their original IDs so
@@ -249,7 +249,7 @@ func (jl *journal) accepted(id, key, tenant, traceID string, req RunRequest) {
 	jl.append(journalRecord{Kind: journalAccepted, ID: id, Key: key, Tenant: tenant, TraceID: traceID, Spec: &req})
 }
 
-// started journals a worker (or thief) picking the job up.
+// started journals a worker picking the job up.
 func (jl *journal) started(id string) {
 	jl.append(journalRecord{Kind: journalStarted, ID: id})
 }

@@ -260,7 +260,7 @@ func waitJobDone(t *testing.T, s *Server, id string) Status {
 func TestServerJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "journal.ndjson")
-	tenants := []TenantConfig{{Name: "acme", Key: "k-acme", Priority: "high"}}
+	tenants := []TenantConfig{{Name: "acme", Key: "k-acme"}}
 
 	// Incarnation 1: every run sleeps forever (fault injection), so both
 	// jobs are journaled accepted (one also started) and never finish. No

@@ -38,17 +38,6 @@ type Metrics struct {
 	BatchRequests    atomic.Uint64 `metric:"spbd_batch_requests_total" help:"Batch sweep requests accepted."`
 	BatchSpecs       atomic.Uint64 `metric:"spbd_batch_specs_total" help:"Specs received across all batch requests."`
 
-	// Cluster protocol counters (the daemon side; the node's own gossip
-	// counters are cluster.NodeStats). Always rendered, so dashboards see
-	// the series on standalone daemons too.
-	PeerHits        atomic.Uint64 `metric:"spbd_cluster_peer_hits_total" help:"Submissions answered from a peer's disk tier."`
-	PeerMisses      atomic.Uint64 `metric:"spbd_cluster_peer_misses_total" help:"Peer read-throughs that found no copy in the fleet."`
-	PeerServed      atomic.Uint64 `metric:"spbd_cluster_peer_served_total" help:"Peer read-through requests this daemon answered from its disk tier."`
-	StealsOut       atomic.Uint64 `metric:"spbd_cluster_steals_out_total" help:"Queued jobs handed to thief peers."`
-	StealsIn        atomic.Uint64 `metric:"spbd_cluster_steals_in_total" help:"Stolen jobs executed on behalf of victim peers."`
-	StealsReclaimed atomic.Uint64 `metric:"spbd_cluster_steal_reclaimed_total" help:"Stolen-job handoffs reclaimed from silent thieves."`
-	QuotaRejected   atomic.Uint64 `metric:"spbd_tenant_quota_rejected_all_total" help:"Submissions rejected by any tenant quota."`
-
 	// Crash-safety counters (the journal and the recovery path).
 	RecoveryRequeued  atomic.Uint64 `metric:"spbd_recovery_requeued_total" help:"Journaled jobs re-admitted to the queue after a restart."`
 	RecoveryCompleted atomic.Uint64 `metric:"spbd_recovery_completed_total" help:"Recovered jobs answered from the disk tier (their terminal record was lost in the crash)."`
@@ -95,8 +84,7 @@ func (m *Metrics) ObserveLatency(endpoint string, d time.Duration) {
 	h.Observe(d)
 }
 
-// cacheHit counts a request answered from a local tier (a peer hit is the
-// fleet walk's own PeerHits).
+// cacheHit counts a request answered from a tier.
 func (m *Metrics) cacheHit(tier string) {
 	switch tier {
 	case "memory":
@@ -151,16 +139,16 @@ func (m *Metrics) httpLatency() obs.Family {
 
 // families declares every series GET /metrics serves: the live gauges, the
 // Metrics fields, the runner's execution counters (simulated instructions,
-// warm-start forks, sampling, checkpoints), the per-endpoint latencies, the
-// per-tenant series and, on a cluster node, the node's own.
+// warm-start forks, sampling, checkpoints), the per-endpoint latencies and
+// the per-tenant series.
 func (s *Server) families() []obs.Family {
 	gauge := func(name, help string, read func() int) obs.Family { return obs.Read(name, "gauge", help, read) }
 	ss := s.tiers.runner.SimStats()
 	counter := func(name, help string, v uint64) obs.Family {
 		return obs.Read(name, "counter", help, func() uint64 { return v })
 	}
-	tenant := func(name, typ, help string, value func(*tenantState) int64) obs.Family {
-		return obs.Family{Name: name, Type: typ, Help: help, Collect: func(emit func(string, any)) {
+	tenant := func(name, help string, value func(*tenantState) uint64) obs.Family {
+		return obs.Family{Name: name, Type: "counter", Help: help, Collect: func(emit func(string, any)) {
 			for _, tn := range s.tenantList {
 				emit(fmt.Sprintf("tenant=%q", tn.Name), value(tn))
 			}
@@ -190,15 +178,9 @@ func (s *Server) families() []obs.Family {
 		counter("spbd_checkpoint_corrupt_total", "Invalid checkpoint files quarantined (the run restarted from scratch).", ss.CheckpointCorrupt),
 		s.metrics.httpLatency(),
 		// The implicit default tenant keeps these present on single-tenant daemons.
-		tenant("spbd_tenant_weight", "gauge", "Configured WFQ weight per tenant.", func(tn *tenantState) int64 { return int64(tn.Weight) }),
-		tenant("spbd_tenant_active", "gauge", "Outstanding (queued+running) jobs per tenant.", func(tn *tenantState) int64 { return tn.active.Load() }),
-		tenant("spbd_tenant_submitted_total", "counter", "Jobs accepted onto the queue per tenant.", func(tn *tenantState) int64 { return int64(tn.submitted.Load()) }),
-		tenant("spbd_tenant_completed_total", "counter", "Jobs that reached a terminal state per tenant.", func(tn *tenantState) int64 { return int64(tn.completed.Load()) }),
-		tenant("spbd_tenant_quota_rejected_total", "counter", "Submissions rejected by the tenant's quota.", func(tn *tenantState) int64 { return int64(tn.rejected.Load()) }),
+		tenant("spbd_tenant_submitted_total", "Jobs accepted onto the queue per tenant.", func(tn *tenantState) uint64 { return tn.submitted.Load() }),
+		tenant("spbd_tenant_completed_total", "Jobs that reached a terminal state per tenant.", func(tn *tenantState) uint64 { return tn.completed.Load() }),
 	)
-	if s.tiers.fleet != nil {
-		fams = append(fams, s.tiers.fleet.Families()...)
-	}
 	return fams
 }
 

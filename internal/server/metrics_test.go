@@ -6,27 +6,23 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"spb/internal/cluster"
 )
 
 // TestMetricsSurfaceGolden pins the /metrics surface — every family's name,
-// type and help text — of a daemon with tenants and a cluster node attached.
-// The hash is what
+// type and help text — of a daemon with tenants. The hash is what
 //
-//	spbd -addr 127.0.0.1:0 -cluster-advertise auto -tenants 'a:ka:weight=3;b:kb'
+//	spbd -addr 127.0.0.1:0 -tenants 'a:ka;b:kb'
 //	curl /metrics | grep '^# \(HELP\|TYPE\)' | LC_ALL=C sort | sha256sum
 //
-// printed for the build before the renderers became one (PR 20); a family
-// that is renamed, retyped, reworded, dropped or added moves it.
+// prints; a family that is renamed, retyped, reworded, dropped or added
+// moves it.
 func TestMetricsSurfaceGolden(t *testing.T) {
-	const golden = "218cceb099e255046e4eddf91fb21a08019a6058d0e5c386eb40ade60a46f21a"
-	tenants, err := ParseTenants("a:ka:weight=3;b:kb")
+	const golden = "5a47097595f00c145889887577747e3e0d690a7e863a72e48a30c88ad8d9b767"
+	tenants, err := ParseTenants("a:ka;b:kb")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ts := testServer(t, Config{Workers: 1, Tenants: tenants})
-	attachNode(t, s, ts, cluster.Config{ID: "n", Epoch: 1})
+	_, ts := testServer(t, Config{Workers: 1, Tenants: tenants})
 
 	var surface []string
 	types := map[string]int{}
@@ -44,7 +40,7 @@ func TestMetricsSurfaceGolden(t *testing.T) {
 	if got := hex.EncodeToString(sum[:]); got != golden {
 		t.Errorf("metrics surface hash = %s, want %s\n%s", got, golden, strings.Join(surface, "\n"))
 	}
-	if len(surface) != 118 || types["counter"] != 45 || types["gauge"] != 8 || types["histogram"] != 6 {
-		t.Errorf("surface has %d HELP/TYPE lines (%v), want 118: 45 counters, 8 gauges, 6 histograms", len(surface), types)
+	if len(surface) != 82 || types["counter"] != 31 || types["gauge"] != 4 || types["histogram"] != 6 {
+		t.Errorf("surface has %d HELP/TYPE lines (%v), want 82: 31 counters, 4 gauges, 6 histograms", len(surface), types)
 	}
 }

@@ -62,9 +62,9 @@ type Config struct {
 	// discipline that makes "survives kill -9" a property of the filesystem
 	// rather than of luck. Disable only for throwaway test daemons.
 	DisableSync bool
-	// Tenants declares the multi-tenant API keys, weights, priority lanes
-	// and quotas (tenant.go). Empty means single-tenant: no key required,
-	// everything runs as the implicit "default" tenant.
+	// Tenants declares the API keys that may submit work (tenant.go). Empty
+	// means single-tenant: no key required, everything runs as the implicit
+	// "default" tenant.
 	Tenants []TenantConfig
 	// Logf receives operational log lines (default: log.Printf).
 	Logf func(format string, args ...any)
@@ -127,27 +127,18 @@ func (s Status) Terminal() bool {
 }
 
 // job is one simulation request with an id of its own: admitted to the
-// queue, born already answered from a tier, or run here for a victim peer.
+// queue, or born already answered from a tier.
 type job struct {
 	id        string
 	key       string
 	spec      sim.RunSpec
 	submitted time.Time
-	trace     *obs.Trace // nil when tracing is disabled; all methods no-op
-
-	// Tenant scheduling state. tenant is always non-nil (the implicit
-	// default tenant on single-tenant daemons); cost is the spec's work
-	// estimate (sim.RunSpec.CostEstimate); lane is the strict priority lane;
-	// vfinish/seq are stamped by tenantQueue.push (guarded by its mutex).
-	tenant  *tenantState
-	cost    float64
-	lane    int
-	vfinish float64
-	seq     uint64
+	trace     *obs.Trace   // nil when tracing is disabled; all methods no-op
+	tenant    *tenantState // the implicit default tenant on single-tenant daemons
 
 	// What the job's ending owes (Server.end). admitted: the job went through
-	// admit, so it holds one of its tenant's outstanding-job slots and ends in
-	// one of the spbd_runs_* counters. journaled: the journal holds its
+	// admit, so its ending counts in one of the spbd_runs_* counters and in
+	// its tenant's completions. journaled: the journal holds its
 	// "accepted" record, so its started and terminal records follow. Both are
 	// set before the job is published to workers. recovered marks a job
 	// brought back from the journal after a restart (surfaced in the view).
@@ -181,7 +172,7 @@ type job struct {
 	result sim.Result
 	stats  json.RawMessage
 	errMsg string
-	cached string // "", "memory", "disk" or "peer"
+	cached string // "", "memory" or "disk"
 }
 
 func (j *job) setRunning() {
@@ -201,8 +192,8 @@ func (j *job) retain()        { j.waiters.Add(1) }
 // evicted id answers 404 like an unknown one.
 const maxTerminalJobs = 16384
 
-// Server is the spbd daemon: HTTP API, tenant-aware queue, worker pool and
-// the result tiers.
+// Server is the spbd daemon: HTTP API, FIFO queue, worker pool and the
+// result tiers.
 type Server struct {
 	cfg     Config
 	tiers   *tiers
@@ -217,14 +208,13 @@ type Server struct {
 	jobs        map[string]*job // every live job and the last maxTerminal ended ones, by id
 	ended       []string        // ids of the ended jobs in jobs, oldest first
 	maxTerminal int             // maxTerminalJobs; a field so a test can shrink it
-	active      map[string]*job // queued, running or handed-off jobs, by spec key
-	stolen      map[string]*stolenHandoff
-	tq          *tenantQueue
+	active      map[string]*job // queued or running jobs, by spec key
+	queue       chan *job       // admitted jobs waiting for a worker, QueueDepth of them at most; sent to and closed under mu
 	inflight    atomic.Int64
 	draining    bool
 	nextID      atomic.Uint64
 
-	// Multi-tenancy (tenant.go): tenants maps API key → state,
+	// Tenants (tenant.go): tenants maps API key → state,
 	// defaultTenant serves keyless single-tenant traffic, tenantList is
 	// the stable metrics/render order.
 	tenants       map[string]*tenantState
@@ -243,13 +233,11 @@ func New(cfg Config) (*Server, error) {
 		jobs:        make(map[string]*job),
 		maxTerminal: maxTerminalJobs,
 		active:      make(map[string]*job),
-		stolen:      make(map[string]*stolenHandoff),
-		tq:          newTenantQueue(cfg.QueueDepth),
+		queue:       make(chan *job, cfg.QueueDepth),
 	}
 	s.tiers = &tiers{
 		runner: sim.NewRunner(), metrics: s.metrics, logf: cfg.Logf,
 		errThreshold: cfg.diskErrorThreshold, retryEvery: cfg.diskRetryInterval,
-		peerMiss: make(map[string]time.Time),
 	}
 	if err := s.initTenants(cfg.Tenants); err != nil {
 		return nil, err
@@ -284,11 +272,7 @@ func New(cfg Config) (*Server, error) {
 	s.routes()
 	// The journal replays before the worker pool starts: re-admitted jobs
 	// are back in the queue (and in s.jobs under their original IDs) before
-	// anything can race them. In cluster mode this also precedes
-	// AttachCluster/Start (main wires the node after New returns), so a
-	// restarted node always recovers its own journal first; jobs it had
-	// stolen from peers are not journaled here — the victims reclaim those
-	// through the steal-timeout janitor.
+	// anything can race them.
 	if cfg.JournalPath != "" {
 		s.sweepTemps(filepath.Dir(cfg.JournalPath))
 		jl, recovered, err := openJournal(cfg.JournalPath, !cfg.DisableSync, func(err error) {
@@ -327,7 +311,7 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // What admit answers when it does not queue the job; the handlers map the
-// first two to HTTP statuses (errQuota is tenant.go's).
+// first two to HTTP statuses.
 var (
 	errQueueFull = errors.New("server: queue full")
 	errDraining  = errors.New("server: draining, not accepting jobs")
@@ -336,12 +320,11 @@ var (
 
 // submit answers a spec with a job: the active job for its key (coalesced),
 // one born already done from the first tier that holds the result (memory,
-// disk, then the fleet), or a fresh one on the tenant-aware queue — never
-// both a job and an error. traceID, usually propagated from the client's
-// X-Spb-Trace-Id header, groups the job's trace with the caller's; empty
-// mints a fresh ID (when tracing is enabled). tn is the submitting tenant
-// (nil means the implicit default tenant): hits and coalesces are free, only
-// a fresh admission consumes its quota.
+// then disk), or a fresh one on the queue — never both a job and an error.
+// traceID, usually propagated from the client's X-Spb-Trace-Id header,
+// groups the job's trace with the caller's; empty mints a fresh ID (when
+// tracing is enabled). tn is the submitting tenant (nil means the implicit
+// default tenant).
 func (s *Server) submit(spec sim.RunSpec, traceID string, tn *tenantState) (*job, error) {
 	start := time.Now()
 	if err := s.cfg.Faults.Err("submit"); err != nil {
@@ -355,15 +338,15 @@ func (s *Server) submit(spec sim.RunSpec, traceID string, tn *tenantState) (*job
 
 	// Coalesce before walking the tiers: a key queued or running here has
 	// missed them already, and batch dispatch retry loops re-enter submit
-	// every poll — each duplicate would otherwise pay a disk read and
-	// PeerFanout network probes to re-discover that.
+	// every poll — each duplicate would otherwise pay a disk read to
+	// re-discover that.
 	s.mu.Lock()
 	dup := s.active[key]
 	s.mu.Unlock()
 	if dup != nil {
 		return s.coalesce(dup), nil
 	}
-	if res, tier, ok := s.tiers.lookup(spec, key, everyTier); ok {
+	if res, tier, ok := s.tiers.lookup(spec, key); ok {
 		s.metrics.cacheHit(tier)
 		return s.bornEnded(s.newJob("", key, spec, nil, traceID, start), StatusDone, res, tier, ""), nil
 	}
@@ -399,7 +382,7 @@ func (s *Server) coalesce(j *job) *job {
 // sequential one and stamps the "submit" span from start; a given id is a
 // job coming back from the journal under its pre-crash ID — so clients
 // polling that ID keep working across the restart — whose accepted record is
-// already there. A nil tenant means the implicit default (quota-free paths).
+// already there. A nil tenant means the implicit default.
 func (s *Server) newJob(id, key string, spec sim.RunSpec, tn *tenantState, traceID string, start time.Time) *job {
 	if tn == nil {
 		tn = s.defaultTenant
@@ -415,8 +398,6 @@ func (s *Server) newJob(id, key string, spec sim.RunSpec, tn *tenantState, trace
 		done:        make(chan struct{}),
 		status:      StatusQueued,
 		tenant:      tn,
-		cost:        float64(spec.CostEstimate()),
-		lane:        tn.laneIdx,
 	}
 	if id == "" {
 		j.id = fmt.Sprintf("r%06d-%.8s", s.nextID.Add(1), key)
@@ -431,42 +412,31 @@ func (s *Server) newJob(id, key string, spec sim.RunSpec, tn *tenantState, trace
 	return j
 }
 
-// admit puts j on the queue under its tenant's quota and registers it by id
-// and key. It refuses with errQuota, errCoalesced (returning the active job
-// for j's key), errDraining or errQueueFull, and a refused job is as it was
-// before the call: the slot it took is back.
+// admit puts j at the back of the queue and registers it by id and key. It
+// refuses with errCoalesced (returning the active job for j's key),
+// errDraining or errQueueFull, and a refused job is as it was before the
+// call.
 func (s *Server) admit(j *job) (dup *job, err error) {
-	tn := j.tenant
-	if !tn.acquire() {
-		tn.rejected.Add(1)
-		s.metrics.QuotaRejected.Add(1)
-		return nil, errQuota
-	}
 	s.mu.Lock()
-	switch dup = s.active[j.key]; {
-	case dup != nil:
-		err = errCoalesced
-	case s.draining:
-		err = errDraining
+	defer s.mu.Unlock()
+	if dup = s.active[j.key]; dup != nil {
+		return dup, errCoalesced
+	}
+	if s.draining {
+		return nil, errDraining
+	}
+	// The send makes the job visible to workers, and one may end it as soon
+	// as admit lets go of mu: what its ending reads is set first.
+	j.admitted, j.journaled = true, s.journal != nil
+	select {
+	case s.queue <- j:
 	default:
-		// The push makes the job visible to workers, and one may end it
-		// before admit resumes: what its ending reads is set first.
-		j.admitted, j.journaled = true, s.journal != nil
-		if err = s.tq.push(j); err == nil {
-			s.jobs[j.id], s.active[j.key] = j, j
-		} else {
-			j.admitted, j.journaled = false, j.recovered
-		}
+		j.admitted, j.journaled = false, j.recovered
+		s.metrics.QueueRejected.Add(1)
+		return nil, errQueueFull
 	}
-	s.mu.Unlock()
-	if err != nil {
-		tn.release()
-		if errors.Is(err, errQueueFull) {
-			s.metrics.QueueRejected.Add(1)
-		}
-		return dup, err
-	}
-	tn.submitted.Add(1)
+	s.jobs[j.id], s.active[j.key] = j, j
+	j.tenant.submitted.Add(1)
 	return nil, nil
 }
 
@@ -491,7 +461,7 @@ func (s *Server) bornEnded(j *job, st Status, res sim.Result, tier, msg string) 
 // the detailed work — each window's unmeasured detailed warming commits
 // instructions too — so the job view carries the full detailed count, and
 // committed + ff_insts covers the spec's whole horizon (the cost-accounting
-// invariant the tenant quota and dashboard sums rely on).
+// invariant dashboard sums rely on).
 func resultCommitted(res *sim.Result) uint64 {
 	if res.Sample.Intervals > 0 {
 		return res.Sample.DetailedInsts
@@ -503,13 +473,13 @@ func resultCommitted(res *sim.Result) uint64 {
 // are no-ops returning false (a cancel handler and the worker can race here)
 // — it records the outcome and pays everything the ending owes: for an
 // admitted job the one spbd_runs_* counter of its status (with the Top-Down
-// fold of a completed run) and its tenant's slot; for a journaled job the
-// terminal record; the key's active entry, and the oldest ended job's place
-// in the table once maxTerminal others have ended since; the job's context
-// (so baseCtx drops the child); then done closes — whoever waits on it finds
-// all of that settled — and, off the waiters' latency, a result this daemon
-// did not hold before (a run's, a thief's) is written back to the tiers, the
-// trace finishing after its "store-write" span.
+// fold of a completed run) and its tenant's completion; for a journaled job
+// the terminal record; the key's active entry, and the oldest ended job's
+// place in the table once maxTerminal others have ended since; the job's
+// context (so baseCtx drops the child); then done closes — whoever waits on
+// it finds all of that settled — and, off the waiters' latency, a result this
+// daemon simulated is written back to the tiers, the trace finishing after
+// its "store-write" span.
 func (s *Server) end(j *job, st Status, res sim.Result, msg string) bool {
 	var stats json.RawMessage
 	if st == StatusDone {
@@ -531,7 +501,7 @@ func (s *Server) end(j *job, st Status, res sim.Result, msg string) bool {
 	}
 	if j.admitted {
 		s.metrics.runEnded(st, &res.CPU)
-		j.tenant.finishJob()
+		j.tenant.completed.Add(1)
 	}
 	if j.journaled {
 		s.journal.terminal(j.id, st)
@@ -624,7 +594,7 @@ func (s *Server) readmit(rj recoveredJob) {
 	key := Key(spec)
 	tn := s.tenantByName(rj.Tenant)
 	j := s.newJob(rj.ID, key, spec, tn, rj.TraceID, time.Time{})
-	if res, tier, ok := s.tiers.lookup(spec, key, localTiers); ok {
+	if res, tier, ok := s.tiers.lookup(spec, key); ok {
 		s.bornEnded(j, StatusDone, res, tier, "")
 		s.metrics.RecoveryCompleted.Add(1)
 		return
@@ -635,8 +605,6 @@ func (s *Server) readmit(rj recoveredJob) {
 		s.metrics.RecoveryRequeued.Add(1)
 	case dup != nil:
 		drop(j, StatusCancelled, fmt.Sprintf("recovery: duplicate of recovered job %s", dup.id))
-	case errors.Is(err, errQuota):
-		drop(j, StatusCancelled, fmt.Sprintf("recovery: tenant %q quota exhausted", tn.Name))
 	default:
 		drop(j, StatusCancelled, "recovery: "+err.Error())
 	}
@@ -654,32 +622,23 @@ func (s *Server) tenantByName(name string) *tenantState {
 	return s.defaultTenant
 }
 
+// worker takes jobs off the queue in admission order until Drain closes it
+// and it runs dry.
 func (s *Server) worker() {
 	defer s.workers.Done()
-	for {
-		j, ok := s.tq.pop()
-		if !ok {
-			return
-		}
-		s.dequeued(j)
+	for j := range s.queue {
+		now := time.Now()
+		j.trace.Span("queue-wait", j.submitted, now)
+		s.metrics.QueueWait.Observe(now.Sub(j.submitted))
+		s.run(j)
 	}
 }
 
-// dequeued is what happens to a job that left the queue for this daemon's
-// own CPUs: a worker's pop, or Drain's direct re-run of a reclaimed handoff.
-func (s *Server) dequeued(j *job) {
-	now := time.Now()
-	j.trace.Span("queue-wait", j.submitted, now)
-	s.metrics.QueueWait.Observe(now.Sub(j.submitted))
-	s.run(j)
-}
-
-// run simulates j and ends it: the one routine behind a worker, Drain's
-// re-runs and RunStolen. It owns the in-flight gauge, the started record,
-// the "run" fault site, the run timeout, progress, the "run" span and
-// histogram; the ending it calls owns the rest, write-back included.
+// run simulates j and ends it. It owns the in-flight gauge, the started
+// record, the "run" fault site, the run timeout, progress, the "run" span
+// and histogram; the ending it calls owns the rest, write-back included.
 func (s *Server) run(j *job) {
-	if j.ctx.Err() != nil { // cancelled before it started: while queued, or while handed off
+	if j.ctx.Err() != nil { // cancelled while queued
 		s.cancelled(j, j.ctx)
 		return
 	}
@@ -720,27 +679,15 @@ func (s *Server) run(j *job) {
 	}
 }
 
-// cancelJob cancels a job's context and, if the job is not actually
-// executing anywhere — still queued locally, or handed off to a thief —
-// ends it immediately (so it doesn't report a live status until somebody
-// gets around to it). A stolen job's handoff is dropped; the thief's late
-// completion is answered with "unknown handoff" and ignored.
+// cancelJob cancels a job's context and, if the job is still queued, ends it
+// immediately (so it doesn't report a live status until a worker gets around
+// to it).
 func (s *Server) cancelJob(j *job, cause error) {
 	j.cancel(cause)
-	s.mu.Lock()
-	handedOff := false
-	for tok, h := range s.stolen { // keyed by random token, so scan for j
-		if h.j == j {
-			delete(s.stolen, tok)
-			handedOff = true
-			break
-		}
-	}
-	s.mu.Unlock()
 	j.mu.Lock()
 	queued := j.status == StatusQueued
 	j.mu.Unlock()
-	if queued || handedOff {
+	if queued {
 		j.trace.Event("cancel")
 		s.cancelled(j, j.ctx)
 	}
@@ -763,66 +710,25 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
-		s.tq.close()
+		close(s.queue) // admit checks draining under mu first: no send follows
 	}
 	s.mu.Unlock()
 
 	idle := make(chan struct{})
 	go func() {
-		defer close(idle)
 		s.workers.Wait()
-		// Wait out stolen handoffs too: their thieves are still computing
-		// results this daemon's clients are blocked on. The cluster node is
-		// already stopped by now (main stops it before Drain), so its janitor
-		// no longer runs — take silent thieves' handoffs back here, and run
-		// them directly since the worker pool has exited. Without a node
-		// there is no steal timeout to judge silence by.
-		var rerun sync.WaitGroup
-		defer rerun.Wait()
-		for ctx.Err() == nil {
-			s.mu.Lock()
-			n := len(s.stolen)
-			s.mu.Unlock()
-			if n == 0 {
-				return
-			}
-			if s.tiers.fleet != nil {
-				for _, h := range s.takeBack(s.tiers.fleet.StealTimeout()) {
-					h.j.trace.Event("steal-reclaim")
-					s.metrics.StealsReclaimed.Add(1)
-					rerun.Add(1)
-					go func() {
-						defer rerun.Done()
-						s.dequeued(h.j)
-					}()
-				}
-			}
-			select {
-			case <-time.After(20 * time.Millisecond):
-			case <-ctx.Done():
-			}
-		}
+		close(idle)
 	}()
-	forced := false
+	var err error
 	select {
 	case <-idle:
 	case <-ctx.Done():
-		forced = true
+		err = ctx.Err()
 		s.baseCancel(fmt.Errorf("drain deadline exceeded: %w", context.Cause(ctx)))
 		<-idle // cancellation propagates within a few thousand sim cycles
 	}
-	// Handoffs the deadline cut off end cancelled (the thief's eventual
-	// completion will be answered with "unknown handoff" and dropped); after
-	// a clean drain there are none.
-	for _, h := range s.takeBack(0) {
-		forced = true
-		s.end(h.j, StatusCancelled, sim.Result{}, "drain deadline exceeded")
-	}
 	s.journal.Close() // every surviving job has its terminal record by now
-	if forced {
-		return ctx.Err()
-	}
-	return nil
+	return err
 }
 
 // Close force-stops the server (tests). Prefer Drain in production.
@@ -839,7 +745,7 @@ func (s *Server) jobByID(id string) *job {
 }
 
 // QueueDepth reports jobs waiting for a worker (metrics gauge).
-func (s *Server) QueueDepth() int { return s.tq.len() }
+func (s *Server) QueueDepth() int { return len(s.queue) }
 
 // Inflight reports simulations currently executing (metrics gauge).
 func (s *Server) Inflight() int { return int(s.inflight.Load()) }

@@ -1,11 +1,10 @@
 // Package server implements spbd, the simulation-as-a-service daemon. A job
 // has one life, and each stage of it is written once (DESIGN.md §8): submit
 // coalesces duplicates and walks the result tiers (tiers.go: the in-memory
-// sim.Runner, the content-addressed disk store, the fleet); admit puts a
-// miss on the tenant-aware queue (tenantq.go) under quota and journal; run
-// simulates it, for a worker, for Drain and for a thief alike; end is the
-// one terminal transition and pays everything an ending owes. Progress is
-// streamed over SSE and operational counters are exported in Prometheus
+// sim.Runner, then the content-addressed disk store); admit puts a miss at
+// the back of the FIFO queue and in the journal; a worker runs it; end is
+// the one terminal transition and pays everything an ending owes. Progress
+// is streamed over SSE and operational counters are exported in Prometheus
 // text format.
 package server
 

@@ -5,114 +5,48 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 )
 
-// Multi-tenancy: when the daemon is configured with tenants, every
-// work-submitting request must carry a tenant API key (X-Spb-Api-Key or
-// Authorization: Bearer). Each tenant gets a weight (its share of worker
-// time under contention, enforced by the weighted-fair queue in tenantq.go),
-// a priority lane (strict: a high-lane job always dequeues before a
-// normal-lane one), and an optional quota capping its outstanding
-// (queued+running) jobs — admission control, so one tenant's burst cannot
-// fill the whole queue. With no tenants configured everything runs as the
-// implicit "default" tenant with no key required: single-user deployments
-// and every pre-cluster client keep working unchanged.
+// Tenants: when the daemon is configured with tenants, every work-submitting
+// request (submit, batch, cancel) must carry a tenant API key
+// (X-Spb-Api-Key or Authorization: Bearer), and the jobs it admits are
+// labelled with the tenant's name in the job view, the journal and the
+// per-tenant metrics. A tenant is a key and nothing more: every job waits in
+// the one FIFO queue. With no tenants configured everything runs as the
+// implicit "default" tenant with no key required.
 
 // TenantKeyHeader carries the tenant API key.
 const TenantKeyHeader = "X-Spb-Api-Key"
 
-// Priority lanes, strict between lanes, weighted-fair within one.
-const (
-	LaneHigh   = 0
-	LaneNormal = 1
-	LaneLow    = 2
-	numLanes   = 3
-)
-
 // TenantConfig declares one tenant.
 type TenantConfig struct {
-	// Name labels the tenant in metrics and logs.
+	// Name labels the tenant in job views, the journal, metrics and logs.
 	Name string
 	// Key is the API key clients present. Must be unique across tenants.
 	Key string
-	// Weight is the tenant's WFQ share (default 1). A weight-3 tenant gets
-	// 3× the worker time of a weight-1 tenant while both have work queued.
-	Weight int
-	// Priority is the lane: "high", "normal" (default) or "low".
-	Priority string
-	// MaxActive caps the tenant's outstanding (queued+running) jobs;
-	// submissions beyond it get 429. 0 means unlimited.
-	MaxActive int
-}
-
-// lane maps the priority name to its lane index.
-func (tc TenantConfig) lane() int {
-	switch strings.ToLower(tc.Priority) {
-	case "high":
-		return LaneHigh
-	case "low":
-		return LaneLow
-	default:
-		return LaneNormal
-	}
 }
 
 // ParseTenants parses the -tenants flag grammar: semicolon-separated
-// clauses, each "name:key[:weight=N][:prio=high|normal|low][:quota=N]".
+// "name:key" clauses.
 //
-//	sweeps:sk-sweep-1:weight=4:prio=low:quota=256;ops:sk-ops-9:prio=high
+//	sweeps:sk-sweep-1;ops:sk-ops-9
 func ParseTenants(spec string) ([]TenantConfig, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
 	var out []TenantConfig
 	names := map[string]bool{}
 	keys := map[string]bool{}
 	for _, clause := range strings.Split(spec, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
+		if clause = strings.TrimSpace(clause); clause == "" {
 			continue
 		}
 		parts := strings.Split(clause, ":")
-		if len(parts) < 2 {
-			return nil, fmt.Errorf("tenant clause %q: need at least name:key", clause)
+		if len(parts) != 2 {
+			return nil, fmt.Errorf("tenant clause %q: want name:key", clause)
 		}
-		tc := TenantConfig{Name: strings.TrimSpace(parts[0]), Key: strings.TrimSpace(parts[1]), Weight: 1}
+		tc := TenantConfig{Name: strings.TrimSpace(parts[0]), Key: strings.TrimSpace(parts[1])}
 		if tc.Name == "" || tc.Key == "" {
 			return nil, fmt.Errorf("tenant clause %q: empty name or key", clause)
-		}
-		for _, opt := range parts[2:] {
-			k, v, ok := strings.Cut(opt, "=")
-			if !ok {
-				return nil, fmt.Errorf("tenant %s: option %q is not key=value", tc.Name, opt)
-			}
-			switch k {
-			case "weight":
-				w, err := strconv.Atoi(v)
-				if err != nil || w < 1 {
-					return nil, fmt.Errorf("tenant %s: bad weight %q", tc.Name, v)
-				}
-				tc.Weight = w
-			case "prio":
-				switch strings.ToLower(v) {
-				case "high", "normal", "low":
-					tc.Priority = strings.ToLower(v)
-				default:
-					return nil, fmt.Errorf("tenant %s: bad prio %q (high|normal|low)", tc.Name, v)
-				}
-			case "quota":
-				q, err := strconv.Atoi(v)
-				if err != nil || q < 1 {
-					return nil, fmt.Errorf("tenant %s: bad quota %q", tc.Name, v)
-				}
-				tc.MaxActive = q
-			default:
-				return nil, fmt.Errorf("tenant %s: unknown option %q", tc.Name, k)
-			}
 		}
 		if names[tc.Name] {
 			return nil, fmt.Errorf("duplicate tenant name %q", tc.Name)
@@ -120,8 +54,7 @@ func ParseTenants(spec string) ([]TenantConfig, error) {
 		if keys[tc.Key] {
 			return nil, fmt.Errorf("duplicate tenant key for %q", tc.Name)
 		}
-		names[tc.Name] = true
-		keys[tc.Key] = true
+		names[tc.Name], keys[tc.Key] = true, true
 		out = append(out, tc)
 	}
 	return out, nil
@@ -130,40 +63,13 @@ func ParseTenants(spec string) ([]TenantConfig, error) {
 // tenantState is a tenant's runtime accounting.
 type tenantState struct {
 	TenantConfig
-	laneIdx int
 
-	active    atomic.Int64  // outstanding (queued+running) jobs, quota-bounded
 	submitted atomic.Uint64 // jobs accepted onto the queue
-	completed atomic.Uint64 // jobs that reached a terminal state
-	rejected  atomic.Uint64 // quota rejections (429s)
-
-	// vfinish is the tenant's WFQ virtual-finish clock; guarded by the
-	// tenantQueue's mutex, not accessed elsewhere.
-	vfinish float64
+	completed atomic.Uint64 // admitted jobs that reached a terminal state
 }
 
-// acquire reserves one outstanding-job slot; false means the quota is spent.
-func (t *tenantState) acquire() bool {
-	n := t.active.Add(1)
-	if t.MaxActive > 0 && n > int64(t.MaxActive) {
-		t.active.Add(-1)
-		return false
-	}
-	return true
-}
-
-// release returns one outstanding-job slot (rejected or coalesced paths).
-func (t *tenantState) release() { t.active.Add(-1) }
-
-// finishJob releases the slot and counts the completion (terminal paths).
-func (t *tenantState) finishJob() {
-	t.active.Add(-1)
-	t.completed.Add(1)
-}
-
-// Sentinel tenant errors, mapped to HTTP statuses by the handlers.
+// Sentinel tenant errors, answered with 401 by the handlers.
 var (
-	errQuota     = errors.New("server: tenant quota exceeded")
 	errNoAPIKey  = errors.New("server: missing API key (tenants are configured; send " + TenantKeyHeader + ")")
 	errBadAPIKey = errors.New("server: unknown API key")
 )
@@ -173,15 +79,12 @@ var (
 // its metrics keep the spbd_tenant_* series present on single-user daemons).
 func (s *Server) initTenants(cfgs []TenantConfig) error {
 	s.tenants = make(map[string]*tenantState, len(cfgs))
-	s.defaultTenant = &tenantState{TenantConfig: TenantConfig{Name: "default", Weight: 1}, laneIdx: LaneNormal}
+	s.defaultTenant = &tenantState{TenantConfig: TenantConfig{Name: "default"}}
 	for _, tc := range cfgs {
-		if tc.Weight < 1 {
-			tc.Weight = 1
-		}
-		ts := &tenantState{TenantConfig: tc, laneIdx: tc.lane()}
 		if _, dup := s.tenants[tc.Key]; dup {
 			return fmt.Errorf("server: duplicate tenant key for %q", tc.Name)
 		}
+		ts := &tenantState{TenantConfig: tc}
 		s.tenants[tc.Key] = ts
 		s.tenantList = append(s.tenantList, ts)
 	}

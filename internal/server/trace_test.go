@@ -332,7 +332,7 @@ func TestTraceLogNDJSON(t *testing.T) {
 		t.Fatalf("run: %s (%s)", v.Status, v.Error)
 	}
 	// The worker finishes the trace after it has released the ?wait=1 client.
-	waitCluster(t, 5*time.Second, "the finished trace to reach the sink", func() bool {
+	waitFor(t, 5*time.Second, "the finished trace to reach the sink", func() bool {
 		return strings.HasSuffix(buf.String(), "\n")
 	})
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

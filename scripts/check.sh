@@ -23,17 +23,18 @@ for f in cmd/*/default.pgo; do go tool pprof -raw "$f" >/dev/null; done
 go build ./...
 echo "== go test (uncached) =="
 go test -count=1 ./...
-echo "== fuzz the two checkpoint decoders for a fixed budget (the suite above only replays their seeds) =="
+echo "== fuzz the two checkpoint decoders and the spec decoder for a fixed budget (the suite above only replays their seeds) =="
 go test -run '^$' -fuzz '^FuzzDecodeCkpt$' -fuzztime 20s ./internal/sim
 go test -run '^$' -fuzz '^FuzzSnapshotFits$' -fuzztime 20s ./internal/cache
+go test -run '^$' -fuzz '^FuzzRunRequest$' -fuzztime 10s ./internal/server
 echo "== bench module (own go.mod: the root ./... neither compiles nor runs it) =="
 (cd bench && go vet ./... && go test ./...)
 echo "== go test -race (sim without the warm-walk oracle: its 1 088 machines share nothing between goroutines, it has run above, and under the race runtime it takes three minutes) =="
 go test -race -skip 'TestWarmWalkMatchesPerInstructionReference' ./internal/sim
-go test -race ./internal/figures ./internal/server ./internal/client ./internal/cluster ./internal/faults ./internal/obs ./internal/memsys ./internal/cpu ./internal/trace ./internal/prefetch ./internal/pool ./internal/cache ./cmd/spbd
+go test -race ./internal/figures ./internal/server ./internal/client ./internal/faults ./internal/obs ./internal/memsys ./internal/cpu ./internal/trace ./internal/prefetch ./internal/pool ./internal/cache ./cmd/spbd
 echo "== the sweep pool's scheduler, ten times under -race (a concurrent scheduler fails as a flake, not as a red run; ~3.5 min) =="
-go test -race -count=10 -run 'Pool|Chaos|Breaker|Merge|Refresh|HRW' ./internal/client
-echo "== e2e (real spbd processes: service smoke, fault storms, kill -9 recovery, 3-node fleet) =="
+go test -race -count=10 -run 'Pool|Chaos|Breaker|HRW' ./internal/client
+echo "== e2e (real spbd processes: service smoke, fault storms, kill -9 recovery, a static 3-daemon fleet) =="
 go vet -tags e2e ./internal/e2e && go test -tags e2e -count=1 ./internal/e2e
 echo "== code lines per package (non-blank, non-comment, non-test Go; bench/ is its own module) =="
 count() { grep -v '_test\.go$' | xargs cat | grep -Ecv '^[[:space:]]*($|//)'; }
