@@ -86,12 +86,19 @@ func (p *Predictor) Predict(pc uint64) (taken, btbHit bool) {
 // reports whether the prediction had been wrong. Call exactly once per
 // executed branch, after Predict.
 func (p *Predictor) Update(pc uint64, taken bool) (mispredicted bool) {
-	idx := p.index(pc)
-	pred := p.pht[idx] >= 2
-	mispredicted = pred != taken
-	if mispredicted {
+	if mispredicted = (p.pht[p.index(pc)] >= 2) != taken; mispredicted {
 		p.Mispredicts++
 	}
+	p.Warm(pc, taken)
+	return mispredicted
+}
+
+// Warm trains the predictor with a branch outcome: the PHT counter, the
+// global history and the BTB. It is Update's training without the
+// mispredict check and counter, so functional warming (DESIGN.md §12) calls
+// it directly.
+func (p *Predictor) Warm(pc uint64, taken bool) {
+	idx := p.index(pc)
 	if taken && p.pht[idx] < 3 {
 		p.pht[idx]++
 	}
@@ -100,7 +107,6 @@ func (p *Predictor) Update(pc uint64, taken bool) (mispredicted bool) {
 	}
 	p.history = p.history<<1 | b2u(taken)
 	p.btbTags[(pc>>2)&p.btbMask] = pc
-	return mispredicted
 }
 
 // MispredictRate returns mispredicts / lookups, or 0 when idle.

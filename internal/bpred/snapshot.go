@@ -6,24 +6,9 @@ import (
 	"spb/internal/pool"
 )
 
-// Warm-start support (DESIGN.md §12): counter-free functional warming, deep
-// snapshot/restore, and pooled tables so repeated Runner invocations stop
-// allocating the PHT and BTB arrays.
-
-// Warm trains the predictor with a branch outcome for functional warming:
-// identical table, history and BTB effects to a Predict+Update pair, but no
-// statistics counters.
-func (p *Predictor) Warm(pc uint64, taken bool) {
-	idx := p.index(pc)
-	if taken && p.pht[idx] < 3 {
-		p.pht[idx]++
-	}
-	if !taken && p.pht[idx] > 0 {
-		p.pht[idx]--
-	}
-	p.history = p.history<<1 | b2u(taken)
-	p.btbTags[(pc>>2)&p.btbMask] = pc
-}
+// Warm-start support (DESIGN.md §12): deep snapshot/restore, and pooled
+// tables so repeated Runner invocations stop allocating the PHT and BTB
+// arrays. Functional warming trains through Warm (bpred.go).
 
 // Snapshot is a deep copy of a predictor's mutable state, and its own gob
 // form in a checkpoint file (DESIGN.md §12).

@@ -6,6 +6,14 @@
 // store-prefetch outcomes (successful / late / early / never used, the
 // Fig. 11 taxonomy), and counts the tag accesses and network traffic the
 // paper's overhead figures (Figs. 12 and 13) report.
+//
+// Each coherence transition — a GetS or GetX at the directory, an L3 fill
+// with its inclusive back-invalidations, an upgrade in place, a private fill
+// — is written once, as a state change that reports what it did (a
+// dirTrip: probes sent, dirty victims, back-invalidations). The timed path
+// makes the transition and then charges the report: latency, MSHRs, DRAM,
+// counters. Functional warming (warm.go) makes the same transitions and
+// drops the report.
 package memsys
 
 import (
@@ -100,17 +108,37 @@ func (s *System) L3() *cache.Cache { return s.l3 }
 // DRAM exposes the memory model for statistics reporting.
 func (s *System) DRAM() *dram.DRAM { return s.dram }
 
+// A dirTrip is what one request did at the directory, the state change
+// already made: the L3 line that now holds the block, the remote private
+// caches it probed and, when the L3 missed, what its fill did. The timed
+// path charges it (charge); warming drops it. The fill's part is nested so
+// that each struct stays within four fields and 32 bytes, the most the
+// compiler carries in registers through the calls that pass a trip on: a flat
+// five-field form went through memory at every call, about 15 % on a
+// memory-system microbenchmark.
+type dirTrip struct {
+	line   *cache.Line
+	probes uint32
+	fill   l3Fill
+}
+
+// l3Fill is what an L3 fill did: the dirty copies its victim took with it
+// (one DRAM write each) and the private hierarchies it back-invalidated.
+type l3Fill struct {
+	filled            bool
+	dirty, backInvals uint32
+}
+
 // invalidateOthers removes every copy of the block in L3 line dir held by
-// cores other than requester, returning the added latency. A core recorded
+// cores other than requester and returns the probes it sent. A core recorded
 // both as owner and as sharer (it re-read a block whose private copies it had
 // silently dropped) is probed, and counted, once in each role.
-func (s *System) invalidateOthers(dir *cache.Line, requester int) (extra uint64) {
+func (s *System) invalidateOthers(dir *cache.Line, requester int) (probes uint32) {
 	probe := func(core int) {
 		p := s.ports[core]
 		p.l1.Invalidate(dir.Block)
 		p.l2.Invalidate(dir.Block)
-		s.Invalidations++
-		extra = probeLat
+		probes++
 	}
 	if o := dir.Owner(); o >= 0 && o != requester {
 		probe(o)
@@ -121,13 +149,13 @@ func (s *System) invalidateOthers(dir *cache.Line, requester int) (extra uint64)
 		probe(bits.TrailingZeros64(m))
 	}
 	dir.Sharers &= self
-	return extra
+	return probes
 }
 
 // downgradeOwner converts a remote exclusive/modified copy of the block in
-// L3 line dir to shared so the requester can read, returning the added
-// latency.
-func (s *System) downgradeOwner(dir *cache.Line, requester int) (extra uint64) {
+// L3 line dir to shared so the requester can read, and returns the probes it
+// sent (0 or 1).
+func (s *System) downgradeOwner(dir *cache.Line, requester int) (probes uint32) {
 	owner := dir.Owner()
 	if owner < 0 || owner == requester {
 		return 0
@@ -137,80 +165,80 @@ func (s *System) downgradeOwner(dir *cache.Line, requester int) (extra uint64) {
 	p.l2.Downgrade(dir.Block)
 	dir.Sharers |= 1 << uint(owner)
 	dir.SetOwner(-1)
-	s.Invalidations++
-	return probeLat
+	return 1
 }
 
-// l3Fill inserts b into the L3 and returns its line, handling inclusive
-// back-invalidations of the victim in every private hierarchy and the DRAM
-// writeback of dirty victims.
-func (s *System) l3Fill(b mem.Block, st cache.State, ready uint64) *cache.Line {
-	line, victim, evicted := s.l3.Insert(b, st, ready, false, false)
+// l3Line looks b up in the L3 and, on a miss, fills it in state st with no
+// owner and no sharers. The fill's victim leaves every private hierarchy
+// that holds it (inclusion: no private cache may keep a block the L3
+// dropped); the trip counts its dirty copies and the back-invalidations.
+func (s *System) l3Line(b mem.Block, st cache.State) dirTrip {
+	if line := s.l3.Lookup(b, true); line != nil {
+		return dirTrip{line: line}
+	}
+	line, victim, evicted := s.l3.Insert(b, st, 0, false, false)
+	d := dirTrip{line: line, fill: l3Fill{filled: true}}
 	if !evicted {
-		return line
+		return d
 	}
 	if victim.State == cache.Modified {
-		s.dram.Write(ready)
+		d.fill.dirty++
 	}
-	// Inclusion: no private cache may keep a block the L3 dropped.
 	for m := victim.Holders(); m != 0; m &= m - 1 {
 		p := s.ports[bits.TrailingZeros64(m)]
 		if old, ok := p.l1.Invalidate(victim.Block); ok && old.State == cache.Modified {
-			s.dram.Write(ready)
+			d.fill.dirty++
 		}
 		if old, ok := p.l2.Invalidate(victim.Block); ok && old.State == cache.Modified {
-			s.dram.Write(ready)
+			d.fill.dirty++
 		}
-		s.BackInvals++
+		d.fill.backInvals++
 	}
-	return line
+	return d
 }
 
-// readShared obtains block b for reading on behalf of requester, returning
-// the cycle the data reaches the requester's L2 boundary and the level that
-// supplied it (3 = L3, 4 = DRAM).
-func (s *System) readShared(b mem.Block, requester int, t uint64) (done uint64, level int) {
-	line := s.l3.Lookup(b, true)
-	level = 3
-	if line != nil {
-		done = t + uint64(s.cfg.L3.LatencyCyc) + s.downgradeOwner(line, requester)
-		if line.ReadyAt > done {
-			done = line.ReadyAt
-		}
-	} else {
-		// L3 miss: fetch from DRAM. An absent block has no directory state,
-		// so there is nobody to downgrade.
-		issue := s.l3.MSHRAvailable(t + uint64(s.cfg.L3.LatencyCyc))
-		done = s.dram.Read(issue)
-		s.l3.NoteMiss(done)
-		line = s.l3Fill(b, cache.Shared, done)
-		level = 4
-	}
-	line.Sharers |= 1 << uint(requester)
-	return done, level
+// getS is a read request for b at the directory on behalf of requester: a
+// remote owner is downgraded to a sharer and the requester joins the sharers.
+func (s *System) getS(b mem.Block, requester int) dirTrip {
+	d := s.l3Line(b, cache.Shared)
+	d.probes = s.downgradeOwner(d.line, requester)
+	d.line.Sharers |= 1 << uint(requester)
+	return d
 }
 
-// readExclusive obtains block b with write permission for requester,
-// invalidating every other copy.
-func (s *System) readExclusive(b mem.Block, requester int, t uint64) (done uint64, level int) {
-	line := s.l3.Lookup(b, true)
-	level = 3
-	if line != nil {
-		done = t + uint64(s.cfg.L3.LatencyCyc) + s.invalidateOthers(line, requester)
-		if line.ReadyAt > done {
-			done = line.ReadyAt
+// getX is a request for b with write permission on behalf of requester:
+// every other copy is invalidated and the requester becomes the owner.
+func (s *System) getX(b mem.Block, requester int) dirTrip {
+	d := s.l3Line(b, cache.Modified)
+	d.probes = s.invalidateOthers(d.line, requester)
+	d.line.State = cache.Modified // L3 tracks the block as owned above
+	d.line.SetOwner(requester)
+	d.line.Sharers = 0
+	return d
+}
+
+// charge times a directory trip issued at cycle t and counts its fabric
+// traffic: the L3 latency plus one probe round trip when a private cache was
+// probed, or, when the L3 filled, an L3 MSHR, the DRAM read and then the
+// writeback of every dirty copy the victim took. It returns the cycle the
+// data reaches the requester's L2 boundary and the level that supplied it.
+func (s *System) charge(d dirTrip, t uint64) (done uint64, level Level) {
+	s.Invalidations += uint64(d.probes)
+	t += uint64(s.cfg.L3.LatencyCyc)
+	if !d.fill.filled {
+		if d.probes > 0 {
+			t += probeLat
 		}
-		line.State = cache.Modified // L3 tracks the block as owned above
-	} else {
-		issue := s.l3.MSHRAvailable(t + uint64(s.cfg.L3.LatencyCyc))
-		done = s.dram.Read(issue)
-		s.l3.NoteMiss(done)
-		line = s.l3Fill(b, cache.Modified, done)
-		level = 4
+		return max(t, d.line.ReadyAt), LevelL3
 	}
-	line.SetOwner(requester)
-	line.Sharers = 0
-	return done, level
+	done = s.dram.Read(s.l3.MSHRAvailable(t))
+	s.l3.NoteMiss(done)
+	d.line.ReadyAt = done
+	for i := uint32(0); i < d.fill.dirty; i++ {
+		s.dram.Write(done)
+	}
+	s.BackInvals += uint64(d.fill.backInvals)
+	return done, LevelDRAM
 }
 
 // CheckCoherence audits the protocol invariants over the directory state of

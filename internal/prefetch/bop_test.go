@@ -26,6 +26,31 @@ func TestBOPElectsStrideOffset(t *testing.T) {
 	}
 }
 
+// TestBOPTrainsOnHits pins where the recent-requests table learns (DESIGN.md
+// §16): every observed demand access enters it at Observe, hits included.
+// Michaud's design, and Hermes' bop.h after it (register_fill), insert when a
+// fill completes instead; there a stream of hits leaves the table empty, no
+// candidate scores, and the election turns prefetching off. Here a stride-3
+// stream of hits elects offset 3 exactly as the same stream of misses does,
+// and only the misses prefetch.
+func TestBOPTrainsOnHits(t *testing.T) {
+	for _, miss := range []bool{false, true} {
+		b := NewBOP()
+		var blk mem.Block
+		issued := 0
+		for i := 0; i < 900; i++ {
+			issued += len(b.Observe(Event{PC: 0x400000, Block: blk, Miss: miss}, nil))
+			blk += 3
+		}
+		if b.Best() != 3 {
+			t.Errorf("miss=%v: Best() = %d after a stride-3 stream, want 3", miss, b.Best())
+		}
+		if (issued > 0) != miss {
+			t.Errorf("miss=%v: %d prefetches issued", miss, issued)
+		}
+	}
+}
+
 func TestBOPDisablesOnIrregularStream(t *testing.T) {
 	b := NewBOP()
 	// One access per page: no candidate offset ever finds its predecessor in

@@ -23,10 +23,13 @@ for f in cmd/*/default.pgo; do go tool pprof -raw "$f" >/dev/null; done
 go build ./...
 echo "== go test (uncached) =="
 go test -count=1 ./...
-echo "== fuzz the two checkpoint decoders and the spec decoder for a fixed budget (the suite above only replays their seeds) =="
+echo "== fuzz for a fixed budget (the suite above only replays their seeds): the two checkpoint decoders, the spec, journal and trace-file decoders, and warming against the demand path =="
 go test -run '^$' -fuzz '^FuzzDecodeCkpt$' -fuzztime 20s ./internal/sim
 go test -run '^$' -fuzz '^FuzzSnapshotFits$' -fuzztime 20s ./internal/cache
 go test -run '^$' -fuzz '^FuzzRunRequest$' -fuzztime 10s ./internal/server
+go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 10s ./internal/server
+go test -run '^$' -fuzz '^FuzzOpenTrace$' -fuzztime 10s ./internal/trace
+go test -run '^$' -fuzz '^FuzzWarmIsDemand$' -fuzztime 10s ./internal/memsys
 echo "== bench module (own go.mod: the root ./... neither compiles nor runs it) =="
 (cd bench && go vet ./... && go test ./...)
 echo "== go test -race (sim without the warm-walk oracle: its 1 088 machines share nothing between goroutines, it has run above, and under the race runtime it takes three minutes) =="
