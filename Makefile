@@ -6,13 +6,13 @@ check:
 	sh scripts/check.sh
 
 # End-to-end gate of the spbd service plane (internal/e2e, build tag e2e):
-# real daemons on port 0, driven through internal/client, beside spbsim,
-# spbsweep and spbload for the byte comparisons. TestServe: cold-run stats ==
-# spbsim -json, cache hit on repeat, cancel, batch, traces, /healthz +
-# /metrics, SIGTERM drain. TestChaos: a 3-backend sweep under a seeded fault
-# storm (byte-identical CSV), disk corruption quarantine-and-heal. TestChaosKill:
-# kill -9 mid-batch and mid-run; journal recovery under the original IDs and
-# checkpoint resume, byte-identical throughout. TestCluster: a static fleet of
+# real daemons on port 0, driven through internal/client, beside spbsim and
+# spbsweep for the byte comparisons. TestServe: cold-run stats == spbsim -json,
+# cache hit on repeat, cancel, batch, traces, /healthz + /metrics, SIGTERM
+# drain. TestChaos: a 3-backend sweep under a seeded fault storm
+# (byte-identical CSV), disk corruption quarantine-and-heal. TestChaosKill:
+# kill -9 mid-batch and mid-run; journal recovery under the original IDs, the
+# killed run rerun from zero, byte-identical throughout. TestCluster: a static fleet of
 # three independent daemons named in one -server list — byte-identical sweeps
 # (incl. under a stream-cut and disk-read fault storm), a keyed daemon's 401,
 # clean SIGTERM drains.

@@ -22,9 +22,8 @@
 //
 // With -journal the daemon keeps a durable write-ahead log of accepted
 // jobs and replays it on startup, so queued and running jobs survive a
-// crash (kill -9 included) under their original IDs; -checkpoint-dir
-// additionally checkpoints long runs mid-flight so a restarted daemon
-// resumes them from the last checkpoint with byte-identical results.
+// crash (kill -9 included) under their original IDs. A run the crash
+// interrupted starts again from zero and ends with the bytes it would have.
 //
 // On SIGTERM/SIGINT the daemon drains: submissions get 503, queued and
 // running jobs finish and persist (bounded by -drain-timeout), then it
@@ -70,9 +69,7 @@ func main() {
 		queueDepth   = flag.Int("queue", 64, "max queued jobs before 429 backpressure")
 		cacheDir     = flag.String("cache-dir", "", "content-addressed result store directory (empty = memory tier only)")
 		journalPath  = flag.String("journal", "", "durable job journal file: queued and running jobs survive daemon crashes, kill -9 included (empty disables)")
-		ckptDir      = flag.String("checkpoint-dir", "", "mid-run checkpoint directory: long simulations resume from their last checkpoint after a crash (empty disables)")
-		ckptInsts    = flag.Uint64("checkpoint-insts", 10_000_000, "checkpoint cadence in committed instructions per core")
-		storeSync    = flag.Bool("store-sync", true, "fsync disk-store, journal and checkpoint writes (disable only for throwaway test daemons)")
+		storeSync    = flag.Bool("store-sync", true, "fsync disk-store and journal writes (disable only for throwaway test daemons)")
 		runTimeout   = flag.Duration("run-timeout", 0, "per-run execution cap (0 = unlimited)")
 		sseInterval  = flag.Duration("sse-interval", 250*time.Millisecond, "progress event period on /events streams")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget before in-flight runs are cancelled")
@@ -130,10 +127,8 @@ func main() {
 		Tracer:      tracer,
 		Tenants:     tenants,
 
-		JournalPath:     *journalPath,
-		CheckpointDir:   *ckptDir,
-		CheckpointInsts: *ckptInsts,
-		DisableSync:     !*storeSync,
+		JournalPath: *journalPath,
+		DisableSync: !*storeSync,
 	})
 	if err != nil {
 		log.Fatalf("spbd: %v", err)

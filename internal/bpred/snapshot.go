@@ -6,12 +6,12 @@ import (
 	"spb/internal/pool"
 )
 
-// Warm-start support (DESIGN.md §12): deep snapshot/restore, and pooled
-// tables so repeated Runner invocations stop allocating the PHT and BTB
-// arrays. Functional warming trains through Warm (bpred.go).
+// Warm-start support (DESIGN.md §12): deep snapshot/restore for a warm
+// group's in-memory snapshot, and pooled tables so repeated Runner
+// invocations stop allocating the PHT and BTB arrays. Functional warming
+// trains through Warm (bpred.go).
 
-// Snapshot is a deep copy of a predictor's mutable state, and its own gob
-// form in a checkpoint file (DESIGN.md §12).
+// Snapshot is a deep copy of a predictor's mutable state.
 type Snapshot struct {
 	PHT     []uint8
 	History uint64
@@ -32,22 +32,11 @@ func (p *Predictor) Snapshot() *Snapshot {
 	}
 }
 
-// Fits reports, as an error, why the snapshot cannot be restored into p. A
-// snapshot taken from a predictor of the same geometry always fits; a decoded
-// one (a checkpoint file) must be checked before Restore, which panics on a
-// mismatch.
-func (s *Snapshot) Fits(p *Predictor) error {
-	if s == nil || len(s.PHT) != len(p.pht) || len(s.BTBTags) != len(p.btbTags) {
-		return fmt.Errorf("bpred: snapshot does not have the predictor's %d-entry PHT and %d-entry BTB", len(p.pht), len(p.btbTags))
-	}
-	return nil
-}
-
 // Restore overwrites the predictor's mutable state with the snapshot's. The
 // predictor must have the same geometry as the snapshot's source.
 func (p *Predictor) Restore(s *Snapshot) {
-	if err := s.Fits(p); err != nil {
-		panic(err)
+	if len(s.PHT) != len(p.pht) || len(s.BTBTags) != len(p.btbTags) {
+		panic(fmt.Sprintf("bpred: snapshot does not have the predictor's %d-entry PHT and %d-entry BTB", len(p.pht), len(p.btbTags)))
 	}
 	copy(p.pht, s.PHT)
 	p.history = s.History

@@ -1,9 +1,6 @@
 package cache
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -400,136 +397,22 @@ func TestInsertCarriesDirectoryState(t *testing.T) {
 	}
 }
 
-// viaGob returns s as it comes back from a gob encode and decode: the trip a
-// snapshot makes through a checkpoint file.
-func viaGob(t *testing.T, s *Snapshot) *Snapshot {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		t.Fatal(err)
-	}
-	decoded := &Snapshot{}
-	if err := gob.NewDecoder(&buf).Decode(decoded); err != nil {
-		t.Fatal(err)
-	}
-	return decoded
-}
-
-// recordCount is the number of records in a stream of c's, or -1 when the
-// stream does not decode to its end.
+// recordCount is the number of records in a stream of c's.
 func recordCount(c *Cache, p []byte) int {
 	n, prev := 0, uint64(0)
 	for at := 0; at < len(p); n++ {
 		var l Line
-		next, ok := c.record(p, at, 0, prev, &l)
-		if !ok {
-			return -1
-		}
-		at, prev = next, uint64(l.Block)>>c.setBits
+		at = c.record(p, at, 0, prev, &l)
+		prev = uint64(l.Block) >> c.setBits
 	}
 	return n
-}
-
-// TestSnapshotFits: a snapshot restores into a cache of its own geometry and
-// is refused — as an error — by one of another size, by a core count its
-// directory state exceeds, when its in-flight list is out of order, when its
-// record stream is not one canonical record per live bit, and when its records,
-// live masks or recency words name a state no run reaches.
-func TestSnapshotFits(t *testing.T) {
-	c := small()
-	l, _, _ := c.Insert(5, Modified, 7, false, false)
-	l.SetOwner(1)
-	l.Sharers = 0b10
-	c.NoteMiss(30)
-	c.NoteMiss(20)
-	snap := c.Snapshot()
-	// Block 5 is set 1's only line: tag 5>>2 = 1, one step up from 0
-	// (zigzag 2), Modified, owner 1 + 1, sharers, ready at 7 — one byte each.
-	if want := []byte{2, byte(Modified), 2, 0b10, 7}; !bytes.Equal(snap.Records, want) || recordCount(c, snap.Records) != 1 {
-		t.Fatalf("records %v, want %v", snap.Records, want)
-	}
-	if err := snap.Fits(c, 2); err != nil {
-		t.Fatalf("own snapshot refused: %v", err)
-	}
-	decoded := viaGob(t, snap)
-	if !reflect.DeepEqual(snap, decoded) {
-		t.Fatal("gob round trip changed the snapshot")
-	}
-	if err := snap.Fits(c, 1); err == nil {
-		t.Error("owner 1 accepted on a 1-core machine")
-	}
-	if err := snap.Fits(New("big", 8*2*64, 2, 4), 2); err == nil {
-		t.Error("snapshot of 8 lines accepted by a 16-line cache")
-	}
-	decoded.Records = decoded.Records[:len(decoded.Records)-1]
-	if err := decoded.Fits(c, 2); err == nil {
-		t.Error("truncated record stream accepted")
-	}
-	snap.Outstanding[0], snap.Outstanding[1] = snap.Outstanding[1], snap.Outstanding[0]
-	if err := snap.Fits(c, 2); err == nil {
-		t.Error("descending in-flight list accepted")
-	}
-
-	// A payload that is the right size but is not what Snapshot writes, or
-	// names a state no sequence of operations reaches: Restore would install a
-	// cache whose lookups miss or alias, or one that snapshots to other bytes.
-	// Block 5 sits in set 1, way 0 of the 4x2 cache and is the only live line,
-	// so its record is the whole stream. A record names no set: its position
-	// does, so a line cannot sit in a set its block does not map to.
-	for _, tc := range []struct {
-		name   string
-		mutate func(s *Snapshot)
-	}{
-		{"live line in state Invalid", func(s *Snapshot) { s.Records[1] = byte(Invalid) }},
-		{"flag bits no line sets", func(s *Snapshot) { s.Records[1] |= 0x10 }},
-		{"tag that overflows its block", func(s *Snapshot) { s.Records = append(binary.AppendUvarint(nil, 1<<63), s.Records[1:]...) }}, // tag 1<<62
-		{"truncated varint", func(s *Snapshot) { s.Records[4] |= 0x80 }},
-		{"varint longer than its value", func(s *Snapshot) { s.Records = append(s.Records[:4], 0x87, 0x00) }},
-		{"11-byte varint", func(s *Snapshot) {
-			s.Records = append(append(bytes.Repeat([]byte{0x81}, 10), 0x00), s.Records[1:]...)
-		}},
-		{"trailing bytes", func(s *Snapshot) { s.Records = append(s.Records, 0) }},
-		{"same block twice in a set", func(s *Snapshot) {
-			s.Records = append(s.Records, 0, byte(Shared), 0, 0, 0) // the tag again
-			s.Live[1] = 0b11
-		}},
-		{"one record short of the live count", func(s *Snapshot) { s.Records = nil }},
-		{"one record long of the live count", func(s *Snapshot) { s.Records = append(s.Records, 0, byte(Shared), 0, 0, 0) }},
-		{"live bit set without its record", func(s *Snapshot) { s.Live[3] = 0b01 }},
-		{"live bit cleared with its record left behind", func(s *Snapshot) { s.Live[1] = 0 }},
-		{"recency word repeats a way", func(s *Snapshot) { s.Rec[1] = 0x00 }},
-		{"recency word names a way the set lacks", func(s *Snapshot) { s.Rec[1] = 0x20 }},
-		{"recency word longer than the set", func(s *Snapshot) { s.Rec[1] = 0x110 }},
-		{"live bit at or above ways", func(s *Snapshot) {
-			s.Live[1] |= 1 << 2
-			s.Records = append(s.Records, 2, byte(Shared), 0, 0, 0)
-		}},
-	} {
-		bad := c.Snapshot()
-		if err := bad.Fits(c, 2); err != nil {
-			t.Fatalf("%s: unmutated snapshot refused: %v", tc.name, err)
-		}
-		tc.mutate(bad)
-		if err := bad.Fits(c, 2); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-
-	// The short tags are derived, not carried: a restored cache finds its
-	// blocks whatever the recycled arena's tag array held.
-	fresh := small()
-	fresh.Restore(c.Snapshot())
-	if l := fresh.Peek(5); l == nil || l.Owner() != 1 {
-		t.Fatalf("restored cache lost block 5: %+v", l)
-	}
 }
 
 // TestSnapshotHoldsLiveLinesOnly drives 1-, 8- and 16-way caches with random
 // fills, lookups and invalidations — so the live masks have holes — and checks
 // the snapshot by what it must do, not by where it keeps a line: it holds one
 // record per live way; restored into an arena another cache dirtied, the copy
-// snapshots to the same value (gob round trip included) and answers every
-// lookup as the source does; and the two stay equal under further identical
+// snapshots to the same value and answers every lookup as the source does; and the two stay equal under further identical
 // traffic, so nothing a free way held leaks into behaviour.
 func TestSnapshotHoldsLiveLinesOnly(t *testing.T) {
 	for _, ways := range []int{1, 8, 16} {
@@ -568,19 +451,12 @@ func TestSnapshotHoldsLiveLinesOnly(t *testing.T) {
 		if n := recordCount(src, snap.Records); n != live || live == 0 || live == sets*ways {
 			t.Fatalf("%d-way: snapshot holds %d records, cache has %d live of %d (the traffic must leave holes)", ways, n, live, sets*ways)
 		}
-		if err := snap.Fits(src, 4); err != nil {
-			t.Fatalf("%d-way: own snapshot refused: %v", ways, err)
-		}
-		decoded := viaGob(t, snap)
-		if !reflect.DeepEqual(snap, decoded) {
-			t.Fatalf("%d-way: gob round trip changed the snapshot", ways)
-		}
 
 		dirty := New("dirty", size, ways, 4)
 		traffic(20*sets*ways, dirty)
 		dirty.Release()
 		dst := New("dst", size, ways, 4) // usually dirty's arena, straight from the pool
-		dst.Restore(decoded)
+		dst.Restore(snap)
 		if again := dst.Snapshot(); !reflect.DeepEqual(again, snap) {
 			t.Fatalf("%d-way: restore + snapshot is not the identity", ways)
 		}
@@ -595,10 +471,9 @@ func TestSnapshotHoldsLiveLinesOnly(t *testing.T) {
 			t.Fatalf("%d-way: source and restored copy diverged under the same traffic", ways)
 		}
 
-		// A cache nothing ever filled: no lines, and the same value after gob.
-		cold := New("cold", size, ways, 4).Snapshot()
-		if cold.Records != nil || !reflect.DeepEqual(cold, viaGob(t, cold)) {
-			t.Fatalf("%d-way: cold snapshot holds %d record bytes or changed over gob", ways, len(cold.Records))
+		// A cache nothing ever filled: no lines.
+		if cold := New("cold", size, ways, 4).Snapshot(); cold.Records != nil {
+			t.Fatalf("%d-way: cold snapshot holds %d record bytes", ways, len(cold.Records))
 		}
 	}
 }

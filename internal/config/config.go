@@ -55,8 +55,8 @@ func (k PrefetcherKind) String() string {
 }
 
 // Valid reports whether k names an implemented prefetcher. Specs arrive from
-// decoded wire input (HTTP bodies, checkpoint files, gob streams), so the
-// kind must be validated before it reaches the prefetcher constructor.
+// decoded wire input (HTTP bodies, the job journal), so the kind must be
+// validated before it reaches the prefetcher constructor.
 func (k PrefetcherKind) Valid() bool {
 	return k >= PrefetchStream && k <= PrefetchHybrid
 }
@@ -241,8 +241,8 @@ func (m MachineConfig) Validate() error {
 		return fmt.Errorf("config: SPB window N must be at least 8, got %d", m.SPB.WindowN)
 	}
 	if !m.Prefetcher.Valid() {
-		// Prefetcher kinds reach here from decoded input (HTTP specs,
-		// checkpoint files); rejecting them at validation time keeps the
+		// Prefetcher kinds reach here from decoded input (HTTP specs, the
+		// job journal); rejecting them at validation time keeps the
 		// prefetcher constructor panic-free on every reachable path.
 		return fmt.Errorf("config: unknown prefetcher kind %d (want %s)", int(m.Prefetcher), PrefetcherNames)
 	}

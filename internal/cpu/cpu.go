@@ -49,8 +49,7 @@ const (
 	maxWrongPathStorePFs = 4
 )
 
-// robEntry is one in-flight instruction. Its fields are exported because a
-// Snapshot carries the ROB ring as it is into a checkpoint file.
+// robEntry is one in-flight instruction.
 type robEntry struct {
 	Kind   trace.Kind
 	Size   uint8

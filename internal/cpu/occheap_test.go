@@ -34,8 +34,7 @@ func (r refOcc) releaseCycle(threshold int) uint64 { return r[len(r)-threshold] 
 // cycles ahead (the ring), hundreds ahead (several bitmap words), and beyond
 // the 1024-cycle window (the far heap, and its refill of the ring as the
 // cursor approaches); the cursor moves by single cycles, by dozens, and by
-// jumps of several windows with entries in flight. A snapshot/restore every
-// few thousand operations rebuilds the bitmap from the buckets.
+// jumps of several windows with entries in flight.
 func TestOccHeapMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -91,11 +90,6 @@ func TestOccHeapMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d op %d: releaseCycle(%d) at cycle %d with %d held = %d, reference %d",
 						seed, op, threshold, now, n, got, want)
 				}
-			default:
-				var restored occHeap
-				restored.restore(h.snapshot())
-				h.release()
-				h = restored
 			}
 			if op%64 != 0 {
 				continue

@@ -1,9 +1,9 @@
 package dram
 
 // Snapshot is a copy of a DRAM model's mutable state — the channel timeline
-// and the statistics — and its own gob form in a checkpoint file (DESIGN.md
-// §12). Latency, service interval and queue depth are configuration: both
-// sides of a restore build them from the spec.
+// and the statistics — as a warm group's snapshot carries it (DESIGN.md §12).
+// Latency, service interval and queue depth are configuration: both sides of
+// a restore build them from the spec.
 type Snapshot struct {
 	NextFree uint64
 

@@ -1,6 +1,6 @@
 // Package durable is the one place this repository writes a file that must
-// survive a crash: the disk store's entries, the job journal's compaction
-// and the simulator's checkpoints all replace their file through WriteFile,
+// survive a crash: the disk store's entries and the job journal's compaction
+// both replace their file through WriteFile,
 // so "kill -9 leaves the old bytes or the new ones, never a torn file" is a
 // property of one function. The same package owns the conventions around
 // it: how a temp file is named (and therefore how the debris of a crashed

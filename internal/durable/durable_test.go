@@ -71,7 +71,7 @@ func TestInterruptedWriteLeavesOldBytesAndSweepableTemp(t *testing.T) {
 func TestSweepKeepsEverythingNotTempShaped(t *testing.T) {
 	dir := t.TempDir()
 	keep := []string{
-		"entry.json", "entry.json.corrupt", "journal.ndjson", "a.ckpt",
+		"entry.json", "entry.json.corrupt", "journal.ndjson", "a.log",
 		".hidden", "x.tmp", "tmp", "entry.tmp123.json", filepath.Join("sub", "deep.json"),
 		filepath.Join(".dir.tmp1", "inside.json"),
 	}

@@ -1,6 +1,6 @@
 // Package e2e is the end-to-end gate of the spbd service plane: its tests
 // build the real binaries once, start real daemons on port 0, talk to them
-// through internal/client, run spbsim, spbsweep and spbload beside them for
+// through internal/client, run spbsim and spbsweep beside them for
 // the byte comparisons, and kill, restart and drain them the way an operator
 // (or a power cut) would. The tests sit behind the e2e build tag because
 // they cost tens of seconds and spawn processes:

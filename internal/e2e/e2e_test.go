@@ -26,7 +26,7 @@ import (
 	"spb/internal/sim"
 )
 
-// binDir holds spbd, spbsim, spbsweep and spbload, built once per test run.
+// binDir holds spbd, spbsim and spbsweep, built once per test run.
 var binDir string
 
 func TestMain(m *testing.M) {
@@ -37,7 +37,7 @@ func TestMain(m *testing.M) {
 	}
 	binDir = dir
 	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
-		"spb/cmd/spbd", "spb/cmd/spbsim", "spb/cmd/spbsweep", "spb/cmd/spbload")
+		"spb/cmd/spbd", "spb/cmd/spbsim", "spb/cmd/spbsweep")
 	if out, err := build.CombinedOutput(); err != nil {
 		fmt.Fprintf(os.Stderr, "e2e: building the binaries: %v\n%s", err, out)
 		os.Exit(1)

@@ -1,11 +1,8 @@
 package memsys
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"spb/internal/cache"
@@ -144,58 +141,5 @@ func TestL3MissEvictionPathZeroAllocs(t *testing.T) {
 	}
 	if s.BackInvals == before {
 		t.Fatal("the batches never back-invalidated: the path under guard did not run")
-	}
-}
-
-// TestSystemSnapshotFits: a snapshot — the directory rides inside its L3
-// lines — survives the gob wire byte for byte and fits its own system, while
-// one from another geometry or core count, or whose directory state names a
-// core the system lacks, is refused as an error rather than by Restore's
-// panic.
-func TestSystemSnapshotFits(t *testing.T) {
-	s := New(tiny(), 2)
-	r := s.Port(1).StoreAcquire(0x1000, 0x400000, 0)
-	s.Port(1).PerformStore(0x1000, 0x400000, r.Done)
-	s.Port(0).Load(0x2000, 0x400000, 5)
-	snap := s.Snapshot()
-	if err := snap.Fits(s); err != nil {
-		t.Fatalf("own snapshot refused: %v", err)
-	}
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	decoded := &SystemSnapshot{}
-	if err := gob.NewDecoder(&buf).Decode(decoded); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(snap, decoded) {
-		t.Fatal("gob round trip changed the snapshot")
-	}
-	fresh := New(tiny(), 2)
-	fresh.Restore(decoded)
-	if dir := fresh.L3().Peek(mem.BlockOf(0x1000)); dir == nil || dir.Owner() != 1 {
-		t.Fatalf("restored directory lost block 0x1000's owner: %+v", dir)
-	}
-	if dir := fresh.L3().Peek(mem.BlockOf(0x2000)); dir == nil || dir.Sharers != 1 {
-		t.Fatalf("restored directory lost block 0x2000's sharer: %+v", dir)
-	}
-	if !reflect.DeepEqual(fresh.Snapshot(), snap) {
-		t.Fatal("restore + snapshot is not the identity")
-	}
-
-	if err := snap.Fits(New(tiny(), 4)); err == nil {
-		t.Error("2-core snapshot accepted by a 4-core system")
-	}
-	if err := snap.Fits(New(config.Skylake(), 2)); err == nil {
-		t.Error("tiny-geometry snapshot accepted by the Skylake geometry")
-	}
-	s.L3().Peek(mem.BlockOf(0x1000)).SetOwner(2) // a core this system does not have
-	if err := s.Snapshot().Fits(s); err == nil {
-		t.Error("directory state naming core 2 accepted by a 2-core system")
-	}
-	if err := (&SystemSnapshot{}).Fits(s); err == nil {
-		t.Error("empty snapshot accepted")
 	}
 }

@@ -1,9 +1,6 @@
 package memsys
 
 import (
-	"bytes"
-	"encoding/gob"
-	"reflect"
 	"testing"
 
 	"spb/internal/config"
@@ -12,9 +9,8 @@ import (
 )
 
 // Tests for the generic-prefetcher feedback plumbing: the per-epoch delta
-// computation over lastFB snapshots, the pollution path through victimsOfPF,
-// the early-prefetch path through evictedPF, and checkpoint round-trips of
-// the epoch machinery for every prefetcher kind.
+// computation over lastFB snapshots, the pollution path through victimsOfPF
+// and the early-prefetch path through evictedPF.
 
 func TestFDPEpochUsesDeltas(t *testing.T) {
 	m := tiny()
@@ -101,71 +97,5 @@ func drivePort(p *Port, phase, n int) {
 			r := p.Load(addr, uint64(0x400000+j%5*4), t)
 			t = r.Done + 1
 		}
-	}
-}
-
-// TestSnapshotRoundTripsFeedbackState drives every prefetcher kind to a
-// mid-epoch point, checkpoints through gob, and checks the
-// restored system's epoch machinery and trained prefetcher continue
-// identically.
-func TestSnapshotRoundTripsFeedbackState(t *testing.T) {
-	for _, kind := range config.Prefetchers {
-		t.Run(kind.String(), func(t *testing.T) {
-			m := tiny()
-			m.Prefetcher = kind
-			s1 := New(m, 1)
-			p1 := s1.Port(0)
-			drivePort(p1, 0, 400)
-			// Park the port just short of an epoch boundary so the restored
-			// copy must cross it with the same lastFB snapshot.
-			p1.epochAccesses = fdpEpoch - 3
-
-			snap := s1.Snapshot()
-			states := s1.PrefetcherStates()
-			var buf bytes.Buffer
-			enc := gob.NewEncoder(&buf) // one stream, as in a checkpoint file
-			if err := enc.Encode(snap); err != nil {
-				t.Fatalf("gob encode snapshot: %v", err)
-			}
-			if err := enc.Encode(states); err != nil {
-				t.Fatalf("gob encode prefetcher states: %v", err)
-			}
-			dec := gob.NewDecoder(bytes.NewReader(buf.Bytes()))
-			var snap2 SystemSnapshot
-			var states2 []prefetch.State
-			if err := dec.Decode(&snap2); err != nil {
-				t.Fatalf("gob decode snapshot: %v", err)
-			}
-			if err := dec.Decode(&states2); err != nil {
-				t.Fatalf("gob decode prefetcher states: %v", err)
-			}
-
-			s2 := New(m, 1)
-			s2.Restore(&snap2)
-			s2.RestorePrefetcherStates(states2)
-			p2 := s2.Port(0)
-			if p2.epochAccesses != p1.epochAccesses || p2.lastFB != p1.lastFB {
-				t.Fatalf("epoch machinery not restored: (%d, %+v) vs (%d, %+v)",
-					p2.epochAccesses, p2.lastFB, p1.epochAccesses, p1.lastFB)
-			}
-
-			// Identical continuations, crossing the epoch boundary.
-			drivePort(p1, 400, 50)
-			drivePort(p2, 400, 50)
-			if p1.GPFIssued != p2.GPFIssued || p1.GPFUsed != p2.GPFUsed ||
-				p1.GPFLate != p2.GPFLate || p1.GPFPolluted != p2.GPFPolluted {
-				t.Fatalf("GPF counters diverge after restore: %+v vs %+v",
-					[4]uint64{p1.GPFIssued, p1.GPFUsed, p1.GPFLate, p1.GPFPolluted},
-					[4]uint64{p2.GPFIssued, p2.GPFUsed, p2.GPFLate, p2.GPFPolluted})
-			}
-			if p1.lastFB != p2.lastFB {
-				t.Fatalf("lastFB diverges after the epoch boundary: %+v vs %+v", p1.lastFB, p2.lastFB)
-			}
-			if !reflect.DeepEqual(prefetch.CaptureState(p1.pf), prefetch.CaptureState(p2.pf)) {
-				t.Fatal("prefetcher state diverges after restore")
-			}
-			s1.Release()
-			s2.Release()
-		})
 	}
 }

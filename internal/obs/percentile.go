@@ -28,10 +28,10 @@ func NearestRank(n int, p float64) int {
 }
 
 // PercentileDuration returns the nearest-rank p-quantile of sorted (a slice
-// of durations in ascending order). It is the single shared percentile
-// helper for every latency report in the repo — spbload's open-loop and
-// batch reports and the client pool's hedge-delay estimate all call it — so
-// the tail math cannot drift between tools again. An empty slice returns 0.
+// of durations in ascending order), for the client pool's hedge-delay
+// estimate; it and every other percentile in the repo go through
+// NearestRank, so the tail math cannot drift between tools again. An empty
+// slice returns 0.
 func PercentileDuration(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0

@@ -144,30 +144,3 @@ func (b *BOP) Observe(ev Event, out []mem.Block) []mem.Block {
 // Epoch implements Prefetcher. BOP's feedback loop is its own phase
 // mechanism; port-level feedback is ignored.
 func (b *BOP) Epoch(Feedback) {}
-
-func (b *BOP) capture() State {
-	return State{BOP: &BOPState{
-		RR:        append([]mem.Block(nil), b.rr...),
-		RRNext:    b.rrNext,
-		RRFilled:  b.rrFilled,
-		Scores:    append([]uint8(nil), b.scores...),
-		CandIdx:   b.candIdx,
-		Round:     b.round,
-		Best:      b.best,
-		BestScore: b.bestScore,
-	}}
-}
-
-func (b *BOP) fits(s State) bool {
-	st := s.BOP
-	return st != nil && len(b.rr) == len(st.RR) && len(b.scores) == len(st.Scores) &&
-		inRing(st.RRNext, len(st.RR)) && inRing(st.CandIdx, len(st.Scores))
-}
-
-func (b *BOP) restore(s State) {
-	st := s.BOP
-	copy(b.rr, st.RR)
-	copy(b.scores, st.Scores)
-	b.rrNext, b.rrFilled, b.candIdx, b.round = st.RRNext, st.RRFilled, st.CandIdx, st.Round
-	b.best, b.bestScore = st.Best, st.BestScore
-}

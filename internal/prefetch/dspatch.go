@@ -34,18 +34,18 @@ const (
 
 // dspPage is one active page being observed.
 type dspPage struct {
-	Page    mem.Page
-	Sig     uint32 // pattern-table index the footprint commits to
-	Trigger int    // block index of the first access (rotation anchor)
-	Bitmap  uint64 // observed footprint, absolute block-index bits
-	Valid   bool
+	page    mem.Page
+	sig     uint32 // pattern-table index the footprint commits to
+	trigger int    // block index of the first access (rotation anchor)
+	bitmap  uint64 // observed footprint, absolute block-index bits
+	valid   bool
 }
 
 // dspEntry is one trigger-relative dual pattern.
 type dspEntry struct {
-	CovP  uint64 // OR of committed footprints (coverage-biased)
-	AccP  uint64 // AND of committed footprints (accuracy-biased)
-	Valid bool
+	covP  uint64 // OR of committed footprints (coverage-biased)
+	accP  uint64 // AND of committed footprints (accuracy-biased)
+	valid bool
 }
 
 // DSPatch is the dual spatial-pattern prefetcher.
@@ -90,21 +90,21 @@ func rotl(bm uint64, k int) uint64 { return bits.RotateLeft64(bm, k) }
 // commit folds an observed page footprint into its pattern-table entry,
 // rotated to trigger-relative form.
 func (d *DSPatch) commit(p *dspPage) {
-	rel := rotr(p.Bitmap, p.Trigger)
-	e := &d.table[p.Sig]
-	if !e.Valid {
-		e.CovP, e.AccP, e.Valid = rel, rel, true
+	rel := rotr(p.bitmap, p.trigger)
+	e := &d.table[p.sig]
+	if !e.valid {
+		e.covP, e.accP, e.valid = rel, rel, true
 		return
 	}
-	e.CovP |= rel
-	e.AccP &= rel
+	e.covP |= rel
+	e.accP &= rel
 }
 
 // PatternFor returns the stored (coverage, accuracy) trigger-relative
 // patterns for a trigger PC, for tests.
 func (d *DSPatch) PatternFor(pc uint64) (covP, accP uint64, ok bool) {
 	e := d.table[dspSig(pc)]
-	return e.CovP, e.AccP, e.Valid
+	return e.covP, e.accP, e.valid
 }
 
 // Observe implements Prefetcher. A hit in the active-page buffer records
@@ -115,27 +115,27 @@ func (d *DSPatch) Observe(ev Event, out []mem.Block) []mem.Block {
 	page := mem.PageOfBlock(ev.Block)
 	idx := mem.BlockIndexInPage(ev.Block)
 	for i := range d.pages {
-		if d.pages[i].Valid && d.pages[i].Page == page {
-			d.pages[i].Bitmap |= 1 << uint(idx)
+		if d.pages[i].valid && d.pages[i].page == page {
+			d.pages[i].bitmap |= 1 << uint(idx)
 			return out
 		}
 	}
 	// New page: retire the slot under the clock hand first.
 	slot := &d.pages[d.pageClk]
 	d.pageClk = (d.pageClk + 1) % len(d.pages)
-	if slot.Valid {
+	if slot.valid {
 		d.commit(slot)
 	}
 	sig := dspSig(ev.PC)
-	*slot = dspPage{Page: page, Sig: sig, Trigger: idx, Bitmap: 1 << uint(idx), Valid: true}
+	*slot = dspPage{page: page, sig: sig, trigger: idx, bitmap: 1 << uint(idx), valid: true}
 
 	e := d.table[sig]
-	if !e.Valid {
+	if !e.valid {
 		return out
 	}
-	pattern := e.CovP
+	pattern := e.covP
 	if d.useAcc {
-		pattern = e.AccP
+		pattern = e.accP
 	}
 	abs := rotl(pattern, idx) &^ (1 << uint(idx)) // demand covers the trigger itself
 	// Issue nearest-first from the trigger so the quota spends itself on the
@@ -174,24 +174,4 @@ func (d *DSPatch) Epoch(fb Feedback) {
 	} else if acc < dspAccLow {
 		d.useAcc = true
 	}
-}
-
-func (d *DSPatch) capture() State {
-	return State{DSPatch: &DSPatchState{
-		Pages:   append([]dspPage(nil), d.pages...),
-		PageClk: d.pageClk,
-		Table:   append([]dspEntry(nil), d.table...),
-		UseAcc:  d.useAcc,
-	}}
-}
-
-func (d *DSPatch) fits(s State) bool {
-	st := s.DSPatch
-	return st != nil && len(d.pages) == len(st.Pages) && len(d.table) == len(st.Table) && inRing(st.PageClk, len(st.Pages))
-}
-
-func (d *DSPatch) restore(s State) {
-	copy(d.pages, s.DSPatch.Pages)
-	copy(d.table, s.DSPatch.Table)
-	d.pageClk, d.useAcc = s.DSPatch.PageClk, s.DSPatch.UseAcc
 }

@@ -36,9 +36,9 @@ type Hybrid struct {
 	recent [][]mem.Block
 	rnext  []int
 	// ringCnt[i] counts sub i's ring entries per filterSlot of their block (a
-	// ring has 64, so a uint8 holds any count). It is derived from the ring —
-	// rebuilt on restore, not part of HybridState — and exact when it reads
-	// zero: credit skips the scan of a ring that cannot hold the block.
+	// ring has 64, so a uint8 holds any count). It is derived from the ring
+	// and exact when it reads zero: credit skips the scan of a ring that
+	// cannot hold the block.
 	ringCnt [][hybridFilter]uint8
 
 	issued []uint64 // per-sub prefetches issued this epoch
@@ -138,18 +138,6 @@ func (h *Hybrid) remember(i int, b mem.Block) {
 	h.rnext[i] = (h.rnext[i] + 1) % len(h.recent[i])
 }
 
-// refilter recounts the ring filters from the rings, after a restore.
-func (h *Hybrid) refilter() {
-	for i, ring := range h.recent {
-		h.ringCnt[i] = [hybridFilter]uint8{}
-		for _, b := range ring {
-			if b != 0 {
-				h.ringCnt[i][filterSlot(b)]++
-			}
-		}
-	}
-}
-
 // Observe implements Prefetcher: credit attribution, collect every sub's
 // proposals, then drain them round-robin under the per-sub quotas into the
 // shared budget, deduplicating across subs.
@@ -247,45 +235,4 @@ func (h *Hybrid) Epoch(fb Feedback) {
 	for _, sub := range h.subs {
 		sub.Epoch(fb)
 	}
-}
-
-func (h *Hybrid) capture() State {
-	st := &HybridState{
-		Subs:   make([]State, len(h.subs)),
-		Recent: make([][]mem.Block, len(h.recent)),
-		RNext:  append([]int(nil), h.rnext...),
-		Issued: append([]uint64(nil), h.issued...),
-		Hits:   append([]uint64(nil), h.hits...),
-		Alloc:  append([]int(nil), h.alloc...),
-	}
-	for i, sub := range h.subs {
-		st.Subs[i] = CaptureState(sub)
-		st.Recent[i] = append([]mem.Block(nil), h.recent[i]...)
-	}
-	return State{Hybrid: st}
-}
-
-func (h *Hybrid) fits(s State) bool {
-	st := s.Hybrid
-	ok := st != nil && len(h.subs) == len(st.Subs) && len(h.recent) == len(st.Recent) &&
-		len(h.rnext) == len(st.RNext) && len(h.issued) == len(st.Issued) &&
-		len(h.hits) == len(st.Hits) && len(h.alloc) == len(st.Alloc)
-	for i := 0; ok && i < len(h.subs); i++ {
-		ok = st.Subs[i].Fits(h.subs[i]) == nil &&
-			len(h.recent[i]) == len(st.Recent[i]) && inRing(st.RNext[i], len(st.Recent[i]))
-	}
-	return ok
-}
-
-func (h *Hybrid) restore(s State) {
-	st := s.Hybrid
-	for i, sub := range h.subs {
-		RestoreState(sub, st.Subs[i])
-		copy(h.recent[i], st.Recent[i])
-	}
-	h.refilter()
-	copy(h.rnext, st.RNext)
-	copy(h.issued, st.Issued)
-	copy(h.hits, st.Hits)
-	copy(h.alloc, st.Alloc)
 }

@@ -45,7 +45,7 @@ type Prefetcher interface {
 
 // New constructs the prefetcher selected by kind. Unknown kinds panic:
 // config.MachineConfig.Validate rejects them on every decoded-input path
-// (HTTP specs, checkpoint files) before a kind can reach this constructor,
+// (HTTP specs, journal replay) before a kind can reach this constructor,
 // so a panic here means an internal caller skipped validation.
 func New(kind config.PrefetcherKind) Prefetcher {
 	switch kind {
@@ -79,19 +79,13 @@ func (nonePrefetcher) Observe(_ Event, out []mem.Block) []mem.Block { return out
 
 func (nonePrefetcher) Epoch(Feedback) {}
 
-func (nonePrefetcher) capture() State  { return State{} }
-func (nonePrefetcher) fits(State) bool { return true }
-func (nonePrefetcher) restore(State)   {}
-
-// streamEntry is one PC-indexed stride-detection slot. Its fields, like
-// dspPage's and dspEntry's, are exported because State carries the tables as
-// they are into a checkpoint file.
+// streamEntry is one PC-indexed stride-detection slot.
 type streamEntry struct {
-	PC     uint64
-	Last   mem.Block
-	Stride int64
-	Conf   int8
-	Valid  bool
+	pc     uint64
+	last   mem.Block
+	stride int64
+	conf   int8
+	valid  bool
 }
 
 // Stream is a PC-indexed stride/stream prefetcher operating at block
@@ -130,28 +124,28 @@ func (s *Stream) SetAggressiveness(distance, degree int) {
 func (s *Stream) Observe(ev Event, out []mem.Block) []mem.Block {
 	h := (ev.PC >> 2) ^ (ev.PC >> 8) ^ (ev.PC >> 16)
 	e := &s.table[h&uint64(len(s.table)-1)]
-	if !e.Valid || e.PC != ev.PC {
-		*e = streamEntry{PC: ev.PC, Last: ev.Block, Valid: true}
+	if !e.valid || e.pc != ev.PC {
+		*e = streamEntry{pc: ev.PC, last: ev.Block, valid: true}
 		return out
 	}
-	delta := int64(ev.Block) - int64(e.Last)
+	delta := int64(ev.Block) - int64(e.last)
 	if delta == 0 {
 		// Same block (e.g. consecutive 8-byte accesses): no information.
 		return out
 	}
-	if delta == e.Stride {
-		if e.Conf < 3 {
-			e.Conf++
+	if delta == e.stride {
+		if e.conf < 3 {
+			e.conf++
 		}
 	} else {
-		e.Stride = delta
-		e.Conf = 0
+		e.stride = delta
+		e.conf = 0
 	}
-	e.Last = ev.Block
-	if e.Conf < 2 || e.Stride == 0 {
+	e.last = ev.Block
+	if e.conf < 2 || e.stride == 0 {
 		return out
 	}
-	if e.Stride == 1 {
+	if e.stride == 1 {
 		// Unit-stride streams (the common case): run `degree` blocks ahead
 		// at `distance`, clamped so the window slides up to — but never
 		// across — the page boundary, like hardware streamers do.
@@ -170,7 +164,7 @@ func (s *Stream) Observe(ev Event, out []mem.Block) []mem.Block {
 	}
 	page := mem.PageOfBlock(ev.Block)
 	for i := 0; i < s.degree; i++ {
-		b := int64(ev.Block) + e.Stride*(s.distance+int64(i))
+		b := int64(ev.Block) + e.stride*(s.distance+int64(i))
 		if b < 0 {
 			break
 		}
@@ -185,17 +179,6 @@ func (s *Stream) Observe(ev Event, out []mem.Block) []mem.Block {
 
 // Epoch implements Prefetcher (static schemes ignore feedback).
 func (s *Stream) Epoch(Feedback) {}
-
-func (s *Stream) capture() State {
-	return State{Table: append([]streamEntry(nil), s.table...), Distance: s.distance, Degree: s.degree}
-}
-
-func (s *Stream) fits(st State) bool { return len(s.table) == len(st.Table) }
-
-func (s *Stream) restore(st State) {
-	copy(s.table, st.Table)
-	s.distance, s.degree = st.Distance, st.Degree
-}
 
 // Adaptive is feedback-directed prefetching (Srinath et al., HPCA 2007): a
 // stream prefetcher whose (distance, degree) follow a 5-level aggressiveness
@@ -266,19 +249,4 @@ func (a *Adaptive) Epoch(fb Feedback) {
 		a.level--
 	}
 	a.apply()
-}
-
-func (a *Adaptive) capture() State {
-	st := a.Stream.capture()
-	st.Level = a.level
-	return st
-}
-
-func (a *Adaptive) fits(st State) bool {
-	return a.Stream.fits(st) && st.Level >= 1 && st.Level <= len(aggressivenessLadder)
-}
-
-func (a *Adaptive) restore(st State) {
-	a.Stream.restore(st)
-	a.level = st.Level
 }

@@ -139,7 +139,7 @@ func (m *Metrics) httpLatency() obs.Family {
 
 // families declares every series GET /metrics serves: the live gauges, the
 // Metrics fields, the runner's execution counters (simulated instructions,
-// warm-start forks, sampling, checkpoints), the per-endpoint latencies and
+// warm-start forks, sampling), the per-endpoint latencies and
 // the per-tenant series.
 func (s *Server) families() []obs.Family {
 	gauge := func(name, help string, read func() int) obs.Family { return obs.Read(name, "gauge", help, read) }
@@ -173,9 +173,6 @@ func (s *Server) families() []obs.Family {
 		counter("spbd_sample_runs_total", "Completed runs that used SMARTS sampling.", ss.SampledRuns),
 		counter("spbd_sample_intervals_total", "Detailed measurement intervals executed by sampled runs.", ss.SampleIntervals),
 		counter("spbd_sample_insts_skipped_total", "Instructions functionally warmed instead of detailed-simulated by sampling.", ss.SampleInstsSkipped),
-		counter("spbd_checkpoint_writes_total", "Mid-run checkpoints written to disk.", ss.CheckpointWrites),
-		counter("spbd_checkpoint_resumes_total", "Runs resumed from an on-disk checkpoint instead of from scratch.", ss.CheckpointResumes),
-		counter("spbd_checkpoint_corrupt_total", "Invalid checkpoint files quarantined (the run restarted from scratch).", ss.CheckpointCorrupt),
 		s.metrics.httpLatency(),
 		// The implicit default tenant keeps these present on single-tenant daemons.
 		tenant("spbd_tenant_submitted_total", "Jobs accepted onto the queue per tenant.", func(tn *tenantState) uint64 { return tn.submitted.Load() }),

@@ -12,7 +12,6 @@ import (
 	"spb/internal/mem"
 	"spb/internal/memsys"
 	"spb/internal/obs"
-	"spb/internal/prefetch"
 	"spb/internal/tlb"
 	"spb/internal/trace"
 )
@@ -21,11 +20,10 @@ import (
 //
 // A run is a sequence of segments over one machine in one monotone cycle
 // domain. The sequence is a pure function of the normalized spec, so a
-// position in it — a segment count — names a point of the run exactly: the
-// Runner starts a warmed spec at segment 1 from its group's snapshot, and a
-// checkpoint resumes at the segment it recorded. sim.Run starts at segment 0
-// on a cold machine, in place; it is the reference the other two are tested
-// against.
+// position in it — a segment count — names a point of the run exactly. A run
+// starts in one of two places: sim.Run starts at segment 0 on a cold machine,
+// in place; the Runner starts a warmed spec at segment 1 from its group's
+// snapshot. sim.Run is the reference the Runner is tested against.
 
 // segKind is how a segment covers its instructions.
 type segKind uint8
@@ -195,40 +193,26 @@ func (m *machine) release() {
 	m.sys.Release()
 }
 
-// bpWire wraps a possibly-absent predictor snapshot: gob rejects nil
-// pointers as slice elements but skips nil pointer fields inside structs.
-type bpWire struct {
-	BP *bpred.Snapshot
-}
-
 // machineState is a machine at a segment edge, as a deep copy that shares no
-// memory with it. The same value serves as a warm-start group's in-memory
-// snapshot and as the machine part of a checkpoint file. The generic
-// prefetchers travel separately from the memory system because a warm-start
-// snapshot must not carry them (see Runner.buildWarm).
+// memory with it: a warm-start group's in-memory snapshot. The generic
+// prefetchers are not part of it: the members that start from it differ in
+// prefetcher kind (see Runner.buildWarm).
 type machineState struct {
 	Sys       *memsys.SystemSnapshot
-	PF        []prefetch.State
 	DTLBs     []*tlb.Snapshot
-	BPs       []bpWire
+	BPs       []*bpred.Snapshot // nil entries when the predictor is not modelled
 	Consumed  uint64
 	CycleBase uint64
-	// progs are the stream cursors, cloned. They are not serialized: a
-	// Program's cursor after n instructions is a pure function of (workload,
-	// seed, n) and Skip(n) is state-equivalent to n Next calls, so a file
-	// records only Consumed and the resume replays the generator — immune to
-	// generator-internals drift within a checkpoint version. A fork keeps the
-	// clones: replaying a long warm-up once per fork would cost what the
-	// shared snapshot saves.
+	// progs are the stream cursors, cloned: replaying a long warm-up once per
+	// fork would cost what the shared snapshot saves.
 	progs []*trace.Program
 }
 
 func (m *machine) state() *machineState {
 	st := &machineState{
 		Sys:       m.sys.Snapshot(),
-		PF:        m.sys.PrefetcherStates(),
 		DTLBs:     make([]*tlb.Snapshot, len(m.dtlbs)),
-		BPs:       make([]bpWire, len(m.bps)),
+		BPs:       make([]*bpred.Snapshot, len(m.bps)),
 		Consumed:  m.consumed,
 		CycleBase: m.cycleBase,
 		progs:     trace.ClonePrograms(m.progs),
@@ -236,67 +220,24 @@ func (m *machine) state() *machineState {
 	for i, t := range m.dtlbs {
 		st.DTLBs[i] = t.Snapshot()
 		if m.bps[i] != nil {
-			st.BPs[i].BP = m.bps[i].Snapshot()
+			st.BPs[i] = m.bps[i].Snapshot()
 		}
 	}
 	return st
 }
 
-// fits reports why a decoded state cannot be restored into m.
-func (st *machineState) fits(m *machine) error {
-	if st == nil || st.Sys == nil || len(st.DTLBs) != len(m.dtlbs) || len(st.BPs) != len(m.bps) {
-		return fmt.Errorf("machine state missing or of another core count")
-	}
-	if err := st.Sys.Fits(m.sys); err != nil {
-		return err
-	}
-	if err := m.sys.PrefetcherStatesFit(st.PF); err != nil {
-		return err
-	}
-	for i, t := range m.dtlbs {
-		if err := st.DTLBs[i].Fits(t); err != nil {
-			return err
-		}
-		if bp := st.BPs[i].BP; (bp != nil) != (m.bps[i] != nil) {
-			return fmt.Errorf("predictor presence differs from the spec's")
-		} else if bp != nil {
-			if err := bp.Fits(m.bps[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// restore loads a state into a cold machine of the same spec. A state taken in
-// this process is trusted and brings its stream cursors; one decoded from a
-// file has none: it is first checked against the machine — a checksum-valid
-// file written by a binary with another core table or prefetcher zoo is an
-// invalid checkpoint (errCkptInvalid), never the geometry panic the Restore
-// methods reserve for programming mistakes — and its streams are replayed.
-func (m *machine) restore(st *machineState) error {
-	if st != nil && st.progs != nil {
-		m.progs = trace.ClonePrograms(st.progs)
-	} else {
-		if err := st.fits(m); err != nil {
-			return fmt.Errorf("%w: %v", errCkptInvalid, err)
-		}
-		for _, p := range m.progs {
-			p.Skip(st.Consumed)
-		}
-	}
+// restore loads a state taken in this process into a cold machine of the
+// same spec; the machine gets clones of its stream cursors.
+func (m *machine) restore(st *machineState) {
+	m.progs = trace.ClonePrograms(st.progs)
 	m.sys.Restore(st.Sys)
-	if st.PF != nil {
-		m.sys.RestorePrefetcherStates(st.PF)
-	}
 	for i, t := range m.dtlbs {
 		t.Restore(st.DTLBs[i])
 		if m.bps[i] != nil {
-			m.bps[i].Restore(st.BPs[i].BP)
+			m.bps[i].Restore(st.BPs[i])
 		}
 	}
 	m.consumed, m.cycleBase = st.Consumed, st.CycleBase
-	return nil
 }
 
 // warmMemo elides redundant warm accesses: per core, the block and PC of
@@ -493,7 +434,7 @@ func (w *window) cycles(cores []*cpu.Core) uint64 {
 }
 
 // cursor is a run's position in its plan and what it has accumulated on the
-// way: with the machine's state, everything a checkpoint stores.
+// way.
 type cursor struct {
 	// Seg counts the segments completed.
 	Seg uint64
@@ -511,7 +452,6 @@ type cursor struct {
 type run struct {
 	m          *machine
 	cur        cursor
-	ck         *checkpointer
 	onProgress func(Progress)
 	began      time.Time
 }
@@ -538,28 +478,11 @@ func (r *run) report(committed, cycles uint64) {
 	r.onProgress(p)
 }
 
-// checkpoint writes the run's state if the instructions the plan has covered
-// (all cores; open is the open detailed segment's share) cross the cadence.
-// mid is nil at a segment edge; inside a detailed segment it adds what the
-// edge state lacks. Capture is read-only — snapshots copy state out — so a
-// checkpointed run's statistics are byte-identical to an unobserved one.
-func (r *run) checkpoint(open uint64, mid func(*ckptFile)) error {
-	if !r.ck.due(r.cur.FFInsts + r.cur.DetailedInsts + open) {
-		return nil
-	}
-	cf := &ckptFile{Spec: r.m.spec, Cur: r.cur, State: r.m.state()}
-	if mid != nil {
-		mid(cf)
-	}
-	return r.ck.save(cf)
-}
-
 // buildCores constructs the pipelines of a detailed segment on the machine's
 // TLBs and predictors, each budgeted to n instructions of its stream from the
 // current position on, with clocks opening at the cycle base
-// (cpu.Options.StartCycle). Besides the cores it returns their Limit wrappers,
-// which know how far into the segment each core has read.
-func (m *machine) buildCores(n uint64) ([]*cpu.Core, []*trace.LimitReader) {
+// (cpu.Options.StartCycle).
+func (m *machine) buildCores(n uint64) []*cpu.Core {
 	spec := m.spec
 	opts := cpu.Options{
 		CoalesceSB:         spec.CoalesceSB,
@@ -569,42 +492,25 @@ func (m *machine) buildCores(n uint64) ([]*cpu.Core, []*trace.LimitReader) {
 		StartCycle:         m.cycleBase,
 	}
 	cores := make([]*cpu.Core, spec.Cores)
-	lims := make([]*trace.LimitReader, spec.Cores)
 	for i := range cores {
-		lims[i] = trace.Limit(n, m.progs[i])
 		cores[i] = cpu.NewWithOptions(m.cfg.Core, spec.Policy, m.cfg.SPB, m.dtlbs[i], m.bps[i], opts,
-			m.sys.Port(i), lims[i], spec.Seed+uint64(i)*7919)
+			m.sys.Port(i), trace.Limit(n, m.progs[i]), spec.Seed+uint64(i)*7919)
 	}
-	return cores, lims
+	return cores
 }
 
 // detail covers a detailed segment: cores built, the lock-step loop, the cores
-// released, the measured window folded into the cursor. mid, when non-nil, is
-// a checkpoint taken inside this very segment: its cores, stream positions and
-// window replace the fresh ones (its machine state, TLBs and predictors
-// included, is already in place).
-func (r *run) detail(ctx context.Context, seg segment, mid *ckptFile) error {
+// released, the measured window folded into the cursor.
+func (r *run) detail(ctx context.Context, seg segment) error {
 	m, spec := r.m, r.m.spec
 	nCores := uint64(spec.Cores)
-	cores, lims := m.buildCores(seg.n)
+	cores := m.buildCores(seg.n)
 	defer func() {
 		for _, c := range cores {
 			c.Release()
 		}
 	}()
 	w := newWindow(len(cores))
-	if mid != nil {
-		if err := mid.fitsCores(cores); err != nil {
-			return fmt.Errorf("%w: %v", errCkptInvalid, err)
-		}
-		w = mid.Win
-		for i, c := range cores {
-			c.Restore(mid.Cores[i])
-			m.progs[i].Skip(mid.Seen[i])
-			lims[i].SetSeen(mid.Seen[i])
-		}
-	}
-
 	w.capture(cores, seg.from, seg.to, m.sys)
 	err := cpu.Lockstep(ctx, cores, seg.n*1000*nCores+1_000_000, func(steps uint64) (bool, error) {
 		w.capture(cores, seg.from, seg.to, m.sys)
@@ -614,18 +520,6 @@ func (r *run) detail(ctx context.Context, seg segment, mid *ckptFile) error {
 		committed := uint64(0)
 		for _, c := range cores {
 			committed += c.St.Committed
-		}
-		// Cores asleep at their event horizons are captured with their clocks
-		// ahead of the others'; the resumed loop starts at the earliest clock
-		// and finds them still asleep.
-		if err := r.checkpoint(committed, func(cf *ckptFile) {
-			cf.Win = w
-			for i, c := range cores {
-				cf.Cores = append(cf.Cores, c.Snapshot())
-				cf.Seen = append(cf.Seen, lims[i].Seen())
-			}
-		}); err != nil {
-			return false, err
 		}
 		r.report(committed, w.cycles(cores))
 		return false, nil
@@ -662,11 +556,18 @@ func (r *run) detail(ctx context.Context, seg segment, mid *ckptFile) error {
 	return nil
 }
 
+// startPoint is where a run begins other than cold: a position in the plan and
+// the machine's state there.
+type startPoint struct {
+	Cur   cursor
+	State *machineState
+}
+
 // runPlan executes a normalized spec's plan and collects the Result. start is
 // where the machine begins: nil is a cold machine at segment 0; otherwise the
-// state is restored and the plan entered at the start's cursor. ck, when
-// non-nil, checkpoints the run. Neither changes the statistics produced.
-func runPlan(ctx context.Context, spec RunSpec, start *ckptFile, onProgress func(Progress), ck *checkpointer) (Result, error) {
+// state is restored and the plan entered at the start's cursor, which does not
+// change the statistics produced.
+func runPlan(ctx context.Context, spec RunSpec, start *startPoint, onProgress func(Progress)) (Result, error) {
 	// When the caller's context carries an obs.Trace (the spbd request path
 	// does), the run's phases are recorded as sub-spans of the job-level "run"
 	// span. With no trace in ctx the nil *Trace no-ops and nothing allocates.
@@ -677,51 +578,33 @@ func runPlan(ctx context.Context, spec RunSpec, start *ckptFile, onProgress func
 		return Result{}, err
 	}
 	defer m.release()
-	r := &run{m: m, ck: ck, onProgress: onProgress, began: time.Now()}
+	r := &run{m: m, onProgress: onProgress, began: time.Now()}
 	if start != nil {
-		if err := m.restore(start.State); err != nil {
-			return Result{}, err
-		}
+		m.restore(start.State)
 		r.cur = start.Cur
 	}
-	// A resumed run writes at the marks the interrupted one would have.
-	ck.arm(r.cur.FFInsts + r.cur.DetailedInsts)
 	span.End()
 
 	span = tr.StartSpan("run.sim")
-	nCores, segs := uint64(spec.Cores), uint64(0)
+	nCores := uint64(spec.Cores)
 	err = spec.eachSegment(func(k uint64, seg segment) error {
-		if segs = k + 1; k < r.cur.Seg {
+		if k < r.cur.Seg {
 			return nil
 		}
-		// A checkpoint taken inside a segment re-enters that segment; any
-		// other start, and every later segment, begins at an edge.
-		var mid *ckptFile
-		if start != nil && start.Cores != nil && k == start.Cur.Seg {
-			mid = start
-		} else if err := r.checkpoint(0, nil); err != nil {
-			return err
-		}
 		var err error
-		switch {
-		case seg.kind == segDetail:
-			err = r.detail(ctx, seg, mid)
-		case mid != nil:
-			err = fmt.Errorf("%w: core state inside a functional segment", errCkptInvalid)
-		default:
+		if seg.kind == segDetail {
+			err = r.detail(ctx, seg)
+		} else {
 			err = m.functional(ctx, seg)
 			r.cur.FFInsts += seg.n * nCores
 		}
 		if err != nil {
 			return err
 		}
-		r.cur.Seg = segs
+		r.cur.Seg = k + 1
 		r.report(0, 0)
 		return nil
 	})
-	if err == nil && r.cur.Seg != segs {
-		err = fmt.Errorf("%w: cursor at segment %d of a %d-segment plan", errCkptInvalid, r.cur.Seg, segs)
-	}
 	if err != nil {
 		return Result{}, err
 	}
@@ -732,7 +615,7 @@ func runPlan(ctx context.Context, spec RunSpec, start *ckptFile, onProgress func
 	res := finishResult(spec, r.cur.CPU, r.cur.Mem)
 	if spec.Sampling.Enabled() {
 		res.Sample = SampleStats{
-			Intervals:        r.cur.Acc.N,
+			Intervals:        r.cur.Acc.n,
 			MeasuredInsts:    r.cur.MeasuredInsts,
 			DetailedInsts:    r.cur.DetailedInsts,
 			FastForwardInsts: r.cur.FFInsts - spec.WarmupInsts*nCores,

@@ -2,11 +2,7 @@ package sim
 
 import (
 	"reflect"
-	"strings"
 	"testing"
-
-	"spb/internal/config"
-	"spb/internal/core"
 )
 
 // planOf materializes a spec's segment sequence.
@@ -109,63 +105,6 @@ func TestPlanCoversEveryInstructionOnce(t *testing.T) {
 				if !reflect.DeepEqual(tail, segs[k:]) {
 					t.Fatalf("plan regenerated from cursor %d differs from the original's tail", k)
 				}
-			}
-		})
-	}
-}
-
-// TestCrashResumeAtEveryPlanPosition: with a cadence of one instruction a run
-// checkpoints at every segment edge and at every progress mark inside its
-// detailed segments. Crashed after each write and resumed from it, the run
-// must re-enter the plan at every one of those positions and still end
-// byte-identical to the in-place run.
-func TestCrashResumeAtEveryPlanPosition(t *testing.T) {
-	if testing.Short() {
-		t.Skip("dozens of crash/resume rounds, skipped in -short")
-	}
-	specs := planSpecs()
-	for _, tc := range []struct {
-		name string
-		// marks: the detailed segments are long enough to pass a progress mark.
-		marks bool
-		// bpred: the predictor is modelled, so a checkpoint inside a segment
-		// holds one in the middle of its detailed use.
-		bpred bool
-	}{
-		{"warmed", true, false}, {"warmed/8", true, false}, {"sampled", false, false}, {"sampled/history", false, false},
-		{"sampled/long", true, false}, {"sampled/8", true, false}, {"sampled/long/bpred", true, true},
-	} {
-		name, marks := tc.name, tc.marks
-		spec := specs[strings.TrimSuffix(name, "/bpred")].Normalized()
-		spec.Policy, spec.Prefetcher, spec.ModelBranchPredictor = core.PolicySPB, config.PrefetchAdaptive, tc.bpred
-		t.Run(name, func(t *testing.T) {
-			ref, err := Run(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			edges, inside := map[uint64]bool{}, 0
-			got, _ := crashResumeUntilDone(t, t.TempDir(), spec, 1, func(path string) {
-				if cf := readCkpt(t, path); cf.Cores != nil {
-					inside++
-				} else {
-					edges[cf.Cur.Seg] = true
-				}
-			})
-			assertSameResult(t, ref, got, name)
-			// A Runner enters a warmed plan at segment 1; every later edge but
-			// the end of the plan must have been written at and resumed from.
-			first := uint64(1)
-			if spec.WarmupInsts > 0 {
-				first = 2
-			}
-			segs := uint64(len(planOf(t, spec)))
-			for k := first; k < segs; k++ {
-				if !edges[k] {
-					t.Errorf("no checkpoint at the edge before segment %d of %d", k, segs)
-				}
-			}
-			if marks && inside == 0 {
-				t.Error("no checkpoint was taken inside a detailed segment")
 			}
 		})
 	}

@@ -220,18 +220,17 @@ func tQuantile975(df uint64) float64 {
 // TestSampledWithinErrorBound).
 const sampleBiasGuard = 0.08
 
-// sampleAccum accumulates per-interval metric samples in a fixed order. Its
-// fields are exported for the checkpoint encoder only.
+// sampleAccum accumulates per-interval metric samples in a fixed order.
 type sampleAccum struct {
-	N     uint64
-	Sum   [nSampleMetrics]float64
-	Sumsq [nSampleMetrics]float64
+	n     uint64
+	sum   [nSampleMetrics]float64
+	sumsq [nSampleMetrics]float64
 }
 
 // add records one measured window's rates, each per committed instruction.
 func (a *sampleAccum) add(iv cpu.Stats, ivMem MemStats) {
 	com := float64(iv.Committed)
-	a.N++
+	a.n++
 	for i, x := range [nSampleMetrics]float64{
 		smCPI:             float64(iv.Cycles) / com,
 		smSBStallPI:       float64(iv.SBStallCycles) / com,
@@ -241,8 +240,8 @@ func (a *sampleAccum) add(iv cpu.Stats, ivMem MemStats) {
 		smL1MissPI:        float64(ivMem.L1Misses) / com,
 		smDRAMPI:          float64(ivMem.DRAMReads+ivMem.DRAMWrites) / com,
 	} {
-		a.Sum[i] += x
-		a.Sumsq[i] += x * x
+		a.sum[i] += x
+		a.sumsq[i] += x * x
 	}
 }
 
@@ -250,17 +249,17 @@ func (a *sampleAccum) add(iv cpu.Stats, ivMem MemStats) {
 // 95% CLT half-width (zero below two samples — no variance information)
 // plus the systematic-bias guard.
 func (a *sampleAccum) meanCI(i int) (mean, ci float64) {
-	if a.N == 0 {
+	if a.n == 0 {
 		return 0, 0
 	}
-	n := float64(a.N)
-	mean = a.Sum[i] / n
-	if a.N >= 2 {
-		variance := (a.Sumsq[i] - n*mean*mean) / (n - 1)
+	n := float64(a.n)
+	mean = a.sum[i] / n
+	if a.n >= 2 {
+		variance := (a.sumsq[i] - n*mean*mean) / (n - 1)
 		if variance < 0 {
 			variance = 0 // float cancellation guard
 		}
-		ci = tQuantile975(a.N-1) * math.Sqrt(variance/n)
+		ci = tQuantile975(a.n-1) * math.Sqrt(variance/n)
 	}
 	return mean, ci + sampleBiasGuard*mean
 }

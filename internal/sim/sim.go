@@ -244,7 +244,7 @@ func (p Progress) IPC() float64 {
 }
 
 // progressEvery is how many steps of cpu.Lockstep pass between progress
-// callbacks and checkpoint-boundary checks. A step ticks every core that is
+// callbacks. A step ticks every core that is
 // awake in one simulated cycle, so at simulator speeds this is a
 // sub-millisecond cadence while keeping the work off the per-cycle hot path.
 const progressEvery = 8192
@@ -262,7 +262,7 @@ func Run(spec RunSpec) (Result, error) {
 // of a detailed segment, and after every segment) from the simulating
 // goroutine; it must be cheap and must not block.
 func RunCtx(ctx context.Context, spec RunSpec, onProgress func(Progress)) (Result, error) {
-	return runPlan(ctx, spec.normalize(), nil, onProgress, nil)
+	return runPlan(ctx, spec.normalize(), nil, onProgress)
 }
 
 // Validate refuses a spec no machine can be built for: a core count, after
@@ -302,7 +302,7 @@ func (s RunSpec) machineConfig() (config.MachineConfig, error) {
 
 // buildReaders constructs the per-core instruction streams of a normalized
 // spec. Every workload builds compiled trace.Programs, whose bulk Skip and
-// SkipTouch the functional segments and a checkpoint resume rely on.
+// SkipTouch the functional segments rely on.
 func buildReaders(spec RunSpec) ([]*trace.Program, error) {
 	var readers []trace.Reader
 	if spec.Cores == 1 {
@@ -427,12 +427,6 @@ type Runner struct {
 	sampledRuns        atomic.Uint64 // runs executed in sampling mode
 	sampleIntervals    atomic.Uint64 // measured detailed intervals
 	sampleInstsSkipped atomic.Uint64 // insts covered functionally by sampling
-
-	// Crash-safe checkpoints (DESIGN.md §12); ckpt is guarded by warmMu.
-	ckpt        CheckpointPolicy
-	ckptWrites  atomic.Uint64 // checkpoint files durably written
-	ckptResumes atomic.Uint64 // runs resumed from a checkpoint
-	ckptCorrupt atomic.Uint64 // checkpoint files quarantined as invalid
 }
 
 // runCall is one in-flight simulation other callers of the same spec wait on
@@ -483,14 +477,6 @@ type RunnerStats struct {
 	// SampleInstsSkipped counts instructions sampled runs covered with fast
 	// functional warming instead of detailed simulation.
 	SampleInstsSkipped uint64
-	// CheckpointWrites counts mid-run checkpoint files durably written.
-	CheckpointWrites uint64
-	// CheckpointResumes counts runs that resumed from an on-disk checkpoint
-	// instead of restarting from scratch.
-	CheckpointResumes uint64
-	// CheckpointCorrupt counts checkpoint files rejected (bad magic,
-	// version, checksum or spec) and quarantined under *.corrupt.
-	CheckpointCorrupt uint64
 }
 
 // SimStats returns the runner's execution counters.
@@ -504,9 +490,6 @@ func (r *Runner) SimStats() RunnerStats {
 		SampledRuns:        r.sampledRuns.Load(),
 		SampleIntervals:    r.sampleIntervals.Load(),
 		SampleInstsSkipped: r.sampleInstsSkipped.Load(),
-		CheckpointWrites:   r.ckptWrites.Load(),
-		CheckpointResumes:  r.ckptResumes.Load(),
-		CheckpointCorrupt:  r.ckptCorrupt.Load(),
 	}
 }
 

@@ -115,7 +115,7 @@ func TestUnknownCoreErrors(t *testing.T) {
 }
 
 // TestUnknownPrefetcherKindErrors: an out-of-range kind decoded from the
-// wire (checkpoint, batch file) must surface as a spec error, never reach
+// wire (HTTP body, batch file) must surface as a spec error, never reach
 // prefetch.New and panic a worker.
 func TestUnknownPrefetcherKindErrors(t *testing.T) {
 	spec := quickSpec("gcc", core.PolicyAtCommit, 56)

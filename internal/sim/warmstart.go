@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"context"
-	"errors"
-)
+import "context"
 
 // Warm-start groups (DESIGN.md §12, "Where a run may start").
 //
@@ -62,7 +59,7 @@ const maxWarmGroups = 160
 // (restore clones the cursors and copies the arrays) — so any number may start
 // from it concurrently; the bookkeeping beside it is guarded by Runner.warmMu.
 type warmGroup struct {
-	start *ckptFile
+	start *startPoint
 	forks uint64 // runs started from it
 	used  uint64 // Runner.warmClock at the latest of them
 }
@@ -75,26 +72,10 @@ type warmCall struct {
 }
 
 // execute runs one normalized spec from wherever its machine can start: a
-// valid on-disk checkpoint (with a checkpoint policy installed) resumes it
-// mid-plan; otherwise a spec with a warm-up starts at segment 1 from its
-// group's snapshot, and one without starts cold. A checkpoint that passed the
-// checksum but does not fit the machine is quarantined and the run starts
-// over. The checkpoint file is removed once the run completes.
+// spec with a warm-up starts at segment 1 from its group's snapshot, and one
+// without starts cold.
 func (r *Runner) execute(ctx context.Context, spec RunSpec, onProgress func(Progress), b *batch) (Result, *warmCall, error) {
-	ck := r.checkpointerFor(spec)
-	start := ck.load()
-	if start != nil {
-		res, err := runPlan(ctx, spec, start, onProgress, ck)
-		if err == nil {
-			r.ckptResumes.Add(1)
-			r.finished(res, ck)
-		}
-		if !errors.Is(err, errCkptInvalid) {
-			return res, nil, err
-		}
-		ck.quarantine()
-		start = nil
-	}
+	var start *startPoint
 	if spec.WarmupInsts > 0 {
 		var (
 			busy *warmCall
@@ -104,18 +85,16 @@ func (r *Runner) execute(ctx context.Context, spec RunSpec, onProgress func(Prog
 			return Result{}, busy, err
 		}
 	}
-	res, err := runPlan(ctx, spec, start, onProgress, ck)
+	res, err := runPlan(ctx, spec, start, onProgress)
 	if err == nil {
-		r.finished(res, ck)
+		r.finished(res)
 	}
 	return res, nil, err
 }
 
-// finished books a completed run in the runner's counters and clears its
-// checkpoint. The warm-up prefix is not counted here: buildWarm counted it,
-// once for the group.
-func (r *Runner) finished(res Result, ck *checkpointer) {
-	ck.clear()
+// finished books a completed run in the runner's counters. The warm-up prefix
+// is not counted here: buildWarm counted it, once for the group.
+func (r *Runner) finished(res Result) {
 	if !res.Spec.Sampling.Enabled() {
 		r.instsSimulated.Add(res.CPU.Committed)
 		return
@@ -133,7 +112,7 @@ func (r *Runner) finished(res Result, ck *checkpointer) {
 // wait, under their own ctx, rather than re-warming), and books the fork. A
 // later member that is a worker of batch b with other work to do does not
 // wait: it gets the in-flight call back, to set the spec aside with.
-func (r *Runner) warmFor(ctx context.Context, spec RunSpec, b *batch) (*ckptFile, *warmCall, error) {
+func (r *Runner) warmFor(ctx context.Context, spec RunSpec, b *batch) (*startPoint, *warmCall, error) {
 	key := warmKeyOf(spec)
 	r.warmMu.Lock()
 	g := r.warmCache[key]
@@ -198,7 +177,7 @@ func (r *Runner) warmFor(ctx context.Context, spec RunSpec, b *batch) (*ckptFile
 
 // buildWarm executes one group's warm-up segment on a cold machine — no core
 // is ever built — and keeps the state at its edge. The generic prefetchers
-// are dropped from it: the segment never trains them, and the members that
+// are not part of it: the segment never trains them, and the members that
 // start from it differ in prefetcher kind.
 func (r *Runner) buildWarm(ctx context.Context, spec RunSpec) (*warmGroup, error) {
 	m, err := newMachine(spec)
@@ -209,10 +188,8 @@ func (r *Runner) buildWarm(ctx context.Context, spec RunSpec) (*warmGroup, error
 	if err := m.functional(ctx, spec.warmup()); err != nil {
 		return nil, err
 	}
-	st := m.state()
-	st.PF = nil
 	ff := spec.WarmupInsts * uint64(spec.Cores)
 	r.warmGroups.Add(1)
 	r.instsSimulated.Add(ff)
-	return &warmGroup{start: &ckptFile{Cur: cursor{Seg: 1, FFInsts: ff}, State: st}}, nil
+	return &warmGroup{start: &startPoint{Cur: cursor{Seg: 1, FFInsts: ff}, State: m.state()}}, nil
 }

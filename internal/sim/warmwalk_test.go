@@ -135,6 +135,11 @@ func checkWarmWalk(t *testing.T, spec RunSpec, trainPF bool) {
 	if !reflect.DeepEqual(want, have) {
 		t.Errorf("machine state differs from the per-instruction reference's (%s)", stateDiff(want, have))
 	}
+	for i := range ref.progs {
+		if !reflect.DeepEqual(ref.sys.Port(i).Prefetcher(), got.sys.Port(i).Prefetcher()) {
+			t.Errorf("core %d prefetcher differs from the per-instruction reference's", i)
+		}
+	}
 	var a, b trace.Inst
 	for i := range ref.progs {
 		for k := 0; k < 3; k++ {
@@ -172,7 +177,6 @@ func stateDiff(a, b *machineState) string {
 		a, b any
 	}{
 		{"memory system", a.Sys, b.Sys},
-		{"prefetchers", a.PF, b.PF},
 		{"TLBs", a.DTLBs, b.DTLBs},
 		{"predictors", a.BPs, b.BPs},
 		{"consumed", a.Consumed, b.Consumed},

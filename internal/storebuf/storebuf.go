@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"spb/internal/mem"
+	"spb/internal/pool"
 )
 
 // Entry is one store in the buffer.
@@ -276,3 +277,15 @@ func (sb *StoreBuffer) Seniors(fn func(*Entry)) {
 // TailSeq returns the sequence number the next allocation will receive;
 // loads capture it at dispatch for Forward.
 func (sb *StoreBuffer) TailSeq() uint64 { return sb.tailSeq }
+
+var bufPool pool.Keyed[int, *StoreBuffer] // by capacity
+
+// Release hands the buffer — its entry ring and its 8 KB forward filter — to
+// the next New of the same capacity. The buffer must not be used afterwards;
+// skipping Release is always safe.
+func (sb *StoreBuffer) Release() {
+	if n := sb.capacity; n > 0 {
+		sb.capacity = 0
+		bufPool.Put(n, sb)
+	}
+}

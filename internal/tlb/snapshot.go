@@ -8,15 +8,14 @@ import (
 )
 
 // Warm-start support (DESIGN.md §12): counter-free functional warming, deep
-// snapshot/restore, and a pool for the entry array so repeated Runner
-// invocations stop allocating it.
+// snapshot/restore for a warm group's in-memory snapshot, and a pool for the
+// entry array so repeated Runner invocations stop allocating it.
 
 // Warm replays a translation for functional warming: identical LRU and fill
 // effects to Translate, but no latency result and no statistics counters.
 func (t *TLB) Warm(a mem.Addr) { t.touch(mem.PageOf(a)) }
 
-// Snapshot is a deep copy of a TLB's mutable state, and its own gob form in a
-// checkpoint file (DESIGN.md §12).
+// Snapshot is a deep copy of a TLB's mutable state.
 type Snapshot struct {
 	Entries []entry
 	Clock   uint64
@@ -34,21 +33,11 @@ func (t *TLB) Snapshot() *Snapshot {
 	}
 }
 
-// Fits reports, as an error, why the snapshot cannot be restored into t. A
-// snapshot taken from a TLB of the same geometry always fits; a decoded one (a
-// checkpoint file) must be checked before Restore, which panics on a mismatch.
-func (s *Snapshot) Fits(t *TLB) error {
-	if s == nil || len(s.Entries) != len(t.entries) {
-		return fmt.Errorf("tlb: snapshot does not have the TLB's %d entries", len(t.entries))
-	}
-	return nil
-}
-
 // Restore overwrites the TLB's mutable state with the snapshot's. The TLB
 // must have the same geometry as the snapshot's source.
 func (t *TLB) Restore(s *Snapshot) {
-	if err := s.Fits(t); err != nil {
-		panic(err)
+	if len(s.Entries) != len(t.entries) {
+		panic(fmt.Sprintf("tlb: snapshot does not have the TLB's %d entries", len(t.entries)))
 	}
 	copy(t.entries, s.Entries)
 	t.clock = s.Clock

@@ -9,8 +9,7 @@ package tlb
 
 import "spb/internal/mem"
 
-// entry is one cached translation. Its fields are exported because a
-// Snapshot carries entries as they are into a checkpoint file.
+// entry is one cached translation.
 type entry struct {
 	Page    mem.Page
 	LastUse uint64

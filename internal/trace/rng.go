@@ -19,13 +19,6 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// State exposes the generator's xorshift state for checkpointing.
-func (r *RNG) State() uint64 { return r.state }
-
-// SetState overwrites the generator's xorshift state. The state must come
-// from State() of a live generator; it is never zero.
-func (r *RNG) SetState(s uint64) { r.state = s }
-
 // SeedFromString derives a 64-bit seed from a string using FNV-1a.
 func SeedFromString(s string) uint64 {
 	const (

@@ -105,23 +105,6 @@ func (l *LimitReader) Next(out *Inst) bool {
 	return true
 }
 
-// Trace state is never serialized wholesale: a Program's cursor after n
-// instructions is a pure function of (workload, seed, n), and Skip(n) is
-// state-equivalent to n successful Next calls (TestProgramSkipEquivalence), so
-// a checkpoint (DESIGN.md §12) only records how many instructions each reader
-// has consumed and a resume replays the generator to that point. What the
-// replay cannot reconstruct on its own is the Limit wrapper's budget
-// position, which belongs to the wrapper rather than the underlying stream.
-
-// Seen reports how many instructions the wrapper has produced — equivalently
-// how many successful Next calls it has forwarded to the underlying reader.
-func (l *LimitReader) Seen() uint64 { return l.seen }
-
-// SetSeen overwrites the wrapper's produced-instruction count. Checkpoint
-// resume uses it after replaying the underlying reader to the recorded
-// position, so the remaining budget (n - seen) matches the interrupted run.
-func (l *LimitReader) SetSeen(seen uint64) { l.seen = seen }
-
 // Weighted pairs a fragment with a selection weight for Mix.
 type Weighted struct {
 	Weight   int

@@ -81,7 +81,7 @@ func TestBelowMatchesBool(t *testing.T) {
 				t.Fatalf("p = %v: draw %d decided differently", p, i)
 			}
 		}
-		if a.State() != b.State() {
+		if a.state != b.state {
 			t.Fatalf("p = %v: below and Bool left different RNG states", p)
 		}
 	}

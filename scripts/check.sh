@@ -1,14 +1,16 @@
 #!/bin/sh
 # check.sh — the full pre-merge gate: gofmt, vet, build, the whole suite once
 # and uncached (every test, fuzz seed corpus and golden; DESIGN.md §6 names
-# the gates inside it and what each protects), the bench/ module's tests (it
-# calls internal/ APIs and the root ./... cannot see it), a race pass over the
-# packages with real concurrency (the Runner's singleflight / worker pool, the
-# figure pipelines that drive it, the spbd job queue, the client pool's
-# sharding/hedging machinery — its tests ten times over — the arena pools, and
-# internal/cache, whose -race build puts its arenas back on the heap, the only
-# memory the detector sees), and the end-to-end harness that drives real spbd
-# processes (internal/e2e).
+# the gates inside it and what each protects), five fuzz targets for a fixed
+# budget each (a warm group's snapshot against the runs forked from it, the
+# spec, journal and trace-file decoders, warming against the demand path),
+# the bench/ module's tests (it calls internal/ APIs and the root ./...
+# cannot see it), a race pass over the packages with real concurrency (the
+# Runner's singleflight / worker pool, the figure pipelines that drive it, the
+# spbd job queue, the client pool's sharding/hedging machinery — its tests ten
+# times over — the arena pools, and internal/cache, whose -race build puts its
+# arenas back on the heap, the only memory the detector sees), and the
+# end-to-end harness that drives real spbd processes (internal/e2e).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -23,9 +25,8 @@ for f in cmd/*/default.pgo; do go tool pprof -raw "$f" >/dev/null; done
 go build ./...
 echo "== go test (uncached) =="
 go test -count=1 ./...
-echo "== fuzz for a fixed budget (the suite above only replays their seeds): the two checkpoint decoders, the spec, journal and trace-file decoders, and warming against the demand path =="
-go test -run '^$' -fuzz '^FuzzDecodeCkpt$' -fuzztime 20s ./internal/sim
-go test -run '^$' -fuzz '^FuzzSnapshotFits$' -fuzztime 20s ./internal/cache
+echo "== fuzz for a fixed budget (the suite above only replays their seeds): a warm group's snapshot against the runs it starts, the spec, journal and trace-file decoders, and warming against the demand path =="
+go test -run '^$' -fuzz '^FuzzWarmSnapshotAliasing$' -fuzztime 10s ./internal/sim
 go test -run '^$' -fuzz '^FuzzRunRequest$' -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz '^FuzzOpenTrace$' -fuzztime 10s ./internal/trace
