@@ -36,6 +36,28 @@ func TestCheckCoherenceDetectsOwnerWithForeignSharers(t *testing.T) {
 	}
 }
 
+func TestCheckCoherenceDetectsUnownedModifiedCopy(t *testing.T) {
+	s := New(tiny(), 1)
+	a := s.Port(0)
+	ra := a.StoreAcquire(0x3000, 0x400000, 0)
+	a.PerformStore(0x3000, 0x400000, ra.Done)
+	if err := s.CheckCoherence(); err != nil {
+		t.Fatalf("healthy system flagged: %v", err)
+	}
+	// Corrupt the directory state under the private Modified copies: the L3
+	// line forgets that core 0 owns the block.
+	blk := mem.BlockOf(0x3000)
+	s.L3().Peek(blk).SetOwner(-1)
+	if err := s.CheckCoherence(); err == nil {
+		t.Fatal("auditor must detect an L1 Modified copy the L3 does not record as owned")
+	}
+	// With the L1 copy gone the L2's Modified copy is still unowned.
+	a.L1().Invalidate(blk)
+	if err := s.CheckCoherence(); err == nil {
+		t.Fatal("auditor must detect an L2 Modified copy the L3 does not record as owned")
+	}
+}
+
 func TestCheckCoherenceCleanSystemPasses(t *testing.T) {
 	s := New(tiny(), 4)
 	now := uint64(0)

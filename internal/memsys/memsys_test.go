@@ -52,6 +52,50 @@ func TestLoadHitL2AfterL1Eviction(t *testing.T) {
 	}
 }
 
+// TestL1RefillDowngradesModifiedL2 pins a known model bug: a load that misses
+// the L1 but hits a Modified L2 line re-installs the block as Shared in both
+// the L1 and the L2 (fillPrivate inserts into the L2 unconditionally, and an
+// insert over a present line overwrites its state). The directory still
+// records the core as owner with the L3 line Modified, so the core's next
+// store pays an upgrade trip to the L3 for a block it already owns, and the
+// L2 copy's dirtiness is lost. The fix flips this test and moves
+// mem.writebacks, the store-miss counts and store-buffer stall timing, so it
+// rides the one result-moving key-version bump (ROADMAP item 5(d)).
+func TestL1RefillDowngradesModifiedL2(t *testing.T) {
+	s := New(tiny(), 1)
+	p := s.Port(0)
+	r := p.StoreAcquire(0, 0x400000, 0)
+	if !p.PerformStore(0, 0x400000, r.Done) {
+		t.Fatal("store must perform once ownership arrived")
+	}
+	// Blocks 0, 4 and 8 share L1 set 0 (4 sets, 2 ways), so block 0 leaves
+	// the L1; in the L2 (8 sets, 4 ways) block 4 maps elsewhere and block 0
+	// stays.
+	done := p.Load(4*64, 0x400000, r.Done).Done
+	done = p.Load(8*64, 0x400000, done).Done
+	if p.L1().Peek(0) != nil {
+		t.Fatal("block 0 should have left the L1")
+	}
+	if l := p.L2().Peek(0); l == nil || l.State != cache.Modified {
+		t.Fatal("block 0 should be Modified in the L2 before the reload")
+	}
+	if r := p.Load(0, 0x400000, done); r.Level != LevelL2 {
+		t.Fatalf("reload level = %v, want L2", r.Level)
+	}
+	if st := p.L2().Peek(0).State; st != cache.Shared {
+		t.Fatalf("L2 state after the reload = %v, want S (today's behaviour)", st)
+	}
+	if dir := s.L3().Peek(0); dir.State != cache.Modified || dir.Owner() != 0 {
+		t.Fatalf("L3 line = %v owned by %d, want M owned by core 0", dir.State, dir.Owner())
+	}
+	if r := p.StoreAcquire(0, 0x400000, done+100); r.Level != LevelL3 {
+		t.Fatalf("store after the reload satisfied at %v, want L3 (an upgrade trip for an owned block)", r.Level)
+	}
+	if err := s.CheckCoherence(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStoreAcquireThenPerform(t *testing.T) {
 	s := New(tiny(), 1)
 	p := s.Port(0)

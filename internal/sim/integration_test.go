@@ -77,7 +77,8 @@ func TestCommittedWorkIdenticalAcrossPolicies(t *testing.T) {
 }
 
 // TestCoherenceInvariantAfterParallelRun replays a PARSEC-like run and then
-// audits the directory and single-writer invariants.
+// audits the directory and single-writer invariants, and that the L3 records
+// every private Modified copy as Modified and owned by its core.
 func TestCoherenceInvariantAfterParallelRun(t *testing.T) {
 	machine := config.Skylake().WithSQ(14)
 	p, err := workloads.PARSECByName("canneal")

@@ -88,92 +88,170 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 	}
 }
 
-// Property: a translated page is always covered afterwards, and occupancy
-// never exceeds capacity.
+// refTLB is the reference the TLB must agree with, written out on its own: a
+// set-associative array of timestamped translations. A fill takes the first
+// invalid way from index 1, else the way with the smallest last use (way 0
+// included), so it places pages in other ways than the TLB does; which pages
+// it holds, and so every hit and miss, must be the same.
+type refTLB struct {
+	ways         int
+	ents         []refEntry
+	clock        uint64
+	hits, misses uint64 // of counted accesses only
+}
+
+type refEntry struct {
+	page    mem.Page
+	lastUse uint64
+	valid   bool
+}
+
+func newRef(cfg Config) *refTLB {
+	return &refTLB{ways: cfg.Ways, ents: make([]refEntry, cfg.Entries)}
+}
+
+func (r *refTLB) set(p mem.Page) []refEntry {
+	sets := uint64(len(r.ents) / r.ways)
+	i := (uint64(p) % sets) * uint64(r.ways)
+	return r.ents[i : i+uint64(r.ways)]
+}
+
+// access makes p the most recently used translation of its set, filling it
+// over the least recently used way when absent, counts the access when count
+// is set (Translate) and not when it is not (Warm), and reports a hit.
+func (r *refTLB) access(p mem.Page, count bool) (hit bool) {
+	set := r.set(p)
+	r.clock++
+	for i := range set {
+		if e := &set[i]; e.valid && e.page == p {
+			e.lastUse = r.clock
+			if count {
+				r.hits++
+			}
+			return true
+		}
+	}
+	if count {
+		r.misses++
+	}
+	vi := 0
+	for i := 1; i < len(set); i++ {
+		if !set[i].valid {
+			vi = i
+			break
+		}
+		if set[i].lastUse < set[vi].lastUse {
+			vi = i
+		}
+	}
+	set[vi] = refEntry{page: p, lastUse: r.clock, valid: true}
+	return false
+}
+
+func (r *refTLB) covers(p mem.Page) bool {
+	for _, e := range r.set(p) {
+		if e.valid && e.page == p {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refTLB) clone() *refTLB {
+	c := *r
+	c.ents = append([]refEntry(nil), r.ents...)
+	return &c
+}
+
+// Property: a translated page is always covered afterwards, every access hits
+// or misses as the reference does, and occupancy never exceeds capacity.
 func TestCoverageInvariant(t *testing.T) {
 	f := func(pages []uint16) bool {
-		tl := New(Config{Entries: 32, Ways: 4, WalkLat: 20})
+		cfg := Config{Entries: 32, Ways: 4, WalkLat: 20}
+		tl, ref := New(cfg), newRef(cfg)
 		for _, p := range pages {
 			a := mem.AddrOfPage(mem.Page(p))
-			tl.Translate(a)
-			if !tl.Covers(a) {
+			if (tl.Translate(a) == 0) != ref.access(mem.Page(p), true) || !tl.Covers(a) {
 				return false
 			}
 		}
-		valid := 0
-		for _, e := range tl.entries {
-			if e.Valid {
-				valid++
+		covered := map[uint16]bool{}
+		for _, p := range pages {
+			c := tl.Covers(mem.AddrOfPage(mem.Page(p)))
+			if c != ref.covers(mem.Page(p)) {
+				return false
+			}
+			if c {
+				covered[p] = true
 			}
 		}
-		return valid <= 32
+		return len(covered) <= 32
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// scanTranslate is Translate (count) or Warm (not) written out on its own: the
-// reference the one routine under both must agree with.
-func scanTranslate(t *TLB, a mem.Addr, count bool) {
-	p := mem.PageOf(a)
-	set := t.set(p)
-	t.clock++
-	for i := range set {
-		if e := &set[i]; e.Valid && e.Page == p {
-			e.LastUse = t.clock
-			if count {
-				t.Hits++
-			}
-			return
-		}
-	}
-	if count {
-		t.Misses++
-	}
-	vi := 0
-	for i := 1; i < len(set); i++ {
-		if !set[i].Valid {
-			vi = i
-			break
-		}
-		if set[i].LastUse < set[vi].LastUse {
-			vi = i
-		}
-	}
-	set[vi] = entry{Page: p, LastUse: t.clock, Valid: true}
-}
-
 // TestTranslateAndWarmMatchScan: over 100 000 accesses — runs within a page,
-// random pages that thrash the sets, Translate and Warm mixed — the TLB holds,
-// entry for entry, what the reference leaves (so the same victims), with the
-// same Hits, Misses and clock; so it does after a Restore.
+// random pages that thrash the sets, Translate and Warm interleaved — every
+// access hits or misses as the reference's does, Warm leaves the counters
+// alone, the TLB covers exactly the pages the reference holds, and so it all
+// does after a Restore to a snapshot taken 30 000 accesses earlier.
 func TestTranslateAndWarmMatchScan(t *testing.T) {
-	for _, cfg := range []Config{TableI(), {Entries: 8, Ways: 2, WalkLat: 7}, {Entries: 4, Ways: 4}} {
-		got, want := New(cfg), New(cfg)
+	for _, cfg := range []Config{TableI(), {Entries: 32, Ways: 4, WalkLat: 20}, {Entries: 8, Ways: 2, WalkLat: 7}, {Entries: 4, Ways: 4}} {
+		got, want := New(cfg), newRef(cfg)
 		rng := rand.New(rand.NewSource(int64(cfg.Entries)))
-		var at *Snapshot
-		var page mem.Page
+		var (
+			at     *Snapshot
+			wantAt *refTLB
+			page   mem.Page
+		)
 		for i := 0; i < 100_000; i++ {
 			if rng.Intn(4) == 0 {
 				page = mem.Page(rng.Intn(3 * cfg.Entries))
 			}
 			a, warm := mem.AddrOfPage(page)+mem.Addr(rng.Intn(mem.PageSize)), rng.Intn(8) == 0
+			hits, misses := got.Hits, got.Misses
+			var hit bool
 			if warm {
+				hit = got.Covers(a)
 				got.Warm(a)
-			} else if lat := got.Translate(a); lat != 0 && lat != uint64(cfg.WalkLat) {
-				t.Fatalf("Translate returned %d, want 0 or the walk latency %d", lat, cfg.WalkLat)
+				if got.Hits != hits || got.Misses != misses {
+					t.Fatalf("%+v: access %d: Warm moved the counters", cfg, i)
+				}
+			} else {
+				lat := got.Translate(a)
+				hit = got.Hits == hits+1
+				wantLat := uint64(cfg.WalkLat)
+				if hit {
+					wantLat = 0
+				}
+				if lat != wantLat {
+					t.Fatalf("%+v: access %d: Translate returned %d, want %d (hit %v)", cfg, i, lat, wantLat, hit)
+				}
 			}
-			scanTranslate(want, a, !warm)
-			if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
-				t.Fatalf("%+v: access %d (page %d, warm %v): TLB and reference diverge\n got %+v\nwant %+v", cfg, i, page, warm, got.Snapshot(), want.Snapshot())
+			if wantHit := want.access(page, !warm); hit != wantHit {
+				t.Fatalf("%+v: access %d (page %d, warm %v): hit %v, reference %v", cfg, i, page, warm, hit, wantHit)
+			}
+			if got.Hits != want.hits || got.Misses != want.misses {
+				t.Fatalf("%+v: access %d: hits/misses %d/%d, reference %d/%d", cfg, i, got.Hits, got.Misses, want.hits, want.misses)
+			}
+			if i%997 == 0 {
+				for p := mem.Page(0); p < mem.Page(3*cfg.Entries); p++ {
+					if c := got.Covers(mem.AddrOfPage(p)); c != want.covers(p) {
+						t.Fatalf("%+v: access %d: page %d covered %v, reference %v", cfg, i, p, c, !c)
+					}
+				}
 			}
 			switch i {
 			case 30_000:
-				at = got.Snapshot()
+				at, wantAt = got.Snapshot(), want.clone()
 			case 60_000:
 				got.Restore(at)
-				want.Restore(at)
+				want = wantAt
+				if !reflect.DeepEqual(got.Snapshot(), at) {
+					t.Fatalf("%+v: a snapshot taken right after Restore differs from the one restored", cfg)
+				}
 			}
 		}
 		if got.Hits == 0 || got.Misses == 0 {
