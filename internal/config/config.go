@@ -142,7 +142,8 @@ type DRAMConfig struct {
 }
 
 // TLBConfig holds the data-TLB parameters (Table I: 8-way, 1 KB of entry
-// storage = 128 entries).
+// storage = 128 entries). The TLB is a cache array of pages, so Ways is at
+// most MaxCacheWays too.
 type TLBConfig struct {
 	Entries int
 	Ways    int
@@ -198,8 +199,9 @@ func (m MachineConfig) WithCore(c CoreConfig) MachineConfig {
 	return m
 }
 
-// MaxCacheWays is the widest associativity package cache models: a set's
-// replacement order is one 64-bit word of 4-bit way numbers.
+// MaxCacheWays is the widest associativity package cache models, for the
+// caches and the TLB alike: a set's replacement order is one 64-bit word of
+// 4-bit way numbers.
 const MaxCacheWays = 16
 
 // Validate reports a configuration error, if any. It catches the mistakes
@@ -233,7 +235,7 @@ func (m MachineConfig) Validate() error {
 	if m.DRAM.LatencyCyc <= 0 || m.DRAM.CyclesPerBlock <= 0 || m.DRAM.MaxOutstanding <= 0 {
 		return fmt.Errorf("config: DRAM parameters must be positive")
 	}
-	if m.TLB.Entries <= 0 || m.TLB.Ways <= 0 || m.TLB.Entries%m.TLB.Ways != 0 || m.TLB.WalkLat < 0 {
+	if m.TLB.Entries <= 0 || m.TLB.Ways <= 0 || m.TLB.Ways > MaxCacheWays || m.TLB.Entries%m.TLB.Ways != 0 || m.TLB.WalkLat < 0 {
 		return fmt.Errorf("config: TLB parameters invalid (%d entries, %d ways, walk %d)",
 			m.TLB.Entries, m.TLB.Ways, m.TLB.WalkLat)
 	}

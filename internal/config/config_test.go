@@ -107,6 +107,7 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"bad cache size", func(m *MachineConfig) { m.L1D.SizeBytes = 1000 }},
 		{"zero MSHRs", func(m *MachineConfig) { m.L2.MSHRs = 0 }},
 		{"32-way L3", func(m *MachineConfig) { m.L3.Ways = 32 }},
+		{"32-way TLB", func(m *MachineConfig) { m.TLB.Entries, m.TLB.Ways = 128, 32 }},
 		{"zero DRAM latency", func(m *MachineConfig) { m.DRAM.LatencyCyc = 0 }},
 		{"tiny SPB window", func(m *MachineConfig) { m.SPB.WindowN = 4 }},
 	}

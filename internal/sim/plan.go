@@ -174,7 +174,7 @@ func newMachine(spec RunSpec) (*machine, error) {
 		bps:   make([]*bpred.Predictor, spec.Cores),
 	}
 	for i := range m.dtlbs {
-		m.dtlbs[i] = tlb.New(tlb.Config{Entries: cfg.TLB.Entries, Ways: cfg.TLB.Ways, WalkLat: cfg.TLB.WalkLat})
+		m.dtlbs[i] = tlb.New(cfg.TLB)
 		if spec.ModelBranchPredictor {
 			m.bps[i] = bpred.New(bpred.TableI())
 		}

@@ -427,7 +427,7 @@ func FuzzFunctionalEquivalence(f *testing.F) {
 		// Functional: the warm segment every plan covers its gaps with.
 		progF := buildEquivProgram(seed%16+1, opmask)
 		sysF := memsys.New(cfg, 1)
-		dtlb := tlb.New(tlb.Config{Entries: cfg.TLB.Entries, Ways: cfg.TLB.Ways, WalkLat: cfg.TLB.WalkLat})
+		dtlb := tlb.New(cfg.TLB)
 		fm := &machine{sys: sysF, dtlbs: []*tlb.TLB{dtlb}, bps: []*bpred.Predictor{nil}, progs: []*trace.Program{progF}}
 		if err := fm.functional(context.Background(), segment{kind: segWarm, n: insts}); err != nil {
 			t.Fatal(err)

@@ -5,79 +5,59 @@
 // this point, so the TLB's role — as in the paper — is purely the extra
 // latency and the page-granular reach limit; it is also why SPB (a physical
 // prefetcher) must stop its bursts at page boundaries.
+//
+// The entries are one cache.Cache whose blocks are page numbers: the same
+// set indexing, LRU order, fill rule, snapshot form and arena pool as the
+// L1, L2 and L3. A translation is never invalidated, so a miss always fills
+// a free way or the least recently used one.
 package tlb
 
-import "spb/internal/mem"
+import (
+	"fmt"
 
-// entry is one cached translation.
-type entry struct {
-	Page    mem.Page
-	LastUse uint64
-	Valid   bool
-}
+	"spb/internal/cache"
+	"spb/internal/config"
+	"spb/internal/mem"
+)
 
 // TLB is a set-associative translation lookaside buffer.
 type TLB struct {
-	sets    int
-	ways    int
-	entries []entry
-	clock   uint64
+	c       *cache.Cache
 	walkLat uint64
 
-	// Statistics.
+	// Statistics, counted by Translate only.
 	Hits   uint64
 	Misses uint64
 }
 
-// Config sizes a TLB. Table I's "8 way, 1KB" is 8 ways × 16 sets = 128
-// entries (8 bytes of storage per entry).
-type Config struct {
-	Entries int // total entries (sets × ways)
-	Ways    int
-	WalkLat int // page-walk latency charged on a miss, in cycles
-}
+// Config sizes a TLB: Entries (sets × ways), Ways and WalkLat, the page-walk
+// latency charged on a miss, in cycles.
+type Config = config.TLBConfig
 
-// TableI returns the paper's Table I data-TLB configuration.
-func TableI() Config {
-	return Config{Entries: 128, Ways: 8, WalkLat: 30}
-}
+// TableI returns the paper's Table I data-TLB configuration: "8 way, 1KB" is
+// 8 ways × 16 sets = 128 entries (8 bytes of storage per entry).
+func TableI() Config { return config.Skylake().TLB }
 
-// New builds a TLB. Entries/Ways must give a power-of-two set count.
+// New builds a TLB. Entries/Ways must give a power-of-two set count, and
+// Ways is at most config.MaxCacheWays.
 func New(cfg Config) *TLB {
-	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
-		panic("tlb: entries must be a positive multiple of ways")
+	if cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 || cfg.WalkLat < 0 {
+		panic(fmt.Sprintf("tlb: invalid config %+v", cfg))
 	}
-	sets := cfg.Entries / cfg.Ways
-	if sets&(sets-1) != 0 {
-		panic("tlb: set count must be a power of two")
-	}
-	if cfg.WalkLat < 0 {
-		panic("tlb: negative walk latency")
-	}
-	return &TLB{
-		sets:    sets,
-		ways:    cfg.Ways,
-		entries: newEntries(cfg.Entries),
-		walkLat: uint64(cfg.WalkLat),
-	}
+	return &TLB{c: cache.New("DTLB", cfg.Entries*mem.BlockSize, cfg.Ways, 1), walkLat: uint64(cfg.WalkLat)}
 }
 
 // Sets returns the set count.
-func (t *TLB) Sets() int { return t.sets }
+func (t *TLB) Sets() int { return t.c.Sets() }
 
 // Ways returns the associativity.
-func (t *TLB) Ways() int { return t.ways }
-
-func (t *TLB) set(p mem.Page) []entry {
-	idx := (uint64(p) & uint64(t.sets-1)) * uint64(t.ways)
-	return t.entries[idx : idx+uint64(t.ways)]
-}
+func (t *TLB) Ways() int { return t.c.Ways() }
 
 // Translate looks up the page containing a and returns the extra latency
 // the access pays (0 on a hit, the walk latency on a miss, which also
 // fills the entry).
 func (t *TLB) Translate(a mem.Addr) (extraLat uint64) {
-	if t.touch(mem.PageOf(a)) {
+	if t.touch(a) {
 		t.Hits++
 		return 0
 	}
@@ -85,45 +65,24 @@ func (t *TLB) Translate(a mem.Addr) (extraLat uint64) {
 	return t.walkLat
 }
 
-// touch makes p's translation the most recently used of its set, filling it
-// over the LRU way when it is absent, and reports whether it was present.
-func (t *TLB) touch(p mem.Page) (hit bool) {
-	set := t.set(p)
-	t.clock++
-	for i := range set {
-		e := &set[i]
-		if e.Valid && e.Page == p {
-			e.LastUse = t.clock
-			return true
-		}
+// Warm replays a translation for functional warming (DESIGN.md §12): the
+// same LRU and fill effects as Translate, but no latency and no counters.
+func (t *TLB) Warm(a mem.Addr) { t.touch(a) }
+
+// touch makes the translation of a's page the most recent of its set,
+// filling it when absent, and reports whether it was present.
+func (t *TLB) touch(a mem.Addr) (hit bool) {
+	b := mem.Block(mem.PageOf(a))
+	if t.c.Lookup(b, true) != nil {
+		return true
 	}
-	// Fill over the LRU way.
-	vi := 0
-	for i := 1; i < len(set); i++ {
-		if !set[i].Valid {
-			vi = i
-			break
-		}
-		if set[i].LastUse < set[vi].LastUse {
-			vi = i
-		}
-	}
-	set[vi] = entry{Page: p, LastUse: t.clock, Valid: true}
+	t.c.Insert(b, cache.Shared, 0, false, false)
 	return false
 }
 
 // Covers reports whether the page containing a currently has a cached
 // translation (probe only; no LRU update, no fill).
-func (t *TLB) Covers(a mem.Addr) bool {
-	p := mem.PageOf(a)
-	for i := range t.set(p) {
-		e := &t.set(p)[i]
-		if e.Valid && e.Page == p {
-			return true
-		}
-	}
-	return false
-}
+func (t *TLB) Covers(a mem.Addr) bool { return t.c.Peek(mem.Block(mem.PageOf(a))) != nil }
 
 // HitRate returns hits / (hits + misses), or 1 when idle.
 func (t *TLB) HitRate() float64 {
@@ -133,3 +92,26 @@ func (t *TLB) HitRate() float64 {
 	}
 	return float64(t.Hits) / float64(total)
 }
+
+// Snapshot is a TLB's mutable state in the cache's packed form, with the
+// TLB's own Hits and Misses in place of the array's counters (which count
+// warm translations too). It shares no memory with the TLB.
+type Snapshot = cache.Snapshot
+
+// Snapshot deep-copies the TLB's mutable state.
+func (t *TLB) Snapshot() *Snapshot {
+	s := t.c.Snapshot()
+	s.Hits, s.Misses = t.Hits, t.Misses
+	return s
+}
+
+// Restore overwrites the TLB's mutable state with the snapshot's. The TLB
+// must have the same geometry as the snapshot's source.
+func (t *TLB) Restore(s *Snapshot) {
+	t.c.Restore(s)
+	t.Hits, t.Misses = s.Hits, s.Misses
+}
+
+// Release returns the entry array to the geometry's shared pool. The TLB
+// must not be used afterwards; skipping Release is always safe.
+func (t *TLB) Release() { t.c.Release() }
