@@ -25,10 +25,11 @@ func run(policy core.Policy) *cpu.Core {
 	// The workload: memset-style bursts of contiguous 8-byte stores over
 	// 64 pages — the exact pattern of the paper's Fig. 2.
 	region := trace.NewMemRegion(0x1000_0000, 64*mem.PageSize)
-	burst := trace.MemsetBurst(region, 64*mem.PageSize, 8, trace.PCLib)
+	burst := trace.Limit(32768, trace.NewProgram(trace.NewRNG(1), trace.Phase{Weight: 1, Leaves: []trace.Leaf{
+		{Op: trace.OpMemset, Dst: region, Bytes: 64 * mem.PageSize, Size: 8, PC: trace.PCLib}}}))
 
 	sys := memsys.New(machine, 1)
-	c := cpu.New(machine.Core, policy, machine.SPB, sys.Port(0), burst(), 1)
+	c := cpu.New(machine.Core, policy, machine.SPB, sys.Port(0), burst, 1)
 	if err := c.Run(32768); err != nil {
 		panic(err)
 	}

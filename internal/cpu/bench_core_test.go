@@ -33,7 +33,7 @@ func benchTicks(b *testing.B, c *Core) {
 // maximal SB pressure, stable working set.
 func foreverMemset(pages int) trace.Reader {
 	reg := trace.NewMemRegion(0x1000_0000, uint64(pages)*mem.PageSize)
-	return trace.Forever(trace.MemsetBurst(reg, uint64(pages)*mem.PageSize, 8, trace.PCLib))()
+	return program(1, trace.Leaf{Op: trace.OpMemset, Dst: reg, Bytes: uint64(pages) * mem.PageSize, Size: 8, PC: trace.PCLib})
 }
 
 func BenchmarkCoreTick(b *testing.B) {
@@ -45,10 +45,10 @@ func BenchmarkCoreTick(b *testing.B) {
 	})
 	b.Run("alu-chain", func(b *testing.B) {
 		benchTicks(b, build(core.PolicyAtCommit, 56,
-			trace.Forever(trace.Compute(trace.NewRNG(3), trace.ComputeOptions{
+			program(3, trace.Leaf{Op: trace.OpCompute, Compute: trace.ComputeOptions{
 				Count: 512, MulFrac: 0.15, DivFrac: 0.02, DepFrac: 0.5,
 				BrFrac: 0.18, MissRate: 0.03, PC: trace.PCApp,
-			}))()))
+			}})))
 	})
 	b.Run("roms-spb-sq28", func(b *testing.B) {
 		w, err := workloads.SPECByName("roms")

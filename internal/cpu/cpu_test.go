@@ -17,6 +17,18 @@ func build(policy core.Policy, sq int, reader trace.Reader) *Core {
 	return New(m.Core, policy, m.SPB, sys.Port(0), reader, 7)
 }
 
+// program is an endless Program of one phase that runs leaves in order.
+func program(seed uint64, leaves ...trace.Leaf) *trace.Program {
+	return trace.NewProgram(trace.NewRNG(seed), trace.Phase{Weight: 1, Leaves: leaves})
+}
+
+// memset is one memset of bytes bytes of reg in 8-byte stores, then the end of
+// the stream.
+func memset(reg *trace.MemRegion, bytes uint64) trace.Reader {
+	l := trace.Leaf{Op: trace.OpMemset, Dst: reg, Bytes: bytes, Size: 8, PC: trace.PCLib}
+	return trace.Limit(uint64(l.Insts()), program(1, l))
+}
+
 func alus(n int, dep uint8) []trace.Inst {
 	out := make([]trace.Inst, n)
 	for i := range out {
@@ -47,7 +59,7 @@ func TestDependentChainSerializes(t *testing.T) {
 
 func memsetTrace(pages int) trace.Reader {
 	reg := trace.NewMemRegion(0x10000000, uint64(pages)*mem.PageSize)
-	return trace.MemsetBurst(reg, uint64(pages)*mem.PageSize, 8, trace.PCLib)()
+	return memset(reg, uint64(pages)*mem.PageSize)
 }
 
 func TestStoreBurstFillsSmallSB(t *testing.T) {
@@ -169,12 +181,12 @@ func TestDeterminism(t *testing.T) {
 	mk := func() *Core {
 		rng := trace.NewRNG(trace.SeedFromString("det"))
 		reg := trace.NewMemRegion(0x20000000, 1<<22)
-		f := trace.Mix(rng, 1000,
-			trace.Weighted{Weight: 2, Fragment: trace.MemsetBurst(reg, 4096, 8, trace.PCLib)},
-			trace.Weighted{Weight: 3, Fragment: trace.Compute(rng, trace.ComputeOptions{
-				Count: 100, BrFrac: 0.2, MissRate: 0.05, PC: trace.PCApp})},
+		p := trace.NewProgram(rng,
+			trace.Phase{Weight: 2, Leaves: []trace.Leaf{{Op: trace.OpMemset, Dst: reg, Bytes: 4096, Size: 8, PC: trace.PCLib}}},
+			trace.Phase{Weight: 3, Leaves: []trace.Leaf{{Op: trace.OpCompute, Compute: trace.ComputeOptions{
+				Count: 100, BrFrac: 0.2, MissRate: 0.05, PC: trace.PCApp}}}},
 		)
-		return build(core.PolicySPB, 28, trace.Limit(20000, trace.Forever(f)()))
+		return build(core.PolicySPB, 28, trace.Limit(20000, p))
 	}
 	a, b := mk(), mk()
 	if err := a.Run(20000); err != nil {
@@ -239,7 +251,7 @@ func TestAtExecutePrefetchesSpeculatively(t *testing.T) {
 	m := config.Skylake().WithSQ(14)
 	sys := memsys.New(m, 1)
 	reg := trace.NewMemRegion(0x30000000, 1<<20)
-	r := trace.MemsetBurst(reg, 2048, 8, trace.PCLib)()
+	r := memset(reg, 2048)
 	c := New(m.Core, core.PolicyAtExecute, m.SPB, sys.Port(0), r, 7)
 	if err := c.Run(256); err != nil {
 		t.Fatal(err)

@@ -66,7 +66,8 @@ func TestRunningExampleFig4(t *testing.T) {
 // a tiny SB and checks the Fig. 3 attribution sees kernel PCs.
 func TestKernelStallAttribution(t *testing.T) {
 	reg := trace.NewMemRegion(0x40000000, 1<<22)
-	c := build(core.PolicyNone, 14, trace.Repeat(8, trace.ClearPage(reg))())
+	c := build(core.PolicyNone, 14, trace.Limit(8*mem.PageSize/8, program(1, trace.Leaf{Op: trace.OpMemset,
+		Dst: reg, Bytes: mem.PageSize, Size: 8, PC: trace.PCKernel + 0x100, Repeat: 8})))
 	if err := c.Run(4096); err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +82,8 @@ func TestKernelStallAttribution(t *testing.T) {
 // TestROBStallWhenMemoryBound: pointer-chasing loads with no SB pressure
 // must fill the ROB, not the SB.
 func TestROBStallWhenMemoryBound(t *testing.T) {
-	rng := trace.NewRNG(5)
 	reg := trace.NewMemRegion(0x50000000, 64<<20)
-	c := build(core.PolicyAtCommit, 56, trace.Forever(trace.PointerChase(rng, reg, 64, trace.PCApp))())
+	c := build(core.PolicyAtCommit, 56, program(5, trace.Leaf{Op: trace.OpPointerChase, Dst: reg, Count: 64, PC: trace.PCApp}))
 	if err := c.Run(20_000); err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +98,8 @@ func TestROBStallWhenMemoryBound(t *testing.T) {
 // TestExecStallL1DPendingTracksMisses: the Top-Down signal must be high on
 // a memory-bound trace and (near) zero on pure compute.
 func TestExecStallL1DPendingSignal(t *testing.T) {
-	rng := trace.NewRNG(9)
 	reg := trace.NewMemRegion(0x60000000, 64<<20)
-	mem0 := build(core.PolicyAtCommit, 56, trace.Forever(trace.PointerChase(rng, reg, 64, trace.PCApp))())
+	mem0 := build(core.PolicyAtCommit, 56, program(9, trace.Leaf{Op: trace.OpPointerChase, Dst: reg, Count: 64, PC: trace.PCApp}))
 	if err := mem0.Run(10_000); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +119,7 @@ func TestExecStallL1DPendingSignal(t *testing.T) {
 // capacity commits without a single SB stall.
 func TestIdealAbsorbsShortBurst(t *testing.T) {
 	reg := trace.NewMemRegion(0x70000000, 1<<20)
-	c := build(core.PolicyIdeal, 14, trace.MemsetBurst(reg, 8000, 8, trace.PCLib)())
+	c := build(core.PolicyIdeal, 14, memset(reg, 8000))
 	if err := c.Run(1000); err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,8 @@ func TestRegionStrings(t *testing.T) {
 }
 
 func TestScatterStoresWithinRegion(t *testing.T) {
-	rng := NewRNG(3)
 	reg := NewMemRegion(0xD00000, 1<<20)
-	insts := Collect(ScatterStores(rng, reg, 20, PCApp)(), 100)
+	insts := runPhase(NewRNG(3), 100, Leaf{Op: OpScatterStores, Dst: reg, Count: 20, PC: PCApp})
 	if len(insts) != 20 {
 		t.Fatalf("got %d stores, want 20", len(insts))
 	}
@@ -60,11 +59,10 @@ func TestScatterStoresWithinRegion(t *testing.T) {
 }
 
 func TestLoadUseAlternatesLoadBranch(t *testing.T) {
-	rng := NewRNG(4)
 	reg := NewMemRegion(0xE00000, 1<<20)
-	insts := Collect(LoadUse(rng, reg, 10, 1.0, PCApp)(), 100)
+	insts := runPhase(NewRNG(4), 100, Leaf{Op: OpLoadUse, Dst: reg, Count: 10, MissRate: 1.0, PC: PCApp})
 	if len(insts) != 20 {
-		t.Fatalf("LoadUse(10) should emit 20 insts, got %d", len(insts))
+		t.Fatalf("a load-use leaf of Count 10 should emit 20 insts, got %d", len(insts))
 	}
 	for i := 0; i < len(insts); i += 2 {
 		if insts[i].Kind != KindLoad || insts[i+1].Kind != KindBranch {

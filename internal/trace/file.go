@@ -86,10 +86,16 @@ func encodeRecord(rec *[recordBytes]byte, in *Inst) {
 	binary.LittleEndian.PutUint64(rec[16:24], in.PC)
 }
 
+// decodeRecord refuses a record the simulator cannot model: an unknown kind,
+// or a load or store outside 1–64 bytes (the store buffer's block filter
+// assumes an access spans at most two blocks).
 func decodeRecord(rec *[recordBytes]byte, out *Inst) error {
 	kind := Kind(rec[0])
 	if int(kind) >= NumKinds {
 		return fmt.Errorf("%w: corrupt record: kind %d", ErrBadTrace, rec[0])
+	}
+	if kind.IsMem() && (rec[1] == 0 || rec[1] > mem.BlockSize) {
+		return fmt.Errorf("%w: corrupt record: %v of %d bytes", ErrBadTrace, kind, rec[1])
 	}
 	*out = Inst{
 		Kind:         kind,

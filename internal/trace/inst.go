@@ -1,9 +1,9 @@
 // Package trace defines the instruction stream that drives the simulator:
 // the instruction record itself, the Reader interface produced by workload
-// generators and consumed by the CPU model, a deterministic RNG, and the
-// composable fragment builders (memcpy/memset bursts, strided accesses,
-// pointer chases, compute blocks) from which the SPEC- and PARSEC-like
-// workloads are assembled.
+// generators and consumed by the CPU model, a deterministic RNG, the trace
+// file format, and Program, the one way a stream is written: weighted phases
+// of leaves (memcpy/memset bursts, strided accesses, pointer chases, compute
+// blocks) from which the SPEC- and PARSEC-like workloads are assembled.
 package trace
 
 import "spb/internal/mem"
