@@ -1,6 +1,8 @@
 // Command spbtrace records a workload's instruction stream to a compact
 // trace file, inspects a recorded trace, or replays one through the
-// simulator — the usual decoupling between trace capture and timing runs.
+// simulator — the usual decoupling between trace capture and timing runs. A
+// replay is the run spbsim makes of the same stream: sim's plan, on a Program
+// whose one leaf replays the trace.
 //
 // Examples:
 //
@@ -14,10 +16,8 @@ import (
 	"fmt"
 	"os"
 
-	"spb/internal/config"
 	"spb/internal/core"
-	"spb/internal/cpu"
-	"spb/internal/memsys"
+	"spb/internal/sim"
 	"spb/internal/trace"
 	"spb/internal/workloads"
 )
@@ -67,8 +67,8 @@ func record(args []string) {
 	fmt.Printf("recorded %d instructions of %s to %s\n", n, *workload, *out)
 }
 
-func info(args []string) {
-	fs := flag.NewFlagSet("info", flag.ExitOnError)
+// open parses args into fs and decodes the one trace file they name.
+func open(fs *flag.FlagSet, args []string) []trace.Inst {
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		usage()
@@ -78,24 +78,24 @@ func info(args []string) {
 		fatal(err)
 	}
 	defer f.Close()
-	fr, err := trace.OpenTrace(f)
+	recs, err := trace.OpenTrace(f)
 	if err != nil {
 		fatal(err)
 	}
-	defer fr.Close()
+	return recs
+}
 
-	total := fr.Remaining()
+func info(args []string) {
+	fs := flag.NewFlagSet("info", flag.ExitOnError)
+	recs := open(fs, args)
+	total := uint64(len(recs))
 	kinds := map[trace.Kind]uint64{}
 	regions := map[trace.Region]uint64{}
-	var in trace.Inst
-	for fr.Next(&in) {
+	for _, in := range recs {
 		kinds[in.Kind]++
 		if in.Kind.IsMem() {
 			regions[trace.RegionOf(in.PC)]++
 		}
-	}
-	if err := fr.Err(); err != nil {
-		fatal(err)
 	}
 	fmt.Printf("%s: %d instructions\n", fs.Arg(0), total)
 	for k := trace.Kind(0); int(k) < trace.NumKinds; k++ {
@@ -110,48 +110,27 @@ func info(args []string) {
 	}
 }
 
+// replay runs a recorded trace through the simulator: the plan sim.Run
+// follows, on a Program of one replay leaf, for as many instructions as the
+// trace holds.
 func replay(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	policy := fs.String("policy", "spb", "store-prefetch policy")
 	sb := fs.Int("sb", 56, "store-buffer entries")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		usage()
-	}
-
-	var pol core.Policy
-	found := false
-	for _, p := range core.Policies {
-		if p.String() == *policy {
-			pol, found = p, true
-		}
-	}
-	if !found {
-		fatal(fmt.Errorf("unknown policy %q", *policy))
-	}
-
-	f, err := os.Open(fs.Arg(0))
+	recs := open(fs, args)
+	pol, err := core.ParsePolicy(*policy)
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	fr, err := trace.OpenTrace(f)
+	if len(recs) == 0 {
+		fatal(fmt.Errorf("%s holds no instructions", fs.Arg(0)))
+	}
+	prog := trace.NewProgram(trace.NewRNG(1), trace.Phase{Weight: 1, Leaves: []trace.Leaf{{Op: trace.OpReplay, Records: recs}}})
+	res, err := sim.RunPrograms(sim.RunSpec{Workload: fs.Arg(0), Policy: pol, SQSize: *sb, Insts: uint64(len(recs))}, []*trace.Program{prog})
 	if err != nil {
 		fatal(err)
 	}
-	defer fr.Close()
-	total := fr.Remaining()
-
-	machine := config.Skylake().WithSQ(*sb)
-	sys := memsys.New(machine, 1)
-	c := cpu.New(machine.Core, pol, machine.SPB, sys.Port(0), fr, 1)
-	if err := c.Run(total); err != nil {
-		fatal(err)
-	}
-	if err := fr.Err(); err != nil {
-		fatal(err)
-	}
-	st := c.St
+	st := res.CPU
 	fmt.Printf("replayed %d instructions (policy %s, SB %d)\n", st.Committed, pol, *sb)
 	fmt.Printf("cycles %d, IPC %.3f, SB stalls %d (%.1f%%), SPB bursts %d\n",
 		st.Cycles, st.IPC(), st.SBStallCycles,

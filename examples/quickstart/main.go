@@ -9,39 +9,35 @@ package main
 import (
 	"fmt"
 
-	"spb/internal/config"
 	"spb/internal/core"
 	"spb/internal/cpu"
 	"spb/internal/mem"
-	"spb/internal/memsys"
+	"spb/internal/sim"
 	"spb/internal/trace"
 )
 
-func run(policy core.Policy) *cpu.Core {
-	// A Skylake-X machine (Table I of the paper) with the SMT-4 share of
-	// the store buffer: 14 entries.
-	machine := config.Skylake().WithSQ(14)
-
+func run(policy core.Policy) cpu.Stats {
 	// The workload: memset-style bursts of contiguous 8-byte stores over
 	// 64 pages — the exact pattern of the paper's Fig. 2.
 	region := trace.NewMemRegion(0x1000_0000, 64*mem.PageSize)
-	burst := trace.Limit(32768, trace.NewProgram(trace.NewRNG(1), trace.Phase{Weight: 1, Leaves: []trace.Leaf{
-		{Op: trace.OpMemset, Dst: region, Bytes: 64 * mem.PageSize, Size: 8, PC: trace.PCLib}}}))
+	burst := trace.NewProgram(trace.NewRNG(1), trace.Phase{Weight: 1, Leaves: []trace.Leaf{
+		{Op: trace.OpMemset, Dst: region, Bytes: 64 * mem.PageSize, Size: 8, PC: trace.PCLib}}})
 
-	sys := memsys.New(machine, 1)
-	c := cpu.New(machine.Core, policy, machine.SPB, sys.Port(0), burst, 1)
-	if err := c.Run(32768); err != nil {
+	// A Skylake-X machine (Table I of the paper) with the SMT-4 share of
+	// the store buffer: 14 entries, running 32768 instructions of the burst.
+	res, err := sim.RunPrograms(sim.RunSpec{Workload: "memset", Policy: policy, SQSize: 14, Insts: 32768},
+		[]*trace.Program{burst})
+	if err != nil {
 		panic(err)
 	}
-	return c
+	return res.CPU
 }
 
 func main() {
 	fmt.Println("memset burst through a 14-entry store buffer (SMT-4 share):")
 	fmt.Println()
 	for _, policy := range []core.Policy{core.PolicyAtCommit, core.PolicySPB} {
-		c := run(policy)
-		st := c.St
+		st := run(policy)
 		fmt.Printf("%-10s  %8d cycles  IPC %.2f  SB-stall cycles %8d (%.1f%%)  SPB bursts %d\n",
 			policy, st.Cycles, st.IPC(), st.SBStallCycles,
 			100*float64(st.SBStallCycles)/float64(st.Cycles), st.SPBBursts)

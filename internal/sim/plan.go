@@ -153,9 +153,9 @@ type machine struct {
 	cycleBase uint64
 }
 
-// newMachine builds the cold machine of a normalized spec. The caller releases
-// it.
-func newMachine(spec RunSpec) (*machine, error) {
+// newMachine builds the cold machine of a normalized spec, on progs or, when
+// nil, on the streams its workload builds. The caller releases it.
+func newMachine(spec RunSpec, progs []*trace.Program) (*machine, error) {
 	if err := spec.Sampling.validate(); err != nil {
 		return nil, err
 	}
@@ -163,9 +163,10 @@ func newMachine(spec RunSpec) (*machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	progs, err := buildReaders(spec)
-	if err != nil {
-		return nil, err
+	if progs == nil {
+		if progs, err = buildReaders(spec); err != nil {
+			return nil, err
+		}
 	}
 	m := &machine{
 		spec: spec, cfg: cfg, progs: progs,
@@ -566,14 +567,15 @@ type startPoint struct {
 // runPlan executes a normalized spec's plan and collects the Result. start is
 // where the machine begins: nil is a cold machine at segment 0; otherwise the
 // state is restored and the plan entered at the start's cursor, which does not
-// change the statistics produced.
-func runPlan(ctx context.Context, spec RunSpec, start *startPoint, onProgress func(Progress)) (Result, error) {
+// change the statistics produced. progs are the streams of a cold machine; nil
+// builds the spec's workload.
+func runPlan(ctx context.Context, spec RunSpec, start *startPoint, progs []*trace.Program, onProgress func(Progress)) (Result, error) {
 	// When the caller's context carries an obs.Trace (the spbd request path
 	// does), the run's phases are recorded as sub-spans of the job-level "run"
 	// span. With no trace in ctx the nil *Trace no-ops and nothing allocates.
 	tr := obs.FromContext(ctx)
 	span := tr.StartSpan("run.build")
-	m, err := newMachine(spec)
+	m, err := newMachine(spec, progs)
 	if err != nil {
 		return Result{}, err
 	}

@@ -262,7 +262,21 @@ func Run(spec RunSpec) (Result, error) {
 // of a detailed segment, and after every segment) from the simulating
 // goroutine; it must be cheap and must not block.
 func RunCtx(ctx context.Context, spec RunSpec, onProgress func(Progress)) (Result, error) {
-	return runPlan(ctx, spec.normalize(), nil, onProgress)
+	return runPlan(ctx, spec.normalize(), nil, nil, onProgress)
+}
+
+// RunPrograms runs a spec's plan on a cold machine over the given streams,
+// one per core, in place of those its workload builds, and consumes them: the
+// entry of the command-line tools that bring a stream of their own (spbtrace
+// replay, the quickstart). The spec's Cores is len(progs), and Workload only
+// names the run. No RunSpec reaches it, so nothing that takes specs from
+// outside (spbd) can run a caller's stream.
+func RunPrograms(spec RunSpec, progs []*trace.Program) (Result, error) {
+	if len(progs) == 0 {
+		return Result{}, fmt.Errorf("sim: no stream to run")
+	}
+	spec.Cores = len(progs)
+	return runPlan(context.Background(), spec.normalize(), nil, progs, nil)
 }
 
 // Validate refuses a spec no machine can be built for: a core count, after

@@ -85,7 +85,7 @@ func (r *Runner) execute(ctx context.Context, spec RunSpec, onProgress func(Prog
 			return Result{}, busy, err
 		}
 	}
-	res, err := runPlan(ctx, spec, start, onProgress)
+	res, err := runPlan(ctx, spec, start, nil, onProgress)
 	if err == nil {
 		r.finished(res)
 	}
@@ -180,7 +180,7 @@ func (r *Runner) warmFor(ctx context.Context, spec RunSpec, b *batch) (*startPoi
 // are not part of it: the segment never trains them, and the members that
 // start from it differ in prefetcher kind.
 func (r *Runner) buildWarm(ctx context.Context, spec RunSpec) (*warmGroup, error) {
-	m, err := newMachine(spec)
+	m, err := newMachine(spec, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -391,7 +391,7 @@ func FuzzWarmSnapshotAliasing(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := runPlan(ctx, spec, parent.start, nil); err != nil {
+		if _, err := runPlan(ctx, spec, parent.start, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		a, b := parent.start.State, twin.start.State

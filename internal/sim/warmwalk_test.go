@@ -111,12 +111,12 @@ func TestWarmWalkMatchesPerInstructionReference(t *testing.T) {
 }
 
 func checkWarmWalk(t *testing.T, spec RunSpec, trainPF bool) {
-	ref, err := newMachine(spec)
+	ref, err := newMachine(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.release()
-	got, err := newMachine(spec)
+	got, err := newMachine(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestWarmSteadyStateZeroAllocs(t *testing.T) {
 		{Workload: "bwaves", SQSize: 14, Prefetcher: config.PrefetchHybrid},
 		{Workload: "dedup", Cores: 8, SQSize: 14, ModelBranchPredictor: true},
 	} {
-		m, err := newMachine(spec.normalize())
+		m, err := newMachine(spec.normalize(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

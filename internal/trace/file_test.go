@@ -3,7 +3,10 @@ package trace
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
+	"io"
+	"slices"
 	"testing"
 
 	"spb/internal/mem"
@@ -19,6 +22,16 @@ func memsetAndCompute(seed uint64, base mem.Addr) *Program {
 	)
 }
 
+// decoded returns the records of the trace in buf.
+func decoded(t testing.TB, buf *bytes.Buffer) []Inst {
+	t.Helper()
+	recs, err := OpenTrace(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 func TestTraceRoundTrip(t *testing.T) {
 	original := Collect(memsetAndCompute(5, 0x1000000), 2000)
 
@@ -30,25 +43,15 @@ func TestTraceRoundTrip(t *testing.T) {
 	if n != uint64(len(original)) {
 		t.Fatalf("wrote %d records, want %d", n, len(original))
 	}
-
-	fr, err := OpenTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
+	recs := decoded(t, &buf)
+	if len(recs) != len(original) {
+		t.Fatalf("decoded %d records, want %d", len(recs), len(original))
 	}
-	defer fr.Close()
-	if fr.Remaining() != uint64(len(original)) {
-		t.Fatalf("Remaining = %d, want %d", fr.Remaining(), len(original))
-	}
-	replayed := Collect(fr, len(original)+10)
-	if fr.Err() != nil {
-		t.Fatal(fr.Err())
-	}
-	if len(replayed) != len(original) {
-		t.Fatalf("replayed %d records, want %d", len(replayed), len(original))
-	}
-	for i := range original {
-		if original[i] != replayed[i] {
-			t.Fatalf("record %d differs: %+v vs %+v", i, original[i], replayed[i])
+	// A replay leaf emits the records in order and, run again, from the top.
+	got := Collect(onePhase(NewRNG(1), Leaf{Op: OpReplay, Records: recs}), len(original)+10)
+	for i, want := range append(original, original[:10]...) {
+		if got[i] != want {
+			t.Fatalf("instruction %d replays as %+v, recorded %+v", i, got[i], want)
 		}
 	}
 }
@@ -60,13 +63,8 @@ func TestTraceWriteCapsAtMax(t *testing.T) {
 	if err != nil || n != 100 {
 		t.Fatalf("wrote %d (err %v), want 100", n, err)
 	}
-	fr, err := OpenTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fr.Close()
-	if got := len(Collect(fr, 1000)); got != 100 {
-		t.Fatalf("replayed %d, want 100", got)
+	if got := len(decoded(t, &buf)); got != 100 {
+		t.Fatalf("decoded %d, want 100", got)
 	}
 }
 
@@ -93,16 +91,10 @@ func TestTraceTruncatedRecords(t *testing.T) {
 	if _, err := WriteTrace(&buf, onePhase(NewRNG(1), Leaf{Op: OpMemset, Dst: reg, Bytes: 256, Size: 8, PC: PCLib}), 32); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt: truncate the gzip stream.
-	cut := buf.Bytes()[:buf.Len()/2]
-	fr, err := OpenTrace(bytes.NewReader(cut))
-	if err != nil {
-		// Truncation may already break the header; also acceptable.
-		return
-	}
-	Collect(fr, 1000)
-	if fr.Err() == nil {
-		t.Fatal("truncated trace should surface an error")
+	// Corrupt: truncate the gzip stream. The header may survive; the records
+	// it announces cannot, and the file is refused whole.
+	if _, err := OpenTrace(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("truncated trace error = %v, want ErrBadTrace", err)
 	}
 }
 
@@ -111,25 +103,30 @@ func TestEmptyTrace(t *testing.T) {
 	if _, err := WriteTrace(&buf, NewSliceReader(nil), 100); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := OpenTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var in Inst
-	if fr.Next(&in) {
-		t.Fatal("empty trace should produce nothing")
-	}
-	if fr.Err() != nil {
-		t.Fatal(fr.Err())
+	if recs := decoded(t, &buf); len(recs) != 0 {
+		t.Fatalf("empty trace decoded to %d records", len(recs))
 	}
 }
 
+// traceFile is a trace whose header announces count records over body, a
+// sequence of raw records.
+func traceFile(count uint64, body []byte) []byte {
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write([]byte(fileMagic + "\x01\x00\x00\x00"))
+	binary.Write(zw, binary.LittleEndian, count)
+	zw.Write(body)
+	zw.Close()
+	return buf.Bytes()
+}
+
 // FuzzOpenTrace feeds the trace-file decoder arbitrary bytes: a real recorded
-// trace, its halves, and the trace with single bytes changed inside the gzip
-// payload. Nothing may panic, OpenTrace refuses only with ErrBadTrace, a
-// reader never yields more records than its header announced nor a load or
-// store outside 1–64 bytes, and one that stops short of them says why with
-// ErrBadTrace.
+// trace, its halves, the trace with single bytes changed inside the gzip
+// payload, and headers that announce more records than follow. Nothing may
+// panic, OpenTrace refuses only with ErrBadTrace, and what it accepts is
+// exactly the records the header announced, each a load or store of 1–64 bytes
+// if it is one, and written back by WriteTrace into a trace that decodes to
+// the same records.
 func FuzzOpenTrace(f *testing.F) {
 	var buf bytes.Buffer
 	if _, err := WriteTrace(&buf, memsetAndCompute(9, 0x4000000), 500); err != nil {
@@ -147,39 +144,38 @@ func FuzzOpenTrace(f *testing.F) {
 		f.Add(mutated)
 	}
 	// Intact streams whose one record names a kind that does not exist, or is
-	// a store of 200 bytes, which the store buffer cannot model.
+	// a store of 200 bytes, which the store buffer cannot model; and one good
+	// record under a header that claims 1<<62, which must be refused before
+	// anything is sized by it.
 	for _, head := range [][]byte{{0xFF}, {byte(KindStore), 200}} {
-		var bad bytes.Buffer
-		zw := gzip.NewWriter(&bad)
-		zw.Write(append([]byte(fileMagic+"\x01\x00\x00\x00"+"\x01\x00\x00\x00\x00\x00\x00\x00"), append(head, make([]byte, recordBytes-len(head))...)...))
-		zw.Close()
-		f.Add(bad.Bytes())
+		f.Add(traceFile(1, append(head, make([]byte, recordBytes-len(head))...)))
 	}
+	f.Add(traceFile(1<<62, append([]byte{byte(KindStore), 8}, make([]byte, recordBytes-2)...)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := OpenTrace(bytes.NewReader(data))
+		recs, err := OpenTrace(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrBadTrace) {
 				t.Fatalf("OpenTrace refused with %v, not ErrBadTrace", err)
 			}
 			return
 		}
-		defer fr.Close()
-		announced := fr.Remaining()
-		var in Inst
-		got := uint64(0)
-		for fr.Next(&in) {
-			if got++; got > announced {
-				t.Fatalf("reader yielded more than the %d records its header announced", announced)
-			}
+		zr, _ := gzip.NewReader(bytes.NewReader(data))
+		var header [16]byte
+		io.ReadFull(zr, header[:])
+		if announced := binary.LittleEndian.Uint64(header[8:]); uint64(len(recs)) != announced {
+			t.Fatalf("decoded %d records under a header that announced %d", len(recs), announced)
+		}
+		for _, in := range recs {
 			if in.Kind.IsMem() && (in.Size == 0 || in.Size > mem.BlockSize) {
-				t.Fatalf("reader yielded a %v of %d bytes: an access must be 1–%d", in.Kind, in.Size, mem.BlockSize)
+				t.Fatalf("decoded a %v of %d bytes: an access must be 1–%d", in.Kind, in.Size, mem.BlockSize)
 			}
 		}
-		if got < announced && !errors.Is(fr.Err(), ErrBadTrace) {
-			t.Fatalf("reader stopped after %d of %d records with Err() = %v, not ErrBadTrace", got, announced, fr.Err())
+		var again bytes.Buffer
+		if _, err := WriteTrace(&again, NewSliceReader(recs), uint64(len(recs))); err != nil {
+			t.Fatal(err)
 		}
-		if got == announced && fr.Err() != nil {
-			t.Fatalf("reader yielded every record and still reports %v", fr.Err())
+		if back := decoded(t, &again); !slices.Equal(back, recs) {
+			t.Fatal("records written back decode differently")
 		}
 	})
 }

@@ -3,7 +3,8 @@
 // generators and consumed by the CPU model, a deterministic RNG, the trace
 // file format, and Program, the one way a stream is written: weighted phases
 // of leaves (memcpy/memset bursts, strided accesses, pointer chases, compute
-// blocks) from which the SPEC- and PARSEC-like workloads are assembled.
+// blocks, recorded traces) from which the SPEC- and PARSEC-like workloads are
+// assembled and a recorded trace is replayed.
 package trace
 
 import "spb/internal/mem"

@@ -19,7 +19,9 @@ import (
 // RNG for every instruction (chase, scatter, compute, load-use) keep one case
 // where instructions are built and one where they are walked: the draws are
 // their cost, and a shared body would branch on every instruction of the
-// detailed path.
+// detailed path. A replay leaf (OpReplay) reads a recorded trace's
+// instructions (OpenTrace) from the shape in both places, so a replayed
+// stream runs under every call a written one does.
 //
 // The cursor is where a stream stands: the generator's state word, the
 // regions' chunk cursors, the position in the table and in the current
@@ -79,6 +81,9 @@ const (
 	// PC, then a branch with Dep1 1 at PC+4 that draws Bool(0.85) for Taken,
 	// then Bool(MissRate) for Mispredicted.
 	OpLoadUse
+	// OpReplay emits Records in order, each exactly as recorded, and draws
+	// nothing.
+	OpReplay
 )
 
 // Leaf is one op with its parameters; which fields matter depends on Op (see
@@ -98,6 +103,9 @@ type Leaf struct {
 	PC       uint64
 	MissRate float64        // load-use branch misprediction probability
 	Compute  ComputeOptions // compute-block parameters
+	// Records is what a replay leaf emits: part of the shape, shared by every
+	// clone, never changed.
+	Records []Inst
 
 	// Repeat runs the leaf that many consecutive activations, each drawing
 	// chunks of its own; 0 means once.
@@ -225,6 +233,8 @@ func (l *Leaf) Insts() int {
 		n = l.Compute.Count
 	case OpLoadUse:
 		n = 2 * l.Count
+	case OpReplay:
+		n = len(l.Records)
 	default:
 		t := l.dense()
 		n = t.elems * t.period
@@ -519,6 +529,19 @@ func (s *sink) word(pc uint64, a mem.Addr, store bool) {
 	}
 }
 
+// record reports one replayed instruction to whichever consumer is attached.
+func (s *sink) record(in *Inst) {
+	switch {
+	case in.Kind == KindBranch && s.branch != nil:
+		s.branch(in.PC, in.Taken)
+	case !in.Kind.IsMem():
+	case s.access != nil:
+		s.one(in.PC, in.Addr, in.Kind == KindStore)
+	case s.touch != nil:
+		s.touch(in.Addr, uint64(in.Size), in.Kind == KindStore)
+	}
+}
+
 // walk advances the stream by exactly n instructions without materializing
 // them, reporting to s what they touch: Next's loop with a budget.
 func (p *Program) walk(n uint64, s *sink) {
@@ -653,6 +676,16 @@ func (p *Program) walkLeaf(budget uint64, s *sink) (taken uint64) {
 			}
 		}
 		return taken
+
+	case OpReplay:
+		taken = min(budget, uint64(len(l.Records)-p.i))
+		if s.access != nil || s.touch != nil {
+			for k := range l.Records[p.i:][:taken] {
+				s.record(&l.Records[p.i+k])
+			}
+		}
+		p.i += int(taken)
+		return taken
 	}
 	panic("trace: unknown program op")
 }
@@ -752,6 +785,14 @@ func (p *Program) emit(out *Inst) bool {
 			p.i++
 			p.step = 0
 		}
+		return true
+
+	case OpReplay:
+		if p.i >= len(l.Records) {
+			return false
+		}
+		*out = l.Records[p.i]
+		p.i++
 		return true
 	}
 	panic("trace: unknown program op")
