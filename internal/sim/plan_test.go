@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
+
+	"spb/internal/trace"
 )
 
 // planOf materializes a spec's segment sequence.
@@ -105,6 +108,55 @@ func TestPlanCoversEveryInstructionOnce(t *testing.T) {
 				if !reflect.DeepEqual(tail, segs[k:]) {
 					t.Fatalf("plan regenerated from cursor %d differs from the original's tail", k)
 				}
+			}
+		})
+	}
+}
+
+// TestRunProgramsIsRun: handed the streams a spec's workload builds,
+// RunPrograms is Run, byte for byte, in every shape a plan takes; and so it is
+// handed replays of those streams, each recorded to a trace file for as many
+// instructions as the plan reads.
+func TestRunProgramsIsRun(t *testing.T) {
+	stats := func(t *testing.T, res Result, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := res.StatsJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	for name, spec := range planSpecs() {
+		t.Run(name, func(t *testing.T) {
+			n := spec.Normalized()
+			res, err := Run(spec)
+			want := stats(t, res, err)
+			progs, err := buildReaders(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err = RunPrograms(spec, progs)
+			if got := stats(t, res, err); got != want {
+				t.Fatalf("RunPrograms on the workload's streams:\n%s\nRun:\n%s", got, want)
+			}
+			progs, _ = buildReaders(n)
+			for i, p := range progs {
+				var buf bytes.Buffer
+				if _, err := trace.WriteTrace(&buf, p, n.WarmupInsts+n.Insts); err != nil {
+					t.Fatal(err)
+				}
+				recs, err := trace.OpenTrace(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				progs[i] = trace.NewProgram(trace.NewRNG(1), trace.Phase{Weight: 1, Leaves: []trace.Leaf{{Op: trace.OpReplay, Records: recs}}})
+			}
+			res, err = RunPrograms(spec, progs)
+			if got := stats(t, res, err); got != want {
+				t.Fatalf("RunPrograms on replays of the workload's streams:\n%s\nRun:\n%s", got, want)
 			}
 		})
 	}
