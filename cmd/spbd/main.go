@@ -20,9 +20,10 @@
 // -tenants requires an API key on every submit, batch and cancel, and labels
 // each job with its tenant's name.
 //
-// With -journal the daemon keeps a durable write-ahead log of accepted
-// jobs and replays it on startup, so queued and running jobs survive a
-// crash (kill -9 included) under their original IDs. A run the crash
+// With -journal the daemon keeps a directory with one durable file per
+// accepted job that has not ended and re-admits those jobs on startup, so
+// queued and running jobs survive a crash (kill -9 included) under their
+// original IDs. A run the crash
 // interrupted starts again from zero and ends with the bytes it would have.
 //
 // On SIGTERM/SIGINT the daemon drains: submissions get 503, queued and
@@ -68,7 +69,7 @@ func main() {
 		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulations")
 		queueDepth   = flag.Int("queue", 64, "max queued jobs before 429 backpressure")
 		cacheDir     = flag.String("cache-dir", "", "content-addressed result store directory (empty = memory tier only)")
-		journalPath  = flag.String("journal", "", "durable job journal file: queued and running jobs survive daemon crashes, kill -9 included (empty disables)")
+		journalPath  = flag.String("journal", "", "durable job journal directory, one file per live job: queued and running jobs survive daemon crashes, kill -9 included (empty disables)")
 		storeSync    = flag.Bool("store-sync", true, "fsync disk-store and journal writes (disable only for throwaway test daemons)")
 		runTimeout   = flag.Duration("run-timeout", 0, "per-run execution cap (0 = unlimited)")
 		sseInterval  = flag.Duration("sse-interval", 250*time.Millisecond, "progress event period on /events streams")

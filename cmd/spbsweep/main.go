@@ -29,45 +29,17 @@ import (
 	"spb/internal/workloads"
 )
 
-func parseInts(s string) ([]int, error) {
-	var out []int
+// parseList splits a comma-separated flag value and parses each element
+// with parse: strconv.Atoi, core.ParsePolicy or config.ParsePrefetcher, the
+// parsers every surface that takes these names shares.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parsePolicies(s string) ([]core.Policy, error) {
-	var out []core.Policy
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		found := false
-		for _, p := range core.Policies {
-			if p.String() == part {
-				out = append(out, p)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown policy %q", part)
-		}
-	}
-	return out, nil
-}
-
-func parsePrefetchers(s string) ([]config.PrefetcherKind, error) {
-	var out []config.PrefetcherKind
-	for _, part := range strings.Split(s, ",") {
-		k, err := config.ParsePrefetcher(strings.TrimSpace(part))
+		v, err := parse(strings.TrimSpace(part))
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, k)
+		out = append(out, v)
 	}
 	return out, nil
 }
@@ -151,22 +123,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "spbsweep: pprof on http://%s/debug/pprof/\n", dbg)
 	}
 
-	sbs, err := parseInts(*sbList)
+	sbs, err := parseList(*sbList, strconv.Atoi)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spbsweep:", err)
 		os.Exit(2)
 	}
-	pols, err := parsePolicies(*policies)
+	pols, err := parseList(*policies, core.ParsePolicy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spbsweep:", err)
 		os.Exit(2)
 	}
-	ns, err := parseInts(*nList)
+	ns, err := parseList(*nList, strconv.Atoi)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spbsweep:", err)
 		os.Exit(2)
 	}
-	pfs, err := parsePrefetchers(*pfList)
+	pfs, err := parseList(*pfList, config.ParsePrefetcher)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spbsweep:", err)
 		os.Exit(2)

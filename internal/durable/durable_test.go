@@ -116,3 +116,18 @@ func TestQuarantineMovesAside(t *testing.T) {
 		t.Errorf(".corrupt holds %q, want the bad bytes", got)
 	}
 }
+
+func TestRemoveIsIdempotent(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "job.json")
+	if err := WriteFile(path, []byte("x"), true); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := Remove(path, true); err != nil {
+			t.Fatalf("remove %d: %v", i, err)
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("file survived Remove (stat err: %v)", err)
+	}
+}

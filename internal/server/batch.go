@@ -142,8 +142,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad batch request: %v", err)
+	if code, err := decodeBody(w, r, maxBatchBody, &req); err != nil {
+		writeError(w, code, "bad batch request: %v", err)
 		return
 	}
 	if len(req.Specs) == 0 {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -26,7 +27,7 @@ type endingEnv struct {
 	base [4]uint64 // completed, failed, cancelled, tenant completions at arm()
 }
 
-func (e *endingEnv) journalPath() string { return filepath.Join(e.dir, "journal.ndjson") }
+func (e *endingEnv) journalPath() string { return filepath.Join(e.dir, "journal") }
 func (e *endingEnv) cacheDir() string    { return filepath.Join(e.dir, "cache") }
 
 func (e *endingEnv) start(cfg Config) {
@@ -45,16 +46,10 @@ func (e *endingEnv) counters() [4]uint64 {
 // one under test can end before the check.
 func (e *endingEnv) arm() { e.base = e.counters() }
 
-// terminalRecords counts the journal's terminal records for id.
-func (e *endingEnv) terminalRecords(id string) int {
-	n := 0
-	for _, line := range bytes.Split(mustRead(e.t, e.journalPath()), []byte{'\n'}) {
-		var rec journalRecord
-		if json.Unmarshal(line, &rec) == nil && rec.ID == id && terminalKind(rec.Kind) {
-			n++
-		}
-	}
-	return n
+// hasJobFile reports whether the journal still holds a file for id.
+func (e *endingEnv) hasJobFile(id string) bool {
+	_, err := os.Stat(filepath.Join(e.journalPath(), id+".json"))
+	return err == nil
 }
 
 // TestEveryEndingSettlesItsDebts walks every way a job's life ends and
@@ -62,8 +57,8 @@ func (e *endingEnv) terminalRecords(id string) int {
 // and the tenant's completions moved by one (neither for a job that was never
 // admitted to this daemon's queue — a cache hit, a recovery that ends inside
 // New — which is what TestMetricsEndpoint pins for hits), the key gone from
-// the active map, exactly one terminal journal record for a journaled job and
-// none otherwise, the trace finished, and done closed.
+// the active map, no journal file left for the job, the trace finished, and
+// done closed.
 func TestEveryEndingSettlesItsDebts(t *testing.T) {
 	rows := []struct {
 		name    string
@@ -71,7 +66,6 @@ func TestEveryEndingSettlesItsDebts(t *testing.T) {
 		want    Status
 		errHas  string
 		uncount bool // never admitted here: no ending counter moves
-		unjourn bool // not journaled: no terminal record
 	}{
 		{name: "done", want: StatusDone, run: func(e *endingEnv) string {
 			e.start(Config{})
@@ -83,7 +77,7 @@ func TestEveryEndingSettlesItsDebts(t *testing.T) {
 			_, v := postRun(e.t, e.ts, RunRequest{Workload: "no-such-workload", SB: 14, Insts: 1000}, "?wait=1")
 			return v.ID
 		}},
-		{name: "answered from memory", want: StatusDone, uncount: true, unjourn: true, run: func(e *endingEnv) string {
+		{name: "answered from memory", want: StatusDone, uncount: true, run: func(e *endingEnv) string {
 			e.start(Config{})
 			postRun(e.t, e.ts, smallSpec, "?wait=1")
 			waitFor(e.t, 10*time.Second, "the first run to settle", func() bool { return e.counters()[0] == 1 })
@@ -157,14 +151,13 @@ func TestEveryEndingSettlesItsDebts(t *testing.T) {
 			if err := store.Put(Key(spec), res); err != nil {
 				e.t.Fatal(err)
 			}
-			appendRecords(e.t, e.journalPath(), acceptedRec("r000007-cafe", smallSpec),
-				journalRecord{Kind: journalStarted, ID: "r000007-cafe"})
+			writeEntries(e.t, e.journalPath(), entryFor("r000007-cafe", smallSpec))
 			e.start(Config{})
 			return "r000007-cafe"
 		}},
 		{name: "recovered and dropped", want: StatusFailed, errHas: "core count 65", uncount: true, run: func(e *endingEnv) string {
-			appendRecords(e.t, e.journalPath(),
-				acceptedRec("r000001-deadbeef", RunRequest{Workload: "canneal", SB: 14, Cores: 65, Insts: 1000}))
+			writeEntries(e.t, e.journalPath(),
+				entryFor("r000001-deadbeef", RunRequest{Workload: "canneal", SB: 14, Cores: 65, Insts: 1000}))
 			e.start(Config{})
 			return "r000001-deadbeef"
 		}},
@@ -191,10 +184,6 @@ func TestEveryEndingSettlesItsDebts(t *testing.T) {
 				want[map[Status]int{StatusDone: 0, StatusFailed: 1, StatusCancelled: 2}[row.want]]++
 				want[3]++
 			}
-			wantRecords := 1
-			if row.unjourn {
-				wantRecords = 0
-			}
 			// What an ending owes may land a moment after done closes; give
 			// it that moment, then hold it to the exact values.
 			debts := func() []string {
@@ -208,8 +197,8 @@ func TestEveryEndingSettlesItsDebts(t *testing.T) {
 				if holder == j {
 					owed = append(owed, "key still in the active map")
 				}
-				if got := e.terminalRecords(id); got != wantRecords {
-					owed = append(owed, fmt.Sprintf("terminal journal records = %d, want %d", got, wantRecords))
+				if e.hasJobFile(id) {
+					owed = append(owed, "journal file not removed")
 				}
 				if !j.trace.Snapshot().Done {
 					owed = append(owed, "trace not finished")

@@ -98,10 +98,29 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// Request bodies are bounded where they enter: a run spec is a few hundred
+// bytes, and a batch holds at most maxBatchSpecs of them.
+const (
+	maxRunBody   = 64 << 10
+	maxBatchBody = 64 << 20
+)
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes. On
+// failure it also returns the status to answer: 413 past the bound, 400
+// otherwise.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
+}
+
 // handleSubmit accepts a RunRequest. Cache hits return 200 with the full
 // result; fresh or coalesced jobs return 202 (or block for the result when
 // ?wait=1). A full queue returns 429 with Retry-After; a draining server
-// returns 503.
+// returns 503; a body over maxRunBody returns 413.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tn, err := s.tenantFor(r)
 	if err != nil {
@@ -109,8 +128,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad run spec: %v", err)
+	if code, err := decodeBody(w, r, maxRunBody, &req); err != nil {
+		writeError(w, code, "bad run spec: %v", err)
 		return
 	}
 	spec, err := req.Spec()

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -905,6 +906,32 @@ func TestBadSpecRejected(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET unknown id = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestOversizedRunBodyRejected: a run body past maxRunBody (here a 2 MiB
+// workload name) is refused with 413 before it becomes a job, so nothing is
+// queued and nothing reaches the journal.
+func TestOversizedRunBodyRejected(t *testing.T) {
+	journalPath := filepath.Join(t.TempDir(), "journal")
+	s, ts := testServer(t, Config{Workers: 1, JournalPath: journalPath, DisableSync: true})
+	body, _ := json.Marshal(RunRequest{Workload: strings.Repeat("w", 2<<20), Insts: 1000})
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST of a %d-byte body = %d, want 413", len(body), resp.StatusCode)
+	}
+	s.mu.Lock()
+	jobs := len(s.jobs)
+	s.mu.Unlock()
+	if jobs != 0 {
+		t.Errorf("the refused body created %d job(s)", jobs)
+	}
+	if got := jobFiles(t, journalPath); len(got) != 0 {
+		t.Errorf("the refused body reached the journal: %v", got)
 	}
 }
 

@@ -318,29 +318,18 @@ func (s RunSpec) machineConfig() (config.MachineConfig, error) {
 // spec. Every workload builds compiled trace.Programs, whose bulk Skip and
 // SkipTouch the functional segments rely on.
 func buildReaders(spec RunSpec) ([]*trace.Program, error) {
-	var readers []trace.Reader
 	if spec.Cores == 1 {
 		w, err := workloads.SPECByName(spec.Workload)
 		if err != nil {
 			return nil, err
 		}
-		readers = []trace.Reader{w.Build(spec.Seed)}
-	} else {
-		p, err := workloads.PARSECByName(spec.Workload)
-		if err != nil {
-			return nil, err
-		}
-		readers = p.Build(spec.Seed, spec.Cores)
+		return []*trace.Program{w.Build(spec.Seed)}, nil
 	}
-	progs := make([]*trace.Program, len(readers))
-	for i, rd := range readers {
-		p, ok := rd.(*trace.Program)
-		if !ok {
-			return nil, fmt.Errorf("sim: workload %q builds a %T, not a compiled program", spec.Workload, rd)
-		}
-		progs[i] = p
+	p, err := workloads.PARSECByName(spec.Workload)
+	if err != nil {
+		return nil, err
 	}
-	return progs, nil
+	return p.Build(spec.Seed, spec.Cores), nil
 }
 
 // collectMem reads the memory system's cumulative counters into a MemStats.

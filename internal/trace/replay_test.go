@@ -19,11 +19,11 @@ const recordLawInsts = 10_000
 // each PARSEC workload at seed 1.
 func shippedStreams() (names []string, streams []*trace.Program) {
 	for _, w := range workloads.SPEC() {
-		names, streams = append(names, w.Name), append(streams, w.Build(1).(*trace.Program))
+		names, streams = append(names, w.Name), append(streams, w.Build(1))
 	}
 	for _, p := range workloads.PARSEC() {
 		for i, r := range p.Build(1, 8) {
-			names, streams = append(names, fmt.Sprintf("%s/%d", p.Name, i)), append(streams, r.(*trace.Program))
+			names, streams = append(names, fmt.Sprintf("%s/%d", p.Name, i)), append(streams, r)
 		}
 	}
 	return names, streams

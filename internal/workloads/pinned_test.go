@@ -11,7 +11,7 @@ import (
 
 // streamDigest is the sha256 of the first n instructions of each reader in
 // turn, every instruction's eight fields in order, little-endian and packed.
-func streamDigest(t *testing.T, n int, readers ...trace.Reader) string {
+func streamDigest(t *testing.T, n int, readers ...*trace.Program) string {
 	h := sha256.New()
 	for _, r := range readers {
 		if err := binary.Write(h, binary.LittleEndian, trace.Collect(r, n)); err != nil {

@@ -90,8 +90,8 @@ func TestProgramSkipTouchFootprint(t *testing.T) {
 	for _, w := range SPEC() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			ref := w.Build(11).(*trace.Program)
-			tst := w.Build(11).(*trace.Program)
+			ref := w.Build(11)
+			tst := w.Build(11)
 			sk := &touchSkipper{p: tst, loads: map[mem.Block]bool{}, stores: map[mem.Block]bool{}}
 			wantLoads, wantStores := map[mem.Block]bool{}, map[mem.Block]bool{}
 			var in trace.Inst
@@ -254,13 +254,13 @@ func checkWarmEquivalence(t *testing.T, mk func() *trace.Program) {
 func TestProgramWarmEquivalence(t *testing.T) {
 	for _, w := range SPEC() {
 		t.Run(w.Name, func(t *testing.T) {
-			checkWarmEquivalence(t, func() *trace.Program { return w.Build(7).(*trace.Program) })
+			checkWarmEquivalence(t, func() *trace.Program { return w.Build(7) })
 		})
 	}
 	for _, p := range PARSEC() {
 		for _, thread := range []int{0, 3} {
 			t.Run(fmt.Sprintf("%s/t%d", p.Name, thread), func(t *testing.T) {
-				checkWarmEquivalence(t, func() *trace.Program { return p.Build(7, 4)[thread].(*trace.Program) })
+				checkWarmEquivalence(t, func() *trace.Program { return p.Build(7, 4)[thread] })
 			})
 		}
 	}

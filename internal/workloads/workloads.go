@@ -217,7 +217,7 @@ func SBBoundSPEC() []Workload {
 
 // Build returns the workload's infinite instruction stream for the given
 // seed. The same (name, seed) pair always yields the identical stream.
-func (w Workload) Build(seed uint64) trace.Reader {
+func (w Workload) Build(seed uint64) *trace.Program {
 	return w.build(seed, 0)
 }
 
@@ -407,11 +407,11 @@ const (
 // Build returns one infinite instruction stream per thread. Thread private
 // regions are disjoint; a shared read-mostly region (with occasional
 // stores) exercises the coherence protocol.
-func (p Parallel) Build(seed uint64, threads int) []trace.Reader {
+func (p Parallel) Build(seed uint64, threads int) []*trace.Program {
 	if threads <= 0 {
 		panic("workloads: thread count must be positive")
 	}
-	readers := make([]trace.Reader, threads)
+	readers := make([]*trace.Program, threads)
 	for t := 0; t < threads; t++ {
 		w := Workload{Name: p.Name, profile: p.base}
 		tseed := seed ^ trace.SeedFromString(fmt.Sprintf("%s/%d", p.Name, t))

@@ -29,7 +29,7 @@ go test -count=1 ./...
 echo "== fuzz for a fixed budget (the suite above only replays their seeds): a warm group's snapshot against the runs it starts, the spec, journal and trace-file decoders, warming against the demand path, and a Program against its reference =="
 go test -run '^$' -fuzz '^FuzzWarmSnapshotAliasing$' -fuzztime 10s ./internal/sim
 go test -run '^$' -fuzz '^FuzzRunRequest$' -fuzztime 10s ./internal/server
-go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 10s ./internal/server
+go test -run '^$' -fuzz '^FuzzJournalEntry$' -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz '^FuzzOpenTrace$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzWarmIsDemand$' -fuzztime 10s ./internal/memsys
 go test -run '^$' -fuzz '^FuzzLeafWrittenOnce$' -fuzztime 10s ./internal/trace
