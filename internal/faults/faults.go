@@ -1,9 +1,9 @@
 // Package faults is a deterministic, seeded fault injector for resilience
 // testing. Production code is instrumented with named injection *sites*
 // ("store.read", "batch.stream", "client.request", ...); a fault spec —
-// parsed from the SPB_FAULTS environment variable or the spbd -faults flag —
-// attaches rules to those sites that inject errors, latency, payload
-// corruption, or connection cuts at a configured rate.
+// the spbd -faults flag, or a test's Parse — attaches rules to those sites
+// that inject errors, latency, payload corruption, or connection cuts at a
+// configured rate.
 //
 // Two properties make the injector usable as a test harness rather than a
 // chaos monkey:
@@ -28,7 +28,7 @@
 //
 // Example:
 //
-//	SPB_FAULTS="seed=7;store.read:corrupt:0.5;batch.stream:cut:0.1;client.request:delay:0.3:20ms"
+//	spbd -faults 'seed=7;store.read:corrupt:0.5;batch.stream:cut:0.1;run:delay:0.3:20ms'
 //
 // Sites wired into the repo (see DESIGN.md §8.8):
 //

@@ -213,9 +213,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The in-flight bound keeps one batch from monopolizing the worker
-	// queue: at most QueueDepth of its points are enqueued-or-running at a
+	// queue: at most queueDepth of its points are enqueued-or-running at a
 	// time, and a slot frees only when a point reaches a terminal state.
-	sem := make(chan struct{}, s.cfg.QueueDepth)
+	sem := make(chan struct{}, s.cfg.queueDepth)
 	ctx := r.Context()
 	var wg sync.WaitGroup
 	failRest := func(gs []*batchGroup, err error) {

@@ -154,9 +154,9 @@ func TestBatchReportsBadSpecsUpfront(t *testing.T) {
 }
 
 func TestBatchLargerThanQueueCompletes(t *testing.T) {
-	// More unique specs than QueueDepth: the in-flight bound must trickle
+	// More unique specs than queueDepth: the in-flight bound must trickle
 	// them through rather than rejecting with queue-full.
-	s, ts := testServer(t, Config{Workers: 2, QueueDepth: 2})
+	s, ts := testServer(t, Config{Workers: 2, queueDepth: 2})
 	var specs []RunRequest
 	for i := 0; i < 8; i++ {
 		sp := smallSpec

@@ -141,7 +141,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, errQueueFull):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "queue full (%d jobs deep); retry later", s.cfg.QueueDepth)
+		writeError(w, http.StatusTooManyRequests, "queue full (%d jobs deep); retry later", s.cfg.queueDepth)
 		return
 	case errors.Is(err, errDraining):
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -357,7 +357,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	headroom := s.cfg.QueueDepth - s.QueueDepth()
+	headroom := s.cfg.queueDepth - s.QueueDepth()
 	if headroom < 0 {
 		headroom = 0
 	}

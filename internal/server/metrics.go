@@ -40,9 +40,9 @@ type Metrics struct {
 
 	// Crash-safety counters (the journal and the recovery path).
 	RecoveryRequeued  atomic.Uint64 `metric:"spbd_recovery_requeued_total" help:"Journaled jobs re-admitted to the queue after a restart."`
-	RecoveryCompleted atomic.Uint64 `metric:"spbd_recovery_completed_total" help:"Recovered jobs answered from the disk tier (their terminal record was lost in the crash)."`
+	RecoveryCompleted atomic.Uint64 `metric:"spbd_recovery_completed_total" help:"Recovered jobs answered from the disk tier (they ended, but the crash came before their journal file was removed)."`
 	RecoveryDropped   atomic.Uint64 `metric:"spbd_recovery_dropped_total" help:"Journaled jobs that could not be re-admitted after a restart."`
-	JournalErrors     atomic.Uint64 `metric:"spbd_journal_errors_total" help:"Job journal append/sync failures (jobs continue, less durable)."`
+	JournalErrors     atomic.Uint64 `metric:"spbd_journal_errors_total" help:"Job journal file write/remove failures (jobs continue, less durable)."`
 	OrphanTempsSwept  atomic.Uint64 `metric:"spbd_orphan_temps_swept_total" help:"Leftover atomic-write temp files removed at startup."`
 
 	// Top-Down stall accounting aggregated over every completed run (paper

@@ -17,7 +17,7 @@ import (
 // prints; a family that is renamed, retyped, reworded, dropped or added
 // moves it.
 func TestMetricsSurfaceGolden(t *testing.T) {
-	const golden = "e3e96136d959c7b64e2915ebc95e3ba1446feb002011ad356fd3a793e2c3543f"
+	const golden = "0451be78384df769aadbf10d7da43ac6cf88e5e6e1daa29d175ee35e37268ee5"
 	tenants, err := ParseTenants("a:ka;b:kb")
 	if err != nil {
 		t.Fatal(err)

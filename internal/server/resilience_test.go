@@ -58,7 +58,7 @@ type readyView struct {
 }
 
 func TestReadinessSplitFromLiveness(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, QueueDepth: 4})
+	_, ts := testServer(t, Config{Workers: 1, queueDepth: 4})
 
 	// Fresh server: alive and ready.
 	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
@@ -74,7 +74,7 @@ func TestReadinessSplitFromLiveness(t *testing.T) {
 }
 
 func TestReadinessReportsQueueFull(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, QueueDepth: 1})
+	_, ts := testServer(t, Config{Workers: 1, queueDepth: 1})
 
 	// One long job running, one queued: headroom exhausted.
 	var ids []string

@@ -41,7 +41,7 @@ type DiskStore struct {
 	OnCorrupt func(key string, err error)
 	// Sync makes Put fsync the entry and its directory (durable.WriteFile),
 	// so a stored result survives power loss, not just a process crash. The
-	// daemon enables this by default (Config.DisableSync opts out).
+	// daemon always sets it.
 	Sync bool
 }
 
