@@ -65,12 +65,12 @@ func writeTemp(path string, data []byte, sync bool) (string, error) {
 	return tmp.Name(), nil
 }
 
-// Remove deletes path durably: with sync the directory is fsynced after the
-// unlink, so the removal survives power loss. Removing a path that is
-// already gone succeeds.
-func Remove(path string, sync bool) error {
+// Remove deletes path durably: the directory is fsynced after the unlink,
+// so the removal survives power loss. Removing a path that is already gone
+// succeeds.
+func Remove(path string) error {
 	err := os.Remove(path)
-	if err == nil && sync {
+	if err == nil {
 		syncDir(filepath.Dir(path))
 	}
 	if os.IsNotExist(err) {

@@ -123,7 +123,7 @@ func TestRemoveIsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := Remove(path, true); err != nil {
+		if err := Remove(path); err != nil {
 			t.Fatalf("remove %d: %v", i, err)
 		}
 	}

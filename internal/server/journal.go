@@ -75,8 +75,7 @@ func decodeJournalEntry(id string, data []byte) (journalEntry, error) {
 // journal is the open job directory. Only a journaled job (server.go) calls
 // its methods, so a daemon without a journal never reaches them.
 type journal struct {
-	dir  string
-	sync bool
+	dir string
 
 	// onError observes write and remove failures (metrics + log). They never
 	// fail the job they describe: losing durability for one job is strictly
@@ -89,7 +88,7 @@ type journal struct {
 // quarantined and comes back as an entry holding only its ID and the
 // reason. A regular file at dir, such as an older release's append log, is
 // an error: it is neither read nor deleted.
-func openJournal(dir string, sync bool, onError func(error)) (*journal, []journalEntry, error) {
+func openJournal(dir string, onError func(error)) (*journal, []journalEntry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("server: open journal: %w", err)
 	}
@@ -118,7 +117,7 @@ func openJournal(dir string, sync bool, onError func(error)) (*journal, []journa
 	slices.SortFunc(live, func(a, b journalEntry) int {
 		return cmp.Or(cmp.Compare(jobSeq(a.ID), jobSeq(b.ID)), strings.Compare(a.ID, b.ID))
 	})
-	return &journal{dir: dir, sync: sync, onError: onError}, live, nil
+	return &journal{dir: dir, onError: onError}, live, nil
 }
 
 // jobSeq is the sequence number a job ID starts with ("r000042-…" is 42),
@@ -132,12 +131,12 @@ func jobSeq(id string) uint64 {
 // write makes e's file durable; admission calls it before the submitter is
 // answered, so a crash after the 202 cannot lose the job.
 func (jl *journal) write(e journalEntry) {
-	jl.check(durable.WriteFile(filepath.Join(jl.dir, e.ID+".json"), e.encode(), jl.sync))
+	jl.check(durable.WriteFile(filepath.Join(jl.dir, e.ID+".json"), e.encode(), true))
 }
 
 // remove takes job id's file back; the job's ending calls it.
 func (jl *journal) remove(id string) {
-	jl.check(durable.Remove(filepath.Join(jl.dir, id+".json"), jl.sync))
+	jl.check(durable.Remove(filepath.Join(jl.dir, id+".json")))
 }
 
 func (jl *journal) check(err error) {
