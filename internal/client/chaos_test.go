@@ -84,15 +84,18 @@ func corruptEntryFile(t *testing.T, path string) {
 	t.Fatalf("no alphanumeric byte to corrupt in %s", path)
 }
 
-// TestBatchResumeAfterTruncation is the mid-stream truncation satellite:
-// the server kills the /v1/batch NDJSON stream partway through, the client
-// resumes, and every spec is still simulated exactly once — the resumed
+// TestBatchResumeAfterTruncation: the server kills the /v1/batch NDJSON
+// stream partway through, the pool resumes the cut chunk on the same
+// backend, and every spec is still simulated exactly once — the resumed
 // request coalesces onto the retained jobs and cache instead of
 // re-simulating.
 func TestBatchResumeAfterTruncation(t *testing.T) {
 	inj := faults.MustParse("batch.stream:cut:1:after=3:limit=1")
 	s, ts := chaosDaemon(t, server.Config{Faults: inj})
-	cl := NewWithOptions(ts.URL, Options{Retry: RetryPolicy{baseDelay: time.Millisecond}})
+	pool, err := NewPool([]string{ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const n = 6
 	specs := make([]sim.RunSpec, n)
@@ -101,9 +104,9 @@ func TestBatchResumeAfterTruncation(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	results, err := cl.BatchResults(ctx, specs)
+	results, err := pool.GetAllCtx(ctx, specs)
 	if err != nil {
-		t.Fatalf("BatchResults across a truncated stream: %v", err)
+		t.Fatalf("GetAllCtx across a truncated stream: %v", err)
 	}
 	if got := inj.Fires("batch.stream"); got != 1 {
 		t.Fatalf("stream cut fired %d times, want 1 (the fault never happened?)", got)

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"spb/internal/faults"
 	"spb/internal/server"
 )
 
@@ -76,16 +75,31 @@ func TestClientRetryExhaustionSurfaces429(t *testing.T) {
 	}
 }
 
+// roundTripFunc is an http.RoundTripper made of a function: the seam a
+// test fails the transport through.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
 func TestClientRetriesInjectedTransportFault(t *testing.T) {
-	_, cl := testDaemon(t)
-	cl.retry = RetryPolicy{baseDelay: time.Millisecond}.withDefaults()
-	cl.faults = faults.MustParse("client.request:error:1:limit=2")
+	_, daemon := testDaemon(t)
+	var trips atomic.Int64
+	failing := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if trips.Add(1) <= 2 {
+			return nil, errors.New("injected transport fault")
+		}
+		return http.DefaultTransport.RoundTrip(req)
+	})
+	cl := NewWithOptions(daemon.base, Options{
+		HTTPClient: &http.Client{Transport: failing},
+		Retry:      RetryPolicy{baseDelay: time.Millisecond},
+	})
 
 	if _, err := cl.Run(context.Background(), quickSpec); err != nil {
 		t.Fatalf("Run through injected transport faults: %v", err)
 	}
-	if got := cl.faults.Fires("client.request"); got != 2 {
-		t.Fatalf("fault fired %d times, want 2", got)
+	if got := trips.Load(); got != 3 {
+		t.Fatalf("%d round trips, want 3 (two failed, the third answered)", got)
 	}
 }
 
