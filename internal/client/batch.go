@@ -23,7 +23,7 @@ import (
 // A connect that fails before the first line is consumed retries under the
 // client's RetryPolicy. Once any line has reached fn the indices are live
 // and Batch cannot transparently retry — mid-stream failures surface to the
-// caller, and BatchResults layers spec-level resume on top.
+// caller, and the Pool re-dispatches the points the stream left unresolved.
 func (c *Client) Batch(ctx context.Context, specs []sim.RunSpec, fn func(server.BatchItem) error) error {
 	reqs := make([]server.RunRequest, len(specs))
 	for i, s := range specs {
@@ -64,124 +64,4 @@ func (c *Client) batchOnce(ctx context.Context, body []byte, fn func(server.Batc
 		return consumed, err
 	}
 	return consumed, ctx.Err()
-}
-
-// batchMaxStalls bounds consecutive resume attempts that resolve zero new
-// specs before BatchResults gives up — a stream that keeps dying without
-// progress is a real outage, not a blip.
-const batchMaxStalls = 3
-
-// errKeepPending, returned by a BatchEach callback for a terminal item,
-// marks the spec unresolved — it is re-requested on the next resume —
-// instead of aborting the batch. Package-internal: BatchResults uses it
-// for truncated/garbled result payloads, which are stream-level damage.
-var errKeepPending = fmt.Errorf("spbd: batch item kept pending")
-
-// BatchEach is the resumable form of Batch: it streams specs through the
-// batch endpoint and invokes fn for every NDJSON line with Index remapped
-// to the caller's spec order. A stream that dies mid-sweep (connection
-// cut, daemon restarted behind a proxy) is *resumed*: only the specs whose
-// terminal lines were not received are re-requested, and because the
-// daemon deduplicates content-keyed specs against its active jobs and
-// caches, the resume coalesces or cache-hits rather than re-simulating —
-// each spec is still simulated exactly once. Terminal lines are delivered
-// at most once per spec; acknowledgment lines for still-pending specs may
-// repeat across resumes. fn returning an error aborts the batch with it.
-func (c *Client) BatchEach(ctx context.Context, specs []sim.RunSpec, fn func(server.BatchItem) error) error {
-	resolved := make([]bool, len(specs))
-	pending := make([]int, len(specs)) // original indices still unresolved
-	for i := range pending {
-		pending[i] = i
-	}
-	stalls := 0
-	for len(pending) > 0 {
-		cur := pending
-		subset := make([]sim.RunSpec, len(cur))
-		for i, idx := range cur {
-			subset[i] = specs[idx]
-		}
-		progressed := false
-		var fnErr error
-		err := c.Batch(ctx, subset, func(it server.BatchItem) error {
-			if it.Index < 0 || it.Index >= len(cur) {
-				return nil
-			}
-			orig := cur[it.Index]
-			if resolved[orig] {
-				return nil
-			}
-			it.Index = orig
-			err := fn(it)
-			switch {
-			case err == nil:
-				if it.Status.Terminal() {
-					resolved[orig] = true
-					progressed = true
-				}
-				return nil
-			case err == errKeepPending:
-				return nil
-			default:
-				fnErr = err
-				return err
-			}
-		})
-		if fnErr != nil {
-			return fnErr
-		}
-		if err != nil && ctx.Err() != nil {
-			return err
-		}
-		next := pending[:0]
-		for _, idx := range pending {
-			if !resolved[idx] {
-				next = append(next, idx)
-			}
-		}
-		pending = next
-		if len(pending) == 0 {
-			break
-		}
-		// The stream ended (cleanly or not) with specs unresolved: resume,
-		// unless we are making no progress at all.
-		if progressed {
-			stalls = 0
-		} else {
-			stalls++
-			if stalls > batchMaxStalls {
-				if err == nil {
-					err = fmt.Errorf("stream kept ending early")
-				}
-				return fmt.Errorf("spbd: batch gave up after %d stalled resumes with %d of %d specs unresolved: %w",
-					stalls-1, len(pending), len(specs), err)
-			}
-		}
-	}
-	return nil
-}
-
-// BatchResults runs specs through the batch endpoint with BatchEach's
-// resume semantics and returns the decoded results in spec order. The
-// first spec that genuinely fails to simulate aborts the sweep with its
-// error.
-func (c *Client) BatchResults(ctx context.Context, specs []sim.RunSpec) ([]sim.Result, error) {
-	results := make([]sim.Result, len(specs))
-	err := c.BatchEach(ctx, specs, func(it server.BatchItem) error {
-		if !it.Status.Terminal() {
-			return nil
-		}
-		if e := it.ErrorOf(); e != nil {
-			return e
-		}
-		res, err := it.DecodeResult()
-		if err != nil {
-			return errKeepPending // truncated/garbled payload: stream-level, resumable
-		}
-		results[it.Index] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
 }

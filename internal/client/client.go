@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"spb/internal/faults"
 	"spb/internal/obs"
 	"spb/internal/server"
 	"spb/internal/sim"
@@ -110,9 +109,6 @@ type Options struct {
 	// Retry is the transient-failure policy; the zero value means the
 	// defaults documented on RetryPolicy.
 	Retry RetryPolicy
-	// Faults, when set, injects transport failures and latency at the
-	// "client.request" site (tests, chaos). Nil disables injection.
-	Faults *faults.Injector
 	// TraceID, when set, is propagated to the daemon on every request via
 	// the X-Spb-Trace-Id header, grouping all jobs this client submits under
 	// one trace (e.g. a sweep). Empty sends no header; the daemon then mints
@@ -129,7 +125,6 @@ type Client struct {
 	base    string
 	http    *http.Client
 	retry   RetryPolicy
-	faults  *faults.Injector
 	traceID string
 	apiKey  string
 }
@@ -138,8 +133,8 @@ type Client struct {
 // with default retry behavior.
 func New(base string) *Client { return NewWithOptions(base, Options{}) }
 
-// NewWithOptions returns a client with explicit transport, retry and fault
-// injection settings.
+// NewWithOptions returns a client with explicit transport, retry, trace and
+// tenant settings.
 func NewWithOptions(base string, opts Options) *Client {
 	hc := opts.HTTPClient
 	if hc == nil {
@@ -149,7 +144,6 @@ func NewWithOptions(base string, opts Options) *Client {
 		base:    strings.TrimRight(base, "/"),
 		http:    hc,
 		retry:   opts.Retry.withDefaults(),
-		faults:  opts.Faults,
 		traceID: opts.TraceID,
 		apiKey:  opts.APIKey,
 	}
@@ -171,7 +165,7 @@ func (e *StatusError) Error() string {
 }
 
 // retryable reports whether err is transient: daemon backpressure and
-// gateway-style statuses, injected faults, and transport-level failures.
+// gateway-style statuses, and transport-level failures.
 // Context cancellation, 4xx mistakes, and malformed responses are not.
 func retryable(err error) bool {
 	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -185,10 +179,6 @@ func retryable(err error) bool {
 			return true
 		}
 		return false
-	}
-	var inj *faults.InjectedError
-	if errors.As(err, &inj) {
-		return true
 	}
 	var ue *url.Error
 	return errors.As(err, &ue) // connection refused/reset, truncated response, ...
@@ -224,22 +214,14 @@ func (c *Client) retrying(ctx context.Context, attempt func() (final bool, err e
 	return lastErr
 }
 
-// roundTrip is the one HTTP exchange under every call: the "client.request"
-// fault site, the request with the client's trace ID and API key on it, and
-// a non-2xx answer turned into a *StatusError. On a nil error the caller
-// owns resp.Body. probe marks the readiness probe, the one call with
-// exceptions: it bypasses fault injection (probing is itself the recovery
-// path) and takes a 503 for an answer.
+// roundTrip is the one HTTP exchange under every call: the request with the
+// client's trace ID and API key on it, and a non-2xx answer turned into a
+// *StatusError. On a nil error the caller owns resp.Body. probe marks the
+// readiness probe, the one call that takes a 503 for an answer.
 func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, probe bool) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
-	}
-	if !probe {
-		c.faults.Sleep("client.request", ctx.Done())
-		if err := c.faults.Err("client.request"); err != nil {
-			return nil, err
-		}
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
@@ -404,9 +386,9 @@ type ReadyView struct {
 }
 
 // Ready probes the daemon's readiness. Unlike every other call it never
-// retries and bypasses fault injection: a 503 *is* the answer (an unready
-// view with a nil error), and probing is itself the recovery path. Only
-// transport-level failure (or another status) returns an error.
+// retries: a 503 *is* the answer (an unready view with a nil error), and
+// probing is itself the recovery path. Only transport-level failure (or
+// another status) returns an error.
 func (c *Client) Ready(ctx context.Context) (rv ReadyView, err error) {
 	resp, err := c.roundTrip(ctx, http.MethodGet, "/healthz?ready=1", nil, true)
 	if err != nil {

@@ -197,9 +197,6 @@ func TestServe(t *testing.T) {
 				t.Errorf("trace misses span %q (has %v)", name, spans)
 			}
 		}
-		if code, _ := rawStatus(t, "GET", d.Base+"/v1/jobs/"+first.ID+"/trace", ""); code != 200 {
-			t.Errorf("the /v1/jobs alias answered %d", code)
-		}
 		text, _ := cl.Metrics(ctx)
 		for _, h := range []string{"spbd_queue_wait_seconds", "spbd_run_duration_seconds", "spbd_store_write_seconds", "spbd_batch_stream_seconds"} {
 			if !strings.Contains(text, h+"_count") || !strings.Contains(text, h+"_bucket") {

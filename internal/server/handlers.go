@@ -67,10 +67,8 @@ func (s *Server) routes() {
 	mux.Handle("GET /v1/runs", s.timed("GET /v1/runs", s.handleList))
 	mux.Handle("GET /v1/runs/{id}", s.timed("GET /v1/runs/{id}", s.handleGet))
 	mux.Handle("GET /v1/runs/{id}/trace", s.timed("GET /v1/runs/{id}/trace", s.handleTrace))
-	mux.Handle("GET /v1/jobs/{id}/trace", s.timed("GET /v1/runs/{id}/trace", s.handleTrace)) // alias
-	mux.HandleFunc("GET /v1/runs/{id}/events", s.handleEvents)                               // long-lived: kept out of the latency histogram
+	mux.HandleFunc("GET /v1/runs/{id}/events", s.handleEvents) // long-lived: kept out of the latency histogram
 	mux.Handle("POST /v1/runs/{id}/cancel", s.timed("POST /v1/runs/{id}/cancel", s.handleCancel))
-	mux.Handle("DELETE /v1/runs/{id}", s.timed("DELETE /v1/runs/{id}", s.handleCancel))
 	mux.Handle("GET /healthz", s.timed("GET /healthz", s.handleHealthz))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux = mux

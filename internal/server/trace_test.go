@@ -152,27 +152,25 @@ func TestBatchTraceSpanCompleteness(t *testing.T) {
 	}
 }
 
-// TestTraceEndpointAlias: /v1/jobs/{id}/trace serves the same document as
-// /v1/runs/{id}/trace.
-func TestTraceEndpointAlias(t *testing.T) {
+// TestOneRoutePerOperation: a job's trace and its cancellation each have
+// one route; the spellings beside them are not served.
+func TestOneRoutePerOperation(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1, Tracer: obs.NewTracer(0, nil)})
-	resp, v := postRun(t, ts, smallSpec, "?wait=1")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST = %d", resp.StatusCode)
+	_, v := postRun(t, ts, smallSpec, "?wait=1")
+	if code, _ := getTrace(t, ts, "/v1/jobs/"+v.ID+"/trace"); code != http.StatusNotFound {
+		t.Fatalf("GET /v1/jobs/{id}/trace = %d, want 404", code)
 	}
-	if v.TraceID == "" {
-		t.Fatal("job view carries no trace_id with tracing enabled")
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/runs/"+v.ID, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	code1, tv1 := getTrace(t, ts, "/v1/runs/"+v.ID+"/trace")
-	code2, tv2 := getTrace(t, ts, "/v1/jobs/"+v.ID+"/trace")
-	if code1 != http.StatusOK || code2 != http.StatusOK {
-		t.Fatalf("trace endpoints = %d, %d", code1, code2)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tv1.JobID != tv2.JobID || tv1.TraceID != tv2.TraceID || len(tv1.Spans) != len(tv2.Spans) {
-		t.Fatalf("alias diverges: %+v vs %+v", tv1, tv2)
-	}
-	if tv1.TraceID != v.TraceID {
-		t.Fatalf("trace_id mismatch: view %q, trace %q", v.TraceID, tv1.TraceID)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("DELETE /v1/runs/{id} = %d, want 405", resp.StatusCode)
 	}
 }
 
