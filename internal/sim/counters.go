@@ -1,11 +1,16 @@
 package sim
 
-import "spb/internal/cpu"
+import (
+	"slices"
+
+	"spb/internal/cpu"
+	"spb/internal/memsys"
+)
 
 // counter names one uint64 field of a statistics struct once: its key in the
 // canonical stats JSON ("" keeps it out of the export) and where it lives in a
 // value. Window deltas, aggregation and the export all walk these tables, so a
-// counter added to cpu.Stats or MemStats is one line here — and
+// counter added to cpu.Stats, MemStats or memsys.PortCounters is one line here — and
 // TestCounterTablesCoverEveryField fails until that line exists.
 type counter[T any] struct {
 	name string
@@ -35,7 +40,7 @@ var cpuCounters = []counter[cpu.Stats]{
 	{"cpu.spbBursts", func(s *cpu.Stats) *uint64 { return &s.SPBBursts }},
 }
 
-var memCounters = []counter[MemStats]{
+var memCounters = slices.Concat([]counter[MemStats]{
 	{"mem.l1TagAccesses", func(m *MemStats) *uint64 { return &m.L1TagAccesses }},
 	{"mem.l1Hits", func(m *MemStats) *uint64 { return &m.L1Hits }},
 	{"mem.l1Misses", func(m *MemStats) *uint64 { return &m.L1Misses }},
@@ -43,26 +48,41 @@ var memCounters = []counter[MemStats]{
 	{"mem.l3Accesses", func(m *MemStats) *uint64 { return &m.L3Accesses }},
 	{"mem.dramReads", func(m *MemStats) *uint64 { return &m.DRAMReads }},
 	{"mem.dramWrites", func(m *MemStats) *uint64 { return &m.DRAMWrites }},
-	// Not in the canonical JSON: the core counts the same events as cpu.loads
-	// and cpu.stores.
-	{"", func(m *MemStats) *uint64 { return &m.Loads }},
-	{"", func(m *MemStats) *uint64 { return &m.Stores }},
-	{"mem.loadMisses", func(m *MemStats) *uint64 { return &m.LoadMisses }},
-	{"mem.storeMisses", func(m *MemStats) *uint64 { return &m.StoreMisses }},
-	{"mem.wrongPathLoads", func(m *MemStats) *uint64 { return &m.WrongPathLoads }},
-	{"mem.spfIssued", func(m *MemStats) *uint64 { return &m.SPFIssued }},
-	{"mem.spfDiscarded", func(m *MemStats) *uint64 { return &m.SPFDiscarded }},
-	{"mem.spfMissToL2", func(m *MemStats) *uint64 { return &m.SPFMissToL2 }},
-	{"mem.spfSuccessful", func(m *MemStats) *uint64 { return &m.SPFSuccessful }},
-	{"mem.spfLate", func(m *MemStats) *uint64 { return &m.SPFLate }},
-	{"mem.spfEarly", func(m *MemStats) *uint64 { return &m.SPFEarly }},
-	{"mem.spfBurst", func(m *MemStats) *uint64 { return &m.SPFBurst }},
-	{"mem.gpfIssued", func(m *MemStats) *uint64 { return &m.GPFIssued }},
-	{"mem.gpfUsed", func(m *MemStats) *uint64 { return &m.GPFUsed }},
-	{"mem.gpfLate", func(m *MemStats) *uint64 { return &m.GPFLate }},
-	{"mem.gpfPolluted", func(m *MemStats) *uint64 { return &m.GPFPolluted }},
 	{"mem.invalidations", func(m *MemStats) *uint64 { return &m.Invalidations }},
 	{"mem.writebacks", func(m *MemStats) *uint64 { return &m.Writebacks }},
+}, embedCounters(portCounters, func(m *MemStats) *memsys.PortCounters { return &m.PortCounters }))
+
+// portCounters is one core's memsys.PortCounters: collectMem sums the ports
+// with it, and MemStats, which embeds the sum, carries it into memCounters.
+var portCounters = []counter[memsys.PortCounters]{
+	// Not in the canonical JSON: the core counts the same events as cpu.loads
+	// and cpu.stores.
+	{"", func(p *memsys.PortCounters) *uint64 { return &p.Loads }},
+	{"", func(p *memsys.PortCounters) *uint64 { return &p.Stores }},
+	{"mem.loadMisses", func(p *memsys.PortCounters) *uint64 { return &p.LoadMisses }},
+	{"mem.storeMisses", func(p *memsys.PortCounters) *uint64 { return &p.StoreMisses }},
+	{"mem.wrongPathLoads", func(p *memsys.PortCounters) *uint64 { return &p.WrongPathLoads }},
+	{"mem.spfIssued", func(p *memsys.PortCounters) *uint64 { return &p.SPFIssued }},
+	{"mem.spfDiscarded", func(p *memsys.PortCounters) *uint64 { return &p.SPFDiscarded }},
+	{"mem.spfMissToL2", func(p *memsys.PortCounters) *uint64 { return &p.SPFMissToL2 }},
+	{"mem.spfSuccessful", func(p *memsys.PortCounters) *uint64 { return &p.SPFSuccessful }},
+	{"mem.spfLate", func(p *memsys.PortCounters) *uint64 { return &p.SPFLate }},
+	{"mem.spfEarly", func(p *memsys.PortCounters) *uint64 { return &p.SPFEarly }},
+	{"mem.spfBurst", func(p *memsys.PortCounters) *uint64 { return &p.SPFBurst }},
+	{"mem.gpfIssued", func(p *memsys.PortCounters) *uint64 { return &p.GPFIssued }},
+	{"mem.gpfUsed", func(p *memsys.PortCounters) *uint64 { return &p.GPFUsed }},
+	{"mem.gpfLate", func(p *memsys.PortCounters) *uint64 { return &p.GPFLate }},
+	{"mem.gpfPolluted", func(p *memsys.PortCounters) *uint64 { return &p.GPFPolluted }},
+}
+
+// embedCounters lifts the table of a struct E that T holds at at into a
+// table over T.
+func embedCounters[T, E any](tab []counter[E], at func(*T) *E) []counter[T] {
+	out := make([]counter[T], len(tab))
+	for i, c := range tab {
+		out[i] = counter[T]{c.name, func(v *T) *uint64 { return c.at(at(v)) }}
+	}
+	return out
 }
 
 // subCounters returns the fieldwise counter delta b-a.

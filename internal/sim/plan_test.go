@@ -163,7 +163,8 @@ func TestRunProgramsIsRun(t *testing.T) {
 }
 
 // TestCounterTablesCoverEveryField: every uint64 field of cpu.Stats and
-// MemStats is named by its table exactly once, so no counter can silently
+// MemStats, the ones MemStats embeds from memsys.PortCounters included, is
+// named by its table exactly once, so no counter can silently
 // drop out of window deltas, aggregation or the export.
 func TestCounterTablesCoverEveryField(t *testing.T) {
 	checkCounterTable(t, cpuCounters)
@@ -178,16 +179,19 @@ func checkCounterTable[T any](t *testing.T, tab []counter[T]) {
 	for _, c := range tab {
 		named[uintptr(reflect.ValueOf(c.at(&v)).Pointer())]++
 	}
-	for i := 0; i < rv.NumField(); i++ {
-		f := rv.Type().Field(i)
+	for _, f := range reflect.VisibleFields(rv.Type()) {
+		if f.Anonymous && f.Type.Kind() == reflect.Struct {
+			continue // an embedded struct's fields are walked as promoted ones
+		}
 		if f.Type.Kind() != reflect.Uint64 {
 			t.Errorf("%T.%s is a %s: the tables only carry uint64 counters", v, f.Name, f.Type)
 			continue
 		}
-		if n := named[rv.Field(i).Addr().Pointer()]; n != 1 {
+		at := rv.FieldByIndex(f.Index).Addr().Pointer()
+		if n := named[at]; n != 1 {
 			t.Errorf("%T.%s appears %d times in its counter table, want once", v, f.Name, n)
 		}
-		delete(named, rv.Field(i).Addr().Pointer())
+		delete(named, at)
 	}
 	if len(named) != 0 {
 		t.Errorf("%T: %d table entries point at no field", v, len(named))

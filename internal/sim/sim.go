@@ -87,24 +87,7 @@ type MemStats struct {
 	DRAMReads     uint64
 	DRAMWrites    uint64
 
-	Loads          uint64
-	Stores         uint64
-	LoadMisses     uint64
-	StoreMisses    uint64
-	WrongPathLoads uint64
-
-	SPFIssued     uint64
-	SPFDiscarded  uint64
-	SPFMissToL2   uint64
-	SPFSuccessful uint64
-	SPFLate       uint64
-	SPFEarly      uint64
-	SPFBurst      uint64
-
-	GPFIssued   uint64
-	GPFUsed     uint64
-	GPFLate     uint64
-	GPFPolluted uint64
+	memsys.PortCounters // summed over the cores' ports
 
 	Invalidations uint64
 	Writebacks    uint64
@@ -343,22 +326,7 @@ func collectMem(sys *memsys.System) MemStats {
 		m.L1Hits += p.L1().Hits
 		m.L1Misses += p.L1().Misses
 		m.L2Accesses += p.L2().TagAccesses
-		m.Loads += p.Loads
-		m.Stores += p.Stores
-		m.LoadMisses += p.LoadMisses
-		m.StoreMisses += p.StoreMisses
-		m.WrongPathLoads += p.WrongPathLoads
-		m.SPFIssued += p.SPFIssued
-		m.SPFDiscarded += p.SPFDiscarded
-		m.SPFMissToL2 += p.SPFMissToL2
-		m.SPFSuccessful += p.SPFSuccessful
-		m.SPFLate += p.SPFLate
-		m.SPFEarly += p.SPFEarly
-		m.SPFBurst += p.SPFBurst
-		m.GPFIssued += p.GPFIssued
-		m.GPFUsed += p.GPFUsed
-		m.GPFLate += p.GPFLate
-		m.GPFPolluted += p.GPFPolluted
+		addCounters(portCounters, &m.PortCounters, p.PortCounters)
 		m.Writebacks += p.L1().Writebacks + p.L2().Writebacks
 	}
 	m.L3Accesses = sys.L3().TagAccesses

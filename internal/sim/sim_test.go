@@ -211,7 +211,7 @@ func TestMultiCoreRun(t *testing.T) {
 }
 
 func TestSPFNeverUsedDerivation(t *testing.T) {
-	m := MemStats{SPFIssued: 100, SPFDiscarded: 40, SPFSuccessful: 30, SPFLate: 10, SPFEarly: 5}
+	m := MemStats{PortCounters: memsys.PortCounters{SPFIssued: 100, SPFDiscarded: 40, SPFSuccessful: 30, SPFLate: 10, SPFEarly: 5}}
 	if m.SPFNeverUsed() != 15 {
 		t.Fatalf("SPFNeverUsed = %d, want 15", m.SPFNeverUsed())
 	}
