@@ -122,13 +122,12 @@ type Core struct {
 	// dtlb and bp are the machine's: a core borrows its TLB and predictor
 	// (bp nil: the trace's statistical mispredict flags) and never releases
 	// them.
-	dtlb   *tlb.TLB
-	bp     *bpred.Predictor
-	reader trace.Reader
-	// limited is reader when it is a *trace.LimitReader, as every run plan's
-	// is: dispatch then calls Next without going through the interface.
-	limited *trace.LimitReader
-	rng     *trace.RNG
+	dtlb *tlb.TLB
+	bp   *bpred.Predictor
+	// reader is the core's stream: a concrete type, so dispatch calls Next
+	// without going through an interface, once per instruction.
+	reader *trace.LimitReader
+	rng    *trace.RNG
 
 	// Frontend.
 	fetchReadyAt uint64
@@ -200,7 +199,7 @@ type Options struct {
 // PolicyIdeal the configured SQ size is overridden with the never-stalling
 // 1024-entry buffer of the paper.
 func New(cfg config.CoreConfig, policy core.Policy, spbCfg config.SPBConfig,
-	port *memsys.Port, reader trace.Reader, seed uint64) *Core {
+	port *memsys.Port, reader *trace.LimitReader, seed uint64) *Core {
 	return NewWithOptions(cfg, policy, spbCfg, tlb.New(tlb.TableI()), nil, Options{}, port, reader, seed)
 }
 
@@ -208,7 +207,7 @@ func New(cfg config.CoreConfig, policy core.Policy, spbCfg config.SPBConfig,
 // (nil: the trace's statistical mispredict flags; otherwise a modelled gshare
 // + BTB front end, Table I's predictor class), with extension options.
 func NewWithOptions(cfg config.CoreConfig, policy core.Policy, spbCfg config.SPBConfig,
-	dtlb *tlb.TLB, bp *bpred.Predictor, opts Options, port *memsys.Port, reader trace.Reader, seed uint64) *Core {
+	dtlb *tlb.TLB, bp *bpred.Predictor, opts Options, port *memsys.Port, reader *trace.LimitReader, seed uint64) *Core {
 	sqSize := cfg.SQSize
 	if policy == core.PolicyIdeal {
 		sqSize = config.IdealSQSize
@@ -235,7 +234,6 @@ func NewWithOptions(cfg config.CoreConfig, policy core.Policy, spbCfg config.SPB
 			CrossPage: opts.CrossPageBursts,
 		})
 	}
-	c.limited, _ = reader.(*trace.LimitReader)
 	c.noFF = opts.DisableFastForward
 	c.St.Cycles = opts.StartCycle
 	return c
@@ -520,13 +518,7 @@ func (c *Core) dispatchStage() (dispatched int, cause dispatchBlock) {
 			if c.traceDone {
 				break
 			}
-			more := false
-			if c.limited != nil {
-				more = c.limited.Next(&c.pending) // a direct call, once per instruction
-			} else {
-				more = c.reader.Next(&c.pending)
-			}
-			if !more {
+			if !c.reader.Next(&c.pending) {
 				c.traceDone = true
 				break
 			}

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"testing"
 
 	"spb/internal/config"
@@ -10,11 +11,12 @@ import (
 	"spb/internal/trace"
 )
 
-// build constructs a single-core machine with the given policy and SB size.
+// build constructs a single-core machine with the given policy and SB size,
+// running reader to its end.
 func build(policy core.Policy, sq int, reader trace.Reader) *Core {
 	m := config.Skylake().WithSQ(sq)
 	sys := memsys.New(m, 1)
-	return New(m.Core, policy, m.SPB, sys.Port(0), reader, 7)
+	return New(m.Core, policy, m.SPB, sys.Port(0), trace.Limit(math.MaxUint64, reader), 7)
 }
 
 // program is an endless Program of one phase that runs leaves in order.
@@ -252,7 +254,7 @@ func TestAtExecutePrefetchesSpeculatively(t *testing.T) {
 	sys := memsys.New(m, 1)
 	reg := trace.NewMemRegion(0x30000000, 1<<20)
 	r := memset(reg, 2048)
-	c := New(m.Core, core.PolicyAtExecute, m.SPB, sys.Port(0), r, 7)
+	c := New(m.Core, core.PolicyAtExecute, m.SPB, sys.Port(0), trace.Limit(math.MaxUint64, r), 7)
 	if err := c.Run(256); err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestRunningExampleFig4(t *testing.T) {
 		})
 	}
 	sys := memsys.New(machine, 1)
-	c := New(machine.Core, core.PolicySPB, machine.SPB, sys.Port(0), trace.NewSliceReader(insts), 1)
+	c := New(machine.Core, core.PolicySPB, machine.SPB, sys.Port(0), trace.Limit(uint64(len(insts)), trace.NewSliceReader(insts)), 1)
 	if err := c.Run(uint64(len(insts))); err != nil {
 		t.Fatal(err)
 	}
