@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"spb/internal/config"
 	"spb/internal/core"
@@ -35,7 +34,6 @@ func main() {
 		coalesce   = flag.Bool("coalesce-sb", false, "enable the store-coalescing SB ablation (related work)")
 		sampling   = sim.SamplingFlags(flag.CommandLine)
 		seed       = flag.Uint64("seed", 1, "workload seed")
-		dump       = flag.Bool("stats", false, "dump every raw counter (stable sorted format)")
 		jsonOut    = flag.Bool("json", false, "emit the full exported stats set as canonical JSON (the spbd service serialization) and nothing else")
 	)
 	flag.Parse()
@@ -126,17 +124,4 @@ func main() {
 		m.Invalidations, m.Writebacks)
 	fmt.Printf("energy              cache %.3g J, core %.3g J, static %.3g J, total %.3g J\n",
 		res.Energy.CacheDynamic, res.Energy.CoreDynamic, res.Energy.Static, res.Energy.Total())
-	if *dump {
-		set := map[string]uint64{}
-		res.ExportStats(set)
-		names := make([]string, 0, len(set))
-		for name := range set {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		fmt.Println()
-		for _, name := range names {
-			fmt.Printf("%-40s %d\n", name, set[name])
-		}
-	}
 }
