@@ -26,7 +26,7 @@ for f in cmd/*/default.pgo; do go tool pprof -raw "$f" >/dev/null; done
 go build ./...
 echo "== go test (uncached) =="
 go test -count=1 ./...
-echo "== fuzz for a fixed budget (the suite above only replays their seeds): a warm group's snapshot against the runs it starts, the spec, journal and trace-file decoders, warming against the demand path, and a Program and the store buffer against their references =="
+echo "== fuzz for a fixed budget (the suite above only replays their seeds): a warm group's snapshot against the runs it starts, the spec, journal and trace-file decoders, warming against the demand path, and a Program, the store buffer and the SPB detector against their references =="
 go test -run '^$' -fuzz '^FuzzWarmSnapshotAliasing$' -fuzztime 10s ./internal/sim
 go test -run '^$' -fuzz '^FuzzRunRequest$' -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz '^FuzzJournalEntry$' -fuzztime 10s ./internal/server
@@ -34,6 +34,7 @@ go test -run '^$' -fuzz '^FuzzOpenTrace$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzWarmIsDemand$' -fuzztime 10s ./internal/memsys
 go test -run '^$' -fuzz '^FuzzLeafWrittenOnce$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzForwardMatchesCAM$' -fuzztime 10s ./internal/storebuf
+go test -run '^$' -fuzz '^FuzzDetectorMatchesSection4$' -fuzztime 10s ./internal/core
 echo "== bench module (own go.mod: the root ./... neither compiles nor runs it) =="
 (cd bench && go vet ./... && go test ./...)
 echo "== go test -race (sim without the warm-walk oracle: its 1 088 machines share nothing between goroutines, it has run above, and under the race runtime it takes three minutes) =="
