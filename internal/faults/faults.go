@@ -1,6 +1,6 @@
 // Package faults is a deterministic, seeded fault injector for resilience
 // testing. Production code is instrumented with named injection *sites*
-// ("store.read", "batch.stream", "client.request", ...); a fault spec —
+// ("store.read", "batch.stream", "run", ...); a fault spec —
 // the spbd -faults flag, or a test's Parse — attaches rules to those sites
 // that inject errors, latency, payload corruption, or connection cuts at a
 // configured rate.
@@ -40,8 +40,6 @@
 //	store.write    delay   slow disk on the persistence path
 //	batch.stream   cut     /v1/batch NDJSON response killed mid-stream
 //	batch.stream   delay   slow NDJSON streaming
-//	client.request error   client transport fails before the request is sent
-//	client.request delay   client-side network latency
 package faults
 
 import (
