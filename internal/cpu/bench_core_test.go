@@ -83,8 +83,8 @@ func BenchmarkCoreTickRun(b *testing.B) {
 }
 
 // TestRunArenaReuseBoundsAllocs tightens the whole-run allocation budget:
-// with every pooled structure (ROB, issue/load queues, SB, TLB, predictor
-// tables, cache arenas, directory shards, recent-sets) recycled via Release,
+// with every pooled structure (ROB, issue/load queues, SB, TLB, cache
+// arenas, directory shards, recent-sets) recycled via Release,
 // a complete build+run+release cycle must stay far below the ~100 allocs /
 // ~16 MB a cold machine costs.
 func TestRunArenaReuseBoundsAllocs(t *testing.T) {

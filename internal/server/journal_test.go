@@ -425,12 +425,19 @@ func mustRead(t *testing.T, path string) []byte {
 // recovery then crash-looped the daemon) must not stop this one from
 // starting. The job comes back under its ID as failed, with the reason, next
 // to a healthy job that is requeued and runs; a second restart finds nothing
-// to re-admit for it.
+// to re-admit for it. So does a job journaled, and sealed, by a release whose
+// spec still had the modelled branch predictor: that knob is not part of the
+// spec any more, so the seal no longer holds and the job is never run
+// without the predictor it asked for.
 func TestRecoveryFailsJobWhoseSpecNoLongerValidates(t *testing.T) {
 	journalPath := filepath.Join(t.TempDir(), "journal")
 	bad := RunRequest{Workload: "canneal", SB: 14, Cores: 65, Insts: 1000}
 	good := RunRequest{Workload: "mcf", Policy: "spb", SB: 14, Insts: 4000}
 	writeEntries(t, journalPath, entryFor("r000001-deadbeef", bad), entryFor("r000002-cafef00d", good))
+	const predicted = `{"id":"r000003-0b5e55ed","tenant":"default","spec":{"workload":"bwaves","policy":"spb","sb":14,"insts":4000,"branch_predictor":true},"sum":"d905560467a9c0f989d45f9d698b680daf8cf5b3b0a36803dbff7d3a02f6fa69"}`
+	if err := os.WriteFile(filepath.Join(journalPath, "r000003-0b5e55ed.json"), []byte(predicted), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s, ts := testServer(t, Config{Workers: 1, JournalPath: journalPath})
 	resp, err := http.Get(ts.URL + "/healthz?ready=1")
@@ -451,8 +458,17 @@ func TestRecoveryFailsJobWhoseSpecNoLongerValidates(t *testing.T) {
 	if st := waitJobDone(t, s, "r000002-cafef00d"); st != StatusDone {
 		t.Fatalf("healthy job next to it recovered as %s, want done", st)
 	}
-	if got := s.Metrics().RecoveryDropped.Load(); got != 1 {
-		t.Fatalf("RecoveryDropped = %d, want 1", got)
+	if st := waitJobDone(t, s, "r000003-0b5e55ed"); st != StatusFailed {
+		t.Fatalf("job journaled with the branch predictor on recovered as %s, want failed", st)
+	}
+	if v := s.jobByID("r000003-0b5e55ed").view(); !v.Recovered || !strings.Contains(v.Error, "checksum mismatch") {
+		t.Fatalf("predictor job view = %+v, want recovered with a failed seal", v)
+	}
+	if got := s.Metrics().RecoveryDropped.Load(); got != 2 {
+		t.Fatalf("RecoveryDropped = %d, want 2", got)
+	}
+	if got := s.Metrics().RecoveryRequeued.Load(); got != 1 {
+		t.Fatalf("RecoveryRequeued = %d, want 1: only the healthy job runs", got)
 	}
 	ts.Close()
 	s.Close()

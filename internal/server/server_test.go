@@ -891,10 +891,21 @@ func TestDrainRejectsAndFinishes(t *testing.T) {
 	}
 }
 
-// TestBadSpecRejected covers the 400 paths.
+// strictBodies are run bodies the spec decoder refuses although a lenient
+// one would run them: a misspelt knob would run its default, a retired one
+// (the modelled branch predictor) the model without it, and a second value
+// would be dropped unread.
+var strictBodies = []string{
+	`{"workload":"bwaves","sb":14,"polcy":"spb"}`,
+	`{"workload":"bwaves","sb":14,"branch_predictor":true}`,
+	`{"workload":"bwaves"} {}`,
+}
+
+// TestBadSpecRejected covers the 400 paths: of a run, and of a batch, which
+// names the index of its bad spec.
 func TestBadSpecRejected(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})
-	for _, body := range []string{
+	for _, body := range append([]string{
 		`{"policy":"spb"}`,                       // missing workload
 		`{"workload":"bwaves","policy":"bogus"}`, // unknown policy
 		`{"workload":"bwaves","prefetcher":"?"}`, // unknown prefetcher
@@ -903,7 +914,7 @@ func TestBadSpecRejected(t *testing.T) {
 		// journaled, every restart after it) instead of being refused.
 		`{"workload":"canneal","sb":14,"cores":65,"insts":1000}`,
 		`{"workload":"canneal","sb":14,"cores":-1,"insts":1000}`,
-	} {
+	}, strictBodies...) {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -918,6 +929,23 @@ func TestBadSpecRejected(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("/healthz after POST %s = %d, want 200", body, resp.StatusCode)
+		}
+	}
+	ok := `{"workload":"bwaves","sb":14,"insts":1000}`
+	for _, c := range []struct{ body, want string }{
+		{`{"specs":[` + ok + `,{"workload":"bwaves","sb":14,"polcy":"spb"}]}`, "index 1"},
+		{`{"specs":[` + ok + `,{"workload":"bwaves","sb":14,"branch_predictor":true}]}`, "index 1"},
+		{`{"specs":[` + ok + `],"spec":[]}`, "unknown field"},
+		{`{"specs":[` + ok + `]} {}`, "after the JSON value"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), c.want) {
+			t.Errorf("POST /v1/batch %s = %d %s, want 400 naming %q", c.body, resp.StatusCode, msg, c.want)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/runs/nope")

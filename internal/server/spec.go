@@ -36,7 +36,6 @@ type RunRequest struct {
 	CoalesceSB         bool   `json:"coalesce_sb,omitempty"`
 	BackwardBursts     bool   `json:"backward_bursts,omitempty"`
 	CrossPageBursts    bool   `json:"cross_page_bursts,omitempty"`
-	BranchPredictor    bool   `json:"branch_predictor,omitempty"`
 	DisableFastForward bool   `json:"disable_fast_forward,omitempty"`
 	Seed               uint64 `json:"seed,omitempty"`
 
@@ -57,19 +56,18 @@ type RunRequest struct {
 // ("none"-policy, "stream"-prefetcher), matching the zero sim.RunSpec.
 func (r RunRequest) Spec() (sim.RunSpec, error) {
 	spec := sim.RunSpec{
-		Workload:             r.Workload,
-		SQSize:               r.SB,
-		CoreName:             r.Core,
-		Cores:                r.Cores,
-		Insts:                r.Insts,
-		WarmupInsts:          r.Warmup,
-		WindowN:              r.WindowN,
-		DynamicSPB:           r.DynamicSPB,
-		CoalesceSB:           r.CoalesceSB,
-		BackwardBursts:       r.BackwardBursts,
-		CrossPageBursts:      r.CrossPageBursts,
-		ModelBranchPredictor: r.BranchPredictor,
-		DisableFastForward:   r.DisableFastForward,
+		Workload:           r.Workload,
+		SQSize:             r.SB,
+		CoreName:           r.Core,
+		Cores:              r.Cores,
+		Insts:              r.Insts,
+		WarmupInsts:        r.Warmup,
+		WindowN:            r.WindowN,
+		DynamicSPB:         r.DynamicSPB,
+		CoalesceSB:         r.CoalesceSB,
+		BackwardBursts:     r.BackwardBursts,
+		CrossPageBursts:    r.CrossPageBursts,
+		DisableFastForward: r.DisableFastForward,
 		Sampling: sim.SamplingConfig{
 			IntervalInsts: r.SampleInterval,
 			DetailedInsts: r.SampleDetail,
@@ -120,7 +118,6 @@ func Request(spec sim.RunSpec) RunRequest {
 		CoalesceSB:         spec.CoalesceSB,
 		BackwardBursts:     spec.BackwardBursts,
 		CrossPageBursts:    spec.CrossPageBursts,
-		BranchPredictor:    spec.ModelBranchPredictor,
 		DisableFastForward: spec.DisableFastForward,
 		SampleInterval:     spec.Sampling.IntervalInsts,
 		SampleDetail:       spec.Sampling.DetailedInsts,

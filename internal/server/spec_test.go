@@ -1,16 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 )
 
 // FuzzRunRequest fuzzes the decoder every submission crosses: bytes from
-// the network, through json.Unmarshal into a RunRequest, then Spec. Spec
-// never panics; a spec it accepts validates, has a cost estimate, and comes
-// back from its wire form (Request) under the same content address. The
-// seeds are the spec literals of server_test.go, including the bodies it
-// expects refused.
+// the network, through the handlers' strict decoder into a RunRequest, then
+// Spec. Spec never panics; a spec it accepts validates, has a cost estimate,
+// and comes back from its wire form (Request), and from that form marshalled
+// and decoded again, under the same content address. The seeds are the spec
+// literals of server_test.go, including the bodies it expects refused.
 func FuzzRunRequest(f *testing.F) {
 	explicit := smallSpec
 	explicit.Cores, explicit.WindowN, explicit.Seed = 1, 48, 1
@@ -41,9 +42,12 @@ func FuzzRunRequest(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
+	for _, body := range strictBodies {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req RunRequest
-		if json.Unmarshal(data, &req) != nil {
+		if decodeStrict(bytes.NewReader(data), &req) != nil {
 			return
 		}
 		spec, err := req.Spec()
@@ -60,6 +64,17 @@ func FuzzRunRequest(f *testing.F) {
 		}
 		if Key(back) != Key(spec) {
 			t.Fatalf("%s changes content address through its wire form: %+v -> %+v", data, spec, back)
+		}
+		wire, err := json.Marshal(Request(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again RunRequest
+		if err := decodeStrict(bytes.NewReader(wire), &again); err != nil {
+			t.Fatalf("the marshalled wire form %s of accepted %s is refused: %v", wire, data, err)
+		}
+		if back, err = again.Spec(); err != nil || Key(back) != Key(spec) {
+			t.Fatalf("the marshalled wire form %s of accepted %s comes back as %+v, %v", wire, data, back, err)
 		}
 	})
 }

@@ -70,8 +70,8 @@ func TestFastForwardEquivalenceSPEC(t *testing.T) {
 }
 
 // TestFastForwardEquivalenceVariants covers the ablation knobs that change
-// core behaviour: coalescing SB, modelled branch predictor, generic
-// prefetchers, and alternative Table II cores.
+// core behaviour: coalescing SB, generic prefetchers, and alternative
+// Table II cores, plus a branch-heavy workload under at-commit.
 func TestFastForwardEquivalenceVariants(t *testing.T) {
 	assertFFEquivalent(t, RunSpec{
 		Workload: "cam4", Policy: core.PolicySPB, SQSize: 14, Insts: 4000,
@@ -79,7 +79,6 @@ func TestFastForwardEquivalenceVariants(t *testing.T) {
 	})
 	assertFFEquivalent(t, RunSpec{
 		Workload: "deepsjeng", Policy: core.PolicyAtCommit, SQSize: 14, Insts: 4000,
-		ModelBranchPredictor: true,
 	})
 	assertFFEquivalent(t, RunSpec{
 		Workload: "fotonik3d", Policy: core.PolicySPB, SQSize: 14, Insts: 4000,

@@ -43,16 +43,8 @@ var goldenPoints = []struct {
 		Prefetcher: config.PrefetchHybrid}, "4cf02a17744c0ff426b1f0cf70bdc542e1f455bcebdf3d1f9e68d92a22d3046f"},
 	{"cam4/spb/coalesce/SLM", RunSpec{Workload: "cam4", Policy: core.PolicySPB, SQSize: 14, Insts: 20_000,
 		CoalesceSB: true, CoreName: "SLM"}, "de5fc99c27b3efa6b3b9e5fcec32fadbce40504f7d3fa307b7ec8a439f3efeef"},
-	{"deepsjeng/at-commit/bpred", RunSpec{Workload: "deepsjeng", Policy: core.PolicyAtCommit, SQSize: 14, Insts: 20_000,
-		ModelBranchPredictor: true}, "44db1de96e96edf38badf5485ae7b89ab40803002b9ba8f4fdde98d49614621a"},
-	// The machine's TLB and predictor cross segment edges: warmed into the
-	// detailed segment, and carried from one sampled window to the next
-	// (recorded from commit 0e86fb3).
-	{"deepsjeng/at-commit/bpred/warm", RunSpec{Workload: "deepsjeng", Policy: core.PolicyAtCommit, SQSize: 14, Insts: 20_000,
-		WarmupInsts: 30_000, ModelBranchPredictor: true}, "c2134a652bcda8eb875d35ae6b8e9daf7bac5703e6aeaa1402bca2af34dfc199"},
-	{"deepsjeng/at-commit/bpred/sampled", RunSpec{Workload: "deepsjeng", Policy: core.PolicyAtCommit, SQSize: 14, Insts: 100_000,
-		WarmupInsts: 5_000, ModelBranchPredictor: true,
-		Sampling: SamplingConfig{IntervalInsts: 20_000, DetailedInsts: 2_000, WarmInsts: 3_000}}, "e47950c27d909aea2d010a120ef8d2702fa78a5846e76b9eda6cbbe764e632b1"},
+	// The machine's TLB crosses segment edges: warmed into the detailed
+	// segment, and carried from one sampled window to the next.
 	{"omnetpp/spb/warm", RunSpec{Workload: "omnetpp", Policy: core.PolicySPB, SQSize: 14, Insts: 20_000,
 		WarmupInsts: 30_000}, "cd42be0fbad1a914cc3d68a4925dd702ddb46236bc9de80724f1243049d62e3a"},
 	{"mcf/spb/sampled", RunSpec{Workload: "mcf", Policy: core.PolicySPB, SQSize: 14, Insts: 100_000,

@@ -13,8 +13,8 @@ import (
 // A sampled run covers the spec's full per-core instruction budget, but only
 // simulates short measurement intervals in detail. The rest of the stream is
 // executed functionally — the functional segments of the run plan (plan.go):
-// caches, coherence directory, TLBs and branch predictors stay architecturally
-// warm while timing, ROB/MSHR modeling and statistics are skipped. Each sampling
+// caches, coherence directory and TLBs stay architecturally warm while
+// timing, ROB/MSHR modeling and statistics are skipped. Each sampling
 // period of IntervalInsts instructions per core ends with WarmInsts of
 // detailed (but unmeasured) simulation that re-warms the timing state the
 // functional mode cannot carry — ROB, store buffer, MSHR occupancy — followed
@@ -46,7 +46,7 @@ type SamplingConfig struct {
 	// HistoryInsts bounds the full functional-warming history
 	// (MRRL/BLRL-style): when non-zero, only the last HistoryInsts
 	// instructions of the skip preceding each detailed segment warm every
-	// level — private caches, TLBs, branch predictor, prefetcher tables.
+	// level — private caches, TLBs, prefetcher tables.
 	// The earlier portion of the skip still replays its memory footprint
 	// against the shared LLC and the coherence directory (a cheap
 	// touch-only tier): those structures hold history as long as the LLC's
@@ -212,9 +212,9 @@ func tQuantile975(df uint64) float64 {
 
 // sampleBiasGuard is the non-sampling-error allowance added to every
 // reported confidence half-width, as a fraction of the metric's mean.
-// Functional warming carries caches, directory, TLBs and branch predictors
-// across sampling skips, but each detailed segment still restarts with cold
-// prefetcher training, empty MSHRs and no wrong-path history; the detailed
+// Functional warming carries caches, directory and TLBs across sampling
+// skips, but each detailed segment still restarts with cold prefetcher
+// training, empty MSHRs and no wrong-path history; the detailed
 // warming prefix shrinks that bias but cannot bound it, so the reported
 // interval budgets for it explicitly (validated against full-detail runs by
 // TestSampledWithinErrorBound).

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"spb/internal/bpred"
 	"spb/internal/cache"
 	"spb/internal/config"
 	"spb/internal/core"
@@ -188,19 +187,18 @@ func TestSampledWithinErrorBound(t *testing.T) {
 // shared warmup prefix in place — the invariant that lets sampled sweeps ride
 // the warm-start groups (DESIGN.md §12) unchanged.
 func TestSampledWarmStartEquivalence(t *testing.T) {
-	mk := func(w string, p core.Policy, cores int, bp bool) RunSpec {
+	mk := func(w string, p core.Policy, cores int) RunSpec {
 		return RunSpec{
 			Workload: w, Policy: p, SQSize: 14, Cores: cores,
 			Prefetcher: config.PrefetchStream,
 			Insts:      200_000, WarmupInsts: 30_000,
-			ModelBranchPredictor: bp,
-			Sampling:             SamplingConfig{IntervalInsts: 40_000, DetailedInsts: 3000, WarmInsts: 5000},
+			Sampling: SamplingConfig{IntervalInsts: 40_000, DetailedInsts: 3000, WarmInsts: 5000},
 		}
 	}
 	specs := []RunSpec{
-		mk("bwaves", core.PolicySPB, 1, false),
-		mk("mcf", core.PolicyAtCommit, 1, true),
-		mk("dedup", core.PolicySPB, 2, false),
+		mk("bwaves", core.PolicySPB, 1),
+		mk("mcf", core.PolicyAtCommit, 1),
+		mk("dedup", core.PolicySPB, 2),
 	}
 	for _, spec := range specs {
 		on := NewRunner()
@@ -428,7 +426,7 @@ func FuzzFunctionalEquivalence(f *testing.F) {
 		progF := buildEquivProgram(seed%16+1, opmask)
 		sysF := memsys.New(cfg, 1)
 		dtlb := tlb.New(cfg.TLB)
-		fm := &machine{sys: sysF, dtlbs: []*tlb.TLB{dtlb}, bps: []*bpred.Predictor{nil}, progs: []*trace.Program{progF}}
+		fm := &machine{sys: sysF, dtlbs: []*tlb.TLB{dtlb}, progs: []*trace.Program{progF}}
 		if err := fm.functional(context.Background(), segment{kind: segWarm, n: insts}); err != nil {
 			t.Fatal(err)
 		}

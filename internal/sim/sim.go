@@ -43,13 +43,13 @@ type RunSpec struct {
 	// Insts is the per-core committed-instruction budget.
 	Insts uint64
 	// WarmupInsts is the per-core functional-warming prefix: that many
-	// instructions per core are replayed against the caches, directory,
-	// TLB and branch predictor — no timing, no statistics — before
-	// detailed simulation starts. The warmed state depends only on the
-	// workload, seed, core config and this length, never on the SB/policy/
-	// prefetcher knobs a sweep varies, so the Runner simulates one warmup
-	// per such group and starts every member from its snapshot (warm-start,
-	// DESIGN.md §12). 0 disables warming.
+	// instructions per core are replayed against the caches, directory and
+	// TLB — no timing, no statistics — before detailed simulation starts.
+	// The warmed state depends only on the workload, seed, core config and
+	// this length, never on the SB/policy/prefetcher knobs a sweep varies,
+	// so the Runner simulates one warmup per such group and starts every
+	// member from its snapshot (warm-start, DESIGN.md §12). 0 disables
+	// warming.
 	WarmupInsts uint64
 	// WindowN overrides the SPB window (0 = config default 48).
 	WindowN int
@@ -61,9 +61,6 @@ type RunSpec struct {
 	BackwardBursts bool
 	// CrossPageBursts enables the footnote-2 cross-page burst extension.
 	CrossPageBursts bool
-	// ModelBranchPredictor replaces statistical mispredicts with a
-	// modelled gshare + BTB front end.
-	ModelBranchPredictor bool
 	// DisableFastForward runs the cycle-by-cycle reference loop instead of
 	// the event-horizon fast forward. Both modes produce bit-identical
 	// statistics; the knob exists for the equivalence test and debugging.

@@ -5,7 +5,7 @@ import "context"
 // Warm-start groups (DESIGN.md §12, "Where a run may start").
 //
 // The warmed architectural state — cache tags and recency, coherence
-// directory, TLB entries, branch-predictor tables, stream cursors — depends
+// directory, TLB entries, stream cursors — depends
 // only on the instruction stream and the machine geometry, never on the
 // store-buffer size, drain policy or prefetcher knobs a sweep varies (those
 // units are inert during the warm-up segment). So every spec in a sweep that
@@ -25,7 +25,6 @@ type warmKey struct {
 	cores    int
 	seed     uint64
 	warmup   uint64
-	bpred    bool
 }
 
 func warmKeyOf(spec RunSpec) warmKey {
@@ -35,7 +34,6 @@ func warmKeyOf(spec RunSpec) warmKey {
 		cores:    spec.Cores,
 		seed:     spec.Seed,
 		warmup:   spec.WarmupInsts,
-		bpred:    spec.ModelBranchPredictor,
 	}
 }
 
@@ -43,8 +41,8 @@ func warmKeyOf(spec RunSpec) warmKey {
 // specs under ever-new seeds does not grow without limit. A snapshot costs what
 // its warm-up left live: about 5 B per occupied cache line, packed
 // (cache.Snapshot.Records), plus, per core, 0.17 MB that does not depend on it
-// — the per-set recency words and live masks — and the TLB and predictor
-// tables; recent-eviction sets, which warming never fills, cost nothing.
+// — the per-set recency words and live masks — and the TLB; recent-eviction
+// sets, which warming never fills, cost nothing.
 // Measured on the eight SB-bound SPEC groups' memory systems: 0.35 MB (x264)
 // to 0.77 MB (roms) after a 1 M warm-up, 4.6 MB in all; 0.35 to 1.58 MB after
 // 10 M, where roms has filled the L3 (262 144 L3 + 16 384 L2 + 512 L1 lines,

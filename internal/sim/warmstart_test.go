@@ -137,8 +137,8 @@ func assertWarmEquivalent(t *testing.T, spec RunSpec) {
 }
 
 // TestWarmStartEquivalenceVariants covers the knobs that exercise distinct
-// snapshotted state: multi-core coherence (directory, invalidations), the
-// modelled branch predictor, the coalescing-SB ablation, alternative cores,
+// snapshotted state: multi-core coherence (directory, invalidations), a
+// branch-heavy workload, the coalescing-SB ablation, alternative cores,
 // the adaptive prefetcher (feedback counters), and the reference loop.
 func TestWarmStartEquivalenceVariants(t *testing.T) {
 	assertWarmEquivalent(t, RunSpec{
@@ -151,7 +151,7 @@ func TestWarmStartEquivalenceVariants(t *testing.T) {
 	})
 	assertWarmEquivalent(t, RunSpec{
 		Workload: "deepsjeng", Policy: core.PolicyAtCommit, SQSize: 14,
-		Insts: 10_000, WarmupInsts: 30_000, ModelBranchPredictor: true,
+		Insts: 10_000, WarmupInsts: 30_000,
 	})
 	assertWarmEquivalent(t, RunSpec{
 		Workload: "cam4", Policy: core.PolicySPB, SQSize: 14,
@@ -170,8 +170,8 @@ func TestWarmStartEquivalenceVariants(t *testing.T) {
 // TestWarmStartGroupSharingAcrossKnobs pins the warmup-equivalence key: specs
 // differing only in knobs that are inert during functional warming (policy,
 // SB size, prefetcher, SPB window, fast-forward mode) share one group, while
-// specs differing in warm-relevant fields (seed, workload, warmup length,
-// predictor modelling) do not.
+// specs differing in warm-relevant fields (seed, warmup length, core
+// config) do not.
 func TestWarmStartGroupSharingAcrossKnobs(t *testing.T) {
 	r := NewRunner()
 	base := RunSpec{
@@ -201,7 +201,7 @@ func TestWarmStartGroupSharingAcrossKnobs(t *testing.T) {
 	splitters := []RunSpec{base, base, base, base}
 	splitters[1].Seed = 2
 	splitters[2].WarmupInsts = 6000
-	splitters[3].ModelBranchPredictor = true
+	splitters[3].CoreName = "SLM"
 	r2 := NewRunner()
 	if _, err := r2.GetAll(splitters); err != nil {
 		t.Fatal(err)
@@ -354,8 +354,8 @@ func TestWarmGroupsCostWhatTheyHold(t *testing.T) {
 }
 
 // FuzzWarmSnapshotAliasing starts a run from a group's snapshot and runs it to
-// completion — mutating its caches, directory, store buffer, TLB, predictor
-// and DRAM state — and requires the snapshot to be bit-identical to an
+// completion — mutating its caches, directory, store buffer, TLB and DRAM
+// state — and requires the snapshot to be bit-identical to an
 // independently built twin. Any aliasing between a run and the snapshot it
 // started from (a shared slice, a copied pointer) shows up as the run mutating
 // the snapshot.
@@ -371,9 +371,6 @@ func FuzzWarmSnapshotAliasing(f *testing.F) {
 			Insts:       uint64(insts%8000) + 1000,
 			WarmupInsts: uint64(warm%20000) + 1000,
 			Seed:        seed%16 + 1,
-		}
-		if variant&1 != 0 {
-			spec.ModelBranchPredictor = true
 		}
 		if variant&2 != 0 {
 			spec.Workload = "dedup"
@@ -401,9 +398,6 @@ func FuzzWarmSnapshotAliasing(f *testing.F) {
 		if !reflect.DeepEqual(a.DTLBs, b.DTLBs) {
 			t.Error("running a fork mutated the parent TLB snapshots")
 		}
-		if !reflect.DeepEqual(a.BPs, b.BPs) {
-			t.Error("running a fork mutated the parent predictor snapshots")
-		}
 		if !reflect.DeepEqual(a.progs, b.progs) {
 			t.Error("running a fork mutated the parent trace cursors")
 		}
@@ -422,21 +416,20 @@ func FuzzNormalizeIdempotent(f *testing.F) {
 	f.Add("dedup", uint8(4), uint8(8), uint16(14), uint16(16), uint64(5), uint64(1_000_000), uint64(42), uint8(0x3f))
 	f.Fuzz(func(t *testing.T, workload string, policy, cores uint8, sq, windowN uint16, insts, warmup, seed uint64, flags uint8) {
 		s := RunSpec{
-			Workload:             workload,
-			Policy:               core.Policy(policy % 5),
-			SQSize:               int(sq),
-			CoreName:             "",
-			Cores:                int(cores),
-			Insts:                insts,
-			WarmupInsts:          warmup,
-			WindowN:              int(windowN),
-			Seed:                 seed,
-			DynamicSPB:           flags&1 != 0,
-			CoalesceSB:           flags&2 != 0,
-			BackwardBursts:       flags&4 != 0,
-			CrossPageBursts:      flags&8 != 0,
-			ModelBranchPredictor: flags&16 != 0,
-			DisableFastForward:   flags&32 != 0,
+			Workload:           workload,
+			Policy:             core.Policy(policy % 5),
+			SQSize:             int(sq),
+			CoreName:           "",
+			Cores:              int(cores),
+			Insts:              insts,
+			WarmupInsts:        warmup,
+			WindowN:            int(windowN),
+			Seed:               seed,
+			DynamicSPB:         flags&1 != 0,
+			CoalesceSB:         flags&2 != 0,
+			BackwardBursts:     flags&4 != 0,
+			CrossPageBursts:    flags&8 != 0,
+			DisableFastForward: flags&32 != 0,
 		}
 		n1 := s.Normalized()
 		n2 := n1.Normalized()

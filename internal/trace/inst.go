@@ -78,13 +78,12 @@ type Inst struct {
 	// earlier in program order (0 means no dependence). They bound how
 	// early the instruction can issue.
 	Dep1, Dep2 uint8
-	// Taken is the branch's actual direction, used when the core models
-	// the branch predictor structurally (a predictor passed to
-	// cpu.NewWithOptions).
+	// Taken is the branch's actual direction. The core does not read it;
+	// streams and trace files carry it so a recorded trace keeps the whole
+	// instruction.
 	Taken bool
 	// Mispredicted marks a branch the front end predicts wrongly; the
-	// pipeline squashes wrong-path fetch when it resolves. It is the
-	// statistical default; a modelled predictor ignores it.
+	// pipeline squashes wrong-path fetch when it resolves.
 	Mispredicted bool
 	// Addr is the effective address for loads and stores.
 	Addr mem.Addr

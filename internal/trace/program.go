@@ -459,11 +459,9 @@ type Touch func(addr mem.Addr, n uint64, store bool)
 func (p *Program) SkipTouch(n uint64, touch Touch) { p.walk(n, &sink{touch: touch}) }
 
 // Warm is Skip for a consumer that replays the stream against per-access
-// state — caches, TLB, prefetcher tables, a branch predictor: the program
-// advances exactly as n Next calls would, and access receives every load and
-// store of those n instructions in program order, with its PC, without an
-// Inst being built. branch receives every branch with its direction; pass nil
-// when no predictor is modelled and the direction draws are replayed unread.
+// state — caches, TLB, prefetcher tables: the program advances exactly as n
+// Next calls would, and access receives every load and store of those n
+// instructions in program order, with its PC, without an Inst being built.
 //
 // Within one call, an access to the same block, from the same PC and of the
 // same kind as the access reported immediately before it is dropped: seven of
@@ -474,16 +472,15 @@ func (p *Program) SkipTouch(n uint64, touch Touch) { p.walk(n, &sink{touch: touc
 // over the repeats block by block instead of producing them. The elision
 // never looks across calls: a consumer that interleaves several programs, or
 // does anything else between two calls, sees each call's first access.
-func (p *Program) Warm(n uint64, access func(pc uint64, addr mem.Addr, store bool), branch func(pc uint64, taken bool)) {
-	p.walk(n, &sink{access: access, branch: branch})
+func (p *Program) Warm(n uint64, access func(pc uint64, addr mem.Addr, store bool)) {
+	p.walk(n, &sink{access: access})
 }
 
 // sink is what a walk reports to: nothing (Skip), byte spans (SkipTouch), or
-// accesses and branches (Warm). touch and access are never both set.
+// accesses (Warm). touch and access are never both set.
 type sink struct {
 	touch  Touch
 	access func(pc uint64, addr mem.Addr, store bool)
-	branch func(pc uint64, taken bool)
 
 	// The access reported last in this walk (Warm's elision rule).
 	lastPC    uint64
@@ -532,8 +529,6 @@ func (s *sink) word(pc uint64, a mem.Addr, store bool) {
 // record reports one replayed instruction to whichever consumer is attached.
 func (s *sink) record(in *Inst) {
 	switch {
-	case in.Kind == KindBranch && s.branch != nil:
-		s.branch(in.PC, in.Taken)
 	case !in.Kind.IsMem():
 	case s.access != nil:
 		s.one(in.PC, in.Addr, in.Kind == KindStore)
@@ -633,7 +628,6 @@ func (p *Program) walkLeaf(budget uint64, s *sink) (taken uint64) {
 	case OpCompute:
 		o := &l.Compute
 		taken = min(budget, uint64(o.Count-p.i))
-		branch := s.branch
 		// Draws whose outcome does not steer control flow or program state
 		// (misprediction, FP class, latency class, dependence distance) are
 		// replayed with Advance: same state evolution, no value computed.
@@ -642,9 +636,6 @@ func (p *Program) walkLeaf(budget uint64, s *sink) (taken uint64) {
 			if rng.below(l.brBelow) {
 				p.branches++
 				rng.Advance()
-				if branch != nil {
-					branch(o.PC+uint64(p.i%64)*4, p.branches%8 != 0)
-				}
 				continue
 			}
 			rng.Advance()
@@ -664,12 +655,7 @@ func (p *Program) walkLeaf(budget uint64, s *sink) (taken uint64) {
 				s.word(l.PC, p.regs[l.dst].RandomAddr(rng, 8, 8), false)
 				p.step = 1
 			} else {
-				// The direction draw is read only by a modelled predictor.
-				if s.branch != nil {
-					s.branch(l.PC+4, rng.Bool(0.85))
-				} else {
-					rng.Advance()
-				}
+				rng.Advance() // direction draw
 				rng.Advance() // misprediction draw
 				p.i++
 				p.step = 0

@@ -20,8 +20,8 @@ import (
 //	    script says — mid-element, mid-activation, across a Take boundary —
 //	    leaves the stream where that many Next calls would;
 //	(c) SkipTouch's spans hold every access Next makes, and cover no block of
-//	    either kind that Next does not touch; Warm reports Next's accesses and
-//	    branches in order, less only what its documented elision rule drops;
+//	    either kind that Next does not touch; Warm reports Next's accesses in
+//	    order, less only what its documented elision rule drops;
 //	(d) a Clone taken anywhere continues as its parent would have, whatever
 //	    the parent does meanwhile and whatever the clone does to the parent.
 //
@@ -324,10 +324,9 @@ type span struct {
 }
 
 type event struct {
-	pc            uint64
-	addr          mem.Addr
-	store         bool
-	branch, taken bool
+	pc    uint64
+	addr  mem.Addr
+	store bool
 }
 
 func blocksOf(set map[mem.Block]bool, a mem.Addr, n uint64) {
@@ -383,22 +382,20 @@ func checkTouch(t *testing.T, at int, insts []Inst, spans []span) {
 }
 
 // checkWarm holds the events of one Warm call against the instructions it
-// covered: every load, store and (when asked for) branch, in order, less an
-// access repeating the (PC, block, kind) of the access before it.
-func checkWarm(t *testing.T, at int, insts []Inst, events []event, branches bool) {
+// covered: every load and store, in order, less an access repeating the
+// (PC, block, kind) of the access before it.
+func checkWarm(t *testing.T, at int, insts []Inst, events []event) {
 	t.Helper()
 	var expect []event
 	var last *event
 	for _, in := range insts {
-		switch {
-		case in.Kind == KindBranch && branches:
-			expect = append(expect, event{pc: in.PC, branch: true, taken: in.Taken})
-		case in.Kind.IsMem():
-			ev := event{pc: in.PC, addr: in.Addr, store: in.Kind == KindStore}
-			repeat := last != nil && last.pc == ev.pc && last.store == ev.store && mem.BlockOf(last.addr) == mem.BlockOf(ev.addr)
-			if last = &ev; !repeat {
-				expect = append(expect, ev)
-			}
+		if !in.Kind.IsMem() {
+			continue
+		}
+		ev := event{pc: in.PC, addr: in.Addr, store: in.Kind == KindStore}
+		repeat := last != nil && last.pc == ev.pc && last.store == ev.store && mem.BlockOf(last.addr) == mem.BlockOf(ev.addr)
+		if last = &ev; !repeat {
+			expect = append(expect, ev)
 		}
 	}
 	if len(events) != len(expect) {
@@ -500,13 +497,8 @@ func checkProgram(t *testing.T, seed uint64, shape, script []byte) {
 				checkTouch(t, at, insts, spans)
 			case 3, 4:
 				var events []event
-				access := func(pc uint64, a mem.Addr, store bool) { events = append(events, event{pc: pc, addr: a, store: store}) }
-				var branch func(uint64, bool)
-				if script[i]%6 == 3 {
-					branch = func(pc uint64, taken bool) { events = append(events, event{pc: pc, branch: true, taken: taken}) }
-				}
-				p.Warm(uint64(k), access, branch)
-				checkWarm(t, at, insts, events, branch != nil)
+				p.Warm(uint64(k), func(pc uint64, a mem.Addr, store bool) { events = append(events, event{pc: pc, addr: a, store: store}) })
+				checkWarm(t, at, insts, events)
 			case 5:
 				p.Skip(uint64(k))
 				forks = append(forks, fork{p.Clone(), len(hist), d.name})

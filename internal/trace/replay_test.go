@@ -32,8 +32,8 @@ func shippedStreams() (names []string, streams []*trace.Program) {
 // TestRecordReplayLaw: a replay leaf over n recorded instructions of a stream
 // is that stream for those n instructions. Under one random script of Next,
 // Skip, SkipTouch, Warm and Clone, the source and its replay stand at the same
-// instruction after every step, Warm reports the same accesses and branches,
-// and SkipTouch covers the same blocks of each kind. program_test.go checks
+// instruction after every step, Warm reports the same accesses, and
+// SkipTouch covers the same blocks of each kind. program_test.go checks
 // the same law on every FuzzLeafWrittenOnce input.
 func TestRecordReplayLaw(t *testing.T) {
 	names, sources := shippedStreams()
@@ -61,13 +61,13 @@ func followScript(t *testing.T, name string, a, b *trace.Program, rng *trace.RNG
 		store bool
 	}
 	type event struct {
-		pc                   uint64
-		addr                 mem.Addr
-		store, branch, taken bool
+		pc    uint64
+		addr  mem.Addr
+		store bool
 	}
 	for at := 0; at < n; {
 		k := min(n-at, 1+rng.Intn(64)<<rng.Intn(7))
-		switch op := rng.Intn(6); op {
+		switch rng.Intn(6) {
 		case 0:
 			if got, want := next(b, k), next(a, k); !slices.Equal(got, want) {
 				t.Fatalf("%s: Next of %d at %d differs", name, k, at)
@@ -96,14 +96,9 @@ func followScript(t *testing.T, name string, a, b *trace.Program, rng *trace.RNG
 		case 3, 4:
 			var events [2][]event
 			for j, p := range []*trace.Program{a, b} {
-				access := func(pc uint64, addr mem.Addr, store bool) {
+				p.Warm(uint64(k), func(pc uint64, addr mem.Addr, store bool) {
 					events[j] = append(events[j], event{pc: pc, addr: addr, store: store})
-				}
-				var branch func(uint64, bool)
-				if op == 3 {
-					branch = func(pc uint64, taken bool) { events[j] = append(events[j], event{pc: pc, branch: true, taken: taken}) }
-				}
-				p.Warm(uint64(k), access, branch)
+				})
 			}
 			if !slices.Equal(events[0], events[1]) {
 				t.Fatalf("%s: Warm of %d at %d reports %d events, its replay %d, or other ones", name, k, at, len(events[0]), len(events[1]))

@@ -165,23 +165,19 @@ func TestProgramSkipEquivalence(t *testing.T) {
 	}
 }
 
-// warmEvent is one thing Program.Warm reports: a load or store (branch false)
-// or a branch with its direction.
+// warmEvent is one load or store Program.Warm reports.
 type warmEvent struct {
-	pc     uint64
-	addr   mem.Addr
-	store  bool
-	branch bool
-	taken  bool
+	pc    uint64
+	addr  mem.Addr
+	store bool
 }
 
 // checkWarmEquivalence interleaves Warm, Next and Skip calls of odd budgets on
 // one program against a Next-only twin. After every call the two streams must
 // stand at the same instruction, and what a Warm call reported must be exactly
-// the loads, stores and branches of the instructions it covered, in order,
-// less every access that repeats the (PC, block, kind) of the access before it
-// within that call — the elision Warm documents — with branches present only
-// when a branch sink was passed.
+// the loads and stores of the instructions it covered, in order, less every
+// access that repeats the (PC, block, kind) of the access before it within
+// that call — the elision Warm documents.
 func checkWarmEquivalence(t *testing.T, mk func() *trace.Program) {
 	t.Helper()
 	ref, tst := mk(), mk()
@@ -190,9 +186,6 @@ func checkWarmEquivalence(t *testing.T, mk func() *trace.Program) {
 	var events []warmEvent
 	access := func(pc uint64, addr mem.Addr, store bool) {
 		events = append(events, warmEvent{pc: pc, addr: addr, store: store})
-	}
-	branch := func(pc uint64, taken bool) {
-		events = append(events, warmEvent{pc: pc, branch: true, taken: taken})
 	}
 	pos, call := uint64(0), 0
 	for round := 0; round < 4; round++ {
@@ -205,28 +198,19 @@ func checkWarmEquivalence(t *testing.T, mk func() *trace.Program) {
 					ref.Next(&want)
 				}
 			default:
-				withBranches := call%4 == 1
 				events = events[:0]
-				if withBranches {
-					tst.Warm(k, access, branch)
-				} else {
-					tst.Warm(k, access, nil)
-				}
+				tst.Warm(k, access)
 				var expect []warmEvent
 				var last *warmEvent
 				for j := uint64(0); j < k; j++ {
 					ref.Next(&want)
-					switch want.Kind {
-					case trace.KindBranch:
-						if withBranches {
-							expect = append(expect, warmEvent{pc: want.PC, branch: true, taken: want.Taken})
-						}
-					case trace.KindLoad, trace.KindStore:
-						ev := warmEvent{pc: want.PC, addr: want.Addr, store: want.Kind == trace.KindStore}
-						repeat := last != nil && last.pc == ev.pc && mem.BlockOf(last.addr) == mem.BlockOf(ev.addr) && last.store == ev.store
-						if last = &ev; !repeat {
-							expect = append(expect, ev)
-						}
+					if !want.Kind.IsMem() {
+						continue
+					}
+					ev := warmEvent{pc: want.PC, addr: want.Addr, store: want.Kind == trace.KindStore}
+					repeat := last != nil && last.pc == ev.pc && mem.BlockOf(last.addr) == mem.BlockOf(ev.addr) && last.store == ev.store
+					if last = &ev; !repeat {
+						expect = append(expect, ev)
 					}
 				}
 				if len(events) != len(expect) {
