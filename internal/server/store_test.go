@@ -221,3 +221,45 @@ func TestDiskStoreInjectedIOErrorsSurface(t *testing.T) {
 		t.Fatalf("Get after fault budget = ok %v err %v", ok, err)
 	}
 }
+
+// TestDiskStoreServesEntryWithRetiredSpecField: an entry written while
+// sim.RunSpec still had its ModelBranchPredictor field (bwaves, SB 14, 2 000
+// instructions; the result's Spec in testdata carries
+// "ModelBranchPredictor": false) keeps its content address, so it must be
+// served with the statistics a fresh run makes, not quarantined as corrupt
+// because the decoded result can no longer hold that field.
+func TestDiskStoreServesEntryWithRetiredSpecField(t *testing.T) {
+	data, err := os.ReadFile("testdata/entry-with-retired-spec-field.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"ModelBranchPredictor": false`)) {
+		t.Fatal("testdata entry lost the retired field it exists to carry")
+	}
+	store, err := OpenDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.OnCorrupt = func(_ string, err error) { t.Errorf("entry quarantined: %v", err) }
+	spec := sim.RunSpec{Workload: "bwaves", SQSize: 14, Insts: 2000}
+	path := store.path(Key(spec))
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := store.Get(Key(spec))
+	if err != nil || !ok {
+		t.Fatalf("Get = ok %v err %v, want a hit", ok, err)
+	}
+	want, err := sim.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, _ := got.StatsJSON()
+	ws, _ := want.StatsJSON()
+	if !bytes.Equal(gs, ws) {
+		t.Fatalf("stored stats differ from a fresh run's:\n  got  %s\n  want %s", gs, ws)
+	}
+}
