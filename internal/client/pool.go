@@ -540,9 +540,10 @@ func (r *poolRun) observe(a *assignment, it server.BatchItem) bool {
 	}
 	switch it.Status {
 	case server.StatusDone:
-		res, err := it.DecodeResult()
+		res, err := sim.ParseStats(t.spec, it.Stats)
 		if err != nil {
-			r.failLocked(err)
+			r.failLocked(fmt.Errorf("client: %s (key %.12s) from %s: %w",
+				t.spec.Workload, t.key, r.p.backends[a.backend].base, err))
 			return false
 		}
 		t.done, t.res = true, res

@@ -130,7 +130,8 @@ func TestServe(t *testing.T) {
 		// Index 0 is cached by the subtests above; 1 and 2 are one new point twice.
 		dup := spec("mcf", core.PolicyAtCommit, 28, 20000)
 		terminal := map[int][]server.BatchItem{}
-		err := cl.Batch(ctx, []sim.RunSpec{small, dup, dup}, func(it server.BatchItem) error {
+		specs := []sim.RunSpec{small, dup, dup}
+		err := cl.Batch(ctx, specs, func(it server.BatchItem) error {
 			if it.Status.Terminal() {
 				terminal[it.Index] = append(terminal[it.Index], it)
 			}
@@ -140,8 +141,11 @@ func TestServe(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			if len(terminal[i]) != 1 || terminal[i][0].Status != server.StatusDone || len(terminal[i][0].Result) == 0 {
-				t.Fatalf("index %d: terminal lines %+v, want one done line with a result", i, terminal[i])
+			if len(terminal[i]) != 1 || terminal[i][0].Status != server.StatusDone {
+				t.Fatalf("index %d: terminal lines %+v, want one done line", i, terminal[i])
+			}
+			if _, err := sim.ParseStats(specs[i], terminal[i][0].Stats); err != nil {
+				t.Errorf("index %d: the done line's stats hold no result: %v", i, err)
 			}
 		}
 		if it := terminal[0][0]; it.Cached != "memory" || !bytes.Equal(it.Stats, first.Stats) {

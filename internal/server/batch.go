@@ -42,9 +42,9 @@ type BatchRequest struct {
 // acknowledgment line (status "queued", carrying the job id so clients can
 // cancel or hedge individual points) unless it was answered from cache, and
 // exactly one terminal line (status "done", "failed" or "cancelled"). Done
-// lines carry both the canonical stats serialization and the full result —
-// the same lossless envelope the disk cache stores — so a client can
-// reconstruct a sim.Result byte-identically to an in-process run. Duplicate
+// lines carry the canonical stats serialization, the one encoding of a
+// finished run (the disk cache stores the same bytes), from which
+// sim.ParseStats rebuilds the sim.Result an in-process run makes. Duplicate
 // specs within the request produce one line per index, sharing a job.
 type BatchItem struct {
 	Index  int             `json:"index"`
@@ -54,7 +54,6 @@ type BatchItem struct {
 	Cached string          `json:"cached,omitempty"`
 	Error  string          `json:"error,omitempty"`
 	Stats  json.RawMessage `json:"stats,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
 }
 
 // batchWriter serializes NDJSON lines onto the response; dispatcher and
@@ -110,23 +109,16 @@ type batchGroup struct {
 }
 
 // terminalItems renders the job's terminal state as one BatchItem per
-// requesting index. The result payload is marshalled once and shared.
+// requesting index.
 func terminalItems(j *job, indices []int) []BatchItem {
 	j.mu.Lock()
 	st, errMsg, cached, stats := j.status, j.errMsg, j.cached, j.stats
-	res := j.result
 	j.mu.Unlock()
-	var raw json.RawMessage
-	if st == StatusDone {
-		if data, err := json.Marshal(res); err == nil {
-			raw = data
-		}
-	}
 	items := make([]BatchItem, len(indices))
 	for i, idx := range indices {
 		items[i] = BatchItem{
 			Index: idx, Key: j.key, ID: j.id, Status: st,
-			Cached: cached, Error: errMsg, Stats: stats, Result: raw,
+			Cached: cached, Error: errMsg, Stats: stats,
 		}
 	}
 	return items
@@ -294,21 +286,4 @@ func (it BatchItem) ErrorOf() error {
 		msg = string(it.Status)
 	}
 	return fmt.Errorf("spbd: batch spec %d ended %s: %s", it.Index, it.Status, msg)
-}
-
-// DecodeResult reconstructs the full simulation result carried by a done
-// item — the same lossless round trip the disk cache performs, so remote
-// sweeps compute byte-identical tables.
-func (it BatchItem) DecodeResult() (sim.Result, error) {
-	if it.Status != StatusDone {
-		return sim.Result{}, fmt.Errorf("spbd: batch spec %d is %s, not done", it.Index, it.Status)
-	}
-	if len(it.Result) == 0 {
-		return sim.Result{}, fmt.Errorf("spbd: batch spec %d carries no result payload", it.Index)
-	}
-	var res sim.Result
-	if err := json.Unmarshal(it.Result, &res); err != nil {
-		return sim.Result{}, fmt.Errorf("spbd: batch spec %d result: %w", it.Index, err)
-	}
-	return res, nil
 }

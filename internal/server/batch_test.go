@@ -83,12 +83,12 @@ func TestBatchStreamsResultsAndDedups(t *testing.T) {
 	if got := s.Runner().Runs(); got != 2 {
 		t.Fatalf("Runs() = %d, want 2 (in-request dedup failed)", got)
 	}
-	// The payload reconstructs the exact in-process result.
-	res, err := done[0].DecodeResult()
+	// The stats rebuild the exact in-process result.
+	spec, err := smallSpec.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := smallSpec.Spec()
+	res, err := sim.ParseStats(spec, done[0].Stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,8 @@ func TestBatchStreamsResultsAndDedups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CPU != local.CPU || res.Mem != local.Mem {
-		t.Fatal("batch result differs from in-process run")
+	if res != local {
+		t.Fatalf("batch result differs from in-process run:\n  %+v\n  %+v", res, local)
 	}
 	want, err := local.StatsJSON()
 	if err != nil {

@@ -150,7 +150,6 @@ type job struct {
 
 	mu     sync.Mutex
 	status Status
-	result sim.Result
 	stats  json.RawMessage
 	errMsg string
 	cached string // "", "memory" or "disk"
@@ -168,9 +167,9 @@ func (j *job) release() int64 { return j.waiters.Add(-1) }
 func (j *job) retain()        { j.waiters.Add(1) }
 
 // maxTerminalJobs is how many ended jobs stay resolvable by id (oldest-ended
-// evicted first; a live job is never evicted). An ended job keeps its result,
-// stats JSON and trace — about 2.5 KB — so the table tops out near 40 MB; an
-// evicted id answers 404 like an unknown one.
+// evicted first; a live job is never evicted). An ended job keeps its stats
+// JSON and trace — about 1.8 KB — so the table tops out near 30 MB; an evicted
+// id answers 404 like an unknown one.
 const maxTerminalJobs = 16384
 
 // Server is the spbd daemon: HTTP API, FIFO queue, worker pool and the
@@ -472,7 +471,7 @@ func (s *Server) end(j *job, st Status, res sim.Result, msg string) bool {
 		j.mu.Unlock()
 		return false
 	}
-	j.status, j.result, j.stats, j.errMsg = st, res, stats, msg
+	j.status, j.stats, j.errMsg = st, stats, msg
 	if st == StatusDone {
 		j.committed.Store(resultCommitted(&res))
 		j.cycles.Store(res.CPU.Cycles)

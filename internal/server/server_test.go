@@ -901,11 +901,20 @@ var strictBodies = []string{
 	`{"workload":"bwaves"} {}`,
 }
 
+// noMachineBodies are run bodies that parse but describe no machine: with no
+// store buffer, an unknown core, and a sampling window longer than its period.
+// They are refused with the error their run would fail with.
+var noMachineBodies = []string{
+	`{"workload":"bwaves","insts":1000}`,
+	`{"workload":"bwaves","sb":14,"core":"P4","insts":1000}`,
+	`{"workload":"bwaves","sb":14,"insts":1000,"sample_interval_insts":100,"sample_detailed_insts":500}`,
+}
+
 // TestBadSpecRejected covers the 400 paths: of a run, and of a batch, which
 // names the index of its bad spec.
 func TestBadSpecRejected(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})
-	for _, body := range append([]string{
+	for _, body := range append(append([]string{
 		`{"policy":"spb"}`,                       // missing workload
 		`{"workload":"bwaves","policy":"bogus"}`, // unknown policy
 		`{"workload":"bwaves","prefetcher":"?"}`, // unknown prefetcher
@@ -914,7 +923,7 @@ func TestBadSpecRejected(t *testing.T) {
 		// journaled, every restart after it) instead of being refused.
 		`{"workload":"canneal","sb":14,"cores":65,"insts":1000}`,
 		`{"workload":"canneal","sb":14,"cores":-1,"insts":1000}`,
-	}, strictBodies...) {
+	}, noMachineBodies...), strictBodies...) {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -932,12 +941,16 @@ func TestBadSpecRejected(t *testing.T) {
 		}
 	}
 	ok := `{"workload":"bwaves","sb":14,"insts":1000}`
-	for _, c := range []struct{ body, want string }{
+	batches := []struct{ body, want string }{
 		{`{"specs":[` + ok + `,{"workload":"bwaves","sb":14,"polcy":"spb"}]}`, "index 1"},
 		{`{"specs":[` + ok + `,{"workload":"bwaves","sb":14,"branch_predictor":true}]}`, "index 1"},
 		{`{"specs":[` + ok + `],"spec":[]}`, "unknown field"},
 		{`{"specs":[` + ok + `]} {}`, "after the JSON value"},
-	} {
+	}
+	for _, body := range noMachineBodies {
+		batches = append(batches, struct{ body, want string }{`{"specs":[` + ok + `,` + body + `]}`, "index 1"})
+	}
+	for _, c := range batches {
 		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
@@ -1031,7 +1044,7 @@ func TestPrefetcherZooEndToEnd(t *testing.T) {
 // workload must fail the job, not wedge it.
 func TestUnknownWorkloadFailsJob(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 1})
-	req := RunRequest{Workload: "no-such-workload", Insts: 1000}
+	req := RunRequest{Workload: "no-such-workload", SB: 14, Insts: 1000}
 	resp, v := postRun(t, ts, req, "?wait=1")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST = %d", resp.StatusCode)

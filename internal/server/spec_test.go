@@ -17,7 +17,7 @@ func FuzzRunRequest(f *testing.F) {
 	explicit.Cores, explicit.WindowN, explicit.Seed = 1, 48, 1
 	for _, req := range []RunRequest{
 		smallSpec, longSpec, explicit,
-		{Workload: "no-such-workload", Insts: 1000},
+		{Workload: "no-such-workload", SB: 14, Insts: 1000},
 		{Workload: "bwaves", Policy: "spb", SB: 14, Insts: 10_000, Prefetcher: "bop"},
 		{Workload: "bwaves", Policy: "spb", SB: 14, Insts: 10_000, Prefetcher: "dspatch"},
 		{Workload: "bwaves", Policy: "spb", SB: 14, Insts: 10_000, Prefetcher: "hybrid"},
@@ -42,7 +42,7 @@ func FuzzRunRequest(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
-	for _, body := range strictBodies {
+	for _, body := range append(noMachineBodies, strictBodies...) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

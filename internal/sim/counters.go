@@ -8,10 +8,10 @@ import (
 )
 
 // counter names one uint64 field of a statistics struct once: its key in the
-// canonical stats JSON ("" keeps it out of the export) and where it lives in a
-// value. Window deltas, aggregation and the export all walk these tables, so a
-// counter added to cpu.Stats, MemStats or memsys.PortCounters is one line here — and
-// TestCounterTablesCoverEveryField fails until that line exists.
+// canonical stats JSON and where it lives in a value. Window deltas,
+// aggregation, the export and ParseStats all walk these tables, so a counter
+// added to cpu.Stats, MemStats, memsys.PortCounters or SampleStats is one line
+// here — and TestCounterTablesCoverEveryField fails until that line exists.
 type counter[T any] struct {
 	name string
 	at   func(*T) *uint64
@@ -55,10 +55,6 @@ var memCounters = slices.Concat([]counter[MemStats]{
 // portCounters is one core's memsys.PortCounters: collectMem sums the ports
 // with it, and MemStats, which embeds the sum, carries it into memCounters.
 var portCounters = []counter[memsys.PortCounters]{
-	// Not in the canonical JSON: the core counts the same events as cpu.loads
-	// and cpu.stores.
-	{"", func(p *memsys.PortCounters) *uint64 { return &p.Loads }},
-	{"", func(p *memsys.PortCounters) *uint64 { return &p.Stores }},
 	{"mem.loadMisses", func(p *memsys.PortCounters) *uint64 { return &p.LoadMisses }},
 	{"mem.storeMisses", func(p *memsys.PortCounters) *uint64 { return &p.StoreMisses }},
 	{"mem.wrongPathLoads", func(p *memsys.PortCounters) *uint64 { return &p.WrongPathLoads }},
@@ -73,6 +69,31 @@ var portCounters = []counter[memsys.PortCounters]{
 	{"mem.gpfUsed", func(p *memsys.PortCounters) *uint64 { return &p.GPFUsed }},
 	{"mem.gpfLate", func(p *memsys.PortCounters) *uint64 { return &p.GPFLate }},
 	{"mem.gpfPolluted", func(p *memsys.PortCounters) *uint64 { return &p.GPFPolluted }},
+}
+
+// sampleCounters is a sampled run's SampleStats (DESIGN.md §14); the export
+// carries it only when the spec samples.
+var sampleCounters = []counter[SampleStats]{
+	{"sample.intervals", func(s *SampleStats) *uint64 { return &s.Intervals }},
+	{"sample.measuredInsts", func(s *SampleStats) *uint64 { return &s.MeasuredInsts }},
+	{"sample.detailedInsts", func(s *SampleStats) *uint64 { return &s.DetailedInsts }},
+	{"sample.fastForwardInsts", func(s *SampleStats) *uint64 { return &s.FastForwardInsts }},
+	{"sample.ipcMeanPPM", func(s *SampleStats) *uint64 { return &s.IPCMeanPPM }},
+	{"sample.ipcCI95PPM", func(s *SampleStats) *uint64 { return &s.IPCCI95PPM }},
+	{"sample.cpiMeanPPM", func(s *SampleStats) *uint64 { return &s.CPIMeanPPM }},
+	{"sample.cpiCI95PPM", func(s *SampleStats) *uint64 { return &s.CPICI95PPM }},
+	{"sample.sbStallPerInstMeanPPM", func(s *SampleStats) *uint64 { return &s.SBStallPerInstMeanPPM }},
+	{"sample.sbStallPerInstCI95PPM", func(s *SampleStats) *uint64 { return &s.SBStallPerInstCI95PPM }},
+	{"sample.otherStallPerInstMeanPPM", func(s *SampleStats) *uint64 { return &s.OtherStallPerInstMeanPPM }},
+	{"sample.otherStallPerInstCI95PPM", func(s *SampleStats) *uint64 { return &s.OtherStallPerInstCI95PPM }},
+	{"sample.frontendStallPerInstMeanPPM", func(s *SampleStats) *uint64 { return &s.FrontendStallPerInstMeanPPM }},
+	{"sample.frontendStallPerInstCI95PPM", func(s *SampleStats) *uint64 { return &s.FrontendStallPerInstCI95PPM }},
+	{"sample.execStallL1DPerInstMeanPPM", func(s *SampleStats) *uint64 { return &s.ExecStallL1DPerInstMeanPPM }},
+	{"sample.execStallL1DPerInstCI95PPM", func(s *SampleStats) *uint64 { return &s.ExecStallL1DPerInstCI95PPM }},
+	{"sample.l1MissPerInstMeanPPM", func(s *SampleStats) *uint64 { return &s.L1MissPerInstMeanPPM }},
+	{"sample.l1MissPerInstCI95PPM", func(s *SampleStats) *uint64 { return &s.L1MissPerInstCI95PPM }},
+	{"sample.dramPerInstMeanPPM", func(s *SampleStats) *uint64 { return &s.DRAMPerInstMeanPPM }},
+	{"sample.dramPerInstCI95PPM", func(s *SampleStats) *uint64 { return &s.DRAMPerInstCI95PPM }},
 }
 
 // embedCounters lifts the table of a struct E that T holds at at into a
@@ -101,11 +122,16 @@ func addCounters[T any](tab []counter[T], dst *T, d T) {
 	}
 }
 
-// exportCounters adds every named counter of v to s.
+// exportCounters adds every counter of v to s.
 func exportCounters[T any](s map[string]uint64, tab []counter[T], v T) {
 	for _, c := range tab {
-		if c.name != "" {
-			s[c.name] += *c.at(&v)
-		}
+		s[c.name] += *c.at(&v)
+	}
+}
+
+// parseCounters sets every counter of v from s; a name s lacks reads as 0.
+func parseCounters[T any](s map[string]uint64, tab []counter[T], v *T) {
+	for _, c := range tab {
+		*c.at(v) = s[c.name]
 	}
 }

@@ -154,9 +154,6 @@ type machine struct {
 // newMachine builds the cold machine of a normalized spec, on progs or, when
 // nil, on the streams its workload builds. The caller releases it.
 func newMachine(spec RunSpec, progs []*trace.Program) (*machine, error) {
-	if err := spec.Sampling.validate(); err != nil {
-		return nil, err
-	}
 	cfg, err := spec.machineConfig()
 	if err != nil {
 		return nil, err

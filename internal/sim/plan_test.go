@@ -162,13 +162,14 @@ func TestRunProgramsIsRun(t *testing.T) {
 	}
 }
 
-// TestCounterTablesCoverEveryField: every uint64 field of cpu.Stats and
-// MemStats, the ones MemStats embeds from memsys.PortCounters included, is
-// named by its table exactly once, so no counter can silently
-// drop out of window deltas, aggregation or the export.
+// TestCounterTablesCoverEveryField: every uint64 field of cpu.Stats,
+// MemStats (the ones it embeds from memsys.PortCounters included) and
+// SampleStats is named by its table exactly once, so no counter can silently
+// drop out of window deltas, aggregation, the export or ParseStats.
 func TestCounterTablesCoverEveryField(t *testing.T) {
 	checkCounterTable(t, cpuCounters)
 	checkCounterTable(t, memCounters)
+	checkCounterTable(t, sampleCounters)
 }
 
 func checkCounterTable[T any](t *testing.T, tab []counter[T]) {

@@ -1,10 +1,11 @@
 #!/bin/sh
 # check.sh — the full pre-merge gate: gofmt, vet, build, the whole suite once
 # and uncached (every test, fuzz seed corpus and golden; DESIGN.md §6 names
-# the gates inside it and what each protects), seven fuzz targets for a fixed
+# the gates inside it and what each protects), nine fuzz targets for a fixed
 # budget each (a warm group's snapshot against the runs forked from it, the
-# spec, journal and trace-file decoders, warming against the demand path, a
-# Program and the store buffer against their test-only references),
+# spec, journal, stats and trace-file decoders, warming against the demand
+# path, a Program, the store buffer and the SPB detector against their
+# test-only references),
 # the bench/ module's tests (it calls internal/ APIs and the root ./...
 # cannot see it), a race pass over the packages with real concurrency (the
 # Runner's singleflight / worker pool, the figure pipelines that drive it, the
@@ -26,10 +27,11 @@ for f in cmd/*/default.pgo; do go tool pprof -raw "$f" >/dev/null; done
 go build ./...
 echo "== go test (uncached) =="
 go test -count=1 ./...
-echo "== fuzz for a fixed budget (the suite above only replays their seeds): a warm group's snapshot against the runs it starts, the spec, journal and trace-file decoders, warming against the demand path, and a Program, the store buffer and the SPB detector against their references =="
+echo "== fuzz for a fixed budget (the suite above only replays their seeds): a warm group's snapshot against the runs it starts, the spec, journal, stats and trace-file decoders, warming against the demand path, and a Program, the store buffer and the SPB detector against their references =="
 go test -run '^$' -fuzz '^FuzzWarmSnapshotAliasing$' -fuzztime 10s ./internal/sim
 go test -run '^$' -fuzz '^FuzzRunRequest$' -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz '^FuzzJournalEntry$' -fuzztime 10s ./internal/server
+go test -run '^$' -fuzz '^FuzzParseStats$' -fuzztime 10s ./internal/sim
 go test -run '^$' -fuzz '^FuzzOpenTrace$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzWarmIsDemand$' -fuzztime 10s ./internal/memsys
 go test -run '^$' -fuzz '^FuzzLeafWrittenOnce$' -fuzztime 10s ./internal/trace
