@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -186,6 +187,35 @@ func TestDiskStoreQuarantinesKeyMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectQuarantine(t, store, other, otherPath)
+}
+
+// TestDiskStoreQuarantinesStatsItCannotRebuild: an entry whose checksum and
+// canonical form hold but whose stats no run can have exported (here
+// td.cycles out of line with cpu.cycles) is quarantined, not served.
+func TestDiskStoreQuarantinesStatsItCannotRebuild(t *testing.T) {
+	store, key, _, path := storedEntry(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e diskEntry
+	if err := json.Unmarshal(data, &e); err != nil {
+		t.Fatal(err)
+	}
+	var stats map[string]uint64
+	if err := json.Unmarshal(e.Stats, &stats); err != nil {
+		t.Fatal(err)
+	}
+	stats["td.cycles"]++
+	if e.Stats, err = json.Marshal(stats); err != nil {
+		t.Fatal(err)
+	}
+	e.Sum = e.sum()
+	data, _ = json.MarshalIndent(e, "", "\t")
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	expectQuarantine(t, store, key, path)
 }
 
 func TestDiskStoreInjectedCorruptionHeals(t *testing.T) {
