@@ -24,8 +24,9 @@ const keyVersion = "spb-runspec-v4"
 // that differ only in defaulted fields (Cores 0 vs 1, Seed 0 vs 1, ...)
 // share a key, and the encoding uses no map iteration, pointer values, or
 // other process-varying input, so keys are stable across restarts — the
-// property the on-disk cache depends on. The literal bpred=false is the
-// branch-predictor knob the spec no longer has, kept so no key moves.
+// property the on-disk cache depends on. The literals bpred=false and
+// noff=false are the branch-predictor and fast-forward knobs the spec no
+// longer has, kept so no key moves.
 func Key(spec sim.RunSpec) string {
 	n := spec.Normalized()
 	h := sha256.New()
@@ -33,10 +34,10 @@ func Key(spec sim.RunSpec) string {
 	// otherwise collide with a separator); enums render as their stable
 	// String() names.
 	fmt.Fprintf(h,
-		"%s|workload=%q|policy=%s|sq=%d|pf=%s|core=%q|cores=%d|insts=%d|warm=%d|win=%d|dyn=%t|coalesce=%t|backward=%t|xpage=%t|bpred=false|noff=%t|smp=%d/%d/%d/%d|seed=%d",
+		"%s|workload=%q|policy=%s|sq=%d|pf=%s|core=%q|cores=%d|insts=%d|warm=%d|win=%d|dyn=%t|coalesce=%t|backward=%t|xpage=%t|bpred=false|noff=false|smp=%d/%d/%d/%d|seed=%d",
 		keyVersion, n.Workload, n.Policy, n.SQSize, n.Prefetcher, n.CoreName,
 		n.Cores, n.Insts, n.WarmupInsts, n.WindowN, n.DynamicSPB, n.CoalesceSB,
-		n.BackwardBursts, n.CrossPageBursts, n.DisableFastForward,
+		n.BackwardBursts, n.CrossPageBursts,
 		n.Sampling.IntervalInsts, n.Sampling.DetailedInsts, n.Sampling.WarmInsts,
 		n.Sampling.HistoryInsts, n.Seed)
 	return hex.EncodeToString(h.Sum(nil))

@@ -67,8 +67,6 @@ func TestKeyStableAcrossRestarts(t *testing.T) {
 			"228c3e45ede68e53c0ee66f0d13b43114000bd0a5671b513baa542c82ad27724"},
 		{sim.RunSpec{Workload: "bwaves", CrossPageBursts: true},
 			"5fa57e31e5a832db976a3c5e7afac6add101c9d182720212db629c3277271e04"},
-		{sim.RunSpec{Workload: "bwaves", DisableFastForward: true},
-			"b89dd1d48dc55246b5a2ed926003ae1d4d6924813c9dcaebb98471d83ee8d507"},
 		{sim.RunSpec{Workload: "bwaves", Sampling: sim.SamplingConfig{
 			IntervalInsts: 100_000, DetailedInsts: 5_000, WarmInsts: 20_000, HistoryInsts: 50_000}},
 			"7c113a30334d97eefd764506ad13024873eb73db235a49e093f869e38b4bca73"},
@@ -114,7 +112,6 @@ func TestKeyDistinguishesSpecs(t *testing.T) {
 		{Workload: "bwaves", Policy: core.PolicySPB, SQSize: 14, CoalesceSB: true},
 		{Workload: "bwaves", Policy: core.PolicySPB, SQSize: 14, BackwardBursts: true},
 		{Workload: "bwaves", Policy: core.PolicySPB, SQSize: 14, CrossPageBursts: true},
-		{Workload: "bwaves", Policy: core.PolicySPB, SQSize: 14, DisableFastForward: true},
 		{Workload: "bwaves", Policy: core.PolicySPB, SQSize: 14, CoreName: "SLM"},
 		{Workload: "bwaves", Policy: core.PolicySPB, SQSize: 14, Prefetcher: config.PrefetchAdaptive},
 		{Workload: "bwaves", Policy: core.PolicySPB, SQSize: 14, Prefetcher: config.PrefetchNone},

@@ -428,15 +428,19 @@ func mustRead(t *testing.T, path string) []byte {
 // to re-admit for it. So does a job journaled, and sealed, by a release whose
 // spec still had the modelled branch predictor: that knob is not part of the
 // spec any more, so the seal no longer holds and the job is never run
-// without the predictor it asked for.
+// without the predictor it asked for. A job sealed with the retired
+// disable_fast_forward knob is born failed the same way.
 func TestRecoveryFailsJobWhoseSpecNoLongerValidates(t *testing.T) {
 	journalPath := filepath.Join(t.TempDir(), "journal")
 	bad := RunRequest{Workload: "canneal", SB: 14, Cores: 65, Insts: 1000}
 	good := RunRequest{Workload: "mcf", Policy: "spb", SB: 14, Insts: 4000}
 	writeEntries(t, journalPath, entryFor("r000001-deadbeef", bad), entryFor("r000002-cafef00d", good))
 	const predicted = `{"id":"r000003-0b5e55ed","tenant":"default","spec":{"workload":"bwaves","policy":"spb","sb":14,"insts":4000,"branch_predictor":true},"sum":"d905560467a9c0f989d45f9d698b680daf8cf5b3b0a36803dbff7d3a02f6fa69"}`
-	if err := os.WriteFile(filepath.Join(journalPath, "r000003-0b5e55ed.json"), []byte(predicted), 0o644); err != nil {
-		t.Fatal(err)
+	const perCycle = `{"id":"r000004-0ff0ff00","tenant":"default","spec":{"workload":"bwaves","policy":"spb","sb":14,"insts":4000,"disable_fast_forward":true},"sum":"402f4e8a43eed7601257312274b4b08eb3bb36581bff0846e1d475625b4a1d91"}`
+	for id, entry := range map[string]string{"r000003-0b5e55ed": predicted, "r000004-0ff0ff00": perCycle} {
+		if err := os.WriteFile(filepath.Join(journalPath, id+".json"), []byte(entry), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	s, ts := testServer(t, Config{Workers: 1, JournalPath: journalPath})
@@ -464,8 +468,14 @@ func TestRecoveryFailsJobWhoseSpecNoLongerValidates(t *testing.T) {
 	if v := s.jobByID("r000003-0b5e55ed").view(); !v.Recovered || !strings.Contains(v.Error, "checksum mismatch") {
 		t.Fatalf("predictor job view = %+v, want recovered with a failed seal", v)
 	}
-	if got := s.Metrics().RecoveryDropped.Load(); got != 2 {
-		t.Fatalf("RecoveryDropped = %d, want 2", got)
+	if st := waitJobDone(t, s, "r000004-0ff0ff00"); st != StatusFailed {
+		t.Fatalf("job journaled with the fast forward off recovered as %s, want failed", st)
+	}
+	if v := s.jobByID("r000004-0ff0ff00").view(); !v.Recovered || !strings.Contains(v.Error, "checksum mismatch") {
+		t.Fatalf("fast-forward-off job view = %+v, want recovered with a failed seal", v)
+	}
+	if got := s.Metrics().RecoveryDropped.Load(); got != 3 {
+		t.Fatalf("RecoveryDropped = %d, want 3", got)
 	}
 	if got := s.Metrics().RecoveryRequeued.Load(); got != 1 {
 		t.Fatalf("RecoveryRequeued = %d, want 1: only the healthy job runs", got)

@@ -894,11 +894,14 @@ func TestDrainRejectsAndFinishes(t *testing.T) {
 // strictBodies are run bodies the spec decoder refuses although a lenient
 // one would run them: a misspelt knob would run its default, a retired one
 // (the modelled branch predictor) the model without it, and a second value
-// would be dropped unread.
+// would be dropped unread. The last names the retired per-cycle reference
+// loop, which a lenient decoder would run fast-forwarded: the same bytes, but
+// not what the body asked for.
 var strictBodies = []string{
 	`{"workload":"bwaves","sb":14,"polcy":"spb"}`,
 	`{"workload":"bwaves","sb":14,"branch_predictor":true}`,
 	`{"workload":"bwaves"} {}`,
+	`{"workload":"bwaves","sb":14,"disable_fast_forward":true}`,
 }
 
 // noMachineBodies are run bodies that parse but describe no machine: with no
@@ -944,6 +947,7 @@ func TestBadSpecRejected(t *testing.T) {
 	batches := []struct{ body, want string }{
 		{`{"specs":[` + ok + `,{"workload":"bwaves","sb":14,"polcy":"spb"}]}`, "index 1"},
 		{`{"specs":[` + ok + `,{"workload":"bwaves","sb":14,"branch_predictor":true}]}`, "index 1"},
+		{`{"specs":[` + ok + `,{"workload":"bwaves","sb":14,"disable_fast_forward":true}]}`, "index 1"},
 		{`{"specs":[` + ok + `],"spec":[]}`, "unknown field"},
 		{`{"specs":[` + ok + `]} {}`, "after the JSON value"},
 	}

@@ -32,12 +32,11 @@ type RunRequest struct {
 	Warmup     uint64 `json:"warmup_insts,omitempty"`
 	WindowN    int    `json:"window_n,omitempty"`
 
-	DynamicSPB         bool   `json:"dynamic_spb,omitempty"`
-	CoalesceSB         bool   `json:"coalesce_sb,omitempty"`
-	BackwardBursts     bool   `json:"backward_bursts,omitempty"`
-	CrossPageBursts    bool   `json:"cross_page_bursts,omitempty"`
-	DisableFastForward bool   `json:"disable_fast_forward,omitempty"`
-	Seed               uint64 `json:"seed,omitempty"`
+	DynamicSPB      bool   `json:"dynamic_spb,omitempty"`
+	CoalesceSB      bool   `json:"coalesce_sb,omitempty"`
+	BackwardBursts  bool   `json:"backward_bursts,omitempty"`
+	CrossPageBursts bool   `json:"cross_page_bursts,omitempty"`
+	Seed            uint64 `json:"seed,omitempty"`
 
 	// SMARTS sampling (DESIGN.md §14): a non-zero interval requests a
 	// sampled run — short detailed windows at SampleDetail instructions
@@ -56,18 +55,17 @@ type RunRequest struct {
 // ("none"-policy, "stream"-prefetcher), matching the zero sim.RunSpec.
 func (r RunRequest) Spec() (sim.RunSpec, error) {
 	spec := sim.RunSpec{
-		Workload:           r.Workload,
-		SQSize:             r.SB,
-		CoreName:           r.Core,
-		Cores:              r.Cores,
-		Insts:              r.Insts,
-		WarmupInsts:        r.Warmup,
-		WindowN:            r.WindowN,
-		DynamicSPB:         r.DynamicSPB,
-		CoalesceSB:         r.CoalesceSB,
-		BackwardBursts:     r.BackwardBursts,
-		CrossPageBursts:    r.CrossPageBursts,
-		DisableFastForward: r.DisableFastForward,
+		Workload:        r.Workload,
+		SQSize:          r.SB,
+		CoreName:        r.Core,
+		Cores:           r.Cores,
+		Insts:           r.Insts,
+		WarmupInsts:     r.Warmup,
+		WindowN:         r.WindowN,
+		DynamicSPB:      r.DynamicSPB,
+		CoalesceSB:      r.CoalesceSB,
+		BackwardBursts:  r.BackwardBursts,
+		CrossPageBursts: r.CrossPageBursts,
 		Sampling: sim.SamplingConfig{
 			IntervalInsts: r.SampleInterval,
 			DetailedInsts: r.SampleDetail,
@@ -105,24 +103,23 @@ func (r RunRequest) Spec() (sim.RunSpec, error) {
 // modulo normalization).
 func Request(spec sim.RunSpec) RunRequest {
 	return RunRequest{
-		Workload:           spec.Workload,
-		Policy:             spec.Policy.String(),
-		SB:                 spec.SQSize,
-		Prefetcher:         spec.Prefetcher.String(),
-		Core:               spec.CoreName,
-		Cores:              spec.Cores,
-		Insts:              spec.Insts,
-		Warmup:             spec.WarmupInsts,
-		WindowN:            spec.WindowN,
-		DynamicSPB:         spec.DynamicSPB,
-		CoalesceSB:         spec.CoalesceSB,
-		BackwardBursts:     spec.BackwardBursts,
-		CrossPageBursts:    spec.CrossPageBursts,
-		DisableFastForward: spec.DisableFastForward,
-		SampleInterval:     spec.Sampling.IntervalInsts,
-		SampleDetail:       spec.Sampling.DetailedInsts,
-		SampleWarm:         spec.Sampling.WarmInsts,
-		SampleHistory:      spec.Sampling.HistoryInsts,
-		Seed:               spec.Seed,
+		Workload:        spec.Workload,
+		Policy:          spec.Policy.String(),
+		SB:              spec.SQSize,
+		Prefetcher:      spec.Prefetcher.String(),
+		Core:            spec.CoreName,
+		Cores:           spec.Cores,
+		Insts:           spec.Insts,
+		Warmup:          spec.WarmupInsts,
+		WindowN:         spec.WindowN,
+		DynamicSPB:      spec.DynamicSPB,
+		CoalesceSB:      spec.CoalesceSB,
+		BackwardBursts:  spec.BackwardBursts,
+		CrossPageBursts: spec.CrossPageBursts,
+		SampleInterval:  spec.Sampling.IntervalInsts,
+		SampleDetail:    spec.Sampling.DetailedInsts,
+		SampleWarm:      spec.Sampling.WarmInsts,
+		SampleHistory:   spec.Sampling.HistoryInsts,
+		Seed:            spec.Seed,
 	}
 }

@@ -17,12 +17,12 @@ import (
 // cycles it can prove dead.
 func assertFFEquivalent(t *testing.T, spec RunSpec) {
 	t.Helper()
-	spec.DisableFastForward = false
+	spec.perCycle = false
 	fast, err := Run(spec)
 	if err != nil {
 		t.Fatalf("%+v (fast-forward): %v", spec, err)
 	}
-	spec.DisableFastForward = true
+	spec.perCycle = true
 	ref, err := Run(spec)
 	if err != nil {
 		t.Fatalf("%+v (reference): %v", spec, err)

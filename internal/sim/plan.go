@@ -459,7 +459,7 @@ func (m *machine) buildCores(n uint64) []*cpu.Core {
 		CoalesceSB:         spec.CoalesceSB,
 		BackwardBursts:     spec.BackwardBursts,
 		CrossPageBursts:    spec.CrossPageBursts,
-		DisableFastForward: spec.DisableFastForward,
+		DisableFastForward: spec.perCycle,
 		StartCycle:         m.cycleBase,
 	}
 	cores := make([]*cpu.Core, spec.Cores)

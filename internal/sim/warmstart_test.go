@@ -155,7 +155,7 @@ func TestWarmStartEquivalenceVariants(t *testing.T) {
 	})
 	assertWarmEquivalent(t, RunSpec{
 		Workload: "cam4", Policy: core.PolicySPB, SQSize: 14,
-		Insts: 8000, WarmupInsts: 20_000, CoalesceSB: true, DisableFastForward: true,
+		Insts: 8000, WarmupInsts: 20_000, CoalesceSB: true, perCycle: true,
 	})
 	assertWarmEquivalent(t, RunSpec{
 		Workload: "x264", CoreName: "SLM", Policy: core.PolicySPB, SQSize: 16,
@@ -188,7 +188,7 @@ func TestWarmStartGroupSharingAcrossKnobs(t *testing.T) {
 	v.WindowN = 16
 	variants = append(variants, v)
 	v = base
-	v.DisableFastForward = true
+	v.perCycle = true
 	v.Policy = core.PolicyIdeal
 	variants = append(variants, v)
 	if _, err := r.GetAll(variants); err != nil {
@@ -416,20 +416,20 @@ func FuzzNormalizeIdempotent(f *testing.F) {
 	f.Add("dedup", uint8(4), uint8(8), uint16(14), uint16(16), uint64(5), uint64(1_000_000), uint64(42), uint8(0x3f))
 	f.Fuzz(func(t *testing.T, workload string, policy, cores uint8, sq, windowN uint16, insts, warmup, seed uint64, flags uint8) {
 		s := RunSpec{
-			Workload:           workload,
-			Policy:             core.Policy(policy % 5),
-			SQSize:             int(sq),
-			CoreName:           "",
-			Cores:              int(cores),
-			Insts:              insts,
-			WarmupInsts:        warmup,
-			WindowN:            int(windowN),
-			Seed:               seed,
-			DynamicSPB:         flags&1 != 0,
-			CoalesceSB:         flags&2 != 0,
-			BackwardBursts:     flags&4 != 0,
-			CrossPageBursts:    flags&8 != 0,
-			DisableFastForward: flags&32 != 0,
+			Workload:        workload,
+			Policy:          core.Policy(policy % 5),
+			SQSize:          int(sq),
+			CoreName:        "",
+			Cores:           int(cores),
+			Insts:           insts,
+			WarmupInsts:     warmup,
+			WindowN:         int(windowN),
+			Seed:            seed,
+			DynamicSPB:      flags&1 != 0,
+			CoalesceSB:      flags&2 != 0,
+			BackwardBursts:  flags&4 != 0,
+			CrossPageBursts: flags&8 != 0,
+			perCycle:        flags&32 != 0,
 		}
 		n1 := s.Normalized()
 		n2 := n1.Normalized()
