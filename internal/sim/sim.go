@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -370,16 +371,16 @@ type Runner struct {
 	warmMu       sync.Mutex
 	warmCache    map[warmKey]*warmGroup
 	warmInflight map[warmKey]*warmCall
-	warmClock    uint64 // ticks once per fork: the recency stamp of eviction
+	warmClock    uint64 // ticks once per build or fork: the recency stamp of eviction
 	warmMax      int    // maxWarmGroups; a field so a test can shrink it
 
 	warmGroups     atomic.Uint64 // warmups actually simulated
 	warmForks      atomic.Uint64 // runs started from a snapshot
 	warmInstsSaved atomic.Uint64 // warmup instructions elided by sharing
 	instsSimulated atomic.Uint64 // instructions simulated (warm + detailed)
-	// warmStalls counts GetAll workers that waited for a warm-up in flight
-	// while their batch still had undrawn specs: the wait a batch sets specs
-	// aside to avoid (TestGetAllNeverParksBehindWarmup).
+	// warmStalls counts waits, by any caller, for a warm-up in flight: the
+	// wait GetAll's warm-first pass rules out for its own specs
+	// (TestGetAllNeverParksBehindWarmup).
 	warmStalls atomic.Uint64
 
 	sampledRuns        atomic.Uint64 // runs executed in sampling mode
@@ -393,9 +394,6 @@ type runCall struct {
 	done chan struct{}
 	res  Result
 	err  error
-	// aside: the executor was a batch worker that set the spec aside instead
-	// of running it (see batch). Nothing ran; a waiter starts over.
-	aside bool
 }
 
 // NewRunner returns an empty runner.
@@ -499,55 +497,36 @@ func (r *Runner) memoize(spec RunSpec, res Result) {
 // cached; the next call re-runs the spec. onProgress only fires for the
 // caller that actually executes.
 func (r *Runner) GetCtx(ctx context.Context, spec RunSpec, onProgress func(Progress)) (Result, error) {
-	res, _, err := r.get(ctx, spec.normalize(), onProgress, nil)
-	return res, err
-}
-
-// get is GetCtx on a normalized spec. A worker of batch b that would have to
-// wait for a warm-up another goroutine is building, while b has other work for
-// it, gets that warm-up's call back instead, nothing run and nothing recorded.
-func (r *Runner) get(ctx context.Context, spec RunSpec, onProgress func(Progress), b *batch) (Result, *warmCall, error) {
+	spec = spec.normalize()
 	r.mu.Lock()
-	for {
-		if res, ok := r.cache[spec]; ok {
-			r.mu.Unlock()
-			return res, nil, nil
-		}
-		call, ok := r.inflight[spec]
-		if !ok {
-			break
-		}
+	if res, ok := r.cache[spec]; ok {
+		r.mu.Unlock()
+		return res, nil
+	}
+	if call, ok := r.inflight[spec]; ok {
 		r.mu.Unlock()
 		select {
 		case <-call.done:
-			if !call.aside {
-				return call.res, nil, call.err
-			}
+			return call.res, call.err
 		case <-ctx.Done():
-			return Result{}, nil, ctx.Err()
+			return Result{}, ctx.Err()
 		}
-		r.mu.Lock()
 	}
 	call := &runCall{done: make(chan struct{})}
 	r.inflight[spec] = call
 	r.mu.Unlock()
 
 	r.runs.Add(1)
-	var busy *warmCall
-	call.res, busy, call.err = r.execute(ctx, spec, onProgress, b)
-	if busy != nil {
-		call.aside = true
-		r.runs.Add(^uint64(0)) // nothing ran
-	}
+	call.res, call.err = r.execute(ctx, spec, onProgress)
 
 	r.mu.Lock()
-	if call.err == nil && !call.aside {
+	if call.err == nil {
 		r.memoize(spec, call.res)
 	}
 	delete(r.inflight, spec)
 	r.mu.Unlock()
 	close(call.done)
-	return call.res, busy, call.err
+	return call.res, call.err
 }
 
 // Runs reports how many simulations this runner actually executed (cache and
@@ -577,146 +556,83 @@ func lptOrder(specs []RunSpec) []int {
 	return order
 }
 
-// batch is the dispatch state of one GetAllCtx call: the specs in dispatch
-// order, how many of them have been drawn, and the drawn ones set aside.
-//
-// A worker whose spec belongs to a warm-start group another goroutine is
-// building does not wait for that warm-up while the batch has anything else
-// for it to run: the spec is set aside with the call it would have waited on,
-// and the worker draws again. A set-aside spec is drawable, ahead of the
-// undrawn ones, from the moment its call is done — published, failed or
-// cancelled alike; whoever draws it finds the snapshot, or builds it. Only a
-// worker with nothing else left waits, in warmFor, as a single GetCtx does.
-type batch struct {
-	mu    sync.Mutex
-	order []int
-	next  int // order[next:] is undrawn
-	aside []asideSpec
-}
-
-type asideSpec struct {
-	i    int
-	call *warmCall
-}
-
-// ready returns the position in aside of a spec whose warm-up is over, or -1.
-// The caller holds b.mu.
-func (b *batch) ready() int {
-	for k, a := range b.aside {
-		select {
-		case <-a.call.done:
-			return k
-		default:
-		}
-	}
-	return -1
-}
-
-// draw hands a worker its next spec: a set-aside one whose warm-up is over,
-// else the next undrawn one, else — nothing else being left — the oldest
-// set-aside one, to wait for.
-func (b *batch) draw() (i int, ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	k := b.ready()
-	if k < 0 {
-		if b.next < len(b.order) {
-			b.next++
-			return b.order[b.next-1], true
-		}
-		if len(b.aside) == 0 {
-			return 0, false
-		}
-		k = 0
-	}
-	i = b.aside[k].i
-	b.aside = slices.Delete(b.aside, k, k+1)
-	return i, true
-}
-
-// undrawn reports whether specs remain that no worker has drawn yet; runnable,
-// whether a worker that gave up its spec now would find another to run.
-// Both are false for a nil batch: a single GetCtx has nothing else to do.
-func (b *batch) undrawn() bool {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.next < len(b.order)
-}
-
-func (b *batch) runnable() bool {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.next < len(b.order) || b.ready() >= 0
-}
-
-func (b *batch) setAside(i int, call *warmCall) {
-	b.mu.Lock()
-	b.aside = append(b.aside, asideSpec{i, call})
-	b.mu.Unlock()
-}
-
-// GetAllCtx runs the specs on a fixed worker pool (min(GOMAXPROCS,
-// len(specs)) workers) and returns the results in spec order. Specs are
-// dispatched longest-first (see lptOrder) but results land at their original
-// indices, so callers see no difference from in-order execution; a worker never
-// waits behind a warm-up another is building while it has other specs to run
-// (see batch). The first error stops all further dispatch — workers finish the
-// spec they are on and exit, since the batch is doomed anyway — and cancelling
-// ctx aborts the batch the same way, with running simulations stopped through
-// their ctx. A fixed pool — rather than one goroutine per spec parked behind a
-// semaphore — keeps a five-figure sweep from materializing hundreds of idle
-// goroutines up front.
+// GetAllCtx runs the specs on a fixed worker pool (min(GOMAXPROCS, len(specs))
+// workers) and returns the results in spec order, in two passes. The first
+// builds the snapshot of every warm-start group that a spec not yet memoized
+// forks from, longest warm-up first; the second runs the specs longest-first
+// (see lptOrder), so every fork finds its snapshot built and no worker waits
+// for a warm-up another is building (DESIGN.md §12). Results land at their
+// original indices, so callers see no difference from in-order execution. The
+// first error stops all further dispatch — workers finish the call they are on
+// and exit, since the batch is doomed anyway — and cancelling ctx aborts the
+// batch the same way, with running simulations stopped through their ctx. A
+// fixed pool — rather than one goroutine per spec parked behind a semaphore —
+// keeps a five-figure sweep from materializing hundreds of idle goroutines up
+// front.
 func (r *Runner) GetAllCtx(ctx context.Context, specs []RunSpec) ([]Result, error) {
-	results := make([]Result, len(specs))
-	b := &batch{order: lptOrder(specs)}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(specs) {
-		workers = len(specs)
+	var warm []RunSpec
+	seen := make(map[warmKey]bool)
+	r.mu.Lock()
+	for _, s := range specs {
+		s = s.normalize()
+		if _, memoized := r.cache[s]; s.WarmupInsts > 0 && !memoized && !seen[warmKeyOf(s)] {
+			seen[warmKeyOf(s)] = true
+			warm = append(warm, s)
+		}
 	}
+	r.mu.Unlock()
+	slices.SortStableFunc(warm, func(a, b RunSpec) int {
+		return cmp.Compare(b.WarmupInsts*uint64(b.Cores), a.WarmupInsts*uint64(a.Cores))
+	})
+	if err := parallel(ctx, len(warm), func(i int) error {
+		_, err := r.warmGroup(ctx, warm[i])
+		return err
+	}); err != nil {
+		return nil, err
+	}
+
+	results := make([]Result, len(specs))
+	order := lptOrder(specs)
+	if err := parallel(ctx, len(specs), func(k int) (err error) {
+		results[order[k]], err = r.GetCtx(ctx, specs[order[k]], nil)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// parallel calls do(0), do(1), … do(n-1) on min(GOMAXPROCS, n) workers, each
+// taking the next index when it finishes a call. The first error stops all
+// further dispatch, and so does cancelling ctx; parallel returns that error, or
+// ctx's.
+func parallel(ctx context.Context, n int, do func(i int) error) error {
 	var (
+		next    atomic.Int64
 		failed  atomic.Bool
 		errOnce sync.Once
 		firstEr error
 		wg      sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if failed.Load() || ctx.Err() != nil {
+			for !failed.Load() && ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				i, ok := b.draw()
-				if !ok {
-					return
-				}
-				res, busy, err := r.get(ctx, specs[i].normalize(), nil, b)
-				if busy != nil {
-					b.setAside(i, busy)
-					continue
-				}
-				if err != nil {
+				if err := do(i); err != nil {
 					errOnce.Do(func() { firstEr = err })
 					failed.Store(true)
-					return
 				}
-				results[i] = res
 			}
 		}()
 	}
 	wg.Wait()
 	if firstEr != nil {
-		return nil, firstEr
+		return firstEr
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
+	return ctx.Err()
 }

@@ -72,22 +72,19 @@ type warmCall struct {
 // execute runs one normalized spec from wherever its machine can start: a
 // spec with a warm-up starts at segment 1 from its group's snapshot, and one
 // without starts cold.
-func (r *Runner) execute(ctx context.Context, spec RunSpec, onProgress func(Progress), b *batch) (Result, *warmCall, error) {
+func (r *Runner) execute(ctx context.Context, spec RunSpec, onProgress func(Progress)) (Result, error) {
 	var start *startPoint
 	if spec.WarmupInsts > 0 {
-		var (
-			busy *warmCall
-			err  error
-		)
-		if start, busy, err = r.warmFor(ctx, spec, b); busy != nil || err != nil {
-			return Result{}, busy, err
+		var err error
+		if start, err = r.warmFor(ctx, spec); err != nil {
+			return Result{}, err
 		}
 	}
 	res, err := runPlan(ctx, spec, start, nil, onProgress)
 	if err == nil {
 		r.finished(res)
 	}
-	return res, nil, err
+	return res, err
 }
 
 // finished books a completed run in the runner's counters. The warm-up prefix
@@ -105,63 +102,18 @@ func (r *Runner) finished(res Result) {
 	r.sampleInstsSkipped.Add(res.Sample.FastForwardInsts)
 }
 
-// warmFor returns the start point of spec's group, executing the warm-up if
-// this is the group's first member (per-group singleflight: later members
-// wait, under their own ctx, rather than re-warming), and books the fork. A
-// later member that is a worker of batch b with other work to do does not
-// wait: it gets the in-flight call back, to set the spec aside with.
-func (r *Runner) warmFor(ctx context.Context, spec RunSpec, b *batch) (*startPoint, *warmCall, error) {
-	key := warmKeyOf(spec)
-	r.warmMu.Lock()
-	g := r.warmCache[key]
-	if call, inflight := r.warmInflight[key]; g == nil && inflight {
-		r.warmMu.Unlock()
-		if b.runnable() {
-			return nil, call, nil
-		}
-		if b.undrawn() {
-			r.warmStalls.Add(1)
-		}
-		select {
-		case <-call.done:
-		case <-ctx.Done():
-			return nil, nil, ctx.Err()
-		}
-		if call.err != nil {
-			return nil, nil, call.err
-		}
-		g = call.g
-		r.warmMu.Lock()
-	} else if g == nil {
-		call := &warmCall{done: make(chan struct{})}
-		r.warmInflight[key] = call
-		r.warmMu.Unlock()
-		call.g, call.err = r.buildWarm(ctx, spec)
-		r.warmMu.Lock()
-		delete(r.warmInflight, key)
-		close(call.done)
-		if call.err != nil {
-			r.warmMu.Unlock()
-			return nil, nil, call.err
-		}
-		g = call.g
-		r.warmCache[key] = g
+// warmFor returns the start point of spec's group, warming the group if its
+// snapshot is not held, and books the fork.
+func (r *Runner) warmFor(ctx context.Context, spec RunSpec) (*startPoint, error) {
+	g, err := r.warmGroup(ctx, spec)
+	if err != nil {
+		return nil, err
 	}
+	r.warmMu.Lock()
 	r.warmClock++
 	g.used = r.warmClock
 	g.forks++
 	first := g.forks == 1
-	// Evict the least recently forked group beyond the bound. A group evicted
-	// while members are still to come is warmed again: slower, same bytes.
-	for len(r.warmCache) > r.warmMax {
-		oldest, at := key, g.used
-		for k, c := range r.warmCache {
-			if c.used < at {
-				oldest, at = k, c.used
-			}
-		}
-		delete(r.warmCache, oldest)
-	}
 	r.warmMu.Unlock()
 
 	r.warmForks.Add(1)
@@ -170,7 +122,56 @@ func (r *Runner) warmFor(ctx context.Context, spec RunSpec, b *batch) (*startPoi
 		// have simulated itself.
 		r.warmInstsSaved.Add(spec.WarmupInsts * uint64(spec.Cores))
 	}
-	return g.start, nil, nil
+	return g.start, nil
+}
+
+// warmGroup returns spec's group: the held snapshot, or else one built by
+// executing the warm-up (per-group singleflight: a caller that finds the
+// group's warm-up in flight waits for it, under its own ctx, rather than
+// re-warming). A group built is held, and the least recently built or forked
+// group beyond the bound is evicted; one evicted while members are still to
+// come is warmed again: slower, same bytes.
+func (r *Runner) warmGroup(ctx context.Context, spec RunSpec) (*warmGroup, error) {
+	key := warmKeyOf(spec)
+	r.warmMu.Lock()
+	if g := r.warmCache[key]; g != nil {
+		r.warmMu.Unlock()
+		return g, nil
+	}
+	if call, inflight := r.warmInflight[key]; inflight {
+		r.warmMu.Unlock()
+		r.warmStalls.Add(1)
+		select {
+		case <-call.done:
+			return call.g, call.err
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	call := &warmCall{done: make(chan struct{})}
+	r.warmInflight[key] = call
+	r.warmMu.Unlock()
+	call.g, call.err = r.buildWarm(ctx, spec)
+
+	r.warmMu.Lock()
+	delete(r.warmInflight, key)
+	if call.err == nil {
+		r.warmClock++
+		call.g.used = r.warmClock
+		r.warmCache[key] = call.g
+		for len(r.warmCache) > r.warmMax {
+			oldest, at := key, call.g.used
+			for k, c := range r.warmCache {
+				if c.used < at {
+					oldest, at = k, c.used
+				}
+			}
+			delete(r.warmCache, oldest)
+		}
+	}
+	r.warmMu.Unlock()
+	close(call.done)
+	return call.g, call.err
 }
 
 // buildWarm executes one group's warm-up segment on a cold machine — no core
