@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -146,6 +147,86 @@ func TestGetCtxWaiterCancellation(t *testing.T) {
 	case err := <-execDone:
 		t.Fatalf("executor stopped when a waiter cancelled: %v", err)
 	default:
+	}
+}
+
+// hookCtx runs hook once, the first time its Done or Err is asked for: for a
+// builder, when its run or warm-up first polls for cancellation; for a waiter,
+// when it starts to wait.
+type hookCtx struct {
+	context.Context
+	once sync.Once
+	hook func()
+}
+
+func (c *hookCtx) Done() <-chan struct{} { c.once.Do(c.hook); return c.Context.Done() }
+func (c *hookCtx) Err() error            { c.once.Do(c.hook); return c.Context.Err() }
+
+// TestFailedBuildIsHeldByNone: the caller building a run, or a warm-start
+// group, is cancelled while a second caller waits on it. The waiter returns
+// the builder's context.Canceled, nothing is held afterwards, and the next
+// call builds again, to sim.Run's result.
+func TestFailedBuildIsHeldByNone(t *testing.T) {
+	warm := RunSpec{Workload: "bwaves", Policy: core.PolicySPB, SQSize: 14, Insts: 3000, WarmupInsts: 6000}
+	member := warm // another run of the same group
+	member.Policy = core.PolicyAtCommit
+	for _, tc := range []struct {
+		name        string
+		build, wait RunSpec
+		groups      uint64 // warm-ups simulated once the build is redone
+	}{
+		{"run", ctxTestSpec, ctxTestSpec, 0},
+		{"warm-start group", warm, member, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRunner()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			waitCtx, stop := context.WithTimeout(context.Background(), 10*time.Second)
+			defer stop()
+			waiting := make(chan struct{})
+			waited := make(chan error, 1)
+			// The hook runs inside the build, so the waiter finds it in flight.
+			builder := &hookCtx{Context: ctx, hook: func() {
+				go func() {
+					_, err := r.GetCtx(&hookCtx{Context: waitCtx, hook: func() { close(waiting) }}, tc.wait, nil)
+					waited <- err
+				}()
+				select {
+				case <-waiting:
+				case <-waitCtx.Done():
+					t.Error("the second caller never waited")
+				}
+				cancel()
+			}}
+			if _, err := r.GetCtx(builder, tc.build, nil); !errors.Is(err, context.Canceled) {
+				t.Fatalf("builder: %v, want context.Canceled", err)
+			}
+			if err := <-waited; !errors.Is(err, context.Canceled) {
+				t.Fatalf("waiter: %v, want the builder's context.Canceled", err)
+			}
+			for _, s := range []RunSpec{tc.build, tc.wait} {
+				if _, ok := r.Lookup(s); ok {
+					t.Errorf("%v/%v held after its build failed", s.Workload, s.Policy)
+				}
+			}
+			if n := r.SimStats().WarmGroups; n != 0 {
+				t.Errorf("WarmGroups = %d after the warm-up failed, want 0", n)
+			}
+			runs := r.Runs()
+			got, err := r.Get(tc.build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := r.SimStats(); st.Runs != runs+1 || st.WarmGroups != tc.groups {
+				t.Errorf("Runs, WarmGroups = %d, %d after the next call, want %d, %d: it builds again", st.Runs, st.WarmGroups, runs+1, tc.groups)
+			}
+			ref, err := Run(tc.build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, ref, got, tc.name)
+		})
 	}
 }
 
