@@ -504,7 +504,7 @@ func (s *Server) end(j *job, st Status, res sim.Result, msg string) bool {
 	j.mu.Unlock()
 
 	if learned {
-		s.tiers.put(j.spec, j.key, res, j.trace)
+		s.tiers.put(j.key, res, j.trace)
 		j.trace.Finish()
 	}
 	return true

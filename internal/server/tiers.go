@@ -11,8 +11,9 @@ import (
 // tiers is where a result may already be, fastest first: the Runner's memo
 // ("memory") and the content-addressed disk store with its degraded-mode
 // state ("disk"). Every path that wants a result without simulating goes
-// through lookup, and every result this daemon simulates goes back in through
-// put, so the walk, its bookkeeping and its metrics exist once.
+// through lookup, and every result this daemon simulates goes to the disk
+// through put (the Runner memoized it as it ran), so the walk, its bookkeeping
+// and its metrics exist once.
 type tiers struct {
 	runner *sim.Runner
 	store  *DiskStore // nil when the disk tier is disabled
@@ -52,10 +53,10 @@ func (t *tiers) lookup(spec sim.RunSpec, key string) (res sim.Result, tier strin
 	return sim.Result{}, "", false
 }
 
-// put writes a result this daemon has just simulated back to both tiers. The
+// put writes a result this daemon has just simulated to the disk tier; the
+// memory tier holds it already, since Runner.GetCtx memoizes what it runs. The
 // disk write times itself and stamps the "store-write" span on tr.
-func (t *tiers) put(spec sim.RunSpec, key string, res sim.Result, tr *obs.Trace) {
-	t.runner.Put(spec, res)
+func (t *tiers) put(key string, res sim.Result, tr *obs.Trace) {
 	if !t.diskUsable() {
 		return
 	}

@@ -345,21 +345,20 @@ func finishResult(spec RunSpec, aggCPU cpu.Stats, aggMem MemStats) Result {
 	return res
 }
 
-// maxMemo bounds the results a Runner remembers (oldest-inserted evicted
-// first), so a daemon fed never-seen specs around the clock does not grow
-// without limit: a result and its spec are about 1 KB, so the memo tops out
-// near 15 MB. An evicted spec is simulated again — or, in spbd, found in the
-// disk tier and written back, exactly as after a restart. The size is the job
-// table's (server.maxTerminalJobs): ten times the largest figure sweep.
+// maxMemo bounds the results a Runner remembers (the one learned longest ago
+// is forgotten first), so a daemon fed never-seen specs around the clock does
+// not grow without limit: a result and its spec are about 1 KB, so the memo
+// tops out near 15 MB. A forgotten spec is simulated again — or, in spbd,
+// found in the disk tier and written back, exactly as after a restart. The
+// size is the job table's (server.maxTerminalJobs): ten times the largest
+// figure sweep.
 const maxMemo = 16384
 
 // Runner is a memoizing, parallel executor of simulation points.
 type Runner struct {
-	mu       sync.Mutex
-	cache    map[RunSpec]Result
-	memoed   []RunSpec // the keys of cache, oldest first
-	memoMax  int       // maxMemo; a field so a test can shrink it
-	inflight map[RunSpec]*runCall
+	// results holds finished runs by normalized spec; a spec's run is executed
+	// once however many callers ask for it at the same time.
+	results *keyed[RunSpec, Result]
 
 	// runs counts actual simulations executed (not cache or singleflight
 	// hits); the duplicate-suppression test reads it.
@@ -367,44 +366,26 @@ type Runner struct {
 
 	// Warm-start groups (DESIGN.md §12): specs that agree on their
 	// warmup-equivalent projection share one functionally-warmed snapshot,
-	// from which each member's run starts. warmMu guards the four fields.
-	warmMu       sync.Mutex
-	warmCache    map[warmKey]*warmGroup
-	warmInflight map[warmKey]*warmCall
-	warmClock    uint64 // ticks once per build or fork: the recency stamp of eviction
-	warmMax      int    // maxWarmGroups; a field so a test can shrink it
+	// from which each member's run starts. Its waits count the waits for a
+	// warm-up in flight, the wait GetAll's warm-first pass rules out for its
+	// own specs (TestGetAllNeverParksBehindWarmup).
+	groups *keyed[warmKey, *warmGroup]
 
 	warmGroups     atomic.Uint64 // warmups actually simulated
 	warmForks      atomic.Uint64 // runs started from a snapshot
 	warmInstsSaved atomic.Uint64 // warmup instructions elided by sharing
 	instsSimulated atomic.Uint64 // instructions simulated (warm + detailed)
-	// warmStalls counts waits, by any caller, for a warm-up in flight: the
-	// wait GetAll's warm-first pass rules out for its own specs
-	// (TestGetAllNeverParksBehindWarmup).
-	warmStalls atomic.Uint64
 
 	sampledRuns        atomic.Uint64 // runs executed in sampling mode
 	sampleIntervals    atomic.Uint64 // measured detailed intervals
 	sampleInstsSkipped atomic.Uint64 // insts covered functionally by sampling
 }
 
-// runCall is one in-flight simulation other callers of the same spec wait on
-// (per-spec singleflight).
-type runCall struct {
-	done chan struct{}
-	res  Result
-	err  error
-}
-
 // NewRunner returns an empty runner.
 func NewRunner() *Runner {
 	return &Runner{
-		cache:        make(map[RunSpec]Result),
-		memoMax:      maxMemo,
-		inflight:     make(map[RunSpec]*runCall),
-		warmCache:    make(map[warmKey]*warmGroup),
-		warmInflight: make(map[warmKey]*warmCall),
-		warmMax:      maxWarmGroups,
+		results: newKeyed[RunSpec, Result](maxMemo),
+		groups:  newKeyed[warmKey, *warmGroup](maxWarmGroups),
 	}
 }
 
@@ -460,11 +441,7 @@ func (r *Runner) Get(spec RunSpec) (Result, error) {
 // running anything. External cache tiers use it to decide whether to consult
 // slower storage.
 func (r *Runner) Lookup(spec RunSpec) (Result, bool) {
-	spec = spec.normalize()
-	r.mu.Lock()
-	res, ok := r.cache[spec]
-	r.mu.Unlock()
-	return res, ok
+	return r.results.lookup(spec.normalize())
 }
 
 // Put seeds the memoization cache with an externally obtained result (e.g.
@@ -472,21 +449,7 @@ func (r *Runner) Lookup(spec RunSpec) (Result, bool) {
 // memory hits. The result is keyed under the normalized spec regardless of
 // the form res.Spec is in.
 func (r *Runner) Put(spec RunSpec, res Result) {
-	r.mu.Lock()
-	r.memoize(spec.normalize(), res)
-	r.mu.Unlock()
-}
-
-// memoize remembers res under the normalized spec, forgetting the spec
-// remembered longest ago once memoMax are held. The caller holds r.mu.
-func (r *Runner) memoize(spec RunSpec, res Result) {
-	if _, held := r.cache[spec]; !held {
-		if r.memoed = append(r.memoed, spec); len(r.memoed) > r.memoMax {
-			delete(r.cache, r.memoed[0])
-			r.memoed = r.memoed[1:]
-		}
-	}
-	r.cache[spec] = res
+	r.results.put(spec.normalize(), res)
 }
 
 // GetCtx is Get with cancellation and progress reporting. The first caller
@@ -498,35 +461,10 @@ func (r *Runner) memoize(spec RunSpec, res Result) {
 // caller that actually executes.
 func (r *Runner) GetCtx(ctx context.Context, spec RunSpec, onProgress func(Progress)) (Result, error) {
 	spec = spec.normalize()
-	r.mu.Lock()
-	if res, ok := r.cache[spec]; ok {
-		r.mu.Unlock()
-		return res, nil
-	}
-	if call, ok := r.inflight[spec]; ok {
-		r.mu.Unlock()
-		select {
-		case <-call.done:
-			return call.res, call.err
-		case <-ctx.Done():
-			return Result{}, ctx.Err()
-		}
-	}
-	call := &runCall{done: make(chan struct{})}
-	r.inflight[spec] = call
-	r.mu.Unlock()
-
-	r.runs.Add(1)
-	call.res, call.err = r.execute(ctx, spec, onProgress)
-
-	r.mu.Lock()
-	if call.err == nil {
-		r.memoize(spec, call.res)
-	}
-	delete(r.inflight, spec)
-	r.mu.Unlock()
-	close(call.done)
-	return call.res, call.err
+	return r.results.get(ctx, spec, func() (Result, error) {
+		r.runs.Add(1)
+		return r.execute(ctx, spec, onProgress)
+	})
 }
 
 // Runs reports how many simulations this runner actually executed (cache and
@@ -572,15 +510,13 @@ func lptOrder(specs []RunSpec) []int {
 func (r *Runner) GetAllCtx(ctx context.Context, specs []RunSpec) ([]Result, error) {
 	var warm []RunSpec
 	seen := make(map[warmKey]bool)
-	r.mu.Lock()
 	for _, s := range specs {
 		s = s.normalize()
-		if _, memoized := r.cache[s]; s.WarmupInsts > 0 && !memoized && !seen[warmKeyOf(s)] {
+		if _, memoized := r.results.lookup(s); s.WarmupInsts > 0 && !memoized && !seen[warmKeyOf(s)] {
 			seen[warmKeyOf(s)] = true
 			warm = append(warm, s)
 		}
 	}
-	r.mu.Unlock()
 	slices.SortStableFunc(warm, func(a, b RunSpec) int {
 		return cmp.Compare(b.WarmupInsts*uint64(b.Cores), a.WarmupInsts*uint64(a.Cores))
 	})

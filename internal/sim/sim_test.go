@@ -268,11 +268,11 @@ func TestRunnerMemoizes(t *testing.T) {
 	}
 }
 
-// TestRunnerMemoIsBounded: a Runner remembers its memoMax most recently
+// TestRunnerMemoIsBounded: a Runner remembers its results.max most recently
 // learned results; the oldest is simulated again, the newest are hits.
 func TestRunnerMemoIsBounded(t *testing.T) {
 	r := NewRunner()
-	r.memoMax = 3
+	r.results.max = 3
 	spec := func(seed uint64) RunSpec {
 		return RunSpec{Workload: "leela", Policy: core.PolicySPB, SQSize: 14, Insts: 2000, Seed: seed}
 	}
@@ -287,8 +287,8 @@ func TestRunnerMemoIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := r.Lookup(spec(1)); ok || len(r.cache) != 3 || len(r.memoed) != 3 {
-		t.Fatalf("after 4 specs: oldest held %v, %d results under %d keys, want 3 without the oldest", ok, len(r.cache), len(r.memoed))
+	if _, ok := r.Lookup(spec(1)); ok || len(r.results.held) != 3 || len(r.results.order) != 3 {
+		t.Fatalf("after 4 specs: oldest held %v, %d results under %d keys, want 3 without the oldest", ok, len(r.results.held), len(r.results.order))
 	}
 	for seed := uint64(2); seed <= 4; seed++ {
 		if _, err := r.Get(spec(seed)); err != nil {

@@ -1,6 +1,9 @@
 package sim
 
-import "context"
+import (
+	"context"
+	"sync/atomic"
+)
 
 // Warm-start groups (DESIGN.md §12, "Where a run may start").
 //
@@ -49,24 +52,19 @@ func warmKeyOf(spec RunSpec) warmKey {
 // 8.93 MB as 32-byte Lines). The bound sits above the most groups any in-tree
 // sweep holds at once — a full-scale harness run of every experiment with
 // -warmup is 138 (fig17 alone 115) — so no figure or benchmark grid warms a
-// group twice; 160 groups at roms' 10 M cost pin 253 MB.
+// group twice; 160 groups at roms' 10 M cost pin 253 MB. Past the bound the
+// group built longest ago is forgotten, as the memo forgets results, even if
+// it is still being forked: a hot group is warmed at most once more per 160
+// group builds.
 const maxWarmGroups = 160
 
 // warmGroup is one group's snapshot: a start point at the edge after the
 // warm-up segment. The start is immutable once published — runs only read it
 // (restore clones the cursors and copies the arrays) — so any number may start
-// from it concurrently; the bookkeeping beside it is guarded by Runner.warmMu.
+// from it concurrently.
 type warmGroup struct {
 	start *startPoint
-	forks uint64 // runs started from it
-	used  uint64 // Runner.warmClock at the latest of them
-}
-
-// warmCall is one in-flight warm-up other members of the same group wait on.
-type warmCall struct {
-	done chan struct{}
-	g    *warmGroup
-	err  error
+	forks atomic.Uint64 // runs started from it
 }
 
 // execute runs one normalized spec from wherever its machine can start: a
@@ -109,15 +107,8 @@ func (r *Runner) warmFor(ctx context.Context, spec RunSpec) (*startPoint, error)
 	if err != nil {
 		return nil, err
 	}
-	r.warmMu.Lock()
-	r.warmClock++
-	g.used = r.warmClock
-	g.forks++
-	first := g.forks == 1
-	r.warmMu.Unlock()
-
 	r.warmForks.Add(1)
-	if !first {
+	if g.forks.Add(1) > 1 {
 		// Every run after the group's first rides a warm-up it would otherwise
 		// have simulated itself.
 		r.warmInstsSaved.Add(spec.WarmupInsts * uint64(spec.Cores))
@@ -126,52 +117,15 @@ func (r *Runner) warmFor(ctx context.Context, spec RunSpec) (*startPoint, error)
 }
 
 // warmGroup returns spec's group: the held snapshot, or else one built by
-// executing the warm-up (per-group singleflight: a caller that finds the
-// group's warm-up in flight waits for it, under its own ctx, rather than
-// re-warming). A group built is held, and the least recently built or forked
-// group beyond the bound is evicted; one evicted while members are still to
-// come is warmed again: slower, same bytes.
+// executing the warm-up (a caller that finds the group's warm-up in flight
+// waits for it, under its own ctx, rather than re-warming). A group built is
+// held, and past maxWarmGroups the group built longest ago is forgotten; one
+// forgotten while members are still to come is warmed again: slower, same
+// bytes.
 func (r *Runner) warmGroup(ctx context.Context, spec RunSpec) (*warmGroup, error) {
-	key := warmKeyOf(spec)
-	r.warmMu.Lock()
-	if g := r.warmCache[key]; g != nil {
-		r.warmMu.Unlock()
-		return g, nil
-	}
-	if call, inflight := r.warmInflight[key]; inflight {
-		r.warmMu.Unlock()
-		r.warmStalls.Add(1)
-		select {
-		case <-call.done:
-			return call.g, call.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	call := &warmCall{done: make(chan struct{})}
-	r.warmInflight[key] = call
-	r.warmMu.Unlock()
-	call.g, call.err = r.buildWarm(ctx, spec)
-
-	r.warmMu.Lock()
-	delete(r.warmInflight, key)
-	if call.err == nil {
-		r.warmClock++
-		call.g.used = r.warmClock
-		r.warmCache[key] = call.g
-		for len(r.warmCache) > r.warmMax {
-			oldest, at := key, call.g.used
-			for k, c := range r.warmCache {
-				if c.used < at {
-					oldest, at = k, c.used
-				}
-			}
-			delete(r.warmCache, oldest)
-		}
-	}
-	r.warmMu.Unlock()
-	close(call.done)
-	return call.g, call.err
+	return r.groups.get(ctx, warmKeyOf(spec), func() (*warmGroup, error) {
+		return r.buildWarm(ctx, spec)
+	})
 }
 
 // buildWarm executes one group's warm-up segment on a cold machine — no core

@@ -211,34 +211,41 @@ func TestWarmStartGroupSharingAcrossKnobs(t *testing.T) {
 	}
 }
 
-// TestWarmCacheBounded: a Runner keeps at most warmMax group snapshots, evicts
-// the least recently forked, and a group warmed again after its eviction
-// starts its members byte-identically to the in-place run.
+// TestWarmCacheBounded: a Runner keeps at most groups.max group snapshots,
+// evicts the one built longest ago — even one forked again since — and a group
+// warmed again after its eviction starts its members byte-identically to the
+// in-place run.
 func TestWarmCacheBounded(t *testing.T) {
 	r := NewRunner()
-	r.warmMax = 3
+	r.groups.max = 3
 	spec := func(seed uint64, p core.Policy) RunSpec {
 		return RunSpec{Workload: "bwaves", Policy: p, SQSize: 14, Insts: 3000, WarmupInsts: 6000, Seed: seed}
 	}
-	for seed := uint64(1); seed <= uint64(r.warmMax)+1; seed++ {
+	for seed := uint64(1); seed <= uint64(r.groups.max)+1; seed++ {
+		if seed == uint64(r.groups.max)+1 {
+			// Group 1 forked once more before the newest is built.
+			if _, err := r.Get(spec(1, core.PolicyIdeal)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if _, err := r.Get(spec(seed, core.PolicySPB)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r.warmMu.Lock()
-	kept := len(r.warmCache)
-	_, first := r.warmCache[warmKeyOf(spec(1, core.PolicySPB).Normalized())]
-	r.warmMu.Unlock()
-	if kept != r.warmMax || first {
-		t.Fatalf("after %d groups the cache holds %d (want %d), the oldest among them: %v", r.warmMax+1, kept, r.warmMax, first)
+	r.groups.mu.Lock()
+	kept := len(r.groups.held)
+	_, first := r.groups.held[warmKeyOf(spec(1, core.PolicySPB).Normalized())]
+	r.groups.mu.Unlock()
+	if kept != r.groups.max || first {
+		t.Fatalf("after %d groups the cache holds %d (want %d), the oldest built among them: %v", r.groups.max+1, kept, r.groups.max, first)
 	}
 	again := spec(1, core.PolicyAtCommit)
 	got, err := r.Get(again)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := r.SimStats(); st.WarmGroups != uint64(r.warmMax)+2 {
-		t.Fatalf("WarmGroups = %d, want %d: the evicted group is warmed once more", st.WarmGroups, r.warmMax+2)
+	if st := r.SimStats(); st.WarmGroups != uint64(r.groups.max)+2 {
+		t.Fatalf("WarmGroups = %d, want %d: the evicted group is warmed once more", st.WarmGroups, r.groups.max+2)
 	}
 	ref, err := Run(again)
 	if err != nil {
@@ -488,9 +495,9 @@ func TestGetAllWarmsOnlyWhatItRuns(t *testing.T) {
 	}
 
 	t.Run("memoized", func(t *testing.T) {
-		r.warmMu.Lock()
-		clear(r.warmCache)
-		r.warmMu.Unlock()
+		r.groups.mu.Lock()
+		clear(r.groups.held)
+		r.groups.mu.Unlock()
 		before := r.SimStats()
 		again, err := r.GetAll(specs)
 		if err != nil {
@@ -533,7 +540,7 @@ func TestGetAllNeverParksBehindWarmup(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	noStalls := func(t *testing.T, r *Runner) {
 		t.Helper()
-		if n := r.warmStalls.Load(); n != 0 {
+		if n := r.groups.waits.Load(); n != 0 {
 			t.Errorf("%d waits for an in-flight warm-up, want 0", n)
 		}
 	}
@@ -591,10 +598,13 @@ func TestGetAllNeverParksBehindWarmup(t *testing.T) {
 		}()
 		// Both workers building means the warm-first pass has both groups in
 		// flight.
-		for building := 0; building < 2; time.Sleep(time.Millisecond) {
-			r.warmMu.Lock()
-			building = len(r.warmInflight)
-			r.warmMu.Unlock()
+		for building, deadline := 0, time.Now().Add(10*time.Second); building < 2; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("after 10 s %d warm-ups in flight, want 2", building)
+			}
+			r.groups.mu.Lock()
+			building = len(r.groups.building)
+			r.groups.mu.Unlock()
 		}
 		cancel()
 		select {
@@ -621,14 +631,19 @@ func TestGetAllNeverParksBehindWarmup(t *testing.T) {
 			done <- err
 		}
 		go get(specs[0])
-		for building := 0; building < 1; time.Sleep(time.Millisecond) {
-			r.warmMu.Lock()
-			building = len(r.warmInflight)
-			r.warmMu.Unlock()
+		for building, deadline := 0, time.Now().Add(10*time.Second); building < 1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("after 10 s no warm-up in flight")
+			}
+			r.groups.mu.Lock()
+			building = len(r.groups.building)
+			r.groups.mu.Unlock()
 		}
 		go get(specs[1])
-		for deadline := time.Now().Add(10 * time.Second); r.warmStalls.Load() == 0 && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
+		for deadline := time.Now().Add(10 * time.Second); r.groups.waits.Load() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("after 10 s the second GetCtx has counted no wait for the warm-up in flight")
+			}
 		}
 		cancel()
 		for range 2 {
@@ -641,7 +656,7 @@ func TestGetAllNeverParksBehindWarmup(t *testing.T) {
 				t.Fatal("cancelled GetCtx did not return")
 			}
 		}
-		if n := r.warmStalls.Load(); n != 1 {
+		if n := r.groups.waits.Load(); n != 1 {
 			t.Errorf("a second GetCtx behind a warm-up in flight counted %d waits, want 1", n)
 		}
 	})
