@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"math"
@@ -76,20 +77,22 @@ var DefaultSampling = SamplingConfig{
 
 // SamplingFlags registers the CLIs' -sample* flags on fs and returns a getter
 // for the configuration they select, valid once fs is parsed: the four
-// -sample-* values as given, or DefaultSampling when -sample is set and no
-// interval is.
+// -sample-* values as given, where -sample supplies DefaultSampling's value for
+// each one left at 0.
 func SamplingFlags(fs *flag.FlagSet) func() SamplingConfig {
 	var c SamplingConfig
-	sample := fs.Bool("sample", false, "SMARTS sampling at the validated default (125k-inst period, 8k detailed, 12k warm)")
+	sample := fs.Bool("sample", false, "SMARTS sampling at the validated default (125k-inst period, 8k detailed, 12k warm); a -sample-* value given replaces its part")
 	fs.Uint64Var(&c.IntervalInsts, "sample-interval", 0, "sampling period in instructions per core (overrides -sample's default; 0 = off)")
 	fs.Uint64Var(&c.DetailedInsts, "sample-detailed", 0, "detailed-window length per sample (0 = engine default)")
 	fs.Uint64Var(&c.WarmInsts, "sample-warm", 0, "detailed warming before each window (0 = engine default)")
 	fs.Uint64Var(&c.HistoryInsts, "sample-history", 0, "bound full warming to the last N insts of each skip; the LLC+directory stay warm throughout (0 = full-warm the whole skip)")
 	return func() SamplingConfig {
-		if *sample && !c.Enabled() {
-			return DefaultSampling
+		if !*sample {
+			return c
 		}
-		return c
+		d := DefaultSampling
+		return SamplingConfig{cmp.Or(c.IntervalInsts, d.IntervalInsts), cmp.Or(c.DetailedInsts, d.DetailedInsts),
+			cmp.Or(c.WarmInsts, d.WarmInsts), cmp.Or(c.HistoryInsts, d.HistoryInsts)}
 	}
 }
 

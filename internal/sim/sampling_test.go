@@ -457,7 +457,8 @@ func FuzzFunctionalEquivalence(f *testing.F) {
 }
 
 // TestSamplingFlags: the one declaration of the CLIs' -sample* flags keeps
-// their rule — -sample means DefaultSampling unless an interval was given.
+// their rule — -sample supplies DefaultSampling's value for each -sample-*
+// value left at 0.
 func TestSamplingFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -465,7 +466,8 @@ func TestSamplingFlags(t *testing.T) {
 	}{
 		{nil, SamplingConfig{}},
 		{[]string{"-sample"}, DefaultSampling},
-		{[]string{"-sample", "-sample-interval", "50000"}, SamplingConfig{IntervalInsts: 50_000}},
+		{[]string{"-sample", "-sample-interval", "50000"}, SamplingConfig{IntervalInsts: 50_000, DetailedInsts: 8_000, WarmInsts: 12_000}},
+		{[]string{"-sample", "-sample-history", "300"}, SamplingConfig{IntervalInsts: 125_000, DetailedInsts: 8_000, WarmInsts: 12_000, HistoryInsts: 300}},
 		{[]string{"-sample-interval", "50000", "-sample-detailed", "100", "-sample-warm", "200", "-sample-history", "300"},
 			SamplingConfig{IntervalInsts: 50_000, DetailedInsts: 100, WarmInsts: 200, HistoryInsts: 300}},
 		{[]string{"-sample-detailed", "100"}, SamplingConfig{DetailedInsts: 100}},
