@@ -117,10 +117,10 @@ type Executor interface {
 	GetAllCtx(ctx context.Context, specs []sim.RunSpec) ([]sim.Result, error)
 }
 
-// Harness runs sweeps against a shared executor (by default an in-process
-// memoizing runner).
+// Harness runs sweeps against one executor: an in-process memoizing runner,
+// or the Executor NewHarnessOn was given.
 type Harness struct {
-	runner *sim.Runner
+	runner *sim.Runner // the executor when it runs in process, else nil
 	exec   Executor
 	ctx    context.Context
 	scale  Scale
@@ -136,18 +136,16 @@ func NewHarness(scale Scale) *Harness {
 // regeneration stops every in-flight and queued simulation, local or
 // remote.
 func NewHarnessOn(ctx context.Context, scale Scale, exec Executor) *Harness {
-	r := sim.NewRunner()
-	h := &Harness{runner: r, exec: exec, ctx: ctx, scale: scale}
-	if h.exec == nil {
-		h.exec = r
+	h := &Harness{exec: exec, ctx: ctx, scale: scale}
+	if exec == nil {
+		h.runner = sim.NewRunner()
+		h.exec = h.runner
 	}
 	return h
 }
 
-// Runner exposes the harness's in-process runner so callers can adjust its
-// execution strategy (warm-start forking) or read its accounting. When an
-// external Executor is in use, the runner only serves as a fallback and its
-// settings do not reach the remote daemons.
+// Runner returns the harness's in-process runner, whose accounting callers
+// read, or nil when the harness executes on an external Executor.
 func (h *Harness) Runner() *sim.Runner {
 	return h.runner
 }
