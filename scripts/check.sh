@@ -8,9 +8,10 @@
 # test-only references),
 # the bench/ module's tests (it calls internal/ APIs and the root ./...
 # cannot see it), a race pass over the packages with real concurrency (the
-# Runner's singleflight / worker pool — its GetAll tests five times over, since
-# a two-pass scheduler that lets a worker wait behind a warm-up or lose a
-# result fails as a flake — the figure pipelines that drive it, the spbd job
+# Runner's keyed tables and worker pool — its GetAll, build-once, memo and
+# warm-group tests five times over, since a two-pass scheduler that lets a
+# worker wait behind a warm-up, or a table that loses a result or holds a
+# failed build, fails as a flake — the figure pipelines that drive it, the spbd job
 # queue, the client pool's sharding/hedging machinery — its tests ten times
 # over — the arena pools, and internal/cache, whose -race build puts its
 # arenas back on the heap, the only memory the detector sees), and the
@@ -46,8 +47,8 @@ go test -race -skip 'TestWarmWalkMatchesPerInstructionReference' ./internal/sim
 go test -race ./internal/figures ./internal/server ./internal/client ./internal/faults ./internal/obs ./internal/memsys ./internal/cpu ./internal/trace ./internal/prefetch ./internal/pool ./internal/cache ./cmd/spbd
 echo "== the sweep pool's scheduler, ten times under -race (a concurrent scheduler fails as a flake, not as a red run; ~3.5 min) =="
 go test -race -count=10 -run 'Pool|Chaos|Breaker|HRW' ./internal/client
-echo "== the Runner's GetAll (warm-first pass, then longest-first runs), five times under -race (~35 s) =="
-go test -race -count=5 -run 'TestGetAll|TestRunnerGetAll' ./internal/sim
+echo "== the Runner's GetAll (warm-first pass, then longest-first runs) and its two keyed tables (results and warm groups: build once, wait, forget the oldest, hold no failed build), five times under -race (~40 s) =="
+go test -race -count=5 -run 'TestGetAll|TestRunnerGetAll|TestRunnerSingleflight|TestGetCtxWaiterCancellation|TestRunnerMemoIsBounded|TestWarmCacheBounded|TestFailedBuildIsHeldByNone' ./internal/sim
 echo "== e2e (real spbd processes: service smoke, fault storms, kill -9 recovery, a static 3-daemon fleet) =="
 go vet -tags e2e ./internal/e2e && go test -tags e2e -count=1 ./internal/e2e
 echo "== code lines per package (non-blank, non-comment, non-test Go; bench/ is its own module) =="
